@@ -237,12 +237,10 @@ def cmd_simulate(args) -> int:
 
     trace_file = None
     trace_hook = None
-    workers = args.workers
     if args.trace_out:
         trace_file = open(args.trace_out, "w", newline="")
         writer = csv.writer(trace_file)
         writer.writerow(["run", "step", "state", "action", "event", "outcome"])
-        workers = 1
 
         def trace_hook(run_index, trace):
             for k, a in enumerate(trace.actions):
@@ -257,7 +255,7 @@ def cmd_simulate(args) -> int:
     try:
         est = estimate_success(
             mdp, strategy, runs=args.runs, master_seed=args.seed,
-            max_steps=args.max_steps, workers=workers, trace_hook=trace_hook,
+            max_steps=args.max_steps, trace_hook=trace_hook,
         )
     finally:
         if trace_file is not None:
@@ -341,11 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=100_000)
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread count (default: HOSTILE_MDP_THREADS or cpu count, capped at 8)")
     p.add_argument("--trace-out",
-                   help="write per-step trace rows as CSV (forces a single worker; "
-                        "meant for small --runs)")
+                   help="write per-step trace rows as CSV (meant for small --runs)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_simulate)
 
@@ -363,6 +358,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("synthesize", "simulate") and not args.mdp and args.env is None:
         parser.error(f"{args.command}: one of --env or --mdp is required")
+    if args.command == "simulate" and (args.runs < 1 or min(args.max_steps, args.seed) < 0):
+        parser.error("simulate: --runs must be at least 1, --max-steps and --seed at least 0")
     _echo_config(args)
     try:
         return args.func(args)

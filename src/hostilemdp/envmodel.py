@@ -118,9 +118,6 @@ class Environment:
     warnings: list[str] = field(default_factory=list)
     source: dict | None = None
 
-    def region_order(self, region_id: str) -> int:
-        return list(self.regions).index(region_id)
-
     def neighbors(self, region_id: str) -> tuple[str, ...]:
         """Adjacent regions, in declaration order."""
         adjacent = set()
@@ -142,10 +139,6 @@ class Environment:
         return tuple(
             p for p in self.primitives if p.from_facet == facet_id and p.region == region_id
         )
-
-    def traversable_regions(self) -> tuple[str, ...]:
-        crossed = {p.region for p in self.primitives}
-        return tuple(r for r in self.regions if r in crossed)
 
 
 def build_lost_table(region: Region, marginal_n, marginal_o) -> dict[tuple[int, int], float]:

@@ -6,16 +6,17 @@ property scores, then follows the second-stage policy until delivery.  Runs
 that die or exhaust the step budget end early; a strategy with no action at
 a reached state is an execution error, not an outcome.
 
-Per-run generators are seeded as ``default_rng([master_seed, run_index])``,
-so results do not depend on how runs are split across worker threads.
+Every entry point runs ``_lockstep``, which advances runs together in fixed
+chunks of :data:`CHUNK`; chunk ``c`` draws from
+``default_rng(SeedSequence([seed, c]))``, so results depend only on the seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,9 @@ LOST = "lost"
 STEP_LIMIT = "step-limit"
 
 OUTCOMES = (SUCCESS, LOST, STEP_LIMIT)
+
+#: runs per lockstep batch; it fixes which random numbers each run draws
+CHUNK = 4096
 
 
 @dataclass
@@ -77,35 +81,109 @@ def classify_step(mdp: Mdp, src: int, dst: int) -> str:
     return "step"
 
 
-def _sample(row: Sequence[tuple[int, float]], rng: np.random.Generator) -> int:
-    u = rng.random()
-    acc = 0.0
-    for succ, p in row:
-        acc += p
-        if u < acc:
-            return succ
-    return row[-1][0]
+@dataclass
+class _Plan:
+    """The rows one or two policies play, as flat arrays, and state masks.
+
+    ``row[k, s]`` is the row policy ``k`` plays at ``s`` (-1: undefined).  Row
+    ``r`` plays ``action[r]`` and leads to ``succ[ptr[r]:ptr[r + 1]]`` with
+    running probability sums ``cum``; the last sum is infinite, so a draw
+    above a row total that rounded below 1 takes the last successor.
+    """
+
+    row: np.ndarray
+    action: np.ndarray
+    ptr: np.ndarray
+    succ: np.ndarray
+    cum: np.ndarray
+    alive: np.ndarray
+    switch: np.ndarray
+    dropoff: np.ndarray
+
+    @classmethod
+    def of(cls, mdp: Mdp, policies: Sequence[dict[int, int]], alive, switch=(), dropoff=()):
+        row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
+        action, ptr, succ, cum = [], [0], [], []
+        for k, policy in enumerate(policies):
+            for s, a in policy.items():
+                row[k, s] = len(action)
+                action.append(a)
+                dist = mdp.row(s, a)
+                succ.extend(t for t, _ in dist)
+                cum.extend(accumulate(p for _, p in dist))
+                cum[-1] = math.inf
+                ptr.append(len(succ))
+        masks = [np.isin(np.arange(mdp.n_states), list(states))
+                 for states in (alive, switch, dropoff)]
+        return cls(row, np.array(action, dtype=np.int64), np.array(ptr, dtype=np.int64),
+                   np.array(succ, dtype=np.int64), np.array(cum), *masks)
 
 
-def rollout(
-    mdp: Mdp,
-    policy: dict[int, int],
-    rng: np.random.Generator,
-    max_steps: int = 100_000,
-    stop: frozenset[int] = frozenset(),
-) -> tuple[list[int], list[int]]:
-    """Follow a single memoryless policy; returns visited states and actions."""
-    s = mdp.init
-    states = [s]
-    actions: list[int] = []
-    while len(actions) < max_steps and s not in stop:
-        a = policy.get(s)
-        if a is None:
+def _traces(start: int, outcome, satisfied, delivered, history) -> list[Trace]:
+    """Per-run traces of a batch that ``_lockstep`` ran with ``keep``."""
+    states = [[start] for _ in outcome]
+    actions = [[] for _ in outcome]
+    for moved, reached, played in history:
+        for i, t, a in zip(moved.tolist(), reached.tolist(), played.tolist()):
+            states[i].append(t)
+            actions[i].append(a)
+    return [
+        Trace(path, acts, OUTCOMES[code], sat if sat >= 0 else None, done if done >= 0 else None)
+        for path, acts, code, sat, done in zip(
+            states, actions, outcome.tolist(), satisfied.tolist(), delivered.tolist())
+    ]
+
+
+def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int, rng: np.random.Generator,
+              max_steps: int, keep: bool):
+    """Advance ``runs`` runs from ``start`` together, one vectorised step at a time.
+
+    Runs obey the mission rules above, with the plan's masks.  Returns each
+    run's outcome (index into :data:`OUTCOMES`), satisfied and delivered
+    steps (-1: never) and, if ``keep``, per step the runs that moved, their
+    new states and actions.  ``keep`` changes no draw.
+    """
+    cur = np.full(runs, start, dtype=np.int64)
+    satisfied = np.full(runs, -1, dtype=np.int64)
+    delivered = np.full(runs, -1, dtype=np.int64)
+    live = np.arange(runs)
+    history = []
+    for step in range(max_steps + 1):
+        live = live[plan.alive[cur[live]]]
+        s = cur[live]
+        satisfied[live[(satisfied[live] < 0) & plan.switch[s]]] = step
+        done = (satisfied[live] >= 0) & plan.dropoff[s]
+        delivered[live[done]] = step
+        live, s = live[~done], s[~done]
+        if step == max_steps or not live.size:
             break
-        s = _sample(mdp.row(s, a), rng)
-        states.append(s)
-        actions.append(a)
-    return states, actions
+        r = plan.row[(satisfied[live] >= 0).astype(np.intp), s]
+        if (r < 0).any():
+            i = int(np.argmax(r < 0))
+            phase = "second" if satisfied[live[i]] >= 0 else "first"
+            raise RuntimeError(f"{phase}-stage strategy undefined at reached state {s[i]} "
+                               f"({mdp.states[s[i]]!r})")
+        # each run takes the first successor whose running sum exceeds its draw
+        first = plan.ptr[r]
+        last = plan.ptr[r + 1] - first - 1
+        cols = np.minimum(np.arange(last.max() + 1), last[:, None])
+        below = plan.cum[first[:, None] + cols] <= rng.random(live.size)[:, None]
+        cur[live] = plan.succ[first + below.sum(axis=1)]
+        if keep:
+            history.append((live, cur[live], plan.action[r]))
+    outcome = np.where(satisfied >= 0, 0, np.where(plan.alive[cur], 2, 1))
+    return outcome, satisfied, delivered, history
+
+
+def _chunks(runs: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
+    for c, first in enumerate(range(0, runs, CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        yield first, min(CHUNK, runs - first), rng
+
+
+def _mission(mdp: Mdp, strategy: MissionStrategy) -> _Plan:
+    return _Plan.of(mdp, (strategy.first, strategy.second), mdp.label_set("alive"),
+                    strategy.switch, mdp.label_set(DROPOFF))
 
 
 def simulate_run(
@@ -114,43 +192,9 @@ def simulate_run(
     rng: np.random.Generator,
     max_steps: int = 100_000,
 ) -> Trace:
-    alive = mdp.label_set("alive")
-    dropoff = mdp.label_set(DROPOFF)
-    s = mdp.init
-    states = [s]
-    actions: list[int] = []
-    satisfied: Optional[int] = None
-    delivered: Optional[int] = None
-
-    while True:
-        if s not in alive:
-            break
-        if satisfied is None and s in strategy.switch:
-            satisfied = len(actions)
-        if satisfied is not None and s in dropoff:
-            delivered = len(actions)
-            break
-        if len(actions) >= max_steps:
-            break
-        policy = strategy.first if satisfied is None else strategy.second
-        a = policy.get(s)
-        if a is None:
-            phase = "first" if satisfied is None else "second"
-            raise RuntimeError(
-                f"{phase}-stage strategy undefined at reached state {s} "
-                f"({mdp.states[s]!r})"
-            )
-        s = _sample(mdp.row(s, a), rng)
-        states.append(s)
-        actions.append(a)
-
-    if satisfied is not None:
-        outcome = SUCCESS
-    elif s not in alive:
-        outcome = LOST
-    else:
-        outcome = STEP_LIMIT
-    return Trace(states, actions, outcome, satisfied, delivered)
+    """One mission run, drawing one number from ``rng`` per step."""
+    return _traces(mdp.init, *_lockstep(mdp, _mission(mdp, strategy), mdp.init, 1, rng,
+                                        max_steps, keep=True))[0]
 
 
 @dataclass
@@ -171,63 +215,41 @@ class Estimate:
                 min(1.0, self.estimate + self.half_width))
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("HOSTILE_MDP_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def estimate_success(
     mdp: Mdp,
     strategy: MissionStrategy,
     runs: int = 10_000,
     master_seed: int = 0,
     max_steps: int = 100_000,
-    workers: Optional[int] = None,
     trace_hook: Optional[Callable[[int, Trace], None]] = None,
 ) -> Estimate:
-    """Estimate the mission success probability from independent runs."""
-    counts = {k: 0 for k in OUTCOMES}
+    """Estimate the mission success probability from independent runs.
+
+    ``trace_hook(i, trace)`` sees every run in index order and changes no result.
+    """
+    plan = _mission(mdp, strategy)
+    counts = np.zeros(len(OUTCOMES), dtype=np.int64)
     delivered = 0
-
-    def run_block(indices: range) -> tuple[dict[str, int], int]:
-        local = {k: 0 for k in OUTCOMES}
-        local_delivered = 0
-        for i in indices:
-            rng = np.random.default_rng([master_seed, i])
-            trace = simulate_run(mdp, strategy, rng, max_steps=max_steps)
-            local[trace.outcome] += 1
-            if trace.delivered_step is not None:
-                local_delivered += 1
-            if trace_hook is not None:
+    for first, size, rng in _chunks(runs, master_seed):
+        batch = _lockstep(mdp, plan, mdp.init, size, rng, max_steps, keep=trace_hook is not None)
+        outcome, _, delivered_at, _ = batch
+        counts += np.bincount(outcome, minlength=len(OUTCOMES))
+        delivered += int(np.count_nonzero(delivered_at >= 0))
+        if trace_hook is not None:
+            for i, trace in enumerate(_traces(mdp.init, *batch), first):
                 trace_hook(i, trace)
-        return local, local_delivered
 
-    n_workers = _worker_count(workers)
-    if n_workers == 1 or runs < 2 * n_workers:
-        blocks = [run_block(range(runs))]
-    else:
-        bounds = np.linspace(0, runs, n_workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            blocks = list(pool.map(run_block, [range(a, b) for a, b in zip(bounds, bounds[1:])]))
-    for local, local_delivered in blocks:
-        for k, v in local.items():
-            counts[k] += v
-        delivered += local_delivered
-
-    p = counts[SUCCESS] / runs if runs else 0.0
+    satisfied, lost, step_limit = (int(c) for c in counts)
+    p = satisfied / runs if runs else 0.0
     half = 1.96 * float(np.sqrt(p * (1.0 - p) / runs)) if runs else 0.0
     return Estimate(
         runs=runs,
-        satisfied=counts[SUCCESS],
+        satisfied=satisfied,
         estimate=p,
         half_width=half,
         delivered=delivered,
-        lost=counts[LOST],
-        step_limit=counts[STEP_LIMIT],
+        lost=lost,
+        step_limit=step_limit,
         master_seed=master_seed,
     )
 
@@ -241,28 +263,19 @@ def prefix_frequency(
 ) -> float:
     """Fraction of simulated runs whose first states match ``prefix``.
 
-    All runs advance in lockstep, grouped by current state so each group
-    draws its successors in one vectorized call; runs that leave the prefix
-    keep evolving but can no longer count as matches.
+    Runs start at ``prefix[0]`` and follow ``policy`` for ``len(prefix) - 1``
+    steps; a run that reaches a state where the policy is undefined stops
+    there, so it can no longer match.
     """
     if len(prefix) < 1:
         raise ValueError("prefix needs at least one state")
-    rng = np.random.default_rng(seed)
-    current = np.full(runs, prefix[0], dtype=np.int64)
-    matching = np.ones(runs, dtype=bool)
-    for step in range(len(prefix) - 1):
-        nxt = np.empty(runs, dtype=np.int64)
-        for s in np.unique(current):
-            mask = current == s
-            a = policy.get(int(s))
-            if a is None:
-                nxt[mask] = s
-                matching &= ~mask
-                continue
-            row = mdp.row(int(s), a)
-            succs = np.fromiter((t for t, _ in row), dtype=np.int64, count=len(row))
-            probs = np.fromiter((p for _, p in row), dtype=float, count=len(row))
-            nxt[mask] = rng.choice(succs, size=int(mask.sum()), p=probs / probs.sum())
-        current = nxt
-        matching &= current == prefix[step + 1]
-    return float(matching.mean())
+    plan = _Plan.of(mdp, (policy,), alive=policy)
+    steps = len(prefix) - 1
+    hits = 0
+    for _, size, rng in _chunks(runs, seed):
+        *_, history = _lockstep(mdp, plan, prefix[0], size, rng, steps, keep=True)
+        matched = np.zeros(size, dtype=np.int64)
+        for target, (moved, states, _) in zip(prefix[1:], history):
+            matched[moved[states == target]] += 1
+        hits += int(np.count_nonzero(matched == steps))
+    return hits / runs

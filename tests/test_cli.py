@@ -148,12 +148,22 @@ class TestSimulate:
         assert "95% interval" in out
         assert "lost:" in out and "step-limit:" in out
 
+    def test_bad_run_counts_are_usage_errors(self, capsys):
+        for flag, value in (("--runs", "0"), ("--runs", "-3"), ("--max-steps", "-1"),
+                            ("--seed", "-1")):
+            with pytest.raises(SystemExit) as err:
+                main(["simulate", "--env", "corridor", flag, value])
+            assert err.value.code == 2
+            assert flag in capsys.readouterr().err
+
     def test_trace_csv(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         assert main(["simulate", "--env", "corridor", "--runs", "5",
                      "--seed", "1", "--trace-out", str(path)]) == 0
         captured = capsys.readouterr()
         assert f"wrote {path}" in captured.err
+        assert main(["simulate", "--env", "corridor", "--runs", "5", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == captured.out
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["run", "step", "state", "action", "event", "outcome"]

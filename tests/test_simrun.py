@@ -6,15 +6,16 @@ import pytest
 from conftest import toy_chain, make_mdp
 from hostilemdp.mdpbuild import VehicleState
 from hostilemdp.simrun import (
+    CHUNK,
     LOST,
     OUTCOMES,
     STEP_LIMIT,
     SUCCESS,
     Estimate,
+    Trace,
     classify_step,
     estimate_success,
     prefix_frequency,
-    rollout,
     simulate_run,
 )
 from hostilemdp.synth import MissionStrategy, synthesize_mission
@@ -47,7 +48,51 @@ def hand_strategy(mdp, first=None, second=None, switch=()):
     )
 
 
+def scalar_run(mdp, strategy, rng, max_steps):
+    """Reference mission run: one state at a time, one draw per step."""
+    alive = mdp.label_set("alive")
+    dropoff = mdp.label_set("dropoff")
+    s, states, actions = mdp.init, [mdp.init], []
+    satisfied = delivered = None
+    while s in alive:
+        if satisfied is None and s in strategy.switch:
+            satisfied = len(actions)
+        if satisfied is not None and s in dropoff:
+            delivered = len(actions)
+            break
+        if len(actions) >= max_steps:
+            break
+        a = (strategy.first if satisfied is None else strategy.second)[s]
+        row = mdp.row(s, a)
+        u, acc = rng.random(), 0.0
+        for t, p in row:
+            acc += p
+            if u < acc:
+                break
+        s = t
+        states.append(s)
+        actions.append(a)
+    if satisfied is not None:
+        outcome = SUCCESS
+    elif s not in alive:
+        outcome = LOST
+    else:
+        outcome = STEP_LIMIT
+    return Trace(states, actions, outcome, satisfied, delivered)
+
+
 class TestSimulateRun:
+    def test_matches_scalar_reference(self, corridor_mdp):
+        strat = synthesize_mission(corridor_mdp, tol=1e-12)
+        outcomes = set()
+        for seed in range(60):
+            max_steps = 4 if seed % 3 == 0 else 100_000
+            got = simulate_run(corridor_mdp, strat, np.random.default_rng(seed), max_steps)
+            want = scalar_run(corridor_mdp, strat, np.random.default_rng(seed), max_steps)
+            assert got == want
+            outcomes.add(got.outcome)
+        assert outcomes == set(OUTCOMES)
+
     def test_deterministic_chain(self):
         mdp, strat = mission_chain()
         trace = simulate_run(mdp, strat, np.random.default_rng(0))
@@ -71,7 +116,7 @@ class TestSimulateRun:
         )
         strat = synthesize_mission(mdp, tol=1e-12)
         assert strat.value == pytest.approx(1.0, abs=1e-12)
-        est = estimate_success(mdp, strat, runs=300, master_seed=4, workers=1)
+        est = estimate_success(mdp, strat, runs=300, master_seed=4)
         assert est.estimate == 1.0
         assert est.lost == 0
         assert 0 < est.delivered < est.runs
@@ -99,29 +144,59 @@ class TestSimulateRun:
         assert len(trace.actions) == 50
         assert trace.satisfied_step is None
 
+    def test_lost_dropoff_state_delivers_nothing(self):
+        # state 2 carries the dropoff label but is a lost state: reaching it
+        # from the switch state 1 scores the mission yet delivers nothing,
+        # and reaching it straight from 0 is a plain loss
+        mdp = make_mdp(
+            {
+                0: {"m": [(1, 0.5), (2, 0.5)]},
+                1: {"m": [(2, 1.0)]},
+                2: {"m": [(2, 1.0)]},
+            },
+            labels={"alive": {0, 1}, "pickup": {1}, "dropoff": {2}},
+        )
+        strat = hand_strategy(mdp, first={0: 0}, second={1: 0}, switch={1})
+        rng = np.random.default_rng(0)
+        traces = [simulate_run(mdp, strat, rng) for _ in range(40)]
+        assert {t.outcome for t in traces} == {SUCCESS, LOST}
+        for trace in traces:
+            assert trace.states[-1] == 2
+            assert trace.delivered_step is None
+        est = estimate_success(mdp, strat, runs=400, master_seed=0)
+        assert est.delivered == 0
+        assert est.satisfied + est.lost == 400
+        assert 0 < est.lost < 400
+
 
 class TestEstimate:
     def test_value_one_chain(self):
         mdp, strat = mission_chain()
-        est = estimate_success(mdp, strat, runs=64, master_seed=1, workers=2)
+        est = estimate_success(mdp, strat, runs=64, master_seed=1)
         assert est.estimate == 1.0
         assert est.half_width == 0.0
         assert est.interval() == (1.0, 1.0)
         assert est.satisfied == est.delivered == 64
         assert est.lost == est.step_limit == 0
 
-    def test_seed_determinism_across_workers(self, corridor_mdp):
+    def test_same_seed_repeats(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
-        one = estimate_success(corridor_mdp, strat, runs=400, master_seed=11, workers=1)
-        four = estimate_success(corridor_mdp, strat, runs=400, master_seed=11, workers=4)
-        assert one == four
+        one = estimate_success(corridor_mdp, strat, runs=400, master_seed=11)
+        again = estimate_success(corridor_mdp, strat, runs=400, master_seed=11)
+        assert one == again
 
-    def test_worker_env_override(self, corridor_mdp, monkeypatch):
+    def test_traces_change_no_result_across_chunks(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
-        monkeypatch.setenv("HOSTILE_MDP_THREADS", "3")
-        env_pick = estimate_success(corridor_mdp, strat, runs=100, master_seed=2)
-        explicit = estimate_success(corridor_mdp, strat, runs=100, master_seed=2, workers=1)
-        assert env_pick == explicit
+        runs = CHUNK + 37
+        seen = []
+        traced = estimate_success(corridor_mdp, strat, runs=runs, master_seed=13,
+                                  trace_hook=lambda i, t: seen.append((i, t.outcome)))
+        plain = estimate_success(corridor_mdp, strat, runs=runs, master_seed=13)
+        assert traced == plain
+        assert [i for i, _ in seen] == list(range(runs))
+        outcomes = [o for _, o in seen]
+        assert [outcomes.count(k) for k in OUTCOMES] == [plain.satisfied, plain.lost,
+                                                         plain.step_limit]
 
     def test_matches_synthesized_value(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
@@ -131,7 +206,7 @@ class TestEstimate:
 
     def test_outcome_counters_partition_runs(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
-        est = estimate_success(corridor_mdp, strat, runs=500, master_seed=9, workers=2)
+        est = estimate_success(corridor_mdp, strat, runs=500, master_seed=9)
         assert est.satisfied + est.lost + est.step_limit == est.runs
         assert est.delivered <= est.satisfied
         assert isinstance(est, Estimate)
@@ -142,7 +217,7 @@ class TestTraces:
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
         seen = {}
         estimate_success(
-            corridor_mdp, strat, runs=200, master_seed=3, workers=1,
+            corridor_mdp, strat, runs=200, master_seed=3,
             trace_hook=lambda i, t: seen.__setitem__(i, t),
         )
         assert sorted(seen) == list(range(200))
@@ -220,13 +295,3 @@ class TestPrefixFrequency:
         mdp, policy = toy_chain()
         freq = prefix_frequency(mdp, policy, [0, 1, 1], runs=40_000, seed=3)
         assert freq == pytest.approx(0.1, abs=0.006)
-
-    def test_agrees_with_plain_rollouts(self):
-        mdp, policy = toy_chain()
-        freq = prefix_frequency(mdp, policy, [0, 1, 1], runs=20_000, seed=8)
-        hits = 0
-        rng = np.random.default_rng(9)
-        for _ in range(5_000):
-            states, _ = rollout(mdp, policy, rng, max_steps=2)
-            hits += states[:3] == [0, 1, 1]
-        assert abs(freq - hits / 5_000) < 0.02
