@@ -28,6 +28,7 @@ from .envmodel import (
     scale_rates,
 )
 from .mdpbuild import (
+    MdpFormatError,
     VehicleState,
     build_mdp,
     dump_mdp,
@@ -66,13 +67,23 @@ def _load(args) -> "Environment":
     return env
 
 
-def _obtain_mdp(args):
-    """MDP from --mdp dump when given, otherwise built from --env."""
-    if getattr(args, "mdp", None):
-        return load_mdp(args.mdp)
+def _built_mdp(args):
     mdp = build_mdp(_load(args), merge_lost=args.merge_lost)
     for w in mdp.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    return mdp
+
+
+def _obtain_mdp(args):
+    """MDP from --mdp dump when given, otherwise built from --env; refused unless valid."""
+    mdp = load_mdp(args.mdp) if getattr(args, "mdp", None) else _built_mdp(args)
+    bad = validate_mdp(mdp)
+    if bad:
+        v = bad[0]
+        raise MdpFormatError(
+            f"the MDP fails validation with {len(bad)} violations (first: state {v.state} "
+            f"action {v.action}: {v.kind} ({v.detail})); 'build' lists them"
+        )
     return mdp
 
 
@@ -111,7 +122,7 @@ def cmd_beliefs(args) -> int:
 
 
 def cmd_build(args) -> int:
-    mdp = _obtain_mdp(args)
+    mdp = _built_mdp(args)
     bad = validate_mdp(mdp)
     print(f"states: {mdp.n_states}")
     print(f"choices: {mdp.n_choices()}")
@@ -149,7 +160,7 @@ def _policy_walk(mdp, strategy, limit: int = 24):
     rows.
     """
     rows = []
-    alive = mdp.label_set("alive")
+    alive = mdp.mask(mdp.label_set("alive"))
     dropoff = mdp.label_set(DROPOFF)
     s = mdp.init
     satisfied = False
@@ -167,17 +178,17 @@ def _policy_walk(mdp, strategy, limit: int = 24):
         seen.add((s, satisfied))
         rows.append((s, phase, mdp.action_names[a]))
         here = mdp.states[s]
-        moves = [
-            (t, p) for t, p in mdp.row(s, a)
-            if t in alive and (
-                not isinstance(here, VehicleState)
-                or (mdp.states[t].facet, mdp.states[t].region)
-                != (here.facet, here.region)
-            )
-        ]
-        if not moves:
+        c = mdp.choice(s, a)
+        lo, hi = mdp.choice_ptr[c], mdp.choice_ptr[c + 1]
+        succ, prob = mdp.succ[lo:hi], mdp.prob[lo:hi]
+        moves = alive[succ]
+        if isinstance(here, VehicleState):
+            moves &= [(mdp.states[t].facet, mdp.states[t].region) != (here.facet, here.region)
+                      for t in succ.tolist()]
+        if not moves.any():
             break
-        s = max(moves, key=lambda t: t[1])[0]
+        # the likeliest move; the first one on a tie
+        s = int(succ[moves][np.argmax(prob[moves])])
     return rows
 
 
@@ -318,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_arg(p)
     p.add_argument("--merge-lost", action="store_true",
                    help="collapse all lost states into one absorbing sink")
-    p.add_argument("--dump-mdp", help="dump the MDP as a single JSON document")
+    p.add_argument("--dump-mdp", help="dump the MDP as one .npz archive, written to exactly "
+                                      "this path (read back with --mdp)")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("synthesize", help="solve the mission property and extract a strategy")
@@ -363,7 +375,7 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except EnvironmentFormatError as exc:
+    except (EnvironmentFormatError, MdpFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

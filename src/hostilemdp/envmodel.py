@@ -199,12 +199,40 @@ def _number(raw, where: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise EnvironmentFormatError(f"{where}: expected a number, got {raw!r}")
     try:
-        return float(Fraction(raw)) if isinstance(raw, str) else float(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise EnvironmentFormatError(f"{where}: cannot parse number {raw!r}") from exc
+    if not math.isfinite(value):
+        raise EnvironmentFormatError(f"{where}: number {raw!r} is not finite")
+    return value
+
+
+def _int(raw, where: str) -> int:
+    """An integer, or a string holding one (JSON object keys are strings)."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise EnvironmentFormatError(f"{where}: expected an integer, got {raw!r}")
+
+
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise EnvironmentFormatError(f"{where}: expected an object, got {type(raw).__name__}")
+    return raw
+
+
+def _list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise EnvironmentFormatError(f"{where}: expected a list, got {type(raw).__name__}")
+    return raw
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
+    _object(obj, where)
     unknown = set(obj) - allowed - {"comment"}
     if unknown:
         raise EnvironmentFormatError(f"{where}: unknown keys {sorted(unknown)}")
@@ -214,7 +242,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 
 
 def _parse_region(obj: dict) -> Region:
-    where = f"region {obj.get('id', '?')!r}"
+    where = f"region {_object(obj, 'region').get('id', '?')!r}"
     _check_keys(
         obj,
         {"id", "adversaries", "obstacles", "mu_enter", "mu_leave", "labels"},
@@ -223,14 +251,15 @@ def _parse_region(obj: dict) -> Region:
     )
     adv = obj["adversaries"]
     _check_keys(adv, {"min", "max", "p_init"}, {"min", "max", "p_init"}, f"{where} adversaries")
-    lo, hi = int(adv["min"]), int(adv["max"])
+    lo, hi = _int(adv["min"], f"{where} min"), _int(adv["max"], f"{where} max")
     if lo > hi:
         raise EnvironmentFormatError(f"{where}: adversary min {lo} > max {hi}")
     if lo < 0 or hi > MAX_ADVERSARIES:
         raise EnvironmentFormatError(
             f"{where}: adversary bounds [{lo}, {hi}] outside [0, {MAX_ADVERSARIES}]"
         )
-    pmf = {int(k): _exact(v, f"{where} p_init[{k}]") for k, v in adv["p_init"].items()}
+    pmf = {_int(k, f"{where} p_init key"): _exact(v, f"{where} p_init[{k}]")
+           for k, v in _object(adv["p_init"], f"{where} p_init").items()}
     if any(not lo <= n <= hi for n in pmf):
         raise EnvironmentFormatError(f"{where}: p_init support escapes [{lo}, {hi}]")
     if sum(pmf.values()) != 1:
@@ -242,16 +271,17 @@ def _parse_region(obj: dict) -> Region:
 
     obs = obj["obstacles"]
     _check_keys(obs, {"max_level", "p_obs"}, {"max_level", "p_obs"}, f"{where} obstacles")
-    max_level = int(obs["max_level"])
+    max_level = _int(obs["max_level"], f"{where} max_level")
     if max_level < 0:
         raise EnvironmentFormatError(f"{where}: negative obstacle max_level")
-    opmf = {int(k): _exact(v, f"{where} p_obs[{k}]") for k, v in obs["p_obs"].items()}
+    opmf = {_int(k, f"{where} p_obs key"): _exact(v, f"{where} p_obs[{k}]")
+            for k, v in _object(obs["p_obs"], f"{where} p_obs").items()}
     if any(not 0 <= o <= max_level for o in opmf):
         raise EnvironmentFormatError(f"{where}: p_obs support escapes [0, {max_level}]")
     if sum(opmf.values()) != 1:
         raise EnvironmentFormatError(f"{where}: p_obs sums to {sum(opmf.values())}, not 1")
 
-    labels = frozenset(obj.get("labels", []))
+    labels = frozenset(_list(obj.get("labels", []), f"{where} labels"))
     if not labels <= {PICKUP, DROPOFF}:
         raise EnvironmentFormatError(f"{where}: unknown labels {sorted(labels - {PICKUP, DROPOFF})}")
     mu_enter = _number(obj["mu_enter"], f"{where} mu_enter")
@@ -277,9 +307,10 @@ def _parse_lost(obj, region: Region, where: str) -> dict[tuple[int, int], float]
         if "marginal_n" in obj or "marginal_o" in obj:
             raise EnvironmentFormatError(f"{where}: give either a table or marginals, not both")
         table = {}
-        for n_key, row in obj["table"].items():
-            for o_key, value in row.items():
-                table[(int(n_key), int(o_key))] = _number(value, f"{where} table[{n_key}][{o_key}]")
+        for n_key, row in _object(obj["table"], f"{where} table").items():
+            for o_key, value in _object(row, f"{where} table[{n_key}]").items():
+                key = (_int(n_key, f"{where} table key"), _int(o_key, f"{where} table key"))
+                table[key] = _number(value, f"{where} table[{n_key}][{o_key}]")
     else:
         if "marginal_n" not in obj or "marginal_o" not in obj:
             raise EnvironmentFormatError(f"{where}: both marginals are required")
@@ -288,7 +319,8 @@ def _parse_lost(obj, region: Region, where: str) -> dict[tuple[int, int], float]
             if spec == "quadratic":
                 return adversary_loss_marginal
             if isinstance(spec, dict):
-                return {int(k): _number(v, f"{where} {label}[{k}]") for k, v in spec.items()}
+                return {_int(k, f"{where} {label} key"): _number(v, f"{where} {label}[{k}]")
+                        for k, v in spec.items()}
             raise EnvironmentFormatError(f"{where}: bad {label} spec {spec!r}")
 
         try:
@@ -313,7 +345,21 @@ def _parse_lost(obj, region: Region, where: str) -> dict[tuple[int, int], float]
 
 
 def parse_environment(data: dict, name: str = "environment") -> Environment:
-    """Build and validate an Environment from already-decoded JSON."""
+    """Build and validate an Environment from already-decoded JSON.
+
+    Every malformed document raises :class:`EnvironmentFormatError`; a type
+    or shape error that no specific check names is reported with its cause.
+    """
+    try:
+        return _parse_document(data, name)
+    except EnvironmentFormatError:
+        raise
+    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        raise EnvironmentFormatError(
+            f"malformed environment ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_document(data: dict, name: str) -> Environment:
     _check_keys(
         data, {"name", "regions", "facets", "primitives", "init", "notes"},
         {"regions", "facets", "primitives", "init"}, "environment",
@@ -321,19 +367,20 @@ def parse_environment(data: dict, name: str = "environment") -> Environment:
     name = str(data.get("name", name))
 
     regions: dict[str, Region] = {}
-    for obj in data["regions"]:
+    for obj in _list(data["regions"], "regions"):
         region = _parse_region(obj)
         if region.id in regions:
             raise EnvironmentFormatError(f"duplicate region id {region.id!r}")
         regions[region.id] = region
 
     facets: dict[str, Facet] = {}
-    for obj in data["facets"]:
-        _check_keys(obj, {"id", "regions"}, {"id", "regions"}, f"facet {obj.get('id', '?')!r}")
+    for obj in _list(data["facets"], "facets"):
+        where = f"facet {_object(obj, 'facet').get('id', '?')!r}"
+        _check_keys(obj, {"id", "regions"}, {"id", "regions"}, where)
         fid = str(obj["id"])
         if fid in facets:
             raise EnvironmentFormatError(f"duplicate facet id {fid!r}")
-        bounded = tuple(str(r) for r in obj["regions"])
+        bounded = tuple(str(r) for r in _list(obj["regions"], f"{where} regions"))
         if not 1 <= len(bounded) <= 2 or len(set(bounded)) != len(bounded):
             raise EnvironmentFormatError(f"facet {fid!r}: must bound one or two distinct regions")
         for rid in bounded:
@@ -349,7 +396,8 @@ def parse_environment(data: dict, name: str = "environment") -> Environment:
             )
 
     prims = []
-    for obj in data["primitives"]:
+    for obj in _list(data["primitives"], "primitives"):
+        _object(obj, "primitive")
         where = f"primitive {obj.get('from', '?')}->{obj.get('to', '?')}"
         _check_keys(
             obj, {"from", "to", "region", "rate", "lost", "outcomes"},
@@ -376,7 +424,7 @@ def parse_environment(data: dict, name: str = "environment") -> Environment:
         if "outcomes" in obj:
             pairs = []
             total = Fraction(0)
-            for out in obj["outcomes"]:
+            for out in _list(obj["outcomes"], f"{where} outcomes"):
                 _check_keys(out, {"facet", "p"}, {"facet", "p"}, f"{where} outcome")
                 ofid = str(out["facet"])
                 if ofid not in facets:

@@ -28,10 +28,13 @@ components of a lost successor are unobservable; all lost mass for a landing
 
 from __future__ import annotations
 
-import json
+import zipfile
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .belief import ENTERED, LEFT, BeliefSet, enumerate_reachable, expectation
 from .envmodel import DROPOFF, PICKUP, Environment, MotionPrimitive
@@ -54,18 +57,30 @@ class VehicleState(NamedTuple):
 LOST_SINK = VehicleState(facet="", region="", count=-1, level=-1, alive=False, beliefs=())
 
 
+class MdpFormatError(ValueError):
+    """Raised when a file is not a readable MDP dump."""
+
+
 @dataclass
 class Mdp:
-    """Explicit sparse MDP.
+    """Explicit sparse MDP in flat (CSR) arrays.
 
-    ``enabled[s]`` lists global action indices in ascending order and
-    ``rows[s][k]`` holds the sparse distribution of ``enabled[s][k]``.
+    State ``s`` owns choices ``state_ptr[s]:state_ptr[s + 1]``, in ascending
+    order of their global action index ``choice_action[c]``.  Choice ``c``
+    moves to ``succ[k]`` with probability ``prob[k]`` for ``k`` in
+    ``choice_ptr[c]:choice_ptr[c + 1]``, in the order the builder produced
+    them.  The four index arrays are int64 and ``prob`` is float64.
+    ``states`` holds one descriptor per state (a :class:`VehicleState` for
+    built models).
     """
 
     states: list
     action_names: list[str]
-    enabled: list[list[int]]
-    rows: list[list[list[tuple[int, float]]]]
+    state_ptr: np.ndarray
+    choice_action: np.ndarray
+    choice_ptr: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
     init: int
     labels: dict[str, frozenset[int]]
     warnings: list[str] = field(default_factory=list)
@@ -74,17 +89,50 @@ class Mdp:
     def n_states(self) -> int:
         return len(self.states)
 
+    def n_choices(self) -> int:
+        return len(self.choice_action)
+
+    def n_transitions(self) -> int:
+        return len(self.succ)
+
     def label_set(self, name: str) -> frozenset[int]:
         return self.labels.get(name, frozenset())
 
+    def mask(self, states) -> np.ndarray:
+        """Boolean vector over the states, true on ``states``."""
+        out = np.zeros(self.n_states, dtype=bool)
+        out[np.fromiter(states, dtype=np.int64, count=len(states))] = True
+        return out
+
+    def choice_state(self) -> np.ndarray:
+        """The state that owns each choice."""
+        return np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
+
+    def transition_choice(self) -> np.ndarray:
+        """The choice that owns each transition."""
+        return np.repeat(np.arange(self.n_choices()), np.diff(self.choice_ptr))
+
+    def choice(self, state: int, action: int) -> int:
+        """Index of the choice playing ``action`` at ``state``; ValueError if disabled."""
+        lo, hi = self.state_ptr[state], self.state_ptr[state + 1]
+        at = lo + int(np.searchsorted(self.choice_action[lo:hi], action))
+        if at == hi or self.choice_action[at] != action:
+            raise ValueError(f"action {action} is not enabled at state {state}")
+        return at
+
     def row(self, state: int, action: int) -> list[tuple[int, float]]:
-        return self.rows[state][self.enabled[state].index(action)]
+        """Successor distribution of ``action`` at ``state``."""
+        c = self.choice(state, action)
+        lo, hi = self.choice_ptr[c], self.choice_ptr[c + 1]
+        return list(zip(self.succ[lo:hi].tolist(), self.prob[lo:hi].tolist()))
 
-    def n_choices(self) -> int:
-        return sum(len(e) for e in self.enabled)
 
-    def n_transitions(self) -> int:
-        return sum(len(r) for rs in self.rows for r in rs)
+def ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], ends[i])`` over ``i``."""
+    lengths = ends - starts
+    total = int(lengths.sum())
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(total)
 
 
 @dataclass(frozen=True)
@@ -227,46 +275,47 @@ class MdpBuilder:
         init = self.initial_state()
         states: list[VehicleState] = [init]
         index: dict[VehicleState, int] = {init: 0}
-        enabled: list[list[int]] = []
-        rows: list[list[list[tuple[int, float]]]] = []
+        state_ptr, choice_action = array("q", [0]), array("q")
+        choice_ptr, succ, prob = array("q", [0]), array("q"), array("d")
         warnings: list[str] = []
         dead_ends: set[tuple[str, str]] = set()
 
-        def intern(succ: VehicleState) -> int:
-            pos = index.get(succ)
+        def intern(state: VehicleState) -> int:
+            pos = index.get(state)
             if pos is None:
                 pos = len(states)
-                index[succ] = pos
-                states.append(succ)
+                index[state] = pos
+                states.append(state)
             return pos
+
+        def absorb(pos: int):
+            choice_action.append(stay_idx)
+            succ.append(pos)
+            prob.append(1.0)
+            choice_ptr.append(len(succ))
 
         cursor = 0
         while cursor < len(states):
             state = states[cursor]
-            cursor += 1
             if not state.alive:
-                enabled.append([stay_idx])
-                rows.append([[(index[state], 1.0)]])
-                continue
-            prims = self._prims_at.get((state.facet, state.region), [])
-            if not prims:
+                absorb(cursor)
+            elif (state.facet, state.region) not in self._prims_at:
                 if (state.facet, state.region) not in dead_ends:
                     dead_ends.add((state.facet, state.region))
                     warnings.append(
                         f"dead end: no primitive leaves facet {state.facet!r} "
                         f"across region {state.region!r}"
                     )
-                enabled.append([stay_idx])
-                rows.append([[(index[state], 1.0)]])
-                continue
-            state_enabled = []
-            state_rows = []
-            for action_idx, prim in prims:
-                row = [(intern(succ), p) for succ, p in self.transitions(state, prim)]
-                state_enabled.append(action_idx)
-                state_rows.append(row)
-            enabled.append(state_enabled)
-            rows.append(state_rows)
+                absorb(cursor)
+            else:
+                for action_idx, prim in self._prims_at[(state.facet, state.region)]:
+                    for target, p in self.transitions(state, prim):
+                        succ.append(intern(target))
+                        prob.append(p)
+                    choice_action.append(action_idx)
+                    choice_ptr.append(len(succ))
+            state_ptr.append(len(choice_action))
+            cursor += 1
 
         labels: dict[str, set[int]] = {"alive": set(), PICKUP: set(), DROPOFF: set()}
         for i, state in enumerate(states):
@@ -283,8 +332,11 @@ class MdpBuilder:
         return Mdp(
             states=states,
             action_names=action_names,
-            enabled=enabled,
-            rows=rows,
+            state_ptr=np.frombuffer(state_ptr, dtype=np.int64),
+            choice_action=np.frombuffer(choice_action, dtype=np.int64),
+            choice_ptr=np.frombuffer(choice_ptr, dtype=np.int64),
+            succ=np.frombuffer(succ, dtype=np.int64),
+            prob=np.frombuffer(prob, dtype=np.float64),
             init=0,
             labels={k: frozenset(v) for k, v in labels.items()},
             warnings=warnings,
@@ -295,99 +347,227 @@ def build_mdp(env: Environment, merge_lost: bool = False) -> Mdp:
     return MdpBuilder(env, merge_lost=merge_lost).build()
 
 
+def _pointer_problem(ptr: np.ndarray, length: int, items: int, what: str) -> str | None:
+    if len(ptr) != length + 1:
+        return f"{what} pointer has {len(ptr)} entries for {length} rows"
+    if ptr[0] != 0 or ptr[-1] != items:
+        return f"{what} pointer runs {ptr[0]}..{ptr[-1]}, not 0..{items}"
+    if (np.diff(ptr) < 0).any():
+        return f"{what} pointer decreases at row {int(np.argmax(np.diff(ptr) < 0))}"
+    return None
+
+
 def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
-    """Structural checks; returns violations instead of printing."""
+    """Structural checks; returns violations, ordered by state, instead of raising."""
     bad: list[Violation] = []
     n = mdp.n_states
     if not 0 <= mdp.init < n:
         bad.append(Violation(mdp.init, None, "init", "initial state out of range"))
-    for s in range(n):
-        acts = mdp.enabled[s]
-        if not acts:
-            bad.append(Violation(s, None, "no-action", "state has no enabled action"))
-            continue
-        if sorted(acts) != acts or len(set(acts)) != len(acts):
-            bad.append(Violation(s, None, "action-order", f"enabled not ascending: {acts}"))
-        if len(acts) != len(mdp.rows[s]):
-            bad.append(Violation(s, None, "row-shape", "rows misaligned with enabled"))
-            continue
-        for a, row in zip(acts, mdp.rows[s]):
-            if not row:
-                bad.append(Violation(s, a, "empty-row", "no successors"))
-                continue
-            total = 0.0
-            for succ, p in row:
-                if not 0 <= succ < n:
-                    bad.append(Violation(s, a, "succ-range", f"successor {succ}"))
-                if not 0.0 <= p <= 1.0 + tol:
-                    bad.append(Violation(s, a, "prob-range", f"{p}"))
-                total += p
-            if abs(total - 1.0) > tol:
-                bad.append(Violation(s, a, "row-sum", f"{total!r}"))
-        descriptor = mdp.states[s]
-        if isinstance(descriptor, VehicleState) and not descriptor.alive:
-            stay = len(mdp.action_names) - 1
-            if acts != [stay] or mdp.rows[s] != [[(s, 1.0)]]:
-                bad.append(Violation(s, None, "lost-absorbing", "lost state is not absorbing"))
-    alive = mdp.label_set("alive")
-    for s, descriptor in enumerate(mdp.states):
-        if isinstance(descriptor, VehicleState):
-            if descriptor.alive != (s in alive):
-                bad.append(Violation(s, None, "label", "alive label mismatch"))
+    shape = [
+        _pointer_problem(mdp.state_ptr, n, len(mdp.choice_action), "state"),
+        _pointer_problem(mdp.choice_ptr, len(mdp.choice_action), len(mdp.succ), "choice"),
+        None if len(mdp.prob) == len(mdp.succ)
+        else f"{len(mdp.prob)} probabilities for {len(mdp.succ)} successors",
+    ]
+    if any(shape):
+        # the arrays cannot be walked, so nothing else is checked
+        return bad + [Violation(-1, None, "row-shape", d) for d in shape if d]
+
+    owner = mdp.choice_state()
+    action = mdp.choice_action
+    trans = mdp.transition_choice()
+    width = np.diff(mdp.choice_ptr)
+
+    def flag(states, kind, details, actions=None):
+        actions = [None] * len(details) if actions is None else actions
+        bad.extend(Violation(int(s), a, kind, d) for s, a, d in zip(states, actions, details))
+
+    def at_choices(choices, kind, details):
+        flag(owner[choices], kind, details, action[choices].tolist())
+
+    empty = np.flatnonzero(np.diff(mdp.state_ptr) == 0)
+    flag(empty, "no-action", ["state has no enabled action"] * len(empty))
+    unsorted = np.flatnonzero((owner[1:] == owner[:-1]) & (action[1:] <= action[:-1])) + 1
+    flag(owner[unsorted], "action-order",
+         [f"choice {c} plays action {action[c]} after {action[c - 1]}" for c in unsorted])
+    unknown = np.flatnonzero((action < 0) | (action >= len(mdp.action_names)))
+    at_choices(unknown, "action-range", [f"action {action[c]}" for c in unknown])
+    hollow = np.flatnonzero(width == 0)
+    at_choices(hollow, "empty-row", ["no successors"] * len(hollow))
+    outside = np.flatnonzero((mdp.succ < 0) | (mdp.succ >= n))
+    at_choices(trans[outside], "succ-range", [f"successor {mdp.succ[k]}" for k in outside])
+    off = np.flatnonzero(~((mdp.prob >= 0.0) & (mdp.prob <= 1.0 + tol)))
+    at_choices(trans[off], "prob-range", [repr(p) for p in mdp.prob[off].tolist()])
+    filled = width > 0
+    totals = np.zeros(len(width))
+    if filled.any():
+        # empty rows hold no entries, so the filled rows' starts split prob exactly
+        totals[filled] = np.add.reduceat(mdp.prob, mdp.choice_ptr[:-1][filled])
+    skewed = np.flatnonzero(filled & ~(np.abs(totals - 1.0) <= tol))
+    at_choices(skewed, "row-sum", [repr(t) for t in totals[skewed].tolist()])
+
+    # 1 alive, 0 lost, -1 not a vehicle state
+    alive = np.array([int(d.alive) if isinstance(d, VehicleState) else -1 for d in mdp.states],
+                     dtype=np.int64)
+    lost = np.flatnonzero(alive == 0)
+    # a lost state plays only stay, which loops back with probability one
+    single = lost[np.diff(mdp.state_ptr)[lost] == 1]
+    single = single[width[mdp.state_ptr[single]] == 1]
+    c = mdp.state_ptr[single]
+    k = mdp.choice_ptr[c]
+    stay = len(mdp.action_names) - 1
+    looping = single[(action[c] == stay) & (mdp.succ[k] == single) & (mdp.prob[k] == 1.0)]
+    leaky = np.setdiff1d(lost, looping)
+    flag(leaky, "lost-absorbing", ["lost state is not absorbing"] * len(leaky))
+
+    labelled = np.zeros(n, dtype=bool)
+    for name, members in mdp.labels.items():
+        members = np.fromiter(members, dtype=np.int64, count=len(members))
+        inside = (members >= 0) & (members < n)
+        strays = np.sort(members[~inside])
+        flag(strays, "label", [f"{name} label on unknown state"] * len(strays))
+        if name == "alive":
+            labelled[members[inside]] = True
+    mismatched = np.flatnonzero((alive >= 0) & ((alive == 1) != labelled))
+    flag(mismatched, "label", ["alive label mismatch"] * len(mismatched))
+    bad.sort(key=lambda v: v.state)
     return bad
 
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# A dump is one ``.npz`` archive: the five CSR arrays, plus states as integer
+# columns and string tables, so it loads with ``allow_pickle=False``.
+
+_DUMP_FORMAT = "hostile-mdp-csr-1"
 
 
-def _state_to_json(state):
-    if isinstance(state, VehicleState):
-        if state == LOST_SINK:
-            return "sink"
-        return list(state[:5]) + [list(state.beliefs)]
-    return state
+def _table(values) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct strings (first-seen order) and each value's position among them."""
+    ids: dict[str, int] = {}
+    codes = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int64)
+    return np.array(list(ids), dtype=str), codes
 
 
-def _state_from_json(obj):
-    if obj == "sink":
-        return LOST_SINK
-    if isinstance(obj, list) and len(obj) == 6:
-        return VehicleState(obj[0], obj[1], obj[2], obj[3], obj[4], tuple(obj[5]))
-    return obj
+def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Variable-length integer groups as (pointer, values)."""
+    lengths = np.fromiter((len(g) for g in groups), dtype=np.int64, count=len(groups))
+    values = np.fromiter((x for g in groups for x in g), dtype=np.int64,
+                         count=int(lengths.sum()))
+    return np.concatenate(([0], np.cumsum(lengths))), values
+
+
+def _state_columns(states: list) -> dict[str, np.ndarray]:
+    if all(isinstance(s, VehicleState) for s in states):
+        facet_names, facet = _table(s.facet for s in states)
+        region_names, region = _table(s.region for s in states)
+        belief_ptr, beliefs = _flat([s.beliefs for s in states])
+        return {
+            "facet_names": facet_names, "facet": facet,
+            "region_names": region_names, "region": region,
+            "count": np.array([s.count for s in states], dtype=np.int64),
+            "level": np.array([s.level for s in states], dtype=np.int64),
+            "alive": np.array([s.alive for s in states], dtype=bool),
+            "belief_ptr": belief_ptr, "beliefs": beliefs,
+        }
+    if all(isinstance(s, str) for s in states):
+        return {"state_names": np.array(states, dtype=str)}
+    raise TypeError("only VehicleState or str state descriptors can be dumped")
+
+
+def _states_from(doc) -> list:
+    if "state_names" in doc:
+        return _array(doc, "state_names", "U").tolist()
+    ints = "iu"
+    columns = [_array(doc, key, ints) for key in ("facet", "region", "count", "level")]
+    alive = _array(doc, "alive", "b")
+    ptr = _array(doc, "belief_ptr", ints)
+    beliefs = _array(doc, "beliefs", ints).tolist()
+    n = len(alive)
+    if any(len(c) != n for c in columns) or len(ptr) != n + 1:
+        raise MdpFormatError("state columns differ in length")
+    if len(ptr) and (ptr[0] != 0 or ptr[-1] != len(beliefs) or (np.diff(ptr) < 0).any()):
+        raise MdpFormatError("belief pointer does not cover the belief column")
+    names = []
+    for key, codes in (("facet_names", columns[0]), ("region_names", columns[1])):
+        table = _array(doc, key, "U")
+        if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
+            raise MdpFormatError(f"{key} index out of range")
+        names.append(table[codes].tolist())
+    ptr = ptr.tolist()
+    return [
+        VehicleState(f, r, c, o, a, tuple(beliefs[ptr[i]:ptr[i + 1]]))
+        for i, (f, r, c, o, a) in enumerate(zip(
+            *names, columns[2].tolist(), columns[3].tolist(), alive.tolist()))
+    ]
 
 
 def dump_mdp(mdp: Mdp, path: str | Path):
-    """Write the MDP as JSON (round-trips through :func:`load_mdp`)."""
-    payload = {
-        "states": [_state_to_json(s) for s in mdp.states],
-        "actions": mdp.action_names,
-        "enabled": mdp.enabled,
-        "rows": [[[[succ, p] for succ, p in row] for row in rs] for rs in mdp.rows],
-        "init": mdp.init,
-        "labels": {k: sorted(v) for k, v in mdp.labels.items()},
-        "warnings": mdp.warnings,
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-        handle.write("\n")
+    """Write the MDP as one ``.npz`` archive at exactly ``path`` (see :func:`load_mdp`)."""
+    label_names = sorted(mdp.labels)
+    label_ptr, label_states = _flat([sorted(mdp.labels[k]) for k in label_names])
+    with open(path, "wb") as handle:
+        np.savez(
+            handle,
+            format=np.array(_DUMP_FORMAT),
+            action_names=np.array(mdp.action_names, dtype=str),
+            state_ptr=mdp.state_ptr, choice_action=mdp.choice_action,
+            choice_ptr=mdp.choice_ptr, succ=mdp.succ, prob=mdp.prob,
+            init=np.array(mdp.init, dtype=np.int64),
+            label_names=np.array(label_names, dtype=str),
+            label_ptr=label_ptr, label_states=label_states,
+            warnings=np.array(mdp.warnings, dtype=str),
+            **_state_columns(mdp.states),
+        )
+
+
+def _array(doc, key: str, kind: str, ndim: int = 1) -> np.ndarray:
+    value = doc[key]
+    if value.dtype.kind not in kind or value.ndim != ndim:
+        raise MdpFormatError(f"array {key!r} has dtype {value.dtype} and {value.ndim} "
+                             f"dimensions, expected kind {kind!r} and {ndim}")
+    return value
 
 
 def load_mdp(path: str | Path) -> Mdp:
-    with open(path) as handle:
-        payload = json.load(handle)
-    return Mdp(
-        states=[_state_from_json(s) for s in payload["states"]],
-        action_names=list(payload["actions"]),
-        enabled=[list(map(int, e)) for e in payload["enabled"]],
-        rows=[
-            [[(int(succ), float(p)) for succ, p in row] for row in rs]
-            for rs in payload["rows"]
-        ],
-        init=int(payload["init"]),
-        labels={k: frozenset(v) for k, v in payload["labels"].items()},
-        warnings=list(payload.get("warnings", [])),
-    )
+    """Read a dump written by :func:`dump_mdp`; MdpFormatError if it is not one.
+
+    Only what decoding needs is checked here; run :func:`validate_mdp` on the
+    result before using it.
+    """
+    try:
+        with open(path, "rb") as handle:
+            archive = np.load(handle, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise MdpFormatError("a single array, not an .npz archive")
+            with archive:
+                doc = {key: archive[key] for key in archive.files}
+        if doc.get("format") != _DUMP_FORMAT:
+            raise MdpFormatError(f"format tag {doc.get('format')!r}, expected {_DUMP_FORMAT!r}")
+        arrays = {key: _array(doc, key, "iu").astype(np.int64)
+                  for key in ("state_ptr", "choice_action", "choice_ptr", "succ")}
+        arrays["prob"] = _array(doc, "prob", "f").astype(np.float64)
+        names = _array(doc, "label_names", "U").tolist()
+        ptr = _array(doc, "label_ptr", "iu").tolist()
+        members = _array(doc, "label_states", "iu").tolist()
+        if len(ptr) != len(names) + 1:
+            raise MdpFormatError("label pointer does not match the label names")
+        return Mdp(
+            states=_states_from(doc),
+            action_names=_array(doc, "action_names", "U").tolist(),
+            init=int(_array(doc, "init", "iu", ndim=0)),
+            labels={k: frozenset(members[ptr[i]:ptr[i + 1]]) for i, k in enumerate(names)},
+            warnings=_array(doc, "warnings", "U").tolist(),
+            **arrays,
+        )
+    except MdpFormatError as exc:
+        raise MdpFormatError(f"{path}: not a valid MDP dump ({exc})") from exc
+    except (KeyError, ValueError, IndexError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise MdpFormatError(
+            f"{path}: not an MDP dump ({type(exc).__name__}: {exc}); JSON dumps of "
+            f"hostile-mdp 0.1.0 are no longer read, rebuild with 'build --dump-mdp'"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +616,16 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
     sta_path.write_text("\n".join(lines) + "\n")
 
     tra_path = basepath.with_suffix(".tra")
+    # each choice's successors in ascending order, choices numbered within their state
+    trans = mdp.transition_choice()
+    order = np.lexsort((mdp.prob, mdp.succ, trans))
+    owner = mdp.choice_state()[trans[order]]
+    local = trans[order] - mdp.state_ptr[owner]
     lines = [f"{mdp.n_states} {mdp.n_choices()} {mdp.n_transitions()}"]
-    for s in range(mdp.n_states):
-        for choice, row in enumerate(mdp.rows[s]):
-            for succ, p in sorted(row):
-                lines.append(f"{s} {choice} {succ} {p!r}")
+    lines.extend(
+        f"{s} {c} {t} {p!r}" for s, c, t, p in zip(
+            owner.tolist(), local.tolist(), mdp.succ[order].tolist(), mdp.prob[order].tolist())
+    )
     tra_path.write_text("\n".join(lines) + "\n")
 
     # internal label names -> the atoms the mission formula is written over

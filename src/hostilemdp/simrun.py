@@ -13,15 +13,13 @@ chunks of :data:`CHUNK`; chunk ``c`` draws from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .envmodel import DROPOFF
-from .mdpbuild import Mdp, VehicleState
+from .mdpbuild import Mdp, VehicleState, ranges
 from .synth import MissionStrategy
 
 SUCCESS = "success"
@@ -102,21 +100,35 @@ class _Plan:
 
     @classmethod
     def of(cls, mdp: Mdp, policies: Sequence[dict[int, int]], alive, switch=(), dropoff=()):
+        state = np.concatenate([np.fromiter(policy, dtype=np.int64, count=len(policy))
+                                for policy in policies])
+        action = np.concatenate([np.fromiter(policy.values(), dtype=np.int64, count=len(policy))
+                                 for policy in policies])
         row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
-        action, ptr, succ, cum = [], [0], [], []
+        start = 0
         for k, policy in enumerate(policies):
-            for s, a in policy.items():
-                row[k, s] = len(action)
-                action.append(a)
-                dist = mdp.row(s, a)
-                succ.extend(t for t, _ in dist)
-                cum.extend(accumulate(p for _, p in dist))
-                cum[-1] = math.inf
-                ptr.append(len(succ))
-        masks = [np.isin(np.arange(mdp.n_states), list(states))
-                 for states in (alive, switch, dropoff)]
-        return cls(row, np.array(action, dtype=np.int64), np.array(ptr, dtype=np.int64),
-                   np.array(succ, dtype=np.int64), np.array(cum), *masks)
+            row[k, state[start:start + len(policy)]] = np.arange(start, start + len(policy))
+            start += len(policy)
+        # choices are sorted by (state, action), so one search finds each chosen one
+        width = len(mdp.action_names)
+        keys = mdp.choice_state() * width + mdp.choice_action
+        choice = np.searchsorted(keys, state * width + action).clip(max=len(keys) - 1)
+        missing = keys[choice] != state * width + action
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise ValueError(f"action {action[i]} is not enabled at state {state[i]}")
+        lo, hi = mdp.choice_ptr[choice], mdp.choice_ptr[choice + 1]
+        length = hi - lo
+        ptr = np.concatenate(([0], np.cumsum(length)))
+        taken = ranges(lo, hi)
+        # running sums row by row, left to right, as a scalar walk adds them
+        cum = mdp.prob[taken]
+        for j in range(1, int(length.max(initial=0))):
+            at = ptr[:-1][length > j] + j
+            cum[at] += cum[at - 1]
+        cum[ptr[1:] - 1] = np.inf
+        masks = [mdp.mask(states) for states in (alive, switch, dropoff)]
+        return cls(row, action, ptr, mdp.succ[taken], cum, *masks)
 
 
 def _traces(start: int, outcome, satisfied, delivered, history) -> list[Trace]:

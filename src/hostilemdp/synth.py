@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 
 from .envmodel import DROPOFF, PICKUP
-from .mdpbuild import Mdp
+from .mdpbuild import Mdp, ranges
 
 
 class ConvergenceError(RuntimeError):
@@ -41,60 +40,73 @@ class ValueResult:
     residual: Optional[float] = None
 
 
+def _backward_levels(n: int, src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from each state to ``seeds`` along edges ``src -> dst``.
+
+    Seeds sit at level 0; states that cannot reach them get -1.
+    """
+    order = np.argsort(dst, kind="stable")
+    preds = src[order]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+    level = np.full(n, -1, dtype=np.int64)
+    level[seeds] = 0
+    frontier, depth = seeds, 0
+    while frontier.size:
+        depth += 1
+        found = preds[ranges(ptr[frontier], ptr[frontier + 1])]
+        frontier = np.unique(found[level[found] < 0])
+        level[frontier] = depth
+    return level
+
+
+def _edges(mdp: Mdp, choices: np.ndarray):
+    """(source state, successor) of every positive-probability transition of ``choices``."""
+    trans = mdp.transition_choice()
+    keep = choices[trans] & (mdp.prob > 0.0)
+    return mdp.choice_state()[trans[keep]], mdp.succ[keep]
+
+
 def qualitative_reach(mdp: Mdp, target: frozenset[int], allowed: frozenset[int]) -> frozenset[int]:
     """States with positive probability of hitting ``target`` inside ``allowed``.
 
     Graph fixpoint only, no numerics: grow the target set backwards through
     ``allowed`` states that have some action with a successor already inside.
     """
-    inside = set(target)
-    # reverse adjacency restricted to candidate source states
-    preds: dict[int, set[int]] = {}
-    for s in range(mdp.n_states):
-        if s in allowed and s not in target:
-            for row in mdp.rows[s]:
-                for succ, p in row:
-                    if p > 0.0:
-                        preds.setdefault(succ, set()).add(s)
-    frontier = list(inside)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in preds.get(t, ()):
-                if s not in inside:
-                    inside.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(inside)
+    goal = mdp.mask(target)
+    sources = mdp.mask(allowed) & ~goal
+    src, dst = _edges(mdp, sources[mdp.choice_state()])
+    level = _backward_levels(mdp.n_states, src, dst, np.flatnonzero(goal))
+    return frozenset(np.flatnonzero(level >= 0).tolist())
 
 
 def _free_structure(mdp: Mdp, target: frozenset[int], positive: frozenset[int]):
     """Index the states whose values are genuinely unknown.
 
     Target states are pinned to one, states outside ``positive`` to zero;
-    everything else becomes a row block in a sparse choice matrix.
+    everything else becomes a row block in a sparse choice matrix whose rows
+    keep each choice's successor order, so sums and products round as a
+    row-by-row walk would.
     """
-    free = sorted(positive - target)
-    pos_of = {s: i for i, s in enumerate(free)}
-    data, cols, rowptr = [], [], [0]
-    const = []
-    blocks = [0]
-    for s in free:
-        for row in mdp.rows[s]:
-            c = 0.0
-            for succ, p in row:
-                if succ in target:
-                    c += p
-                elif succ in pos_of:
-                    data.append(p)
-                    cols.append(pos_of[succ])
-            const.append(c)
-            rowptr.append(len(data))
-        blocks.append(blocks[-1] + len(mdp.rows[s]))
+    goal = mdp.mask(target)
+    is_free = mdp.mask(positive) & ~goal
+    free = np.flatnonzero(is_free)
+    pos_of = np.cumsum(is_free) - 1
+    picked = np.flatnonzero(is_free[mdp.choice_state()])
+    owner = mdp.transition_choice()
+    # row index of each transition among the picked choices (-1: not picked)
+    row_of = np.full(mdp.n_choices(), -1, dtype=np.int64)
+    row_of[picked] = np.arange(len(picked))
+    row = row_of[owner]
+    into_goal = (row >= 0) & goal[mdp.succ]
+    into_free = (row >= 0) & is_free[mdp.succ]
+    const = np.bincount(row[into_goal], weights=mdp.prob[into_goal], minlength=len(picked))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row[into_free], minlength=len(picked)))))
     matrix = scipy.sparse.csr_matrix(
-        (data, cols, rowptr), shape=(len(const), len(free))
+        (mdp.prob[into_free], pos_of[mdp.succ[into_free]], indptr),
+        shape=(len(picked), len(free)),
     )
-    return free, matrix, np.asarray(const), np.asarray(blocks)
+    blocks = np.concatenate(([0], np.cumsum(np.diff(mdp.state_ptr)[free])))
+    return free.tolist(), matrix, const, blocks
 
 
 def _assemble(mdp, target, positive, free, x):
@@ -156,6 +168,8 @@ def max_reach_lp(
     x_s >= c_a + sum_succ P(s,a,succ) x_succ; the minimal feasible point is
     the value vector.  Solved with HiGHS through scipy.
     """
+    import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
+
     positive = qualitative_reach(mdp, target, allowed)
     free, matrix, const, blocks = _free_structure(mdp, target, positive)
     if not free:
@@ -205,49 +219,34 @@ def extract_policy(
     strict progress: pick the lowest-index action with a successor closer to
     the target inside the near-maximal edge graph.
     """
-    values = result.values
-    candidates: dict[int, list[int]] = {}
-    for s in result.positive - target:
-        backups = []
-        for a, row in zip(mdp.enabled[s], mdp.rows[s]):
-            backups.append((sum(p * values[succ] for succ, p in row), a))
-        best = max(b for b, _ in backups)
-        candidates[s] = [a for b, a in backups if b >= best - tie_tol]
+    goal = mdp.mask(target)
+    owner = mdp.choice_state()
+    trans = mdp.transition_choice()
+    # each backup sums p * value over the row left to right, as a walk would
+    backups = np.bincount(trans, weights=mdp.prob * result.values[mdp.succ],
+                          minlength=mdp.n_choices())
+    solved = mdp.mask(result.positive) & ~goal
+    states = np.flatnonzero(solved)
+    acting = np.diff(mdp.state_ptr) > 0
+    best = np.zeros(mdp.n_states)
+    best[acting] = np.maximum.reduceat(backups, mdp.state_ptr[:-1][acting])
+    candidate = solved[owner] & (backups >= best[owner] - tie_tol)
 
     # BFS distances to target through candidate edges only
-    preds: dict[int, list[int]] = {}
-    for s, acts in candidates.items():
-        seen = set()
-        for a in acts:
-            for succ, p in mdp.row(s, a):
-                if p > 0.0 and succ not in seen:
-                    seen.add(succ)
-                    preds.setdefault(succ, []).append(s)
-    dist = {t: 0 for t in target}
-    frontier = list(target)
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for t in frontier:
-            for s in preds.get(t, ()):
-                if s not in dist:
-                    dist[s] = level
-                    nxt.append(s)
-        frontier = nxt
-
-    policy: dict[int, int] = {}
-    for s, acts in candidates.items():
-        if s not in dist:
-            raise RuntimeError(
-                f"state {s} has positive value but no progressing action; "
-                f"tie tolerance {tie_tol} may be too small"
-            )
-        for a in acts:
-            if any(p > 0.0 and dist.get(succ, np.inf) < dist[s] for succ, p in mdp.row(s, a)):
-                policy[s] = a
-                break
-    return policy
+    level = _backward_levels(mdp.n_states, *_edges(mdp, candidate), np.flatnonzero(goal))
+    unreached = states[level[states] < 0]
+    if unreached.size:
+        raise RuntimeError(
+            f"state {unreached[0]} has positive value but no progressing action; "
+            f"tie tolerance {tie_tol} may be too small"
+        )
+    dist = np.where(level >= 0, level, np.iinfo(np.int64).max)
+    closer = (mdp.prob > 0.0) & (dist[mdp.succ] < dist[owner[trans]])
+    progressing = candidate & (np.bincount(trans[closer], minlength=mdp.n_choices()) > 0)
+    chosen = np.flatnonzero(progressing)
+    # choices are grouped by state in ascending action order: keep each state's first
+    first = np.unique(owner[chosen], return_index=True)[1]
+    return dict(zip(owner[chosen[first]].tolist(), mdp.choice_action[chosen[first]].tolist()))
 
 
 @dataclass

@@ -33,19 +33,35 @@ def make_mdp(table, init=0, labels=None, state_names=None) -> Mdp:
     n = len(table)
     names = sorted({a for acts in table.values() for a in acts})
     name_idx = {a: i for i, a in enumerate(names)}
-    enabled, rows = [], []
+    state_ptr, choice_action, choice_ptr, succ, prob = [0], [], [0], [], []
     for s in range(n):
-        pairs = sorted((name_idx[a], [tuple(t) for t in row]) for a, row in table[s].items())
-        enabled.append([i for i, _ in pairs])
-        rows.append([r for _, r in pairs])
+        for a, row in sorted((name_idx[a], row) for a, row in table[s].items()):
+            choice_action.append(a)
+            succ.extend(int(t) for t, _ in row)
+            prob.extend(float(p) for _, p in row)
+            choice_ptr.append(len(succ))
+        state_ptr.append(len(choice_action))
     return Mdp(
         states=state_names if state_names is not None else [f"s{i}" for i in range(n)],
         action_names=names,
-        enabled=enabled,
-        rows=rows,
+        state_ptr=np.array(state_ptr, dtype=np.int64),
+        choice_action=np.array(choice_action, dtype=np.int64),
+        choice_ptr=np.array(choice_ptr, dtype=np.int64),
+        succ=np.array(succ, dtype=np.int64),
+        prob=np.array(prob, dtype=np.float64),
         init=init,
         labels={k: frozenset(v) for k, v in (labels or {}).items()},
     )
+
+
+def state_rows(mdp: Mdp, s: int) -> list[tuple[int, list[tuple[int, float]]]]:
+    """Each choice of state ``s`` as ``(action, [(succ, prob), ...])``, read off the arrays."""
+    out = []
+    for c in range(mdp.state_ptr[s], mdp.state_ptr[s + 1]):
+        lo, hi = mdp.choice_ptr[c], mdp.choice_ptr[c + 1]
+        row = list(zip(mdp.succ[lo:hi].tolist(), mdp.prob[lo:hi].tolist()))
+        out.append((int(mdp.choice_action[c]), row))
+    return out
 
 
 def toy_chain() -> tuple[Mdp, dict[int, int]]:
@@ -67,12 +83,12 @@ def toy_chain() -> tuple[Mdp, dict[int, int]]:
 def chain_reach(mdp: Mdp, pick: tuple[int, ...], target: frozenset, allowed: frozenset):
     """Reach probability of one fixed policy's chain, plus its positive set.
 
-    ``pick[s]`` indexes into ``mdp.enabled[s]``.  States that cannot reach
+    ``pick[s]`` indexes into the choices of state ``s``.  States that cannot reach
     the target through allowed states under this chain get exactly zero;
     the rest come from a dense linear solve.
     """
     n = mdp.n_states
-    rows = [mdp.rows[s][pick[s]] for s in range(n)]
+    rows = [state_rows(mdp, s)[pick[s]][1] for s in range(n)]
     rev: list[list[int]] = [[] for _ in range(n)]
     for s in range(n):
         if s in target or s not in allowed:
@@ -114,7 +130,7 @@ def oracle_max_reach(mdp: Mdp, target, allowed=None):
     allowed = frozenset(range(mdp.n_states)) if allowed is None else frozenset(allowed)
     best = np.zeros(mdp.n_states)
     support: set[int] = set()
-    for pick in itertools.product(*(range(len(e)) for e in mdp.enabled)):
+    for pick in itertools.product(*(range(k) for k in np.diff(mdp.state_ptr).tolist())):
         values, hot = chain_reach(mdp, pick, target, allowed)
         np.maximum(best, values, out=best)
         support |= hot

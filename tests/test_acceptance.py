@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bundled_doc, oracle_max_reach, random_environment, random_mdp, toy_chain
+from conftest import (
+    bundled_doc,
+    oracle_max_reach,
+    random_environment,
+    random_mdp,
+    state_rows,
+    toy_chain,
+)
 from test_mdpbuild import star_doc
 from hostilemdp.belief import AdversaryBelief, enumerate_reachable, update_entered, update_left
 from hostilemdp.envmodel import parse_environment, scale_rates
@@ -58,9 +65,10 @@ def test_criterion_1_rows_sum_and_lost_absorb():
         env = random_environment(rng)
         mdp = build_mdp(env, merge_lost=(i % 3 == 0))
         for s in range(mdp.n_states):
-            for row in mdp.rows[s]:
+            rows = [row for _, row in state_rows(mdp, s)]
+            for row in rows:
                 worst = max(worst, abs(sum(p for _, p in row) - 1.0))
-            if not mdp.states[s].alive and mdp.rows[s] != [[(s, 1.0)]]:
+            if not mdp.states[s].alive and rows != [[(s, 1.0)]]:
                 absorbing = False
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and absorbing and elapsed < 60

@@ -3,8 +3,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from conftest import bundled_doc
 from hostilemdp import __version__
 from hostilemdp.cli import main
 from hostilemdp.simrun import OUTCOMES
@@ -46,6 +48,81 @@ class TestExitCodes:
         bad.write_text('{"regions": []}')
         assert main(["validate-env", "--env", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def corridor_with(tmp_path, change) -> str:
+    """Path of a copy of the bundled corridor document after ``change(doc)``."""
+    doc = bundled_doc("corridor")
+    change(doc)
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def region(doc, rid):
+    return next(r for r in doc["regions"] if r["id"] == rid)
+
+
+def single_error(capsys) -> str:
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    assert "Traceback" not in err
+    return errors[0]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("command", ["synthesize", "build", "simulate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_is_refused(self, tmp_path, capsys, command, value):
+        env = corridor_with(tmp_path, lambda d: region(d, "rm").update(mu_enter=value))
+        argv = [command, "--env", env] + (["--runs", "10"] if command == "simulate" else [])
+        assert main(argv) == 1
+        assert "not finite" in single_error(capsys)
+
+    @pytest.mark.parametrize("change, words", [
+        (lambda d: region(d, "rm")["adversaries"].update(min="x"), "expected an integer"),
+        (lambda d: region(d, "rm")["adversaries"]["p_init"].update(a="1/2"),
+         "expected an integer"),
+        (lambda d: d.update(regions={r["id"]: r for r in d["regions"]}), "expected a list"),
+        (lambda d: d["facets"].append(["f9", "rs"]), "expected an object"),
+        (lambda d: region(d, "rm").update(labels=3), "expected a list"),
+        (lambda d: region(d, "rm")["adversaries"].update(p_init=["1"]), "expected an object"),
+    ])
+    def test_type_errors_are_format_errors(self, tmp_path, capsys, change, words):
+        assert main(["build", "--env", corridor_with(tmp_path, change)]) == 1
+        assert words in single_error(capsys)
+
+    def test_malformed_dump_exits_one(self, tmp_path, capsys):
+        dump = tmp_path / "empty.json"
+        dump.write_text("{}")
+        assert main(["synthesize", "--mdp", str(dump)]) == 1
+        assert "not an MDP dump" in single_error(capsys)
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_invalid_dump_is_refused(self, tmp_path, capsys, command):
+        dump = tmp_path / "model.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        with np.load(dump) as archive:
+            doc = dict(archive)
+        doc["prob"] = doc["prob"] * 0.5
+        np.savez(dump, **doc)
+        capsys.readouterr()
+        assert main([command, "--mdp", str(dump)]) == 1
+        line = single_error(capsys)
+        assert "fails validation with" in line and "row-sum" in line
+
+    def test_export_refuses_an_invalid_build(self, tmp_path, capsys):
+        def overflow(doc):
+            for r in doc["regions"]:
+                r.update(mu_enter=1e308, mu_leave=1e308)
+            for prim in doc["primitives"]:
+                prim["rate"] = 1e308
+        base = tmp_path / "out" / "m"
+        assert main(["export", "--env", corridor_with(tmp_path, overflow),
+                     "--out", str(base)]) == 1
+        assert "fails validation with" in single_error(capsys)
+        assert not base.parent.exists()
 
 
 class TestInspection:
@@ -101,7 +178,7 @@ class TestSynthesize:
         assert gap < 1e-6
 
     def test_dump_roundtrip_matches_direct_build(self, tmp_path, capsys):
-        dump = tmp_path / "corridor.mdp.json"
+        dump = tmp_path / "corridor.mdp.npz"
         direct = tmp_path / "direct.json"
         reloaded = tmp_path / "reloaded.json"
         assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0

@@ -1,16 +1,19 @@
 """State-space construction: event races, crossing mass, lost handling, export."""
 
 import copy
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from conftest import random_environment
+from conftest import make_mdp, random_environment, state_rows
 from hostilemdp.belief import ENTERED, LEFT
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import (
     LOST_SINK,
     MdpBuilder,
+    MdpFormatError,
     VehicleState,
     build_mdp,
     dump_mdp,
@@ -18,6 +21,8 @@ from hostilemdp.mdpbuild import (
     load_mdp,
     validate_mdp,
 )
+
+ARRAYS = ("state_ptr", "choice_action", "choice_ptr", "succ", "prob")
 
 
 def star_doc():
@@ -284,8 +289,7 @@ class TestCrossings:
         assert mdp.n_states == 2
         stuck = mdp.states.index(VehicleState("fb", "g", 0, 0, True, ()))
         stay = len(env.primitives)
-        assert mdp.enabled[stuck] == [stay]
-        assert mdp.rows[stuck] == [[(stuck, 1.0)]]
+        assert state_rows(mdp, stuck) == [(stay, [(stuck, 1.0)])]
         assert any("dead end" in w and "'fb'" in w for w in mdp.warnings)
 
 
@@ -304,7 +308,7 @@ class TestLostStates:
             assert s.beliefs == (0,) * len(corridor_env.neighbors(s.region))
             assert (s.facet, s.region) not in seen
             seen.add((s.facet, s.region))
-            assert mdp.rows[i] == [[(i, 1.0)]]
+            assert [row for _, row in state_rows(mdp, i)] == [[(i, 1.0)]]
 
     def test_lost_states_keep_region_labels(self, corridor_env, corridor_mdp):
         mdp = corridor_mdp
@@ -324,7 +328,7 @@ class TestLostStates:
         assert mdp.states[sink] == LOST_SINK
         for name in mdp.labels:
             assert sink not in mdp.label_set(name)
-        assert mdp.rows[sink] == [[(sink, 1.0)]]
+        assert [row for _, row in state_rows(mdp, sink)] == [[(sink, 1.0)]]
 
     def test_merge_lost_preserves_alive_dynamics(self, corridor_env, corridor_mdp):
         merged = build_mdp(corridor_env, merge_lost=True)
@@ -336,7 +340,7 @@ class TestLostStates:
             if not descriptor.alive:
                 continue
             m = merged.states.index(descriptor)
-            for row_a, row_b in zip(corridor_mdp.rows[s], merged.rows[m]):
+            for (_, row_a), (_, row_b) in zip(state_rows(corridor_mdp, s), state_rows(merged, m)):
                 a = {corridor_mdp.states[t]: p for t, p in row_a if corridor_mdp.states[t].alive}
                 b = {merged.states[t]: p for t, p in row_b if merged.states[t].alive}
                 assert a == b
@@ -355,33 +359,99 @@ class TestBuildFuzz:
         a = build_mdp(corridor_env)
         b = build_mdp(corridor_env)
         assert a.states == b.states
-        assert a.enabled == b.enabled
-        assert a.rows == b.rows
+        for name in ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.labels == b.labels
         assert a.warnings == b.warnings
+
+
+def with_row(mdp, c, row):
+    """Copy of ``mdp`` whose choice ``c`` moves along ``row`` instead."""
+    lo, hi = mdp.choice_ptr[c], mdp.choice_ptr[c + 1]
+    choice_ptr = mdp.choice_ptr.copy()
+    choice_ptr[c + 1:] += len(row) - (hi - lo)
+    return dataclasses.replace(
+        mdp,
+        choice_ptr=choice_ptr,
+        succ=np.concatenate((mdp.succ[:lo], [t for t, _ in row], mdp.succ[hi:])).astype(np.int64),
+        prob=np.concatenate((mdp.prob[:lo], [p for _, p in row], mdp.prob[hi:])),
+    )
+
+
+def without_choices(mdp, s):
+    """Copy of ``mdp`` in which state ``s`` has no choices left."""
+    first, last = mdp.state_ptr[s], mdp.state_ptr[s + 1]
+    lo, hi = mdp.choice_ptr[first], mdp.choice_ptr[last]
+    state_ptr = mdp.state_ptr.copy()
+    state_ptr[s + 1:] -= last - first
+    choice_ptr = np.delete(mdp.choice_ptr, np.arange(first + 1, last + 1))
+    choice_ptr[first + 1:] -= hi - lo
+    return dataclasses.replace(
+        mdp, state_ptr=state_ptr, choice_ptr=choice_ptr,
+        choice_action=np.delete(mdp.choice_action, np.arange(first, last)),
+        succ=np.delete(mdp.succ, np.arange(lo, hi)), prob=np.delete(mdp.prob, np.arange(lo, hi)),
+    )
+
+
+def kinds(mdp):
+    return {v.kind for v in validate_mdp(mdp)}
 
 
 class TestValidation:
     def test_detects_broken_row_sum(self, corridor_mdp):
         mdp = copy.deepcopy(corridor_mdp)
-        succ, p = mdp.rows[mdp.init][0][0]
-        mdp.rows[mdp.init][0][0] = (succ, p + 1e-6)
-        kinds = {v.kind for v in validate_mdp(mdp)}
-        assert kinds == {"row-sum"}
+        mdp.prob[mdp.choice_ptr[mdp.state_ptr[mdp.init]]] += 1e-6
+        assert kinds(mdp) == {"row-sum"}
 
     def test_detects_leaky_lost_state(self, corridor_mdp):
-        mdp = copy.deepcopy(corridor_mdp)
-        lost = next(i for i, s in enumerate(mdp.states) if not s.alive)
-        mdp.rows[lost][0] = [(lost, 0.5), (mdp.init, 0.5)]
-        kinds = {v.kind for v in validate_mdp(mdp)}
-        assert "lost-absorbing" in kinds
+        lost = next(i for i, s in enumerate(corridor_mdp.states) if not s.alive)
+        mdp = with_row(corridor_mdp, corridor_mdp.state_ptr[lost],
+                       [(lost, 0.5), (corridor_mdp.init, 0.5)])
+        assert "lost-absorbing" in kinds(mdp)
 
     def test_detects_missing_actions(self, corridor_mdp):
+        mdp = without_choices(corridor_mdp, 3)
+        assert "no-action" in kinds(mdp)
+
+    def test_detects_empty_row(self, corridor_mdp):
+        mdp = with_row(corridor_mdp, corridor_mdp.state_ptr[corridor_mdp.init], [])
+        assert "empty-row" in kinds(mdp)
+
+    def test_detects_bad_entries(self, corridor_mdp):
         mdp = copy.deepcopy(corridor_mdp)
-        mdp.enabled[3] = []
-        mdp.rows[3] = []
-        kinds = {v.kind for v in validate_mdp(mdp)}
-        assert "no-action" in kinds
+        mdp.succ[0] = mdp.n_states + 5
+        mdp.prob[1] = -0.25
+        found = kinds(mdp)
+        assert {"succ-range", "prob-range"} <= found
+
+    def test_detects_action_problems(self):
+        mdp = make_mdp({0: {"a": [(0, 1.0)], "b": [(0, 1.0)]}})
+        swapped = copy.deepcopy(mdp)
+        swapped.choice_action[:] = [1, 0]
+        assert kinds(swapped) == {"action-order"}
+        unknown = copy.deepcopy(mdp)
+        unknown.choice_action[1] = 7
+        assert kinds(unknown) == {"action-range"}
+
+    def test_detects_bad_init_and_labels(self, corridor_mdp):
+        mdp = dataclasses.replace(corridor_mdp, init=corridor_mdp.n_states)
+        assert kinds(mdp) == {"init"}
+        lost = next(i for i, s in enumerate(corridor_mdp.states) if not s.alive)
+        labels = dict(corridor_mdp.labels, alive=corridor_mdp.labels["alive"] | {lost})
+        assert kinds(dataclasses.replace(corridor_mdp, labels=labels)) == {"label"}
+        labels = dict(corridor_mdp.labels, pickup=frozenset({-1}))
+        assert kinds(dataclasses.replace(corridor_mdp, labels=labels)) == {"label"}
+
+    @pytest.mark.parametrize("name, tamper", [
+        ("state_ptr", lambda a: a[::-1].copy()),
+        ("choice_ptr", lambda a: np.concatenate((a[:5], a[6:7], a[5:6], a[7:]))),
+        ("state_ptr", lambda a: a[:-1]),
+        ("choice_ptr", lambda a: a + 1),
+        ("prob", lambda a: a[:-1]),
+    ])
+    def test_broken_pointers_are_reported_not_raised(self, corridor_mdp, name, tamper):
+        mdp = dataclasses.replace(corridor_mdp, **{name: tamper(getattr(corridor_mdp, name))})
+        assert "row-shape" in kinds(mdp)
 
     def test_clean_model_passes(self, corridor_mdp):
         assert validate_mdp(corridor_mdp) == []
@@ -389,23 +459,75 @@ class TestValidation:
 
 class TestSerialization:
     def test_dump_load_roundtrip(self, corridor_mdp, tmp_path):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.mdp"
         dump_mdp(corridor_mdp, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.mdp"]
         back = load_mdp(path)
         assert back.states == corridor_mdp.states
         assert back.action_names == corridor_mdp.action_names
-        assert back.enabled == corridor_mdp.enabled
-        assert back.rows == corridor_mdp.rows
+        for name in ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(corridor_mdp, name)), name
+            assert getattr(back, name).dtype == getattr(corridor_mdp, name).dtype
         assert back.init == corridor_mdp.init
         assert back.labels == corridor_mdp.labels
+        assert back.warnings == corridor_mdp.warnings
 
     def test_sink_roundtrips(self, corridor_env, tmp_path):
         mdp = build_mdp(corridor_env, merge_lost=True)
-        path = tmp_path / "merged.json"
+        path = tmp_path / "merged.npz"
         dump_mdp(mdp, path)
         back = load_mdp(path)
         assert LOST_SINK in back.states
         assert back.states == mdp.states
+
+    def test_named_states_roundtrip(self, tmp_path):
+        mdp = make_mdp({0: {"go": [(1, 1.0)]}, 1: {"stay": [(1, 1.0)]}}, labels={"goal": {1}})
+        dump_mdp(mdp, tmp_path / "toy.npz")
+        back = load_mdp(tmp_path / "toy.npz")
+        assert back.states == ["s0", "s1"]
+        assert back.row(0, 0) == [(1, 1.0)]
+        assert back.labels == mdp.labels
+
+    def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        doc["choice_ptr"] = doc["choice_ptr"][::-1].copy()
+        doc["succ"] = doc["succ"] + corridor_mdp.n_states
+        np.savez(path, **doc)
+        assert "row-shape" in kinds(load_mdp(path))
+        doc["choice_ptr"] = doc["choice_ptr"][::-1].copy()
+        np.savez(path, **doc)
+        assert kinds(load_mdp(path)) >= {"succ-range"}
+
+    def test_old_json_dump_is_refused(self, tmp_path):
+        path = tmp_path / "old.mdp.json"
+        path.write_text(json.dumps({"states": [], "actions": [], "enabled": [], "rows": []}))
+        with pytest.raises(MdpFormatError, match="JSON dumps"):
+            load_mdp(path)
+
+    @pytest.mark.parametrize("drop", ["succ", "facet", "format", "label_ptr"])
+    def test_missing_array_is_a_format_error(self, corridor_mdp, tmp_path, drop):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = {k: v for k, v in archive.items() if k != drop}
+        np.savez(path, **doc)
+        with pytest.raises(MdpFormatError):
+            load_mdp(path)
+
+    def test_pickled_or_mistyped_arrays_are_format_errors(self, corridor_mdp, tmp_path):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        np.savez(path, **dict(doc, states=np.array([object()], dtype=object)))
+        with pytest.raises(MdpFormatError):
+            load_mdp(path)
+        np.savez(path, **dict(doc, succ=doc["succ"].astype(float)))
+        with pytest.raises(MdpFormatError):
+            load_mdp(path)
 
     def test_export_is_byte_deterministic(self, corridor_mdp, tmp_path):
         first = export_prism(corridor_mdp, tmp_path / "a" / "model")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_chain, make_mdp
+from conftest import make_mdp, state_rows, toy_chain
 from hostilemdp.mdpbuild import VehicleState
 from hostilemdp.simrun import (
     CHUNK,
@@ -227,7 +227,7 @@ class TestTraces:
             assert len(trace.states) == len(trace.actions) + 1
             for k, a in enumerate(trace.actions):
                 src, dst = trace.states[k], trace.states[k + 1]
-                assert a in corridor_mdp.enabled[src]
+                assert a in [b for b, _ in state_rows(corridor_mdp, src)]
                 support = {t for t, p in corridor_mdp.row(src, a) if p > 0}
                 assert dst in support
             if trace.outcome == SUCCESS:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_chain, make_mdp, oracle_max_reach, random_mdp
+from conftest import make_mdp, oracle_max_reach, random_mdp, state_rows, toy_chain
 from hostilemdp.envmodel import scale_rates
 from hostilemdp.mdpbuild import build_mdp
 from hostilemdp.synth import (
@@ -135,7 +135,7 @@ class TestPolicyExtraction:
             policy = extract_policy(mdp, res, target)
             assert set(policy) == set(res.positive - target)
             for s, a in policy.items():
-                assert a in mdp.enabled[s]
+                assert a in [b for b, _ in state_rows(mdp, s)]
 
     def test_policy_attains_the_values(self):
         # restrict each state to its chosen action and re-solve: same values
@@ -148,10 +148,7 @@ class TestPolicyExtraction:
                 if s in policy:
                     rows = {mdp.action_names[policy[s]]: mdp.row(s, policy[s])}
                 else:
-                    rows = {
-                        mdp.action_names[a]: row
-                        for a, row in zip(mdp.enabled[s], mdp.rows[s])
-                    }
+                    rows = {mdp.action_names[a]: row for a, row in state_rows(mdp, s)}
                 table[s] = rows
             fixed = make_mdp(table, labels={"goal": set(target)})
             again = max_reach_vi(fixed, target, everything(fixed), tol=1e-12)
