@@ -120,21 +120,16 @@ LEFT = "-1"
 class BeliefSet:
     """All beliefs reachable from an initial one, with the update graph.
 
-    ``members[0]`` is the initial belief; ``index`` maps a belief key to its
-    position; ``edges[i]`` maps ENTERED / LEFT to the successor's position
-    (absent when the update is not allowed).
+    ``members[0]`` is the initial belief; ``edges[i]`` maps ENTERED / LEFT
+    to the successor's position (absent when the update is not allowed).
     """
 
     members: list[AdversaryBelief]
-    index: dict[tuple, int]
     edges: list[dict[str, int]]
     max_redistributions: int
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def position(self, belief: AdversaryBelief) -> int:
-        return self.index[belief.key()]
 
     def child(self, pos: int, kind: str) -> int | None:
         return self.edges[pos].get(kind)
@@ -170,7 +165,7 @@ def enumerate_reachable(initial: AdversaryBelief, node_budget: int = 100_000) ->
                 edges.append({})
                 queue.append(index[key])
             edges[pos][kind] = index[key]
-    return BeliefSet(members, index, edges, max_redist)
+    return BeliefSet(members, edges, max_redist)
 
 
 def render_dot(bset: BeliefSet, name: str = "beliefs") -> str:

@@ -128,7 +128,7 @@ def cmd_build(args) -> int:
     print(f"choices: {mdp.n_choices()}")
     print(f"transitions: {mdp.n_transitions()}")
     for name in sorted(mdp.labels):
-        print(f"label {name}: {len(mdp.labels[name])} states")
+        print(f"label {name}: {np.count_nonzero(mdp.labels[name])} states")
     if bad:
         for v in bad[:20]:
             print(f"violation: state {v.state} action {v.action}: {v.kind} ({v.detail})",
@@ -160,25 +160,29 @@ def _policy_walk(mdp, strategy, limit: int = 24):
     rows.
     """
     rows = []
-    alive = mdp.mask(mdp.label_set("alive"))
-    dropoff = mdp.label_set(DROPOFF)
+    alive = mdp.label("alive")
+    dropoff = mdp.label(DROPOFF)
+    owner = mdp.choice_state()
+    # plays[phase, s]: the choice the phase's policy plays at s (-1: none)
+    plays = np.full((2, mdp.n_states), -1, dtype=np.int64)
+    for phase, policy in enumerate((strategy.first, strategy.second)):
+        plays[phase, owner[policy]] = policy
     s = mdp.init
     satisfied = False
     seen = set()
     while len(rows) < limit:
-        if not satisfied and s in strategy.switch:
+        if not satisfied and strategy.switch[s]:
             satisfied = True
-        if satisfied and s in dropoff:
+        if satisfied and dropoff[s]:
             rows.append((s, "second", "(delivered)"))
             break
         phase = "second" if satisfied else "first"
-        a = (strategy.second if satisfied else strategy.first).get(s)
-        if a is None or (s, satisfied) in seen:
+        c = int(plays[int(satisfied), s])
+        if c < 0 or (s, satisfied) in seen:
             break
         seen.add((s, satisfied))
-        rows.append((s, phase, mdp.action_names[a]))
+        rows.append((s, phase, mdp.action_names[mdp.choice_action[c]]))
         here = mdp.states[s]
-        c = mdp.choice(s, a)
         lo, hi = mdp.choice_ptr[c], mdp.choice_ptr[c + 1]
         succ, prob = mdp.succ[lo:hi], mdp.prob[lo:hi]
         moves = alive[succ]
@@ -192,6 +196,12 @@ def _policy_walk(mdp, strategy, limit: int = 24):
     return rows
 
 
+def _named_policy(mdp, policy) -> dict[str, str]:
+    """``{state: action name}`` of a policy, in ascending state order."""
+    states = mdp.choice_state()[policy].tolist()
+    return {str(s): mdp.action_names[a] for s, a in zip(states, mdp.choice_action[policy].tolist())}
+
+
 def cmd_synthesize(args) -> int:
     mdp = _obtain_mdp(args)
     methods = ("vi", "lp") if args.method == "both" else (args.method,)
@@ -200,7 +210,7 @@ def cmd_synthesize(args) -> int:
         solver_kw = {"tol": args.tol} if m == "vi" else {}
         try:
             results.append(synthesize_mission(mdp, method=m, **solver_kw))
-        except ConvergenceError as exc:
+        except (ConvergenceError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     strategy = results[0]
@@ -210,7 +220,8 @@ def cmd_synthesize(args) -> int:
     print(f"  phase 1 (reach pickup, delivery still possible): "
           f"{strategy.values_first[init]:.10f}")
     print(f"  phase 2 (reach dropoff from here): {strategy.values_second[init]:.10f}")
-    print(f"switch states (pickup, delivery still possible): {len(strategy.switch)}")
+    print(f"switch states (pickup, delivery still possible): "
+          f"{np.count_nonzero(strategy.switch)}")
     print(f"first-stage policy: {len(strategy.first)} states")
     print(f"second-stage policy: {len(strategy.second)} states")
     if len(results) == 2:
@@ -229,9 +240,9 @@ def cmd_synthesize(args) -> int:
         payload = {
             "value": strategy.value,
             "method": strategy.method,
-            "switch": sorted(strategy.switch),
-            "first": {str(s): mdp.action_names[a] for s, a in sorted(strategy.first.items())},
-            "second": {str(s): mdp.action_names[a] for s, a in sorted(strategy.second.items())},
+            "switch": np.flatnonzero(strategy.switch).tolist(),
+            "first": _named_policy(mdp, strategy.first),
+            "second": _named_policy(mdp, strategy.second),
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
@@ -242,7 +253,7 @@ def cmd_simulate(args) -> int:
     mdp = _obtain_mdp(args)
     try:
         strategy = synthesize_mission(mdp, method=args.method)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -65,7 +65,7 @@ class Region:
     obstacle_pmf: dict[int, Fraction]
     mu_enter: float
     mu_leave: float
-    labels: frozenset[str] = frozenset()
+    labels: tuple[str, ...] = ()
 
     def obstacle_items(self):
         for level in range(self.max_obstacle_level + 1):
@@ -116,7 +116,6 @@ class Environment:
     init_facet: str
     init_region: str
     warnings: list[str] = field(default_factory=list)
-    source: dict | None = None
 
     def neighbors(self, region_id: str) -> tuple[str, ...]:
         """Adjacent regions, in declaration order."""
@@ -164,7 +163,7 @@ def scale_rates(env: Environment, factor: float) -> Environment:
         for rid, r in env.regions.items()
     }
     prims = tuple(replace(p, rate=p.rate * factor) for p in env.primitives)
-    return Environment(
+    scaled = Environment(
         name=env.name,
         regions=regions,
         facets=dict(env.facets),
@@ -172,8 +171,9 @@ def scale_rates(env: Environment, factor: float) -> Environment:
         init_facet=env.init_facet,
         init_region=env.init_region,
         warnings=list(env.warnings),
-        source=env.source,
     )
+    _check_race_totals(scaled)
+    return scaled
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def _parse_region(obj: dict) -> Region:
     if sum(opmf.values()) != 1:
         raise EnvironmentFormatError(f"{where}: p_obs sums to {sum(opmf.values())}, not 1")
 
-    labels = frozenset(_list(obj.get("labels", []), f"{where} labels"))
+    labels = set(_list(obj.get("labels", []), f"{where} labels"))
     if not labels <= {PICKUP, DROPOFF}:
         raise EnvironmentFormatError(f"{where}: unknown labels {sorted(labels - {PICKUP, DROPOFF})}")
     mu_enter = _number(obj["mu_enter"], f"{where} mu_enter")
@@ -297,7 +297,7 @@ def _parse_region(obj: dict) -> Region:
         obstacle_pmf=opmf,
         mu_enter=mu_enter,
         mu_leave=mu_leave,
-        labels=labels,
+        labels=tuple(sorted(labels)),
     )
 
 
@@ -333,14 +333,12 @@ def _parse_lost(obj, region: Region, where: str) -> dict[tuple[int, int], float]
     for (n, o), p in table.items():
         if not 0.0 <= p <= 1.0:
             raise EnvironmentFormatError(f"{where}: loss probability {p} at ({n}, {o})")
-    expected = {
-        (n, o)
-        for n in range(region.min_adversaries, region.max_adversaries + 1)
-        for o in range(region.max_obstacle_level + 1)
-    }
-    if not expected <= set(table):
-        hole = sorted(expected - set(table))[0]
-        raise EnvironmentFormatError(f"{where}: loss table has no entry for (count, level) {hole}")
+    # stops at the first hole, so a huge max_level costs no more than the table's size
+    for n in range(region.min_adversaries, region.max_adversaries + 1):
+        for o in range(region.max_obstacle_level + 1):
+            if (n, o) not in table:
+                raise EnvironmentFormatError(
+                    f"{where}: loss table has no entry for (count, level) {(n, o)}")
     return table
 
 
@@ -412,7 +410,7 @@ def _parse_document(data: dict, name: str) -> Environment:
         for fid in (src, dst):
             if rid not in facets[fid].regions:
                 raise EnvironmentFormatError(f"{where}: facet {fid!r} does not bound {rid!r}")
-        if src == dst and not regions[rid].labels & {PICKUP, DROPOFF}:
+        if src == dst and not {PICKUP, DROPOFF} & set(regions[rid].labels):
             raise EnvironmentFormatError(
                 f"{where}: same-facet primitives are only allowed at pick-up/drop-off regions"
             )
@@ -465,14 +463,27 @@ def _parse_document(data: dict, name: str) -> Environment:
         primitives=tuple(prims),
         init_facet=init_facet,
         init_region=init_region,
-        source=data,
     )
+    _check_race_totals(env)
 
     reachable = _facet_reachable_regions(env)
     for rid in regions:
         if rid not in reachable:
             env.warnings.append(f"region {rid!r} is unreachable from the initial facet")
     return env
+
+
+def _check_race_totals(env: Environment):
+    """Refuse primitives whose race total (see ``MdpBuilder.estimated_rate``) can overflow."""
+    for prim in env.primitives:
+        region = env.regions[prim.region]
+        incoming = sum(env.regions[r].max_adversaries for r in env.neighbors(prim.region))
+        bound = prim.rate + region.mu_leave * region.max_adversaries + region.mu_enter * incoming
+        if not math.isfinite(bound):
+            raise EnvironmentFormatError(
+                f"primitive {prim.from_facet}->{prim.to_facet}: rate {prim.rate!r} with region "
+                f"{prim.region!r} mu_leave {region.mu_leave!r} and mu_enter {region.mu_enter!r} "
+                f"overflows the total event rate")
 
 
 def _facet_reachable_regions(env: Environment) -> set[str]:

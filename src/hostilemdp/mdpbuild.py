@@ -71,7 +71,10 @@ class Mdp:
     ``choice_ptr[c]:choice_ptr[c + 1]``, in the order the builder produced
     them.  The four index arrays are int64 and ``prob`` is float64.
     ``states`` holds one descriptor per state (a :class:`VehicleState` for
-    built models).
+    built models).  Each entry of ``labels`` is a bool mask over the states.
+    A set of states is such a mask everywhere in the package, and a policy
+    is the ascending int64 array of the choices it plays, one per state it
+    covers.
     """
 
     states: list
@@ -82,7 +85,7 @@ class Mdp:
     succ: np.ndarray
     prob: np.ndarray
     init: int
-    labels: dict[str, frozenset[int]]
+    labels: dict[str, np.ndarray]
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -95,14 +98,10 @@ class Mdp:
     def n_transitions(self) -> int:
         return len(self.succ)
 
-    def label_set(self, name: str) -> frozenset[int]:
-        return self.labels.get(name, frozenset())
-
-    def mask(self, states) -> np.ndarray:
-        """Boolean vector over the states, true on ``states``."""
-        out = np.zeros(self.n_states, dtype=bool)
-        out[np.fromiter(states, dtype=np.int64, count=len(states))] = True
-        return out
+    def label(self, name: str) -> np.ndarray:
+        """The states carrying label ``name`` as a bool mask; all false if it is absent."""
+        found = self.labels.get(name)
+        return np.zeros(self.n_states, dtype=bool) if found is None else found
 
     def choice_state(self) -> np.ndarray:
         """The state that owns each choice."""
@@ -111,20 +110,6 @@ class Mdp:
     def transition_choice(self) -> np.ndarray:
         """The choice that owns each transition."""
         return np.repeat(np.arange(self.n_choices()), np.diff(self.choice_ptr))
-
-    def choice(self, state: int, action: int) -> int:
-        """Index of the choice playing ``action`` at ``state``; ValueError if disabled."""
-        lo, hi = self.state_ptr[state], self.state_ptr[state + 1]
-        at = lo + int(np.searchsorted(self.choice_action[lo:hi], action))
-        if at == hi or self.choice_action[at] != action:
-            raise ValueError(f"action {action} is not enabled at state {state}")
-        return at
-
-    def row(self, state: int, action: int) -> list[tuple[int, float]]:
-        """Successor distribution of ``action`` at ``state``."""
-        c = self.choice(state, action)
-        lo, hi = self.choice_ptr[c], self.choice_ptr[c + 1]
-        return list(zip(self.succ[lo:hi].tolist(), self.prob[lo:hi].tolist()))
 
 
 def ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -317,17 +302,12 @@ class MdpBuilder:
             state_ptr.append(len(choice_action))
             cursor += 1
 
-        labels: dict[str, set[int]] = {"alive": set(), PICKUP: set(), DROPOFF: set()}
-        for i, state in enumerate(states):
-            if state == LOST_SINK:
-                continue
-            if state.alive:
-                labels["alive"].add(i)
-            region = env.regions[state.region]
-            if PICKUP in region.labels:
-                labels[PICKUP].add(i)
-            if DROPOFF in region.labels:
-                labels[DROPOFF].add(i)
+        # a region label holds on every state in that region; the sink's region "" has none
+        region_names, region = _table(s.region for s in states)
+        labels = {"alive": np.array([s.alive for s in states], dtype=bool)}
+        for name in (PICKUP, DROPOFF):
+            tagged = [r in env.regions and name in env.regions[r].labels for r in region_names]
+            labels[name] = np.array(tagged, dtype=bool)[region]
 
         return Mdp(
             states=states,
@@ -338,7 +318,7 @@ class MdpBuilder:
             succ=np.frombuffer(succ, dtype=np.int64),
             prob=np.frombuffer(prob, dtype=np.float64),
             init=0,
-            labels={k: frozenset(v) for k, v in labels.items()},
+            labels=labels,
             warnings=warnings,
         )
 
@@ -420,16 +400,12 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
     leaky = np.setdiff1d(lost, looping)
     flag(leaky, "lost-absorbing", ["lost state is not absorbing"] * len(leaky))
 
-    labelled = np.zeros(n, dtype=bool)
-    for name, members in mdp.labels.items():
-        members = np.fromiter(members, dtype=np.int64, count=len(members))
-        inside = (members >= 0) & (members < n)
-        strays = np.sort(members[~inside])
-        flag(strays, "label", [f"{name} label on unknown state"] * len(strays))
-        if name == "alive":
-            labelled[members[inside]] = True
-    mismatched = np.flatnonzero((alive >= 0) & ((alive == 1) != labelled))
-    flag(mismatched, "label", ["alive label mismatch"] * len(mismatched))
+    misshapen = [name for name, mask in sorted(mdp.labels.items())
+                 if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (n,))]
+    flag([-1] * len(misshapen), "label", [f"{k} label is not a bool mask" for k in misshapen])
+    if "alive" not in misshapen:
+        mismatched = np.flatnonzero((alive >= 0) & ((alive == 1) != mdp.label("alive")))
+        flag(mismatched, "label", ["alive label mismatch"] * len(mismatched))
     bad.sort(key=lambda v: v.state)
     return bad
 
@@ -503,10 +479,25 @@ def _states_from(doc) -> list:
     ]
 
 
+def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
+    names = _array(doc, "label_names", "U").tolist()
+    ptr = _array(doc, "label_ptr", "iu")
+    members = _array(doc, "label_states", "iu")
+    if len(ptr) != len(names) + 1 or ptr[0] != 0 or ptr[-1] != len(members) \
+            or (np.diff(ptr) < 0).any():
+        raise MdpFormatError("label pointer does not cover the label states")
+    strays = members[(members < 0) | (members >= n)]
+    if len(strays):
+        raise MdpFormatError(f"label member {strays[0]} is not one of the {n} states")
+    masks = np.zeros((len(names), n), dtype=bool)
+    masks[np.repeat(np.arange(len(names)), np.diff(ptr)), members] = True
+    return dict(zip(names, masks))
+
+
 def dump_mdp(mdp: Mdp, path: str | Path):
     """Write the MDP as one ``.npz`` archive at exactly ``path`` (see :func:`load_mdp`)."""
     label_names = sorted(mdp.labels)
-    label_ptr, label_states = _flat([sorted(mdp.labels[k]) for k in label_names])
+    label_ptr, label_states = _flat([np.flatnonzero(mdp.labels[k]) for k in label_names])
     with open(path, "wb") as handle:
         np.savez(
             handle,
@@ -548,16 +539,12 @@ def load_mdp(path: str | Path) -> Mdp:
         arrays = {key: _array(doc, key, "iu").astype(np.int64)
                   for key in ("state_ptr", "choice_action", "choice_ptr", "succ")}
         arrays["prob"] = _array(doc, "prob", "f").astype(np.float64)
-        names = _array(doc, "label_names", "U").tolist()
-        ptr = _array(doc, "label_ptr", "iu").tolist()
-        members = _array(doc, "label_states", "iu").tolist()
-        if len(ptr) != len(names) + 1:
-            raise MdpFormatError("label pointer does not match the label names")
+        states = _states_from(doc)
         return Mdp(
-            states=_states_from(doc),
+            states=states,
             action_names=_array(doc, "action_names", "U").tolist(),
             init=int(_array(doc, "init", "iu", ndim=0)),
-            labels={k: frozenset(members[ptr[i]:ptr[i + 1]]) for i, k in enumerate(names)},
+            labels=_labels_from(doc, len(states)),
             warnings=_array(doc, "warnings", "U").tolist(),
             **arrays,
         )
@@ -633,10 +620,11 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
                 ("rp", PICKUP), ("rd", DROPOFF)]
     lab_path = basepath.with_suffix(".lab")
     header = " ".join(f'{i}="{name}"' for i, (name, _) in enumerate(exported))
+    masks = [(i, mdp.label(key).tolist()) for i, (_, key) in enumerate(exported) if key]
     lines = [header]
     for s in range(mdp.n_states):
         tags = [0] if s == mdp.init else []
-        tags += [i for i, (_, key) in enumerate(exported) if key and s in mdp.label_set(key)]
+        tags += [i for i, mask in masks if mask[s]]
         if tags:
             lines.append(f"{s}: {' '.join(str(t) for t in tags)}")
     lab_path.write_text("\n".join(lines) + "\n")

@@ -83,7 +83,8 @@ def classify_step(mdp: Mdp, src: int, dst: int) -> str:
 class _Plan:
     """The rows one or two policies play, as flat arrays, and state masks.
 
-    ``row[k, s]`` is the row policy ``k`` plays at ``s`` (-1: undefined).  Row
+    ``row[k, s]`` is the row policy ``k`` plays at ``s`` (-1: undefined); rows
+    are the policies' choices, concatenated in the order given.  Row
     ``r`` plays ``action[r]`` and leads to ``succ[ptr[r]:ptr[r + 1]]`` with
     running probability sums ``cum``; the last sum is infinite, so a draw
     above a row total that rounded below 1 takes the last successor.
@@ -99,24 +100,11 @@ class _Plan:
     dropoff: np.ndarray
 
     @classmethod
-    def of(cls, mdp: Mdp, policies: Sequence[dict[int, int]], alive, switch=(), dropoff=()):
-        state = np.concatenate([np.fromiter(policy, dtype=np.int64, count=len(policy))
-                                for policy in policies])
-        action = np.concatenate([np.fromiter(policy.values(), dtype=np.int64, count=len(policy))
-                                 for policy in policies])
+    def of(cls, mdp: Mdp, policies: Sequence[np.ndarray], alive, switch, dropoff):
+        choice = np.concatenate(policies)
         row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
-        start = 0
-        for k, policy in enumerate(policies):
-            row[k, state[start:start + len(policy)]] = np.arange(start, start + len(policy))
-            start += len(policy)
-        # choices are sorted by (state, action), so one search finds each chosen one
-        width = len(mdp.action_names)
-        keys = mdp.choice_state() * width + mdp.choice_action
-        choice = np.searchsorted(keys, state * width + action).clip(max=len(keys) - 1)
-        missing = keys[choice] != state * width + action
-        if missing.any():
-            i = int(np.argmax(missing))
-            raise ValueError(f"action {action[i]} is not enabled at state {state[i]}")
+        which = np.repeat(np.arange(len(policies)), [len(policy) for policy in policies])
+        row[which, mdp.choice_state()[choice]] = np.arange(len(choice))
         lo, hi = mdp.choice_ptr[choice], mdp.choice_ptr[choice + 1]
         length = hi - lo
         ptr = np.concatenate(([0], np.cumsum(length)))
@@ -127,8 +115,8 @@ class _Plan:
             at = ptr[:-1][length > j] + j
             cum[at] += cum[at - 1]
         cum[ptr[1:] - 1] = np.inf
-        masks = [mdp.mask(states) for states in (alive, switch, dropoff)]
-        return cls(row, action, ptr, mdp.succ[taken], cum, *masks)
+        return cls(row, mdp.choice_action[choice], ptr, mdp.succ[taken], cum,
+                   alive, switch, dropoff)
 
 
 def _traces(start: int, outcome, satisfied, delivered, history) -> list[Trace]:
@@ -194,8 +182,8 @@ def _chunks(runs: int, seed: int) -> Iterator[tuple[int, int, np.random.Generato
 
 
 def _mission(mdp: Mdp, strategy: MissionStrategy) -> _Plan:
-    return _Plan.of(mdp, (strategy.first, strategy.second), mdp.label_set("alive"),
-                    strategy.switch, mdp.label_set(DROPOFF))
+    return _Plan.of(mdp, (strategy.first, strategy.second), mdp.label("alive"),
+                    strategy.switch, mdp.label(DROPOFF))
 
 
 def simulate_run(
@@ -239,6 +227,8 @@ def estimate_success(
 
     ``trace_hook(i, trace)`` sees every run in index order and changes no result.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     plan = _mission(mdp, strategy)
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)
     delivered = 0
@@ -252,8 +242,8 @@ def estimate_success(
                 trace_hook(i, trace)
 
     satisfied, lost, step_limit = (int(c) for c in counts)
-    p = satisfied / runs if runs else 0.0
-    half = 1.96 * float(np.sqrt(p * (1.0 - p) / runs)) if runs else 0.0
+    p = satisfied / runs
+    half = 1.96 * float(np.sqrt(p * (1.0 - p) / runs))
     return Estimate(
         runs=runs,
         satisfied=satisfied,
@@ -268,20 +258,25 @@ def estimate_success(
 
 def prefix_frequency(
     mdp: Mdp,
-    policy: dict[int, int],
+    policy: np.ndarray,
     prefix: Sequence[int],
     runs: int = 10**6,
     seed: int = 0,
 ) -> float:
     """Fraction of simulated runs whose first states match ``prefix``.
 
-    Runs start at ``prefix[0]`` and follow ``policy`` for ``len(prefix) - 1``
-    steps; a run that reaches a state where the policy is undefined stops
-    there, so it can no longer match.
+    Runs start at ``prefix[0]`` and follow ``policy`` (ascending choice
+    indices) for ``len(prefix) - 1`` steps; a run that reaches a state where
+    the policy is undefined stops there, so it can no longer match.
     """
     if len(prefix) < 1:
         raise ValueError("prefix needs at least one state")
-    plan = _Plan.of(mdp, (policy,), alive=policy)
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    covered = np.zeros(mdp.n_states, dtype=bool)
+    covered[mdp.choice_state()[policy]] = True
+    never = np.zeros(mdp.n_states, dtype=bool)
+    plan = _Plan.of(mdp, (policy,), covered, never, never)
     steps = len(prefix) - 1
     hits = 0
     for _, size, rng in _chunks(runs, seed):

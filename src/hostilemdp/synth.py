@@ -31,10 +31,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ValueResult:
-    """Per-state reachability values plus solver bookkeeping."""
+    """Per-state reachability values plus solver bookkeeping.
+
+    ``positive`` is the bool mask of the states with a positive value.
+    """
 
     values: np.ndarray
-    positive: frozenset[int]
+    positive: np.ndarray
     method: str
     iterations: Optional[int] = None
     residual: Optional[float] = None
@@ -66,20 +69,18 @@ def _edges(mdp: Mdp, choices: np.ndarray):
     return mdp.choice_state()[trans[keep]], mdp.succ[keep]
 
 
-def qualitative_reach(mdp: Mdp, target: frozenset[int], allowed: frozenset[int]) -> frozenset[int]:
-    """States with positive probability of hitting ``target`` inside ``allowed``.
+def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Mask of the states with positive probability of hitting ``target`` inside ``allowed``.
 
     Graph fixpoint only, no numerics: grow the target set backwards through
     ``allowed`` states that have some action with a successor already inside.
+    Both arguments are bool masks over the states.
     """
-    goal = mdp.mask(target)
-    sources = mdp.mask(allowed) & ~goal
-    src, dst = _edges(mdp, sources[mdp.choice_state()])
-    level = _backward_levels(mdp.n_states, src, dst, np.flatnonzero(goal))
-    return frozenset(np.flatnonzero(level >= 0).tolist())
+    src, dst = _edges(mdp, (allowed & ~target)[mdp.choice_state()])
+    return _backward_levels(mdp.n_states, src, dst, np.flatnonzero(target)) >= 0
 
 
-def _free_structure(mdp: Mdp, target: frozenset[int], positive: frozenset[int]):
+def _free_structure(mdp: Mdp, target: np.ndarray, positive: np.ndarray):
     """Index the states whose values are genuinely unknown.
 
     Target states are pinned to one, states outside ``positive`` to zero;
@@ -87,8 +88,7 @@ def _free_structure(mdp: Mdp, target: frozenset[int], positive: frozenset[int]):
     keep each choice's successor order, so sums and products round as a
     row-by-row walk would.
     """
-    goal = mdp.mask(target)
-    is_free = mdp.mask(positive) & ~goal
+    is_free = positive & ~target
     free = np.flatnonzero(is_free)
     pos_of = np.cumsum(is_free) - 1
     picked = np.flatnonzero(is_free[mdp.choice_state()])
@@ -97,7 +97,7 @@ def _free_structure(mdp: Mdp, target: frozenset[int], positive: frozenset[int]):
     row_of = np.full(mdp.n_choices(), -1, dtype=np.int64)
     row_of[picked] = np.arange(len(picked))
     row = row_of[owner]
-    into_goal = (row >= 0) & goal[mdp.succ]
+    into_goal = (row >= 0) & target[mdp.succ]
     into_free = (row >= 0) & is_free[mdp.succ]
     const = np.bincount(row[into_goal], weights=mdp.prob[into_goal], minlength=len(picked))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row[into_free], minlength=len(picked)))))
@@ -106,27 +106,28 @@ def _free_structure(mdp: Mdp, target: frozenset[int], positive: frozenset[int]):
         shape=(len(picked), len(free)),
     )
     blocks = np.concatenate(([0], np.cumsum(np.diff(mdp.state_ptr)[free])))
-    return free.tolist(), matrix, const, blocks
+    return free, matrix, const, blocks
 
 
-def _assemble(mdp, target, positive, free, x):
+def _assemble(mdp, target, free, x):
     values = np.zeros(mdp.n_states)
-    values[list(target)] = 1.0
+    values[target] = 1.0
     values[free] = x
     return values
 
 
 def max_reach_vi(
     mdp: Mdp,
-    target: frozenset[int],
-    allowed: frozenset[int],
+    target: np.ndarray,
+    allowed: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 10**6,
     sweep_hook=None,
 ) -> ValueResult:
     """Value iteration for max P[allowed U target], from below.
 
-    Iterates x <- max(x, max_a (c_a + Q_a x)) until the sup-norm step falls
+    ``target`` and ``allowed`` are bool masks over the states.  Iterates
+    x <- max(x, max_a (c_a + Q_a x)) until the sup-norm step falls
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
     ``sweep_hook``, when given, receives a copy of the free-state vector
     after every sweep (free states are the positive non-target ones, in
@@ -134,8 +135,8 @@ def max_reach_vi(
     """
     positive = qualitative_reach(mdp, target, allowed)
     free, matrix, const, blocks = _free_structure(mdp, target, positive)
-    if not free:
-        return ValueResult(_assemble(mdp, target, positive, free, np.zeros(0)),
+    if not free.size:
+        return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
     x = np.zeros(len(free))
     starts = blocks[:-1]
@@ -148,19 +149,19 @@ def max_reach_vi(
         if sweep_hook is not None:
             sweep_hook(x.copy())
         if residual <= tol:
-            return ValueResult(_assemble(mdp, target, positive, free, x),
+            return ValueResult(_assemble(mdp, target, free, x),
                                positive, "vi", iterations=sweep, residual=residual)
     raise ConvergenceError(
         f"value iteration did not converge within {max_iter} sweeps "
         f"(last residual {residual:.3e})",
-        _assemble(mdp, target, positive, free, x), max_iter, residual,
+        _assemble(mdp, target, free, x), max_iter, residual,
     )
 
 
 def max_reach_lp(
     mdp: Mdp,
-    target: frozenset[int],
-    allowed: frozenset[int],
+    target: np.ndarray,
+    allowed: np.ndarray,
 ) -> ValueResult:
     """LP route to the same values: minimize sum(x) over the Bellman cone.
 
@@ -172,9 +173,8 @@ def max_reach_lp(
 
     positive = qualitative_reach(mdp, target, allowed)
     free, matrix, const, blocks = _free_structure(mdp, target, positive)
-    if not free:
-        return ValueResult(_assemble(mdp, target, positive, free, np.zeros(0)),
-                           positive, "lp")
+    if not free.size:
+        return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
     n_choices = matrix.shape[0]
     # rows of (Q - E) x <= -c where E picks the owning state of each choice
     owner_rows = np.repeat(np.arange(len(free)), np.diff(blocks))
@@ -191,7 +191,7 @@ def max_reach_lp(
     )
     if not res.success:
         raise RuntimeError(f"LP solve failed: {res.message}")
-    return ValueResult(_assemble(mdp, target, positive, free, res.x),
+    return ValueResult(_assemble(mdp, target, free, res.x),
                        positive, "lp", iterations=int(res.nit))
 
 
@@ -209,23 +209,24 @@ def solve_reachability(mdp, target, allowed, method: str = "vi", **kw) -> ValueR
 def extract_policy(
     mdp: Mdp,
     result: ValueResult,
-    target: frozenset[int],
+    target: np.ndarray,
     tie_tol: float = 1e-9,
-) -> dict[int, int]:
+) -> np.ndarray:
     """Memoryless policy attaining the values, defined on positive non-target states.
+
+    Returns the ascending indices of the chosen choices, one per such state.
 
     Plain argmax can stall on a cycle whose value equals the maximum (the
     backup is tight along the loop), so among near-maximal actions we require
     strict progress: pick the lowest-index action with a successor closer to
     the target inside the near-maximal edge graph.
     """
-    goal = mdp.mask(target)
     owner = mdp.choice_state()
     trans = mdp.transition_choice()
     # each backup sums p * value over the row left to right, as a walk would
     backups = np.bincount(trans, weights=mdp.prob * result.values[mdp.succ],
                           minlength=mdp.n_choices())
-    solved = mdp.mask(result.positive) & ~goal
+    solved = result.positive & ~target
     states = np.flatnonzero(solved)
     acting = np.diff(mdp.state_ptr) > 0
     best = np.zeros(mdp.n_states)
@@ -233,7 +234,7 @@ def extract_policy(
     candidate = solved[owner] & (backups >= best[owner] - tie_tol)
 
     # BFS distances to target through candidate edges only
-    level = _backward_levels(mdp.n_states, *_edges(mdp, candidate), np.flatnonzero(goal))
+    level = _backward_levels(mdp.n_states, *_edges(mdp, candidate), np.flatnonzero(target))
     unreached = states[level[states] < 0]
     if unreached.size:
         raise RuntimeError(
@@ -245,19 +246,22 @@ def extract_policy(
     progressing = candidate & (np.bincount(trans[closer], minlength=mdp.n_choices()) > 0)
     chosen = np.flatnonzero(progressing)
     # choices are grouped by state in ascending action order: keep each state's first
-    first = np.unique(owner[chosen], return_index=True)[1]
-    return dict(zip(owner[chosen[first]].tolist(), mdp.choice_action[chosen[first]].tolist()))
+    return chosen[np.unique(owner[chosen], return_index=True)[1]]
 
 
 @dataclass
 class MissionStrategy:
-    """Two-phase strategy: head for a viable pickup, then for the dropoff."""
+    """Two-phase strategy: head for a viable pickup, then for the dropoff.
+
+    ``first`` and ``second`` are policies (ascending choice indices, one per
+    covered state); ``switch`` and ``sat_deliverable`` are bool state masks.
+    """
 
     value: float
-    first: dict[int, int]
-    second: dict[int, int]
-    switch: frozenset[int]
-    sat_deliverable: frozenset[int]
+    first: np.ndarray
+    second: np.ndarray
+    switch: np.ndarray
+    sat_deliverable: np.ndarray
     values_first: np.ndarray
     values_second: np.ndarray
     method: str
@@ -270,15 +274,15 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tie_tol: float = 1e-9, **kw
     qualitative, so it comes from the graph fixpoint of the second stage;
     the two quantitative stages are max-reachability solves.
     """
-    alive = mdp.label_set("alive")
-    pickup = mdp.label_set(PICKUP)
-    dropoff = mdp.label_set(DROPOFF)
-    if not pickup or not dropoff:
-        raise ValueError("mission needs both pickup and dropoff labels")
+    alive = mdp.label("alive")
+    pickup = mdp.label(PICKUP)
+    dropoff = mdp.label(DROPOFF)
+    if not pickup.any() or not dropoff.any():
+        raise ValueError("mission needs both pickup and dropoff labels on reachable states")
 
     second = solve_reachability(mdp, alive & dropoff, alive, method=method, **kw)
     deliverable = second.positive
-    switch = frozenset(alive & pickup & deliverable)
+    switch = alive & pickup & deliverable
     first = solve_reachability(mdp, switch, alive, method=method, **kw)
 
     return MissionStrategy(

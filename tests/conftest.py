@@ -50,8 +50,35 @@ def make_mdp(table, init=0, labels=None, state_names=None) -> Mdp:
         succ=np.array(succ, dtype=np.int64),
         prob=np.array(prob, dtype=np.float64),
         init=init,
-        labels={k: frozenset(v) for k, v in (labels or {}).items()},
+        labels={k: mask_of(n, v) for k, v in (labels or {}).items()},
     )
+
+
+def mask_of(n: int, states) -> np.ndarray:
+    """Bool mask over ``n`` states, true on ``states``."""
+    out = np.zeros(n, dtype=bool)
+    out[list(states)] = True
+    return out
+
+
+def members(mask: np.ndarray) -> frozenset[int]:
+    """The states a bool mask is true on."""
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def policy_of(mdp: Mdp, actions: dict[int, int]) -> np.ndarray:
+    """The policy playing ``actions[s]`` at each listed state, as ascending choice indices."""
+    chosen = [int(mdp.state_ptr[s]) + [a for a, _ in state_rows(mdp, s)].index(actions[s])
+              for s in sorted(actions)]
+    return np.array(chosen, dtype=np.int64)
+
+
+def policy_actions(mdp: Mdp, policy: np.ndarray) -> dict[int, int]:
+    """``{state: action}`` of a policy given as choice indices."""
+    owner = np.repeat(np.arange(mdp.n_states), np.diff(mdp.state_ptr))
+    states = owner[policy].tolist()
+    assert len(set(states)) == len(states), "policy plays two choices at one state"
+    return dict(zip(states, mdp.choice_action[policy].tolist()))
 
 
 def state_rows(mdp: Mdp, s: int) -> list[tuple[int, list[tuple[int, float]]]]:
@@ -64,7 +91,7 @@ def state_rows(mdp: Mdp, s: int) -> list[tuple[int, list[tuple[int, float]]]]:
     return out
 
 
-def toy_chain() -> tuple[Mdp, dict[int, int]]:
+def toy_chain() -> tuple[Mdp, np.ndarray]:
     """Four-state chain whose pinned policy gives Pr(s0 s1 s1) = 0.5 * 0.2 = 0.1."""
     mdp = make_mdp({
         0: {"a1": [(1, 0.5), (2, 0.5)]},
@@ -72,7 +99,7 @@ def toy_chain() -> tuple[Mdp, dict[int, int]]:
         2: {"stay": [(2, 1.0)]},
         3: {"stay": [(3, 1.0)]},
     }, labels={"goal": {3}})
-    policy = {0: mdp.action_names.index("a1"), 1: mdp.action_names.index("a2")}
+    policy = policy_of(mdp, {0: mdp.action_names.index("a1"), 1: mdp.action_names.index("a2")})
     return mdp, policy
 
 
@@ -120,24 +147,25 @@ def chain_reach(mdp: Mdp, pick: tuple[int, ...], target: frozenset, allowed: fro
     return values, hot
 
 
-def oracle_max_reach(mdp: Mdp, target, allowed=None):
-    """Max reach values and positive support by policy enumeration.
+def oracle_max_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray | None = None):
+    """Max reach values and positive support (a bool mask) by policy enumeration.
 
-    The support set is purely graph-derived (union of per-chain reachable
-    sets), so the comparison with qualitative analysis is exact.
+    ``target`` and ``allowed`` are bool masks.  The support set is purely
+    graph-derived (union of per-chain reachable sets), so the comparison
+    with qualitative analysis is exact.
     """
-    target = frozenset(target)
-    allowed = frozenset(range(mdp.n_states)) if allowed is None else frozenset(allowed)
+    target = members(target)
+    allowed = frozenset(range(mdp.n_states)) if allowed is None else members(allowed)
     best = np.zeros(mdp.n_states)
     support: set[int] = set()
     for pick in itertools.product(*(range(k) for k in np.diff(mdp.state_ptr).tolist())):
         values, hot = chain_reach(mdp, pick, target, allowed)
         np.maximum(best, values, out=best)
         support |= hot
-    return best, frozenset(support)
+    return best, mask_of(mdp.n_states, support)
 
 
-def random_mdp(rng: np.random.Generator) -> tuple[Mdp, frozenset]:
+def random_mdp(rng: np.random.Generator) -> tuple[Mdp, np.ndarray]:
     """Small random MDP (2..6 states, 1..2 actions) with exact-sum rows."""
     n = int(rng.integers(2, 7))
     table = {}
@@ -151,8 +179,9 @@ def random_mdp(rng: np.random.Generator) -> tuple[Mdp, frozenset]:
             acts[f"a{a}"] = [(int(t), int(w) / total) for t, w in zip(succs, weights)]
         table[s] = acts
     k = int(rng.integers(1, 3))
-    target = frozenset(int(x) for x in rng.choice(n, size=k, replace=False))
-    return make_mdp(table, labels={"goal": target}), target
+    target = [int(x) for x in rng.choice(n, size=k, replace=False)]
+    mdp = make_mdp(table, labels={"goal": target})
+    return mdp, mdp.label("goal")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import pytest
 from conftest import (
     bundled_doc,
     oracle_max_reach,
+    policy_actions,
     random_environment,
     random_mdp,
     state_rows,
@@ -150,13 +151,13 @@ def test_criterion_4_solvers_match_policy_enumeration():
     support_exact = True
     for i in range(50):
         mdp, target = random_mdp(np.random.default_rng([20260816, i]))
-        allowed = frozenset(range(mdp.n_states))
+        allowed = np.ones(mdp.n_states, dtype=bool)
         vi = max_reach_vi(mdp, target, allowed, tol=1e-12)
         lp = max_reach_lp(mdp, target, allowed)
         oracle_values, oracle_support = oracle_max_reach(mdp, target)
         worst_vi = max(worst_vi, float(np.max(np.abs(vi.values - oracle_values))))
         worst_lp = max(worst_lp, float(np.max(np.abs(lp.values - oracle_values))))
-        if qualitative_reach(mdp, target, allowed) != oracle_support:
+        if not np.array_equal(qualitative_reach(mdp, target, allowed), oracle_support):
             support_exact = False
     ok = worst_vi < 1e-9 and worst_lp < 1e-9 and support_exact
     record(4, ok,
@@ -263,10 +264,14 @@ def test_criterion_8_external_model_checker(built_cases, tmp_path):
     assert deviation <= 1e-6
 
 
+def _named(mdp, policy) -> dict[str, str]:
+    return {str(s): mdp.action_names[a] for s, a in sorted(policy_actions(mdp, policy).items())}
+
+
 def _policy_bytes(mdp, strategy) -> bytes:
     payload = {
-        "first": {str(s): mdp.action_names[a] for s, a in sorted(strategy.first.items())},
-        "second": {str(s): mdp.action_names[a] for s, a in sorted(strategy.second.items())},
+        "first": _named(mdp, strategy.first),
+        "second": _named(mdp, strategy.second),
     }
     return json.dumps(payload, sort_keys=True).encode()
 

@@ -1,13 +1,20 @@
 """Command line behaviour: exit codes, outputs, file side effects."""
 
+import contextlib
+import copy
 import csv
+import dataclasses
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bundled_doc
-from hostilemdp import __version__
+from hostilemdp import __version__, cli
 from hostilemdp.cli import main
 from hostilemdp.simrun import OUTCOMES
 
@@ -112,17 +119,96 @@ class TestBadInputs:
         line = single_error(capsys)
         assert "fails validation with" in line and "row-sum" in line
 
-    def test_export_refuses_an_invalid_build(self, tmp_path, capsys):
+    def test_export_refuses_an_invalid_build(self, tmp_path, capsys, monkeypatch):
+        # the parser refuses the overflowing rates that used to build a broken
+        # model, so break the built model itself
+        build = cli.build_mdp
+
+        def halved(env, merge_lost=False):
+            mdp = build(env, merge_lost=merge_lost)
+            return dataclasses.replace(mdp, prob=mdp.prob * 0.5)
+
+        monkeypatch.setattr(cli, "build_mdp", halved)
+        base = tmp_path / "out" / "m"
+        assert main(["export", "--env", "corridor", "--out", str(base)]) == 1
+        assert "fails validation with" in single_error(capsys)
+        assert not base.parent.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_unreachable_pickup_is_one_error_line(self, tmp_path, capsys, command):
+        # with no primitive crossing the pickup region, no state carries its label
+        def drop(doc):
+            doc["primitives"] = [p for p in doc["primitives"] if p["region"] != "rp"]
+        assert main([command, "--env", corridor_with(tmp_path, drop)]) == 1
+        assert "pickup and dropoff labels" in single_error(capsys)
+
+    @pytest.mark.parametrize("command", ["synthesize", "export"])
+    def test_overflowing_rates_name_the_field(self, tmp_path, capsys, command):
         def overflow(doc):
             for r in doc["regions"]:
                 r.update(mu_enter=1e308, mu_leave=1e308)
             for prim in doc["primitives"]:
                 prim["rate"] = 1e308
-        base = tmp_path / "out" / "m"
-        assert main(["export", "--env", corridor_with(tmp_path, overflow),
-                     "--out", str(base)]) == 1
-        assert "fails validation with" in single_error(capsys)
-        assert not base.parent.exists()
+        argv = [command, "--env", corridor_with(tmp_path, overflow)]
+        argv += ["--out", str(tmp_path / "out" / "m")] if command == "export" else []
+        assert main(argv) == 1
+        line = single_error(capsys)
+        assert "primitive" in line and "mu_enter" in line and "overflows" in line
+        assert "empty-row" not in line
+        assert not (tmp_path / "out").exists()
+
+
+def _positions(node, path=()):
+    """Every key or index path inside a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+CORRIDOR = bundled_doc("corridor")
+OTHER_TYPES = [None, True, "x", "1/0", [], {}, 0, -1, 2.5]
+EXTREME_NUMBERS = [1e308, -1e308, 5e-324, 10**400, float("nan"), float("inf"), float("-inf")]
+DROP = object()
+mutations = st.tuples(
+    st.sampled_from(list(_positions(CORRIDOR))),
+    st.sampled_from([DROP] + OTHER_TYPES + EXTREME_NUMBERS),
+)
+
+
+class TestFuzzedInputs:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(mutations, min_size=1, max_size=2))
+    def test_exit_zero_or_one_error_line(self, changes):
+        doc = copy.deepcopy(CORRIDOR)
+        for path, value in changes:
+            parent = doc
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is DROP:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier change removed this position
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as where:
+            env = f"{where}/env.json"
+            with open(env, "w") as handle:
+                json.dump(doc, handle)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["synthesize", "--env", env])
+        lines = err.getvalue().splitlines()
+        assert lines[0].startswith("config: ")
+        errors = [line for line in lines[1:] if line.startswith("error:")]
+        assert (code, len(errors)) in ((0, 0), (1, 1)), err.getvalue()
+        assert code == 0 or lines[-1] == errors[0], err.getvalue()
 
 
 class TestInspection:

@@ -124,6 +124,13 @@ class TestParsing:
         with pytest.raises(EnvironmentFormatError):
             parse_environment(doc)
 
+    def test_huge_obstacle_level_stops_at_the_first_hole(self):
+        # the table's holes are not materialised, so this returns at once
+        doc = mutate(("primitives", 1, "lost"), {"table": {"0": {"0": 0.1}}})
+        doc["regions"][1]["obstacles"]["max_level"] = 10**18
+        with pytest.raises(EnvironmentFormatError, match=r"no entry for \(count, level\) \(0, 1\)"):
+            parse_environment(doc)
+
     def test_nonpositive_rate_rejected(self):
         doc = mutate(("primitives", 0, "rate"), 0)
         with pytest.raises(EnvironmentFormatError, match="rate"):
@@ -264,6 +271,13 @@ class TestScaleRates:
             assert doubled.regions[rid].mu_enter == 2.0 * env.regions[rid].mu_enter
             assert doubled.regions[rid].mu_leave == 2.0 * env.regions[rid].mu_leave
         assert scale_rates(env, 1.0).primitives[0].rate == env.primitives[0].rate
+
+    def test_overflowing_factor_is_refused(self):
+        doc = small_doc()
+        doc["primitives"][0]["rate"] = 1e308
+        env = parse_environment(doc)
+        with pytest.raises(EnvironmentFormatError, match="f0->f1: rate inf with region .a."):
+            scale_rates(env, 2.0)
 
     def test_structure_untouched(self):
         env = parse_environment(small_doc())

@@ -315,10 +315,10 @@ class TestLostStates:
         for i, s in enumerate(mdp.states):
             if s.alive:
                 continue
-            assert i not in mdp.label_set("alive")
+            assert not mdp.label("alive")[i]
             for label in ("pickup", "dropoff"):
                 holds = label in corridor_env.regions[s.region].labels
-                assert (i in mdp.label_set(label)) == holds
+                assert mdp.label(label)[i] == holds
 
     def test_merge_lost_uses_one_unlabeled_sink(self, corridor_env):
         mdp = build_mdp(corridor_env, merge_lost=True)
@@ -327,7 +327,7 @@ class TestLostStates:
         sink = lost[0]
         assert mdp.states[sink] == LOST_SINK
         for name in mdp.labels:
-            assert sink not in mdp.label_set(name)
+            assert not mdp.label(name)[sink]
         assert [row for _, row in state_rows(mdp, sink)] == [[(sink, 1.0)]]
 
     def test_merge_lost_preserves_alive_dynamics(self, corridor_env, corridor_mdp):
@@ -361,7 +361,9 @@ class TestBuildFuzz:
         assert a.states == b.states
         for name in ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.labels == b.labels
+        assert a.labels.keys() == b.labels.keys()
+        for name in a.labels:
+            assert np.array_equal(a.label(name), b.label(name)), name
         assert a.warnings == b.warnings
 
 
@@ -437,10 +439,13 @@ class TestValidation:
         mdp = dataclasses.replace(corridor_mdp, init=corridor_mdp.n_states)
         assert kinds(mdp) == {"init"}
         lost = next(i for i, s in enumerate(corridor_mdp.states) if not s.alive)
-        labels = dict(corridor_mdp.labels, alive=corridor_mdp.labels["alive"] | {lost})
+        alive = corridor_mdp.label("alive").copy()
+        alive[lost] = True
+        labels = dict(corridor_mdp.labels, alive=alive)
         assert kinds(dataclasses.replace(corridor_mdp, labels=labels)) == {"label"}
-        labels = dict(corridor_mdp.labels, pickup=frozenset({-1}))
-        assert kinds(dataclasses.replace(corridor_mdp, labels=labels)) == {"label"}
+        for wrong in (corridor_mdp.label("pickup")[:-1], corridor_mdp.label("pickup").astype(int)):
+            labels = dict(corridor_mdp.labels, pickup=wrong)
+            assert kinds(dataclasses.replace(corridor_mdp, labels=labels)) == {"label"}
 
     @pytest.mark.parametrize("name, tamper", [
         ("state_ptr", lambda a: a[::-1].copy()),
@@ -469,7 +474,10 @@ class TestSerialization:
             assert np.array_equal(getattr(back, name), getattr(corridor_mdp, name)), name
             assert getattr(back, name).dtype == getattr(corridor_mdp, name).dtype
         assert back.init == corridor_mdp.init
-        assert back.labels == corridor_mdp.labels
+        assert back.labels.keys() == corridor_mdp.labels.keys()
+        for name in back.labels:
+            assert np.array_equal(back.label(name), corridor_mdp.label(name)), name
+            assert back.label(name).dtype == bool
         assert back.warnings == corridor_mdp.warnings
 
     def test_sink_roundtrips(self, corridor_env, tmp_path):
@@ -485,8 +493,9 @@ class TestSerialization:
         dump_mdp(mdp, tmp_path / "toy.npz")
         back = load_mdp(tmp_path / "toy.npz")
         assert back.states == ["s0", "s1"]
-        assert back.row(0, 0) == [(1, 1.0)]
-        assert back.labels == mdp.labels
+        assert state_rows(back, 0) == [(0, [(1, 1.0)])]
+        assert back.labels.keys() == {"goal"}
+        assert np.array_equal(back.label("goal"), [False, True])
 
     def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
@@ -500,6 +509,18 @@ class TestSerialization:
         doc["choice_ptr"] = doc["choice_ptr"][::-1].copy()
         np.savez(path, **doc)
         assert kinds(load_mdp(path)) >= {"succ-range"}
+
+    @pytest.mark.parametrize("member", [-1, 10**6])
+    def test_out_of_range_label_member_fails_to_load(self, corridor_mdp, tmp_path, member):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        doc["label_states"] = doc["label_states"].copy()
+        doc["label_states"][0] = member
+        np.savez(path, **doc)
+        with pytest.raises(MdpFormatError, match="label member"):
+            load_mdp(path)
 
     def test_old_json_dump_is_refused(self, tmp_path):
         path = tmp_path / "old.mdp.json"

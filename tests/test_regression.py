@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from conftest import bundled_doc
+from conftest import bundled_doc, policy_actions
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import build_mdp, export_prism
 from hostilemdp.synth import synthesize_mission
@@ -48,8 +48,8 @@ def test_export_policy_and_value_are_pinned(name, tmp_path):
 
     strategy = synthesize_mission(mdp)
     policy = json.dumps({
-        "first": {str(s): a for s, a in sorted(strategy.first.items())},
-        "second": {str(s): a for s, a in sorted(strategy.second.items())},
+        "first": {str(s): a for s, a in sorted(policy_actions(mdp, strategy.first).items())},
+        "second": {str(s): a for s, a in sorted(policy_actions(mdp, strategy.second).items())},
     }, sort_keys=True)
     assert sha256(policy.encode()) == policy_digest
     assert repr(strategy.value) == value

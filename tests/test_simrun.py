@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_mdp, state_rows, toy_chain
+from conftest import make_mdp, mask_of, policy_actions, policy_of, state_rows, toy_chain
 from hostilemdp.mdpbuild import VehicleState
 from hostilemdp.simrun import (
     CHUNK,
@@ -35,13 +35,14 @@ def mission_chain():
 
 
 def hand_strategy(mdp, first=None, second=None, switch=()):
+    """A strategy playing the ``{state: action}`` maps ``first`` and ``second``."""
     n = mdp.n_states
     return MissionStrategy(
         value=0.0,
-        first=first or {},
-        second=second or {},
-        switch=frozenset(switch),
-        sat_deliverable=frozenset(range(n)),
+        first=policy_of(mdp, first or {}),
+        second=policy_of(mdp, second or {}),
+        switch=mask_of(n, switch),
+        sat_deliverable=np.ones(n, dtype=bool),
         values_first=np.zeros(n),
         values_second=np.zeros(n),
         method="vi",
@@ -50,20 +51,22 @@ def hand_strategy(mdp, first=None, second=None, switch=()):
 
 def scalar_run(mdp, strategy, rng, max_steps):
     """Reference mission run: one state at a time, one draw per step."""
-    alive = mdp.label_set("alive")
-    dropoff = mdp.label_set("dropoff")
+    alive = mdp.label("alive")
+    dropoff = mdp.label("dropoff")
+    first = policy_actions(mdp, strategy.first)
+    second = policy_actions(mdp, strategy.second)
     s, states, actions = mdp.init, [mdp.init], []
     satisfied = delivered = None
-    while s in alive:
-        if satisfied is None and s in strategy.switch:
+    while alive[s]:
+        if satisfied is None and strategy.switch[s]:
             satisfied = len(actions)
-        if satisfied is not None and s in dropoff:
+        if satisfied is not None and dropoff[s]:
             delivered = len(actions)
             break
         if len(actions) >= max_steps:
             break
-        a = (strategy.first if satisfied is None else strategy.second)[s]
-        row = mdp.row(s, a)
+        a = (first if satisfied is None else second)[s]
+        row = dict(state_rows(mdp, s))[a]
         u, acc = rng.random(), 0.0
         for t, p in row:
             acc += p
@@ -74,7 +77,7 @@ def scalar_run(mdp, strategy, rng, max_steps):
         actions.append(a)
     if satisfied is not None:
         outcome = SUCCESS
-    elif s not in alive:
+    elif not alive[s]:
         outcome = LOST
     else:
         outcome = STEP_LIMIT
@@ -129,7 +132,7 @@ class TestSimulateRun:
 
     def test_second_stage_hole_is_an_error(self):
         mdp, strat = mission_chain()
-        broken = hand_strategy(mdp, first=dict(strat.first), switch={1})
+        broken = hand_strategy(mdp, first=policy_actions(mdp, strat.first), switch={1})
         with pytest.raises(RuntimeError, match="second-stage strategy undefined at reached state 1"):
             simulate_run(mdp, broken, np.random.default_rng(0))
 
@@ -179,6 +182,12 @@ class TestEstimate:
         assert est.satisfied == est.delivered == 64
         assert est.lost == est.step_limit == 0
 
+    def test_needs_a_run(self):
+        mdp, strat = mission_chain()
+        for runs in (0, -1):
+            with pytest.raises(ValueError, match="runs must be at least 1"):
+                estimate_success(mdp, strat, runs=runs)
+
     def test_same_seed_repeats(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
         one = estimate_success(corridor_mdp, strat, runs=400, master_seed=11)
@@ -221,25 +230,26 @@ class TestTraces:
             trace_hook=lambda i, t: seen.__setitem__(i, t),
         )
         assert sorted(seen) == list(range(200))
-        alive = corridor_mdp.label_set("alive")
+        alive = corridor_mdp.label("alive")
         for trace in seen.values():
             assert trace.outcome in OUTCOMES
             assert len(trace.states) == len(trace.actions) + 1
             for k, a in enumerate(trace.actions):
                 src, dst = trace.states[k], trace.states[k + 1]
-                assert a in [b for b, _ in state_rows(corridor_mdp, src)]
-                support = {t for t, p in corridor_mdp.row(src, a) if p > 0}
+                rows = dict(state_rows(corridor_mdp, src))
+                assert a in rows
+                support = {t for t, p in rows[a] if p > 0}
                 assert dst in support
             if trace.outcome == SUCCESS:
                 assert trace.satisfied_step is not None
-                assert trace.states[trace.satisfied_step] in strat.switch
+                assert strat.switch[trace.states[trace.satisfied_step]]
             else:
                 assert trace.satisfied_step is None
             if trace.outcome == LOST:
-                assert trace.states[-1] not in alive
+                assert not alive[trace.states[-1]]
             if trace.delivered_step is not None:
                 assert trace.satisfied_step <= trace.delivered_step
-                assert trace.states[trace.delivered_step] in corridor_mdp.label_set("dropoff")
+                assert corridor_mdp.label("dropoff")[trace.states[trace.delivered_step]]
 
     def test_classify_hand_built_states(self):
         mdp, _ = toy_chain()
@@ -281,7 +291,7 @@ class TestTraces:
 class TestPrefixFrequency:
     def test_exact_on_deterministic_chain(self):
         mdp, strat = mission_chain()
-        policy = {0: 0, 1: 0}
+        policy = policy_of(mdp, {0: 0, 1: 0})
         assert prefix_frequency(mdp, policy, [0, 1, 2], runs=50, seed=0) == 1.0
         assert prefix_frequency(mdp, policy, [0, 2], runs=50, seed=0) == 0.0
         assert prefix_frequency(mdp, policy, [0], runs=50, seed=0) == 1.0
@@ -289,7 +299,13 @@ class TestPrefixFrequency:
     def test_needs_a_prefix(self):
         mdp, _ = mission_chain()
         with pytest.raises(ValueError):
-            prefix_frequency(mdp, {}, [], runs=10, seed=0)
+            prefix_frequency(mdp, policy_of(mdp, {}), [], runs=10, seed=0)
+
+    def test_needs_a_run(self):
+        mdp, policy = toy_chain()
+        for runs in (0, -1):
+            with pytest.raises(ValueError, match="runs must be at least 1"):
+                prefix_frequency(mdp, policy, [0, 1], runs=runs, seed=0)
 
     def test_pinned_prefix_probability(self):
         mdp, policy = toy_chain()

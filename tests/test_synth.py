@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import make_mdp, oracle_max_reach, random_mdp, state_rows, toy_chain
+from conftest import (
+    make_mdp,
+    mask_of,
+    members,
+    oracle_max_reach,
+    policy_actions,
+    random_mdp,
+    state_rows,
+    toy_chain,
+)
 from hostilemdp.envmodel import scale_rates
 from hostilemdp.mdpbuild import build_mdp
 from hostilemdp.synth import (
@@ -18,7 +27,7 @@ from hostilemdp.synth import (
 
 
 def everything(mdp):
-    return frozenset(range(mdp.n_states))
+    return np.ones(mdp.n_states, dtype=bool)
 
 
 class TestThreeWayAgreement:
@@ -33,19 +42,19 @@ class TestThreeWayAgreement:
             oracle_values, oracle_support = oracle_max_reach(mdp, target)
             assert float(np.max(np.abs(vi.values - oracle_values))) < 1e-9
             assert float(np.max(np.abs(lp.values - oracle_values))) < 1e-9
-            assert qualitative_reach(mdp, target, allowed) == oracle_support
-            assert vi.positive == oracle_support
-            assert lp.positive == oracle_support
+            assert np.array_equal(qualitative_reach(mdp, target, allowed), oracle_support)
+            assert np.array_equal(vi.positive, oracle_support)
+            assert np.array_equal(lp.positive, oracle_support)
 
     def test_known_small_model(self):
         mdp, _ = toy_chain()
-        res = max_reach_vi(mdp, mdp.label_set("goal"), everything(mdp), tol=1e-12)
+        res = max_reach_vi(mdp, mdp.label("goal"), everything(mdp), tol=1e-12)
         assert res.values == pytest.approx([0.3125, 0.625, 0.0, 1.0], abs=1e-9)
-        assert res.positive == frozenset({0, 1, 3})
+        assert members(res.positive) == {0, 1, 3}
 
     def test_solver_bookkeeping(self):
         mdp, _ = toy_chain()
-        target = mdp.label_set("goal")
+        target = mdp.label("goal")
         vi = max_reach_vi(mdp, target, everything(mdp))
         lp = max_reach_lp(mdp, target, everything(mdp))
         assert vi.method == "vi" and lp.method == "lp"
@@ -67,7 +76,7 @@ class TestValueIteration:
             mdp, target = random_mdp(np.random.default_rng([53, i]))
             res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
             for s in range(mdp.n_states):
-                if s in res.positive:
+                if res.positive[s]:
                     assert res.values[s] > 0.0
                 else:
                     assert res.values[s] == 0.0
@@ -75,7 +84,7 @@ class TestValueIteration:
     def test_iteration_budget_raises_with_state(self):
         mdp, _ = toy_chain()
         with pytest.raises(ConvergenceError) as err:
-            max_reach_vi(mdp, mdp.label_set("goal"), everything(mdp),
+            max_reach_vi(mdp, mdp.label("goal"), everything(mdp),
                          tol=1e-15, max_iter=1)
         assert err.value.iterations == 1
         assert err.value.residual > 0.0
@@ -90,7 +99,7 @@ class TestValueIteration:
     def test_unknown_method_rejected(self):
         mdp, _ = toy_chain()
         with pytest.raises(ValueError, match="unknown method"):
-            solve_reachability(mdp, mdp.label_set("goal"), everything(mdp),
+            solve_reachability(mdp, mdp.label("goal"), everything(mdp),
                                method="newton")
 
 
@@ -104,9 +113,9 @@ class TestConstrainedReach:
             },
             labels={"goal": {2}},
         )
-        target = frozenset({2})
-        assert qualitative_reach(mdp, target, frozenset({0, 2})) == frozenset({2})
-        res = max_reach_vi(mdp, target, frozenset({0, 2}), tol=1e-12)
+        target = mask_of(3, {2})
+        assert members(qualitative_reach(mdp, target, mask_of(3, {0, 2}))) == {2}
+        res = max_reach_vi(mdp, target, mask_of(3, {0, 2}), tol=1e-12)
         assert res.values[0] == 0.0
         res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
         assert res.values[0] == 1.0
@@ -123,18 +132,20 @@ class TestPolicyExtraction:
             },
             labels={"goal": {1}},
         )
-        target = frozenset({1})
+        target = mask_of(2, {1})
         res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
         policy = extract_policy(mdp, res, target)
-        assert mdp.action_names[policy[0]] == "go"
+        assert mdp.action_names[policy_actions(mdp, policy)[0]] == "go"
 
     def test_defined_exactly_on_positive_nontarget(self):
         for i in range(10):
             mdp, target = random_mdp(np.random.default_rng([17, i]))
             res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
             policy = extract_policy(mdp, res, target)
-            assert set(policy) == set(res.positive - target)
-            for s, a in policy.items():
+            assert policy.dtype == np.int64 and np.all(np.diff(policy) > 0)
+            actions = policy_actions(mdp, policy)
+            assert set(actions) == members(res.positive & ~target)
+            for s, a in actions.items():
                 assert a in [b for b, _ in state_rows(mdp, s)]
 
     def test_policy_attains_the_values(self):
@@ -143,14 +154,16 @@ class TestPolicyExtraction:
             mdp, target = random_mdp(np.random.default_rng([29, i]))
             res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
             policy = extract_policy(mdp, res, target)
+            actions = policy_actions(mdp, policy)
             table = {}
             for s in range(mdp.n_states):
-                if s in policy:
-                    rows = {mdp.action_names[policy[s]]: mdp.row(s, policy[s])}
+                if s in actions:
+                    row = dict(state_rows(mdp, s))[actions[s]]
+                    rows = {mdp.action_names[actions[s]]: row}
                 else:
                     rows = {mdp.action_names[a]: row for a, row in state_rows(mdp, s)}
                 table[s] = rows
-            fixed = make_mdp(table, labels={"goal": set(target)})
+            fixed = make_mdp(table, labels={"goal": members(target)})
             again = max_reach_vi(fixed, target, everything(fixed), tol=1e-12)
             assert float(np.max(np.abs(again.values - res.values))) < 1e-9
 
@@ -160,8 +173,8 @@ class TestMission:
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
         assert strat.value == pytest.approx(0.9728657289, abs=1e-7)
         assert strat.values_second[corridor_mdp.init] == pytest.approx(0.9728657289, abs=1e-7)
-        assert strat.switch
-        assert corridor_mdp.init in strat.first
+        assert strat.switch.any()
+        assert corridor_mdp.init in policy_actions(corridor_mdp, strat.first)
 
     def test_methods_agree_on_corridor(self, corridor_mdp):
         vi = synthesize_mission(corridor_mdp, method="vi", tol=1e-12)
@@ -169,7 +182,7 @@ class TestMission:
         assert vi.value == pytest.approx(lp.value, abs=1e-7)
         assert float(np.max(np.abs(vi.values_first - lp.values_first))) < 1e-6
         assert float(np.max(np.abs(vi.values_second - lp.values_second))) < 1e-6
-        assert vi.switch == lp.switch
+        assert np.array_equal(vi.switch, lp.switch)
 
     def test_pickup_must_keep_delivery_possible(self):
         # two pickup states: from one the dropoff is unreachable, so the
@@ -184,9 +197,9 @@ class TestMission:
             labels={"alive": {0, 1, 2, 3}, "pickup": {1, 2}, "dropoff": {3}},
         )
         strat = synthesize_mission(mdp, tol=1e-12)
-        assert strat.switch == frozenset({2})
+        assert members(strat.switch) == {2}
         assert strat.value == pytest.approx(0.5, abs=1e-12)
-        assert 1 not in strat.sat_deliverable
+        assert not strat.sat_deliverable[1]
 
     def test_trivial_when_pickup_is_dropoff(self):
         mdp = make_mdp(
@@ -195,8 +208,8 @@ class TestMission:
         )
         strat = synthesize_mission(mdp, tol=1e-12)
         assert strat.value == 1.0
-        assert strat.switch == frozenset({1})
-        assert strat.first == {0: 0}
+        assert members(strat.switch) == {1}
+        assert policy_actions(mdp, strat.first) == {0: 0}
 
     def test_missing_labels_rejected(self):
         mdp = make_mdp({0: {"a": [(0, 1.0)]}}, labels={"alive": {0}})
@@ -208,6 +221,6 @@ class TestMission:
         for factor in (0.5, 2.0, 10.0):
             scaled_env = scale_rates(corridor_env, factor)
             scaled = synthesize_mission(build_mdp(scaled_env), tol=1e-12)
-            assert scaled.first == base.first
-            assert scaled.second == base.second
+            assert np.array_equal(scaled.first, base.first)
+            assert np.array_equal(scaled.second, base.second)
             assert scaled.value == pytest.approx(base.value, abs=1e-9)
