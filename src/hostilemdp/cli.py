@@ -29,7 +29,6 @@ from .envmodel import (
 )
 from .mdpbuild import (
     MdpFormatError,
-    VehicleState,
     build_mdp,
     dump_mdp,
     export_prism,
@@ -68,7 +67,7 @@ def _load(args) -> "Environment":
 
 
 def _built_mdp(args):
-    mdp = build_mdp(_load(args), merge_lost=args.merge_lost)
+    mdp = build_mdp(_load(args))
     for w in mdp.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return mdp
@@ -142,12 +141,13 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _fmt_state(desc) -> str:
-    if isinstance(desc, VehicleState):
-        if not desc.alive:
-            return f"lost@{desc.facet}|{desc.region}" if desc.region else "lost-sink"
-        return f"{desc.facet}|{desc.region} n={desc.count} o={desc.level}"
-    return repr(desc)
+def _fmt_state(mdp, s: int) -> str:
+    if mdp.states is None:
+        return ""
+    v = mdp.states[s]
+    if not v.alive:
+        return f"lost@{v.facet}|{v.region}"
+    return f"{v.facet}|{v.region} n={v.count} o={v.level}"
 
 
 def _policy_walk(mdp, strategy, limit: int = 24):
@@ -162,6 +162,7 @@ def _policy_walk(mdp, strategy, limit: int = 24):
     rows = []
     alive = mdp.label("alive")
     dropoff = mdp.label(DROPOFF)
+    table = mdp.states
     owner = mdp.choice_state()
     # plays[phase, s]: the choice the phase's policy plays at s (-1: none)
     plays = np.full((2, mdp.n_states), -1, dtype=np.int64)
@@ -182,13 +183,11 @@ def _policy_walk(mdp, strategy, limit: int = 24):
             break
         seen.add((s, satisfied))
         rows.append((s, phase, mdp.action_names[mdp.choice_action[c]]))
-        here = mdp.states[s]
         lo, hi = mdp.choice_ptr[c], mdp.choice_ptr[c + 1]
         succ, prob = mdp.succ[lo:hi], mdp.prob[lo:hi]
         moves = alive[succ]
-        if isinstance(here, VehicleState):
-            moves &= [(mdp.states[t].facet, mdp.states[t].region) != (here.facet, here.region)
-                      for t in succ.tolist()]
+        if table is not None:
+            moves &= (table.facet[succ] != table.facet[s]) | (table.region[succ] != table.region[s])
         if not moves.any():
             break
         # the likeliest move; the first one on a tie
@@ -235,7 +234,7 @@ def cmd_synthesize(args) -> int:
     if walk:
         print("nominal route (likeliest successful crossings):")
         for s, phase, action in walk:
-            print(f"  [{phase:6}] {s:>6}  {_fmt_state(mdp.states[s]):<28} {action}")
+            print(f"  [{phase:6}] {s:>6}  {_fmt_state(mdp, s):<28} {action}")
     if args.out:
         payload = {
             "value": strategy.value,
@@ -275,14 +274,19 @@ def cmd_simulate(args) -> int:
                              "", "", trace.outcome])
 
     try:
-        est = estimate_success(
-            mdp, strategy, runs=args.runs, master_seed=args.seed,
-            max_steps=args.max_steps, trace_hook=trace_hook,
-        )
-    finally:
-        if trace_file is not None:
-            trace_file.close()
-            print(f"wrote {args.trace_out}", file=sys.stderr)
+        try:
+            est = estimate_success(
+                mdp, strategy, runs=args.runs, master_seed=args.seed,
+                max_steps=args.max_steps, trace_hook=trace_hook,
+            )
+        finally:
+            if trace_file is not None:
+                trace_file.close()
+                print(f"wrote {args.trace_out}", file=sys.stderr)
+    except RuntimeError as exc:
+        # a run reached a state the strategy has no action for, as all do at mission value 0
+        print(f"error: {exc}; the mission value at init is {strategy.value:g}", file=sys.stderr)
+        return 1
 
     lo, hi = est.interval()
     if args.json:
@@ -338,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="expand the MDP and check its structure")
     _add_env_arg(p)
-    p.add_argument("--merge-lost", action="store_true",
-                   help="collapse all lost states into one absorbing sink")
     p.add_argument("--dump-mdp", help="dump the MDP as one .npz archive, written to exactly "
                                       "this path (read back with --mdp)")
     p.set_defaults(func=cmd_build)
@@ -347,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="solve the mission property and extract a strategy")
     _add_env_arg(p, required=False)
     p.add_argument("--mdp", help="load a dumped MDP instead of building from --env")
-    p.add_argument("--merge-lost", action="store_true")
     p.add_argument("--method", choices=("vi", "lp", "both"), default="vi",
                    help="solver; 'both' runs the two and reports their gap")
     p.add_argument("--tol", type=float, default=1e-9, help="value-iteration stop tolerance")
@@ -357,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="estimate mission success by Monte Carlo runs")
     _add_env_arg(p, required=False)
     p.add_argument("--mdp", help="load a dumped MDP instead of building from --env")
-    p.add_argument("--merge-lost", action="store_true")
     p.add_argument("--method", choices=("vi", "lp"), default="vi")
     p.add_argument("--runs", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write PRISM explicit-state files (.sta/.tra/.lab)")
     _add_env_arg(p)
-    p.add_argument("--merge-lost", action="store_true")
     p.add_argument("--out", required=True, help="output base path (extensions are added)")
     p.set_defaults(func=cmd_export)
 

@@ -22,15 +22,14 @@ rate divided by the total estimated rate; rows therefore sum to one exactly
 
 Losing the vehicle ends the run, so the would-be observation and belief
 components of a lost successor are unobservable; all lost mass for a landing
-(facet, region) flows into one canonical absorbing state there.  With
-``merge_lost`` every lost state collapses further into a single global sink.
+(facet, region) flows into one canonical absorbing state there.
 """
 
 from __future__ import annotations
 
 import zipfile
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,8 +52,56 @@ class VehicleState(NamedTuple):
     beliefs: tuple[int, ...]
 
 
-#: single absorbing state used for all lost mass when merging is requested
-LOST_SINK = VehicleState(facet="", region="", count=-1, level=-1, alive=False, beliefs=())
+@dataclass(eq=False)
+class StateTable:
+    """The vehicle states of a model as columns, one entry per state.
+
+    State ``s`` is at facet ``facet_names[facet[s]]`` crossing region
+    ``region_names[region[s]]``, observed ``count[s]`` adversaries and
+    obstacle level ``level[s]``, and is alive when ``alive[s]``.  Its
+    beliefs, one position per neighbour of the region in the neighbour's
+    BeliefSet, are ``beliefs[belief_ptr[s]:belief_ptr[s + 1]]``.  Names are
+    coded in order of first appearance.  The index columns are int64 and
+    ``alive`` is bool.
+    """
+
+    facet_names: np.ndarray
+    facet: np.ndarray
+    region_names: np.ndarray
+    region: np.ndarray
+    count: np.ndarray
+    level: np.ndarray
+    alive: np.ndarray
+    belief_ptr: np.ndarray
+    beliefs: np.ndarray
+
+    # indexing returns one state; the table is not a sequence of them
+    __iter__ = None
+
+    @classmethod
+    def of(cls, states: list[VehicleState]) -> StateTable:
+        facet_names, facet = _table(s.facet for s in states)
+        region_names, region = _table(s.region for s in states)
+        belief_ptr, beliefs = _flat([s.beliefs for s in states])
+        return cls(
+            facet_names=np.array(facet_names, dtype=str), facet=facet,
+            region_names=np.array(region_names, dtype=str), region=region,
+            count=np.array([s.count for s in states], dtype=np.int64),
+            level=np.array([s.level for s in states], dtype=np.int64),
+            alive=np.array([s.alive for s in states], dtype=bool),
+            belief_ptr=belief_ptr, beliefs=beliefs,
+        )
+
+    def __len__(self) -> int:
+        return len(self.alive)
+
+    def __getitem__(self, s: int) -> VehicleState:
+        lo, hi = self.belief_ptr[s], self.belief_ptr[s + 1]
+        return VehicleState(
+            str(self.facet_names[self.facet[s]]), str(self.region_names[self.region[s]]),
+            int(self.count[s]), int(self.level[s]), bool(self.alive[s]),
+            tuple(self.beliefs[lo:hi].tolist()),
+        )
 
 
 class MdpFormatError(ValueError):
@@ -70,14 +117,15 @@ class Mdp:
     moves to ``succ[k]`` with probability ``prob[k]`` for ``k`` in
     ``choice_ptr[c]:choice_ptr[c + 1]``, in the order the builder produced
     them.  The four index arrays are int64 and ``prob`` is float64.
-    ``states`` holds one descriptor per state (a :class:`VehicleState` for
-    built models).  Each entry of ``labels`` is a bool mask over the states.
+    ``states`` describes the vehicle in each state (a :class:`StateTable`;
+    ``None`` for hand-built models, which have no vehicle).  Each entry of
+    ``labels`` is a bool mask over the states.
     A set of states is such a mask everywhere in the package, and a policy
     is the ascending int64 array of the choices it plays, one per state it
     covers.
     """
 
-    states: list
+    states: StateTable | None
     action_names: list[str]
     state_ptr: np.ndarray
     choice_action: np.ndarray
@@ -90,7 +138,7 @@ class Mdp:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.state_ptr) - 1
 
     def n_choices(self) -> int:
         return len(self.choice_action)
@@ -131,9 +179,8 @@ class Violation:
 class MdpBuilder:
     """Expands the reachable state space of an environment."""
 
-    def __init__(self, env: Environment, merge_lost: bool = False):
+    def __init__(self, env: Environment):
         self.env = env
-        self.merge_lost = merge_lost
         self.belief_sets: dict[str, BeliefSet] = {
             rid: enumerate_reachable(region.initial_belief)
             for rid, region in env.regions.items()
@@ -165,28 +212,29 @@ class MdpBuilder:
         fresh = (0,) * len(self.neighbors[self.env.init_region])
         return VehicleState(self.env.init_facet, self.env.init_region, 0, 0, True, fresh)
 
-    def _resolved(self, state: VehicleState):
-        """Neighbour ids paired with the belief objects the state holds."""
-        bsets = self.belief_sets
-        return [
-            (rid, bsets[rid].members[pos])
-            for rid, pos in zip(self.neighbors[state.region], state.beliefs)
-        ]
+    def _updates(self, state: VehicleState):
+        """The neighbours that can spare, and that can take, an adversary.
+
+        Each is (position, id, child belief); its belief has a LEFT, resp. ENTERED, update.
+        """
+        senders, receivers = [], []
+        for i, (rid, pos) in enumerate(zip(self.neighbors[state.region], state.beliefs)):
+            edges = self.belief_sets[rid].edges[pos]
+            if LEFT in edges:
+                senders.append((i, rid, edges[LEFT]))
+            if ENTERED in edges:
+                receivers.append((i, rid, edges[ENTERED]))
+        return senders, receivers
 
     def estimated_rate(self, state: VehicleState, prim: MotionPrimitive) -> float:
         """Total rate of the exponential race while crossing under ``prim``."""
         region = self.env.regions[state.region]
         rate = prim.rate
-        resolved = self._resolved(state)
-        receivers = sum(1 for _, b in resolved if not b.is_point_at_ceil())
+        senders, receivers = self._updates(state)
         if state.count > region.min_adversaries and receivers:
             rate += region.mu_leave * state.count
         if state.count < region.max_adversaries:
-            incoming = sum(
-                self._expect[rid][pos]
-                for (rid, b), pos in zip(resolved, state.beliefs)
-                if not b.is_point_at_floor()
-            )
+            incoming = sum(self._expect[rid][state.beliefs[i]] for i, rid, _ in senders)
             rate += region.mu_enter * incoming
         return rate
 
@@ -206,8 +254,6 @@ class MdpBuilder:
                 out[succ] = out.get(succ, 0.0) + prob
 
         def lost_at(facet: str, region: str) -> VehicleState:
-            if self.merge_lost:
-                return LOST_SINK
             fresh = (0,) * len(self.neighbors[region])
             floor = self.env.regions[region].min_adversaries
             return VehicleState(facet, region, floor, 0, False, fresh)
@@ -231,23 +277,17 @@ class MdpBuilder:
                         continue
                     put(VehicleState(exit_facet, succ_region, n2, o2, True, fresh), base)
 
-        resolved = self._resolved(state)
+        senders, receivers = self._updates(state)
         if state.count < region.max_adversaries:
-            for i, (rid, b) in enumerate(resolved):
-                if b.is_point_at_floor():
-                    continue
+            for i, rid, child in senders:
                 prob = region.mu_enter * self._expect[rid][state.beliefs[i]] / total_rate
                 if prob == 0.0:
                     continue
-                child = self.belief_sets[rid].child(state.beliefs[i], LEFT)
                 beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]
                 put(state._replace(count=state.count + 1, beliefs=beliefs), prob)
-        receivers = [i for i, (_, b) in enumerate(resolved) if not b.is_point_at_ceil()]
         if state.count > region.min_adversaries and receivers:
             share = region.mu_leave * state.count / (total_rate * len(receivers))
-            for i in receivers:
-                rid = self.neighbors[state.region][i]
-                child = self.belief_sets[rid].child(state.beliefs[i], ENTERED)
+            for i, _, child in receivers:
                 beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]
                 put(state._replace(count=state.count - 1, beliefs=beliefs), share)
         return list(out.items())
@@ -302,15 +342,17 @@ class MdpBuilder:
             state_ptr.append(len(choice_action))
             cursor += 1
 
-        # a region label holds on every state in that region; the sink's region "" has none
-        region_names, region = _table(s.region for s in states)
-        labels = {"alive": np.array([s.alive for s in states], dtype=bool)}
+        # the intern dict is not needed past here; dropping it keeps the build peak down
+        index.clear()
+        table = StateTable.of(states)
+        # a region label holds on every state in that region
+        labels = {"alive": table.alive.copy()}
         for name in (PICKUP, DROPOFF):
-            tagged = [r in env.regions and name in env.regions[r].labels for r in region_names]
-            labels[name] = np.array(tagged, dtype=bool)[region]
+            tagged = [name in env.regions[r].labels for r in table.region_names]
+            labels[name] = np.array(tagged, dtype=bool)[table.region]
 
         return Mdp(
-            states=states,
+            states=table,
             action_names=action_names,
             state_ptr=np.frombuffer(state_ptr, dtype=np.int64),
             choice_action=np.frombuffer(choice_action, dtype=np.int64),
@@ -323,8 +365,8 @@ class MdpBuilder:
         )
 
 
-def build_mdp(env: Environment, merge_lost: bool = False) -> Mdp:
-    return MdpBuilder(env, merge_lost=merge_lost).build()
+def build_mdp(env: Environment) -> Mdp:
+    return MdpBuilder(env).build()
 
 
 def _pointer_problem(ptr: np.ndarray, length: int, items: int, what: str) -> str | None:
@@ -344,10 +386,13 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
     if not 0 <= mdp.init < n:
         bad.append(Violation(mdp.init, None, "init", "initial state out of range"))
     shape = [
-        _pointer_problem(mdp.state_ptr, n, len(mdp.choice_action), "state"),
+        "state pointer is empty" if n < 0
+        else _pointer_problem(mdp.state_ptr, n, len(mdp.choice_action), "state"),
         _pointer_problem(mdp.choice_ptr, len(mdp.choice_action), len(mdp.succ), "choice"),
         None if len(mdp.prob) == len(mdp.succ)
         else f"{len(mdp.prob)} probabilities for {len(mdp.succ)} successors",
+        None if mdp.states is None or len(mdp.states) == n
+        else f"state table has {len(mdp.states)} states for {n} rows",
     ]
     if any(shape):
         # the arrays cannot be walked, so nothing else is checked
@@ -386,26 +431,24 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
     skewed = np.flatnonzero(filled & ~(np.abs(totals - 1.0) <= tol))
     at_choices(skewed, "row-sum", [repr(t) for t in totals[skewed].tolist()])
 
-    # 1 alive, 0 lost, -1 not a vehicle state
-    alive = np.array([int(d.alive) if isinstance(d, VehicleState) else -1 for d in mdp.states],
-                     dtype=np.int64)
-    lost = np.flatnonzero(alive == 0)
-    # a lost state plays only stay, which loops back with probability one
-    single = lost[np.diff(mdp.state_ptr)[lost] == 1]
-    single = single[width[mdp.state_ptr[single]] == 1]
-    c = mdp.state_ptr[single]
-    k = mdp.choice_ptr[c]
-    stay = len(mdp.action_names) - 1
-    looping = single[(action[c] == stay) & (mdp.succ[k] == single) & (mdp.prob[k] == 1.0)]
-    leaky = np.setdiff1d(lost, looping)
-    flag(leaky, "lost-absorbing", ["lost state is not absorbing"] * len(leaky))
-
     misshapen = [name for name, mask in sorted(mdp.labels.items())
                  if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (n,))]
     flag([-1] * len(misshapen), "label", [f"{k} label is not a bool mask" for k in misshapen])
-    if "alive" not in misshapen:
-        mismatched = np.flatnonzero((alive >= 0) & ((alive == 1) != mdp.label("alive")))
-        flag(mismatched, "label", ["alive label mismatch"] * len(mismatched))
+
+    if mdp.states is not None:
+        lost = np.flatnonzero(~mdp.states.alive)
+        # a lost state plays only stay, which loops back with probability one
+        single = lost[np.diff(mdp.state_ptr)[lost] == 1]
+        single = single[width[mdp.state_ptr[single]] == 1]
+        c = mdp.state_ptr[single]
+        k = mdp.choice_ptr[c]
+        stay = len(mdp.action_names) - 1
+        looping = single[(action[c] == stay) & (mdp.succ[k] == single) & (mdp.prob[k] == 1.0)]
+        leaky = np.setdiff1d(lost, looping)
+        flag(leaky, "lost-absorbing", ["lost state is not absorbing"] * len(leaky))
+        if "alive" not in misshapen:
+            mismatched = np.flatnonzero(mdp.states.alive != mdp.label("alive"))
+            flag(mismatched, "label", ["alive label mismatch"] * len(mismatched))
     bad.sort(key=lambda v: v.state)
     return bad
 
@@ -413,17 +456,18 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# A dump is one ``.npz`` archive: the five CSR arrays, plus states as integer
-# columns and string tables, so it loads with ``allow_pickle=False``.
+# A dump is one ``.npz`` archive: the five CSR arrays, the labels, and the
+# state table's columns as they are (none for a hand-built model), so it loads
+# with ``allow_pickle=False``.
 
 _DUMP_FORMAT = "hostile-mdp-csr-1"
 
 
-def _table(values) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct strings (first-seen order) and each value's position among them."""
-    ids: dict[str, int] = {}
+def _table(values) -> tuple[list, np.ndarray]:
+    """Distinct values (first-seen order) and each value's position among them."""
+    ids: dict = {}
     codes = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int64)
-    return np.array(list(ids), dtype=str), codes
+    return list(ids), codes
 
 
 def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
@@ -434,49 +478,25 @@ def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], np.cumsum(lengths))), values
 
 
-def _state_columns(states: list) -> dict[str, np.ndarray]:
-    if all(isinstance(s, VehicleState) for s in states):
-        facet_names, facet = _table(s.facet for s in states)
-        region_names, region = _table(s.region for s in states)
-        belief_ptr, beliefs = _flat([s.beliefs for s in states])
-        return {
-            "facet_names": facet_names, "facet": facet,
-            "region_names": region_names, "region": region,
-            "count": np.array([s.count for s in states], dtype=np.int64),
-            "level": np.array([s.level for s in states], dtype=np.int64),
-            "alive": np.array([s.alive for s in states], dtype=bool),
-            "belief_ptr": belief_ptr, "beliefs": beliefs,
-        }
-    if all(isinstance(s, str) for s in states):
-        return {"state_names": np.array(states, dtype=str)}
-    raise TypeError("only VehicleState or str state descriptors can be dumped")
-
-
-def _states_from(doc) -> list:
-    if "state_names" in doc:
-        return _array(doc, "state_names", "U").tolist()
-    ints = "iu"
-    columns = [_array(doc, key, ints) for key in ("facet", "region", "count", "level")]
-    alive = _array(doc, "alive", "b")
-    ptr = _array(doc, "belief_ptr", ints)
-    beliefs = _array(doc, "beliefs", ints).tolist()
-    n = len(alive)
-    if any(len(c) != n for c in columns) or len(ptr) != n + 1:
+def _states_from(doc) -> StateTable | None:
+    keys = [f.name for f in fields(StateTable)]
+    if not any(key in doc for key in keys):
+        return None
+    columns = {}
+    for key in keys:
+        kind = {"facet_names": "U", "region_names": "U", "alive": "b"}.get(key)
+        columns[key] = _array(doc, key, kind) if kind else _array(doc, key, "iu").astype(np.int64)
+    table = StateTable(**columns)
+    n, ptr = len(table), table.belief_ptr
+    if any(len(getattr(table, key)) != n for key in ("facet", "region", "count", "level")) \
+            or len(ptr) != n + 1:
         raise MdpFormatError("state columns differ in length")
-    if len(ptr) and (ptr[0] != 0 or ptr[-1] != len(beliefs) or (np.diff(ptr) < 0).any()):
+    if ptr[0] != 0 or ptr[-1] != len(table.beliefs) or (np.diff(ptr) < 0).any():
         raise MdpFormatError("belief pointer does not cover the belief column")
-    names = []
-    for key, codes in (("facet_names", columns[0]), ("region_names", columns[1])):
-        table = _array(doc, key, "U")
-        if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
+    for key, codes in (("facet_names", table.facet), ("region_names", table.region)):
+        if len(codes) and (codes.min() < 0 or codes.max() >= len(getattr(table, key))):
             raise MdpFormatError(f"{key} index out of range")
-        names.append(table[codes].tolist())
-    ptr = ptr.tolist()
-    return [
-        VehicleState(f, r, c, o, a, tuple(beliefs[ptr[i]:ptr[i + 1]]))
-        for i, (f, r, c, o, a) in enumerate(zip(
-            *names, columns[2].tolist(), columns[3].tolist(), alive.tolist()))
-    ]
+    return table
 
 
 def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
@@ -509,7 +529,7 @@ def dump_mdp(mdp: Mdp, path: str | Path):
             label_names=np.array(label_names, dtype=str),
             label_ptr=label_ptr, label_states=label_states,
             warnings=np.array(mdp.warnings, dtype=str),
-            **_state_columns(mdp.states),
+            **({} if mdp.states is None else vars(mdp.states)),
         )
 
 
@@ -539,12 +559,14 @@ def load_mdp(path: str | Path) -> Mdp:
         arrays = {key: _array(doc, key, "iu").astype(np.int64)
                   for key in ("state_ptr", "choice_action", "choice_ptr", "succ")}
         arrays["prob"] = _array(doc, "prob", "f").astype(np.float64)
-        states = _states_from(doc)
+        n = len(arrays["state_ptr"]) - 1
+        if n < 0:
+            raise MdpFormatError("state pointer is empty")
         return Mdp(
-            states=states,
+            states=_states_from(doc),
             action_names=_array(doc, "action_names", "U").tolist(),
             init=int(_array(doc, "init", "iu", ndim=0)),
-            labels=_labels_from(doc, len(states)),
+            labels=_labels_from(doc, n),
             warnings=_array(doc, "warnings", "U").tolist(),
             **arrays,
         )
@@ -569,37 +591,19 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
     """
     basepath = Path(basepath)
     basepath.parent.mkdir(parents=True, exist_ok=True)
-    rich = all(isinstance(s, VehicleState) for s in mdp.states)
+    table = mdp.states
 
     sta_path = basepath.with_suffix(".sta")
-    lines = []
-    if rich:
-        facet_ids: dict[str, int] = {}
-        region_ids: dict[str, int] = {}
-        combo_ids: dict[tuple[int, ...], int] = {}
-
-        def dense(table: dict, key) -> int:
-            if key not in table:
-                table[key] = len(table)
-            return table[key]
-
-        lines.append("(facet,region,count,level,alive,beliefs)")
-        for i, s in enumerate(mdp.states):
-            if s == LOST_SINK:
-                lines.append(f"{i}:(-1,-1,-1,-1,0,-1)")
-                continue
-            vec = (
-                dense(facet_ids, s.facet),
-                dense(region_ids, s.region),
-                s.count,
-                s.level,
-                int(s.alive),
-                dense(combo_ids, s.beliefs),
-            )
-            lines.append(f"{i}:({','.join(map(str, vec))})")
+    if table is None:
+        lines = ["(s)"] + [f"{i}:({i})" for i in range(mdp.n_states)]
     else:
-        lines.append("(s)")
-        lines.extend(f"{i}:({i})" for i in range(mdp.n_states))
+        # belief tuples are numbered in order of first appearance
+        ptr, beliefs = table.belief_ptr.tolist(), table.beliefs.tolist()
+        _, combos = _table(tuple(beliefs[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
+        lines = ["(facet,region,count,level,alive,beliefs)"]
+        lines.extend(f"{i}:({f},{r},{c},{o},{a},{b})" for i, (f, r, c, o, a, b) in enumerate(zip(
+            table.facet.tolist(), table.region.tolist(), table.count.tolist(),
+            table.level.tolist(), table.alive.astype(int).tolist(), combos.tolist())))
     sta_path.write_text("\n".join(lines) + "\n")
 
     tra_path = basepath.with_suffix(".tra")

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .envmodel import DROPOFF
-from .mdpbuild import Mdp, VehicleState, ranges
+from .mdpbuild import Mdp, ranges
 from .synth import MissionStrategy
 
 SUCCESS = "success"
@@ -56,25 +56,24 @@ class Trace:
 def classify_step(mdp: Mdp, src: int, dst: int) -> str:
     """Name the event a single transition realized, for trace output.
 
-    Compares the vehicle-state descriptors of the two endpoints: a death
-    is "lost-absorb", a facet or region change is "region-change", a
-    count increase with the vehicle in place is "adversary-entered", a
-    decrease "adversary-left", and an identity transition "stay".  MDPs
-    whose states are not vehicle states (hand-built models) report
-    "step".
+    Compares the vehicle columns of the two endpoints: a death is
+    "lost-absorb", a facet or region change is "region-change", a count
+    increase with the vehicle in place is "adversary-entered", a decrease
+    "adversary-left", and an identity transition "stay".  MDPs without a
+    state table (hand-built models) report "step".
     """
-    a, b = mdp.states[src], mdp.states[dst]
-    if not (isinstance(a, VehicleState) and isinstance(b, VehicleState)):
+    t = mdp.states
+    if t is None:
         return "step"
-    if a.alive and not b.alive:
+    if t.alive[src] and not t.alive[dst]:
         return "lost-absorb"
-    if a == b:
+    if src == dst:
         return "stay"
-    if (a.facet, a.region) != (b.facet, b.region):
+    if t.facet[src] != t.facet[dst] or t.region[src] != t.region[dst]:
         return "region-change"
-    if b.count > a.count:
+    if t.count[dst] > t.count[src]:
         return "adversary-entered"
-    if b.count < a.count:
+    if t.count[dst] < t.count[src]:
         return "adversary-left"
     return "step"
 
@@ -161,8 +160,8 @@ def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int, rng: np.random.Gener
         if (r < 0).any():
             i = int(np.argmax(r < 0))
             phase = "second" if satisfied[live[i]] >= 0 else "first"
-            raise RuntimeError(f"{phase}-stage strategy undefined at reached state {s[i]} "
-                               f"({mdp.states[s[i]]!r})")
+            where = "" if mdp.states is None else f" ({mdp.states[s[i]]!r})"
+            raise RuntimeError(f"{phase}-stage strategy undefined at reached state {s[i]}{where}")
         # each run takes the first successor whose running sum exceeds its draw
         first = plan.ptr[r]
         last = plan.ptr[r + 1] - first - 1

@@ -24,11 +24,11 @@ from hostilemdp.mdpbuild import Mdp, build_mdp
 # hand-built MDPs
 
 
-def make_mdp(table, init=0, labels=None, state_names=None) -> Mdp:
+def make_mdp(table, init=0, labels=None) -> Mdp:
     """Build an Mdp from ``{state: {action_name: [(succ, prob), ...]}}``.
 
     Global action indices follow sorted action-name order so tests can
-    predict tie-breaking; states are 0..n-1.
+    predict tie-breaking; states are 0..n-1 and have no state table.
     """
     n = len(table)
     names = sorted({a for acts in table.values() for a in acts})
@@ -42,7 +42,7 @@ def make_mdp(table, init=0, labels=None, state_names=None) -> Mdp:
             choice_ptr.append(len(succ))
         state_ptr.append(len(choice_action))
     return Mdp(
-        states=state_names if state_names is not None else [f"s{i}" for i in range(n)],
+        states=None,
         action_names=names,
         state_ptr=np.array(state_ptr, dtype=np.int64),
         choice_action=np.array(choice_action, dtype=np.int64),

@@ -62,14 +62,14 @@ def test_criterion_1_rows_sum_and_lost_absorb():
     t0 = time.perf_counter()
     worst = 0.0
     absorbing = True
-    for i in range(100):
+    for _ in range(100):
         env = random_environment(rng)
-        mdp = build_mdp(env, merge_lost=(i % 3 == 0))
+        mdp = build_mdp(env)
         for s in range(mdp.n_states):
             rows = [row for _, row in state_rows(mdp, s)]
             for row in rows:
                 worst = max(worst, abs(sum(p for _, p in row) - 1.0))
-            if not mdp.states[s].alive and rows != [[(s, 1.0)]]:
+            if not mdp.states.alive[s] and rows != [[(s, 1.0)]]:
                 absorbing = False
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and absorbing and elapsed < 60

@@ -124,8 +124,8 @@ class TestBadInputs:
         # model, so break the built model itself
         build = cli.build_mdp
 
-        def halved(env, merge_lost=False):
-            mdp = build(env, merge_lost=merge_lost)
+        def halved(env):
+            mdp = build(env)
             return dataclasses.replace(mdp, prob=mdp.prob * 0.5)
 
         monkeypatch.setattr(cli, "build_mdp", halved)
@@ -141,6 +141,19 @@ class TestBadInputs:
             doc["primitives"] = [p for p in doc["primitives"] if p["region"] != "rp"]
         assert main([command, "--env", corridor_with(tmp_path, drop)]) == 1
         assert "pickup and dropoff labels" in single_error(capsys)
+
+    def test_zero_mission_value_is_one_error_line_in_simulate(self, tmp_path, capsys):
+        # every crossing of the pickup region loses the vehicle, so no strategy
+        # plays an action at the initial state
+        def doom(doc):
+            for prim in doc["primitives"]:
+                if prim["region"] == "rp":
+                    prim["lost"] = {"marginal_n": {"0": 1.0}, "marginal_o": {"0": 1.0}}
+        env = corridor_with(tmp_path, doom)
+        assert main(["synthesize", "--env", env]) == 0
+        assert "mission value at init: 0.0000000000" in capsys.readouterr().out
+        assert main(["simulate", "--env", env, "--runs", "10"]) == 1
+        assert "mission value at init is 0" in single_error(capsys)
 
     @pytest.mark.parametrize("command", ["synthesize", "export"])
     def test_overflowing_rates_name_the_field(self, tmp_path, capsys, command):
@@ -181,10 +194,39 @@ mutations = st.tuples(
 )
 
 
+def one_error_or_none(argv) -> str | None:
+    """Run the CLI in-process and return what is wrong with how it ended, or None.
+
+    It should exit 0, or exit 1 with exactly one ``error:`` line, which ends stderr.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines[1:] if line.startswith("error:")]
+    if not lines[0].startswith("config: ") or (code, len(errors)) not in ((0, 0), (1, 1)) \
+            or (code == 1 and lines[-1] != errors[0]):
+        return f"{argv}: exit {code}\n{err.getvalue()}"
+    return None
+
+
+#: (name, change) of each way to damage one array of a dump
+ARRAY_MUTATIONS = [
+    ("truncate", lambda a: a[:-1]),
+    ("empty", lambda a: a[:0]),
+    ("negate", lambda a: -a),
+    ("add 10**6", lambda a: a + 10**6),
+    ("float", lambda a: a.astype(float)),
+    ("str", lambda a: a.astype(str)),
+    ("2-D", lambda a: a.reshape(1, -1)),
+]
+
+
 class TestFuzzedInputs:
     @settings(deadline=None, max_examples=200)
-    @given(st.lists(mutations, min_size=1, max_size=2))
-    def test_exit_zero_or_one_error_line(self, changes):
+    @given(st.lists(mutations, min_size=1, max_size=2),
+           st.sampled_from(["synthesize", "simulate", "export"]))
+    def test_exit_zero_or_one_error_line(self, changes, command):
         doc = copy.deepcopy(CORRIDOR)
         for path, value in changes:
             parent = doc
@@ -197,18 +239,33 @@ class TestFuzzedInputs:
                     parent[path[-1]] = value
             except (KeyError, IndexError, TypeError):
                 continue  # an earlier change removed this position
-        err = io.StringIO()
         with tempfile.TemporaryDirectory() as where:
             env = f"{where}/env.json"
             with open(env, "w") as handle:
                 json.dump(doc, handle)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["synthesize", "--env", env])
-        lines = err.getvalue().splitlines()
-        assert lines[0].startswith("config: ")
-        errors = [line for line in lines[1:] if line.startswith("error:")]
-        assert (code, len(errors)) in ((0, 0), (1, 1)), err.getvalue()
-        assert code == 0 or lines[-1] == errors[0], err.getvalue()
+            extra = {"simulate": ["--runs", "20"], "export": ["--out", f"{where}/out/m"]}
+            assert one_error_or_none([command, "--env", env] + extra.get(command, [])) is None
+
+    def test_damaged_dump_exits_zero_or_one_error_line(self, tmp_path):
+        dump = tmp_path / "corridor.npz"
+        assert one_error_or_none(["build", "--env", "corridor", "--dump-mdp", str(dump)]) is None
+        with np.load(dump) as archive:
+            doc = dict(archive)
+        damaged = tmp_path / "damaged.npz"
+        problems = []
+        for key in doc:
+            for name, change in [("drop", None)] + ARRAY_MUTATIONS:
+                try:
+                    value = None if change is None else change(doc[key])
+                except (TypeError, ValueError, IndexError):
+                    continue  # numpy cannot apply this change to this dtype or shape
+                np.savez(damaged, **{k: v for k, v in doc.items() if k != key},
+                         **({} if value is None else {key: value}))
+                for argv in (["synthesize"], ["simulate", "--runs", "20"]):
+                    problem = one_error_or_none(argv + ["--mdp", str(damaged)])
+                    if problem:
+                        problems.append(f"{key} {name}: {problem}")
+        assert not problems, "\n".join(problems)
 
 
 class TestInspection:
@@ -239,11 +296,6 @@ class TestInspection:
         assert "states: 33" in out
         assert "row sums and absorption checks: ok" in out
         assert "label alive" in out
-
-    def test_build_merge_lost(self, capsys):
-        assert main(["build", "--env", "corridor", "--merge-lost"]) == 0
-        out = capsys.readouterr().out
-        assert "row sums and absorption checks: ok" in out
 
 
 class TestSynthesize:

@@ -11,9 +11,10 @@ from conftest import make_mdp, random_environment, state_rows
 from hostilemdp.belief import ENTERED, LEFT
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import (
-    LOST_SINK,
+    STAY,
     MdpBuilder,
     MdpFormatError,
+    StateTable,
     VehicleState,
     build_mdp,
     dump_mdp,
@@ -21,8 +22,20 @@ from hostilemdp.mdpbuild import (
     load_mdp,
     validate_mdp,
 )
+from hostilemdp.synth import synthesize_mission
 
 ARRAYS = ("state_ptr", "choice_action", "choice_ptr", "succ", "prob")
+COLUMNS = [f.name for f in dataclasses.fields(StateTable)]
+
+
+def assert_same_table(a, b):
+    for name in COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+
+
+def first_lost(mdp) -> int:
+    return int(np.flatnonzero(~mdp.states.alive)[0])
 
 
 def star_doc():
@@ -287,7 +300,8 @@ class TestCrossings:
         env = parse_environment(loop_doc(), name="loop")
         mdp = build_mdp(env)
         assert mdp.n_states == 2
-        stuck = mdp.states.index(VehicleState("fb", "g", 0, 0, True, ()))
+        stuck = next(s for s in range(mdp.n_states)
+                     if mdp.states[s] == VehicleState("fb", "g", 0, 0, True, ()))
         stay = len(env.primitives)
         assert state_rows(mdp, stuck) == [(stay, [(stuck, 1.0)])]
         assert any("dead end" in w and "'fb'" in w for w in mdp.warnings)
@@ -296,7 +310,7 @@ class TestCrossings:
 class TestLostStates:
     def test_lost_mass_lands_in_one_state_per_facet_region(self, corridor_env, corridor_mdp):
         mdp = corridor_mdp
-        lost = [i for i, s in enumerate(mdp.states) if not s.alive]
+        lost = np.flatnonzero(~mdp.states.alive).tolist()
         assert lost, "corridor should have some lossy crossings"
         seen = set()
         for i in lost:
@@ -312,7 +326,8 @@ class TestLostStates:
 
     def test_lost_states_keep_region_labels(self, corridor_env, corridor_mdp):
         mdp = corridor_mdp
-        for i, s in enumerate(mdp.states):
+        for i in range(mdp.n_states):
+            s = mdp.states[i]
             if s.alive:
                 continue
             assert not mdp.label("alive")[i]
@@ -320,45 +335,20 @@ class TestLostStates:
                 holds = label in corridor_env.regions[s.region].labels
                 assert mdp.label(label)[i] == holds
 
-    def test_merge_lost_uses_one_unlabeled_sink(self, corridor_env):
-        mdp = build_mdp(corridor_env, merge_lost=True)
-        lost = [i for i, s in enumerate(mdp.states) if not s.alive]
-        assert len(lost) == 1
-        sink = lost[0]
-        assert mdp.states[sink] == LOST_SINK
-        for name in mdp.labels:
-            assert not mdp.label(name)[sink]
-        assert [row for _, row in state_rows(mdp, sink)] == [[(sink, 1.0)]]
-
-    def test_merge_lost_preserves_alive_dynamics(self, corridor_env, corridor_mdp):
-        merged = build_mdp(corridor_env, merge_lost=True)
-        plain_alive = [s for s in corridor_mdp.states if s.alive]
-        merged_alive = [s for s in merged.states if s.alive]
-        assert plain_alive == merged_alive
-        # per-action mass over alive successors matches state by state
-        for s, descriptor in enumerate(corridor_mdp.states):
-            if not descriptor.alive:
-                continue
-            m = merged.states.index(descriptor)
-            for (_, row_a), (_, row_b) in zip(state_rows(corridor_mdp, s), state_rows(merged, m)):
-                a = {corridor_mdp.states[t]: p for t, p in row_a if corridor_mdp.states[t].alive}
-                b = {merged.states[t]: p for t, p in row_b if merged.states[t].alive}
-                assert a == b
-
 
 class TestBuildFuzz:
     def test_random_environments_build_clean(self):
         rng = np.random.default_rng(20260816)
-        for i in range(20):
+        for _ in range(20):
             env = random_environment(rng)
-            mdp = build_mdp(env, merge_lost=bool(i % 2))
+            mdp = build_mdp(env)
             assert validate_mdp(mdp) == []
             assert mdp.states[mdp.init] == MdpBuilder(env).initial_state()
 
     def test_build_is_deterministic(self, corridor_env):
         a = build_mdp(corridor_env)
         b = build_mdp(corridor_env)
-        assert a.states == b.states
+        assert_same_table(a.states, b.states)
         for name in ARRAYS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.labels.keys() == b.labels.keys()
@@ -406,7 +396,7 @@ class TestValidation:
         assert kinds(mdp) == {"row-sum"}
 
     def test_detects_leaky_lost_state(self, corridor_mdp):
-        lost = next(i for i, s in enumerate(corridor_mdp.states) if not s.alive)
+        lost = first_lost(corridor_mdp)
         mdp = with_row(corridor_mdp, corridor_mdp.state_ptr[lost],
                        [(lost, 0.5), (corridor_mdp.init, 0.5)])
         assert "lost-absorbing" in kinds(mdp)
@@ -438,7 +428,7 @@ class TestValidation:
     def test_detects_bad_init_and_labels(self, corridor_mdp):
         mdp = dataclasses.replace(corridor_mdp, init=corridor_mdp.n_states)
         assert kinds(mdp) == {"init"}
-        lost = next(i for i, s in enumerate(corridor_mdp.states) if not s.alive)
+        lost = first_lost(corridor_mdp)
         alive = corridor_mdp.label("alive").copy()
         alive[lost] = True
         labels = dict(corridor_mdp.labels, alive=alive)
@@ -453,6 +443,8 @@ class TestValidation:
         ("state_ptr", lambda a: a[:-1]),
         ("choice_ptr", lambda a: a + 1),
         ("prob", lambda a: a[:-1]),
+        ("state_ptr", lambda a: a[:0]),
+        ("states", lambda t: StateTable.of([t[s] for s in range(len(t) - 1)])),
     ])
     def test_broken_pointers_are_reported_not_raised(self, corridor_mdp, name, tamper):
         mdp = dataclasses.replace(corridor_mdp, **{name: tamper(getattr(corridor_mdp, name))})
@@ -468,7 +460,7 @@ class TestSerialization:
         dump_mdp(corridor_mdp, path)
         assert [p.name for p in tmp_path.iterdir()] == ["model.mdp"]
         back = load_mdp(path)
-        assert back.states == corridor_mdp.states
+        assert_same_table(back.states, corridor_mdp.states)
         assert back.action_names == corridor_mdp.action_names
         for name in ARRAYS:
             assert np.array_equal(getattr(back, name), getattr(corridor_mdp, name)), name
@@ -480,22 +472,59 @@ class TestSerialization:
             assert back.label(name).dtype == bool
         assert back.warnings == corridor_mdp.warnings
 
-    def test_sink_roundtrips(self, corridor_env, tmp_path):
-        mdp = build_mdp(corridor_env, merge_lost=True)
-        path = tmp_path / "merged.npz"
-        dump_mdp(mdp, path)
-        back = load_mdp(path)
-        assert LOST_SINK in back.states
-        assert back.states == mdp.states
-
     def test_named_states_roundtrip(self, tmp_path):
+        """A hand-built model has no state table, before and after a dump."""
         mdp = make_mdp({0: {"go": [(1, 1.0)]}, 1: {"stay": [(1, 1.0)]}}, labels={"goal": {1}})
         dump_mdp(mdp, tmp_path / "toy.npz")
+        with np.load(tmp_path / "toy.npz") as archive:
+            assert not set(COLUMNS) & set(archive.files)
         back = load_mdp(tmp_path / "toy.npz")
-        assert back.states == ["s0", "s1"]
+        assert back.states is None
+        assert back.n_states == 2
+        for name in ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(mdp, name)), name
         assert state_rows(back, 0) == [(0, [(1, 1.0)])]
         assert back.labels.keys() == {"goal"}
         assert np.array_equal(back.label("goal"), [False, True])
+        assert validate_mdp(back) == []
+
+    def test_lost_sink_dump_still_loads(self, corridor_mdp, tmp_path):
+        """Dumps of models whose lost mass went to one global sink state still load.
+
+        Such a dump was written with a sink state at facet "" in region ""
+        (count and level -1, no beliefs) that every lost successor led to.
+        """
+        mdp, table = corridor_mdp, corridor_mdp.states
+        n, stay = mdp.n_states, len(mdp.action_names) - 1
+        source = mdp.choice_state()[mdp.transition_choice()]
+        succ = np.where(table.alive[source] & ~table.alive[mdp.succ], n, mdp.succ)
+        last = len(table.beliefs)
+        columns = {
+            "facet_names": np.append(table.facet_names, ""),
+            "facet": np.append(table.facet, len(table.facet_names)),
+            "region_names": np.append(table.region_names, ""),
+            "region": np.append(table.region, len(table.region_names)),
+            "count": np.append(table.count, -1), "level": np.append(table.level, -1),
+            "alive": np.append(table.alive, False),
+            "belief_ptr": np.append(table.belief_ptr, last), "beliefs": table.beliefs,
+        }
+        merged = dataclasses.replace(
+            mdp, states=StateTable(**columns),
+            state_ptr=np.append(mdp.state_ptr, mdp.n_choices() + 1),
+            choice_action=np.append(mdp.choice_action, stay),
+            choice_ptr=np.append(mdp.choice_ptr, mdp.n_transitions() + 1),
+            succ=np.append(succ, n), prob=np.append(mdp.prob, 1.0),
+            labels={k: np.append(v, False) for k, v in mdp.labels.items()},
+        )
+        dump_mdp(merged, tmp_path / "merged.npz")
+        back = load_mdp(tmp_path / "merged.npz")
+        assert back.n_states == n + 1
+        assert back.states[n] == VehicleState("", "", -1, -1, False, ())
+        assert back.action_names[stay] == STAY
+        assert validate_mdp(back) == []
+        assert synthesize_mission(back).value == synthesize_mission(mdp).value
+        sta, _, _ = export_prism(back, tmp_path / "merged")
+        assert sta.read_text().splitlines()[-1].startswith(f"{n}:(")
 
     def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"

@@ -256,18 +256,19 @@ class TestTraces:
         assert classify_step(mdp, 0, 1) == "step"
 
     def test_classify_vehicle_transitions(self, corridor_mdp):
+        states = [corridor_mdp.states[i] for i in range(corridor_mdp.n_states)]
         by_key = {}
-        for i, s in enumerate(corridor_mdp.states):
+        for i, s in enumerate(states):
             by_key.setdefault((s.facet, s.region, s.alive), []).append(i)
         checked = set()
         for (facet, region, alive), members in by_key.items():
             if not alive:
                 continue
             for i in members:
-                a = corridor_mdp.states[i]
+                a = states[i]
                 assert classify_step(corridor_mdp, i, i) == "stay"
                 for j in members:
-                    b = corridor_mdp.states[j]
+                    b = states[j]
                     if b.count == a.count + 1:
                         assert classify_step(corridor_mdp, i, j) == "adversary-entered"
                         checked.add("entered")
@@ -275,15 +276,15 @@ class TestTraces:
                         assert classify_step(corridor_mdp, i, j) == "adversary-left"
                         checked.add("left")
             other = next(
-                (j for j, s in enumerate(corridor_mdp.states)
+                (j for j, s in enumerate(states)
                  if s.alive and (s.facet, s.region) != (facet, region)),
                 None,
             )
             if other is not None:
                 assert classify_step(corridor_mdp, members[0], other) == "region-change"
                 checked.add("move")
-        lost = next(i for i, s in enumerate(corridor_mdp.states) if not s.alive)
-        live = next(i for i, s in enumerate(corridor_mdp.states) if s.alive)
+        lost = next(i for i, s in enumerate(states) if not s.alive)
+        live = next(i for i, s in enumerate(states) if s.alive)
         assert classify_step(corridor_mdp, live, lost) == "lost-absorb"
         assert checked == {"entered", "left", "move"}
 
