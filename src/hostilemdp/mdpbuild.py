@@ -36,9 +36,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .belief import ENTERED, LEFT, BeliefSet, enumerate_reachable, expectation
-from .envmodel import DROPOFF, PICKUP, Environment, MotionPrimitive
+from .envmodel import DROPOFF, MAX_ADVERSARIES, PICKUP, Environment, MotionPrimitive
 
 STAY = "stay"
+
+#: most states one build round expands; it bounds the round's working arrays
+BATCH = 512
 
 
 class VehicleState(NamedTuple):
@@ -77,20 +80,6 @@ class StateTable:
 
     # indexing returns one state; the table is not a sequence of them
     __iter__ = None
-
-    @classmethod
-    def of(cls, states: list[VehicleState]) -> StateTable:
-        facet_names, facet = _table(s.facet for s in states)
-        region_names, region = _table(s.region for s in states)
-        belief_ptr, beliefs = _flat([s.beliefs for s in states])
-        return cls(
-            facet_names=np.array(facet_names, dtype=str), facet=facet,
-            region_names=np.array(region_names, dtype=str), region=region,
-            count=np.array([s.count for s in states], dtype=np.int64),
-            level=np.array([s.level for s in states], dtype=np.int64),
-            alive=np.array([s.alive for s in states], dtype=bool),
-            belief_ptr=belief_ptr, beliefs=beliefs,
-        )
 
     def __len__(self) -> int:
         return len(self.alive)
@@ -293,58 +282,79 @@ class MdpBuilder:
         return list(out.items())
 
     def build(self) -> Mdp:
-        env = self.env
-        action_names = [p.name for p in env.primitives] + [STAY]
-        stay_idx = len(env.primitives)
+        """Expand the reachable states breadth first, up to :data:`BATCH` states per round.
 
-        init = self.initial_state()
-        states: list[VehicleState] = [init]
-        index: dict[VehicleState, int] = {init: 0}
+        States are numbered in order of first appearance in the rows of the
+        states before them, and each row holds what :meth:`transitions` gives
+        for its state and primitive, in the same order and with the same
+        float operations; a lost or dead-end state plays ``stay`` alone.
+        A round expands the next unexpanded states in number order with
+        whole-array gathers; number order is breadth-first order, so a round
+        holds part of one level or the end of one and the start of the next.
+        """
+        env = self.env
+        look = _Lookup(self)
+        stay_idx = len(env.primitives)
+        pending = look.key(look.initial())
+        numbering = _Numbering(pending)
+        parts, first_id = [pending], 0
+        # grown in place, so the build never holds two copies of the model
         state_ptr, choice_action = array("q", [0]), array("q")
         choice_ptr, succ, prob = array("q", [0]), array("q"), array("d")
         warnings: list[str] = []
-        dead_ends: set[tuple[str, str]] = set()
+        dead_ends: set[int] = set()
 
-        def intern(state: VehicleState) -> int:
-            pos = index.get(state)
-            if pos is None:
-                pos = len(states)
-                index[state] = pos
-                states.append(state)
-            return pos
-
-        def absorb(pos: int):
-            choice_action.append(stay_idx)
-            succ.append(pos)
-            prob.append(1.0)
-            choice_ptr.append(len(succ))
-
-        cursor = 0
-        while cursor < len(states):
-            state = states[cursor]
-            if not state.alive:
-                absorb(cursor)
-            elif (state.facet, state.region) not in self._prims_at:
-                if (state.facet, state.region) not in dead_ends:
-                    dead_ends.add((state.facet, state.region))
+        while pending.size:
+            frontier = look.decode(pending[:BATCH])
+            pending = pending[BATCH:]
+            pair = look.pair[frontier.facet, frontier.region]
+            n_prims = look.prim_ptr[pair + 1] - look.prim_ptr[pair]
+            acting = frontier.alive & (n_prims > 0)
+            stuck = pair[frontier.alive & ~acting]
+            for dead in stuck[np.sort(np.unique(stuck, return_index=True)[1])].tolist():
+                if dead not in dead_ends:
+                    dead_ends.add(dead)
+                    facet, region = look.pairs[dead]
                     warnings.append(
-                        f"dead end: no primitive leaves facet {state.facet!r} "
-                        f"across region {state.region!r}"
-                    )
-                absorb(cursor)
-            else:
-                for action_idx, prim in self._prims_at[(state.facet, state.region)]:
-                    for target, p in self.transitions(state, prim):
-                        succ.append(intern(target))
-                        prob.append(p)
-                    choice_action.append(action_idx)
-                    choice_ptr.append(len(succ))
-            state_ptr.append(len(choice_action))
-            cursor += 1
+                        f"dead end: no primitive leaves facet {facet!r} across region {region!r}")
 
-        # the intern dict is not needed past here; dropping it keeps the build peak down
-        index.clear()
-        table = StateTable.of(states)
+            widths = np.where(acting, n_prims, 1)
+            starts = np.cumsum(widths) - widths
+            action = np.full(int(widths.sum()), stay_idx, dtype=np.int64)
+            # one choice per (acting state, primitive leaving its facet-region pair)
+            src = np.repeat(np.flatnonzero(acting), n_prims[acting])
+            choice = ranges(starts[acting], starts[acting] + n_prims[acting])
+            leaving = pair[acting]
+            prim = look.prim_action[ranges(look.prim_ptr[leaving], look.prim_ptr[leaving + 1])]
+            action[choice] = prim
+
+            owner, rank, p, key = look.rows(frontier.take(src), prim)
+            keep = p > 0.0
+            entry_choice = choice[owner[keep]]
+            order = np.argsort(entry_choice * look.ranks + rank[keep])
+            entry_choice, p, key = entry_choice[order], p[keep][order], key[keep][order]
+            ids, fresh = numbering(key)
+
+            # a lost or dead-end state loops back to itself under stay
+            idle = np.flatnonzero(~acting)
+            entry_choice = np.concatenate((entry_choice, starts[idle]))
+            merged = np.argsort(entry_choice, kind="stable")
+            entry_choice = entry_choice[merged]
+            ids = np.concatenate((ids, first_id + idle))[merged]
+            p = np.concatenate((p, np.ones(len(idle))))[merged]
+            if look.repeated_exits:
+                entry_choice, ids, p = _merge_repeats(entry_choice, ids, p)
+            _append(state_ptr, len(choice_action) + np.cumsum(widths))
+            _append(choice_action, action)
+            lengths = np.bincount(entry_choice, minlength=len(action))
+            _append(choice_ptr, len(succ) + np.cumsum(lengths))
+            _append(succ, ids)
+            _append(prob, p)
+            parts.append(key[fresh])
+            pending = np.concatenate((pending, parts[-1]))
+            first_id += len(widths)
+
+        table = look.table(look.decode(np.concatenate(parts)))
         # a region label holds on every state in that region
         labels = {"alive": table.alive.copy()}
         for name in (PICKUP, DROPOFF):
@@ -353,7 +363,7 @@ class MdpBuilder:
 
         return Mdp(
             states=table,
-            action_names=action_names,
+            action_names=[p.name for p in env.primitives] + [STAY],
             state_ptr=np.frombuffer(state_ptr, dtype=np.int64),
             choice_action=np.frombuffer(choice_action, dtype=np.int64),
             choice_ptr=np.frombuffer(choice_ptr, dtype=np.int64),
@@ -363,6 +373,307 @@ class MdpBuilder:
             labels=labels,
             warnings=warnings,
         )
+
+
+class _Columns(NamedTuple):
+    """Vehicle states as columns, with regions and facets coded in declaration order.
+
+    ``beliefs[s, i]`` is the position of lane ``i`` (the region's ``i``-th
+    neighbour) in that neighbour's BeliefSet; lanes past the region's
+    neighbour count hold 0.
+    """
+
+    facet: np.ndarray
+    region: np.ndarray
+    count: np.ndarray
+    level: np.ndarray
+    alive: np.ndarray
+    beliefs: np.ndarray
+
+    def take(self, rows) -> _Columns:
+        return _Columns(*(column[rows] for column in self))
+
+
+def _int_array(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.int64)
+
+
+def _float_array(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.float64)
+
+
+def _pointer(lengths) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(_int_array(lengths))))
+
+
+class _Lookup:
+    """The builder's per-region and per-primitive tables as flat arrays.
+
+    Member ``pos`` of region ``r``'s belief closure is belief
+    ``first[r] + pos``; ``left``, ``entered`` (positions, -1 where the update
+    is absent), ``expect`` and the ``item_*`` pmf rows are indexed by it.
+    ``lane_region[r, i]`` is the ``i``-th neighbour of ``r`` (-1 past the
+    neighbour count).  Facet-region pair ``p`` is ``pairs[p]``; the
+    primitives leaving it are ``prim_action[prim_ptr[p]:prim_ptr[p + 1]]``,
+    in ``_prims_at`` order.  Primitive ``j`` ends at the exits
+    ``exit_ptr[j]:exit_ptr[j + 1]``, in ``exit_facets()`` order, and loses
+    the vehicle at (count, level) with probability
+    ``lost[lost_first[j] + count * levels[region] + level]``.
+    """
+
+    def __init__(self, builder: MdpBuilder):
+        env = builder.env
+        region_ids, facet_ids = list(env.regions), list(env.facets)
+        self.region_ids, self.facet_ids = region_ids, facet_ids
+        region_of = {rid: r for r, rid in enumerate(region_ids)}
+        facet_of = {fid: f for f, fid in enumerate(facet_ids)}
+        regions = list(env.regions.values())
+        self.floor = _int_array(r.min_adversaries for r in regions)
+        self.ceil = _int_array(r.max_adversaries for r in regions)
+        self.levels = _int_array(r.max_obstacle_level + 1 for r in regions)
+        self.mu_enter = _float_array(r.mu_enter for r in regions)
+        self.mu_leave = _float_array(r.mu_leave for r in regions)
+
+        lanes = [[region_of[n] for n in builder.neighbors[rid]] for rid in region_ids]
+        self.degree = _int_array(map(len, lanes))
+        self.width = int(self.degree.max())
+        self.lane_region = np.full((len(lanes), self.width), -1, dtype=np.int64)
+        for r, row in enumerate(lanes):
+            self.lane_region[r, :len(row)] = row
+
+        bsets = [builder.belief_sets[rid] for rid in region_ids]
+        self.first = _pointer(map(len, bsets))[:-1]
+        self.left = _int_array(e.get(LEFT, -1) for b in bsets for e in b.edges)
+        self.entered = _int_array(e.get(ENTERED, -1) for b in bsets for e in b.edges)
+        self.expect = _float_array(x for rid in region_ids for x in builder._expect[rid])
+        beliefs = [items for rid in region_ids for items in builder._belief_items[rid]]
+        self.item_ptr = _pointer(map(len, beliefs))
+        self.item_count = _int_array(n for items in beliefs for n, _ in items)
+        self.item_prob = _float_array(p for items in beliefs for _, p in items)
+        obstacles = [builder._obs_items[rid] for rid in region_ids]
+        self.obs_ptr = _pointer(map(len, obstacles))
+        self.obs_level = _int_array(o for items in obstacles for o, _ in items)
+        self.obs_prob = _float_array(p for items in obstacles for _, p in items)
+
+        self.pairs = [(fid, rid) for fid, facet in env.facets.items() for rid in facet.regions]
+        self.pair = np.full((len(facet_ids), len(region_ids)), -1, dtype=np.int64)
+        self.pair_facet = _int_array(facet_of[fid] for fid, _ in self.pairs)
+        self.pair_region = _int_array(region_of[rid] for _, rid in self.pairs)
+        self.pair[self.pair_facet, self.pair_region] = np.arange(len(self.pairs))
+        leaving = [builder._prims_at.get(pair, []) for pair in self.pairs]
+        self.prim_ptr = _pointer(map(len, leaving))
+        self.prim_action = _int_array(idx for group in leaving for idx, _ in group)
+
+        prims = env.primitives
+        self.rate = _float_array(p.rate for p in prims)
+        exits = [[(e, q, builder._succ_region[(e, p.region)], p.region) for e, q in p.exit_facets()]
+                 for p in prims]
+        self.exit_ptr = _pointer(map(len, exits))
+        flat = [x for group in exits for x in group]
+        self.exit_facet = _int_array(facet_of[e] for e, _, _, _ in flat)
+        self.exit_q = _float_array(q for _, q, _, _ in flat)
+        self.exit_region = _int_array(region_of[land] for _, _, land, _ in flat)
+        # the lane holding the belief about the entered region; -1 on the outer boundary
+        self.exit_lane = _int_array(
+            -1 if land == rid else builder.neighbors[rid].index(land) for _, _, land, rid in flat)
+        self.repeated_exits = any(len({e for e, *_ in group}) < len(group) for group in exits)
+        tables = []
+        for p in prims:
+            region = env.regions[p.region]
+            table = np.zeros((region.max_adversaries + 1, region.max_obstacle_level + 1))
+            for n in range(region.min_adversaries, region.max_adversaries + 1):
+                for o in range(region.max_obstacle_level + 1):
+                    table[n, o] = p.lost[(n, o)]
+            tables.append(table.ravel())
+        self.lost_first = _pointer(map(len, tables))[:-1]
+        self.lost = np.concatenate(tables) if tables else np.zeros(0)
+
+        # within one row, exit k's entries rank in [k * block, (k + 1) * block)
+        # and the entering and leaving entries after every exit, lane by lane
+        self.block = 2 + int(np.diff(self.item_ptr).max()) * int(np.diff(self.obs_ptr).max())
+        self.after_exits = int(np.diff(self.exit_ptr).max(initial=0)) * self.block
+        self.ranks = self.after_exits + 2 * self.width
+
+        # a state's key packs these fields, mixed radix, into as few int64 words as fit
+        radices = [len(self.pairs), int(self.ceil.max()) + 1, int(self.levels.max()), 2]
+        radices += [max(map(len, bsets))] * self.width
+        self.words: list[list[tuple[int, int, int]]] = [[]]
+        scale = 1
+        for field_idx, radix in enumerate(radices):
+            if scale * radix > 2**62 and self.words[-1]:
+                self.words.append([])
+                scale = 1
+            self.words[-1].append((field_idx, scale, radix))
+            scale *= radix
+        self.init = (facet_of[env.init_facet], region_of[env.init_region])
+
+    def initial(self) -> _Columns:
+        facet, region = self.init
+        return _Columns(_int_array([facet]), _int_array([region]), _int_array([0]),
+                        _int_array([0]), np.ones(1, dtype=bool),
+                        np.zeros((1, self.width), dtype=np.int64))
+
+    def key(self, s: _Columns) -> np.ndarray:
+        """One sortable key per state, equal exactly when the states are."""
+        fields = [self.pair[s.facet, s.region], s.count, s.level, s.alive.astype(np.int64),
+                  *s.beliefs.T]
+        words = [sum(fields[f] * scale for f, scale, _ in word) for word in self.words]
+        if len(words) == 1:
+            return words[0]
+        packed = np.ascontiguousarray(np.stack(words, axis=1))
+        return packed.view(np.dtype((np.void, 8 * len(words)))).ravel()
+
+    def decode(self, keys: np.ndarray) -> _Columns:
+        """The states whose keys are ``keys``."""
+        words = keys.view(np.int64).reshape(len(keys), len(self.words))
+        fields = {f: words[:, w] // scale % radix
+                  for w, word in enumerate(self.words) for f, scale, radix in word}
+        beliefs = np.zeros((len(keys), self.width), dtype=np.int64)
+        for i in range(self.width):
+            beliefs[:, i] = fields[4 + i]
+        pair = fields[0]
+        return _Columns(self.pair_facet[pair], self.pair_region[pair], fields[1], fields[2],
+                        fields[3].astype(bool), beliefs)
+
+    def rows(self, s: _Columns, prim: np.ndarray):
+        """Every entry of the rows of states ``s[k]`` under primitives ``prim[k]``.
+
+        Returns each entry's row ``k``, rank, probability and successor key;
+        sorted by (row, rank), the entries are those
+        :meth:`MdpBuilder.transitions` puts, in its order and each computed
+        by its float operations.
+        """
+        region, count = s.region, s.count
+        lanes = self.lane_region[region]
+        belief = self.first[np.maximum(lanes, 0)] + s.beliefs
+        left = np.where(lanes >= 0, self.left[belief], -1)
+        entered = np.where(lanes >= 0, self.entered[belief], -1)
+        receivers = (entered >= 0).sum(axis=1)
+        can_leave = (count > self.floor[region]) & (receivers > 0)
+        can_enter = count < self.ceil[region]
+        # estimated_rate's additions in its order; a switched-off term adds exactly 0.0
+        total = self.rate[prim] + np.where(can_leave, self.mu_leave[region] * count, 0.0)
+        incoming = np.zeros(len(prim))
+        for i in range(self.width):
+            incoming = incoming + np.where(left[:, i] >= 0, self.expect[belief[:, i]], 0.0)
+        total = total + np.where(can_enter, self.mu_enter[region] * incoming, 0.0)
+        p_lost = self.lost[self.lost_first[prim] + count * self.levels[region] + s.level]
+        crossing = self.rate[prim] / total
+
+        n_exits = self.exit_ptr[prim + 1] - self.exit_ptr[prim]
+        owner = np.repeat(np.arange(len(prim)), n_exits)
+        x = ranges(self.exit_ptr[prim], self.exit_ptr[prim + 1])
+        rank = (x - self.exit_ptr[prim][owner]) * self.block
+        share = crossing[owner] * self.exit_q[x]
+        lost = p_lost[owner]
+        facet, land, lane = self.exit_facet[x], self.exit_region[x], self.exit_lane[x]
+        outer = lane < 0
+        n = len(x)
+        families = [(owner, rank + outer, share * lost, _Columns(
+            facet, land, self.floor[land], np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
+            np.zeros((n, self.width), dtype=np.int64)))]
+
+        # outer boundary: no region is entered, only the facet changes
+        o = np.flatnonzero(outer)
+        families.append((owner[o], rank[o], share[o] * (1.0 - lost[o]),
+                         s.take(owner[o])._replace(facet=facet[o])))
+
+        # crossing into a neighbour: a fresh observation from the tracked belief
+        inner = np.flatnonzero(~outer)
+        b = self.first[land[inner]] + s.beliefs[owner[inner], lane[inner]]
+        n_obs = self.obs_ptr[land[inner] + 1] - self.obs_ptr[land[inner]]
+        reps = (self.item_ptr[b + 1] - self.item_ptr[b]) * n_obs
+        e = np.repeat(inner, reps)
+        t = ranges(np.zeros_like(reps), reps)
+        per = np.repeat(n_obs, reps)
+        item = np.repeat(self.item_ptr[b], reps) + t // per
+        obs = np.repeat(self.obs_ptr[land[inner]], reps) + t % per
+        base = share[e] * self.item_prob[item] * self.obs_prob[obs] * (1.0 - lost[e])
+        families.append((owner[e], rank[e] + 1 + t, base, _Columns(
+            facet[e], land[e], self.item_count[item], self.obs_level[obs],
+            np.ones(len(e), dtype=bool), np.zeros((len(e), self.width), dtype=np.int64))))
+
+        # an adversary enters from a neighbour, which then holds one fewer
+        p, i = np.nonzero((left >= 0) & can_enter[:, None])
+        families.append((p, self.after_exits + i,
+                         self.mu_enter[region[p]] * self.expect[belief[p, i]] / total[p],
+                         _moved(s, p, i, left[p, i], +1)))
+        # an adversary leaves for a neighbour, split evenly over those that can take one
+        p, i = np.nonzero((entered >= 0) & can_leave[:, None])
+        families.append((p, self.after_exits + self.width + i,
+                         self.mu_leave[region[p]] * count[p] / (total[p] * receivers[p]),
+                         _moved(s, p, i, entered[p, i], -1)))
+
+        owner, rank, prob, succ = zip(*families)
+        return (np.concatenate(owner), np.concatenate(rank), np.concatenate(prob),
+                np.concatenate([self.key(states) for states in succ]))
+
+    def table(self, s: _Columns) -> StateTable:
+        """The states as a StateTable, names coded in order of first appearance."""
+        facets, facet = _table(s.facet.tolist())
+        regions, region = _table(s.region.tolist())
+        degree = self.degree[s.region]
+        return StateTable(
+            facet_names=np.array([self.facet_ids[f] for f in facets], dtype=str), facet=facet,
+            region_names=np.array([self.region_ids[r] for r in regions], dtype=str),
+            region=region, count=s.count, level=s.level, alive=s.alive,
+            belief_ptr=np.concatenate(([0], np.cumsum(degree))),
+            beliefs=s.beliefs[np.arange(self.width) < degree[:, None]],
+        )
+
+
+def _append(buffer: array, values: np.ndarray):
+    """Append ``values`` to an ``array('q')`` or ``array('d')`` buffer."""
+    buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).data.cast("B"))
+
+
+def _moved(s: _Columns, p: np.ndarray, lane: np.ndarray, child: np.ndarray, step: int) -> _Columns:
+    """States ``s[p]`` with ``step`` more adversaries and lane ``lane`` at belief ``child``."""
+    moved = s.take(p)
+    moved.beliefs[np.arange(len(p)), lane] = child
+    return moved._replace(count=moved.count + step)
+
+
+class _Numbering:
+    """State numbers by key; unseen keys take the next numbers in order of first appearance."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = np.sort(keys)
+        self.ids = np.argsort(keys)
+        self.count = len(keys)
+
+    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's state number, and the positions where unseen states first appear."""
+        at = np.searchsorted(self.keys, keys)
+        seen = at < len(self.keys)
+        seen[seen] = self.keys[at[seen]] == keys[seen]
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[seen] = self.ids[at[seen]]
+        unseen = np.flatnonzero(~seen)
+        new, first, inverse = np.unique(keys[unseen], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty(len(new), dtype=np.int64)
+        number[order] = self.count + np.arange(len(new))
+        ids[unseen] = number[inverse]
+        where = np.searchsorted(self.keys, new)
+        self.keys = np.insert(self.keys, where, new)
+        self.ids = np.insert(self.ids, where, number)
+        self.count += len(new)
+        return ids, unseen[first[order]]
+
+
+def _merge_repeats(choice: np.ndarray, succ: np.ndarray, prob: np.ndarray):
+    """Fold repeated (choice, successor) entries into the first, summed in entry order."""
+    entry = choice * (int(succ.max(initial=0)) + 1) + succ
+    _, first, group = np.unique(entry, return_index=True, return_inverse=True)
+    if len(first) == len(entry):
+        return choice, succ, prob
+    total = prob[first]
+    later = np.setdiff1d(np.arange(len(entry)), first)
+    # ufunc.at adds one index at a time, so repeats sum left to right
+    np.add.at(total, group[later], prob[later])
+    keep = np.sort(first)
+    return choice[keep], succ[keep], total[group[keep]]
 
 
 def build_mdp(env: Environment) -> Mdp:
@@ -478,7 +789,7 @@ def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], np.cumsum(lengths))), values
 
 
-def _states_from(doc) -> StateTable | None:
+def _states_from(doc, init: int) -> StateTable | None:
     keys = [f.name for f in fields(StateTable)]
     if not any(key in doc for key in keys):
         return None
@@ -496,13 +807,26 @@ def _states_from(doc) -> StateTable | None:
     for key, codes in (("facet_names", table.facet), ("region_names", table.region)):
         if len(codes) and (codes.min() < 0 or codes.max() >= len(getattr(table, key))):
             raise MdpFormatError(f"{key} index out of range")
+    # older dumps sent all lost mass to one sink state with count and level -1
+    sink = ~table.alive & (table.count == -1) & (table.level == -1) & (np.diff(ptr) == 0)
+    for key, column in (("count", table.count[~sink]), ("level", table.level[~sink]),
+                        ("beliefs", table.beliefs)):
+        if (column < 0).any():
+            raise MdpFormatError(f"negative {key} {column[column < 0][0]}")
+    if (table.count > MAX_ADVERSARIES).any():
+        raise MdpFormatError(f"count {table.count.max()} above {MAX_ADVERSARIES}")
+    # the vehicle starts with nothing observed and every belief at its initial member
+    if 0 <= init < n and (table.count[init] or table.level[init]
+                          or table.beliefs[ptr[init]:ptr[init + 1]].any()):
+        raise MdpFormatError(f"initial state {table[init]} is not a fresh start")
     return table
 
 
 def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
     names = _array(doc, "label_names", "U").tolist()
-    ptr = _array(doc, "label_ptr", "iu")
-    members = _array(doc, "label_states", "iu")
+    # unsigned differences wrap, so cast before the pointer is checked
+    ptr = _array(doc, "label_ptr", "iu").astype(np.int64)
+    members = _array(doc, "label_states", "iu").astype(np.int64)
     if len(ptr) != len(names) + 1 or ptr[0] != 0 or ptr[-1] != len(members) \
             or (np.diff(ptr) < 0).any():
         raise MdpFormatError("label pointer does not cover the label states")
@@ -534,6 +858,8 @@ def dump_mdp(mdp: Mdp, path: str | Path):
 
 
 def _array(doc, key: str, kind: str, ndim: int = 1) -> np.ndarray:
+    if key not in doc:
+        raise MdpFormatError(f"array {key!r} is missing")
     value = doc[key]
     if value.dtype.kind not in kind or value.ndim != ndim:
         raise MdpFormatError(f"array {key!r} has dtype {value.dtype} and {value.ndim} "
@@ -562,10 +888,11 @@ def load_mdp(path: str | Path) -> Mdp:
         n = len(arrays["state_ptr"]) - 1
         if n < 0:
             raise MdpFormatError("state pointer is empty")
+        init = int(_array(doc, "init", "iu", ndim=0))
         return Mdp(
-            states=_states_from(doc),
+            states=_states_from(doc, init),
             action_names=_array(doc, "action_names", "U").tolist(),
-            init=int(_array(doc, "init", "iu", ndim=0)),
+            init=init,
             labels=_labels_from(doc, n),
             warnings=_array(doc, "warnings", "U").tolist(),
             **arrays,
@@ -573,10 +900,10 @@ def load_mdp(path: str | Path) -> Mdp:
     except MdpFormatError as exc:
         raise MdpFormatError(f"{path}: not a valid MDP dump ({exc})") from exc
     except (KeyError, ValueError, IndexError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise MdpFormatError(
-            f"{path}: not an MDP dump ({type(exc).__name__}: {exc}); JSON dumps of "
-            f"hostile-mdp 0.1.0 are no longer read, rebuild with 'build --dump-mdp'"
-        ) from exc
+        hint = "" if zipfile.is_zipfile(path) else (
+            "; JSON dumps of hostile-mdp 0.1.0 are no longer read, rebuild with 'build --dump-mdp'")
+        problem = f"{type(exc).__name__}: {exc}"
+        raise MdpFormatError(f"{path}: not an MDP dump ({problem}){hint}") from exc
 
 
 # ---------------------------------------------------------------------------

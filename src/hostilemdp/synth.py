@@ -139,10 +139,14 @@ def max_reach_vi(
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
     x = np.zeros(len(free))
-    starts = blocks[:-1]
+    # column j holds each state's j-th choice, or its last one when it has fewer
+    ends = blocks[1:] - 1
+    columns = [np.minimum(blocks[:-1] + j, ends) for j in range(int(np.diff(blocks).max()))]
     for sweep in range(1, max_iter + 1):
         y = const + matrix @ x
-        grouped = np.maximum.reduceat(y, starts)
+        grouped = y[columns[0]]
+        for column in columns[1:]:
+            np.maximum(grouped, y[column], out=grouped)
         new = np.maximum(x, grouped)
         residual = float(np.max(np.abs(new - x)))
         x = new

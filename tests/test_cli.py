@@ -119,6 +119,20 @@ class TestBadInputs:
         line = single_error(capsys)
         assert "fails validation with" in line and "row-sum" in line
 
+    @pytest.mark.parametrize("column", ["count", "level", "beliefs"])
+    @pytest.mark.parametrize("change", [np.negative, lambda a: a + 10**6],
+                             ids=["negate", "add 10**6"])
+    def test_out_of_range_state_columns_are_refused(self, tmp_path, capsys, column, change):
+        dump = tmp_path / "model.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        with np.load(dump) as archive:
+            doc = dict(archive)
+        doc[column] = change(doc[column])
+        np.savez(dump, **doc)
+        capsys.readouterr()
+        assert main(["synthesize", "--mdp", str(dump)]) == 1
+        assert "not a valid MDP dump" in single_error(capsys)
+
     def test_export_refuses_an_invalid_build(self, tmp_path, capsys, monkeypatch):
         # the parser refuses the overflowing rates that used to build a broken
         # model, so break the built model itself

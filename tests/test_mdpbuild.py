@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import make_mdp, random_environment, state_rows
+from conftest import bundled_doc, make_mdp, random_environment, state_rows
 from hostilemdp.belief import ENTERED, LEFT
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import (
@@ -16,6 +18,7 @@ from hostilemdp.mdpbuild import (
     MdpFormatError,
     StateTable,
     VehicleState,
+    _Lookup,
     build_mdp,
     dump_mdp,
     export_prism,
@@ -357,6 +360,126 @@ class TestBuildFuzz:
         assert a.warnings == b.warnings
 
 
+#: seed of the random environments whose builds are checked row by row and pinned
+BATCHED_SEED = 20261018
+
+#: sha256 of the build arrays and state-table columns of those 20 environments,
+#: recorded from the state-at-a-time builder that the batched build replaced
+BATCHED_DIGEST = "ef2d5bdee5b15c5a5e1a510e3f8c907043b3c0ad4f6828f507c34ad0590c12d1"
+
+
+def batched_envs():
+    rng = np.random.default_rng(BATCHED_SEED)
+    return [random_environment(rng) for _ in range(20)]
+
+
+def repeated_exit_corridor():
+    """Corridor whose f2 -> f3 crossing of rp names exit f3 twice, so rows repeat successors."""
+    doc = bundled_doc("corridor")
+    prim = next(p for p in doc["primitives"] if p["region"] == "rp" and p["from"] == "f2")
+    prim["outcomes"] = [{"facet": "f3", "p": "1/2"}, {"facet": "f2", "p": "1/4"},
+                        {"facet": "f3", "p": "1/4"}]
+    return parse_environment(doc, name="corridor-repeated-exit")
+
+
+class TestBatchedBuild:
+    """The batched build against the one-state specification ``transitions``."""
+
+    @staticmethod
+    def assert_rows_follow_transitions(env):
+        builder = MdpBuilder(env)
+        mdp = builder.build()
+        table = mdp.states
+        stay = len(env.primitives)
+        for s in range(mdp.n_states):
+            state = table[s]
+            prims = builder._prims_at.get((state.facet, state.region), []) if state.alive else []
+            rows = state_rows(mdp, s)
+            if not prims:
+                assert rows == [(stay, [(s, 1.0)])]
+                continue
+            assert [a for a, _ in rows] == [idx for idx, _ in prims]
+            for (_, row), (_, prim) in zip(rows, prims):
+                got = [(table[t], p) for t, p in row]
+                assert got == builder.transitions(state, prim), (s, prim.name)
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_random_rows_follow_transitions(self, index):
+        self.assert_rows_follow_transitions(batched_envs()[index])
+
+    def test_corridor_rows_follow_transitions(self, corridor_env):
+        self.assert_rows_follow_transitions(corridor_env)
+
+    def test_expected_influx_adds_lane_by_lane(self):
+        # expectations 0.1, 0.2 and 0.3 sum to 0.6000000000000001 left to right
+        # and to 0.6 right to left, so the lane order shows in every rate
+        doc = star_doc()
+        for rid, p_init in (("r1", "1/10"), ("r3", "1/5"), ("r7", "3/10")):
+            region = next(r for r in doc["regions"] if r["id"] == rid)
+            region["adversaries"]["p_init"] = {"0": str(1 - Fraction(p_init)), "1": p_init}
+        self.assert_rows_follow_transitions(parse_environment(doc, name="star-influx"))
+
+    def test_repeated_exits_sum_in_put_order(self):
+        env = repeated_exit_corridor()
+        self.assert_rows_follow_transitions(env)
+        builder = MdpBuilder(env)
+        mdp = builder.build()
+        action, prim = builder._prims_at[("f2", "rp")][0]
+        fresh = (0,) * len(env.neighbors("rd"))
+        lane = env.neighbors("rp").index("rd")
+        folded = 0
+        for s in range(mdp.n_states):
+            state = mdp.states[s]
+            if state[:2] != ("f2", "rp") or not state.alive:
+                continue
+            row = {mdp.states[t]: p for a, r in state_rows(mdp, s) if a == action for t, p in r}
+            crossing = prim.rate / builder.estimated_rate(state, prim)
+            keep = 1.0 - prim.lost[(state.count, state.level)]
+            # both f3 exits land on the same states; the second share adds to the first
+            for n2, pn in builder._belief_items["rd"][state.beliefs[lane]]:
+                for o2, po in builder._obs_items["rd"]:
+                    landed = VehicleState("f3", "rd", n2, o2, True, fresh)
+                    assert row[landed] == (crossing * 0.5 * pn * po * keep
+                                           + crossing * 0.25 * pn * po * keep)
+                    folded += 1
+        assert folded
+
+    def test_keys_wider_than_one_word(self):
+        """Nine wide beliefs per state need more than 62 bits of key; the build still matches."""
+        wide = {str(n): "1/11" for n in range(11)}
+
+        def region(rid, p_init, high, labels=()):
+            return {"id": rid, "adversaries": {"min": 0, "max": high, "p_init": p_init},
+                    "obstacles": {"max_level": 0, "p_obs": {"0": "1"}},
+                    "mu_enter": 0.2, "mu_leave": 0.3, "labels": list(labels)}
+
+        leaves = [f"n{i}" for i in range(8)]
+        doc = {
+            "regions": [region("r0", {"0": "1"}, 2), region("hub", wide, 10)] + [
+                region(rid, wide, 10, [("pickup",), ("dropoff",)][i] if i < 2 else ())
+                for i, rid in enumerate(leaves)],
+            "facets": [{"id": "f0", "regions": ["r0"]}, {"id": "fh", "regions": ["r0", "hub"]}]
+                      + [{"id": f"f{rid}", "regions": ["hub", rid]} for rid in leaves],
+            "primitives": [{"from": a, "to": b, "region": "r0", "rate": 1.0,
+                            "lost": {"marginal_n": "quadratic", "marginal_o": {"0": 0.5}}}
+                           for a, b in (("f0", "fh"), ("fh", "f0"))],
+            "init": {"facet": "f0", "region": "r0"},
+        }
+        env = parse_environment(doc, name="wide-keys")
+        assert len(_Lookup(MdpBuilder(env)).words) > 1
+        self.assert_rows_follow_transitions(env)
+
+    def test_random_builds_are_pinned(self):
+        digest = hashlib.sha256()
+        for env in batched_envs():
+            mdp = build_mdp(env)
+            for name in ARRAYS:
+                digest.update(getattr(mdp, name).tobytes())
+            for name in COLUMNS:
+                digest.update(getattr(mdp.states, name).tobytes())
+        assert digest.hexdigest() == BATCHED_DIGEST
+
+
 def with_row(mdp, c, row):
     """Copy of ``mdp`` whose choice ``c`` moves along ``row`` instead."""
     lo, hi = mdp.choice_ptr[c], mdp.choice_ptr[c + 1]
@@ -444,7 +567,7 @@ class TestValidation:
         ("choice_ptr", lambda a: a + 1),
         ("prob", lambda a: a[:-1]),
         ("state_ptr", lambda a: a[:0]),
-        ("states", lambda t: StateTable.of([t[s] for s in range(len(t) - 1)])),
+        ("states", lambda t: dataclasses.replace(t, alive=t.alive[:-1])),
     ])
     def test_broken_pointers_are_reported_not_raised(self, corridor_mdp, name, tamper):
         mdp = dataclasses.replace(corridor_mdp, **{name: tamper(getattr(corridor_mdp, name))})
@@ -566,6 +689,32 @@ class TestSerialization:
         np.savez(path, **doc)
         with pytest.raises(MdpFormatError):
             load_mdp(path)
+
+    def test_unsigned_label_pointer_is_checked_as_signed(self, corridor_mdp, tmp_path):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        ptr = doc["label_ptr"].astype(np.uint64)
+        ptr[[1, 2]] = ptr[[2, 1]]
+        np.savez(path, **dict(doc, label_ptr=ptr))
+        with pytest.raises(MdpFormatError, match="label pointer"):
+            load_mdp(path)
+
+    @pytest.mark.parametrize("change, words", [
+        (lambda doc: doc.pop("succ"), "array 'succ' is missing"),
+        (lambda doc: doc.update(succ=np.array([object()], dtype=object)), "ValueError"),
+    ], ids=["missing", "pickled"])
+    def test_archive_errors_give_no_json_hint(self, corridor_mdp, tmp_path, change, words):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        change(doc)
+        np.savez(path, **doc)
+        with pytest.raises(MdpFormatError, match=words) as err:
+            load_mdp(path)
+        assert "JSON" not in str(err.value)
 
     def test_pickled_or_mistyped_arrays_are_format_errors(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
