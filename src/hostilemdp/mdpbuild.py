@@ -43,6 +43,9 @@ STAY = "stay"
 #: most states one build round expands; it bounds the round's working arrays
 BATCH = 512
 
+#: lines the PRISM export joins and writes at a time; it bounds the text held
+CHUNK = 4096
+
 
 class VehicleState(NamedTuple):
     """One MDP state; ``beliefs`` holds positions in each neighbour's BeliefSet."""
@@ -910,54 +913,95 @@ def load_mdp(path: str | Path) -> Mdp:
 # PRISM explicit-state export
 
 
-def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
-    """Write ``.sta``, ``.tra`` and ``.lab`` files for external checkers.
+def _stream(path: Path, header: str, tokens: list[bytes], ids: np.ndarray) -> Path:
+    """Write ``header``, then one line per row of ``ids``: the tokens it names, joined.
 
-    Output bytes are a pure function of the MDP, so re-exporting the same
-    model is byte-identical.
+    Each token is formatted once however many lines use it, and the text is
+    joined and written ``CHUNK`` lines at a time, so no file is held whole.
     """
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
+        for lo in range(0, len(ids), CHUNK):
+            handle.write(b"".join(map(tokens.__getitem__, ids[lo:lo + CHUNK].ravel().tolist())))
+    return path
+
+
+def _successor_order(n: int, trans: np.ndarray, succ: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """``np.lexsort((prob, succ, trans))`` for ``trans`` ascending and ``succ`` below ``n``.
+
+    A stable sort on one combined key orders the transitions by choice and
+    successor; only runs that repeat a successor in one row, which dumps and
+    hand-built models can hold, are then sorted by probability.
+    """
+    key = trans * n + succ
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tied = np.flatnonzero(key[1:] == key[:-1])
+    runs = np.union1d(tied, tied + 1)
+    order[runs] = order[runs][np.lexsort((prob[order[runs]], key[runs]))]
+    return order
+
+
+def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
+    """Write ``basepath`` plus ``.sta``, ``.tra`` and ``.lab`` for external checkers.
+
+    ``mdp`` must pass :func:`validate_mdp`.  Each choice's successors are
+    written in ascending order, by probability where one repeats.  Output
+    bytes are a pure function of the MDP, so re-exporting the same model is
+    byte-identical.
+    """
+    n, table = mdp.n_states, mdp.states
+    # an out-of-range successor would name some other token
+    if len(mdp.succ) and not 0 <= mdp.succ.min() <= mdp.succ.max() < n:
+        raise ValueError(f"a successor is not one of the {n} states; see validate_mdp")
     basepath = Path(basepath)
     basepath.parent.mkdir(parents=True, exist_ok=True)
-    table = mdp.states
+    sta_path, tra_path, lab_path = (basepath.with_name(basepath.name + suffix)
+                                    for suffix in (".sta", ".tra", ".lab"))
+    states = np.arange(n)
 
-    sta_path = basepath.with_suffix(".sta")
     if table is None:
-        lines = ["(s)"] + [f"{i}:({i})" for i in range(mdp.n_states)]
+        tokens = [b"%d:(%d)\n" % (i, i) for i in range(n)]
+        _stream(sta_path, "(s)", tokens, states[:, None])
     else:
         # belief tuples are numbered in order of first appearance
         ptr, beliefs = table.belief_ptr.tolist(), table.beliefs.tolist()
         _, combos = _table(tuple(beliefs[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
-        lines = ["(facet,region,count,level,alive,beliefs)"]
-        lines.extend(f"{i}:({f},{r},{c},{o},{a},{b})" for i, (f, r, c, o, a, b) in enumerate(zip(
-            table.facet.tolist(), table.region.tolist(), table.count.tolist(),
-            table.level.tolist(), table.alive.astype(int).tolist(), combos.tolist())))
-    sta_path.write_text("\n".join(lines) + "\n")
+        columns = np.stack((table.facet, table.region, table.count, table.level,
+                            table.alive.astype(np.int64)))
+        values, codes = np.unique(columns, return_inverse=True)
+        tokens = [b"%d:(" % i for i in range(n)]
+        tokens += [b"%d," % v for v in values.tolist()]
+        tokens += [b"%d)\n" % b for b in range(int(combos.max(initial=-1)) + 1)]
+        ids = np.column_stack((states, n + codes.reshape(columns.shape).T,
+                               n + len(values) + combos))
+        _stream(sta_path, "(facet,region,count,level,alive,beliefs)", tokens, ids)
 
-    tra_path = basepath.with_suffix(".tra")
-    # each choice's successors in ascending order, choices numbered within their state
     trans = mdp.transition_choice()
-    order = np.lexsort((mdp.prob, mdp.succ, trans))
-    owner = mdp.choice_state()[trans[order]]
-    local = trans[order] - mdp.state_ptr[owner]
-    lines = [f"{mdp.n_states} {mdp.n_choices()} {mdp.n_transitions()}"]
-    lines.extend(
-        f"{s} {c} {t} {p!r}" for s, c, t, p in zip(
-            owner.tolist(), local.tolist(), mdp.succ[order].tolist(), mdp.prob[order].tolist())
-    )
-    tra_path.write_text("\n".join(lines) + "\n")
+    order = _successor_order(n, trans, mdp.succ, mdp.prob)
+    # choices are numbered within their state
+    owner = mdp.choice_state()
+    local = np.arange(mdp.n_choices()) - mdp.state_ptr[owner]
+    # distinct by bit pattern, so -0.0 keeps its own repr
+    bits, value = np.unique(mdp.prob.view(np.uint64), return_inverse=True)
+    tokens = [b"%d %d " % choice for choice in zip(owner.tolist(), local.tolist())]
+    tokens += [b"%d " % t for t in range(n)]
+    tokens += [repr(p).encode() + b"\n" for p in bits.view(np.float64).tolist()]
+    choices = mdp.n_choices()
+    ids = np.column_stack((trans[order], choices + mdp.succ[order], choices + n + value[order]))
+    _stream(tra_path, f"{n} {choices} {mdp.n_transitions()}", tokens, ids)
 
-    # internal label names -> the atoms the mission formula is written over
-    exported = [("init", None), ("deadlock", None), ("alive", "alive"),
-                ("rp", PICKUP), ("rd", DROPOFF)]
-    lab_path = basepath.with_suffix(".lab")
-    header = " ".join(f'{i}="{name}"' for i, (name, _) in enumerate(exported))
-    masks = [(i, mdp.label(key).tolist()) for i, (_, key) in enumerate(exported) if key]
-    lines = [header]
-    for s in range(mdp.n_states):
-        tags = [0] if s == mdp.init else []
-        tags += [i for i, mask in masks if mask[s]]
-        if tags:
-            lines.append(f"{s}: {' '.join(str(t) for t in tags)}")
-    lab_path.write_text("\n".join(lines) + "\n")
+    # internal label names -> the atoms the mission formula is written over;
+    # a state's line lists the atoms it carries, coded as the bits of ``tags``
+    atoms = {"init": states == mdp.init, "deadlock": np.zeros(n, dtype=bool),
+             "alive": mdp.label("alive"), "rp": mdp.label(PICKUP), "rd": mdp.label(DROPOFF)}
+    tags = sum(mask.astype(np.int64) << i for i, mask in enumerate(atoms.values()))
+    tagged = np.flatnonzero(tags)
+    tokens = [b"%d: " % s for s in tagged.tolist()]
+    tokens += [" ".join(str(i) for i in range(len(atoms)) if code >> i & 1).encode() + b"\n"
+               for code in range(1 << len(atoms))]
+    header = " ".join(f'{i}="{name}"' for i, name in enumerate(atoms))
+    ids = np.column_stack((np.arange(len(tagged)), len(tagged) + tags[tagged]))
+    _stream(lab_path, header, tokens, ids)
 
     return [sta_path, tra_path, lab_path]

@@ -418,3 +418,11 @@ class TestExport:
         for suffix in (".sta", ".tra", ".lab"):
             assert base.with_suffix(suffix).exists()
             assert str(base.with_suffix(suffix)) in out
+
+    def test_out_appends_extensions(self, tmp_path, capsys):
+        # a dotted base keeps its dot: run.1 and run.2 do not share run.sta
+        for run in ("x.1", "x.2"):
+            assert main(["export", "--env", "corridor", "--out", str(tmp_path / run)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"x.{k}{suffix}" for k in (1, 2) for suffix in (".lab", ".sta", ".tra")]
+        assert str(tmp_path / "x.2.tra") in capsys.readouterr().out

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import bundled_doc, make_mdp, random_environment, state_rows
 from hostilemdp.belief import ENTERED, LEFT
-from hostilemdp.envmodel import parse_environment
+from hostilemdp import mdpbuild
+from hostilemdp.envmodel import DROPOFF, PICKUP, parse_environment
 from hostilemdp.mdpbuild import (
     STAY,
     MdpBuilder,
@@ -646,8 +647,9 @@ class TestSerialization:
         assert back.action_names[stay] == STAY
         assert validate_mdp(back) == []
         assert synthesize_mission(back).value == synthesize_mission(mdp).value
-        sta, _, _ = export_prism(back, tmp_path / "merged")
+        sta, tra, lab = export_prism(back, tmp_path / "merged")
         assert sta.read_text().splitlines()[-1].startswith(f"{n}:(")
+        assert [path.read_bytes() for path in (sta, tra, lab)] == reference_export(back)
 
     def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
@@ -756,3 +758,90 @@ class TestSerialization:
         lab_lines = lab.read_text().splitlines()
         assert lab_lines[0] == '0="init" 1="deadlock" 2="alive" 3="rp" 4="rd"'
         assert lab_lines[1].startswith("0: 0")
+
+
+def reference_export(mdp) -> list[bytes]:
+    """The ``.sta``, ``.tra`` and ``.lab`` bytes of the per-line formatter the export replaced."""
+    table = mdp.states
+    if table is None:
+        sta = ["(s)"] + [f"{i}:({i})" for i in range(mdp.n_states)]
+    else:
+        # belief tuples are numbered in order of first appearance
+        ptr, beliefs = table.belief_ptr.tolist(), table.beliefs.tolist()
+        seen: dict = {}
+        combos = [seen.setdefault(tuple(beliefs[lo:hi]), len(seen))
+                  for lo, hi in zip(ptr, ptr[1:])]
+        sta = ["(facet,region,count,level,alive,beliefs)"]
+        sta.extend(f"{i}:({f},{r},{c},{o},{a},{b})" for i, (f, r, c, o, a, b) in enumerate(zip(
+            table.facet.tolist(), table.region.tolist(), table.count.tolist(),
+            table.level.tolist(), table.alive.astype(int).tolist(), combos)))
+
+    trans = mdp.transition_choice()
+    order = np.lexsort((mdp.prob, mdp.succ, trans))
+    owner = mdp.choice_state()[trans[order]]
+    local = trans[order] - mdp.state_ptr[owner]
+    tra = [f"{mdp.n_states} {mdp.n_choices()} {mdp.n_transitions()}"]
+    tra.extend(f"{s} {c} {t} {p!r}" for s, c, t, p in zip(
+        owner.tolist(), local.tolist(), mdp.succ[order].tolist(), mdp.prob[order].tolist()))
+
+    exported = [("init", None), ("deadlock", None), ("alive", "alive"),
+                ("rp", PICKUP), ("rd", DROPOFF)]
+    lab = [" ".join(f'{i}="{name}"' for i, (name, _) in enumerate(exported))]
+    masks = [(i, mdp.label(key).tolist()) for i, (_, key) in enumerate(exported) if key]
+    for s in range(mdp.n_states):
+        tags = [0] if s == mdp.init else []
+        tags += [i for i, mask in masks if mask[s]]
+        if tags:
+            lab.append(f"{s}: {' '.join(str(t) for t in tags)}")
+    return [("\n".join(lines) + "\n").encode() for lines in (sta, tra, lab)]
+
+
+def exported_bytes(mdp, base) -> list[bytes]:
+    return [path.read_bytes() for path in export_prism(mdp, base)]
+
+
+def awkward_numbers_mdp():
+    """Hand-built model whose rows need repr's exponent form, signed zero and repeats."""
+    return make_mdp({
+        0: {"a": [(1, 0.5), (1, -0.0), (2, 0.0), (1, 0.0), (2, 0.1 + 0.2), (0, 0.2)],
+            "b": [(2, 1e-05), (2, 5e-324), (0, 1 - 1e-05)]},
+        1: {"a": [(1, 1.0)]},
+        2: {"a": [(0, 0.7), (2, 0.3)], "b": [(2, 1.0)]},
+    }, init=2, labels={"alive": {0, 1, 2}, PICKUP: {1}, DROPOFF: {0, 2}})
+
+
+class TestExport:
+    """The streamed export writes the reference formatter's bytes."""
+
+    def test_corridor_matches_reference(self, corridor_mdp, tmp_path):
+        assert exported_bytes(corridor_mdp, tmp_path / "m") == reference_export(corridor_mdp)
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_random_builds_match_reference(self, index, tmp_path):
+        mdp = build_mdp(batched_envs()[index])
+        assert exported_bytes(mdp, tmp_path / "m") == reference_export(mdp)
+
+    def test_awkward_numbers_match_reference(self, tmp_path):
+        mdp = awkward_numbers_mdp()
+        assert validate_mdp(mdp) == []
+        sta, tra, lab = exported_bytes(mdp, tmp_path / "m")
+        assert [sta, tra, lab] == reference_export(mdp)
+        # tied successors keep their row order, and -0.0 is not printed as 0.0
+        assert b"0 0 1 -0.0\n0 0 1 0.0\n0 0 1 0.5\n0 0 2 0.0\n0 0 2 0.30000000000000004\n" in tra
+        assert b"0 1 2 5e-324\n0 1 2 1e-05\n" in tra
+        assert lab.splitlines()[1:] == [b"0: 2 4", b"1: 2 3", b"2: 0 2 4"]
+
+    @pytest.mark.parametrize("target", [-1, 10**6])
+    def test_out_of_range_successor_is_refused(self, corridor_mdp, tmp_path, target):
+        mdp = with_row(corridor_mdp, 0, [(target, 1.0)])
+        with pytest.raises(ValueError, match="not one of the"):
+            export_prism(mdp, tmp_path / "m")
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_seams_keep_the_bytes(self, chunk, corridor_mdp, case_envs, tmp_path,
+                                        monkeypatch):
+        mdps = [corridor_mdp, build_mdp(case_envs["A"])]
+        default = [exported_bytes(mdp, tmp_path / f"default{i}") for i, mdp in enumerate(mdps)]
+        monkeypatch.setattr(mdpbuild, "CHUNK", chunk)
+        chunked = [exported_bytes(mdp, tmp_path / f"chunk{i}") for i, mdp in enumerate(mdps)]
+        assert chunked == default
