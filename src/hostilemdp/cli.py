@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -314,11 +315,27 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _finite_float(strict: bool):
+    """argparse type: a finite float at least 0, or above 0 when ``strict``."""
+    wanted = f"a finite number {'above' if strict else 'at least'} 0"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value < 0 or (strict and value == 0):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_env_arg(parser, required=True):
     parser.add_argument("--env", type=_resolve_env_path, required=required,
                         help="environment JSON path or bundled name "
                              f"({', '.join(sorted(BUNDLED))})")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_finite_float(strict=True), default=None,
                         help="multiply every rate by this factor")
 
 
@@ -351,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", help="load a dumped MDP instead of building from --env")
     p.add_argument("--method", choices=("vi", "lp", "both"), default="vi",
                    help="solver; 'both' runs the two and reports their gap")
-    p.add_argument("--tol", type=float, default=1e-9, help="value-iteration stop tolerance")
+    p.add_argument("--tol", type=_finite_float(strict=False), default=1e-9,
+                   help="value-iteration stop tolerance")
     p.add_argument("--out", help="write the strategy as JSON")
     p.set_defaults(func=cmd_synthesize)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 
 from .envmodel import DROPOFF, PICKUP
 from .mdpbuild import Mdp, ranges
@@ -48,7 +47,8 @@ def _backward_levels(n: int, src: np.ndarray, dst: np.ndarray, seeds: np.ndarray
 
     Seeds sit at level 0; states that cannot reach them get -1.
     """
-    order = np.argsort(dst, kind="stable")
+    # np.unique sorts each frontier, so the order of predecessors within a group is free
+    order = np.argsort(dst)
     preds = src[order]
     ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
     level = np.full(n, -1, dtype=np.int64)
@@ -88,6 +88,8 @@ def _free_structure(mdp: Mdp, target: np.ndarray, positive: np.ndarray):
     keep each choice's successor order, so sums and products round as a
     row-by-row walk would.
     """
+    import scipy.sparse  # about 0.2 s to import, so only commands that solve pay it
+
     is_free = positive & ~target
     free = np.flatnonzero(is_free)
     pos_of = np.cumsum(is_free) - 1
@@ -174,6 +176,7 @@ def max_reach_lp(
     the value vector.  Solved with HiGHS through scipy.
     """
     import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
+    import scipy.sparse
 
     positive = qualitative_reach(mdp, target, allowed)
     free, matrix, const, blocks = _free_structure(mdp, target, positive)

@@ -6,7 +6,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +389,28 @@ class TestSimulate:
             assert err.value.code == 2
             assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-env", "beliefs", "build", "synthesize",
+                                         "simulate", "export"])
+    def test_bad_scale_is_a_usage_error(self, capsys, command):
+        extra = {"beliefs": ["--region", "rm"], "export": ["--out", "unused"]}.get(command, [])
+        for value in ("0", "-1", "nan", "inf"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--env", "corridor", "--scale", value, *extra])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert "--scale" in captured.err
+            assert "Warning" not in captured.err
+
+    def test_bad_tolerance_is_a_usage_error(self, capsys):
+        for value in ("-1", "nan", "inf", "-inf"):
+            with pytest.raises(SystemExit) as err:
+                main(["synthesize", "--env", "corridor", "--tol", value])
+            assert err.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+        # zero asks for the float fixpoint, which value iteration reaches
+        assert main(["synthesize", "--env", "corridor", "--tol", "0"]) == 0
+        assert "mission value at init: 0.97286572" in capsys.readouterr().out
+
     def test_trace_csv(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         assert main(["simulate", "--env", "corridor", "--runs", "5",
@@ -426,3 +452,43 @@ class TestExport:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [f"x.{k}{suffix}" for k in (1, 2) for suffix in (".lab", ".sta", ".tra")]
         assert str(tmp_path / "x.2.tra") in capsys.readouterr().out
+
+
+#: run in a fresh interpreter: the CLI commands given, then the loaded scipy modules
+_FRESH_RUN = """
+import json, sys
+from hostilemdp.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def fresh_run(tmp_path, *argvs):
+    """Stdout of the commands run in a new interpreter, and the scipy modules it loaded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out, _, last = done.stdout.rstrip("\n").rpartition("\n")
+    return out, json.loads(last)
+
+
+class TestStartup:
+    def test_commands_without_a_solve_leave_scipy_unloaded(self, tmp_path):
+        out, loaded = fresh_run(
+            tmp_path,
+            ["validate-env", "--env", "corridor"],
+            ["beliefs", "--env", "corridor", "--region", "rm"],
+            ["build", "--env", "corridor", "--dump-mdp", "corridor.mdp.npz"],
+            ["export", "--env", "corridor", "--out", "corridor"],
+        )
+        assert "wrote corridor.tra" in out
+        assert loaded == []
+
+    def test_both_methods_load_scipy_when_they_solve(self, tmp_path):
+        out, loaded = fresh_run(tmp_path, ["synthesize", "--env", "corridor", "--method", "both"])
+        assert "method agreement (vi vs lp)" in out
+        assert {"scipy.sparse", "scipy.optimize"} <= set(loaded)
