@@ -398,6 +398,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("synthesize", "simulate") and not args.mdp and args.env is None:
         parser.error(f"{args.command}: one of --env or --mdp is required")
+    if getattr(args, "mdp", None) and args.scale is not None:
+        parser.error(f"{args.command}: --scale applies to --env only; a --mdp dump is used "
+                     "as stored")
     if args.command == "simulate" and (args.runs < 1 or min(args.max_steps, args.seed) < 0):
         parser.error("simulate: --runs must be at least 1, --max-steps and --seed at least 0")
     _echo_config(args)

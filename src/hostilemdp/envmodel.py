@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -157,7 +158,13 @@ def build_lost_table(region: Region, marginal_n, marginal_o) -> dict[tuple[int, 
 
 
 def scale_rates(env: Environment, factor: float) -> Environment:
-    """Copy of the environment with every rate multiplied by ``factor``."""
+    """Copy of the environment with every rate multiplied by ``factor``.
+
+    Raises :class:`EnvironmentFormatError` when the factor takes a race
+    total to infinity, or a nonzero rate to zero or a subnormal float: the
+    builder's rate ratios would then overflow or lose precision, and the
+    model would silently differ from the unscaled one.
+    """
     regions = {
         rid: replace(r, mu_enter=r.mu_enter * factor, mu_leave=r.mu_leave * factor)
         for rid, r in env.regions.items()
@@ -173,6 +180,15 @@ def scale_rates(env: Environment, factor: float) -> Environment:
         warnings=list(env.warnings),
     )
     _check_race_totals(scaled)
+    pairs = [(f"region {rid!r} {name}", getattr(r, name), getattr(regions[rid], name))
+             for rid, r in env.regions.items() for name in ("mu_enter", "mu_leave")]
+    pairs += [(f"primitive {p.from_facet}->{p.to_facet} rate", p.rate, q.rate)
+              for p, q in zip(env.primitives, prims)]
+    for where, before, after in pairs:
+        if before and not after >= sys.float_info.min:
+            raise EnvironmentFormatError(
+                f"{where}: {before!r} scaled by {factor!r} is {after!r}, below the "
+                "normal float range")
     return scaled
 
 

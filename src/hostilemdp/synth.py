@@ -10,7 +10,7 @@ iteration (sparse, monotone from below) or by the standard occupation LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -42,73 +42,155 @@ class ValueResult:
     residual: Optional[float] = None
 
 
-def _backward_levels(n: int, src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Breadth-first distance from each state to ``seeds`` along edges ``src -> dst``.
+class Predecessors(NamedTuple):
+    """The positive-probability transitions of a model, grouped by successor.
 
-    Seeds sit at level 0; states that cannot reach them get -1.
+    The transitions into state ``t`` are ``ptr[t]:ptr[t + 1]``; ``src`` and
+    ``choice`` give the state and the choice each one leaves from.
     """
-    # np.unique sorts each frontier, so the order of predecessors within a group is free
-    order = np.argsort(dst)
-    preds = src[order]
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+
+    ptr: np.ndarray
+    src: np.ndarray
+    choice: np.ndarray
+
+
+def predecessors(mdp: Mdp) -> Predecessors:
+    """Index the positive-probability transitions of ``mdp`` by successor.
+
+    Every graph pass of one mission reads the same index, so
+    :func:`synthesize_mission` builds it once and passes it on as ``preds``.
+    """
+    import scipy.sparse
+
+    # converting to CSC groups the transitions by successor in one counting sort
+    positive = mdp.prob > 0.0
+    by_succ = scipy.sparse.csr_matrix(
+        (positive, mdp.succ, mdp.choice_ptr), shape=(mdp.n_choices(), mdp.n_states),
+    ).tocsc()
+    ptr, choice = by_succ.indptr.astype(np.int64), by_succ.indices
+    if not positive.all():
+        ptr = np.concatenate(([0], np.cumsum(by_succ.data)))[ptr]
+        choice = choice[by_succ.data]
+    owner = np.repeat(np.arange(mdp.n_states, dtype=choice.dtype), np.diff(mdp.state_ptr))
+    return Predecessors(ptr, owner[choice], choice)
+
+
+def _backward_levels(preds: Predecessors, keep: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from each state to ``seeds`` along the kept transitions.
+
+    ``keep`` masks the transitions of ``preds``.  Seeds sit at level 0;
+    states that cannot reach them get -1.
+    """
+    n = len(preds.ptr) - 1
     level = np.full(n, -1, dtype=np.int64)
     level[seeds] = 0
+    fresh = np.zeros(n, dtype=bool)
     frontier, depth = seeds, 0
     while frontier.size:
         depth += 1
-        found = preds[ranges(ptr[frontier], ptr[frontier + 1])]
-        frontier = np.unique(found[level[found] < 0])
+        into = ranges(preds.ptr[frontier], preds.ptr[frontier + 1])
+        found = preds.src[into[keep[into]]]
+        fresh[found[level[found] < 0]] = True
+        frontier = np.flatnonzero(fresh)
+        fresh[frontier] = False
         level[frontier] = depth
     return level
 
 
-def _edges(mdp: Mdp, choices: np.ndarray):
-    """(source state, successor) of every positive-probability transition of ``choices``."""
-    trans = mdp.transition_choice()
-    keep = choices[trans] & (mdp.prob > 0.0)
-    return mdp.choice_state()[trans[keep]], mdp.succ[keep]
-
-
-def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+def qualitative_reach(
+    mdp: Mdp,
+    target: np.ndarray,
+    allowed: np.ndarray,
+    *,
+    preds: Optional[Predecessors] = None,
+) -> np.ndarray:
     """Mask of the states with positive probability of hitting ``target`` inside ``allowed``.
 
     Graph fixpoint only, no numerics: grow the target set backwards through
     ``allowed`` states that have some action with a successor already inside.
-    Both arguments are bool masks over the states.
+    Both arguments are bool masks over the states; ``preds`` is
+    :func:`predecessors` of ``mdp``, built here when not given.
     """
-    src, dst = _edges(mdp, (allowed & ~target)[mdp.choice_state()])
-    return _backward_levels(mdp.n_states, src, dst, np.flatnonzero(target)) >= 0
+    if preds is None:
+        preds = predecessors(mdp)
+    keep = (allowed & ~target)[preds.src]
+    return _backward_levels(preds, keep, np.flatnonzero(target)) >= 0
+
+
+def _index_kind(bound: int):
+    """The integer type scipy keeps for sparse indices up to ``bound``."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def _free_structure(mdp: Mdp, target: np.ndarray, positive: np.ndarray):
     """Index the states whose values are genuinely unknown.
 
     Target states are pinned to one, states outside ``positive`` to zero;
-    everything else becomes a row block in a sparse choice matrix whose rows
-    keep each choice's successor order, so sums and products round as a
-    row-by-row walk would.
+    everything else is free.  Returns ``free``, ``blocks``, ``rows`` and
+    ``const``.  Each choice of a free state is a row of the CSR matrix
+    ``rows``, in state order, and ``blocks[i]:blocks[i + 1]`` are the rows
+    of free state ``i``.  A row holds the choice's transitions into free
+    states, in its successor order, and then, in column ``nf``, ``const``:
+    its probability of moving into the target, summed in that order, and
+    left out where it is zero.
     """
     import scipy.sparse  # about 0.2 s to import, so only commands that solve pay it
 
     is_free = positive & ~target
     free = np.flatnonzero(is_free)
-    pos_of = np.cumsum(is_free) - 1
-    picked = np.flatnonzero(is_free[mdp.choice_state()])
-    owner = mdp.transition_choice()
-    # row index of each transition among the picked choices (-1: not picked)
-    row_of = np.full(mdp.n_choices(), -1, dtype=np.int64)
-    row_of[picked] = np.arange(len(picked))
-    row = row_of[owner]
-    into_goal = (row >= 0) & target[mdp.succ]
-    into_free = (row >= 0) & is_free[mdp.succ]
-    const = np.bincount(row[into_goal], weights=mdp.prob[into_goal], minlength=len(picked))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row[into_free], minlength=len(picked)))))
-    matrix = scipy.sparse.csr_matrix(
-        (mdp.prob[into_free], pos_of[mdp.succ[into_free]], indptr),
-        shape=(len(picked), len(free)),
+    nf = len(free)
+    first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
+    blocks = np.concatenate(([0], np.cumsum(stop - first)))
+    ends = np.cumsum(np.diff(mdp.choice_ptr)[ranges(first, stop)])
+    # the transitions of the free states' choices, in order; each array with one
+    # entry per transition is dropped once used, since together they set the peak
+    moves = np.flatnonzero(np.repeat(is_free, np.diff(mdp.choice_ptr[mdp.state_ptr])))
+    succ = mdp.succ[moves]
+    into_goal = np.flatnonzero(target[succ])
+    const = np.bincount(np.searchsorted(ends, into_goal, side="right"),
+                        weights=mdp.prob[moves[into_goal]], minlength=len(ends))
+    into_free = is_free[succ]
+    seen = np.cumsum(into_free, dtype=_index_kind(len(moves)))
+    indptr = np.concatenate(([0], np.where(ends > 0, seen[ends - 1], 0)))
+    del seen
+    kind = _index_kind(nf + 1)
+    column = (np.cumsum(is_free) - 1).astype(kind)[succ[into_free]]
+    del succ
+    data = mdp.prob[moves[into_free]]
+    del moves, into_free
+    # each row's const goes after its last free entry
+    folded = np.flatnonzero(const > 0.0)
+    at = indptr[1:][folded]
+    rows = scipy.sparse.csr_matrix(
+        (np.insert(data, at, const[folded]), np.insert(column, at, kind(nf)),
+         indptr + np.searchsorted(folded, np.arange(len(indptr)))),
+        shape=(len(const), nf + 1),
     )
-    blocks = np.concatenate(([0], np.cumsum(np.diff(mdp.state_ptr)[free])))
-    return free, matrix, const, blocks
+    return free, blocks, rows, const
+
+
+def _sweep_matrix(blocks, rows):
+    """The matrix of one value-iteration sweep: ``rows`` rearranged slot-major.
+
+    Row ``j * nf + i`` is free state ``i``'s ``j``-th choice, and is empty
+    when the state has fewer choices.  Each row keeps its const in column
+    ``nf`` as its last entry, against an ``x`` entry fixed at one:
+    ``csr_matvec`` sums each row left to right from +0.0, so a row gives
+    ``S + c``, which rounds as ``c + S`` does, and an empty row gives +0.0,
+    which never exceeds a real backup.
+    """
+    import scipy.sparse
+
+    # indexing a CSR matrix by rows copies each row's entries in their order
+    nf, counts = len(blocks) - 1, np.diff(blocks)
+    slots = np.arange(int(counts.max()))[:, None]
+    real = slots < counts
+    picked = rows[(blocks[:-1] + slots)[real]]
+    size = np.zeros(real.size, dtype=picked.indptr.dtype)
+    size[real.ravel()] = np.diff(picked.indptr)
+    indptr = np.concatenate(([0], np.cumsum(size)))
+    return scipy.sparse.csr_matrix((picked.data, picked.indices, indptr),
+                                   shape=(real.size, nf + 1))
 
 
 def _assemble(mdp, target, free, x):
@@ -125,6 +207,8 @@ def max_reach_vi(
     tol: float = 1e-9,
     max_iter: int = 10**6,
     sweep_hook=None,
+    *,
+    preds: Optional[Predecessors] = None,
 ) -> ValueResult:
     """Value iteration for max P[allowed U target], from below.
 
@@ -133,34 +217,38 @@ def max_reach_vi(
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
     ``sweep_hook``, when given, receives a copy of the free-state vector
     after every sweep (free states are the positive non-target ones, in
-    ascending state order).
+    ascending state order).  ``preds`` is passed on to
+    :func:`qualitative_reach`.
     """
-    positive = qualitative_reach(mdp, target, allowed)
-    free, matrix, const, blocks = _free_structure(mdp, target, positive)
-    if not free.size:
+    positive = qualitative_reach(mdp, target, allowed, preds=preds)
+    free, blocks, rows, _ = _free_structure(mdp, target, positive)
+    nf = len(free)
+    if not nf:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
-    x = np.zeros(len(free))
-    # column j holds each state's j-th choice, or its last one when it has fewer
-    ends = blocks[1:] - 1
-    columns = [np.minimum(blocks[:-1] + j, ends) for j in range(int(np.diff(blocks).max()))]
+    matrix = _sweep_matrix(blocks, rows)
+    del rows  # the sweeps read only the slot-major copy
+    width = matrix.shape[0] // nf
+    # two iterates that swap each sweep; entry nf of both stays 1.0 for the const column
+    xe, ne = np.zeros(nf + 1), np.zeros(nf + 1)
+    xe[nf] = ne[nf] = 1.0
     for sweep in range(1, max_iter + 1):
-        y = const + matrix @ x
-        grouped = y[columns[0]]
-        for column in columns[1:]:
-            np.maximum(grouped, y[column], out=grouped)
-        new = np.maximum(x, grouped)
-        residual = float(np.max(np.abs(new - x)))
-        x = new
+        y = matrix @ xe
+        x, new = xe[:nf], ne[:nf]
+        np.max(y.reshape(width, nf), axis=0, out=new)
+        np.maximum(new, x, out=new)
+        # new >= x, so this is the sup-norm step
+        residual = float(np.max(np.subtract(new, x, out=y[:nf])))
+        xe, ne = ne, xe
         if sweep_hook is not None:
-            sweep_hook(x.copy())
+            sweep_hook(new.copy())
         if residual <= tol:
-            return ValueResult(_assemble(mdp, target, free, x),
+            return ValueResult(_assemble(mdp, target, free, new),
                                positive, "vi", iterations=sweep, residual=residual)
     raise ConvergenceError(
         f"value iteration did not converge within {max_iter} sweeps "
         f"(last residual {residual:.3e})",
-        _assemble(mdp, target, free, x), max_iter, residual,
+        _assemble(mdp, target, free, xe[:nf]), max_iter, residual,
     )
 
 
@@ -168,6 +256,8 @@ def max_reach_lp(
     mdp: Mdp,
     target: np.ndarray,
     allowed: np.ndarray,
+    *,
+    preds: Optional[Predecessors] = None,
 ) -> ValueResult:
     """LP route to the same values: minimize sum(x) over the Bellman cone.
 
@@ -178,11 +268,12 @@ def max_reach_lp(
     import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
     import scipy.sparse
 
-    positive = qualitative_reach(mdp, target, allowed)
-    free, matrix, const, blocks = _free_structure(mdp, target, positive)
+    positive = qualitative_reach(mdp, target, allowed, preds=preds)
+    free, blocks, rows, const = _free_structure(mdp, target, positive)
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
-    n_choices = matrix.shape[0]
+    n_choices = len(const)
+    matrix = rows[:, :len(free)]
     # rows of (Q - E) x <= -c where E picks the owning state of each choice
     owner_rows = np.repeat(np.arange(len(free)), np.diff(blocks))
     picker = scipy.sparse.csr_matrix(
@@ -218,20 +309,24 @@ def extract_policy(
     result: ValueResult,
     target: np.ndarray,
     tie_tol: float = 1e-9,
+    *,
+    preds: Optional[Predecessors] = None,
 ) -> np.ndarray:
     """Memoryless policy attaining the values, defined on positive non-target states.
 
     Returns the ascending indices of the chosen choices, one per such state.
+    ``preds`` is :func:`predecessors` of ``mdp``, built here when not given.
 
     Plain argmax can stall on a cycle whose value equals the maximum (the
     backup is tight along the loop), so among near-maximal actions we require
     strict progress: pick the lowest-index action with a successor closer to
     the target inside the near-maximal edge graph.
     """
+    if preds is None:
+        preds = predecessors(mdp)
     owner = mdp.choice_state()
-    trans = mdp.transition_choice()
     # each backup sums p * value over the row left to right, as a walk would
-    backups = np.bincount(trans, weights=mdp.prob * result.values[mdp.succ],
+    backups = np.bincount(mdp.transition_choice(), weights=mdp.prob * result.values[mdp.succ],
                           minlength=mdp.n_choices())
     solved = result.positive & ~target
     states = np.flatnonzero(solved)
@@ -241,7 +336,7 @@ def extract_policy(
     candidate = solved[owner] & (backups >= best[owner] - tie_tol)
 
     # BFS distances to target through candidate edges only
-    level = _backward_levels(mdp.n_states, *_edges(mdp, candidate), np.flatnonzero(target))
+    level = _backward_levels(preds, candidate[preds.choice], np.flatnonzero(target))
     unreached = states[level[states] < 0]
     if unreached.size:
         raise RuntimeError(
@@ -249,11 +344,12 @@ def extract_policy(
             f"tie tolerance {tie_tol} may be too small"
         )
     dist = np.where(level >= 0, level, np.iinfo(np.int64).max)
-    closer = (mdp.prob > 0.0) & (dist[mdp.succ] < dist[owner[trans]])
-    progressing = candidate & (np.bincount(trans[closer], minlength=mdp.n_choices()) > 0)
-    chosen = np.flatnonzero(progressing)
+    closer = np.repeat(dist, np.diff(preds.ptr)) < dist[preds.src]
+    progressing = np.zeros(mdp.n_choices(), dtype=bool)
+    progressing[preds.choice[closer]] = True
+    chosen = np.flatnonzero(progressing & candidate)
     # choices are grouped by state in ascending action order: keep each state's first
-    return chosen[np.unique(owner[chosen], return_index=True)[1]]
+    return chosen[np.diff(owner[chosen], prepend=-1) != 0]
 
 
 @dataclass
@@ -287,15 +383,16 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tie_tol: float = 1e-9, **kw
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
 
-    second = solve_reachability(mdp, alive & dropoff, alive, method=method, **kw)
+    preds = predecessors(mdp)
+    second = solve_reachability(mdp, alive & dropoff, alive, method=method, preds=preds, **kw)
     deliverable = second.positive
     switch = alive & pickup & deliverable
-    first = solve_reachability(mdp, switch, alive, method=method, **kw)
+    first = solve_reachability(mdp, switch, alive, method=method, preds=preds, **kw)
 
     return MissionStrategy(
         value=float(first.values[mdp.init]),
-        first=extract_policy(mdp, first, switch, tie_tol=tie_tol),
-        second=extract_policy(mdp, second, alive & dropoff, tie_tol=tie_tol),
+        first=extract_policy(mdp, first, switch, tie_tol=tie_tol, preds=preds),
+        second=extract_policy(mdp, second, alive & dropoff, tie_tol=tie_tol, preds=preds),
         switch=switch,
         sat_deliverable=deliverable,
         values_first=first.values,

@@ -165,13 +165,13 @@ def oracle_max_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray | None = 
     return best, mask_of(mdp.n_states, support)
 
 
-def random_mdp(rng: np.random.Generator) -> tuple[Mdp, np.ndarray]:
-    """Small random MDP (2..6 states, 1..2 actions) with exact-sum rows."""
+def random_mdp(rng: np.random.Generator, max_actions: int = 2) -> tuple[Mdp, np.ndarray]:
+    """Small random MDP (2..6 states, 1..``max_actions`` actions) with exact-sum rows."""
     n = int(rng.integers(2, 7))
     table = {}
     for s in range(n):
         acts = {}
-        for a in range(int(rng.integers(1, 3))):
+        for a in range(int(rng.integers(1, max_actions + 1))):
             k = int(rng.integers(1, min(3, n) + 1))
             succs = rng.choice(n, size=k, replace=False)
             weights = rng.integers(1, 6, size=k)

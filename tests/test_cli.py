@@ -173,6 +173,27 @@ class TestBadInputs:
         assert main(["simulate", "--env", env, "--runs", "10"]) == 1
         assert "mission value at init is 0" in single_error(capsys)
 
+    @pytest.mark.parametrize("command", ["synthesize", "simulate", "export"])
+    def test_underflowing_scale_is_one_error_line(self, tmp_path, capsys, command):
+        argv = [command, "--env", "corridor", "--scale", "1e-320"]
+        argv += ["--out", str(tmp_path / "out" / "m")] if command == "export" else []
+        assert main(argv) == 1
+        assert "below the normal float range" in single_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_scale_with_a_dump_is_a_usage_error(self, tmp_path, capsys, command):
+        dump = tmp_path / "corridor.mdp.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        capsys.readouterr()
+        for value in ("5", "1"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--mdp", str(dump), "--scale", value])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert "--scale" in captured.err and "--mdp" in captured.err
+            assert not captured.out
+
     @pytest.mark.parametrize("command", ["synthesize", "export"])
     def test_overflowing_rates_name_the_field(self, tmp_path, capsys, command):
         def overflow(doc):

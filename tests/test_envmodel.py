@@ -279,6 +279,13 @@ class TestScaleRates:
         with pytest.raises(EnvironmentFormatError, match="f0->f1: rate inf with region .a."):
             scale_rates(env, 2.0)
 
+    @pytest.mark.parametrize("factor", [1e-320, 1e-330])
+    def test_underflowing_factor_is_refused(self, factor):
+        # a subnormal or zero rate would change every ratio the builder takes
+        env = parse_environment(small_doc())
+        with pytest.raises(EnvironmentFormatError, match="below the normal float range"):
+            scale_rates(env, factor)
+
     def test_structure_untouched(self):
         env = parse_environment(small_doc())
         doubled = scale_rates(env, 2.0)

@@ -2,18 +2,21 @@
 
 The digests and values were recorded from the nested-list model that the
 flat arrays replaced; any change to build order, solver arithmetic, policy
-extraction or export formatting shows up here as a mismatch.
+extraction or export formatting shows up here as a mismatch.  ``VALUES``
+pins every state's value in both stages, so a last-bit change anywhere in
+the value iteration shows, not only one at the initial state.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import bundled_doc, policy_actions
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import build_mdp, export_prism
-from hostilemdp.synth import synthesize_mission
+from hostilemdp.synth import max_reach_vi, synthesize_mission
 
 #: name -> (sha256 of .sta + .tra + .lab, sha256 of the policy JSON, repr of the value)
 PINNED = {
@@ -31,6 +34,23 @@ PINNED = {
         "f94684617807bd8c362a2fc137adf96887c90899fe7e5beecec535f4a3ec458c",
         "d23fe8b70b8954a98860d064b7549dfe0284f9c65c96ae95d3a680ad450ba888",
         "0.5986294813573032",
+    ),
+}
+
+#: name -> ((sha256 of values_first.tobytes(), its VI sweeps),
+#:          (sha256 of values_second.tobytes(), its VI sweeps)), at the default tolerance
+VALUES = {
+    "corridor": (
+        ("a30ba24adaa0584c8e55af0efbdc5d45464711ba297d1e474141c91e27934091", 33),
+        ("faed0ffcc9e0197c19e0f07bb264dbb83d9bfe9e9528de3fe4eb572e2d1ef368", 34),
+    ),
+    "city_caseA": (
+        ("661b072bb0ac661487d31debddf3e8a6fc314b945e15ade3eaaff83615e54f81", 203),
+        ("f2cef6b7f04e0cd32d8489a74883e59f0aca125c4ed460f681e4f61820b225fb", 192),
+    ),
+    "city_caseB": (
+        ("a7480c81894208554535424308ea4650de0523a2933e25a4c9016c3d8829351e", 140),
+        ("04a26c3161e51df77305efee8b5badc1e2e7e7d57b3f21d8371be3a3fa1ea3ec", 137),
     ),
 }
 
@@ -53,3 +73,20 @@ def test_export_policy_and_value_are_pinned(name, tmp_path):
     }, sort_keys=True)
     assert sha256(policy.encode()) == policy_digest
     assert repr(strategy.value) == value
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_vectors_and_sweeps_are_pinned(name):
+    mdp = build_mdp(parse_environment(bundled_doc(name)))
+    strategy = synthesize_mission(mdp)
+    alive = mdp.label("alive")
+    # the two stages as synthesize_mission solves them, for their sweep counts
+    stages = (
+        (strategy.values_first, max_reach_vi(mdp, strategy.switch, alive)),
+        (strategy.values_second, max_reach_vi(mdp, alive & mdp.label("dropoff"), alive)),
+    )
+    for (digest, sweeps), (values, again) in zip(VALUES[name], stages):
+        assert values.dtype == np.float64
+        assert sha256(values.tobytes()) == digest
+        assert again.iterations == sweeps
+        assert np.array_equal(again.values, values)

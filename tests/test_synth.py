@@ -62,7 +62,67 @@ class TestThreeWayAgreement:
         assert vi.residual <= 1e-9
 
 
+def bellman_sweeps(mdp, target, positive, sweeps):
+    """``sweeps`` value-iteration sweeps as a plain per-state loop over the rows.
+
+    Each backup is the choice's target mass (summed left to right) plus its
+    free terms p * x (summed left to right from 0.0), the rounding
+    ``max_reach_vi`` promises; returns the free-state vector after each sweep.
+    """
+    free = [s for s in range(mdp.n_states) if positive[s] and not target[s]]
+    at = {s: i for i, s in enumerate(free)}
+    x = [0.0] * len(free)
+    out = []
+    for _ in range(sweeps):
+        new = []
+        for i, s in enumerate(free):
+            best = x[i]
+            for _, row in state_rows(mdp, s):
+                const = 0.0
+                for t, p in row:
+                    if target[t]:
+                        const += p
+                total = 0.0
+                for t, p in row:
+                    if t in at:
+                        total += p * x[at[t]]
+                best = max(best, const + total)
+            new.append(best)
+        x = new
+        out.append(np.array(x))
+    return out
+
+
 class TestValueIteration:
+    def test_sweeps_match_the_per_state_loop_bit_for_bit(self):
+        for i in range(40):
+            mdp, target = random_mdp(np.random.default_rng([3301, i]), max_actions=1 + i % 5)
+            snaps = []
+            res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12, sweep_hook=snaps.append)
+            assert len(snaps) == res.iterations
+            expected = bellman_sweeps(mdp, target, res.positive, len(snaps))
+            assert [a.tobytes() for a in snaps] == [b.tobytes() for b in expected]
+
+    def test_budget_error_holds_the_last_sweep(self):
+        # odd and even budgets end on either of the two swapped buffers
+        for i in range(10):
+            mdp, target = random_mdp(np.random.default_rng([3302, i]), max_actions=5)
+            for budget in (1, 2, 3):
+                snaps = []
+                try:
+                    max_reach_vi(mdp, target, everything(mdp), tol=-1.0, max_iter=budget,
+                                 sweep_hook=snaps.append)
+                except ConvergenceError as err:
+                    assert len(snaps) == budget
+                    res = max_reach_vi(mdp, target, everything(mdp))
+                    free = res.positive & ~target
+                    assert err.values[free].tobytes() == snaps[-1].tobytes()
+                    assert np.all(err.values[target] == 1.0)
+                    assert np.all(err.values[~res.positive] == 0.0)
+                else:
+                    # nothing to iterate: every positive state is a target
+                    assert not snaps
+
     def test_sweeps_are_monotone(self):
         for i in range(5):
             mdp, target = random_mdp(np.random.default_rng([99, i]))
