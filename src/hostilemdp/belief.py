@@ -131,9 +131,6 @@ class BeliefSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def child(self, pos: int, kind: str) -> int | None:
-        return self.edges[pos].get(kind)
-
 
 def enumerate_reachable(initial: AdversaryBelief, node_budget: int = 100_000) -> BeliefSet:
     """Breadth-first closure of an initial belief under both updates.

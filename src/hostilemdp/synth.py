@@ -17,6 +17,10 @@ import numpy as np
 from .envmodel import DROPOFF, PICKUP
 from .mdpbuild import Mdp, ranges
 
+#: how far below its state's best backup an action's backup may fall and
+#: still count as maximal when :func:`extract_policy` picks a progressing one
+TIE_TOL = 1e-9
+
 
 class ConvergenceError(RuntimeError):
     """Raised when value iteration exhausts its iteration budget."""
@@ -60,17 +64,13 @@ def predecessors(mdp: Mdp) -> Predecessors:
     Every graph pass of one mission reads the same index, so
     :func:`synthesize_mission` builds it once and passes it on as ``preds``.
     """
-    import scipy.sparse
-
     # converting to CSC groups the transitions by successor in one counting sort
-    positive = mdp.prob > 0.0
-    by_succ = scipy.sparse.csr_matrix(
-        (positive, mdp.succ, mdp.choice_ptr), shape=(mdp.n_choices(), mdp.n_states),
-    ).tocsc()
+    by_succ = _model_matrix(mdp).tocsc()
     ptr, choice = by_succ.indptr.astype(np.int64), by_succ.indices
+    positive = by_succ.data > 0.0
     if not positive.all():
-        ptr = np.concatenate(([0], np.cumsum(by_succ.data)))[ptr]
-        choice = choice[by_succ.data]
+        ptr = np.concatenate(([0], np.cumsum(positive)))[ptr]
+        choice = choice[positive]
     owner = np.repeat(np.arange(mdp.n_states, dtype=choice.dtype), np.diff(mdp.state_ptr))
     return Predecessors(ptr, owner[choice], choice)
 
@@ -117,80 +117,28 @@ def qualitative_reach(
     return _backward_levels(preds, keep, np.flatnonzero(target)) >= 0
 
 
-def _index_kind(bound: int):
-    """The integer type scipy keeps for sparse indices up to ``bound``."""
-    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+def _model_matrix(mdp: Mdp):
+    """The model as a CSR matrix, one row per choice, sharing ``mdp.prob``.
 
-
-def _free_structure(mdp: Mdp, target: np.ndarray, positive: np.ndarray):
-    """Index the states whose values are genuinely unknown.
-
-    Target states are pinned to one, states outside ``positive`` to zero;
-    everything else is free.  Returns ``free``, ``blocks``, ``rows`` and
-    ``const``.  Each choice of a free state is a row of the CSR matrix
-    ``rows``, in state order, and ``blocks[i]:blocks[i + 1]`` are the rows
-    of free state ``i``.  A row holds the choice's transitions into free
-    states, in its successor order, and then, in column ``nf``, ``const``:
-    its probability of moving into the target, summed in that order, and
-    left out where it is zero.
+    Selecting its rows or columns copies each row's entries in their order,
+    and ``csr_matvec`` sums each row left to right from +0.0, as a walk over
+    the row would.  Nothing may change it in place: that would change the model.
     """
     import scipy.sparse  # about 0.2 s to import, so only commands that solve pay it
 
-    is_free = positive & ~target
-    free = np.flatnonzero(is_free)
-    nf = len(free)
-    first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-    blocks = np.concatenate(([0], np.cumsum(stop - first)))
-    ends = np.cumsum(np.diff(mdp.choice_ptr)[ranges(first, stop)])
-    # the transitions of the free states' choices, in order; each array with one
-    # entry per transition is dropped once used, since together they set the peak
-    moves = np.flatnonzero(np.repeat(is_free, np.diff(mdp.choice_ptr[mdp.state_ptr])))
-    succ = mdp.succ[moves]
-    into_goal = np.flatnonzero(target[succ])
-    const = np.bincount(np.searchsorted(ends, into_goal, side="right"),
-                        weights=mdp.prob[moves[into_goal]], minlength=len(ends))
-    into_free = is_free[succ]
-    seen = np.cumsum(into_free, dtype=_index_kind(len(moves)))
-    indptr = np.concatenate(([0], np.where(ends > 0, seen[ends - 1], 0)))
-    del seen
-    kind = _index_kind(nf + 1)
-    column = (np.cumsum(is_free) - 1).astype(kind)[succ[into_free]]
-    del succ
-    data = mdp.prob[moves[into_free]]
-    del moves, into_free
-    # each row's const goes after its last free entry
-    folded = np.flatnonzero(const > 0.0)
-    at = indptr[1:][folded]
-    rows = scipy.sparse.csr_matrix(
-        (np.insert(data, at, const[folded]), np.insert(column, at, kind(nf)),
-         indptr + np.searchsorted(folded, np.arange(len(indptr)))),
-        shape=(len(const), nf + 1),
-    )
-    return free, blocks, rows, const
+    return scipy.sparse.csr_matrix((mdp.prob, mdp.succ, mdp.choice_ptr),
+                                   shape=(mdp.n_choices(), mdp.n_states))
 
 
-def _sweep_matrix(blocks, rows):
-    """The matrix of one value-iteration sweep: ``rows`` rearranged slot-major.
+def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray):
+    """The rows ``choices`` of the model on the columns ``free``, and their target mass.
 
-    Row ``j * nf + i`` is free state ``i``'s ``j``-th choice, and is empty
-    when the state has fewer choices.  Each row keeps its const in column
-    ``nf`` as its last entry, against an ``x`` entry fixed at one:
-    ``csr_matvec`` sums each row left to right from +0.0, so a row gives
-    ``S + c``, which rounds as ``c + S`` does, and an empty row gives +0.0,
-    which never exceeds a real backup.
+    The mass of a row is its probability of moving into ``target``, summed
+    in the row's order.
     """
-    import scipy.sparse
-
-    # indexing a CSR matrix by rows copies each row's entries in their order
-    nf, counts = len(blocks) - 1, np.diff(blocks)
-    slots = np.arange(int(counts.max()))[:, None]
-    real = slots < counts
-    picked = rows[(blocks[:-1] + slots)[real]]
-    size = np.zeros(real.size, dtype=picked.indptr.dtype)
-    size[real.ravel()] = np.diff(picked.indptr)
-    indptr = np.concatenate(([0], np.cumsum(size)))
-    return scipy.sparse.csr_matrix((picked.data, picked.indices, indptr),
-                                   shape=(real.size, nf + 1))
+    picked = _model_matrix(mdp)[choices]
+    goal = np.flatnonzero(target)
+    return picked[:, free], picked[:, goal] @ np.ones(len(goal))
 
 
 def _assemble(mdp, target, free, x):
@@ -220,14 +168,35 @@ def max_reach_vi(
     ascending state order).  ``preds`` is passed on to
     :func:`qualitative_reach`.
     """
+    import scipy.sparse
+
     positive = qualitative_reach(mdp, target, allowed, preds=preds)
-    free, blocks, rows, _ = _free_structure(mdp, target, positive)
+    free = np.flatnonzero(positive & ~target)
     nf = len(free)
     if not nf:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
-    matrix = _sweep_matrix(blocks, rows)
-    del rows  # the sweeps read only the slot-major copy
+    # row j * nf + i of the sweep matrix is free state i's j-th choice, and is
+    # empty when the state has fewer choices: an empty row gives +0.0, which
+    # never exceeds a real backup
+    first = mdp.state_ptr[free]
+    counts = mdp.state_ptr[free + 1] - first
+    slots = np.arange(int(counts.max()))[:, None]
+    real = (slots < counts).ravel()
+    rows, const = _free_rows(mdp, target, free, (first + slots).ravel()[real])
+    # each row's const goes last, in column nf, against an iterate entry fixed
+    # at one, and is left out where it is zero: a row gives S + c, which rounds
+    # as c + S does
+    folded = const > 0.0
+    at = rows.indptr[1:][folded]
+    size = np.zeros(len(real), dtype=rows.indptr.dtype)
+    size[real] = np.diff(rows.indptr) + folded
+    matrix = scipy.sparse.csr_matrix(
+        (np.insert(rows.data, at, const[folded]), np.insert(rows.indices, at, nf),
+         np.concatenate(([0], np.cumsum(size)))),
+        shape=(len(real), nf + 1),
+    )
+    del rows  # the sweeps read only the matrix
     width = matrix.shape[0] // nf
     # two iterates that swap each sweep; entry nf of both stays 1.0 for the const column
     xe, ne = np.zeros(nf + 1), np.zeros(nf + 1)
@@ -269,13 +238,14 @@ def max_reach_lp(
     import scipy.sparse
 
     positive = qualitative_reach(mdp, target, allowed, preds=preds)
-    free, blocks, rows, const = _free_structure(mdp, target, positive)
+    free = np.flatnonzero(positive & ~target)
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
+    first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
+    matrix, const = _free_rows(mdp, target, free, ranges(first, stop))
     n_choices = len(const)
-    matrix = rows[:, :len(free)]
     # rows of (Q - E) x <= -c where E picks the owning state of each choice
-    owner_rows = np.repeat(np.arange(len(free)), np.diff(blocks))
+    owner_rows = np.repeat(np.arange(len(free)), stop - first)
     picker = scipy.sparse.csr_matrix(
         (np.ones(n_choices), (np.arange(n_choices), owner_rows)),
         shape=(n_choices, len(free)),
@@ -308,7 +278,6 @@ def extract_policy(
     mdp: Mdp,
     result: ValueResult,
     target: np.ndarray,
-    tie_tol: float = 1e-9,
     *,
     preds: Optional[Predecessors] = None,
 ) -> np.ndarray:
@@ -326,14 +295,13 @@ def extract_policy(
         preds = predecessors(mdp)
     owner = mdp.choice_state()
     # each backup sums p * value over the row left to right, as a walk would
-    backups = np.bincount(mdp.transition_choice(), weights=mdp.prob * result.values[mdp.succ],
-                          minlength=mdp.n_choices())
+    backups = _model_matrix(mdp) @ result.values
     solved = result.positive & ~target
     states = np.flatnonzero(solved)
     acting = np.diff(mdp.state_ptr) > 0
     best = np.zeros(mdp.n_states)
     best[acting] = np.maximum.reduceat(backups, mdp.state_ptr[:-1][acting])
-    candidate = solved[owner] & (backups >= best[owner] - tie_tol)
+    candidate = solved[owner] & (backups >= best[owner] - TIE_TOL)
 
     # BFS distances to target through candidate edges only
     level = _backward_levels(preds, candidate[preds.choice], np.flatnonzero(target))
@@ -341,7 +309,7 @@ def extract_policy(
     if unreached.size:
         raise RuntimeError(
             f"state {unreached[0]} has positive value but no progressing action; "
-            f"tie tolerance {tie_tol} may be too small"
+            f"tie tolerance {TIE_TOL} may be too small"
         )
     dist = np.where(level >= 0, level, np.iinfo(np.int64).max)
     closer = np.repeat(dist, np.diff(preds.ptr)) < dist[preds.src]
@@ -370,7 +338,7 @@ class MissionStrategy:
     method: str
 
 
-def synthesize_mission(mdp: Mdp, method: str = "vi", tie_tol: float = 1e-9, **kw) -> MissionStrategy:
+def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
     """Solve the nested mission property and extract the switching strategy.
 
     The inner constraint (delivery still possible after pickup) is
@@ -391,8 +359,8 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tie_tol: float = 1e-9, **kw
 
     return MissionStrategy(
         value=float(first.values[mdp.init]),
-        first=extract_policy(mdp, first, switch, tie_tol=tie_tol, preds=preds),
-        second=extract_policy(mdp, second, alive & dropoff, tie_tol=tie_tol, preds=preds),
+        first=extract_policy(mdp, first, switch, preds=preds),
+        second=extract_policy(mdp, second, alive & dropoff, preds=preds),
         switch=switch,
         sat_deliverable=deliverable,
         values_first=first.values,

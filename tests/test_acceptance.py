@@ -135,7 +135,7 @@ def test_criterion_3_fragment_rate_and_entry_probability():
     state = VehicleState("f2", "r4", 2, 0, True, (0, 0, 0))
     nu = builder.estimated_rate(state, prim)
     row = dict(builder.transitions(state, prim))
-    child = builder.belief_sets["r1"].child(0, LEFT)
+    child = builder.belief_sets["r1"].edges[0].get(LEFT)
     p = row[state._replace(count=3, beliefs=(child, 0, 0))]
     ok = abs(nu - 3.38) <= 1e-9 and abs(p - 0.68 * 0.26) <= 0.005
     record(3, ok,

@@ -58,9 +58,9 @@ class TestKnownValues:
             AdversaryBelief(0, 2, 0, (F(1),)),
             AdversaryBelief(0, 2, 1, (F(1),)),
         ]
-        assert bset.child(0, ENTERED) == 1
-        assert bset.child(0, LEFT) == 2
-        assert bset.child(3, ENTERED) is None
+        assert bset.edges[0].get(ENTERED) == 1
+        assert bset.edges[0].get(LEFT) == 2
+        assert bset.edges[3].get(ENTERED) is None
         assert bset.max_redistributions == 2
 
     def test_point_masses_refuse_impossible_updates(self):
@@ -154,6 +154,6 @@ class TestProperties:
                 try:
                     child = update(member)
                 except UpdateNotAllowed:
-                    assert bset.child(i, kind) is None
+                    assert bset.edges[i].get(kind) is None
                     continue
-                assert bset.members[bset.child(i, kind)] == child
+                assert bset.members[bset.edges[i].get(kind)] == child

@@ -177,7 +177,7 @@ class TestEventRace:
     def test_enter_probabilities_split_by_expected_count(self):
         row = dict(self.builder.transitions(self.state, self.prim))
         children = {
-            rid: self.builder.belief_sets[rid].child(0, LEFT)
+            rid: self.builder.belief_sets[rid].edges[0].get(LEFT)
             for rid in ("r1", "r3", "r7")
         }
         enter_r1 = self.state._replace(count=3, beliefs=(children["r1"], 0, 0))
@@ -193,7 +193,7 @@ class TestEventRace:
     def test_enter_conditions_the_source_belief_on_a_departure(self):
         row = dict(self.builder.transitions(self.state, self.prim))
         bset = self.builder.belief_sets["r1"]
-        child = bset.child(0, LEFT)
+        child = bset.edges[0].get(LEFT)
         # point mass at 2 shifts down to a point mass at 1
         member = bset.members[child]
         assert dict(member.items()) == {1: 1}
@@ -203,7 +203,7 @@ class TestEventRace:
         row = dict(self.builder.transitions(self.state, self.prim))
         expected = {}
         for i, rid in enumerate(self.env.neighbors("r4")):
-            child = self.builder.belief_sets[rid].child(0, ENTERED)
+            child = self.builder.belief_sets[rid].edges[0].get(ENTERED)
             beliefs = tuple(child if j == i else 0 for j in range(3))
             expected[self.state._replace(count=1, beliefs=beliefs)] = 0.3 * 2 / (3.38 * 3)
         got = {s: p for s, p in row.items() if s.count == 1}

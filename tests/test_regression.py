@@ -12,11 +12,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from conftest import bundled_doc, policy_actions
+from conftest import bundled_doc, policy_actions, random_mdp
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import build_mdp, export_prism
-from hostilemdp.synth import max_reach_vi, synthesize_mission
+from hostilemdp.synth import max_reach_lp, max_reach_vi, synthesize_mission
 
 #: name -> (sha256 of .sta + .tra + .lab, sha256 of the policy JSON, repr of the value)
 PINNED = {
@@ -51,6 +52,22 @@ VALUES = {
     "city_caseB": (
         ("a7480c81894208554535424308ea4650de0523a2933e25a4c9016c3d8829351e", 140),
         ("04a26c3161e51df77305efee8b5badc1e2e7e7d57b3f21d8371be3a3fa1ea3ec", 137),
+    ),
+}
+
+#: model -> (sha256 of A_ub, sha256 of b_ub) of each LP it solves, in solve order
+#: (the mission's second stage first); A_ub as its shape, data bits, and
+#: indices and indptr as int64.  ``random`` is ``random_mdp`` of seed [1717, 3].
+LP_INPUTS = {
+    "corridor": (
+        ("238c1cfb229f7e20f1094e7c989f1df4807399d64f58f57147cfa48e90611c64",
+         "332d3dbe46901cb0b969a2f0d9c0c55be41935d1e61f915347b94bba0c5d5f04"),
+        ("e9c9c2980f2775bc68b9520019814640cadf88252df79b3d582442c1b824918b",
+         "ef3ae038352f72077751c22dda8c48f459095f07fbb33f4169ddc99f54faf7f4"),
+    ),
+    "random": (
+        ("f6cc7f664acc572315ccdce6f2c54ad65a3b62d0f5787d2fcec94cff5d93163f",
+         "48708f4a0f6d166194904f33e4706b930010b50697299020e6f41ce5222b3cff"),
     ),
 }
 
@@ -90,3 +107,23 @@ def test_value_vectors_and_sweeps_are_pinned(name):
         assert sha256(values.tobytes()) == digest
         assert again.iterations == sweeps
         assert np.array_equal(again.values, values)
+
+
+def test_lp_inputs_are_pinned(monkeypatch):
+    seen = []
+    solve = scipy.optimize.linprog
+
+    def capture(c, A_ub, b_ub, **kw):
+        seen.append((
+            sha256(str(A_ub.shape).encode() + A_ub.data.tobytes()
+                   + A_ub.indices.astype(np.int64).tobytes()
+                   + A_ub.indptr.astype(np.int64).tobytes()),
+            sha256(np.asarray(b_ub, dtype=np.float64).tobytes()),
+        ))
+        return solve(c=c, A_ub=A_ub, b_ub=b_ub, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", capture)
+    synthesize_mission(build_mdp(parse_environment(bundled_doc("corridor"))), method="lp")
+    mdp, goal = random_mdp(np.random.default_rng([1717, 3]), max_actions=3)
+    max_reach_lp(mdp, goal, np.ones(mdp.n_states, dtype=bool))
+    assert tuple(seen) == LP_INPUTS["corridor"] + LP_INPUTS["random"]

@@ -30,6 +30,13 @@ def everything(mdp):
     return np.ones(mdp.n_states, dtype=bool)
 
 
+def model_bytes(mdp):
+    """Every array and label mask of ``mdp`` as (dtype, bytes) pairs."""
+    arrays = [mdp.state_ptr, mdp.choice_action, mdp.choice_ptr, mdp.succ, mdp.prob]
+    arrays += [mdp.labels[name] for name in sorted(mdp.labels)]
+    return [(str(a.dtype), a.tobytes()) for a in arrays]
+
+
 class TestThreeWayAgreement:
     """Value iteration, the LP, and brute-force policy enumeration must agree."""
 
@@ -284,3 +291,30 @@ class TestMission:
             assert np.array_equal(scaled.first, base.first)
             assert np.array_equal(scaled.second, base.second)
             assert scaled.value == pytest.approx(base.value, abs=1e-9)
+
+
+class TestModelUntouched:
+    """The solvers' sparse matrix shares the model's arrays, so an in-place
+    ``sort_indices``, ``sum_duplicates`` or ``eliminate_zeros`` on it would
+    rewrite the model.  Corridor's rows list their successors out of order,
+    and the random model gets a zero-probability entry."""
+
+    def test_mission_solves_leave_corridor_untouched(self, corridor_env):
+        mdp = build_mdp(corridor_env)
+        before = model_bytes(mdp)
+        for method in ("vi", "lp"):
+            strategy = synthesize_mission(mdp, method=method)
+        alive = mdp.label("alive")
+        target = alive & mdp.label("dropoff")
+        extract_policy(mdp, max_reach_vi(mdp, target, alive), target)
+        assert strategy.value > 0.0
+        assert model_bytes(mdp) == before
+
+    def test_solves_leave_a_model_with_a_zero_entry_untouched(self):
+        mdp, target = random_mdp(np.random.default_rng([1717, 3]), max_actions=3)
+        mdp.prob[mdp.choice_ptr[np.flatnonzero(np.diff(mdp.choice_ptr) > 1)[0]]] = 0.0
+        before = model_bytes(mdp)
+        for method in ("vi", "lp"):
+            result = solve_reachability(mdp, target, everything(mdp), method=method)
+        extract_policy(mdp, result, target)
+        assert model_bytes(mdp) == before
