@@ -37,7 +37,7 @@ from .mdpbuild import (
     validate_mdp,
 )
 from .simrun import classify_step, estimate_success
-from .synth import ConvergenceError, synthesize_mission
+from .synth import synthesize_mission
 
 BUNDLED = {"corridor": "corridor.json", "caseA": "city_caseA.json", "caseB": "city_caseB.json"}
 
@@ -208,9 +208,10 @@ def cmd_synthesize(args) -> int:
     results = []
     for m in methods:
         solver_kw = {"tol": args.tol} if m == "vi" else {}
+        # a failed solve (VI budget, LP status, no progressing action) is a RuntimeError
         try:
             results.append(synthesize_mission(mdp, method=m, **solver_kw))
-        except (ConvergenceError, ValueError) as exc:
+        except (RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     strategy = results[0]
@@ -253,7 +254,7 @@ def cmd_simulate(args) -> int:
     mdp = _obtain_mdp(args)
     try:
         strategy = synthesize_mission(mdp, method=args.method)
-    except (ConvergenceError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,6 +37,8 @@ class ValueResult:
     """Per-state reachability values plus solver bookkeeping.
 
     ``positive`` is the bool mask of the states with a positive value.
+    ``iterations`` counts value-iteration sweeps for ``"vi"``, and HiGHS's
+    interior-point iterations, without crossover, for ``"lp"``.
     """
 
     values: np.ndarray
@@ -232,7 +234,10 @@ def max_reach_lp(
 
     Each enabled action of a free state yields one constraint
     x_s >= c_a + sum_succ P(s,a,succ) x_succ; the minimal feasible point is
-    the value vector.  Solved with HiGHS through scipy.
+    the value vector.  Solved by HiGHS's interior point method through scipy;
+    HiGHS then runs crossover, so the answer is a vertex of the cone.  The
+    solution is clipped into the declared bounds [0, 1], which HiGHS may
+    overshoot by a few ulps.
     """
     import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
     import scipy.sparse
@@ -255,11 +260,11 @@ def max_reach_lp(
         A_ub=(matrix - picker).tocsc(),
         b_ub=-const,
         bounds=(0.0, 1.0),
-        method="highs",
+        method="highs-ipm",
     )
     if not res.success:
         raise RuntimeError(f"LP solve failed: {res.message}")
-    return ValueResult(_assemble(mdp, target, free, res.x),
+    return ValueResult(_assemble(mdp, target, free, np.clip(res.x, 0.0, 1.0)),
                        positive, "lp", iterations=int(res.nit))
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bundled_doc
-from hostilemdp import __version__, cli
+from hostilemdp import __version__, cli, synth
 from hostilemdp.cli import main
 from hostilemdp.simrun import OUTCOMES
 
@@ -172,6 +172,29 @@ class TestBadInputs:
         assert "mission value at init: 0.0000000000" in capsys.readouterr().out
         assert main(["simulate", "--env", env, "--runs", "10"]) == 1
         assert "mission value at init is 0" in single_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--method", "lp"],
+        ["synthesize", "--method", "both"],
+        ["simulate", "--method", "lp", "--runs", "10"],
+    ])
+    def test_failed_lp_solve_is_one_error_line(self, capsys, monkeypatch, argv):
+        import scipy.optimize
+
+        def stalled(**kw):
+            return scipy.optimize.OptimizeResult(
+                success=False, status=1, message="Iteration limit reached.")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", stalled)
+        assert main(argv + ["--env", "corridor"]) == 1
+        assert "LP solve failed: Iteration limit reached." in single_error(capsys)
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_no_progressing_action_is_one_error_line(self, capsys, monkeypatch, command):
+        # a negative tie tolerance leaves no action near-maximal
+        monkeypatch.setattr(synth, "TIE_TOL", -1.0)
+        assert main([command, "--env", "corridor"]) == 1
+        assert "no progressing action" in single_error(capsys)
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate", "export"])
     def test_underflowing_scale_is_one_error_line(self, tmp_path, capsys, command):

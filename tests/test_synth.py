@@ -9,6 +9,7 @@ from conftest import (
     members,
     oracle_max_reach,
     policy_actions,
+    random_environment,
     random_mdp,
     state_rows,
     toy_chain,
@@ -52,6 +53,13 @@ class TestThreeWayAgreement:
             assert np.array_equal(qualitative_reach(mdp, target, allowed), oracle_support)
             assert np.array_equal(vi.positive, oracle_support)
             assert np.array_equal(lp.positive, oracle_support)
+
+    def test_lp_values_stay_in_the_unit_interval(self):
+        # HiGHS returns some free-state values a few ulps above 1.0 on these models
+        for i in range(300):
+            mdp, target = random_mdp(np.random.default_rng([77, i]), max_actions=3)
+            values = max_reach_lp(mdp, target, everything(mdp)).values
+            assert 0.0 <= values.min() and values.max() <= 1.0, (i, values.max())
 
     def test_known_small_model(self):
         mdp, _ = toy_chain()
@@ -250,6 +258,24 @@ class TestMission:
         assert float(np.max(np.abs(vi.values_first - lp.values_first))) < 1e-6
         assert float(np.max(np.abs(vi.values_second - lp.values_second))) < 1e-6
         assert np.array_equal(vi.switch, lp.switch)
+
+    def test_lp_matches_vi_on_built_missions(self):
+        rng = np.random.default_rng(20261018)
+        solved = 0
+        for _ in range(20):
+            mdp = build_mdp(random_environment(rng))
+            try:
+                vi = synthesize_mission(mdp, "vi", tol=1e-12)
+            except ValueError as err:
+                assert "pickup and dropoff" in str(err)
+                continue
+            lp = synthesize_mission(mdp, "lp")
+            assert float(np.max(np.abs(vi.values_first - lp.values_first))) < 1e-9
+            assert float(np.max(np.abs(vi.values_second - lp.values_second))) < 1e-9
+            assert np.array_equal(vi.switch, lp.switch)
+            assert np.array_equal(vi.sat_deliverable, lp.sat_deliverable)
+            solved += 1
+        assert solved >= 10
 
     def test_pickup_must_keep_delivery_possible(self):
         # two pickup states: from one the dropoff is unreachable, so the
