@@ -9,6 +9,7 @@ iteration (sparse, monotone from below) or by the standard occupation LP.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -20,6 +21,10 @@ from .mdpbuild import Mdp, ranges
 #: how far below its state's best backup an action's backup may fall and
 #: still count as maximal when :func:`extract_policy` picks a progressing one
 TIE_TOL = 1e-9
+
+#: held while a solver assembles its matrix, so that the two stages of a
+#: mission, which solve at once, never hold two assemblies' temporaries
+_ASSEMBLY = threading.Lock()
 
 
 class ConvergenceError(RuntimeError):
@@ -64,7 +69,8 @@ def predecessors(mdp: Mdp) -> Predecessors:
     """Index the positive-probability transitions of ``mdp`` by successor.
 
     Every graph pass of one mission reads the same index, so
-    :func:`synthesize_mission` builds it once and passes it on as ``preds``.
+    :func:`synthesize_mission` builds it once and passes it on as ``preds``
+    to both stages, which read it at the same time and never write it.
     """
     # converting to CSC groups the transitions by successor in one counting sort
     by_succ = _model_matrix(mdp).tocsc()
@@ -185,20 +191,21 @@ def max_reach_vi(
     counts = mdp.state_ptr[free + 1] - first
     slots = np.arange(int(counts.max()))[:, None]
     real = (slots < counts).ravel()
-    rows, const = _free_rows(mdp, target, free, (first + slots).ravel()[real])
-    # each row's const goes last, in column nf, against an iterate entry fixed
-    # at one, and is left out where it is zero: a row gives S + c, which rounds
-    # as c + S does
-    folded = const > 0.0
-    at = rows.indptr[1:][folded]
-    size = np.zeros(len(real), dtype=rows.indptr.dtype)
-    size[real] = np.diff(rows.indptr) + folded
-    matrix = scipy.sparse.csr_matrix(
-        (np.insert(rows.data, at, const[folded]), np.insert(rows.indices, at, nf),
-         np.concatenate(([0], np.cumsum(size)))),
-        shape=(len(real), nf + 1),
-    )
-    del rows  # the sweeps read only the matrix
+    with _ASSEMBLY:
+        rows, const = _free_rows(mdp, target, free, (first + slots).ravel()[real])
+        # each row's const goes last, in column nf, against an iterate entry
+        # fixed at one, and is left out where it is zero: a row gives S + c,
+        # which rounds as c + S does
+        folded = const > 0.0
+        at = rows.indptr[1:][folded]
+        size = np.zeros(len(real), dtype=rows.indptr.dtype)
+        size[real] = np.diff(rows.indptr) + folded
+        matrix = scipy.sparse.csr_matrix(
+            (np.insert(rows.data, at, const[folded]), np.insert(rows.indices, at, nf),
+             np.concatenate(([0], np.cumsum(size)))),
+            shape=(len(real), nf + 1),
+        )
+        del rows  # the sweeps read only the matrix
     width = matrix.shape[0] // nf
     # two iterates that swap each sweep; entry nf of both stays 1.0 for the const column
     xe, ne = np.zeros(nf + 1), np.zeros(nf + 1)
@@ -247,17 +254,20 @@ def max_reach_lp(
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-    matrix, const = _free_rows(mdp, target, free, ranges(first, stop))
-    n_choices = len(const)
-    # rows of (Q - E) x <= -c where E picks the owning state of each choice
-    owner_rows = np.repeat(np.arange(len(free)), stop - first)
-    picker = scipy.sparse.csr_matrix(
-        (np.ones(n_choices), (np.arange(n_choices), owner_rows)),
-        shape=(n_choices, len(free)),
-    )
+    with _ASSEMBLY:
+        matrix, const = _free_rows(mdp, target, free, ranges(first, stop))
+        n_choices = len(const)
+        # rows of (Q - E) x <= -c where E picks the owning state of each choice
+        owner_rows = np.repeat(np.arange(len(free)), stop - first)
+        picker = scipy.sparse.csr_matrix(
+            (np.ones(n_choices), (np.arange(n_choices), owner_rows)),
+            shape=(n_choices, len(free)),
+        )
+        a_ub = (matrix - picker).tocsc()
+        del matrix, picker, owner_rows  # HiGHS reads only A_ub
     res = scipy.optimize.linprog(
         c=np.ones(len(free)),
-        A_ub=(matrix - picker).tocsc(),
+        A_ub=a_ub,
         b_ub=-const,
         bounds=(0.0, 1.0),
         method="highs-ipm",
@@ -347,8 +357,16 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
     """Solve the nested mission property and extract the switching strategy.
 
     The inner constraint (delivery still possible after pickup) is
-    qualitative, so it comes from the graph fixpoint of the second stage;
-    the two quantitative stages are max-reachability solves.
+    qualitative: the switch set comes from the deliver stage's graph fixpoint
+    alone, before either stage is solved.  The two max-reachability solves
+    then no longer depend on each other and always run at once, with no
+    option to turn that off: the pickup stage on a worker thread, the
+    deliver stage on the calling thread.  Their sweeps and LP solves release
+    the GIL; their matrix assembly takes turns.  A deliver-stage failure wins
+    over a pickup-stage one, the worker is joined before anything is raised,
+    and the policies are extracted after the join, first stage first.
+    ``kw`` goes to both solvers, so a ``sweep_hook`` is called from both
+    threads.
     """
     alive = mdp.label("alive")
     pickup = mdp.label(PICKUP)
@@ -357,15 +375,32 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
 
     preds = predecessors(mdp)
-    second = solve_reachability(mdp, alive & dropoff, alive, method=method, preds=preds, **kw)
-    deliverable = second.positive
+    deliver = alive & dropoff
+    deliverable = qualitative_reach(mdp, deliver, alive, preds=preds)
     switch = alive & pickup & deliverable
-    first = solve_reachability(mdp, switch, alive, method=method, preds=preds, **kw)
+    outcome: dict[str, object] = {}
+
+    def pickup_stage():
+        try:
+            outcome["first"] = solve_reachability(mdp, switch, alive, method=method,
+                                                  preds=preds, **kw)
+        except BaseException as exc:  # re-raised on the calling thread after the join
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=pickup_stage, name="hostilemdp-pickup-stage")
+    worker.start()
+    try:
+        second = solve_reachability(mdp, deliver, alive, method=method, preds=preds, **kw)
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    first = outcome["first"]
 
     return MissionStrategy(
         value=float(first.values[mdp.init]),
         first=extract_policy(mdp, first, switch, preds=preds),
-        second=extract_policy(mdp, second, alive & dropoff, preds=preds),
+        second=extract_policy(mdp, second, deliver, preds=preds),
         switch=switch,
         sat_deliverable=deliverable,
         values_first=first.values,

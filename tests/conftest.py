@@ -19,6 +19,7 @@ import pytest
 
 from hostilemdp.envmodel import Environment, parse_environment
 from hostilemdp.mdpbuild import Mdp, build_mdp
+from hostilemdp.synth import MissionStrategy, extract_policy, predecessors, solve_reachability
 
 # ---------------------------------------------------------------------------
 # hand-built MDPs
@@ -182,6 +183,38 @@ def random_mdp(rng: np.random.Generator, max_actions: int = 2) -> tuple[Mdp, np.
     target = [int(x) for x in rng.choice(n, size=k, replace=False)]
     mdp = make_mdp(table, labels={"goal": target})
     return mdp, mdp.label("goal")
+
+
+# ---------------------------------------------------------------------------
+# sequential mission oracle
+
+
+def sequential_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
+    """The mission solved one stage after the other on the calling thread.
+
+    The order is deliver solve, pickup solve, then the first-stage and the
+    second-stage policy, with the switch set taken from the deliver solve's
+    positive set, so any difference from ``synthesize_mission`` comes from
+    running the stages at once.
+    """
+    alive = mdp.label("alive")
+    deliver = alive & mdp.label("dropoff")
+    preds = predecessors(mdp)
+    second = solve_reachability(mdp, deliver, alive, method=method, preds=preds, **kw)
+    switch = alive & mdp.label("pickup") & second.positive
+    first = solve_reachability(mdp, switch, alive, method=method, preds=preds, **kw)
+    first_policy = extract_policy(mdp, first, switch, preds=preds)
+    second_policy = extract_policy(mdp, second, deliver, preds=preds)
+    return MissionStrategy(
+        value=float(first.values[mdp.init]),
+        first=first_policy,
+        second=second_policy,
+        switch=switch,
+        sat_deliverable=second.positive,
+        values_first=first.values,
+        values_second=second.values,
+        method=method,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,9 @@ VALUES = {
     ),
 }
 
-#: model -> (sha256 of A_ub, sha256 of b_ub) of each LP it solves, in solve order
-#: (the mission's second stage first); A_ub as its shape, data bits, and
-#: indices and indptr as int64.  ``random`` is ``random_mdp`` of seed [1717, 3].
+#: model -> (sha256 of A_ub, sha256 of b_ub) of each LP it solves (the
+#: mission's second stage first); A_ub as its shape, data bits, and indices and
+#: indptr as int64.  ``random`` is ``random_mdp`` of seed [1717, 3].
 LP_INPUTS = {
     "corridor": (
         ("238c1cfb229f7e20f1094e7c989f1df4807399d64f58f57147cfa48e90611c64",
@@ -126,4 +126,8 @@ def test_lp_inputs_are_pinned(monkeypatch):
     synthesize_mission(build_mdp(parse_environment(bundled_doc("corridor"))), method="lp")
     mdp, goal = random_mdp(np.random.default_rng([1717, 3]), max_actions=3)
     max_reach_lp(mdp, goal, np.ones(mdp.n_states, dtype=bool))
-    assert tuple(seen) == LP_INPUTS["corridor"] + LP_INPUTS["random"]
+    # the mission's two stage LPs are solved at the same time, so they may be
+    # captured in either order; every digest must still match
+    assert len(seen) == 3
+    assert sorted(seen[:2]) == sorted(LP_INPUTS["corridor"])
+    assert tuple(seen[2:]) == LP_INPUTS["random"]

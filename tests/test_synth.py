@@ -1,7 +1,12 @@
 """Reachability solvers cross-checked against a policy-enumeration oracle."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import (
     make_mdp,
@@ -11,9 +16,11 @@ from conftest import (
     policy_actions,
     random_environment,
     random_mdp,
+    sequential_mission,
     state_rows,
     toy_chain,
 )
+from hostilemdp import synth
 from hostilemdp.envmodel import scale_rates
 from hostilemdp.mdpbuild import build_mdp
 from hostilemdp.synth import (
@@ -344,3 +351,112 @@ class TestModelUntouched:
             result = solve_reachability(mdp, target, everything(mdp), method=method)
         extract_policy(mdp, result, target)
         assert model_bytes(mdp) == before
+
+
+def mission_fields(strategy):
+    """The arrays of a mission strategy that must match bit for bit, as (dtype, bytes)."""
+    return [(str(a.dtype), a.tobytes()) for a in (
+        strategy.first, strategy.second, strategy.switch, strategy.sat_deliverable,
+        strategy.values_first, strategy.values_second)]
+
+
+@pytest.fixture
+def stray_threads(monkeypatch):
+    """Fails the test if a thread outlives the call or an exception reaches ``threading.excepthook``."""
+    baseline = threading.active_count()
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    yield
+    assert threading.active_count() == baseline
+    assert not escaped
+
+
+class TestConcurrentStages:
+    """``synthesize_mission`` solves its two stages at once; what it returns
+    and raises must be what the stages solved one after the other give."""
+
+    @pytest.mark.parametrize("method", ["vi", "lp"])
+    @pytest.mark.parametrize("name", ["corridor", "A", "B"])
+    def test_bundled_missions_match_the_sequential_order(self, corridor_env, case_envs,
+                                                         stray_threads, name, method):
+        mdp = build_mdp(corridor_env if name == "corridor" else case_envs[name])
+        expected = mission_fields(sequential_mission(mdp, method))
+        assert mission_fields(synthesize_mission(mdp, method)) == expected
+
+    @pytest.mark.parametrize("method", ["vi", "lp"])
+    def test_corridor_is_the_same_on_every_repeat(self, corridor_mdp, stray_threads, method):
+        expected = mission_fields(sequential_mission(corridor_mdp, method))
+        # a short switch interval interleaves the two stages more often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert mission_fields(synthesize_mission(corridor_mdp, method)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_built_missions_match_the_sequential_order(self, stray_threads):
+        # the 20 models of TestMission.test_lp_matches_vi_on_built_missions
+        rng = np.random.default_rng(20261018)
+        solved = 0
+        for _ in range(20):
+            mdp = build_mdp(random_environment(rng))
+            for method, kw in (("vi", {"tol": 1e-12}), ("lp", {})):
+                try:
+                    got = synthesize_mission(mdp, method, **kw)
+                except ValueError as err:
+                    assert "pickup and dropoff" in str(err)
+                    break
+                assert mission_fields(got) == mission_fields(sequential_mission(mdp, method, **kw))
+            else:
+                solved += 1
+        assert solved >= 10
+
+    def test_deliver_convergence_error_wins(self, corridor_mdp, stray_threads):
+        # both stages run out of sweeps; the raised error is the deliver stage's
+        alive = corridor_mdp.label("alive")
+        with pytest.raises(ConvergenceError) as deliver:
+            max_reach_vi(corridor_mdp, alive & corridor_mdp.label("dropoff"), alive, max_iter=3)
+        with pytest.raises(ConvergenceError) as raised:
+            synthesize_mission(corridor_mdp, max_iter=3)
+        assert raised.value.values.tobytes() == deliver.value.values.tobytes()
+        assert (raised.value.iterations, raised.value.residual) == (
+            deliver.value.iterations, deliver.value.residual)
+
+    @pytest.mark.parametrize("failing, reported", [
+        ({"deliver"}, "deliver"),
+        ({"pickup"}, "pickup"),
+        ({"deliver", "pickup"}, "deliver"),
+    ])
+    def test_failed_lp_stage_is_reported_after_the_join(self, corridor_mdp, monkeypatch,
+                                                        stray_threads, failing, reported):
+        alive = corridor_mdp.label("alive")
+        deliver = alive & corridor_mdp.label("dropoff")
+        # the two corridor stages have different numbers of free states
+        n_deliver = int(np.count_nonzero(qualitative_reach(corridor_mdp, deliver, alive) & ~deliver))
+        solve, finished = scipy.optimize.linprog, []
+
+        def stub(c, **kw):
+            stage = "deliver" if len(c) == n_deliver else "pickup"
+            if stage in failing:
+                return scipy.optimize.OptimizeResult(success=False, status=1,
+                                                     message=f"{stage} stalled")
+            # a stage that succeeds is slow, so a failure elsewhere raises first
+            time.sleep(0.2)
+            res = solve(c=c, **kw)
+            finished.append(stage)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", stub)
+        with pytest.raises(RuntimeError, match=f"^LP solve failed: {reported} stalled$"):
+            synthesize_mission(corridor_mdp, "lp")
+        assert sorted(finished) == sorted({"deliver", "pickup"} - failing)
+
+    def test_no_progressing_action_error_is_the_sequential_one(self, corridor_mdp, monkeypatch,
+                                                               stray_threads):
+        monkeypatch.setattr(synth, "TIE_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="no progressing action") as expected:
+            sequential_mission(corridor_mdp)
+        with pytest.raises(RuntimeError, match="no progressing action") as raised:
+            synthesize_mission(corridor_mdp)
+        assert str(raised.value) == str(expected.value)
