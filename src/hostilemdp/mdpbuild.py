@@ -30,6 +30,7 @@ from __future__ import annotations
 import zipfile
 from array import array
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -114,7 +115,8 @@ class Mdp:
     ``labels`` is a bool mask over the states.
     A set of states is such a mask everywhere in the package, and a policy
     is the ascending int64 array of the choices it plays, one per state it
-    covers.
+    covers.  A model must not change once it has been solved: the solvers
+    keep its :attr:`matrix` and :attr:`predecessors` for its whole life.
     """
 
     states: StateTable | None
@@ -150,6 +152,52 @@ class Mdp:
     def transition_choice(self) -> np.ndarray:
         """The choice that owns each transition."""
         return np.repeat(np.arange(self.n_choices()), np.diff(self.choice_ptr))
+
+    @cached_property
+    def matrix(self):
+        """The model as a scipy CSR matrix, one row per choice, sharing ``prob``.
+
+        Its index arrays are int32 where they fit.  Selecting its rows or
+        columns copies each row's entries in their order, and ``csr_matvec``
+        sums each row left to right from +0.0, as a walk over the row would.
+        Nothing may change it in place: that would change the model, and
+        every later solve of it.
+        """
+        import scipy.sparse  # about 0.2 s to import, so only commands that solve pay it
+
+        return scipy.sparse.csr_matrix((self.prob, self.succ, self.choice_ptr),
+                                       shape=(self.n_choices(), self.n_states))
+
+    @cached_property
+    def predecessors(self) -> Predecessors:
+        """The positive-probability transitions of the model, grouped by successor.
+
+        Built on first use from :attr:`matrix` and kept: every graph pass of
+        every solve reads the same index and never writes it.  Two threads
+        may read it at once, but only one may build it, since
+        ``cached_property`` takes no lock.
+        """
+        # converting to CSC groups the transitions by successor in one counting sort
+        by_succ = self.matrix.tocsc()
+        ptr, choice = by_succ.indptr.astype(np.int64), by_succ.indices
+        positive = by_succ.data > 0.0
+        if not positive.all():
+            ptr = np.concatenate(([0], np.cumsum(positive)))[ptr]
+            choice = choice[positive]
+        owner = np.repeat(np.arange(self.n_states, dtype=choice.dtype), np.diff(self.state_ptr))
+        return Predecessors(ptr, owner[choice], choice)
+
+
+class Predecessors(NamedTuple):
+    """The positive-probability transitions of a model, grouped by successor.
+
+    The transitions into state ``t`` are ``ptr[t]:ptr[t + 1]``; ``src`` and
+    ``choice`` give the state and the choice each one leaves from.
+    """
+
+    ptr: np.ndarray
+    src: np.ndarray
+    choice: np.ndarray
 
 
 def ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .envmodel import DROPOFF, PICKUP
-from .mdpbuild import Mdp, ranges
+from .mdpbuild import Mdp, Predecessors, ranges
 
 #: how far below its state's best backup an action's backup may fall and
 #: still count as maximal when :func:`extract_policy` picks a progressing one
@@ -53,36 +53,6 @@ class ValueResult:
     residual: Optional[float] = None
 
 
-class Predecessors(NamedTuple):
-    """The positive-probability transitions of a model, grouped by successor.
-
-    The transitions into state ``t`` are ``ptr[t]:ptr[t + 1]``; ``src`` and
-    ``choice`` give the state and the choice each one leaves from.
-    """
-
-    ptr: np.ndarray
-    src: np.ndarray
-    choice: np.ndarray
-
-
-def predecessors(mdp: Mdp) -> Predecessors:
-    """Index the positive-probability transitions of ``mdp`` by successor.
-
-    Every graph pass of one mission reads the same index, so
-    :func:`synthesize_mission` builds it once and passes it on as ``preds``
-    to both stages, which read it at the same time and never write it.
-    """
-    # converting to CSC groups the transitions by successor in one counting sort
-    by_succ = _model_matrix(mdp).tocsc()
-    ptr, choice = by_succ.indptr.astype(np.int64), by_succ.indices
-    positive = by_succ.data > 0.0
-    if not positive.all():
-        ptr = np.concatenate(([0], np.cumsum(positive)))[ptr]
-        choice = choice[positive]
-    owner = np.repeat(np.arange(mdp.n_states, dtype=choice.dtype), np.diff(mdp.state_ptr))
-    return Predecessors(ptr, owner[choice], choice)
-
-
 def _backward_levels(preds: Predecessors, keep: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Breadth-first distance from each state to ``seeds`` along the kept transitions.
 
@@ -105,37 +75,16 @@ def _backward_levels(preds: Predecessors, keep: np.ndarray, seeds: np.ndarray) -
     return level
 
 
-def qualitative_reach(
-    mdp: Mdp,
-    target: np.ndarray,
-    allowed: np.ndarray,
-    *,
-    preds: Optional[Predecessors] = None,
-) -> np.ndarray:
+def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Mask of the states with positive probability of hitting ``target`` inside ``allowed``.
 
     Graph fixpoint only, no numerics: grow the target set backwards through
     ``allowed`` states that have some action with a successor already inside.
-    Both arguments are bool masks over the states; ``preds`` is
-    :func:`predecessors` of ``mdp``, built here when not given.
+    Both arguments are bool masks over the states.
     """
-    if preds is None:
-        preds = predecessors(mdp)
+    preds = mdp.predecessors
     keep = (allowed & ~target)[preds.src]
     return _backward_levels(preds, keep, np.flatnonzero(target)) >= 0
-
-
-def _model_matrix(mdp: Mdp):
-    """The model as a CSR matrix, one row per choice, sharing ``mdp.prob``.
-
-    Selecting its rows or columns copies each row's entries in their order,
-    and ``csr_matvec`` sums each row left to right from +0.0, as a walk over
-    the row would.  Nothing may change it in place: that would change the model.
-    """
-    import scipy.sparse  # about 0.2 s to import, so only commands that solve pay it
-
-    return scipy.sparse.csr_matrix((mdp.prob, mdp.succ, mdp.choice_ptr),
-                                   shape=(mdp.n_choices(), mdp.n_states))
 
 
 def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray):
@@ -144,7 +93,7 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
     The mass of a row is its probability of moving into ``target``, summed
     in the row's order.
     """
-    picked = _model_matrix(mdp)[choices]
+    picked = mdp.matrix[choices]
     goal = np.flatnonzero(target)
     return picked[:, free], picked[:, goal] @ np.ones(len(goal))
 
@@ -163,8 +112,6 @@ def max_reach_vi(
     tol: float = 1e-9,
     max_iter: int = 10**6,
     sweep_hook=None,
-    *,
-    preds: Optional[Predecessors] = None,
 ) -> ValueResult:
     """Value iteration for max P[allowed U target], from below.
 
@@ -173,12 +120,11 @@ def max_reach_vi(
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
     ``sweep_hook``, when given, receives a copy of the free-state vector
     after every sweep (free states are the positive non-target ones, in
-    ascending state order).  ``preds`` is passed on to
-    :func:`qualitative_reach`.
+    ascending state order).
     """
     import scipy.sparse
 
-    positive = qualitative_reach(mdp, target, allowed, preds=preds)
+    positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
     nf = len(free)
     if not nf:
@@ -230,13 +176,7 @@ def max_reach_vi(
     )
 
 
-def max_reach_lp(
-    mdp: Mdp,
-    target: np.ndarray,
-    allowed: np.ndarray,
-    *,
-    preds: Optional[Predecessors] = None,
-) -> ValueResult:
+def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> ValueResult:
     """LP route to the same values: minimize sum(x) over the Bellman cone.
 
     Each enabled action of a free state yields one constraint
@@ -249,7 +189,7 @@ def max_reach_lp(
     import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
     import scipy.sparse
 
-    positive = qualitative_reach(mdp, target, allowed, preds=preds)
+    positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
@@ -289,28 +229,20 @@ def solve_reachability(mdp, target, allowed, method: str = "vi", **kw) -> ValueR
     return solver(mdp, target, allowed, **kw)
 
 
-def extract_policy(
-    mdp: Mdp,
-    result: ValueResult,
-    target: np.ndarray,
-    *,
-    preds: Optional[Predecessors] = None,
-) -> np.ndarray:
+def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndarray:
     """Memoryless policy attaining the values, defined on positive non-target states.
 
     Returns the ascending indices of the chosen choices, one per such state.
-    ``preds`` is :func:`predecessors` of ``mdp``, built here when not given.
 
     Plain argmax can stall on a cycle whose value equals the maximum (the
     backup is tight along the loop), so among near-maximal actions we require
     strict progress: pick the lowest-index action with a successor closer to
     the target inside the near-maximal edge graph.
     """
-    if preds is None:
-        preds = predecessors(mdp)
+    preds = mdp.predecessors
     owner = mdp.choice_state()
     # each backup sums p * value over the row left to right, as a walk would
-    backups = _model_matrix(mdp) @ result.values
+    backups = mdp.matrix @ result.values
     solved = result.positive & ~target
     states = np.flatnonzero(solved)
     acting = np.diff(mdp.state_ptr) > 0
@@ -374,33 +306,22 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
 
-    preds = predecessors(mdp)
     deliver = alive & dropoff
-    deliverable = qualitative_reach(mdp, deliver, alive, preds=preds)
+    # this first graph pass builds the model's matrix and predecessor index on
+    # the calling thread, so the two stages only read them
+    deliverable = qualitative_reach(mdp, deliver, alive)
     switch = alive & pickup & deliverable
-    outcome: dict[str, object] = {}
+    from concurrent.futures import ThreadPoolExecutor  # scipy.sparse has loaded it already
 
-    def pickup_stage():
-        try:
-            outcome["first"] = solve_reachability(mdp, switch, alive, method=method,
-                                                  preds=preds, **kw)
-        except BaseException as exc:  # re-raised on the calling thread after the join
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=pickup_stage, name="hostilemdp-pickup-stage")
-    worker.start()
-    try:
-        second = solve_reachability(mdp, deliver, alive, method=method, preds=preds, **kw)
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome.pop("error")
-    first = outcome["first"]
+    with ThreadPoolExecutor(1, thread_name_prefix="hostilemdp-pickup-stage") as pool:
+        future = pool.submit(solve_reachability, mdp, switch, alive, method=method, **kw)
+        second = solve_reachability(mdp, deliver, alive, method=method, **kw)
+    first = future.result()
 
     return MissionStrategy(
         value=float(first.values[mdp.init]),
-        first=extract_policy(mdp, first, switch, preds=preds),
-        second=extract_policy(mdp, second, deliver, preds=preds),
+        first=extract_policy(mdp, first, switch),
+        second=extract_policy(mdp, second, deliver),
         switch=switch,
         sat_deliverable=deliverable,
         values_first=first.values,

@@ -19,7 +19,7 @@ import pytest
 
 from hostilemdp.envmodel import Environment, parse_environment
 from hostilemdp.mdpbuild import Mdp, build_mdp
-from hostilemdp.synth import MissionStrategy, extract_policy, predecessors, solve_reachability
+from hostilemdp.synth import MissionStrategy, extract_policy, solve_reachability
 
 # ---------------------------------------------------------------------------
 # hand-built MDPs
@@ -199,12 +199,11 @@ def sequential_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
     """
     alive = mdp.label("alive")
     deliver = alive & mdp.label("dropoff")
-    preds = predecessors(mdp)
-    second = solve_reachability(mdp, deliver, alive, method=method, preds=preds, **kw)
+    second = solve_reachability(mdp, deliver, alive, method=method, **kw)
     switch = alive & mdp.label("pickup") & second.positive
-    first = solve_reachability(mdp, switch, alive, method=method, preds=preds, **kw)
-    first_policy = extract_policy(mdp, first, switch, preds=preds)
-    second_policy = extract_policy(mdp, second, deliver, preds=preds)
+    first = solve_reachability(mdp, switch, alive, method=method, **kw)
+    first_policy = extract_policy(mdp, first, switch)
+    second_policy = extract_policy(mdp, second, deliver)
     return MissionStrategy(
         value=float(first.values[mdp.init]),
         first=first_policy,

@@ -498,18 +498,20 @@ class TestExport:
         assert str(tmp_path / "x.2.tra") in capsys.readouterr().out
 
 
-#: run in a fresh interpreter: the CLI commands given, then the loaded scipy modules
+#: run in a fresh interpreter: the CLI commands given, then the loaded scipy
+#: and concurrent.futures modules
 _FRESH_RUN = """
 import json, sys
 from hostilemdp.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "concurrent"))))
 """
 
 
 def fresh_run(tmp_path, *argvs):
-    """Stdout of the commands run in a new interpreter, and the scipy modules it loaded."""
+    """Stdout of the commands run in a new interpreter, and the scipy and
+    concurrent.futures modules it loaded."""
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -521,6 +523,9 @@ def fresh_run(tmp_path, *argvs):
 
 
 class TestStartup:
+    def test_cli_import_leaves_scipy_and_the_executor_unloaded(self, tmp_path):
+        assert fresh_run(tmp_path) == ("", [])
+
     def test_commands_without_a_solve_leave_scipy_unloaded(self, tmp_path):
         out, loaded = fresh_run(
             tmp_path,

@@ -1,8 +1,10 @@
 """Reachability solvers cross-checked against a policy-enumeration oracle."""
 
+import dataclasses
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from conftest import (
 )
 from hostilemdp import synth
 from hostilemdp.envmodel import scale_rates
-from hostilemdp.mdpbuild import build_mdp
+from hostilemdp.mdpbuild import build_mdp, dump_mdp, load_mdp
 from hostilemdp.synth import (
     ConvergenceError,
     extract_policy,
@@ -39,9 +41,10 @@ def everything(mdp):
 
 
 def model_bytes(mdp):
-    """Every array and label mask of ``mdp`` as (dtype, bytes) pairs."""
+    """Every array and label mask of ``mdp``, and of its solver view, as (dtype, bytes) pairs."""
     arrays = [mdp.state_ptr, mdp.choice_action, mdp.choice_ptr, mdp.succ, mdp.prob]
     arrays += [mdp.labels[name] for name in sorted(mdp.labels)]
+    arrays += [mdp.matrix.data, mdp.matrix.indices, mdp.matrix.indptr, *mdp.predecessors]
     return [(str(a.dtype), a.tobytes()) for a in arrays]
 
 
@@ -327,10 +330,11 @@ class TestMission:
 
 
 class TestModelUntouched:
-    """The solvers' sparse matrix shares the model's arrays, so an in-place
-    ``sort_indices``, ``sum_duplicates`` or ``eliminate_zeros`` on it would
-    rewrite the model.  Corridor's rows list their successors out of order,
-    and the random model gets a zero-probability entry."""
+    """The solvers' sparse matrix shares the model's arrays and is kept for
+    the model's life, so an in-place ``sort_indices``, ``sum_duplicates`` or
+    ``eliminate_zeros`` on it would rewrite the model and every later solve
+    of it.  Corridor's rows list their successors out of order, and the
+    random model gets a zero-probability entry."""
 
     def test_mission_solves_leave_corridor_untouched(self, corridor_env):
         mdp = build_mdp(corridor_env)
@@ -351,6 +355,52 @@ class TestModelUntouched:
             result = solve_reachability(mdp, target, everything(mdp), method=method)
         extract_policy(mdp, result, target)
         assert model_bytes(mdp) == before
+
+
+def coin(p):
+    """One choice that reaches the goal, state 1, with probability ``p`` and the sink otherwise."""
+    return make_mdp({0: {"go": [(1, p), (2, 1.0 - p)]}, 1: {"stay": [(1, 1.0)]},
+                     2: {"stay": [(2, 1.0)]}}, labels={"goal": [1]})
+
+
+class TestSolverView:
+    """``Mdp.matrix`` and ``Mdp.predecessors`` are built once per model and
+    kept; a changed model is a new ``Mdp`` with views of its own."""
+
+    def test_matrix_shares_the_probabilities(self, corridor_env):
+        mdp = build_mdp(corridor_env)
+        assert np.shares_memory(mdp.matrix.data, mdp.prob)
+        assert mdp.matrix.indices.dtype == mdp.matrix.indptr.dtype == np.int32
+        assert mdp.matrix.shape == (mdp.n_choices(), mdp.n_states)
+
+    def test_missions_reuse_the_view(self, corridor_env):
+        mdp = build_mdp(corridor_env)
+        matrix, preds = mdp.matrix, mdp.predecessors
+        synthesize_mission(mdp, "vi")
+        synthesize_mission(mdp, "lp")
+        assert mdp.matrix is matrix and mdp.predecessors is preds
+
+    def test_replaced_probabilities_get_a_fresh_view(self):
+        mdp = coin(0.5)
+        goal = mdp.label("goal")
+        assert max_reach_vi(mdp, goal, everything(mdp)).values[0] == 0.5
+        likely = dataclasses.replace(mdp, prob=coin(0.9).prob)
+        assert max_reach_vi(likely, goal, everything(likely)).values[0] == 0.9
+        assert np.shares_memory(likely.matrix.data, likely.prob)
+        never = dataclasses.replace(mdp, prob=coin(0.0).prob)
+        assert not qualitative_reach(never, goal, everything(never))[0]
+        assert qualitative_reach(mdp, goal, everything(mdp))[0]
+
+    def test_a_loaded_model_gets_a_fresh_view(self, corridor_env, tmp_path):
+        mdp = build_mdp(corridor_env)
+        expected = mission_fields(synthesize_mission(mdp))
+        dump_mdp(mdp, tmp_path / "corridor.mdp.npz")
+        loaded = load_mdp(tmp_path / "corridor.mdp.npz")
+        assert "matrix" not in vars(loaded) and "predecessors" not in vars(loaded)
+        assert mission_fields(synthesize_mission(loaded)) == expected
+        assert np.shares_memory(loaded.matrix.data, loaded.prob)
+        assert not np.shares_memory(loaded.matrix.data, mdp.prob)
+        assert loaded.predecessors is not mdp.predecessors
 
 
 def mission_fields(strategy):
@@ -411,6 +461,20 @@ class TestConcurrentStages:
             else:
                 solved += 1
         assert solved >= 10
+
+    def test_the_view_is_built_before_the_worker_starts(self, corridor_env, monkeypatch,
+                                                        stray_threads):
+        # cached_property takes no lock, so the calling thread alone may build the view
+        mdp = build_mdp(corridor_env)
+        submit, built = ThreadPoolExecutor.submit, []
+
+        def checked(pool, *args, **kw):
+            built.append({"matrix", "predecessors"} <= vars(mdp).keys())
+            return submit(pool, *args, **kw)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", checked)
+        synthesize_mission(mdp)
+        assert built == [True]
 
     def test_deliver_convergence_error_wins(self, corridor_mdp, stray_threads):
         # both stages run out of sweeps; the raised error is the deliver stage's
