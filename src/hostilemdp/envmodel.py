@@ -490,7 +490,11 @@ def _parse_document(data: dict, name: str) -> Environment:
 
 
 def _check_race_totals(env: Environment):
-    """Refuse primitives whose race total (see ``MdpBuilder.estimated_rate``) can overflow."""
+    """Refuse primitives whose race total can overflow.
+
+    The MDP build divides every event rate by the race total: the crossing
+    rate plus the leaving rate plus the entering rate of the expected influx.
+    """
     for prim in env.primitives:
         region = env.regions[prim.region]
         incoming = sum(env.regions[r].max_adversaries for r in env.neighbors(prim.region))

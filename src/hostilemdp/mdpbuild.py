@@ -42,7 +42,7 @@ from .envmodel import DROPOFF, MAX_ADVERSARIES, PICKUP, Environment, MotionPrimi
 STAY = "stay"
 
 #: most states one build round expands; it bounds the round's working arrays
-BATCH = 512
+BATCH = 2048
 
 #: lines the PRISM export joins and writes at a time; it bounds the text held
 CHUNK = 4096
@@ -248,97 +248,18 @@ class MdpBuilder:
             for rid in facet.regions
         }
 
-    def initial_state(self) -> VehicleState:
-        fresh = (0,) * len(self.neighbors[self.env.init_region])
-        return VehicleState(self.env.init_facet, self.env.init_region, 0, 0, True, fresh)
-
-    def _updates(self, state: VehicleState):
-        """The neighbours that can spare, and that can take, an adversary.
-
-        Each is (position, id, child belief); its belief has a LEFT, resp. ENTERED, update.
-        """
-        senders, receivers = [], []
-        for i, (rid, pos) in enumerate(zip(self.neighbors[state.region], state.beliefs)):
-            edges = self.belief_sets[rid].edges[pos]
-            if LEFT in edges:
-                senders.append((i, rid, edges[LEFT]))
-            if ENTERED in edges:
-                receivers.append((i, rid, edges[ENTERED]))
-        return senders, receivers
-
-    def estimated_rate(self, state: VehicleState, prim: MotionPrimitive) -> float:
-        """Total rate of the exponential race while crossing under ``prim``."""
-        region = self.env.regions[state.region]
-        rate = prim.rate
-        senders, receivers = self._updates(state)
-        if state.count > region.min_adversaries and receivers:
-            rate += region.mu_leave * state.count
-        if state.count < region.max_adversaries:
-            incoming = sum(self._expect[rid][state.beliefs[i]] for i, rid, _ in senders)
-            rate += region.mu_enter * incoming
-        return rate
-
-    def transitions(self, state: VehicleState, prim: MotionPrimitive):
-        """Sparse successor distribution for an alive state and a primitive."""
-        if not state.alive:
-            raise ValueError("lost states only support the stay action")
-        region = self.env.regions[state.region]
-        total_rate = self.estimated_rate(state, prim)
-        p_lost = prim.lost[(state.count, state.level)]
-        crossing = prim.rate / total_rate
-
-        out: dict[VehicleState, float] = {}
-
-        def put(succ: VehicleState, prob: float):
-            if prob > 0.0:
-                out[succ] = out.get(succ, 0.0) + prob
-
-        def lost_at(facet: str, region: str) -> VehicleState:
-            fresh = (0,) * len(self.neighbors[region])
-            floor = self.env.regions[region].min_adversaries
-            return VehicleState(facet, region, floor, 0, False, fresh)
-
-        for exit_facet, q in prim.exit_facets():
-            succ_region = self._succ_region[(exit_facet, state.region)]
-            if succ_region == state.region:
-                # outer boundary: no region is entered, nothing is re-observed
-                moved = state._replace(facet=exit_facet)
-                put(moved, crossing * q * (1.0 - p_lost))
-                put(lost_at(exit_facet, state.region), crossing * q * p_lost)
-                continue
-            put(lost_at(exit_facet, succ_region), crossing * q * p_lost)
-            entered_pos = self.neighbors[state.region].index(succ_region)
-            belief_pos = state.beliefs[entered_pos]
-            fresh = (0,) * len(self.neighbors[succ_region])
-            for n2, pn in self._belief_items[succ_region][belief_pos]:
-                for o2, po in self._obs_items[succ_region]:
-                    base = crossing * q * pn * po * (1.0 - p_lost)
-                    if base == 0.0:
-                        continue
-                    put(VehicleState(exit_facet, succ_region, n2, o2, True, fresh), base)
-
-        senders, receivers = self._updates(state)
-        if state.count < region.max_adversaries:
-            for i, rid, child in senders:
-                prob = region.mu_enter * self._expect[rid][state.beliefs[i]] / total_rate
-                if prob == 0.0:
-                    continue
-                beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]
-                put(state._replace(count=state.count + 1, beliefs=beliefs), prob)
-        if state.count > region.min_adversaries and receivers:
-            share = region.mu_leave * state.count / (total_rate * len(receivers))
-            for i, _, child in receivers:
-                beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]
-                put(state._replace(count=state.count - 1, beliefs=beliefs), share)
-        return list(out.items())
-
     def build(self) -> Mdp:
         """Expand the reachable states breadth first, up to :data:`BATCH` states per round.
 
         States are numbered in order of first appearance in the rows of the
-        states before them, and each row holds what :meth:`transitions` gives
-        for its state and primitive, in the same order and with the same
-        float operations; a lost or dead-end state plays ``stay`` alone.
+        states before them.  A row puts, for each exit in ``exit_facets()``
+        order, the lost state and then the landed ones (on the outer
+        boundary the moved state, then the lost one), then the entering
+        adversaries lane by lane, then the leaving ones.  Entries of
+        probability zero are dropped, and a successor put twice keeps its
+        first place with its shares summed left to right.  A lost or
+        dead-end state plays ``stay`` alone.  ``tests/conftest.py`` keeps
+        this specification one state at a time, as the build's oracle.
         A round expands the next unexpanded states in number order with
         whole-array gathers; number order is breadth-first order, so a round
         holds part of one level or the end of one and the start of the next.
@@ -388,11 +309,10 @@ class MdpBuilder:
 
             # a lost or dead-end state loops back to itself under stay
             idle = np.flatnonzero(~acting)
-            entry_choice = np.concatenate((entry_choice, starts[idle]))
-            merged = np.argsort(entry_choice, kind="stable")
-            entry_choice = entry_choice[merged]
-            ids = np.concatenate((ids, first_id + idle))[merged]
-            p = np.concatenate((p, np.ones(len(idle))))[merged]
+            at = np.searchsorted(entry_choice, starts[idle])
+            entry_choice = np.insert(entry_choice, at, starts[idle])
+            ids = np.insert(ids, at, first_id + idle)
+            p = np.insert(p, at, 1.0)
             if look.repeated_exits:
                 entry_choice, ids, p = _merge_repeats(entry_choice, ids, p)
             _append(state_ptr, len(choice_action) + np.cumsum(widths))
@@ -590,9 +510,8 @@ class _Lookup:
         """Every entry of the rows of states ``s[k]`` under primitives ``prim[k]``.
 
         Returns each entry's row ``k``, rank, probability and successor key;
-        sorted by (row, rank), the entries are those
-        :meth:`MdpBuilder.transitions` puts, in its order and each computed
-        by its float operations.
+        sorted by (row, rank), the entries are in the order
+        :meth:`MdpBuilder.build` puts them.
         """
         region, count = s.region, s.count
         lanes = self.lane_region[region]
@@ -602,7 +521,8 @@ class _Lookup:
         receivers = (entered >= 0).sum(axis=1)
         can_leave = (count > self.floor[region]) & (receivers > 0)
         can_enter = count < self.ceil[region]
-        # estimated_rate's additions in its order; a switched-off term adds exactly 0.0
+        # the race total adds crossing, leaving, then entering rates (incoming lane by
+        # lane), in this order; a switched-off term adds exactly 0.0
         total = self.rate[prim] + np.where(can_leave, self.mu_leave[region] * count, 0.0)
         incoming = np.zeros(len(prim))
         for i in range(self.width):
@@ -661,16 +581,39 @@ class _Lookup:
 
     def table(self, s: _Columns) -> StateTable:
         """The states as a StateTable, names coded in order of first appearance."""
-        facets, facet = _table(s.facet.tolist())
-        regions, region = _table(s.region.tolist())
+        facets, facet = _first_seen(s.facet)
+        regions, region = _first_seen(s.region)
         degree = self.degree[s.region]
         return StateTable(
-            facet_names=np.array([self.facet_ids[f] for f in facets], dtype=str), facet=facet,
-            region_names=np.array([self.region_ids[r] for r in regions], dtype=str),
+            facet_names=np.array([self.facet_ids[f] for f in facets.tolist()], dtype=str),
+            facet=facet,
+            region_names=np.array([self.region_ids[r] for r in regions.tolist()], dtype=str),
             region=region, count=s.count, level=s.level, alive=s.alive,
             belief_ptr=np.concatenate(([0], np.cumsum(degree))),
             beliefs=s.beliefs[np.arange(self.width) < degree[:, None]],
         )
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_inverse=True)``, without a stable sort."""
+    perm = np.argsort(values)
+    ordered = values[perm]
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(values), dtype=np.int64)
+    inverse[perm] = np.cumsum(starts) - 1
+    starts = np.flatnonzero(starts)
+    # equal values may come out of the sort in any order, so a run's first position is its least
+    return ordered[starts], np.minimum.reduceat(perm, starts), inverse
+
+
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values in order of first appearance, and each value's position among them."""
+    distinct, first, inverse = _distinct(values)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return distinct[order], rank[inverse]
 
 
 def _append(buffer: array, values: np.ndarray):
@@ -695,22 +638,20 @@ class _Numbering:
 
     def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each key's state number, and the positions where unseen states first appear."""
-        at = np.searchsorted(self.keys, keys)
+        # a round's entries repeat few distinct keys, so only those are looked up
+        distinct, first, inverse = _distinct(keys)
+        at = np.searchsorted(self.keys, distinct)
         seen = at < len(self.keys)
-        seen[seen] = self.keys[at[seen]] == keys[seen]
-        ids = np.empty(len(keys), dtype=np.int64)
-        ids[seen] = self.ids[at[seen]]
+        seen[seen] = self.keys[at[seen]] == distinct[seen]
+        number = np.empty(len(distinct), dtype=np.int64)
+        number[seen] = self.ids[at[seen]]
         unseen = np.flatnonzero(~seen)
-        new, first, inverse = np.unique(keys[unseen], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty(len(new), dtype=np.int64)
-        number[order] = self.count + np.arange(len(new))
-        ids[unseen] = number[inverse]
-        where = np.searchsorted(self.keys, new)
-        self.keys = np.insert(self.keys, where, new)
-        self.ids = np.insert(self.ids, where, number)
-        self.count += len(new)
-        return ids, unseen[first[order]]
+        order = unseen[np.argsort(first[unseen])]
+        number[order] = self.count + np.arange(len(order))
+        self.keys = np.insert(self.keys, at[unseen], distinct[unseen])
+        self.ids = np.insert(self.ids, at[unseen], number[unseen])
+        self.count += len(order)
+        return number[inverse], first[order]
 
 
 def _merge_repeats(choice: np.ndarray, succ: np.ndarray, prob: np.ndarray):
@@ -823,13 +764,6 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
 # with ``allow_pickle=False``.
 
 _DUMP_FORMAT = "hostile-mdp-csr-1"
-
-
-def _table(values) -> tuple[list, np.ndarray]:
-    """Distinct values (first-seen order) and each value's position among them."""
-    ids: dict = {}
-    codes = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int64)
-    return list(ids), codes
 
 
 def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
@@ -1012,9 +946,14 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
         tokens = [b"%d:(%d)\n" % (i, i) for i in range(n)]
         _stream(sta_path, "(s)", tokens, states[:, None])
     else:
-        # belief tuples are numbered in order of first appearance
-        ptr, beliefs = table.belief_ptr.tolist(), table.beliefs.tolist()
-        _, combos = _table(tuple(beliefs[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
+        # belief tuples are numbered in order of first appearance, each as one
+        # row of its length and its positions padded with -1
+        degree = np.diff(table.belief_ptr)
+        rows = np.full((n, 1 + int(degree.max(initial=0))), -1, dtype=np.int64)
+        rows[:, 0] = degree
+        lane = np.arange(len(table.beliefs)) - np.repeat(table.belief_ptr[:-1], degree)
+        rows[np.repeat(states, degree), 1 + lane] = table.beliefs
+        _, combos = _first_seen(rows.view(np.dtype((np.void, rows.strides[0]))).ravel())
         columns = np.stack((table.facet, table.region, table.count, table.level,
                             table.alive.astype(np.int64)))
         values, codes = np.unique(columns, return_inverse=True)

@@ -2,7 +2,8 @@
 
 The oracles here re-derive results with machinery deliberately different
 from the package: reachability by exhaustive memoryless-policy enumeration
-over dense linear solves, belief updates with plain Fraction dicts.  Tests
+over dense linear solves, MDP rows one state at a time, belief updates with
+plain Fraction dicts.  Tests
 compare production code against these, never against itself.
 """
 
@@ -17,8 +18,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hostilemdp.envmodel import Environment, parse_environment
-from hostilemdp.mdpbuild import Mdp, build_mdp
+from hostilemdp.belief import ENTERED, LEFT
+from hostilemdp.envmodel import Environment, MotionPrimitive, parse_environment
+from hostilemdp.mdpbuild import Mdp, MdpBuilder, VehicleState, build_mdp
 from hostilemdp.synth import MissionStrategy, extract_policy, solve_reachability
 
 # ---------------------------------------------------------------------------
@@ -214,6 +216,102 @@ def sequential_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
         values_second=second.values,
         method=method,
     )
+
+
+# ---------------------------------------------------------------------------
+# one-state build oracle: the row of one state under one primitive, put
+# together entry by entry from the builder's per-region caches.  The batched
+# build must give exactly these rows, in this order and with these floats.
+
+
+def initial_state(builder: MdpBuilder) -> VehicleState:
+    env = builder.env
+    fresh = (0,) * len(builder.neighbors[env.init_region])
+    return VehicleState(env.init_facet, env.init_region, 0, 0, True, fresh)
+
+
+def updates(builder: MdpBuilder, state: VehicleState):
+    """The neighbours that can spare, and that can take, an adversary.
+
+    Each is (position, id, child belief); its belief has a LEFT, resp. ENTERED, update.
+    """
+    senders, receivers = [], []
+    for i, (rid, pos) in enumerate(zip(builder.neighbors[state.region], state.beliefs)):
+        edges = builder.belief_sets[rid].edges[pos]
+        if LEFT in edges:
+            senders.append((i, rid, edges[LEFT]))
+        if ENTERED in edges:
+            receivers.append((i, rid, edges[ENTERED]))
+    return senders, receivers
+
+
+def estimated_rate(builder: MdpBuilder, state: VehicleState, prim: MotionPrimitive) -> float:
+    """Total rate of the exponential race while crossing under ``prim``."""
+    region = builder.env.regions[state.region]
+    rate = prim.rate
+    senders, receivers = updates(builder, state)
+    if state.count > region.min_adversaries and receivers:
+        rate += region.mu_leave * state.count
+    if state.count < region.max_adversaries:
+        incoming = sum(builder._expect[rid][state.beliefs[i]] for i, rid, _ in senders)
+        rate += region.mu_enter * incoming
+    return rate
+
+
+def transitions(builder: MdpBuilder, state: VehicleState, prim: MotionPrimitive):
+    """Sparse successor distribution for an alive state and a primitive."""
+    if not state.alive:
+        raise ValueError("lost states only support the stay action")
+    env = builder.env
+    region = env.regions[state.region]
+    total_rate = estimated_rate(builder, state, prim)
+    p_lost = prim.lost[(state.count, state.level)]
+    crossing = prim.rate / total_rate
+
+    out: dict[VehicleState, float] = {}
+
+    def put(succ: VehicleState, prob: float):
+        if prob > 0.0:
+            out[succ] = out.get(succ, 0.0) + prob
+
+    def lost_at(facet: str, region: str) -> VehicleState:
+        fresh = (0,) * len(builder.neighbors[region])
+        floor = env.regions[region].min_adversaries
+        return VehicleState(facet, region, floor, 0, False, fresh)
+
+    for exit_facet, q in prim.exit_facets():
+        succ_region = builder._succ_region[(exit_facet, state.region)]
+        if succ_region == state.region:
+            # outer boundary: no region is entered, nothing is re-observed
+            moved = state._replace(facet=exit_facet)
+            put(moved, crossing * q * (1.0 - p_lost))
+            put(lost_at(exit_facet, state.region), crossing * q * p_lost)
+            continue
+        put(lost_at(exit_facet, succ_region), crossing * q * p_lost)
+        entered_pos = builder.neighbors[state.region].index(succ_region)
+        belief_pos = state.beliefs[entered_pos]
+        fresh = (0,) * len(builder.neighbors[succ_region])
+        for n2, pn in builder._belief_items[succ_region][belief_pos]:
+            for o2, po in builder._obs_items[succ_region]:
+                base = crossing * q * pn * po * (1.0 - p_lost)
+                if base == 0.0:
+                    continue
+                put(VehicleState(exit_facet, succ_region, n2, o2, True, fresh), base)
+
+    senders, receivers = updates(builder, state)
+    if state.count < region.max_adversaries:
+        for i, rid, child in senders:
+            prob = region.mu_enter * builder._expect[rid][state.beliefs[i]] / total_rate
+            if prob == 0.0:
+                continue
+            beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]
+            put(state._replace(count=state.count + 1, beliefs=beliefs), prob)
+    if state.count > region.min_adversaries and receivers:
+        share = region.mu_leave * state.count / (total_rate * len(receivers))
+        for i, _, child in receivers:
+            beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]
+            put(state._replace(count=state.count - 1, beliefs=beliefs), share)
+    return list(out.items())
 
 
 # ---------------------------------------------------------------------------

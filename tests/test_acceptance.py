@@ -19,12 +19,14 @@ import pytest
 
 from conftest import (
     bundled_doc,
+    estimated_rate,
     oracle_max_reach,
     policy_actions,
     random_environment,
     random_mdp,
     state_rows,
     toy_chain,
+    transitions,
 )
 from test_mdpbuild import star_doc
 from hostilemdp.belief import AdversaryBelief, enumerate_reachable, update_entered, update_left
@@ -133,8 +135,8 @@ def test_criterion_3_fragment_rate_and_entry_probability():
     builder = MdpBuilder(env)
     prim = env.primitives_from("f2", "r4")[0]
     state = VehicleState("f2", "r4", 2, 0, True, (0, 0, 0))
-    nu = builder.estimated_rate(state, prim)
-    row = dict(builder.transitions(state, prim))
+    nu = estimated_rate(builder, state, prim)
+    row = dict(transitions(builder, state, prim))
     child = builder.belief_sets["r1"].edges[0].get(LEFT)
     p = row[state._replace(count=3, beliefs=(child, 0, 0))]
     ok = abs(nu - 3.38) <= 1e-9 and abs(p - 0.68 * 0.26) <= 0.005

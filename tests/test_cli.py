@@ -360,6 +360,58 @@ class TestInspection:
         assert "label alive" in out
 
 
+def indented_strategy(mdp, strategy) -> str:
+    """The ``--out`` file as ``json`` writes it, from a payload built entry by entry."""
+    owner = mdp.choice_state()
+
+    def named(policy):
+        return {str(owner[c]): mdp.action_names[mdp.choice_action[c]] for c in policy.tolist()}
+
+    payload = {
+        "value": strategy.value,
+        "method": strategy.method,
+        "switch": np.flatnonzero(strategy.switch).tolist(),
+        "first": named(strategy.first),
+        "second": named(strategy.second),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestStrategyFile:
+    """``synthesize --out`` writes exactly the indented JSON of its payload."""
+
+    @pytest.mark.parametrize("env", ["corridor", "caseA"])
+    def test_file_is_the_indented_payload(self, tmp_path, capsys, monkeypatch, env):
+        solved = []
+
+        def spy(mdp, **kw):
+            solved.append((mdp, synth.synthesize_mission(mdp, **kw)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(cli, "synthesize_mission", spy)
+        out = tmp_path / "s.json"
+        assert main(["synthesize", "--env", env, "--out", str(out)]) == 0
+        capsys.readouterr()
+        (mdp, strategy), = solved
+        assert len(strategy.first) and len(strategy.second) and strategy.switch.any()
+        assert out.read_text() == indented_strategy(mdp, strategy)
+
+    def test_empty_policies_and_switch(self, corridor_mdp):
+        strategy = synth.synthesize_mission(corridor_mdp)
+        none = np.zeros(0, dtype=np.int64)
+        empty = dataclasses.replace(strategy, first=none, second=none,
+                                    switch=np.zeros(corridor_mdp.n_states, dtype=bool))
+        assert cli._strategy_json(corridor_mdp, empty) == indented_strategy(corridor_mdp, empty)
+
+    def test_names_and_values_are_escaped_as_json_does(self, corridor_mdp):
+        strategy = synth.synthesize_mission(corridor_mdp)
+        names = [f'"{name}"\\ \u00e9\t' for name in corridor_mdp.action_names]
+        mdp = dataclasses.replace(corridor_mdp, action_names=names)
+        for value in (0.1 + 0.2, 0.0, float("nan"), 1e-300):
+            odd = dataclasses.replace(strategy, value=value, method='l"p')
+            assert cli._strategy_json(mdp, odd) == indented_strategy(mdp, odd)
+
+
 class TestSynthesize:
     def test_reports_value_and_route(self, capsys):
         assert main(["synthesize", "--env", "corridor"]) == 0

@@ -9,7 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bundled_doc, make_mdp, random_environment, state_rows
+from conftest import (
+    bundled_doc,
+    estimated_rate,
+    initial_state,
+    make_mdp,
+    random_environment,
+    state_rows,
+    transitions,
+)
 from hostilemdp.belief import ENTERED, LEFT
 from hostilemdp import mdpbuild
 from hostilemdp.envmodel import DROPOFF, PICKUP, parse_environment
@@ -36,6 +44,17 @@ def assert_same_table(a, b):
     for name in COLUMNS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
+
+
+def assert_same_build(a, b):
+    assert_same_table(a.states, b.states)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    assert a.labels.keys() == b.labels.keys()
+    for name in a.labels:
+        assert np.array_equal(a.label(name), b.label(name)), name
+    assert a.warnings == b.warnings
 
 
 def first_lost(mdp) -> int:
@@ -166,16 +185,16 @@ class TestEventRace:
 
     def test_total_rate(self):
         # 0.5 crossing + 0.3 * 2 leaving + 0.3 * 7.6 expected influx
-        nu = self.builder.estimated_rate(self.state, self.prim)
+        nu = estimated_rate(self.builder, self.state, self.prim)
         assert nu == pytest.approx(3.38, abs=1e-9)
 
     def test_row_is_a_distribution(self):
-        row = self.builder.transitions(self.state, self.prim)
+        row = transitions(self.builder, self.state, self.prim)
         assert sum(p for _, p in row) == pytest.approx(1.0, abs=1e-12)
         assert all(p > 0 for _, p in row)
 
     def test_enter_probabilities_split_by_expected_count(self):
-        row = dict(self.builder.transitions(self.state, self.prim))
+        row = dict(transitions(self.builder, self.state, self.prim))
         children = {
             rid: self.builder.belief_sets[rid].edges[0].get(LEFT)
             for rid in ("r1", "r3", "r7")
@@ -191,7 +210,7 @@ class TestEventRace:
         assert abs(row[enter_r1] - 0.68 * 0.26) <= 0.005
 
     def test_enter_conditions_the_source_belief_on_a_departure(self):
-        row = dict(self.builder.transitions(self.state, self.prim))
+        row = dict(transitions(self.builder, self.state, self.prim))
         bset = self.builder.belief_sets["r1"]
         child = bset.edges[0].get(LEFT)
         # point mass at 2 shifts down to a point mass at 1
@@ -200,7 +219,7 @@ class TestEventRace:
         assert any(s.beliefs == (child, 0, 0) for s in row)
 
     def test_leave_splits_evenly_over_receivers(self):
-        row = dict(self.builder.transitions(self.state, self.prim))
+        row = dict(transitions(self.builder, self.state, self.prim))
         expected = {}
         for i, rid in enumerate(self.env.neighbors("r4")):
             child = self.builder.belief_sets[rid].edges[0].get(ENTERED)
@@ -212,7 +231,7 @@ class TestEventRace:
             assert row[s] == pytest.approx(p, abs=1e-12)
 
     def test_crossing_redraws_count_from_tracked_belief(self):
-        row = dict(self.builder.transitions(self.state, self.prim))
+        row = dict(transitions(self.builder, self.state, self.prim))
         # f5 leads to r3, whose tracked belief is still the point mass at 3
         landed = VehicleState("f5", "r3", 3, 0, True, (0,))
         assert row[landed] == pytest.approx(0.5 / 3.38, abs=1e-12)
@@ -221,7 +240,7 @@ class TestEventRace:
     def test_lost_states_reject_transitions(self):
         lost = self.state._replace(alive=False)
         with pytest.raises(ValueError):
-            self.builder.transitions(lost, self.prim)
+            transitions(self.builder, lost, self.prim)
 
 
 class TestEventIndicators:
@@ -233,10 +252,10 @@ class TestEventIndicators:
         builder = MdpBuilder(env)
         prim = env.primitives_from("fa", "mid")[0]
         state = VehicleState("fa", "mid", count, 0, True, (0,))
-        row = builder.transitions(state, prim)
+        row = transitions(builder, state, prim)
         assert sum(p for _, p in row) == pytest.approx(1.0, abs=1e-12)
         deltas = {s.count - count for s, p in row if s.region == "mid" and s.alive}
-        return builder.estimated_rate(state, prim), deltas
+        return estimated_rate(builder, state, prim), deltas
 
     def test_no_leave_when_neighbour_is_saturated(self):
         # belief about side is a point mass at its ceiling: nowhere to go
@@ -264,10 +283,10 @@ class TestCrossings:
     def test_crossing_mass_factorizes_over_fresh_observation(self, corridor_env):
         """Landing mass = crossing share x exit pmf x belief x obstacle pmf."""
         builder = MdpBuilder(corridor_env)
-        init = builder.initial_state()
+        init = initial_state(builder)
         for prim in corridor_env.primitives_from(init.facet, init.region):
-            row = dict(builder.transitions(init, prim))
-            nu = builder.estimated_rate(init, prim)
+            row = dict(transitions(builder, init, prim))
+            nu = estimated_rate(builder, init, prim)
             p_lost = prim.lost[(init.count, init.level)]
             for exit_facet, q in prim.exit_facets():
                 succ_rid = corridor_env.successor_region(exit_facet, init.region)
@@ -284,9 +303,9 @@ class TestCrossings:
     def test_outer_boundary_keeps_observation(self):
         env = parse_environment(loop_doc(), name="loop")
         builder = MdpBuilder(env)
-        state = builder.initial_state()
+        state = initial_state(builder)
         prim = env.primitives_from("fa", "g")[0]
-        row = builder.transitions(state, prim)
+        row = transitions(builder, state, prim)
         # no region is entered, so only the facet changes
         assert row == [(state._replace(facet="fb"), 1.0)]
 
@@ -294,9 +313,9 @@ class TestCrossings:
         outcomes = [{"facet": "fb", "p": "7/10"}, {"facet": "fa", "p": "3/10"}]
         env = parse_environment(loop_doc(outcomes=outcomes), name="loop")
         builder = MdpBuilder(env)
-        state = builder.initial_state()
+        state = initial_state(builder)
         prim = env.primitives_from("fa", "g")[0]
-        row = dict(builder.transitions(state, prim))
+        row = dict(transitions(builder, state, prim))
         assert row[state._replace(facet="fb")] == pytest.approx(0.7, abs=1e-12)
         assert row[state] == pytest.approx(0.3, abs=1e-12)
 
@@ -347,18 +366,10 @@ class TestBuildFuzz:
             env = random_environment(rng)
             mdp = build_mdp(env)
             assert validate_mdp(mdp) == []
-            assert mdp.states[mdp.init] == MdpBuilder(env).initial_state()
+            assert mdp.states[mdp.init] == initial_state(MdpBuilder(env))
 
     def test_build_is_deterministic(self, corridor_env):
-        a = build_mdp(corridor_env)
-        b = build_mdp(corridor_env)
-        assert_same_table(a.states, b.states)
-        for name in ARRAYS:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert a.labels.keys() == b.labels.keys()
-        for name in a.labels:
-            assert np.array_equal(a.label(name), b.label(name)), name
-        assert a.warnings == b.warnings
+        assert_same_build(build_mdp(corridor_env), build_mdp(corridor_env))
 
 
 #: seed of the random environments whose builds are checked row by row and pinned
@@ -383,6 +394,30 @@ def repeated_exit_corridor():
     return parse_environment(doc, name="corridor-repeated-exit")
 
 
+def wide_keys_env():
+    """Nine wide beliefs per state: a state's key needs more than 62 bits."""
+    wide = {str(n): "1/11" for n in range(11)}
+
+    def region(rid, p_init, high, labels=()):
+        return {"id": rid, "adversaries": {"min": 0, "max": high, "p_init": p_init},
+                "obstacles": {"max_level": 0, "p_obs": {"0": "1"}},
+                "mu_enter": 0.2, "mu_leave": 0.3, "labels": list(labels)}
+
+    leaves = [f"n{i}" for i in range(8)]
+    doc = {
+        "regions": [region("r0", {"0": "1"}, 2), region("hub", wide, 10)] + [
+            region(rid, wide, 10, [("pickup",), ("dropoff",)][i] if i < 2 else ())
+            for i, rid in enumerate(leaves)],
+        "facets": [{"id": "f0", "regions": ["r0"]}, {"id": "fh", "regions": ["r0", "hub"]}]
+                  + [{"id": f"f{rid}", "regions": ["hub", rid]} for rid in leaves],
+        "primitives": [{"from": a, "to": b, "region": "r0", "rate": 1.0,
+                        "lost": {"marginal_n": "quadratic", "marginal_o": {"0": 0.5}}}
+                       for a, b in (("f0", "fh"), ("fh", "f0"))],
+        "init": {"facet": "f0", "region": "r0"},
+    }
+    return parse_environment(doc, name="wide-keys")
+
+
 class TestBatchedBuild:
     """The batched build against the one-state specification ``transitions``."""
 
@@ -402,7 +437,7 @@ class TestBatchedBuild:
             assert [a for a, _ in rows] == [idx for idx, _ in prims]
             for (_, row), (_, prim) in zip(rows, prims):
                 got = [(table[t], p) for t, p in row]
-                assert got == builder.transitions(state, prim), (s, prim.name)
+                assert got == transitions(builder, state, prim), (s, prim.name)
 
     @pytest.mark.parametrize("index", range(20))
     def test_random_rows_follow_transitions(self, index):
@@ -434,7 +469,7 @@ class TestBatchedBuild:
             if state[:2] != ("f2", "rp") or not state.alive:
                 continue
             row = {mdp.states[t]: p for a, r in state_rows(mdp, s) if a == action for t, p in r}
-            crossing = prim.rate / builder.estimated_rate(state, prim)
+            crossing = prim.rate / estimated_rate(builder, state, prim)
             keep = 1.0 - prim.lost[(state.count, state.level)]
             # both f3 exits land on the same states; the second share adds to the first
             for n2, pn in builder._belief_items["rd"][state.beliefs[lane]]:
@@ -447,28 +482,19 @@ class TestBatchedBuild:
 
     def test_keys_wider_than_one_word(self):
         """Nine wide beliefs per state need more than 62 bits of key; the build still matches."""
-        wide = {str(n): "1/11" for n in range(11)}
-
-        def region(rid, p_init, high, labels=()):
-            return {"id": rid, "adversaries": {"min": 0, "max": high, "p_init": p_init},
-                    "obstacles": {"max_level": 0, "p_obs": {"0": "1"}},
-                    "mu_enter": 0.2, "mu_leave": 0.3, "labels": list(labels)}
-
-        leaves = [f"n{i}" for i in range(8)]
-        doc = {
-            "regions": [region("r0", {"0": "1"}, 2), region("hub", wide, 10)] + [
-                region(rid, wide, 10, [("pickup",), ("dropoff",)][i] if i < 2 else ())
-                for i, rid in enumerate(leaves)],
-            "facets": [{"id": "f0", "regions": ["r0"]}, {"id": "fh", "regions": ["r0", "hub"]}]
-                      + [{"id": f"f{rid}", "regions": ["hub", rid]} for rid in leaves],
-            "primitives": [{"from": a, "to": b, "region": "r0", "rate": 1.0,
-                            "lost": {"marginal_n": "quadratic", "marginal_o": {"0": 0.5}}}
-                           for a, b in (("f0", "fh"), ("fh", "f0"))],
-            "init": {"facet": "f0", "region": "r0"},
-        }
-        env = parse_environment(doc, name="wide-keys")
+        env = wide_keys_env()
         assert len(_Lookup(MdpBuilder(env)).words) > 1
         self.assert_rows_follow_transitions(env)
+
+    @pytest.mark.parametrize("batch", [1, 7, 10**6])
+    def test_rounds_of_any_size_build_the_same_model(self, monkeypatch, corridor_env, batch):
+        pinned = batched_envs()
+        # the two largest of the pinned environments: 405 and 137 states
+        envs = [corridor_env, pinned[2], pinned[16], repeated_exit_corridor(), wide_keys_env()]
+        default = [build_mdp(env) for env in envs]
+        monkeypatch.setattr(mdpbuild, "BATCH", batch)
+        for env, want in zip(envs, default):
+            assert_same_build(build_mdp(env), want)
 
     def test_random_builds_are_pinned(self):
         digest = hashlib.sha256()
