@@ -3,8 +3,8 @@
 The oracles here re-derive results with machinery deliberately different
 from the package: reachability by exhaustive memoryless-policy enumeration
 over dense linear solves, MDP rows one state at a time, belief updates with
-plain Fraction dicts.  Tests
-compare production code against these, never against itself.
+plain Fraction dicts.  Tests compare production code against these, never
+against itself.
 """
 
 from __future__ import annotations
