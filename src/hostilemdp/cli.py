@@ -87,6 +87,12 @@ def _obtain_mdp(args):
     return mdp
 
 
+def _make_parent(path) -> None:
+    """Create the directory an output file goes into, as ``export`` does for its files."""
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def cmd_validate_env(args) -> int:
     env = _load(args)
     n_prims = len(env.primitives)
@@ -137,6 +143,7 @@ def cmd_build(args) -> int:
         return 1
     print("row sums and absorption checks: ok")
     if args.dump_mdp:
+        _make_parent(args.dump_mdp)
         dump_mdp(mdp, args.dump_mdp)
         print(f"wrote {args.dump_mdp}")
     return 0
@@ -225,6 +232,7 @@ def _strategy_json(mdp, strategy) -> str:
 
 def cmd_synthesize(args) -> int:
     mdp = _obtain_mdp(args)
+    _make_parent(args.out)
     methods = ("vi", "lp") if args.method == "both" else (args.method,)
     results = []
     for m in methods:
@@ -266,6 +274,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     mdp = _obtain_mdp(args)
+    _make_parent(args.trace_out)
     try:
         strategy = synthesize_mission(mdp, method=args.method)
     except (RuntimeError, ValueError) as exc:

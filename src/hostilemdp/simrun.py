@@ -6,9 +6,12 @@ property scores, then follows the second-stage policy until delivery.  Runs
 that die or exhaust the step budget end early; a strategy with no action at
 a reached state is an execution error, not an outcome.
 
-Every entry point runs ``_lockstep``, which advances runs together in fixed
-chunks of :data:`CHUNK`; chunk ``c`` draws from
-``default_rng(SeedSequence([seed, c]))``, so results depend only on the seed.
+Every entry point runs ``_lockstep``.  Runs fall into fixed chunks of
+:data:`CHUNK`, and chunk ``c`` draws from
+``default_rng(SeedSequence([seed, c]))`` for its live runs in run order, so
+results depend only on the seed.  A block of :data:`BLOCK` chunks advances
+together, one vectorised step at a time, over compacted arrays of its live
+runs; the traces a hook sees are built one block at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +31,14 @@ STEP_LIMIT = "step-limit"
 
 OUTCOMES = (SUCCESS, LOST, STEP_LIMIT)
 
-#: runs per lockstep batch; it fixes which random numbers each run draws
+#: runs per chunk; chunk ``c`` draws from its own stream, so it fixes which
+#: random numbers each run draws
 CHUNK = 4096
+#: chunks per block; a block's runs advance together, so it bounds working memory
+BLOCK = 8
+
+# state codes: live, a switch state (scores the mission), a dropoff state (delivers)
+_ALIVE, _SWITCH, _DROPOFF = 1, 2, 4
 
 
 @dataclass
@@ -80,13 +89,16 @@ def classify_step(mdp: Mdp, src: int, dst: int) -> str:
 
 @dataclass
 class _Plan:
-    """The rows one or two policies play, as flat arrays, and state masks.
+    """The rows one or two policies play, as flat arrays, and one code per state.
 
     ``row[k, s]`` is the row policy ``k`` plays at ``s`` (-1: undefined); rows
     are the policies' choices, concatenated in the order given.  Row
     ``r`` plays ``action[r]`` and leads to ``succ[ptr[r]:ptr[r + 1]]`` with
     running probability sums ``cum``; the last sum is infinite, so a draw
     above a row total that rounded below 1 takes the last successor.
+    ``depth`` bisection rounds find a draw's successor in the longest row.
+    ``code[s]`` is 0 at a dead state and at a live one :data:`_ALIVE`, plus
+    :data:`_SWITCH` at a switch state and :data:`_DROPOFF` at a dropoff state.
     """
 
     row: np.ndarray
@@ -94,9 +106,8 @@ class _Plan:
     ptr: np.ndarray
     succ: np.ndarray
     cum: np.ndarray
-    alive: np.ndarray
-    switch: np.ndarray
-    dropoff: np.ndarray
+    depth: int
+    code: np.ndarray
 
     @classmethod
     def of(cls, mdp: Mdp, policies: Sequence[np.ndarray], alive, switch, dropoff):
@@ -110,16 +121,37 @@ class _Plan:
         taken = ranges(lo, hi)
         # running sums row by row, left to right, as a scalar walk adds them
         cum = mdp.prob[taken]
-        for j in range(1, int(length.max(initial=0))):
+        widest = int(length.max(initial=1))
+        for j in range(1, widest):
             at = ptr[:-1][length > j] + j
             cum[at] += cum[at - 1]
         cum[ptr[1:] - 1] = np.inf
+        code = (alive * (_ALIVE + _SWITCH * switch + _DROPOFF * dropoff)).astype(np.int8)
         return cls(row, mdp.choice_action[choice], ptr, mdp.succ[taken], cum,
-                   alive, switch, dropoff)
+                   (widest - 1).bit_length(), code)
+
+    def successors(self, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The successor row ``r[i]`` takes at draw ``u[i]``, for every ``i``.
+
+        That is the first successor whose running sum exceeds the draw.  The
+        sums never decrease along a row and the last is infinite, so
+        bisection finds the last sum at or below the draw (one before the
+        row if none is): halving steps from the row's start, each probe held
+        at the row's end.
+        """
+        below, last = self.ptr[r], self.ptr[1:][r]
+        below -= 1
+        last -= 1
+        probe = np.empty_like(below)
+        for k in reversed(range(self.depth)):
+            np.minimum(np.add(below, 1 << k, out=probe), last, out=probe)
+            np.add(below, 1 << k, out=below, where=self.cum[probe] <= u)
+        below += 1
+        return self.succ[below]
 
 
 def _traces(start: int, outcome, satisfied, delivered, history) -> list[Trace]:
-    """Per-run traces of a batch that ``_lockstep`` ran with ``keep``."""
+    """Per-run traces of a block that ``_lockstep`` ran with ``keep``."""
     states = [[start] for _ in outcome]
     actions = [[] for _ in outcome]
     for moved, reached, played in history:
@@ -133,51 +165,81 @@ def _traces(start: int, outcome, satisfied, delivered, history) -> list[Trace]:
     ]
 
 
-def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int, rng: np.random.Generator,
-              max_steps: int, keep: bool):
-    """Advance ``runs`` runs from ``start`` together, one vectorised step at a time.
+def _draws(rngs: Sequence[np.random.Generator], idx: np.ndarray) -> np.ndarray:
+    """One draw per live run: chunk ``c`` fills its runs' stretch of ``idx`` from ``rngs[c]``."""
+    u = np.empty(idx.size)
+    cuts = [0, *np.searchsorted(idx, CHUNK * np.arange(1, len(rngs))).tolist(), idx.size]
+    for rng, a, b in zip(rngs, cuts, cuts[1:]):
+        if a < b:
+            rng.random(out=u[a:b])
+    return u
 
-    Runs obey the mission rules above, with the plan's masks.  Returns each
-    run's outcome (index into :data:`OUTCOMES`), satisfied and delivered
-    steps (-1: never) and, if ``keep``, per step the runs that moved, their
-    new states and actions.  ``keep`` changes no draw.
+
+def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int,
+              rngs: Sequence[np.random.Generator], max_steps: int, keep: bool):
+    """Advance a block of ``runs`` runs from ``start`` together, one vectorised step at a time.
+
+    Runs obey the mission rules above, with the plan's codes.  Run ``i``
+    belongs to chunk ``i // CHUNK``, and each step chunk ``c`` draws one
+    number from ``rngs[c]`` per live run of the chunk, in run order.
+    Returns each run's outcome (index into :data:`OUTCOMES`), satisfied and
+    delivered steps (-1: never) and, if ``keep``, per step the runs that
+    moved, their new states and actions.  ``keep`` changes no draw.
     """
-    cur = np.full(runs, start, dtype=np.int64)
+    outcome = np.full(runs, OUTCOMES.index(STEP_LIMIT), dtype=np.int64)
     satisfied = np.full(runs, -1, dtype=np.int64)
     delivered = np.full(runs, -1, dtype=np.int64)
-    live = np.arange(runs)
+    # the live runs, compacted: run index (ascending), state, satisfied step
+    idx = np.arange(runs)
+    s = np.full(runs, start, dtype=np.int64)
+    sat = np.full(runs, -1, dtype=np.int64)
+    row = plan.row.ravel()
+    n = plan.row.shape[1]
     history = []
     for step in range(max_steps + 1):
-        live = live[plan.alive[cur[live]]]
-        s = cur[live]
-        satisfied[live[(satisfied[live] < 0) & plan.switch[s]]] = step
-        done = (satisfied[live] >= 0) & plan.dropoff[s]
-        delivered[live[done]] = step
-        live, s = live[~done], s[~done]
-        if step == max_steps or not live.size:
+        code = plan.code[s]
+        # the runs at a dead, switch or dropoff state; the others only move on
+        odd = np.flatnonzero(code != _ALIVE)
+        if odd.size:
+            c, t = code[odd], sat[odd]
+            t[(t < 0) & (c & _SWITCH > 0)] = step
+            sat[odd] = t
+            # dead runs end, and satisfied ones at a dropoff are delivered
+            end = (c == 0) | ((t >= 0) & (c & _DROPOFF > 0))
+            if end.any():
+                gone = idx[odd[end]]
+                satisfied[gone] = t[end]
+                delivered[gone[c[end] > 0]] = step
+                outcome[gone[c[end] == 0]] = OUTCOMES.index(LOST)
+                kept = np.ones(idx.size, dtype=bool)
+                kept[odd[end]] = False
+                idx = idx[kept]
+                s = s[kept]
+                sat = sat[kept]
+        if step == max_steps or not idx.size:
             break
-        r = plan.row[(satisfied[live] >= 0).astype(np.intp), s]
-        if (r < 0).any():
+        r = row[np.where(sat < 0, s, s + n)]
+        if r.min() < 0:
             i = int(np.argmax(r < 0))
-            phase = "second" if satisfied[live[i]] >= 0 else "first"
+            phase = "second" if sat[i] >= 0 else "first"
             where = "" if mdp.states is None else f" ({mdp.states[s[i]]!r})"
             raise RuntimeError(f"{phase}-stage strategy undefined at reached state {s[i]}{where}")
-        # each run takes the first successor whose running sum exceeds its draw
-        first = plan.ptr[r]
-        last = plan.ptr[r + 1] - first - 1
-        cols = np.minimum(np.arange(last.max() + 1), last[:, None])
-        below = plan.cum[first[:, None] + cols] <= rng.random(live.size)[:, None]
-        cur[live] = plan.succ[first + below.sum(axis=1)]
+        # the draws and the bisection's block-sized arrays die with the call, not a step later
+        s = plan.successors(r, _draws(rngs, idx))
         if keep:
-            history.append((live, cur[live], plan.action[r]))
-    outcome = np.where(satisfied >= 0, 0, np.where(plan.alive[cur], 2, 1))
+            history.append((idx, s, plan.action[r]))
+    satisfied[idx] = sat
+    outcome[satisfied >= 0] = OUTCOMES.index(SUCCESS)
     return outcome, satisfied, delivered, history
 
 
-def _chunks(runs: int, seed: int) -> Iterator[tuple[int, int, np.random.Generator]]:
-    for c, first in enumerate(range(0, runs, CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
-        yield first, min(CHUNK, runs - first), rng
+def _blocks(runs: int, seed: int) -> Iterator[tuple[int, int, list[np.random.Generator]]]:
+    """Each block's first run, size and per-chunk generators; chunk ``c`` seeds ``[seed, c]``."""
+    for first in range(0, runs, BLOCK * CHUNK):
+        size = min(BLOCK * CHUNK, runs - first)
+        chunks = range(first // CHUNK, (first + size + CHUNK - 1) // CHUNK)
+        yield first, size, [np.random.default_rng(np.random.SeedSequence([seed, c]))
+                            for c in chunks]
 
 
 def _mission(mdp: Mdp, strategy: MissionStrategy) -> _Plan:
@@ -192,7 +254,7 @@ def simulate_run(
     max_steps: int = 100_000,
 ) -> Trace:
     """One mission run, drawing one number from ``rng`` per step."""
-    return _traces(mdp.init, *_lockstep(mdp, _mission(mdp, strategy), mdp.init, 1, rng,
+    return _traces(mdp.init, *_lockstep(mdp, _mission(mdp, strategy), mdp.init, 1, [rng],
                                         max_steps, keep=True))[0]
 
 
@@ -231,14 +293,15 @@ def estimate_success(
     plan = _mission(mdp, strategy)
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)
     delivered = 0
-    for first, size, rng in _chunks(runs, master_seed):
-        batch = _lockstep(mdp, plan, mdp.init, size, rng, max_steps, keep=trace_hook is not None)
-        outcome, _, delivered_at, _ = batch
-        counts += np.bincount(outcome, minlength=len(OUTCOMES))
-        delivered += int(np.count_nonzero(delivered_at >= 0))
+    for first, size, rngs in _blocks(runs, master_seed):
+        batch = _lockstep(mdp, plan, mdp.init, size, rngs, max_steps, keep=trace_hook is not None)
+        counts += np.bincount(batch[0], minlength=len(OUTCOMES))
+        delivered += int(np.count_nonzero(batch[2] >= 0))
         if trace_hook is not None:
             for i, trace in enumerate(_traces(mdp.init, *batch), first):
                 trace_hook(i, trace)
+        # free this block's arrays before the next block makes its own
+        del batch
 
     satisfied, lost, step_limit = (int(c) for c in counts)
     p = satisfied / runs
@@ -278,8 +341,8 @@ def prefix_frequency(
     plan = _Plan.of(mdp, (policy,), covered, never, never)
     steps = len(prefix) - 1
     hits = 0
-    for _, size, rng in _chunks(runs, seed):
-        *_, history = _lockstep(mdp, plan, prefix[0], size, rng, steps, keep=True)
+    for _, size, rngs in _blocks(runs, seed):
+        *_, history = _lockstep(mdp, plan, prefix[0], size, rngs, steps, keep=True)
         matched = np.zeros(size, dtype=np.int64)
         for target, (moved, states, _) in zip(prefix[1:], history):
             matched[moved[states == target]] += 1

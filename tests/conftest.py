@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -20,7 +21,7 @@ import pytest
 
 from hostilemdp.belief import ENTERED, LEFT
 from hostilemdp.envmodel import Environment, MotionPrimitive, parse_environment
-from hostilemdp.mdpbuild import Mdp, MdpBuilder, VehicleState, build_mdp
+from hostilemdp.mdpbuild import Mdp, MdpBuilder, VehicleState, build_mdp, ranges
 from hostilemdp.synth import MissionStrategy, extract_policy, solve_reachability
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,102 @@ def transitions(builder: MdpBuilder, state: VehicleState, prim: MotionPrimitive)
             beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]
             put(state._replace(count=state.count - 1, beliefs=beliefs), share)
     return list(out.items())
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo oracle: the per-chunk lockstep loop, one chunk of runs at a
+# time, each chunk's runs indexed through the full-size ``cur`` and
+# ``satisfied`` arrays and each draw resolved by a row-wide gather.  The
+# block loop of ``simrun`` must give exactly these outcomes, steps and
+# histories, from exactly these draws.
+
+
+@dataclass
+class OraclePlan:
+    """The rows one or two policies play, as flat arrays, and state masks.
+
+    ``row[k, s]`` is the row policy ``k`` plays at ``s`` (-1: undefined); rows
+    are the policies' choices, concatenated in the order given.  Row
+    ``r`` plays ``action[r]`` and leads to ``succ[ptr[r]:ptr[r + 1]]`` with
+    running probability sums ``cum``; the last sum is infinite, so a draw
+    above a row total that rounded below 1 takes the last successor.
+    """
+
+    row: np.ndarray
+    action: np.ndarray
+    ptr: np.ndarray
+    succ: np.ndarray
+    cum: np.ndarray
+    alive: np.ndarray
+    switch: np.ndarray
+    dropoff: np.ndarray
+
+    @classmethod
+    def of(cls, mdp: Mdp, policies, alive, switch, dropoff):
+        choice = np.concatenate(policies)
+        row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
+        which = np.repeat(np.arange(len(policies)), [len(policy) for policy in policies])
+        row[which, mdp.choice_state()[choice]] = np.arange(len(choice))
+        lo, hi = mdp.choice_ptr[choice], mdp.choice_ptr[choice + 1]
+        length = hi - lo
+        ptr = np.concatenate(([0], np.cumsum(length)))
+        taken = ranges(lo, hi)
+        # running sums row by row, left to right, as a scalar walk adds them
+        cum = mdp.prob[taken]
+        for j in range(1, int(length.max(initial=0))):
+            at = ptr[:-1][length > j] + j
+            cum[at] += cum[at - 1]
+        cum[ptr[1:] - 1] = np.inf
+        return cls(row, mdp.choice_action[choice], ptr, mdp.succ[taken], cum,
+                   alive, switch, dropoff)
+
+
+def oracle_lockstep(mdp: Mdp, plan: OraclePlan, start: int, runs: int,
+                    rng: np.random.Generator, max_steps: int, keep: bool):
+    """Advance ``runs`` runs from ``start`` together, one vectorised step at a time.
+
+    Runs obey the mission rules of ``simrun``, with the plan's masks.  Returns
+    each run's outcome (index into ``OUTCOMES``), satisfied and delivered
+    steps (-1: never) and, if ``keep``, per step the runs that moved, their
+    new states and actions.  ``keep`` changes no draw.
+    """
+    cur = np.full(runs, start, dtype=np.int64)
+    satisfied = np.full(runs, -1, dtype=np.int64)
+    delivered = np.full(runs, -1, dtype=np.int64)
+    live = np.arange(runs)
+    history = []
+    for step in range(max_steps + 1):
+        live = live[plan.alive[cur[live]]]
+        s = cur[live]
+        satisfied[live[(satisfied[live] < 0) & plan.switch[s]]] = step
+        done = (satisfied[live] >= 0) & plan.dropoff[s]
+        delivered[live[done]] = step
+        live, s = live[~done], s[~done]
+        if step == max_steps or not live.size:
+            break
+        r = plan.row[(satisfied[live] >= 0).astype(np.intp), s]
+        if (r < 0).any():
+            i = int(np.argmax(r < 0))
+            phase = "second" if satisfied[live[i]] >= 0 else "first"
+            where = "" if mdp.states is None else f" ({mdp.states[s[i]]!r})"
+            raise RuntimeError(f"{phase}-stage strategy undefined at reached state {s[i]}{where}")
+        # each run takes the first successor whose running sum exceeds its draw
+        first = plan.ptr[r]
+        last = plan.ptr[r + 1] - first - 1
+        cols = np.minimum(np.arange(last.max() + 1), last[:, None])
+        below = plan.cum[first[:, None] + cols] <= rng.random(live.size)[:, None]
+        cur[live] = plan.succ[first + below.sum(axis=1)]
+        if keep:
+            history.append((live, cur[live], plan.action[r]))
+    outcome = np.where(satisfied >= 0, 0, np.where(plan.alive[cur], 2, 1))
+    return outcome, satisfied, delivered, history
+
+
+def oracle_chunks(runs: int, seed: int, chunk: int):
+    """Each chunk's first run, size and generator, ``chunk`` runs at a time."""
+    for c, first in enumerate(range(0, runs, chunk)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        yield first, min(chunk, runs - first), rng
 
 
 # ---------------------------------------------------------------------------

@@ -532,6 +532,48 @@ class TestSimulate:
             assert steps == list(range(len(steps)))
 
 
+#: commands that write one output file, the file's name and the option naming it
+WRITERS = [
+    ("synthesize", "s.json", ["--out"]),
+    ("simulate", "t.csv", ["--runs", "20", "--trace-out"]),
+    ("build", "m.npz", ["--dump-mdp"]),
+]
+
+
+class TestOutputDirectories:
+    @pytest.mark.parametrize("command,name,options", WRITERS)
+    def test_missing_parents_are_made_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                      command, name, options):
+        path = tmp_path / "a" / "b" / name
+        solve = cli.synthesize_mission
+        seen = []
+
+        def spy(mdp, **kw):
+            seen.append(path.parent.is_dir())
+            return solve(mdp, **kw)
+
+        monkeypatch.setattr(cli, "synthesize_mission", spy)
+        assert main([command, "--env", "corridor", *options, str(path)]) == 0
+        assert path.stat().st_size > 0
+        assert f"wrote {path}" in "".join(capsys.readouterr())
+        # the directory is there before any solve or Monte Carlo starts
+        assert seen == ([] if command == "build" else [True])
+
+    @pytest.mark.parametrize("command,name,options", WRITERS)
+    def test_an_invalid_build_leaves_no_directory(self, tmp_path, capsys, monkeypatch,
+                                                  command, name, options):
+        build = cli.build_mdp
+
+        def halved(env):
+            mdp = build(env)
+            return dataclasses.replace(mdp, prob=mdp.prob * 0.5)
+
+        monkeypatch.setattr(cli, "build_mdp", halved)
+        path = tmp_path / "a" / "b" / name
+        assert main([command, "--env", "corridor", *options, str(path)]) == 1
+        assert not (tmp_path / "a").exists()
+
+
 class TestExport:
     def test_writes_three_files(self, tmp_path, capsys):
         base = tmp_path / "out" / "corridor"

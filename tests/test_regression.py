@@ -17,6 +17,7 @@ import scipy.optimize
 from conftest import bundled_doc, policy_actions, random_mdp
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import build_mdp, export_prism
+from hostilemdp.simrun import CHUNK, estimate_success
 from hostilemdp.synth import max_reach_lp, max_reach_vi, synthesize_mission
 
 #: name -> (sha256 of .sta + .tra + .lab, sha256 of the policy JSON, repr of the value)
@@ -69,6 +70,15 @@ LP_INPUTS = {
         ("f6cc7f664acc572315ccdce6f2c54ad65a3b62d0f5787d2fcec94cff5d93163f",
          "48708f4a0f6d166194904f33e4706b930010b50697299020e6f41ce5222b3cff"),
     ),
+}
+
+#: (model, runs, seed, max_steps) -> (satisfied, lost, step_limit, delivered) of
+#: ``estimate_success``; recorded from the per-chunk lockstep loop
+ESTIMATES = {
+    ("city_caseA", 100_000, 60, 100_000): (20469, 79531, 0, 6581),
+    ("city_caseB", 100_000, 60, 100_000): (59987, 40013, 0, 28331),
+    ("city_caseA", 20_000, 7, 100_000): (4082, 15918, 0, 1324),
+    ("corridor", 3 * CHUNK + 37, 13, 6): (11793, 340, 192, 11580),
 }
 
 
@@ -131,3 +141,21 @@ def test_lp_inputs_are_pinned(monkeypatch):
     assert len(seen) == 3
     assert sorted(seen[:2]) == sorted(LP_INPUTS["corridor"])
     assert tuple(seen[2:]) == LP_INPUTS["random"]
+
+
+@pytest.fixture(scope="module")
+def missions():
+    """name -> (mdp, strategy), built and solved once for the module."""
+    out = {}
+    for name in {name for name, *_ in ESTIMATES}:
+        mdp = build_mdp(parse_environment(bundled_doc(name)))
+        out[name] = (mdp, synthesize_mission(mdp))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(ESTIMATES), ids=lambda key: "-".join(map(str, key)))
+def test_seeded_estimates_are_pinned(key, missions):
+    name, runs, seed, max_steps = key
+    mdp, strategy = missions[name]
+    est = estimate_success(mdp, strategy, runs=runs, master_seed=seed, max_steps=max_steps)
+    assert (est.satisfied, est.lost, est.step_limit, est.delivered) == ESTIMATES[key]

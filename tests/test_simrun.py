@@ -3,9 +3,21 @@
 import numpy as np
 import pytest
 
-from conftest import make_mdp, mask_of, policy_actions, policy_of, state_rows, toy_chain
-from hostilemdp.mdpbuild import VehicleState
+from conftest import (
+    OraclePlan,
+    make_mdp,
+    mask_of,
+    oracle_chunks,
+    oracle_lockstep,
+    policy_actions,
+    policy_of,
+    random_environment,
+    state_rows,
+    toy_chain,
+)
+from hostilemdp.mdpbuild import VehicleState, build_mdp
 from hostilemdp.simrun import (
+    BLOCK,
     CHUNK,
     LOST,
     OUTCOMES,
@@ -13,6 +25,9 @@ from hostilemdp.simrun import (
     SUCCESS,
     Estimate,
     Trace,
+    _blocks,
+    _lockstep,
+    _mission,
     classify_step,
     estimate_success,
     prefix_frequency,
@@ -312,3 +327,116 @@ class TestPrefixFrequency:
         mdp, policy = toy_chain()
         freq = prefix_frequency(mdp, policy, [0, 1, 1], runs=40_000, seed=3)
         assert freq == pytest.approx(0.1, abs=0.006)
+
+
+def joined(parts):
+    """One result from ``(first run, lockstep result)`` parts in run order.
+
+    The outcome, satisfied and delivered arrays are concatenated, and the
+    histories are merged step by step with run indices made global.
+    """
+    arrays = [np.concatenate([result[k] for _, result in parts]) for k in range(3)]
+    history = []
+    for k in range(max(len(result[3]) for _, result in parts)):
+        pieces = [(first + h[k][0], h[k][1], h[k][2])
+                  for first, (*_, h) in parts if k < len(h)]
+        history.append([np.concatenate(column) for column in zip(*pieces)])
+    return arrays, history
+
+
+def block_result(mdp, strategy, runs, seed, max_steps):
+    plan = _mission(mdp, strategy)
+    return joined([(first, _lockstep(mdp, plan, mdp.init, size, rngs, max_steps, keep=True))
+                   for first, size, rngs in _blocks(runs, seed)])
+
+
+def chunk_result(mdp, strategy, runs, seed, max_steps):
+    plan = OraclePlan.of(mdp, (strategy.first, strategy.second), mdp.label("alive"),
+                         strategy.switch, mdp.label("dropoff"))
+    return joined([(first, oracle_lockstep(mdp, plan, mdp.init, size, rng, max_steps, keep=True))
+                   for first, size, rng in oracle_chunks(runs, seed, CHUNK)])
+
+
+@pytest.fixture(scope="module")
+def oracle_models(corridor_mdp, case_envs):
+    random_mdp = build_mdp(random_environment(np.random.default_rng([2024, 10])))
+    return {name: (mdp, synthesize_mission(mdp, tol=1e-12)) for name, mdp in (
+        ("corridor", corridor_mdp), ("caseA", build_mdp(case_envs["A"])), ("random", random_mdp))}
+
+
+class TestChunkOracle:
+    """The block loop against the per-chunk loop it replaced, draw for draw."""
+
+    @pytest.mark.parametrize("model", ["corridor", "caseA", "random"])
+    @pytest.mark.parametrize("max_steps", [0, 1, 6, 100_000])
+    @pytest.mark.parametrize("runs", [1, CHUNK - 1, CHUNK + 37, BLOCK * CHUNK + 5])
+    def test_same_runs_as_the_chunk_loop(self, oracle_models, model, max_steps, runs):
+        mdp, strategy = oracle_models[model]
+        seed = runs + max_steps
+        arrays, history = block_result(mdp, strategy, runs, seed, max_steps)
+        want_arrays, want_history = chunk_result(mdp, strategy, runs, seed, max_steps)
+        for got, want in zip(arrays, want_arrays):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert len(history) == len(want_history)
+        for got, want in zip(history, want_history):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_models_cover_every_outcome(self, oracle_models):
+        for name in ("corridor", "random"):
+            mdp, strategy = oracle_models[name]
+            (outcome, *_), _ = block_result(mdp, strategy, CHUNK + 37, 1, 6)
+            assert set(outcome.tolist()) == {0, 1, 2}, name
+
+    def test_prefix_frequency_matches_the_chunk_loop(self):
+        mdp, policy = toy_chain()
+        covered = np.zeros(mdp.n_states, dtype=bool)
+        covered[mdp.choice_state()[policy]] = True
+        never = np.zeros(mdp.n_states, dtype=bool)
+        plan = OraclePlan.of(mdp, (policy,), covered, never, never)
+        runs, prefix = BLOCK * CHUNK + 5, [0, 1, 1]
+        hits = 0
+        for _, size, rng in oracle_chunks(runs, 3, CHUNK):
+            *_, history = oracle_lockstep(mdp, plan, prefix[0], size, rng, 2, keep=True)
+            matched = np.zeros(size, dtype=np.int64)
+            for target, (moved, states, _) in zip(prefix[1:], history):
+                matched[moved[states == target]] += 1
+            hits += int(np.count_nonzero(matched == 2))
+        assert prefix_frequency(mdp, policy, prefix, runs=runs, seed=3) == hits / runs
+
+
+class TestErrorOrder:
+    def test_earliest_step_and_lowest_run_of_the_block(self):
+        # states 1 and 2 are holes one step out, and state 4 a hole two steps
+        # out; a run reaches 1 or 2 with probability 2 q each, so whether a
+        # chunk's runs reach them depends on its draws
+        q = 1.0 / (2 * CHUNK)
+        mdp = make_mdp(
+            {
+                0: {"m": [(1, q), (2, q), (3, 1.0 - 2 * q)]},
+                1: {"m": [(1, 1.0)]},
+                2: {"m": [(2, 1.0)]},
+                3: {"m": [(4, 1.0)]},
+                4: {"m": [(4, 1.0)]},
+            },
+            labels={"alive": {0, 1, 2, 3, 4}, "pickup": set(), "dropoff": set()},
+        )
+        strategy = hand_strategy(mdp, first={0: 0, 3: 0})
+
+        def first_draws(seed, c):
+            return np.random.default_rng(np.random.SeedSequence([seed, c])).random(CHUNK)
+
+        # a seed whose chunk 0 reaches only the late hole while chunk 1 reaches
+        # an early one, more than once
+        seed = next(s for s in range(1000)
+                    if not (first_draws(s, 0) < 2 * q).any()
+                    and np.count_nonzero(first_draws(s, 1) < 2 * q) > 1)
+        draws = first_draws(seed, 1)
+        early = draws[np.flatnonzero(draws < 2 * q)[0]]
+        state = 1 if early < q else 2
+        with pytest.raises(RuntimeError,
+                           match=f"^first-stage strategy undefined at reached state {state}$"):
+            estimate_success(mdp, strategy, runs=2 * CHUNK, master_seed=seed)
+        # the chunk loop stopped in chunk 0, at the later hole
+        with pytest.raises(RuntimeError, match="reached state 4$"):
+            chunk_result(mdp, strategy, 2 * CHUNK, seed, 100)
