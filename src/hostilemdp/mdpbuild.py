@@ -44,7 +44,8 @@ STAY = "stay"
 #: most states one build round expands; it bounds the round's working arrays
 BATCH = 2048
 
-#: lines the PRISM export joins and writes at a time; it bounds the text held
+#: lines the PRISM export joins and writes at a time, and about the lines of
+#: one ``.tra`` block; it bounds the text and the arrays held
 CHUNK = 4096
 
 
@@ -895,16 +896,18 @@ def load_mdp(path: str | Path) -> Mdp:
 # PRISM explicit-state export
 
 
-def _stream(path: Path, header: str, tokens: list[bytes], ids: np.ndarray) -> Path:
-    """Write ``header``, then one line per row of ``ids``: the tokens it names, joined.
+def _stream(path: Path, header: str, blocks) -> Path:
+    """Write ``header``, then for each ``(tokens, ids)`` of ``blocks`` one line per row of ``ids``.
 
-    Each token is formatted once however many lines use it, and the text is
-    joined and written ``CHUNK`` lines at a time, so no file is held whole.
+    A line is the tokens its row names, joined.  Each token is formatted
+    once however many lines of its block use it, and the text is joined and
+    written at most ``CHUNK`` lines at a time, so no file is held whole.
     """
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        for lo in range(0, len(ids), CHUNK):
-            handle.write(b"".join(map(tokens.__getitem__, ids[lo:lo + CHUNK].ravel().tolist())))
+        for tokens, ids in blocks:
+            for lo in range(0, len(ids), CHUNK):
+                handle.write(b"".join(map(tokens.__getitem__, ids[lo:lo + CHUNK].ravel().tolist())))
     return path
 
 
@@ -922,6 +925,37 @@ def _successor_order(n: int, trans: np.ndarray, succ: np.ndarray, prob: np.ndarr
     runs = np.union1d(tied, tied + 1)
     order[runs] = order[runs][np.lexsort((prob[order[runs]], key[runs]))]
     return order
+
+
+def _transition_blocks(mdp: Mdp):
+    """The ``.tra`` lines as ``(tokens, ids)`` blocks of whole choices, about ``CHUNK`` lines each.
+
+    A choice longer than ``CHUNK`` lines is a block of its own.  The tokens
+    are one ``b"t "`` per state, one ``repr(p) + "\\n"`` per distinct
+    probability bit pattern (so -0.0 keeps its own repr), and the block's
+    ``b"s c "`` choice prefixes, which replace the previous block's.
+    """
+    n, ptr = mdp.n_states, mdp.choice_ptr
+    bits = np.unique(mdp.prob.view(np.uint64))
+    tokens = [b"%d " % t for t in range(n)]
+    tokens += [repr(p).encode() + b"\n" for p in bits.view(np.float64).tolist()]
+    shared = len(tokens)
+    c0 = 0
+    while c0 < mdp.n_choices():
+        c1 = max(c0 + 1, int(np.searchsorted(ptr, ptr[c0] + CHUNK, side="right")) - 1)
+        lo, hi = ptr[c0], ptr[c1]
+        trans = np.repeat(np.arange(c1 - c0), np.diff(ptr[c0:c1 + 1]))
+        succ, prob = mdp.succ[lo:hi], mdp.prob[lo:hi]
+        order = _successor_order(n, trans, succ, prob)
+        # choices are numbered within their state
+        choices = np.arange(c0, c1)
+        owner = np.searchsorted(mdp.state_ptr, choices, side="right") - 1
+        local = choices - mdp.state_ptr[owner]
+        del tokens[shared:]
+        tokens += [b"%d %d " % choice for choice in zip(owner.tolist(), local.tolist())]
+        yield tokens, np.column_stack((shared + trans[order], succ[order],
+                                       n + np.searchsorted(bits, prob[order].view(np.uint64))))
+        c0 = c1
 
 
 def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
@@ -944,7 +978,7 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
 
     if table is None:
         tokens = [b"%d:(%d)\n" % (i, i) for i in range(n)]
-        _stream(sta_path, "(s)", tokens, states[:, None])
+        _stream(sta_path, "(s)", [(tokens, states[:, None])])
     else:
         # belief tuples are numbered in order of first appearance, each as one
         # row of its length and its positions padded with -1
@@ -962,21 +996,9 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
         tokens += [b"%d)\n" % b for b in range(int(combos.max(initial=-1)) + 1)]
         ids = np.column_stack((states, n + codes.reshape(columns.shape).T,
                                n + len(values) + combos))
-        _stream(sta_path, "(facet,region,count,level,alive,beliefs)", tokens, ids)
+        _stream(sta_path, "(facet,region,count,level,alive,beliefs)", [(tokens, ids)])
 
-    trans = mdp.transition_choice()
-    order = _successor_order(n, trans, mdp.succ, mdp.prob)
-    # choices are numbered within their state
-    owner = mdp.choice_state()
-    local = np.arange(mdp.n_choices()) - mdp.state_ptr[owner]
-    # distinct by bit pattern, so -0.0 keeps its own repr
-    bits, value = np.unique(mdp.prob.view(np.uint64), return_inverse=True)
-    tokens = [b"%d %d " % choice for choice in zip(owner.tolist(), local.tolist())]
-    tokens += [b"%d " % t for t in range(n)]
-    tokens += [repr(p).encode() + b"\n" for p in bits.view(np.float64).tolist()]
-    choices = mdp.n_choices()
-    ids = np.column_stack((trans[order], choices + mdp.succ[order], choices + n + value[order]))
-    _stream(tra_path, f"{n} {choices} {mdp.n_transitions()}", tokens, ids)
+    _stream(tra_path, f"{n} {mdp.n_choices()} {mdp.n_transitions()}", _transition_blocks(mdp))
 
     # internal label names -> the atoms the mission formula is written over;
     # a state's line lists the atoms it carries, coded as the bits of ``tags``
@@ -989,6 +1011,6 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
                for code in range(1 << len(atoms))]
     header = " ".join(f'{i}="{name}"' for i, name in enumerate(atoms))
     ids = np.column_stack((np.arange(len(tagged)), len(tagged) + tags[tagged]))
-    _stream(lab_path, header, tokens, ids)
+    _stream(lab_path, header, [(tokens, ids)])
 
     return [sta_path, tra_path, lab_path]

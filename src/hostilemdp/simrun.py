@@ -11,7 +11,7 @@ Every entry point runs ``_lockstep``.  Runs fall into fixed chunks of
 ``default_rng(SeedSequence([seed, c]))`` for its live runs in run order, so
 results depend only on the seed.  A block of :data:`BLOCK` chunks advances
 together, one vectorised step at a time, over compacted arrays of its live
-runs; the traces a hook sees are built one block at a time.
+runs; the traces a hook sees are built one chunk at a time.
 """
 
 from __future__ import annotations
@@ -150,12 +150,19 @@ class _Plan:
         return self.succ[below]
 
 
-def _traces(start: int, outcome, satisfied, delivered, history) -> list[Trace]:
-    """Per-run traces of a block that ``_lockstep`` ran with ``keep``."""
+def _traces(start: int, outcome, satisfied, delivered, history, lo: int = 0) -> list[Trace]:
+    """Traces of the block's runs ``lo:lo + len(outcome)``, which ``_lockstep`` ran with ``keep``.
+
+    ``outcome``, ``satisfied`` and ``delivered`` hold those runs only; each
+    step of the block's ``history`` is cut to them by ``searchsorted``, since
+    the runs that moved come in ascending order.
+    """
     states = [[start] for _ in outcome]
     actions = [[] for _ in outcome]
     for moved, reached, played in history:
-        for i, t, a in zip(moved.tolist(), reached.tolist(), played.tolist()):
+        ours = slice(*np.searchsorted(moved, (lo, lo + len(outcome))))
+        for i, t, a in zip((moved[ours] - lo).tolist(), reached[ours].tolist(),
+                           played[ours].tolist()):
             states[i].append(t)
             actions[i].append(a)
     return [
@@ -184,7 +191,8 @@ def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int,
     number from ``rngs[c]`` per live run of the chunk, in run order.
     Returns each run's outcome (index into :data:`OUTCOMES`), satisfied and
     delivered steps (-1: never) and, if ``keep``, per step the runs that
-    moved, their new states and actions.  ``keep`` changes no draw.
+    moved, their new states and actions, as int32 arrays.  ``keep`` changes
+    no draw.
     """
     outcome = np.full(runs, OUTCOMES.index(STEP_LIMIT), dtype=np.int64)
     satisfied = np.full(runs, -1, dtype=np.int64)
@@ -227,7 +235,9 @@ def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int,
         # the draws and the bisection's block-sized arrays die with the call, not a step later
         s = plan.successors(r, _draws(rngs, idx))
         if keep:
-            history.append((idx, s, plan.action[r]))
+            # int32 halves a block's history; run indices, states and actions all fit
+            history.append((idx.astype(np.int32), s.astype(np.int32),
+                            plan.action[r].astype(np.int32)))
     satisfied[idx] = sat
     outcome[satisfied >= 0] = OUTCOMES.index(SUCCESS)
     return outcome, satisfied, delivered, history
@@ -298,8 +308,11 @@ def estimate_success(
         counts += np.bincount(batch[0], minlength=len(OUTCOMES))
         delivered += int(np.count_nonzero(batch[2] >= 0))
         if trace_hook is not None:
-            for i, trace in enumerate(_traces(mdp.init, *batch), first):
-                trace_hook(i, trace)
+            # one chunk's traces at a time, so a block's runs never all exist as traces
+            for lo in range(0, size, CHUNK):
+                chunk = [column[lo:lo + CHUNK] for column in batch[:3]]
+                for i, trace in enumerate(_traces(mdp.init, *chunk, batch[3], lo), first + lo):
+                    trace_hook(i, trace)
         # free this block's arrays before the next block makes its own
         del batch
 

@@ -9,9 +9,8 @@ iteration (sparse, monotone from below) or by the standard occupation LP.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,9 +21,8 @@ from .mdpbuild import Mdp, Predecessors, ranges
 #: still count as maximal when :func:`extract_policy` picks a progressing one
 TIE_TOL = 1e-9
 
-#: held while a solver assembles its matrix, so that the two stages of a
-#: mission, which solve at once, never hold two assemblies' temporaries
-_ASSEMBLY = threading.Lock()
+#: rows :func:`_free_rows` gathers at a time; it bounds the gather's index arrays
+CHUNK = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -32,9 +30,7 @@ class ConvergenceError(RuntimeError):
 
     def __init__(self, message: str, values: np.ndarray, iterations: int, residual: float):
         super().__init__(message)
-        self.values = values
-        self.iterations = iterations
-        self.residual = residual
+        self.values, self.iterations, self.residual = values, iterations, residual
 
 
 @dataclass
@@ -87,32 +83,109 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
     return _backward_levels(preds, keep, np.flatnonzero(target)) >= 0
 
 
-def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray):
+def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray,
+               fold: bool = False):
     """The rows ``choices`` of the model on the columns ``free``, and their target mass.
 
-    The mass of a row is its probability of moving into ``target``, summed
-    in the row's order.
+    ``CHUNK`` rows at a time are taken from the model and cut to their free
+    entries, in order, straight into arrays of the result's size.  A row's
+    mass is its probability of moving into ``target``, summed in row order
+    from +0.0; a non-target entry adds p * 0.0 = +0.0, which changes no sum.
+    With ``fold``, each nonzero mass also ends its row, in one more column.
     """
-    picked = mdp.matrix[choices]
-    goal = np.flatnonzero(target)
-    return picked[:, free], picked[:, goal] @ np.ones(len(goal))
+    import scipy.sparse
+
+    model = mdp.matrix
+    column = np.full(mdp.n_states, -1, dtype=model.indices.dtype)
+    column[free] = np.arange(len(free))
+    mass = (model @ target.astype(float))[choices]
+    folded = (mass > 0.0) & fold
+    # free entries before each position of the model, so a row's count is a difference
+    seen = np.zeros(len(model.indices) + 1, dtype=model.indptr.dtype)
+    np.cumsum((column >= 0)[model.indices], out=seen[1:])
+    kept = seen[model.indptr[choices + 1]] - seen[model.indptr[choices]]
+    del seen
+    indptr = np.concatenate(([0], np.cumsum(kept + folded)))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=column.dtype)
+    for lo in range(0, len(choices), CHUNK):
+        hi = min(lo + CHUNK, len(choices))
+        picked = model[choices[lo:hi]]
+        slot = column[picked.indices]
+        # a folded mass goes after its row's last free entry
+        at = np.cumsum(kept[lo:hi])[folded[lo:hi]]
+        fill = slice(indptr[lo], indptr[hi])
+        data[fill] = np.insert(picked.data[slot >= 0], at, mass[lo:hi][folded[lo:hi]])
+        indices[fill] = np.insert(slot[slot >= 0], at, len(free))
+    shape = (len(choices), len(free) + fold)
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape), mass
+
+
+def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
+    """Value iteration's matrix over the free states, one row per choice slot.
+
+    Row ``j * nf + i`` is free state ``i``'s ``j``-th choice, or empty (+0.0,
+    below any real backup) when the state has fewer.  A nonzero target mass
+    ends its row, in column ``nf`` against an iterate entry fixed at one: the
+    row gives S + c, which rounds as c + S does.
+    """
+    import scipy.sparse
+
+    nf = len(free)
+    first, counts = mdp.state_ptr[free], np.diff(mdp.state_ptr)[free]
+    slots = np.arange(int(counts.max()))[:, None]
+    real = (slots < counts).ravel()
+    rows, _ = _free_rows(mdp, target, free, (first + slots).ravel()[real], fold=True)
+    size = np.zeros(len(real), dtype=rows.indptr.dtype)
+    size[real] = np.diff(rows.indptr)
+    indptr = np.concatenate(([0], np.cumsum(size)))
+    return scipy.sparse.csr_matrix((rows.data, rows.indices, indptr), shape=(len(real), nf + 1))
+
+
+def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
+    """The LP's ``(A_ub, b_ub)``: rows of (Q - E) x <= -c, E picking each choice's owner."""
+    import scipy.sparse
+
+    first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
+    matrix, mass = _free_rows(mdp, target, free, ranges(first, stop))
+    picker = scipy.sparse.csr_matrix(
+        (np.ones(len(mass)), (np.arange(len(mass)), np.repeat(np.arange(len(free)), stop - first))),
+        shape=matrix.shape)
+    return (matrix - picker).tocsc(), -mass
+
+
+def _pick(table: dict, method: str):
+    if method not in table:
+        raise ValueError(f"unknown method {method!r}, expected one of {sorted(table)}")
+    return table[method]
+
+
+class _Stage(NamedTuple):
+    """One stage assembled for its solver, on the thread that calls :func:`_stage`."""
+
+    positive: np.ndarray
+    free: np.ndarray  # the positive non-target states, ascending
+    system: object  # the sweep matrix or the LP's (A_ub, b_ub); None when nothing is free
+
+
+def _stage(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, method: str,
+           positive: Optional[np.ndarray] = None) -> _Stage:
+    """Assemble a stage for ``method``, from ``positive`` if its graph pass was made already."""
+    assemble = _pick({"vi": _sweep_matrix, "lp": _lp_inputs}, method)
+    if positive is None:
+        positive = qualitative_reach(mdp, target, allowed)
+    free = np.flatnonzero(positive & ~target)
+    return _Stage(positive, free, assemble(mdp, target, free) if free.size else None)
 
 
 def _assemble(mdp, target, free, x):
     values = np.zeros(mdp.n_states)
-    values[target] = 1.0
-    values[free] = x
+    values[target], values[free] = 1.0, x
     return values
 
 
-def max_reach_vi(
-    mdp: Mdp,
-    target: np.ndarray,
-    allowed: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 10**6,
-    sweep_hook=None,
-) -> ValueResult:
+def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float = 1e-9,
+                 max_iter: int = 10**6, sweep_hook=None, *,
+                 stage: Optional[_Stage] = None) -> ValueResult:
     """Value iteration for max P[allowed U target], from below.
 
     ``target`` and ``allowed`` are bool masks over the states.  Iterates
@@ -120,38 +193,13 @@ def max_reach_vi(
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
     ``sweep_hook``, when given, receives a copy of the free-state vector
     after every sweep (free states are the positive non-target ones, in
-    ascending state order).
+    ascending state order).  ``stage`` is one the caller assembled.
     """
-    import scipy.sparse
-
-    positive = qualitative_reach(mdp, target, allowed)
-    free = np.flatnonzero(positive & ~target)
+    positive, free, matrix = stage or _stage(mdp, target, allowed, "vi")
     nf = len(free)
     if not nf:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
-    # row j * nf + i of the sweep matrix is free state i's j-th choice, and is
-    # empty when the state has fewer choices: an empty row gives +0.0, which
-    # never exceeds a real backup
-    first = mdp.state_ptr[free]
-    counts = mdp.state_ptr[free + 1] - first
-    slots = np.arange(int(counts.max()))[:, None]
-    real = (slots < counts).ravel()
-    with _ASSEMBLY:
-        rows, const = _free_rows(mdp, target, free, (first + slots).ravel()[real])
-        # each row's const goes last, in column nf, against an iterate entry
-        # fixed at one, and is left out where it is zero: a row gives S + c,
-        # which rounds as c + S does
-        folded = const > 0.0
-        at = rows.indptr[1:][folded]
-        size = np.zeros(len(real), dtype=rows.indptr.dtype)
-        size[real] = np.diff(rows.indptr) + folded
-        matrix = scipy.sparse.csr_matrix(
-            (np.insert(rows.data, at, const[folded]), np.insert(rows.indices, at, nf),
-             np.concatenate(([0], np.cumsum(size)))),
-            shape=(len(real), nf + 1),
-        )
-        del rows  # the sweeps read only the matrix
     width = matrix.shape[0] // nf
     # two iterates that swap each sweep; entry nf of both stays 1.0 for the const column
     xe, ne = np.zeros(nf + 1), np.zeros(nf + 1)
@@ -170,13 +218,12 @@ def max_reach_vi(
             return ValueResult(_assemble(mdp, target, free, new),
                                positive, "vi", iterations=sweep, residual=residual)
     raise ConvergenceError(
-        f"value iteration did not converge within {max_iter} sweeps "
-        f"(last residual {residual:.3e})",
-        _assemble(mdp, target, free, xe[:nf]), max_iter, residual,
-    )
+        f"value iteration did not converge within {max_iter} sweeps (last residual {residual:.3e})",
+        _assemble(mdp, target, free, xe[:nf]), max_iter, residual)
 
 
-def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> ValueResult:
+def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, *,
+                 stage: Optional[_Stage] = None) -> ValueResult:
     """LP route to the same values: minimize sum(x) over the Bellman cone.
 
     Each enabled action of a free state yields one constraint
@@ -184,34 +231,15 @@ def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> ValueResu
     the value vector.  Solved by HiGHS's interior point method through scipy;
     HiGHS then runs crossover, so the answer is a vertex of the cone.  The
     solution is clipped into the declared bounds [0, 1], which HiGHS may
-    overshoot by a few ulps.
+    overshoot by a few ulps.  ``stage`` is one the caller assembled.
     """
     import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
-    import scipy.sparse
 
-    positive = qualitative_reach(mdp, target, allowed)
-    free = np.flatnonzero(positive & ~target)
+    positive, free, system = stage or _stage(mdp, target, allowed, "lp")
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
-    first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-    with _ASSEMBLY:
-        matrix, const = _free_rows(mdp, target, free, ranges(first, stop))
-        n_choices = len(const)
-        # rows of (Q - E) x <= -c where E picks the owning state of each choice
-        owner_rows = np.repeat(np.arange(len(free)), stop - first)
-        picker = scipy.sparse.csr_matrix(
-            (np.ones(n_choices), (np.arange(n_choices), owner_rows)),
-            shape=(n_choices, len(free)),
-        )
-        a_ub = (matrix - picker).tocsc()
-        del matrix, picker, owner_rows  # HiGHS reads only A_ub
-    res = scipy.optimize.linprog(
-        c=np.ones(len(free)),
-        A_ub=a_ub,
-        b_ub=-const,
-        bounds=(0.0, 1.0),
-        method="highs-ipm",
-    )
+    res = scipy.optimize.linprog(c=np.ones(len(free)), A_ub=system[0], b_ub=system[1],
+                                 bounds=(0.0, 1.0), method="highs-ipm")
     if not res.success:
         raise RuntimeError(f"LP solve failed: {res.message}")
     return ValueResult(_assemble(mdp, target, free, np.clip(res.x, 0.0, 1.0)),
@@ -222,11 +250,7 @@ _SOLVERS = {"vi": max_reach_vi, "lp": max_reach_lp}
 
 
 def solve_reachability(mdp, target, allowed, method: str = "vi", **kw) -> ValueResult:
-    try:
-        solver = _SOLVERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}, expected one of {sorted(_SOLVERS)}")
-    return solver(mdp, target, allowed, **kw)
+    return _pick(_SOLVERS, method)(mdp, target, allowed, **kw)
 
 
 def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndarray:
@@ -254,10 +278,8 @@ def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndar
     level = _backward_levels(preds, candidate[preds.choice], np.flatnonzero(target))
     unreached = states[level[states] < 0]
     if unreached.size:
-        raise RuntimeError(
-            f"state {unreached[0]} has positive value but no progressing action; "
-            f"tie tolerance {TIE_TOL} may be too small"
-        )
+        raise RuntimeError(f"state {unreached[0]} has positive value but no progressing action; "
+                           f"tie tolerance {TIE_TOL} may be too small")
     dist = np.where(level >= 0, level, np.iinfo(np.int64).max)
     closer = np.repeat(dist, np.diff(preds.ptr)) < dist[preds.src]
     progressing = np.zeros(mdp.n_choices(), dtype=bool)
@@ -290,41 +312,33 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
 
     The inner constraint (delivery still possible after pickup) is
     qualitative: the switch set comes from the deliver stage's graph fixpoint
-    alone, before either stage is solved.  The two max-reachability solves
-    then no longer depend on each other and always run at once, with no
-    option to turn that off: the pickup stage on a worker thread, the
-    deliver stage on the calling thread.  Their sweeps and LP solves release
-    the GIL; their matrix assembly takes turns.  A deliver-stage failure wins
-    over a pickup-stage one, the worker is joined before anything is raised,
-    and the policies are extracted after the join, first stage first.
-    ``kw`` goes to both solvers, so a ``sweep_hook`` is called from both
-    threads.
+    alone, which is also that stage's positive set, so ``qualitative_reach``
+    runs twice.  The calling thread assembles both stages; then the pickup
+    stage solves on a worker thread, which only sweeps or calls ``linprog``,
+    while the deliver stage solves on the calling thread.  A deliver-stage
+    failure wins over a pickup-stage one, the worker is joined before
+    anything is raised, and the policies are extracted after it, first stage first.
+    ``kw`` goes to both solvers, so a ``sweep_hook`` is called from both.
     """
-    alive = mdp.label("alive")
-    pickup = mdp.label(PICKUP)
-    dropoff = mdp.label(DROPOFF)
+    alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
 
     deliver = alive & dropoff
-    # this first graph pass builds the model's matrix and predecessor index on
-    # the calling thread, so the two stages only read them
+    # this first graph pass builds the model's matrix and predecessor index before any worker
     deliverable = qualitative_reach(mdp, deliver, alive)
     switch = alive & pickup & deliverable
+    # popped into the solves, so each stage's arrays die with its solve
+    stages = [_stage(mdp, switch, alive, method), _stage(mdp, deliver, alive, method, deliverable)]
     from concurrent.futures import ThreadPoolExecutor  # scipy.sparse has loaded it already
 
     with ThreadPoolExecutor(1, thread_name_prefix="hostilemdp-pickup-stage") as pool:
-        future = pool.submit(solve_reachability, mdp, switch, alive, method=method, **kw)
-        second = solve_reachability(mdp, deliver, alive, method=method, **kw)
+        future = pool.submit(solve_reachability, mdp, switch, alive, method=method,
+                             stage=stages.pop(0), **kw)
+        second = solve_reachability(mdp, deliver, alive, method=method, stage=stages.pop(), **kw)
     first = future.result()
 
     return MissionStrategy(
-        value=float(first.values[mdp.init]),
-        first=extract_policy(mdp, first, switch),
-        second=extract_policy(mdp, second, deliver),
-        switch=switch,
-        sat_deliverable=deliverable,
-        values_first=first.values,
-        values_second=second.values,
-        method=method,
-    )
+        value=float(first.values[mdp.init]), first=extract_policy(mdp, first, switch),
+        second=extract_policy(mdp, second, deliver), switch=switch, sat_deliverable=deliverable,
+        values_first=first.values, values_second=second.values, method=method)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -836,6 +837,15 @@ def awkward_numbers_mdp():
     }, init=2, labels={"alive": {0, 1, 2}, PICKUP: {1}, DROPOFF: {0, 2}})
 
 
+def long_choice_mdp():
+    """Hand-built model whose first choice has twelve transitions, repeating every successor."""
+    row = [(5, 0.1), (1, 0.05), (5, 0.05), (0, 0.1), (2, 0.1), (1, 0.1), (3, 0.05), (4, 0.1),
+           (2, 0.05), (0, 0.05), (3, 0.1), (4, 0.15)]
+    table = {0: {"a": row, "b": [(1, 1.0)]}, 1: {"a": [(2, 0.5), (1, 0.5)]}}
+    table.update({s: {"a": [(s, 1.0)]} for s in range(2, 6)})
+    return make_mdp(table, labels={"alive": set(range(6)), PICKUP: {1}, DROPOFF: {2}})
+
+
 class TestExport:
     """The streamed export writes the reference formatter's bytes."""
 
@@ -871,3 +881,26 @@ class TestExport:
         monkeypatch.setattr(mdpbuild, "CHUNK", chunk)
         chunked = [exported_bytes(mdp, tmp_path / f"chunk{i}") for i, mdp in enumerate(mdps)]
         assert chunked == default
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_blocks_of_whole_choices_match_reference(self, chunk, corridor_mdp, case_envs,
+                                                     tmp_path, monkeypatch):
+        long_choice = long_choice_mdp()
+        assert validate_mdp(long_choice) == []
+        assert np.diff(long_choice.choice_ptr).max() > chunk
+        mdps = [corridor_mdp, build_mdp(case_envs["A"]), build_mdp(repeated_exit_corridor()),
+                long_choice]
+        monkeypatch.setattr(mdpbuild, "CHUNK", chunk)
+        for i, mdp in enumerate(mdps):
+            assert exported_bytes(mdp, tmp_path / f"m{i}") == reference_export(mdp), i
+
+    def test_export_memory_is_bounded_by_a_block(self, case_envs, tmp_path):
+        mdp = build_mdp(case_envs["A"])
+        tracemalloc.start()
+        try:
+            export_prism(mdp, tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # arrays as long as the model's transitions would take 11 MiB here; a block's take KiBs
+        assert peak < 6 * 2**20

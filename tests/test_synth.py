@@ -524,3 +524,75 @@ class TestConcurrentStages:
         with pytest.raises(RuntimeError, match="no progressing action") as raised:
             synthesize_mission(corridor_mdp)
         assert str(raised.value) == str(expected.value)
+
+
+def bits(a):
+    return str(a.dtype), a.tobytes()
+
+
+class TestStageAssembly:
+    """The mission assembles both stages on the calling thread from two graph passes;
+    ``_free_rows`` gives the rows and masses of the sparse selection it replaced."""
+
+    @pytest.mark.parametrize("method", ["vi", "lp"])
+    def test_two_graph_passes_per_mission(self, corridor_mdp, monkeypatch, method):
+        calls = []
+        reach = synth.qualitative_reach
+
+        def counted(*args):
+            calls.append(args)
+            return reach(*args)
+
+        monkeypatch.setattr(synth, "qualitative_reach", counted)
+        synthesize_mission(corridor_mdp, method)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("method", ["vi", "lp"])
+    def test_both_stages_are_assembled_on_the_calling_thread(self, case_envs, monkeypatch,
+                                                             stray_threads, method):
+        threads = []
+        assemble = synth._free_rows
+
+        def recorded(*args, **kw):
+            threads.append(threading.current_thread())
+            return assemble(*args, **kw)
+
+        monkeypatch.setattr(synth, "_free_rows", recorded)
+        synthesize_mission(build_mdp(case_envs["A"]), method)
+        assert threads == [threading.current_thread()] * 2
+
+    def test_mission_refuses_an_unknown_method(self, corridor_mdp):
+        with pytest.raises(ValueError, match="unknown method 'newton'"):
+            synthesize_mission(corridor_mdp, "newton")
+
+    @pytest.mark.parametrize("chunk", [1, 3, synth.CHUNK])
+    def test_rows_match_the_sparse_selection(self, monkeypatch, chunk):
+        monkeypatch.setattr(synth, "CHUNK", chunk)
+        rng = np.random.default_rng(20261019)
+        # a row that repeats a successor can hold two target entries
+        repeated = make_mdp({0: {"a": [(1, 0.25), (2, 0.25), (1, 0.5)], "b": [(0, 1.0)]},
+                             1: {"a": [(1, 1.0)]}, 2: {"a": [(0, 0.5), (2, 0.5)]}},
+                            labels={"goal": {1}})
+        models = [(repeated, repeated.label("goal"))]
+        for _ in range(40):
+            mdp, goal = random_mdp(rng, max_actions=3)
+            if rng.random() < 0.5:  # a zero-probability entry, kept by both selections
+                mdp.prob[rng.integers(len(mdp.prob))] = 0.0
+            models.append((mdp, goal))
+        for mdp, goal in models:
+            free = np.flatnonzero(~goal & (rng.random(mdp.n_states) < 0.8))
+            choices = rng.permutation(np.flatnonzero(np.isin(mdp.choice_state(), free)))
+            picked = mdp.matrix[choices]
+            want = picked[:, free]
+            mass = picked[:, np.flatnonzero(goal)] @ np.ones(int(goal.sum()))
+            rows, got = synth._free_rows(mdp, goal, free, choices)
+            assert [bits(a) for a in (rows.data, rows.indices, rows.indptr, got)] == [
+                bits(a) for a in (want.data, want.indices, want.indptr, mass)]
+            # folded, each nonzero mass ends its row, in one more column
+            folded, _ = synth._free_rows(mdp, goal, free, choices, fold=True)
+            at = want.indptr[1:][mass > 0.0]
+            assert folded.shape == (len(choices), len(free) + 1)
+            assert [bits(a) for a in (folded.data, folded.indices)] == [
+                bits(np.insert(want.data, at, mass[mass > 0.0])),
+                bits(np.insert(want.indices, at, len(free)))]
+            assert np.array_equal(np.diff(folded.indptr), np.diff(want.indptr) + (mass > 0.0))
