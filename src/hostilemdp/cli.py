@@ -216,12 +216,18 @@ def _strategy_json(mdp, strategy) -> str:
             return opening + closing
         return opening + ",".join("\n    " + item for item in items) + "\n  " + closing
 
-    names = [json.dumps(name) for name in mdp.action_names]
+    # json.dumps escapes every non-ASCII character, so each entry is ASCII bytes
+    names = np.array([json.dumps(name).encode() for name in mdp.action_names], dtype=object)
     owner = mdp.choice_state()
 
     def policy(chosen) -> str:
-        pairs = zip(owner[chosen].tolist(), mdp.choice_action[chosen].tolist())
-        return nested("{", "}", [f'"{s}": {names[a]}' for s, a in pairs])
+        if not len(chosen):
+            return "{}"
+        # one key token and one gathered name token per entry, joined in one pass
+        keys = np.array([b',\n    "%d": ' % s for s in owner[chosen].tolist()], dtype=object)
+        keys[0] = keys[0][1:]
+        entries = np.column_stack((keys, names[mdp.choice_action[chosen]]))
+        return "{" + b"".join(entries.ravel().tolist()).decode() + "\n  }"
 
     switch = nested("[", "]", [str(s) for s in np.flatnonzero(strategy.switch).tolist()])
     members = [f'"value": {json.dumps(strategy.value)}', f'"method": {json.dumps(strategy.method)}',

@@ -118,6 +118,10 @@ class Mdp:
     is the ascending int64 array of the choices it plays, one per state it
     covers.  A model must not change once it has been solved: the solvers
     keep its :attr:`matrix` and :attr:`predecessors` for its whole life.
+    ``closures`` gives, by region name, the sizes of the belief closures
+    that a state's belief positions index: a state in region ``r`` holds
+    one position per entry of ``closures[r]`` (none if ``r`` is not a key),
+    each below that entry.  It is ``None`` where the sizes are unknown.
     """
 
     states: StateTable | None
@@ -130,6 +134,7 @@ class Mdp:
     init: int
     labels: dict[str, np.ndarray]
     warnings: list[str] = field(default_factory=list)
+    closures: dict[str, tuple[int, ...]] | None = None
 
     @property
     def n_states(self) -> int:
@@ -344,6 +349,8 @@ class MdpBuilder:
             init=0,
             labels=labels,
             warnings=warnings,
+            closures={rid: tuple(len(self.belief_sets[n]) for n in self.neighbors[rid])
+                      for rid in env.regions},
         )
 
 
@@ -760,11 +767,14 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# A dump is one ``.npz`` archive: the five CSR arrays, the labels, and the
-# state table's columns as they are (none for a hand-built model), so it loads
-# with ``allow_pickle=False``.
+# A dump is one ``.npz`` archive: the five CSR arrays, the labels, the state
+# table's columns as they are (none for a hand-built model) and the model's
+# belief closure sizes, so it loads with ``allow_pickle=False``.  Dumps tagged
+# ``hostile-mdp-csr-1`` record no closure sizes; they still load, and a model
+# whose sizes are unknown is written with that tag.
 
-_DUMP_FORMAT = "hostile-mdp-csr-1"
+_DUMP_FORMAT = "hostile-mdp-csr-2"
+_UNSIZED_FORMAT = "hostile-mdp-csr-1"
 
 
 def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
@@ -808,14 +818,45 @@ def _states_from(doc, init: int) -> StateTable | None:
     return table
 
 
-def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
-    names = _array(doc, "label_names", "U").tolist()
+def _groups(doc, what: str, values: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The named integer groups ``<what>_names``/``_ptr``/``<values>`` of a dump, checked."""
+    names = _array(doc, f"{what}_names", "U").tolist()
     # unsigned differences wrap, so cast before the pointer is checked
-    ptr = _array(doc, "label_ptr", "iu").astype(np.int64)
-    members = _array(doc, "label_states", "iu").astype(np.int64)
+    ptr = _array(doc, f"{what}_ptr", "iu").astype(np.int64)
+    members = _array(doc, values, "iu").astype(np.int64)
     if len(ptr) != len(names) + 1 or ptr[0] != 0 or ptr[-1] != len(members) \
             or (np.diff(ptr) < 0).any():
-        raise MdpFormatError("label pointer does not cover the label states")
+        raise MdpFormatError(f"{what} pointer does not cover the {values.replace('_', ' ')}")
+    return names, ptr, members
+
+
+def _closures_from(doc) -> dict[str, tuple[int, ...]]:
+    names, ptr, sizes = _groups(doc, "closure", "closure_sizes")
+    return {name: tuple(sizes[lo:hi].tolist())
+            for name, lo, hi in zip(names, ptr[:-1].tolist(), ptr[1:].tolist())}
+
+
+def _check_positions(table: StateTable, closures: dict[str, tuple[int, ...]]):
+    """MdpFormatError unless each state holds one position per lane, each below its closure's size."""
+    first, sizes = _flat([closures.get(name, ()) for name in table.region_names.tolist()])
+    lanes = np.diff(first)[table.region]
+    degree = np.diff(table.belief_ptr)
+    wrong = np.flatnonzero(degree != lanes)
+    if len(wrong):
+        s = wrong[0]
+        raise MdpFormatError(f"state {s} holds {degree[s]} belief positions for {lanes[s]} lanes")
+    limit = sizes[np.repeat(first[table.region] - table.belief_ptr[:-1], degree)
+                  + np.arange(len(table.beliefs))]
+    past = np.flatnonzero(table.beliefs >= limit)
+    if len(past):
+        k = past[0]
+        s = np.searchsorted(table.belief_ptr, k, side="right") - 1
+        raise MdpFormatError(f"state {s}: belief position {table.beliefs[k]} is not below "
+                             f"its closure size {limit[k]}")
+
+
+def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
+    names, ptr, members = _groups(doc, "label", "label_states")
     strays = members[(members < 0) | (members >= n)]
     if len(strays):
         raise MdpFormatError(f"label member {strays[0]} is not one of the {n} states")
@@ -828,10 +869,17 @@ def dump_mdp(mdp: Mdp, path: str | Path):
     """Write the MDP as one ``.npz`` archive at exactly ``path`` (see :func:`load_mdp`)."""
     label_names = sorted(mdp.labels)
     label_ptr, label_states = _flat([np.flatnonzero(mdp.labels[k]) for k in label_names])
+    sized, tag = {}, _DUMP_FORMAT
+    if mdp.closures is not None:
+        closure_ptr, closure_sizes = _flat(list(mdp.closures.values()))
+        sized = dict(closure_names=np.array(list(mdp.closures), dtype=str),
+                     closure_ptr=closure_ptr, closure_sizes=closure_sizes)
+    elif mdp.states is not None:
+        tag = _UNSIZED_FORMAT
     with open(path, "wb") as handle:
         np.savez(
             handle,
-            format=np.array(_DUMP_FORMAT),
+            format=np.array(tag),
             action_names=np.array(mdp.action_names, dtype=str),
             state_ptr=mdp.state_ptr, choice_action=mdp.choice_action,
             choice_ptr=mdp.choice_ptr, succ=mdp.succ, prob=mdp.prob,
@@ -840,6 +888,7 @@ def dump_mdp(mdp: Mdp, path: str | Path):
             label_ptr=label_ptr, label_states=label_states,
             warnings=np.array(mdp.warnings, dtype=str),
             **({} if mdp.states is None else vars(mdp.states)),
+            **sized,
         )
 
 
@@ -856,8 +905,9 @@ def _array(doc, key: str, kind: str, ndim: int = 1) -> np.ndarray:
 def load_mdp(path: str | Path) -> Mdp:
     """Read a dump written by :func:`dump_mdp`; MdpFormatError if it is not one.
 
-    Only what decoding needs is checked here; run :func:`validate_mdp` on the
-    result before using it.
+    Only what decoding needs is checked here, and, where the dump records
+    closure sizes, that each belief position is below its closure's size;
+    run :func:`validate_mdp` on the result before using it.
     """
     try:
         with open(path, "rb") as handle:
@@ -866,8 +916,9 @@ def load_mdp(path: str | Path) -> Mdp:
                 raise MdpFormatError("a single array, not an .npz archive")
             with archive:
                 doc = {key: archive[key] for key in archive.files}
-        if doc.get("format") != _DUMP_FORMAT:
-            raise MdpFormatError(f"format tag {doc.get('format')!r}, expected {_DUMP_FORMAT!r}")
+        tag = doc.get("format")
+        if tag not in (_DUMP_FORMAT, _UNSIZED_FORMAT):
+            raise MdpFormatError(f"format tag {tag!r}, expected {_DUMP_FORMAT!r}")
         arrays = {key: _array(doc, key, "iu").astype(np.int64)
                   for key in ("state_ptr", "choice_action", "choice_ptr", "succ")}
         arrays["prob"] = _array(doc, "prob", "f").astype(np.float64)
@@ -875,8 +926,14 @@ def load_mdp(path: str | Path) -> Mdp:
         if n < 0:
             raise MdpFormatError("state pointer is empty")
         init = int(_array(doc, "init", "iu", ndim=0))
+        states = _states_from(doc, init)
+        closures = None
+        if states is not None and tag == _DUMP_FORMAT:
+            closures = _closures_from(doc)
+            _check_positions(states, closures)
         return Mdp(
-            states=_states_from(doc, init),
+            states=states,
+            closures=closures,
             action_names=_array(doc, "action_names", "U").tolist(),
             init=init,
             labels=_labels_from(doc, n),
@@ -897,18 +954,23 @@ def load_mdp(path: str | Path) -> Mdp:
 
 
 def _stream(path: Path, header: str, blocks) -> Path:
-    """Write ``header``, then for each ``(tokens, ids)`` of ``blocks`` one line per row of ``ids``.
+    """Write ``header``, then each block of ``blocks``: one line per row, its tokens joined.
 
-    A line is the tokens its row names, joined.  Each token is formatted
-    once however many lines of its block use it, and the text is joined and
-    written at most ``CHUNK`` lines at a time, so no file is held whole.
+    A block is a 2-D object array of references to token ``bytes``, so a
+    token is formatted once however many lines use it.  The text is joined
+    and written at most ``CHUNK`` lines at a time, so no file is held whole.
     """
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        for tokens, ids in blocks:
-            for lo in range(0, len(ids), CHUNK):
-                handle.write(b"".join(map(tokens.__getitem__, ids[lo:lo + CHUNK].ravel().tolist())))
+        for lines in blocks:
+            for lo in range(0, len(lines), CHUNK):
+                handle.write(b"".join(lines[lo:lo + CHUNK].ravel().tolist()))
     return path
+
+
+def _tokens(values) -> np.ndarray:
+    """The ``bytes`` of ``values`` as a 1-D object array, for gathers by index."""
+    return np.array(list(values), dtype=object)
 
 
 def _successor_order(n: int, trans: np.ndarray, succ: np.ndarray, prob: np.ndarray) -> np.ndarray:
@@ -928,18 +990,21 @@ def _successor_order(n: int, trans: np.ndarray, succ: np.ndarray, prob: np.ndarr
 
 
 def _transition_blocks(mdp: Mdp):
-    """The ``.tra`` lines as ``(tokens, ids)`` blocks of whole choices, about ``CHUNK`` lines each.
+    """The ``.tra`` lines in blocks of whole choices, about ``CHUNK`` lines each.
 
-    A choice longer than ``CHUNK`` lines is a block of its own.  The tokens
-    are one ``b"t "`` per state, one ``repr(p) + "\\n"`` per distinct
-    probability bit pattern (so -0.0 keeps its own repr), and the block's
-    ``b"s c "`` choice prefixes, which replace the previous block's.
+    A choice longer than ``CHUNK`` lines is a block of its own.  A line is
+    three tokens: its choice's ``b"s c "``, its successor's ``b"t "`` and
+    ``repr(p) + "\\n"`` of its probability, one token per distinct bit
+    pattern (so -0.0 keeps its own repr).
     """
     n, ptr = mdp.n_states, mdp.choice_ptr
-    bits = np.unique(mdp.prob.view(np.uint64))
-    tokens = [b"%d " % t for t in range(n)]
-    tokens += [repr(p).encode() + b"\n" for p in bits.view(np.float64).tolist()]
-    shared = len(tokens)
+    bits = np.sort(mdp.prob.view(np.uint64))
+    distinct = np.ones(len(bits), dtype=bool)
+    distinct[1:] = bits[1:] != bits[:-1]
+    bits = bits[distinct]
+    prob_tok = _tokens(repr(p).encode() + b"\n" for p in bits.view(np.float64).tolist())
+    state_tok = _tokens(b"%d " % t for t in range(n))
+    local_tok = _tokens(b"%d " % c for c in range(int(np.diff(mdp.state_ptr).max(initial=0))))
     c0 = 0
     while c0 < mdp.n_choices():
         c1 = max(c0 + 1, int(np.searchsorted(ptr, ptr[c0] + CHUNK, side="right")) - 1)
@@ -950,11 +1015,9 @@ def _transition_blocks(mdp: Mdp):
         # choices are numbered within their state
         choices = np.arange(c0, c1)
         owner = np.searchsorted(mdp.state_ptr, choices, side="right") - 1
-        local = choices - mdp.state_ptr[owner]
-        del tokens[shared:]
-        tokens += [b"%d %d " % choice for choice in zip(owner.tolist(), local.tolist())]
-        yield tokens, np.column_stack((shared + trans[order], succ[order],
-                                       n + np.searchsorted(bits, prob[order].view(np.uint64))))
+        prefix = state_tok[owner] + local_tok[choices - mdp.state_ptr[owner]]
+        yield np.column_stack((prefix[trans[order]], state_tok[succ[order]],
+                               prob_tok[np.searchsorted(bits, prob[order].view(np.uint64))]))
         c0 = c1
 
 
@@ -977,8 +1040,7 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
     states = np.arange(n)
 
     if table is None:
-        tokens = [b"%d:(%d)\n" % (i, i) for i in range(n)]
-        _stream(sta_path, "(s)", [(tokens, states[:, None])])
+        _stream(sta_path, "(s)", [_tokens(b"%d:(%d)\n" % (i, i) for i in range(n))[:, None]])
     else:
         # belief tuples are numbered in order of first appearance, each as one
         # row of its length and its positions padded with -1
@@ -991,12 +1053,13 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
         columns = np.stack((table.facet, table.region, table.count, table.level,
                             table.alive.astype(np.int64)))
         values, codes = np.unique(columns, return_inverse=True)
-        tokens = [b"%d:(" % i for i in range(n)]
-        tokens += [b"%d," % v for v in values.tolist()]
-        tokens += [b"%d)\n" % b for b in range(int(combos.max(initial=-1)) + 1)]
-        ids = np.column_stack((states, n + codes.reshape(columns.shape).T,
-                               n + len(values) + combos))
-        _stream(sta_path, "(facet,region,count,level,alive,beliefs)", [(tokens, ids)])
+        lines = np.column_stack((
+            _tokens(b"%d:(" % i for i in range(n)),
+            _tokens(b"%d," % v for v in values.tolist())[codes.reshape(columns.shape).T],
+            _tokens(b"%d)\n" % b for b in range(int(combos.max(initial=-1)) + 1))[combos]))
+        _stream(sta_path, "(facet,region,count,level,alive,beliefs)", [lines])
+        # freed before the .tra makes its own per-state tokens
+        del lines
 
     _stream(tra_path, f"{n} {mdp.n_choices()} {mdp.n_transitions()}", _transition_blocks(mdp))
 
@@ -1006,11 +1069,10 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
              "alive": mdp.label("alive"), "rp": mdp.label(PICKUP), "rd": mdp.label(DROPOFF)}
     tags = sum(mask.astype(np.int64) << i for i, mask in enumerate(atoms.values()))
     tagged = np.flatnonzero(tags)
-    tokens = [b"%d: " % s for s in tagged.tolist()]
-    tokens += [" ".join(str(i) for i in range(len(atoms)) if code >> i & 1).encode() + b"\n"
-               for code in range(1 << len(atoms))]
+    names = _tokens(" ".join(str(i) for i in range(len(atoms)) if code >> i & 1).encode() + b"\n"
+                    for code in range(1 << len(atoms)))
     header = " ".join(f'{i}="{name}"' for i, name in enumerate(atoms))
-    ids = np.column_stack((np.arange(len(tagged)), len(tagged) + tags[tagged]))
-    _stream(lab_path, header, [(tokens, ids)])
+    _stream(lab_path, header, [np.column_stack((_tokens(b"%d: " % s for s in tagged.tolist()),
+                                                names[tags[tagged]]))])
 
     return [sta_path, tra_path, lab_path]

@@ -137,6 +137,22 @@ class TestBadInputs:
         assert main(["synthesize", "--mdp", str(dump)]) == 1
         assert "not a valid MDP dump" in single_error(capsys)
 
+    def test_position_past_its_closure_is_refused(self, tmp_path, capsys):
+        dump = tmp_path / "model.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        with np.load(dump) as archive:
+            doc = dict(archive)
+        doc["beliefs"] = doc["beliefs"].copy()
+        doc["beliefs"][5] += 10**6
+        np.savez(dump, **doc)
+        capsys.readouterr()
+        assert main(["synthesize", "--mdp", str(dump)]) == 1
+        assert "belief position 1000000 is not below" in single_error(capsys)
+        # a dump without closure sizes cannot be checked, and still loads
+        unsized = {k: v for k, v in doc.items() if not k.startswith("closure_")}
+        np.savez(dump, **dict(unsized, format=np.array("hostile-mdp-csr-1")))
+        assert main(["synthesize", "--mdp", str(dump)]) == 0
+
     def test_export_refuses_an_invalid_build(self, tmp_path, capsys, monkeypatch):
         # the parser refuses the overflowing rates that used to build a broken
         # model, so break the built model itself

@@ -4,11 +4,16 @@ import copy
 import dataclasses
 import hashlib
 import json
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bundled_doc,
@@ -16,6 +21,7 @@ from conftest import (
     initial_state,
     make_mdp,
     random_environment,
+    random_mdp,
     state_rows,
     transitions,
 )
@@ -678,6 +684,56 @@ class TestSerialization:
         assert sta.read_text().splitlines()[-1].startswith(f"{n}:(")
         assert [path.read_bytes() for path in (sta, tra, lab)] == reference_export(back)
 
+    def test_closure_sizes_roundtrip(self, corridor_mdp, tmp_path):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            assert archive["format"] == "hostile-mdp-csr-2"
+        back = load_mdp(path)
+        assert back.closures == corridor_mdp.closures
+        table = corridor_mdp.states
+        for s in range(len(table)):
+            state = table[s]
+            sizes = corridor_mdp.closures[state.region]
+            assert len(state.beliefs) == len(sizes)
+            assert all(0 <= b < size for b, size in zip(state.beliefs, sizes)), state
+
+    @pytest.mark.parametrize("change, words", [
+        (lambda doc: doc["beliefs"].__setitem__(5, doc["beliefs"][5] + 10**6),
+         "belief position 1000000 is not below its closure size"),
+        (lambda doc: doc["closure_sizes"].__setitem__(slice(None), 1), "closure size 1"),
+        (lambda doc: doc["closure_ptr"].__setitem__(1, 2), "for 2 lanes"),
+        (lambda doc: doc.pop("closure_sizes"), "'closure_sizes' is missing"),
+        (lambda doc: doc.update(closure_ptr=doc["closure_ptr"][::-1].copy()), "closure pointer"),
+    ], ids=["position", "sizes", "lanes", "missing", "pointer"])
+    def test_position_past_its_closure_fails_to_load(self, corridor_mdp, tmp_path, change,
+                                                     words):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = {key: value.copy() for key, value in archive.items()}
+        change(doc)
+        np.savez(path, **doc)
+        with pytest.raises(MdpFormatError, match=words):
+            load_mdp(path)
+
+    def test_unsized_dump_still_loads(self, corridor_mdp, tmp_path):
+        """A ``hostile-mdp-csr-1`` dump records no closure sizes; it loads and dumps unsized."""
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = {k: v for k, v in archive.items() if not k.startswith("closure_")}
+        np.savez(path, **dict(doc, format=np.array("hostile-mdp-csr-1")))
+        back = load_mdp(path)
+        assert back.closures is None
+        assert_same_table(back.states, corridor_mdp.states)
+        assert validate_mdp(back) == []
+        dump_mdp(back, tmp_path / "again.npz")
+        with np.load(tmp_path / "again.npz") as archive:
+            assert archive["format"] == "hostile-mdp-csr-1"
+            assert not any(key.startswith("closure_") for key in archive.files)
+        assert load_mdp(tmp_path / "again.npz").closures is None
+
     def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
@@ -904,3 +960,39 @@ class TestExport:
             tracemalloc.stop()
         # arrays as long as the model's transitions would take 11 MiB here; a block's take KiBs
         assert peak < 6 * 2**20
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           extras=st.lists(st.tuples(st.integers(0, 10**6), st.booleans(), st.integers(0, 5),
+                                     st.sampled_from([0.0, -0.0, 0.25, 0.5])), max_size=8),
+           chunk=st.sampled_from([1, 3, mdpbuild.CHUNK]))
+    def test_random_models_match_reference(self, seed, extras, chunk):
+        mdp, _ = random_mdp(np.random.default_rng(seed), max_actions=3)
+        mdp = with_extra_entries(mdp, extras)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mdpbuild, "CHUNK", chunk):
+            assert exported_bytes(mdp, Path(tmp) / "m") == reference_export(mdp)
+
+
+def with_extra_entries(mdp, extras):
+    """Copy of ``mdp`` with one more entry beside transition ``k`` per ``(k, after, t, share)``.
+
+    A zero ``share`` (0.0 or -0.0) adds that probability to successor
+    ``t``; any other splits transition ``k``'s probability with a repeat of
+    its successor.  The entry goes before transition ``k``, or after it.
+    """
+    owner = mdp.transition_choice().tolist()
+    succ, prob = mdp.succ.tolist(), mdp.prob.tolist()
+    for k, after, t, share in extras:
+        k %= len(succ)
+        if share == 0.0:
+            entry = (t % mdp.n_states, share)
+        else:
+            entry = (succ[k], prob[k] * share)
+            prob[k] -= entry[1]
+        at = k + after
+        succ.insert(at, entry[0])
+        prob.insert(at, entry[1])
+        owner.insert(at, owner[k])
+    lengths = np.bincount(owner, minlength=mdp.n_choices())
+    return dataclasses.replace(mdp, choice_ptr=np.concatenate(([0], np.cumsum(lengths))),
+                               succ=np.array(succ, dtype=np.int64), prob=np.array(prob))
