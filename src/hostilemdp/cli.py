@@ -112,6 +112,7 @@ def cmd_beliefs(args) -> int:
         print(f"error: unknown region {args.region!r}", file=sys.stderr)
         return 1
     region = env.regions[args.region]
+    _make_parent(args.dot)
     bset = enumerate_reachable(region.initial_belief)
     print(f"region {region.id!r}: bounds [{region.min_adversaries}, {region.max_adversaries}], "
           f"{len(bset)} reachable beliefs, "

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .belief import ENTERED, LEFT, BeliefSet, enumerate_reachable, expectation
-from .envmodel import DROPOFF, MAX_ADVERSARIES, PICKUP, Environment, MotionPrimitive
+from .envmodel import DROPOFF, MAX_ADVERSARIES, PICKUP, Environment
 
 STAY = "stay"
 
@@ -222,138 +222,6 @@ class Violation:
     detail: str
 
 
-class MdpBuilder:
-    """Expands the reachable state space of an environment."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self.belief_sets: dict[str, BeliefSet] = {
-            rid: enumerate_reachable(region.initial_belief)
-            for rid, region in env.regions.items()
-        }
-        self.neighbors = {rid: env.neighbors(rid) for rid in env.regions}
-        # per-region caches keyed by belief position
-        self._expect = {
-            rid: [float(expectation(b)) for b in bset.members]
-            for rid, bset in self.belief_sets.items()
-        }
-        self._obs_items = {
-            rid: [(o, float(p)) for o, p in region.obstacle_items()]
-            for rid, region in env.regions.items()
-        }
-        self._belief_items = {
-            rid: [[(n, float(p)) for n, p in b.items()] for b in bset.members]
-            for rid, bset in self.belief_sets.items()
-        }
-        self._prims_at: dict[tuple[str, str], list[tuple[int, MotionPrimitive]]] = {}
-        for idx, prim in enumerate(env.primitives):
-            self._prims_at.setdefault((prim.from_facet, prim.region), []).append((idx, prim))
-        self._succ_region = {
-            (fid, rid): env.successor_region(fid, rid)
-            for fid, facet in env.facets.items()
-            for rid in facet.regions
-        }
-
-    def build(self) -> Mdp:
-        """Expand the reachable states breadth first, up to :data:`BATCH` states per round.
-
-        States are numbered in order of first appearance in the rows of the
-        states before them.  A row puts, for each exit in ``exit_facets()``
-        order, the lost state and then the landed ones (on the outer
-        boundary the moved state, then the lost one), then the entering
-        adversaries lane by lane, then the leaving ones.  Entries of
-        probability zero are dropped, and a successor put twice keeps its
-        first place with its shares summed left to right.  A lost or
-        dead-end state plays ``stay`` alone.  ``tests/conftest.py`` keeps
-        this specification one state at a time, as the build's oracle.
-        A round expands the next unexpanded states in number order with
-        whole-array gathers; number order is breadth-first order, so a round
-        holds part of one level or the end of one and the start of the next.
-        """
-        env = self.env
-        look = _Lookup(self)
-        stay_idx = len(env.primitives)
-        pending = look.key(look.initial())
-        numbering = _Numbering(pending)
-        parts, first_id = [pending], 0
-        # grown in place, so the build never holds two copies of the model
-        state_ptr, choice_action = array("q", [0]), array("q")
-        choice_ptr, succ, prob = array("q", [0]), array("q"), array("d")
-        warnings: list[str] = []
-        dead_ends: set[int] = set()
-
-        while pending.size:
-            frontier = look.decode(pending[:BATCH])
-            pending = pending[BATCH:]
-            pair = look.pair[frontier.facet, frontier.region]
-            n_prims = look.prim_ptr[pair + 1] - look.prim_ptr[pair]
-            acting = frontier.alive & (n_prims > 0)
-            stuck = pair[frontier.alive & ~acting]
-            for dead in stuck[np.sort(np.unique(stuck, return_index=True)[1])].tolist():
-                if dead not in dead_ends:
-                    dead_ends.add(dead)
-                    facet, region = look.pairs[dead]
-                    warnings.append(
-                        f"dead end: no primitive leaves facet {facet!r} across region {region!r}")
-
-            widths = np.where(acting, n_prims, 1)
-            starts = np.cumsum(widths) - widths
-            action = np.full(int(widths.sum()), stay_idx, dtype=np.int64)
-            # one choice per (acting state, primitive leaving its facet-region pair)
-            src = np.repeat(np.flatnonzero(acting), n_prims[acting])
-            choice = ranges(starts[acting], starts[acting] + n_prims[acting])
-            leaving = pair[acting]
-            prim = look.prim_action[ranges(look.prim_ptr[leaving], look.prim_ptr[leaving + 1])]
-            action[choice] = prim
-
-            owner, rank, p, key = look.rows(frontier.take(src), prim)
-            keep = p > 0.0
-            entry_choice = choice[owner[keep]]
-            order = np.argsort(entry_choice * look.ranks + rank[keep])
-            entry_choice, p, key = entry_choice[order], p[keep][order], key[keep][order]
-            ids, fresh = numbering(key)
-
-            # a lost or dead-end state loops back to itself under stay
-            idle = np.flatnonzero(~acting)
-            at = np.searchsorted(entry_choice, starts[idle])
-            entry_choice = np.insert(entry_choice, at, starts[idle])
-            ids = np.insert(ids, at, first_id + idle)
-            p = np.insert(p, at, 1.0)
-            if look.repeated_exits:
-                entry_choice, ids, p = _merge_repeats(entry_choice, ids, p)
-            _append(state_ptr, len(choice_action) + np.cumsum(widths))
-            _append(choice_action, action)
-            lengths = np.bincount(entry_choice, minlength=len(action))
-            _append(choice_ptr, len(succ) + np.cumsum(lengths))
-            _append(succ, ids)
-            _append(prob, p)
-            parts.append(key[fresh])
-            pending = np.concatenate((pending, parts[-1]))
-            first_id += len(widths)
-
-        table = look.table(look.decode(np.concatenate(parts)))
-        # a region label holds on every state in that region
-        labels = {"alive": table.alive.copy()}
-        for name in (PICKUP, DROPOFF):
-            tagged = [name in env.regions[r].labels for r in table.region_names]
-            labels[name] = np.array(tagged, dtype=bool)[table.region]
-
-        return Mdp(
-            states=table,
-            action_names=[p.name for p in env.primitives] + [STAY],
-            state_ptr=np.frombuffer(state_ptr, dtype=np.int64),
-            choice_action=np.frombuffer(choice_action, dtype=np.int64),
-            choice_ptr=np.frombuffer(choice_ptr, dtype=np.int64),
-            succ=np.frombuffer(succ, dtype=np.int64),
-            prob=np.frombuffer(prob, dtype=np.float64),
-            init=0,
-            labels=labels,
-            warnings=warnings,
-            closures={rid: tuple(len(self.belief_sets[n]) for n in self.neighbors[rid])
-                      for rid in env.regions},
-        )
-
-
 class _Columns(NamedTuple):
     """Vehicle states as columns, with regions and facets coded in declaration order.
 
@@ -385,23 +253,30 @@ def _pointer(lengths) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(_int_array(lengths))))
 
 
-class _Lookup:
-    """The builder's per-region and per-primitive tables as flat arrays.
+class MdpBuilder:
+    """Expands the reachable state space of an environment.
 
+    The builder keeps its per-region and per-primitive tables as flat
+    arrays, built once from the environment and the belief closures.
     Member ``pos`` of region ``r``'s belief closure is belief
     ``first[r] + pos``; ``left``, ``entered`` (positions, -1 where the update
     is absent), ``expect`` and the ``item_*`` pmf rows are indexed by it.
     ``lane_region[r, i]`` is the ``i``-th neighbour of ``r`` (-1 past the
     neighbour count).  Facet-region pair ``p`` is ``pairs[p]``; the
     primitives leaving it are ``prim_action[prim_ptr[p]:prim_ptr[p + 1]]``,
-    in ``_prims_at`` order.  Primitive ``j`` ends at the exits
+    in declaration order.  Primitive ``j`` ends at the exits
     ``exit_ptr[j]:exit_ptr[j + 1]``, in ``exit_facets()`` order, and loses
     the vehicle at (count, level) with probability
     ``lost[lost_first[j] + count * levels[region] + level]``.
     """
 
-    def __init__(self, builder: MdpBuilder):
-        env = builder.env
+    def __init__(self, env: Environment):
+        self.env = env
+        self.belief_sets: dict[str, BeliefSet] = {
+            rid: enumerate_reachable(region.initial_belief)
+            for rid, region in env.regions.items()
+        }
+        self.neighbors = {rid: env.neighbors(rid) for rid in env.regions}
         region_ids, facet_ids = list(env.regions), list(env.facets)
         self.region_ids, self.facet_ids = region_ids, facet_ids
         region_of = {rid: r for r, rid in enumerate(region_ids)}
@@ -413,39 +288,42 @@ class _Lookup:
         self.mu_enter = _float_array(r.mu_enter for r in regions)
         self.mu_leave = _float_array(r.mu_leave for r in regions)
 
-        lanes = [[region_of[n] for n in builder.neighbors[rid]] for rid in region_ids]
+        lanes = [[region_of[n] for n in self.neighbors[rid]] for rid in region_ids]
         self.degree = _int_array(map(len, lanes))
         self.width = int(self.degree.max())
         self.lane_region = np.full((len(lanes), self.width), -1, dtype=np.int64)
         for r, row in enumerate(lanes):
             self.lane_region[r, :len(row)] = row
 
-        bsets = [builder.belief_sets[rid] for rid in region_ids]
+        bsets = list(self.belief_sets.values())
+        members = [b for bset in bsets for b in bset.members]
         self.first = _pointer(map(len, bsets))[:-1]
-        self.left = _int_array(e.get(LEFT, -1) for b in bsets for e in b.edges)
-        self.entered = _int_array(e.get(ENTERED, -1) for b in bsets for e in b.edges)
-        self.expect = _float_array(x for rid in region_ids for x in builder._expect[rid])
-        beliefs = [items for rid in region_ids for items in builder._belief_items[rid]]
+        self.left = _int_array(e.get(LEFT, -1) for bset in bsets for e in bset.edges)
+        self.entered = _int_array(e.get(ENTERED, -1) for bset in bsets for e in bset.edges)
+        self.expect = _float_array(float(expectation(b)) for b in members)
+        beliefs = [list(b.items()) for b in members]
         self.item_ptr = _pointer(map(len, beliefs))
         self.item_count = _int_array(n for items in beliefs for n, _ in items)
-        self.item_prob = _float_array(p for items in beliefs for _, p in items)
-        obstacles = [builder._obs_items[rid] for rid in region_ids]
+        self.item_prob = _float_array(float(p) for items in beliefs for _, p in items)
+        obstacles = [list(r.obstacle_items()) for r in regions]
         self.obs_ptr = _pointer(map(len, obstacles))
         self.obs_level = _int_array(o for items in obstacles for o, _ in items)
-        self.obs_prob = _float_array(p for items in obstacles for _, p in items)
+        self.obs_prob = _float_array(float(p) for items in obstacles for _, p in items)
 
         self.pairs = [(fid, rid) for fid, facet in env.facets.items() for rid in facet.regions]
         self.pair = np.full((len(facet_ids), len(region_ids)), -1, dtype=np.int64)
         self.pair_facet = _int_array(facet_of[fid] for fid, _ in self.pairs)
         self.pair_region = _int_array(region_of[rid] for _, rid in self.pairs)
         self.pair[self.pair_facet, self.pair_region] = np.arange(len(self.pairs))
-        leaving = [builder._prims_at.get(pair, []) for pair in self.pairs]
-        self.prim_ptr = _pointer(map(len, leaving))
-        self.prim_action = _int_array(idx for group in leaving for idx, _ in group)
-
         prims = env.primitives
+        leaving: dict[tuple[str, str], list[int]] = {}
+        for idx, p in enumerate(prims):
+            leaving.setdefault((p.from_facet, p.region), []).append(idx)
+        self.prim_ptr = _pointer(len(leaving.get(pair, ())) for pair in self.pairs)
+        self.prim_action = _int_array(idx for pair in self.pairs for idx in leaving.get(pair, ()))
+
         self.rate = _float_array(p.rate for p in prims)
-        exits = [[(e, q, builder._succ_region[(e, p.region)], p.region) for e, q in p.exit_facets()]
+        exits = [[(e, q, env.successor_region(e, p.region), p.region) for e, q in p.exit_facets()]
                  for p in prims]
         self.exit_ptr = _pointer(map(len, exits))
         flat = [x for group in exits for x in group]
@@ -454,7 +332,7 @@ class _Lookup:
         self.exit_region = _int_array(region_of[land] for _, _, land, _ in flat)
         # the lane holding the belief about the entered region; -1 on the outer boundary
         self.exit_lane = _int_array(
-            -1 if land == rid else builder.neighbors[rid].index(land) for _, _, land, rid in flat)
+            -1 if land == rid else self.neighbors[rid].index(land) for _, _, land, rid in flat)
         self.repeated_exits = any(len({e for e, *_ in group}) < len(group) for group in exits)
         tables = []
         for p in prims:
@@ -485,6 +363,104 @@ class _Lookup:
             self.words[-1].append((field_idx, scale, radix))
             scale *= radix
         self.init = (facet_of[env.init_facet], region_of[env.init_region])
+
+    def build(self) -> Mdp:
+        """Expand the reachable states breadth first, up to :data:`BATCH` states per round.
+
+        States are numbered in order of first appearance in the rows of the
+        states before them.  A row puts, for each exit in ``exit_facets()``
+        order, the lost state and then the landed ones (on the outer
+        boundary the moved state, then the lost one), then the entering
+        adversaries lane by lane, then the leaving ones.  Entries of
+        probability zero are dropped, and a successor put twice keeps its
+        first place with its shares summed left to right.  A lost or
+        dead-end state plays ``stay`` alone.  ``tests/conftest.py`` keeps
+        this specification one state at a time, as the build's oracle.
+        A round expands the next unexpanded states in number order with
+        whole-array gathers; number order is breadth-first order, so a round
+        holds part of one level or the end of one and the start of the next.
+        """
+        env = self.env
+        stay_idx = len(env.primitives)
+        pending = self.key(self.initial())
+        numbering = _Numbering(pending)
+        parts, first_id = [pending], 0
+        # grown in place, so the build never holds two copies of the model
+        state_ptr, choice_action = array("q", [0]), array("q")
+        choice_ptr, succ, prob = array("q", [0]), array("q"), array("d")
+        warnings: list[str] = []
+        dead_ends: set[int] = set()
+
+        while pending.size:
+            frontier = self.decode(pending[:BATCH])
+            pending = pending[BATCH:]
+            pair = self.pair[frontier.facet, frontier.region]
+            n_prims = self.prim_ptr[pair + 1] - self.prim_ptr[pair]
+            acting = frontier.alive & (n_prims > 0)
+            stuck = pair[frontier.alive & ~acting]
+            for dead in stuck[np.sort(np.unique(stuck, return_index=True)[1])].tolist():
+                if dead not in dead_ends:
+                    dead_ends.add(dead)
+                    facet, region = self.pairs[dead]
+                    warnings.append(
+                        f"dead end: no primitive leaves facet {facet!r} across region {region!r}")
+
+            widths = np.where(acting, n_prims, 1)
+            starts = np.cumsum(widths) - widths
+            action = np.full(int(widths.sum()), stay_idx, dtype=np.int64)
+            # one choice per (acting state, primitive leaving its facet-region pair)
+            src = np.repeat(np.flatnonzero(acting), n_prims[acting])
+            choice = ranges(starts[acting], starts[acting] + n_prims[acting])
+            leaving = pair[acting]
+            prim = self.prim_action[ranges(self.prim_ptr[leaving], self.prim_ptr[leaving + 1])]
+            action[choice] = prim
+
+            owner, rank, p, key = self.rows(frontier.take(src), prim)
+            keep = p > 0.0
+            entry_choice = choice[owner[keep]]
+            order = np.argsort(entry_choice * self.ranks + rank[keep])
+            entry_choice, p, key = entry_choice[order], p[keep][order], key[keep][order]
+            ids, fresh = numbering(key)
+
+            # a lost or dead-end state loops back to itself under stay
+            idle = np.flatnonzero(~acting)
+            at = np.searchsorted(entry_choice, starts[idle])
+            entry_choice = np.insert(entry_choice, at, starts[idle])
+            ids = np.insert(ids, at, first_id + idle)
+            p = np.insert(p, at, 1.0)
+            if self.repeated_exits:
+                entry_choice, ids, p = _merge_repeats(entry_choice, ids, p)
+            _append(state_ptr, len(choice_action) + np.cumsum(widths))
+            _append(choice_action, action)
+            lengths = np.bincount(entry_choice, minlength=len(action))
+            _append(choice_ptr, len(succ) + np.cumsum(lengths))
+            _append(succ, ids)
+            _append(prob, p)
+            parts.append(key[fresh])
+            pending = np.concatenate((pending, parts[-1]))
+            first_id += len(widths)
+
+        table = self.table(self.decode(np.concatenate(parts)))
+        # a region label holds on every state in that region
+        labels = {"alive": table.alive.copy()}
+        for name in (PICKUP, DROPOFF):
+            tagged = [name in env.regions[r].labels for r in table.region_names]
+            labels[name] = np.array(tagged, dtype=bool)[table.region]
+
+        return Mdp(
+            states=table,
+            action_names=[p.name for p in env.primitives] + [STAY],
+            state_ptr=np.frombuffer(state_ptr, dtype=np.int64),
+            choice_action=np.frombuffer(choice_action, dtype=np.int64),
+            choice_ptr=np.frombuffer(choice_ptr, dtype=np.int64),
+            succ=np.frombuffer(succ, dtype=np.int64),
+            prob=np.frombuffer(prob, dtype=np.float64),
+            init=0,
+            labels=labels,
+            warnings=warnings,
+            closures={rid: tuple(len(self.belief_sets[n]) for n in self.neighbors[rid])
+                      for rid in env.regions},
+        )
 
     def initial(self) -> _Columns:
         facet, region = self.init
@@ -519,7 +495,7 @@ class _Lookup:
 
         Returns each entry's row ``k``, rank, probability and successor key;
         sorted by (row, rank), the entries are in the order
-        :meth:`MdpBuilder.build` puts them.
+        :meth:`build` puts them.
         """
         region, count = s.region, s.count
         lanes = self.lane_region[region]

@@ -184,16 +184,14 @@ def _assemble(mdp, target, free, x):
 
 
 def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float = 1e-9,
-                 max_iter: int = 10**6, sweep_hook=None, *,
+                 max_iter: int = 10**6, *,
                  stage: Optional[_Stage] = None) -> ValueResult:
     """Value iteration for max P[allowed U target], from below.
 
     ``target`` and ``allowed`` are bool masks over the states.  Iterates
     x <- max(x, max_a (c_a + Q_a x)) until the sup-norm step falls
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
-    ``sweep_hook``, when given, receives a copy of the free-state vector
-    after every sweep (free states are the positive non-target ones, in
-    ascending state order).  ``stage`` is one the caller assembled.
+    ``stage`` is one the caller assembled.
     """
     positive, free, matrix = stage or _stage(mdp, target, allowed, "vi")
     nf = len(free)
@@ -212,8 +210,6 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
         # new >= x, so this is the sup-norm step
         residual = float(np.max(np.subtract(new, x, out=y[:nf])))
         xe, ne = ne, xe
-        if sweep_hook is not None:
-            sweep_hook(new.copy())
         if residual <= tol:
             return ValueResult(_assemble(mdp, target, free, new),
                                positive, "vi", iterations=sweep, residual=residual)
@@ -318,7 +314,7 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
     while the deliver stage solves on the calling thread.  A deliver-stage
     failure wins over a pickup-stage one, the worker is joined before
     anything is raised, and the policies are extracted after it, first stage first.
-    ``kw`` goes to both solvers, so a ``sweep_hook`` is called from both.
+    ``kw`` goes to both solvers.
     """
     alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():

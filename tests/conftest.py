@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from hostilemdp.belief import ENTERED, LEFT
+from hostilemdp.belief import ENTERED, LEFT, expectation
 from hostilemdp.envmodel import Environment, MotionPrimitive, parse_environment
 from hostilemdp.mdpbuild import Mdp, MdpBuilder, VehicleState, build_mdp, ranges
 from hostilemdp.synth import MissionStrategy, extract_policy, solve_reachability
@@ -221,8 +221,9 @@ def sequential_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
 
 # ---------------------------------------------------------------------------
 # one-state build oracle: the row of one state under one primitive, put
-# together entry by entry from the builder's per-region caches.  The batched
-# build must give exactly these rows, in this order and with these floats.
+# together entry by entry from the environment and the belief closures, with
+# no table of the builder's.  The batched build must give exactly these rows,
+# in this order and with these floats.
 
 
 def initial_state(builder: MdpBuilder) -> VehicleState:
@@ -254,7 +255,8 @@ def estimated_rate(builder: MdpBuilder, state: VehicleState, prim: MotionPrimiti
     if state.count > region.min_adversaries and receivers:
         rate += region.mu_leave * state.count
     if state.count < region.max_adversaries:
-        incoming = sum(builder._expect[rid][state.beliefs[i]] for i, rid, _ in senders)
+        incoming = sum(float(expectation(builder.belief_sets[rid].members[state.beliefs[i]]))
+                       for i, rid, _ in senders)
         rate += region.mu_enter * incoming
     return rate
 
@@ -281,7 +283,7 @@ def transitions(builder: MdpBuilder, state: VehicleState, prim: MotionPrimitive)
         return VehicleState(facet, region, floor, 0, False, fresh)
 
     for exit_facet, q in prim.exit_facets():
-        succ_region = builder._succ_region[(exit_facet, state.region)]
+        succ_region = env.successor_region(exit_facet, state.region)
         if succ_region == state.region:
             # outer boundary: no region is entered, nothing is re-observed
             moved = state._replace(facet=exit_facet)
@@ -292,9 +294,9 @@ def transitions(builder: MdpBuilder, state: VehicleState, prim: MotionPrimitive)
         entered_pos = builder.neighbors[state.region].index(succ_region)
         belief_pos = state.beliefs[entered_pos]
         fresh = (0,) * len(builder.neighbors[succ_region])
-        for n2, pn in builder._belief_items[succ_region][belief_pos]:
-            for o2, po in builder._obs_items[succ_region]:
-                base = crossing * q * pn * po * (1.0 - p_lost)
+        for n2, pn in builder.belief_sets[succ_region].members[belief_pos].items():
+            for o2, po in env.regions[succ_region].obstacle_items():
+                base = crossing * q * float(pn) * float(po) * (1.0 - p_lost)
                 if base == 0.0:
                     continue
                 put(VehicleState(exit_facet, succ_region, n2, o2, True, fresh), base)
@@ -302,7 +304,8 @@ def transitions(builder: MdpBuilder, state: VehicleState, prim: MotionPrimitive)
     senders, receivers = updates(builder, state)
     if state.count < region.max_adversaries:
         for i, rid, child in senders:
-            prob = region.mu_enter * builder._expect[rid][state.beliefs[i]] / total_rate
+            expect = float(expectation(builder.belief_sets[rid].members[state.beliefs[i]]))
+            prob = region.mu_enter * expect / total_rate
             if prob == 0.0:
                 continue
             beliefs = state.beliefs[:i] + (child,) + state.beliefs[i + 1:]

@@ -589,6 +589,18 @@ class TestOutputDirectories:
         assert main([command, "--env", "corridor", *options, str(path)]) == 1
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("region", ["rs", "rm"])
+    def test_belief_graph_makes_its_directory(self, tmp_path, capsys, region):
+        path = tmp_path / "a" / "b" / "b.dot"
+        assert main(["beliefs", "--env", "corridor", "--region", region, "--dot", str(path)]) == 0
+        assert path.read_text().startswith("digraph")
+        assert f"wrote {path}" in capsys.readouterr().out
+
+    def test_unknown_region_leaves_no_directory(self, tmp_path, capsys):
+        path = tmp_path / "a" / "b.dot"
+        assert main(["beliefs", "--env", "corridor", "--region", "nowhere", "--dot", str(path)]) == 1
+        assert not (tmp_path / "a").exists()
+
 
 class TestExport:
     def test_writes_three_files(self, tmp_path, capsys):

@@ -34,7 +34,6 @@ from hostilemdp.mdpbuild import (
     MdpFormatError,
     StateTable,
     VehicleState,
-    _Lookup,
     build_mdp,
     dump_mdp,
     export_prism,
@@ -434,9 +433,12 @@ class TestBatchedBuild:
         mdp = builder.build()
         table = mdp.states
         stay = len(env.primitives)
+        leaving = {}
+        for idx, prim in enumerate(env.primitives):
+            leaving.setdefault((prim.from_facet, prim.region), []).append((idx, prim))
         for s in range(mdp.n_states):
             state = table[s]
-            prims = builder._prims_at.get((state.facet, state.region), []) if state.alive else []
+            prims = leaving.get((state.facet, state.region), []) if state.alive else []
             rows = state_rows(mdp, s)
             if not prims:
                 assert rows == [(stay, [(s, 1.0)])]
@@ -453,6 +455,11 @@ class TestBatchedBuild:
     def test_corridor_rows_follow_transitions(self, corridor_env):
         self.assert_rows_follow_transitions(corridor_env)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_drawn_environments_follow_transitions(self, seed):
+        self.assert_rows_follow_transitions(random_environment(np.random.default_rng(seed)))
+
     def test_expected_influx_adds_lane_by_lane(self):
         # expectations 0.1, 0.2 and 0.3 sum to 0.6000000000000001 left to right
         # and to 0.6 right to left, so the lane order shows in every rate
@@ -467,7 +474,8 @@ class TestBatchedBuild:
         self.assert_rows_follow_transitions(env)
         builder = MdpBuilder(env)
         mdp = builder.build()
-        action, prim = builder._prims_at[("f2", "rp")][0]
+        action, prim = next((idx, p) for idx, p in enumerate(env.primitives)
+                            if (p.from_facet, p.region) == ("f2", "rp"))
         fresh = (0,) * len(env.neighbors("rd"))
         lane = env.neighbors("rp").index("rd")
         folded = 0
@@ -479,8 +487,9 @@ class TestBatchedBuild:
             crossing = prim.rate / estimated_rate(builder, state, prim)
             keep = 1.0 - prim.lost[(state.count, state.level)]
             # both f3 exits land on the same states; the second share adds to the first
-            for n2, pn in builder._belief_items["rd"][state.beliefs[lane]]:
-                for o2, po in builder._obs_items["rd"]:
+            for n2, pn in builder.belief_sets["rd"].members[state.beliefs[lane]].items():
+                for o2, po in env.regions["rd"].obstacle_items():
+                    pn, po = float(pn), float(po)  # the build's pmf tables hold floats
                     landed = VehicleState("f3", "rd", n2, o2, True, fresh)
                     assert row[landed] == (crossing * 0.5 * pn * po * keep
                                            + crossing * 0.25 * pn * po * keep)
@@ -490,7 +499,8 @@ class TestBatchedBuild:
     def test_keys_wider_than_one_word(self):
         """Nine wide beliefs per state need more than 62 bits of key; the build still matches."""
         env = wide_keys_env()
-        assert len(_Lookup(MdpBuilder(env)).words) > 1
+        builder = MdpBuilder(env)
+        assert builder.key(builder.initial()).dtype.itemsize > 8
         self.assert_rows_follow_transitions(env)
 
     @pytest.mark.parametrize("batch", [1, 7, 10**6])

@@ -40,6 +40,14 @@ def everything(mdp):
     return np.ones(mdp.n_states, dtype=bool)
 
 
+def after_sweeps(mdp, target, k):
+    """The values after exactly ``k`` sweeps, read from the error of a run held to ``k``."""
+    with pytest.raises(ConvergenceError) as err:
+        max_reach_vi(mdp, target, everything(mdp), tol=-1.0, max_iter=k)
+    assert err.value.iterations == k
+    return err.value.values
+
+
 def model_bytes(mdp):
     """Every array and label mask of ``mdp``, and of its solver view, as (dtype, bytes) pairs."""
     arrays = [mdp.state_ptr, mdp.choice_action, mdp.choice_ptr, mdp.succ, mdp.prob]
@@ -122,38 +130,38 @@ class TestValueIteration:
     def test_sweeps_match_the_per_state_loop_bit_for_bit(self):
         for i in range(40):
             mdp, target = random_mdp(np.random.default_rng([3301, i]), max_actions=1 + i % 5)
-            snaps = []
-            res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12, sweep_hook=snaps.append)
-            assert len(snaps) == res.iterations
-            expected = bellman_sweeps(mdp, target, res.positive, len(snaps))
-            assert [a.tobytes() for a in snaps] == [b.tobytes() for b in expected]
+            res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
+            free = res.positive & ~target
+            got = [after_sweeps(mdp, target, k)[free] for k in range(1, res.iterations + 1)]
+            expected = bellman_sweeps(mdp, target, res.positive, res.iterations)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+            if res.iterations:
+                assert res.values[free].tobytes() == expected[-1].tobytes()
 
     def test_budget_error_holds_the_last_sweep(self):
         # odd and even budgets end on either of the two swapped buffers
         for i in range(10):
             mdp, target = random_mdp(np.random.default_rng([3302, i]), max_actions=5)
+            res = max_reach_vi(mdp, target, everything(mdp))
+            free = res.positive & ~target
             for budget in (1, 2, 3):
-                snaps = []
-                try:
-                    max_reach_vi(mdp, target, everything(mdp), tol=-1.0, max_iter=budget,
-                                 sweep_hook=snaps.append)
-                except ConvergenceError as err:
-                    assert len(snaps) == budget
-                    res = max_reach_vi(mdp, target, everything(mdp))
-                    free = res.positive & ~target
-                    assert err.values[free].tobytes() == snaps[-1].tobytes()
-                    assert np.all(err.values[target] == 1.0)
-                    assert np.all(err.values[~res.positive] == 0.0)
-                else:
+                if not free.any():
                     # nothing to iterate: every positive state is a target
-                    assert not snaps
+                    assert max_reach_vi(mdp, target, everything(mdp), tol=-1.0,
+                                        max_iter=budget).iterations == 0
+                    continue
+                values = after_sweeps(mdp, target, budget)
+                expected = bellman_sweeps(mdp, target, res.positive, budget)[-1]
+                assert values[free].tobytes() == expected.tobytes()
+                assert np.all(values[target] == 1.0)
+                assert np.all(values[~res.positive] == 0.0)
 
     def test_sweeps_are_monotone(self):
         for i in range(5):
             mdp, target = random_mdp(np.random.default_rng([99, i]))
-            snaps = []
-            max_reach_vi(mdp, target, everything(mdp), tol=1e-12, sweep_hook=snaps.append)
-            for a, b in zip(snaps, snaps[1:]):
+            res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
+            sweeps = [after_sweeps(mdp, target, k) for k in range(1, res.iterations + 1)]
+            for a, b in zip(sweeps, sweeps[1:]):
                 assert np.all(b >= a)
 
     def test_positive_set_matches_value_support(self):
