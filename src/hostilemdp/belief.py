@@ -115,6 +115,9 @@ def update_left(belief: AdversaryBelief) -> AdversaryBelief:
 ENTERED = "+1"
 LEFT = "-1"
 
+#: most members :func:`enumerate_reachable` lets a closure reach
+NODE_BUDGET = 100_000
+
 
 @dataclass
 class BeliefSet:
@@ -132,12 +135,12 @@ class BeliefSet:
         return len(self.members)
 
 
-def enumerate_reachable(initial: AdversaryBelief, node_budget: int = 100_000) -> BeliefSet:
+def enumerate_reachable(initial: AdversaryBelief) -> BeliefSet:
     """Breadth-first closure of an initial belief under both updates.
 
     Children are explored entered-first.  Termination is guaranteed (each
     redistribution shrinks the window, shifts only move it inside fixed
-    bounds) but ``node_budget`` guards against construction bugs.
+    bounds) but ``NODE_BUDGET`` guards against construction bugs.
     """
     members = [initial]
     index = {initial.key(): 0}
@@ -155,8 +158,8 @@ def enumerate_reachable(initial: AdversaryBelief, node_budget: int = 100_000) ->
                 continue
             key = nxt.key()
             if key not in index:
-                if len(members) >= node_budget:
-                    raise RuntimeError(f"belief closure exceeded {node_budget} nodes")
+                if len(members) >= NODE_BUDGET:
+                    raise RuntimeError(f"belief closure exceeded {NODE_BUDGET} nodes")
                 index[key] = len(members)
                 members.append(nxt)
                 edges.append({})

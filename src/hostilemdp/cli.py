@@ -243,10 +243,9 @@ def cmd_synthesize(args) -> int:
     methods = ("vi", "lp") if args.method == "both" else (args.method,)
     results = []
     for m in methods:
-        solver_kw = {"tol": args.tol} if m == "vi" else {}
         # a failed solve (VI budget, LP status, no progressing action) is a RuntimeError
         try:
-            results.append(synthesize_mission(mdp, method=m, **solver_kw))
+            results.append(synthesize_mission(mdp, method=m, tol=args.tol))
         except (RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -437,10 +436,7 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (EnvironmentFormatError, MdpFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EnvironmentFormatError, MdpFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,6 +41,9 @@ from .envmodel import DROPOFF, MAX_ADVERSARIES, PICKUP, Environment
 
 STAY = "stay"
 
+#: how far past one :func:`validate_mdp` lets a probability, or a row's sum either way, go
+ROW_TOL = 1e-9
+
 #: most states one build round expands; it bounds the round's working arrays
 BATCH = 2048
 
@@ -118,10 +121,10 @@ class Mdp:
     is the ascending int64 array of the choices it plays, one per state it
     covers.  A model must not change once it has been solved: the solvers
     keep its :attr:`matrix` and :attr:`predecessors` for its whole life.
-    ``closures`` gives, by region name, the sizes of the belief closures
-    that a state's belief positions index: a state in region ``r`` holds
-    one position per entry of ``closures[r]`` (none if ``r`` is not a key),
-    each below that entry.  It is ``None`` where the sizes are unknown.
+    ``closures`` gives, by region name, the sizes of the belief closures that a
+    state's belief positions index: a state in region ``r`` holds one position per
+    entry of ``closures[r]`` (none if ``r`` is not a key), each below that entry.
+    For every model the package makes, it is ``None`` exactly when ``states`` is.
     """
 
     states: StateTable | None
@@ -666,7 +669,7 @@ def _pointer_problem(ptr: np.ndarray, length: int, items: int, what: str) -> str
     return None
 
 
-def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
+def validate_mdp(mdp: Mdp) -> list[Violation]:
     """Structural checks; returns violations, ordered by state, instead of raising."""
     bad: list[Violation] = []
     n = mdp.n_states
@@ -708,14 +711,14 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
     at_choices(hollow, "empty-row", ["no successors"] * len(hollow))
     outside = np.flatnonzero((mdp.succ < 0) | (mdp.succ >= n))
     at_choices(trans[outside], "succ-range", [f"successor {mdp.succ[k]}" for k in outside])
-    off = np.flatnonzero(~((mdp.prob >= 0.0) & (mdp.prob <= 1.0 + tol)))
+    off = np.flatnonzero(~((mdp.prob >= 0.0) & (mdp.prob <= 1.0 + ROW_TOL)))
     at_choices(trans[off], "prob-range", [repr(p) for p in mdp.prob[off].tolist()])
     filled = width > 0
     totals = np.zeros(len(width))
     if filled.any():
         # empty rows hold no entries, so the filled rows' starts split prob exactly
         totals[filled] = np.add.reduceat(mdp.prob, mdp.choice_ptr[:-1][filled])
-    skewed = np.flatnonzero(filled & ~(np.abs(totals - 1.0) <= tol))
+    skewed = np.flatnonzero(filled & ~(np.abs(totals - 1.0) <= ROW_TOL))
     at_choices(skewed, "row-sum", [repr(t) for t in totals[skewed].tolist()])
 
     misshapen = [name for name, mask in sorted(mdp.labels.items())
@@ -745,20 +748,17 @@ def validate_mdp(mdp: Mdp, tol: float = 1e-9) -> list[Violation]:
 #
 # A dump is one ``.npz`` archive: the five CSR arrays, the labels, the state
 # table's columns as they are (none for a hand-built model) and the model's
-# belief closure sizes, so it loads with ``allow_pickle=False``.  Dumps tagged
-# ``hostile-mdp-csr-1`` record no closure sizes; they still load, and a model
-# whose sizes are unknown is written with that tag.
+# belief closure sizes, so it loads with ``allow_pickle=False``.  A dump with
+# a state table always records its closure sizes; archives of any other
+# format tag are refused.
 
 _DUMP_FORMAT = "hostile-mdp-csr-2"
-_UNSIZED_FORMAT = "hostile-mdp-csr-1"
 
 
 def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
     """Variable-length integer groups as (pointer, values)."""
-    lengths = np.fromiter((len(g) for g in groups), dtype=np.int64, count=len(groups))
-    values = np.fromiter((x for g in groups for x in g), dtype=np.int64,
-                         count=int(lengths.sum()))
-    return np.concatenate(([0], np.cumsum(lengths))), values
+    ptr = _pointer(map(len, groups))
+    return ptr, np.fromiter((x for g in groups for x in g), dtype=np.int64, count=int(ptr[-1]))
 
 
 def _states_from(doc, init: int) -> StateTable | None:
@@ -771,18 +771,16 @@ def _states_from(doc, init: int) -> StateTable | None:
         columns[key] = _array(doc, key, kind) if kind else _array(doc, key, "iu").astype(np.int64)
     table = StateTable(**columns)
     n, ptr = len(table), table.belief_ptr
-    if any(len(getattr(table, key)) != n for key in ("facet", "region", "count", "level")) \
-            or len(ptr) != n + 1:
+    if any(len(getattr(table, key)) != n for key in ("facet", "region", "count", "level")):
         raise MdpFormatError("state columns differ in length")
-    if ptr[0] != 0 or ptr[-1] != len(table.beliefs) or (np.diff(ptr) < 0).any():
-        raise MdpFormatError("belief pointer does not cover the belief column")
+    problem = _pointer_problem(ptr, n, len(table.beliefs), "belief")
+    if problem:
+        raise MdpFormatError(problem)
     for key, codes in (("facet_names", table.facet), ("region_names", table.region)):
         if len(codes) and (codes.min() < 0 or codes.max() >= len(getattr(table, key))):
             raise MdpFormatError(f"{key} index out of range")
-    # older dumps sent all lost mass to one sink state with count and level -1
-    sink = ~table.alive & (table.count == -1) & (table.level == -1) & (np.diff(ptr) == 0)
-    for key, column in (("count", table.count[~sink]), ("level", table.level[~sink]),
-                        ("beliefs", table.beliefs)):
+    for key in ("count", "level", "beliefs"):
+        column = getattr(table, key)
         if (column < 0).any():
             raise MdpFormatError(f"negative {key} {column[column < 0][0]}")
     if (table.count > MAX_ADVERSARIES).any():
@@ -796,14 +794,18 @@ def _states_from(doc, init: int) -> StateTable | None:
 
 def _groups(doc, what: str, values: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The named integer groups ``<what>_names``/``_ptr``/``<values>`` of a dump, checked."""
-    names = _array(doc, f"{what}_names", "U").tolist()
+    names = _array(doc, f"{what}_names", "U")
     # unsigned differences wrap, so cast before the pointer is checked
     ptr = _array(doc, f"{what}_ptr", "iu").astype(np.int64)
     members = _array(doc, values, "iu").astype(np.int64)
-    if len(ptr) != len(names) + 1 or ptr[0] != 0 or ptr[-1] != len(members) \
-            or (np.diff(ptr) < 0).any():
-        raise MdpFormatError(f"{what} pointer does not cover the {values.replace('_', ' ')}")
-    return names, ptr, members
+    problem = _pointer_problem(ptr, len(names), len(members), what)
+    if problem:
+        raise MdpFormatError(problem)
+    # a later group of the same name would silently replace the earlier one
+    unique, counts = np.unique(names, return_counts=True)
+    if (counts > 1).any():
+        raise MdpFormatError(f"{what} name {str(unique[counts > 1][0])!r} is given more than once")
+    return names.tolist(), ptr, members
 
 
 def _closures_from(doc) -> dict[str, tuple[int, ...]]:
@@ -843,19 +845,19 @@ def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
 
 def dump_mdp(mdp: Mdp, path: str | Path):
     """Write the MDP as one ``.npz`` archive at exactly ``path`` (see :func:`load_mdp`)."""
+    if mdp.states is not None and mdp.closures is None:
+        raise ValueError("a model with a state table needs its closure sizes to be dumped")
     label_names = sorted(mdp.labels)
     label_ptr, label_states = _flat([np.flatnonzero(mdp.labels[k]) for k in label_names])
-    sized, tag = {}, _DUMP_FORMAT
+    sized = {}
     if mdp.closures is not None:
         closure_ptr, closure_sizes = _flat(list(mdp.closures.values()))
         sized = dict(closure_names=np.array(list(mdp.closures), dtype=str),
                      closure_ptr=closure_ptr, closure_sizes=closure_sizes)
-    elif mdp.states is not None:
-        tag = _UNSIZED_FORMAT
     with open(path, "wb") as handle:
         np.savez(
             handle,
-            format=np.array(tag),
+            format=np.array(_DUMP_FORMAT),
             action_names=np.array(mdp.action_names, dtype=str),
             state_ptr=mdp.state_ptr, choice_action=mdp.choice_action,
             choice_ptr=mdp.choice_ptr, succ=mdp.succ, prob=mdp.prob,
@@ -881,9 +883,9 @@ def _array(doc, key: str, kind: str, ndim: int = 1) -> np.ndarray:
 def load_mdp(path: str | Path) -> Mdp:
     """Read a dump written by :func:`dump_mdp`; MdpFormatError if it is not one.
 
-    Only what decoding needs is checked here, and, where the dump records
-    closure sizes, that each belief position is below its closure's size;
-    run :func:`validate_mdp` on the result before using it.
+    Only what decoding needs is checked here, and that each belief position
+    is below its closure's size; run :func:`validate_mdp` on the result
+    before using it.
     """
     try:
         with open(path, "rb") as handle:
@@ -892,9 +894,11 @@ def load_mdp(path: str | Path) -> Mdp:
                 raise MdpFormatError("a single array, not an .npz archive")
             with archive:
                 doc = {key: archive[key] for key in archive.files}
-        tag = doc.get("format")
-        if tag not in (_DUMP_FORMAT, _UNSIZED_FORMAT):
-            raise MdpFormatError(f"format tag {tag!r}, expected {_DUMP_FORMAT!r}")
+        tag = str(doc.get("format"))
+        if tag != _DUMP_FORMAT:
+            shown = tag if tag.isprintable() else repr(tag)
+            raise MdpFormatError(f"format tag {shown}, expected {_DUMP_FORMAT}; "
+                                 "rebuild with 'build --dump-mdp'")
         arrays = {key: _array(doc, key, "iu").astype(np.int64)
                   for key in ("state_ptr", "choice_action", "choice_ptr", "succ")}
         arrays["prob"] = _array(doc, "prob", "f").astype(np.float64)
@@ -903,9 +907,8 @@ def load_mdp(path: str | Path) -> Mdp:
             raise MdpFormatError("state pointer is empty")
         init = int(_array(doc, "init", "iu", ndim=0))
         states = _states_from(doc, init)
-        closures = None
-        if states is not None and tag == _DUMP_FORMAT:
-            closures = _closures_from(doc)
+        closures = None if states is None else _closures_from(doc)
+        if closures is not None:
             _check_positions(states, closures)
         return Mdp(
             states=states,

@@ -153,12 +153,6 @@ def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
     return (matrix - picker).tocsc(), -mass
 
 
-def _pick(table: dict, method: str):
-    if method not in table:
-        raise ValueError(f"unknown method {method!r}, expected one of {sorted(table)}")
-    return table[method]
-
-
 class _Stage(NamedTuple):
     """One stage assembled for its solver, on the thread that calls :func:`_stage`."""
 
@@ -167,10 +161,9 @@ class _Stage(NamedTuple):
     system: object  # the sweep matrix or the LP's (A_ub, b_ub); None when nothing is free
 
 
-def _stage(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, method: str,
+def _stage(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, assemble,
            positive: Optional[np.ndarray] = None) -> _Stage:
-    """Assemble a stage for ``method``, from ``positive`` if its graph pass was made already."""
-    assemble = _pick({"vi": _sweep_matrix, "lp": _lp_inputs}, method)
+    """A stage with ``assemble``'s system, from ``positive`` if its graph pass was made already."""
     if positive is None:
         positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
@@ -193,7 +186,7 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
     ``stage`` is one the caller assembled.
     """
-    positive, free, matrix = stage or _stage(mdp, target, allowed, "vi")
+    positive, free, matrix = stage or _stage(mdp, target, allowed, _sweep_matrix)
     nf = len(free)
     if not nf:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
@@ -231,7 +224,7 @@ def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, *,
     """
     import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
 
-    positive, free, system = stage or _stage(mdp, target, allowed, "lp")
+    positive, free, system = stage or _stage(mdp, target, allowed, _lp_inputs)
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
     res = scipy.optimize.linprog(c=np.ones(len(free)), A_ub=system[0], b_ub=system[1],
@@ -240,13 +233,6 @@ def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, *,
         raise RuntimeError(f"LP solve failed: {res.message}")
     return ValueResult(_assemble(mdp, target, free, np.clip(res.x, 0.0, 1.0)),
                        positive, "lp", iterations=int(res.nit))
-
-
-_SOLVERS = {"vi": max_reach_vi, "lp": max_reach_lp}
-
-
-def solve_reachability(mdp, target, allowed, method: str = "vi", **kw) -> ValueResult:
-    return _pick(_SOLVERS, method)(mdp, target, allowed, **kw)
 
 
 def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndarray:
@@ -303,7 +289,8 @@ class MissionStrategy:
     method: str
 
 
-def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
+def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
+                       max_iter: int = 10**6) -> MissionStrategy:
     """Solve the nested mission property and extract the switching strategy.
 
     The inner constraint (delivery still possible after pickup) is
@@ -314,24 +301,33 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
     while the deliver stage solves on the calling thread.  A deliver-stage
     failure wins over a pickup-stage one, the worker is joined before
     anything is raised, and the policies are extracted after it, first stage first.
-    ``kw`` goes to both solvers.
+    ``tol`` and ``max_iter`` go to :func:`max_reach_vi` when ``method`` is ``"vi"``.
     """
+    if method not in ("vi", "lp"):
+        raise ValueError(f"unknown method {method!r}, expected one of ['lp', 'vi']")
     alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
 
+    def solve(target, stage):
+        # the solvers are looked up when called, so a wrapper set on the module is used
+        if method == "lp":
+            return max_reach_lp(mdp, target, alive, stage=stage)
+        return max_reach_vi(mdp, target, alive, tol=tol, max_iter=max_iter, stage=stage)
+
+    assemble = _sweep_matrix if method == "vi" else _lp_inputs
     deliver = alive & dropoff
     # this first graph pass builds the model's matrix and predecessor index before any worker
     deliverable = qualitative_reach(mdp, deliver, alive)
     switch = alive & pickup & deliverable
     # popped into the solves, so each stage's arrays die with its solve
-    stages = [_stage(mdp, switch, alive, method), _stage(mdp, deliver, alive, method, deliverable)]
+    stages = [_stage(mdp, switch, alive, assemble),
+              _stage(mdp, deliver, alive, assemble, deliverable)]
     from concurrent.futures import ThreadPoolExecutor  # scipy.sparse has loaded it already
 
     with ThreadPoolExecutor(1, thread_name_prefix="hostilemdp-pickup-stage") as pool:
-        future = pool.submit(solve_reachability, mdp, switch, alive, method=method,
-                             stage=stages.pop(0), **kw)
-        second = solve_reachability(mdp, deliver, alive, method=method, stage=stages.pop(), **kw)
+        future = pool.submit(solve, switch, stages.pop(0))
+        second = solve(deliver, stages.pop())
     first = future.result()
 
     return MissionStrategy(

@@ -22,7 +22,7 @@ import pytest
 from hostilemdp.belief import ENTERED, LEFT, expectation
 from hostilemdp.envmodel import Environment, MotionPrimitive, parse_environment
 from hostilemdp.mdpbuild import Mdp, MdpBuilder, VehicleState, build_mdp, ranges
-from hostilemdp.synth import MissionStrategy, extract_policy, solve_reachability
+from hostilemdp.synth import MissionStrategy, extract_policy, max_reach_lp, max_reach_vi
 
 # ---------------------------------------------------------------------------
 # hand-built MDPs
@@ -192,7 +192,8 @@ def random_mdp(rng: np.random.Generator, max_actions: int = 2) -> tuple[Mdp, np.
 # sequential mission oracle
 
 
-def sequential_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
+def sequential_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
+                       max_iter: int = 10**6) -> MissionStrategy:
     """The mission solved one stage after the other on the calling thread.
 
     The order is deliver solve, pickup solve, then the first-stage and the
@@ -200,11 +201,16 @@ def sequential_mission(mdp: Mdp, method: str = "vi", **kw) -> MissionStrategy:
     positive set, so any difference from ``synthesize_mission`` comes from
     running the stages at once.
     """
+    def solve(target):
+        if method == "lp":
+            return max_reach_lp(mdp, target, alive)
+        return max_reach_vi(mdp, target, alive, tol=tol, max_iter=max_iter)
+
     alive = mdp.label("alive")
     deliver = alive & mdp.label("dropoff")
-    second = solve_reachability(mdp, deliver, alive, method=method, **kw)
+    second = solve(deliver)
     switch = alive & mdp.label("pickup") & second.positive
-    first = solve_reachability(mdp, switch, alive, method=method, **kw)
+    first = solve(switch)
     first_policy = extract_policy(mdp, first, switch)
     second_policy = extract_policy(mdp, second, deliver)
     return MissionStrategy(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import bundled_doc
 from hostilemdp import __version__, cli, synth
 from hostilemdp.cli import main
+from hostilemdp.envmodel import DROPOFF, PICKUP
 from hostilemdp.simrun import OUTCOMES
 
 EVENTS = {"region-change", "adversary-entered", "adversary-left",
@@ -148,10 +149,30 @@ class TestBadInputs:
         capsys.readouterr()
         assert main(["synthesize", "--mdp", str(dump)]) == 1
         assert "belief position 1000000 is not below" in single_error(capsys)
-        # a dump without closure sizes cannot be checked, and still loads
+        # an older dump without closure sizes cannot be checked, so it is refused
         unsized = {k: v for k, v in doc.items() if not k.startswith("closure_")}
         np.savez(dump, **dict(unsized, format=np.array("hostile-mdp-csr-1")))
-        assert main(["synthesize", "--mdp", str(dump)]) == 0
+        assert main(["synthesize", "--mdp", str(dump)]) == 1
+        line = single_error(capsys)
+        assert "format tag hostile-mdp-csr-1" in line
+        assert line.endswith("rebuild with 'build --dump-mdp')")
+
+    def test_repeated_label_name_is_refused(self, tmp_path, capsys):
+        # a second pickup group, holding the dropoff states, would replace the first
+        dump = tmp_path / "model.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        with np.load(dump) as archive:
+            doc = dict(archive)
+        names, ptr = doc["label_names"].tolist(), doc["label_ptr"]
+        k = names.index(DROPOFF)
+        dropoff = doc["label_states"][ptr[k]:ptr[k + 1]]
+        doc["label_names"] = np.array(names + [PICKUP])
+        doc["label_ptr"] = np.append(ptr, ptr[-1] + len(dropoff))
+        doc["label_states"] = np.append(doc["label_states"], dropoff)
+        np.savez(dump, **doc)
+        capsys.readouterr()
+        assert main(["synthesize", "--mdp", str(dump)]) == 1
+        assert f"label name '{PICKUP}' is given more than once" in single_error(capsys)
 
     def test_export_refuses_an_invalid_build(self, tmp_path, capsys, monkeypatch):
         # the parser refuses the overflowing rates that used to build a broken

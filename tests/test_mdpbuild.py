@@ -29,7 +29,6 @@ from hostilemdp.belief import ENTERED, LEFT
 from hostilemdp import mdpbuild
 from hostilemdp.envmodel import DROPOFF, PICKUP, parse_environment
 from hostilemdp.mdpbuild import (
-    STAY,
     MdpBuilder,
     MdpFormatError,
     StateTable,
@@ -40,7 +39,6 @@ from hostilemdp.mdpbuild import (
     load_mdp,
     validate_mdp,
 )
-from hostilemdp.synth import synthesize_mission
 
 ARRAYS = ("state_ptr", "choice_action", "choice_ptr", "succ", "prob")
 COLUMNS = [f.name for f in dataclasses.fields(StateTable)]
@@ -655,45 +653,6 @@ class TestSerialization:
         assert np.array_equal(back.label("goal"), [False, True])
         assert validate_mdp(back) == []
 
-    def test_lost_sink_dump_still_loads(self, corridor_mdp, tmp_path):
-        """Dumps of models whose lost mass went to one global sink state still load.
-
-        Such a dump was written with a sink state at facet "" in region ""
-        (count and level -1, no beliefs) that every lost successor led to.
-        """
-        mdp, table = corridor_mdp, corridor_mdp.states
-        n, stay = mdp.n_states, len(mdp.action_names) - 1
-        source = mdp.choice_state()[mdp.transition_choice()]
-        succ = np.where(table.alive[source] & ~table.alive[mdp.succ], n, mdp.succ)
-        last = len(table.beliefs)
-        columns = {
-            "facet_names": np.append(table.facet_names, ""),
-            "facet": np.append(table.facet, len(table.facet_names)),
-            "region_names": np.append(table.region_names, ""),
-            "region": np.append(table.region, len(table.region_names)),
-            "count": np.append(table.count, -1), "level": np.append(table.level, -1),
-            "alive": np.append(table.alive, False),
-            "belief_ptr": np.append(table.belief_ptr, last), "beliefs": table.beliefs,
-        }
-        merged = dataclasses.replace(
-            mdp, states=StateTable(**columns),
-            state_ptr=np.append(mdp.state_ptr, mdp.n_choices() + 1),
-            choice_action=np.append(mdp.choice_action, stay),
-            choice_ptr=np.append(mdp.choice_ptr, mdp.n_transitions() + 1),
-            succ=np.append(succ, n), prob=np.append(mdp.prob, 1.0),
-            labels={k: np.append(v, False) for k, v in mdp.labels.items()},
-        )
-        dump_mdp(merged, tmp_path / "merged.npz")
-        back = load_mdp(tmp_path / "merged.npz")
-        assert back.n_states == n + 1
-        assert back.states[n] == VehicleState("", "", -1, -1, False, ())
-        assert back.action_names[stay] == STAY
-        assert validate_mdp(back) == []
-        assert synthesize_mission(back).value == synthesize_mission(mdp).value
-        sta, tra, lab = export_prism(back, tmp_path / "merged")
-        assert sta.read_text().splitlines()[-1].startswith(f"{n}:(")
-        assert [path.read_bytes() for path in (sta, tra, lab)] == reference_export(back)
-
     def test_closure_sizes_roundtrip(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
@@ -727,22 +686,42 @@ class TestSerialization:
         with pytest.raises(MdpFormatError, match=words):
             load_mdp(path)
 
-    def test_unsized_dump_still_loads(self, corridor_mdp, tmp_path):
-        """A ``hostile-mdp-csr-1`` dump records no closure sizes; it loads and dumps unsized."""
+    @pytest.mark.parametrize("tag", ["hostile-mdp-csr-1", "hostile-mdp-csr-3", "two\nlines"])
+    def test_other_format_tags_are_refused(self, corridor_mdp, tmp_path, tag):
+        """One format is read; an older unsized dump is refused, not loaded unchecked."""
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
         with np.load(path) as archive:
             doc = {k: v for k, v in archive.items() if not k.startswith("closure_")}
-        np.savez(path, **dict(doc, format=np.array("hostile-mdp-csr-1")))
-        back = load_mdp(path)
-        assert back.closures is None
-        assert_same_table(back.states, corridor_mdp.states)
-        assert validate_mdp(back) == []
-        dump_mdp(back, tmp_path / "again.npz")
-        with np.load(tmp_path / "again.npz") as archive:
-            assert archive["format"] == "hostile-mdp-csr-1"
-            assert not any(key.startswith("closure_") for key in archive.files)
-        assert load_mdp(tmp_path / "again.npz").closures is None
+        np.savez(path, **dict(doc, format=np.array(tag)))
+        with pytest.raises(MdpFormatError) as err:
+            load_mdp(path)
+        shown = tag if tag.isprintable() else repr(tag)
+        assert str(err.value) == (f"{path}: not a valid MDP dump (format tag {shown}, expected "
+                                  "hostile-mdp-csr-2; rebuild with 'build --dump-mdp')")
+
+    def test_a_table_without_closure_sizes_is_not_dumped(self, corridor_mdp, tmp_path):
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError, match="closure sizes"):
+            dump_mdp(dataclasses.replace(corridor_mdp, closures=None), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("what, values", [("label", "label_states"),
+                                              ("closure", "closure_sizes")])
+    def test_repeated_group_names_fail_to_load(self, corridor_mdp, tmp_path, what, values):
+        # an extra group named like the first; a dict of the groups would keep only the later one
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        names, ptr, members = doc[f"{what}_names"], doc[f"{what}_ptr"], doc[values]
+        doc[f"{what}_names"] = np.append(names, names[0])
+        doc[f"{what}_ptr"] = np.append(ptr, ptr[-1] + 1)
+        doc[values] = np.append(members, members[-1])
+        np.savez(path, **doc)
+        repeated = f"{what} name '{names[0]}' is given more than once"
+        with pytest.raises(MdpFormatError, match=repeated):
+            load_mdp(path)
 
     def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
