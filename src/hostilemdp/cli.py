@@ -172,7 +172,7 @@ def _policy_walk(mdp, strategy, limit: int = 24):
     alive = mdp.label("alive")
     dropoff = mdp.label(DROPOFF)
     table = mdp.states
-    owner = mdp.choice_state()
+    owner = mdp.owner
     # plays[phase, s]: the choice the phase's policy plays at s (-1: none)
     plays = np.full((2, mdp.n_states), -1, dtype=np.int64)
     for phase, policy in enumerate((strategy.first, strategy.second)):
@@ -219,7 +219,7 @@ def _strategy_json(mdp, strategy) -> str:
 
     # json.dumps escapes every non-ASCII character, so each entry is ASCII bytes
     names = np.array([json.dumps(name).encode() for name in mdp.action_names], dtype=object)
-    owner = mdp.choice_state()
+    owner = mdp.owner
 
     def policy(chosen) -> str:
         if not len(chosen):

@@ -120,11 +120,15 @@ class Mdp:
     A set of states is such a mask everywhere in the package, and a policy
     is the ascending int64 array of the choices it plays, one per state it
     covers.  A model must not change once it has been solved: the solvers
-    keep its :attr:`matrix` and :attr:`predecessors` for its whole life.
+    keep its :attr:`matrix`, :attr:`owner` and :attr:`predecessors` for its
+    whole life.
     ``closures`` gives, by region name, the sizes of the belief closures that a
     state's belief positions index: a state in region ``r`` holds one position per
     entry of ``closures[r]`` (none if ``r`` is not a key), each below that entry.
-    For every model the package makes, it is ``None`` exactly when ``states`` is.
+    ``windows[r]`` is region ``r``'s obstacle level count and its adversary
+    floor and ceiling: a state in ``r`` has a level below the first and a
+    count between the other two.  For every model the package makes, each of
+    the two is ``None`` exactly when ``states`` is.
     """
 
     states: StateTable | None
@@ -138,6 +142,7 @@ class Mdp:
     labels: dict[str, np.ndarray]
     warnings: list[str] = field(default_factory=list)
     closures: dict[str, tuple[int, ...]] | None = None
+    windows: dict[str, tuple[int, int, int]] | None = None
 
     @property
     def n_states(self) -> int:
@@ -153,10 +158,6 @@ class Mdp:
         """The states carrying label ``name`` as a bool mask; all false if it is absent."""
         found = self.labels.get(name)
         return np.zeros(self.n_states, dtype=bool) if found is None else found
-
-    def choice_state(self) -> np.ndarray:
-        """The state that owns each choice."""
-        return np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
 
     def transition_choice(self) -> np.ndarray:
         """The choice that owns each transition."""
@@ -178,6 +179,15 @@ class Mdp:
                                        shape=(self.n_choices(), self.n_states))
 
     @cached_property
+    def owner(self) -> np.ndarray:
+        """The state that owns each choice, int32 where it fits.
+
+        Built on first use and kept, like :attr:`matrix`; nothing may change it.
+        """
+        dtype = np.int32 if self.n_states <= np.iinfo(np.int32).max else np.int64
+        return np.repeat(np.arange(self.n_states, dtype=dtype), np.diff(self.state_ptr))
+
+    @cached_property
     def predecessors(self) -> Predecessors:
         """The positive-probability transitions of the model, grouped by successor.
 
@@ -193,8 +203,7 @@ class Mdp:
         if not positive.all():
             ptr = np.concatenate(([0], np.cumsum(positive)))[ptr]
             choice = choice[positive]
-        owner = np.repeat(np.arange(self.n_states, dtype=choice.dtype), np.diff(self.state_ptr))
-        return Predecessors(ptr, owner[choice], choice)
+        return Predecessors(ptr, self.owner[choice], choice)
 
 
 class Predecessors(NamedTuple):
@@ -463,6 +472,8 @@ class MdpBuilder:
             warnings=warnings,
             closures={rid: tuple(len(self.belief_sets[n]) for n in self.neighbors[rid])
                       for rid in env.regions},
+            windows={rid: (int(self.levels[r]), int(self.floor[r]), int(self.ceil[r]))
+                     for r, rid in enumerate(self.region_ids)},
         )
 
     def initial(self) -> _Columns:
@@ -688,7 +699,7 @@ def validate_mdp(mdp: Mdp) -> list[Violation]:
         # the arrays cannot be walked, so nothing else is checked
         return bad + [Violation(-1, None, "row-shape", d) for d in shape if d]
 
-    owner = mdp.choice_state()
+    owner = mdp.owner
     action = mdp.choice_action
     trans = mdp.transition_choice()
     width = np.diff(mdp.choice_ptr)
@@ -748,11 +759,11 @@ def validate_mdp(mdp: Mdp) -> list[Violation]:
 #
 # A dump is one ``.npz`` archive: the five CSR arrays, the labels, the state
 # table's columns as they are (none for a hand-built model) and the model's
-# belief closure sizes, so it loads with ``allow_pickle=False``.  A dump with
-# a state table always records its closure sizes; archives of any other
-# format tag are refused.
+# belief closure sizes and region windows, so it loads with
+# ``allow_pickle=False``.  A dump with a state table always records both;
+# archives of any other format tag are refused.
 
-_DUMP_FORMAT = "hostile-mdp-csr-2"
+_DUMP_FORMAT = "hostile-mdp-csr-3"
 
 
 def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
@@ -808,10 +819,28 @@ def _groups(doc, what: str, values: str) -> tuple[list[str], np.ndarray, np.ndar
     return names.tolist(), ptr, members
 
 
-def _closures_from(doc) -> dict[str, tuple[int, ...]]:
-    names, ptr, sizes = _groups(doc, "closure", "closure_sizes")
-    return {name: tuple(sizes[lo:hi].tolist())
+def _named_groups(doc, what: str, values: str) -> dict[str, tuple[int, ...]]:
+    names, ptr, members = _groups(doc, what, values)
+    return {name: tuple(members[lo:hi].tolist())
             for name, lo, hi in zip(names, ptr[:-1].tolist(), ptr[1:].tolist())}
+
+
+def _check_windows(table: StateTable, windows: dict[str, tuple[int, ...]]):
+    """MdpFormatError unless each state's obstacle level and adversary count fit its region."""
+    names = table.region_names.tolist()
+    bounds = [windows.get(name, ()) for name in names]
+    unbounded = [name for name, window in zip(names, bounds) if len(window) != 3]
+    if unbounded:
+        raise MdpFormatError(f"region {unbounded[0]!r} has no window of 3 bounds")
+    levels, floor, ceil = np.array(bounds, dtype=np.int64).reshape(-1, 3)[table.region].T
+    outside = np.flatnonzero((table.level >= levels) | (table.count < floor)
+                             | (table.count > ceil))
+    if len(outside):
+        s = outside[0]
+        raise MdpFormatError(
+            f"state {s}: obstacle level {table.level[s]} or adversary count {table.count[s]} "
+            f"is outside region {names[table.region[s]]!r}'s {levels[s]} levels or its "
+            f"window [{floor[s]}, {ceil[s]}]")
 
 
 def _check_positions(table: StateTable, closures: dict[str, tuple[int, ...]]):
@@ -845,15 +874,18 @@ def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
 
 def dump_mdp(mdp: Mdp, path: str | Path):
     """Write the MDP as one ``.npz`` archive at exactly ``path`` (see :func:`load_mdp`)."""
-    if mdp.states is not None and mdp.closures is None:
-        raise ValueError("a model with a state table needs its closure sizes to be dumped")
+    if mdp.states is not None and (mdp.closures is None or mdp.windows is None):
+        raise ValueError("a model with a state table needs its closure sizes and windows "
+                         "to be dumped")
     label_names = sorted(mdp.labels)
     label_ptr, label_states = _flat([np.flatnonzero(mdp.labels[k]) for k in label_names])
     sized = {}
-    if mdp.closures is not None:
-        closure_ptr, closure_sizes = _flat(list(mdp.closures.values()))
-        sized = dict(closure_names=np.array(list(mdp.closures), dtype=str),
-                     closure_ptr=closure_ptr, closure_sizes=closure_sizes)
+    for what, values, groups in (("closure", "closure_sizes", mdp.closures),
+                                 ("window", "window_bounds", mdp.windows)):
+        if groups is not None:
+            ptr, members = _flat(list(groups.values()))
+            sized.update({f"{what}_names": np.array(list(groups), dtype=str),
+                          f"{what}_ptr": ptr, values: members})
     with open(path, "wb") as handle:
         np.savez(
             handle,
@@ -883,9 +915,10 @@ def _array(doc, key: str, kind: str, ndim: int = 1) -> np.ndarray:
 def load_mdp(path: str | Path) -> Mdp:
     """Read a dump written by :func:`dump_mdp`; MdpFormatError if it is not one.
 
-    Only what decoding needs is checked here, and that each belief position
-    is below its closure's size; run :func:`validate_mdp` on the result
-    before using it.
+    Only what decoding needs is checked here, that each belief position is
+    below its closure's size, and that each state's obstacle level and
+    adversary count lie inside its region's window; run
+    :func:`validate_mdp` on the result before using it.
     """
     try:
         with open(path, "rb") as handle:
@@ -907,12 +940,16 @@ def load_mdp(path: str | Path) -> Mdp:
             raise MdpFormatError("state pointer is empty")
         init = int(_array(doc, "init", "iu", ndim=0))
         states = _states_from(doc, init)
-        closures = None if states is None else _closures_from(doc)
-        if closures is not None:
+        closures = windows = None
+        if states is not None:
+            closures = _named_groups(doc, "closure", "closure_sizes")
+            windows = _named_groups(doc, "window", "window_bounds")
             _check_positions(states, closures)
+            _check_windows(states, windows)
         return Mdp(
             states=states,
             closures=closures,
+            windows=windows,
             action_names=_array(doc, "action_names", "U").tolist(),
             init=init,
             labels=_labels_from(doc, n),

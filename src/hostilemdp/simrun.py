@@ -114,7 +114,7 @@ class _Plan:
         choice = np.concatenate(policies)
         row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
         which = np.repeat(np.arange(len(policies)), [len(policy) for policy in policies])
-        row[which, mdp.choice_state()[choice]] = np.arange(len(choice))
+        row[which, mdp.owner[choice]] = np.arange(len(choice))
         lo, hi = mdp.choice_ptr[choice], mdp.choice_ptr[choice + 1]
         length = hi - lo
         ptr = np.concatenate(([0], np.cumsum(length)))
@@ -349,7 +349,7 @@ def prefix_frequency(
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     covered = np.zeros(mdp.n_states, dtype=bool)
-    covered[mdp.choice_state()[policy]] = True
+    covered[mdp.owner[policy]] = True
     never = np.zeros(mdp.n_states, dtype=bool)
     plan = _Plan.of(mdp, (policy,), covered, never, never)
     steps = len(prefix) - 1

@@ -121,28 +121,40 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
 
 
 def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
-    """Value iteration's matrix over the free states, one row per choice slot.
+    """The free states in sweep order, and value iteration's matrix over them.
 
-    Row ``j * nf + i`` is free state ``i``'s ``j``-th choice, or empty (+0.0,
-    below any real backup) when the state has fewer.  A nonzero target mass
-    ends its row, in column ``nf`` against an iterate entry fixed at one: the
-    row gives S + c, which rounds as c + S does.
+    The matrix has one row per choice slot: row ``j * nf + i`` is free state
+    ``i``'s ``j``-th choice, or empty (+0.0, below any real backup) when the
+    state has fewer.  A nonzero target mass ends its row, in column ``nf``
+    against an iterate entry fixed at one: the row gives S + c, which rounds
+    as c + S does.  Sweep order sorts the states by the model's row lengths
+    of their choices, slot 0 first, ties in ascending order, so rows of about
+    equal length sit side by side in every slot block, where ``csr_matvec``'s
+    row loop runs faster.  Every row keeps its entries in their order and a
+    max is exact, so no value changes by a bit.
     """
     import scipy.sparse
 
     nf = len(free)
-    first, counts = mdp.state_ptr[free], np.diff(mdp.state_ptr)[free]
+    counts = np.diff(mdp.state_ptr)[free]
     slots = np.arange(int(counts.max()))[:, None]
-    real = (slots < counts).ravel()
-    rows, _ = _free_rows(mdp, target, free, (first + slots).ravel()[real], fold=True)
+    choices, real = mdp.state_ptr[free] + slots, slots < counts
+    lengths = np.zeros(real.shape, dtype=np.int16)  # a longer row wraps: it only sorts worse
+    lengths[real] = np.diff(mdp.choice_ptr)[choices[real]]
+    order = np.lexsort(lengths[::-1])
+    free, real = free[order], real[:, order].ravel()
+    choices = choices[:, order].ravel()[real]
+    del counts, lengths, order
+    rows, _ = _free_rows(mdp, target, free, choices, fold=True)
     size = np.zeros(len(real), dtype=rows.indptr.dtype)
     size[real] = np.diff(rows.indptr)
     indptr = np.concatenate(([0], np.cumsum(size)))
-    return scipy.sparse.csr_matrix((rows.data, rows.indices, indptr), shape=(len(real), nf + 1))
+    return free, scipy.sparse.csr_matrix((rows.data, rows.indices, indptr),
+                                         shape=(len(real), nf + 1))
 
 
 def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
-    """The LP's ``(A_ub, b_ub)``: rows of (Q - E) x <= -c, E picking each choice's owner."""
+    """``free`` and the LP's ``(A_ub, b_ub)``: rows (Q - E) x <= -c, E picking choice owners."""
     import scipy.sparse
 
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
@@ -150,14 +162,14 @@ def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
     picker = scipy.sparse.csr_matrix(
         (np.ones(len(mass)), (np.arange(len(mass)), np.repeat(np.arange(len(free)), stop - first))),
         shape=matrix.shape)
-    return (matrix - picker).tocsc(), -mass
+    return free, ((matrix - picker).tocsc(), -mass)
 
 
 class _Stage(NamedTuple):
     """One stage assembled for its solver, on the thread that calls :func:`_stage`."""
 
     positive: np.ndarray
-    free: np.ndarray  # the positive non-target states, ascending
+    free: np.ndarray  # the positive non-target states: in sweep order for VI, ascending for the LP
     system: object  # the sweep matrix or the LP's (A_ub, b_ub); None when nothing is free
 
 
@@ -167,7 +179,9 @@ def _stage(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, assemble,
     if positive is None:
         positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
-    return _Stage(positive, free, assemble(mdp, target, free) if free.size else None)
+    if not free.size:
+        return _Stage(positive, free, None)
+    return _Stage(positive, *assemble(mdp, target, free))
 
 
 def _assemble(mdp, target, free, x):
@@ -246,7 +260,7 @@ def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndar
     the target inside the near-maximal edge graph.
     """
     preds = mdp.predecessors
-    owner = mdp.choice_state()
+    owner = mdp.owner
     # each backup sums p * value over the row left to right, as a walk would
     backups = mdp.matrix @ result.values
     solved = result.positive & ~target

@@ -77,10 +77,14 @@ def policy_of(mdp: Mdp, actions: dict[int, int]) -> np.ndarray:
     return np.array(chosen, dtype=np.int64)
 
 
+def choice_owner(mdp: Mdp) -> np.ndarray:
+    """The state that owns each choice, counted off ``state_ptr`` as ``Mdp.owner`` must give it."""
+    return np.repeat(np.arange(mdp.n_states), np.diff(mdp.state_ptr))
+
+
 def policy_actions(mdp: Mdp, policy: np.ndarray) -> dict[int, int]:
     """``{state: action}`` of a policy given as choice indices."""
-    owner = np.repeat(np.arange(mdp.n_states), np.diff(mdp.state_ptr))
-    states = owner[policy].tolist()
+    states = choice_owner(mdp)[policy].tolist()
     assert len(set(states)) == len(states), "policy plays two choices at one state"
     return dict(zip(states, mdp.choice_action[policy].tolist()))
 
@@ -357,7 +361,7 @@ class OraclePlan:
         choice = np.concatenate(policies)
         row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
         which = np.repeat(np.arange(len(policies)), [len(policy) for policy in policies])
-        row[which, mdp.choice_state()[choice]] = np.arange(len(choice))
+        row[which, choice_owner(mdp)[choice]] = np.arange(len(choice))
         lo, hi = mdp.choice_ptr[choice], mdp.choice_ptr[choice + 1]
         length = hi - lo
         ptr = np.concatenate(([0], np.cumsum(length)))

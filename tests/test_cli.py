@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled_doc
+from conftest import bundled_doc, choice_owner
 from hostilemdp import __version__, cli, synth
 from hostilemdp.cli import main
 from hostilemdp.envmodel import DROPOFF, PICKUP
@@ -155,6 +155,37 @@ class TestBadInputs:
         assert main(["synthesize", "--mdp", str(dump)]) == 1
         line = single_error(capsys)
         assert "format tag hostile-mdp-csr-1" in line
+        assert line.endswith("rebuild with 'build --dump-mdp')")
+
+    @pytest.mark.parametrize("column, step, words", [
+        ("level", 10**6, "state 5: obstacle level 1000000 "),
+        ("count", 1, "state 5: obstacle level 0 or adversary count 3 is outside region 'rm'"),
+    ], ids=["level", "count"])
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_level_or_count_outside_its_window_is_refused(self, tmp_path, capsys, command,
+                                                          column, step, words):
+        dump = tmp_path / "model.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        with np.load(dump) as archive:
+            doc = dict(archive)
+        doc[column] = doc[column].copy()
+        doc[column][5] += step
+        np.savez(dump, **doc)
+        capsys.readouterr()
+        assert main([command, "--mdp", str(dump)]) == 1
+        assert words in single_error(capsys)
+
+    def test_a_dump_without_windows_is_refused(self, tmp_path, capsys):
+        dump = tmp_path / "model.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        with np.load(dump) as archive:
+            doc = {k: v for k, v in archive.items() if not k.startswith("window_")}
+        # the previous format recorded closure sizes but no windows
+        np.savez(dump, **dict(doc, format=np.array("hostile-mdp-csr-2")))
+        capsys.readouterr()
+        assert main(["synthesize", "--mdp", str(dump)]) == 1
+        line = single_error(capsys)
+        assert "format tag hostile-mdp-csr-2, expected hostile-mdp-csr-3" in line
         assert line.endswith("rebuild with 'build --dump-mdp')")
 
     def test_repeated_label_name_is_refused(self, tmp_path, capsys):
@@ -399,7 +430,7 @@ class TestInspection:
 
 def indented_strategy(mdp, strategy) -> str:
     """The ``--out`` file as ``json`` writes it, from a payload built entry by entry."""
-    owner = mdp.choice_state()
+    owner = choice_owner(mdp)
 
     def named(policy):
         return {str(owner[c]): mdp.action_names[mdp.choice_action[c]] for c in policy.tolist()}

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bundled_doc,
+    choice_owner,
     estimated_rate,
     initial_state,
     make_mdp,
@@ -657,15 +659,49 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
         with np.load(path) as archive:
-            assert archive["format"] == "hostile-mdp-csr-2"
+            assert archive["format"] == "hostile-mdp-csr-3"
         back = load_mdp(path)
         assert back.closures == corridor_mdp.closures
+        assert back.windows == corridor_mdp.windows
         table = corridor_mdp.states
         for s in range(len(table)):
             state = table[s]
             sizes = corridor_mdp.closures[state.region]
             assert len(state.beliefs) == len(sizes)
             assert all(0 <= b < size for b, size in zip(state.beliefs, sizes)), state
+
+    def test_windows_are_the_regions_bounds(self, corridor_env, corridor_mdp):
+        for rid, region in corridor_env.regions.items():
+            assert corridor_mdp.windows[rid] == (region.max_obstacle_level + 1,
+                                                 region.min_adversaries, region.max_adversaries)
+        table = corridor_mdp.states
+        for s in range(len(table)):
+            levels, floor, ceil = corridor_mdp.windows[table[s].region]
+            assert table[s].level < levels and floor <= table[s].count <= ceil, table[s]
+
+    @pytest.mark.parametrize("change, words", [
+        (lambda doc: doc["level"].__setitem__(5, doc["level"][5] + 10**6),
+         "state 5: obstacle level 1000000 or adversary count 2 is outside region 'rm''s 3 "
+         "levels or its window [0, 2]"),
+        (lambda doc: doc["level"].__setitem__(5, 3), "state 5: obstacle level 3 "),
+        (lambda doc: doc["count"].__setitem__(5, 3), "adversary count 3 is outside"),
+        (lambda doc: doc["window_bounds"].__setitem__(slice(None), 0), "0 levels"),
+        (lambda doc: doc.pop("window_bounds"), "'window_bounds' is missing"),
+        (lambda doc: doc["window_ptr"].__setitem__(1, 2), "no window of 3 bounds"),
+        (lambda doc: doc.update(window_names=doc["window_names"][1:],
+                                window_ptr=doc["window_ptr"][1:] - 3,
+                                window_bounds=doc["window_bounds"][3:]), "no window of 3 bounds"),
+    ], ids=["level", "level past", "count", "bounds", "missing", "pointer", "unnamed"])
+    def test_level_or_count_outside_its_window_fails_to_load(self, corridor_mdp, tmp_path,
+                                                             change, words):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = {key: value.copy() for key, value in archive.items()}
+        change(doc)
+        np.savez(path, **doc)
+        with pytest.raises(MdpFormatError, match=re.escape(words)):
+            load_mdp(path)
 
     @pytest.mark.parametrize("change, words", [
         (lambda doc: doc["beliefs"].__setitem__(5, doc["beliefs"][5] + 10**6),
@@ -686,28 +722,31 @@ class TestSerialization:
         with pytest.raises(MdpFormatError, match=words):
             load_mdp(path)
 
-    @pytest.mark.parametrize("tag", ["hostile-mdp-csr-1", "hostile-mdp-csr-3", "two\nlines"])
+    @pytest.mark.parametrize("tag", ["hostile-mdp-csr-1", "hostile-mdp-csr-2", "hostile-mdp-csr-4",
+                                     "two\nlines"])
     def test_other_format_tags_are_refused(self, corridor_mdp, tmp_path, tag):
-        """One format is read; an older unsized dump is refused, not loaded unchecked."""
+        """One format is read; an older dump without sizes or windows is refused, not loaded unchecked."""
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
         with np.load(path) as archive:
-            doc = {k: v for k, v in archive.items() if not k.startswith("closure_")}
+            doc = {k: v for k, v in archive.items() if not k.startswith(("closure_", "window_"))}
         np.savez(path, **dict(doc, format=np.array(tag)))
         with pytest.raises(MdpFormatError) as err:
             load_mdp(path)
         shown = tag if tag.isprintable() else repr(tag)
         assert str(err.value) == (f"{path}: not a valid MDP dump (format tag {shown}, expected "
-                                  "hostile-mdp-csr-2; rebuild with 'build --dump-mdp')")
+                                  "hostile-mdp-csr-3; rebuild with 'build --dump-mdp')")
 
     def test_a_table_without_closure_sizes_is_not_dumped(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
-        with pytest.raises(ValueError, match="closure sizes"):
-            dump_mdp(dataclasses.replace(corridor_mdp, closures=None), path)
+        for missing in ("closures", "windows"):
+            with pytest.raises(ValueError, match="closure sizes and windows"):
+                dump_mdp(dataclasses.replace(corridor_mdp, **{missing: None}), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("what, values", [("label", "label_states"),
-                                              ("closure", "closure_sizes")])
+                                              ("closure", "closure_sizes"),
+                                              ("window", "window_bounds")])
     def test_repeated_group_names_fail_to_load(self, corridor_mdp, tmp_path, what, values):
         # an extra group named like the first; a dict of the groups would keep only the later one
         path = tmp_path / "model.npz"
@@ -850,7 +889,7 @@ def reference_export(mdp) -> list[bytes]:
 
     trans = mdp.transition_choice()
     order = np.lexsort((mdp.prob, mdp.succ, trans))
-    owner = mdp.choice_state()[trans[order]]
+    owner = choice_owner(mdp)[trans[order]]
     local = trans[order] - mdp.state_ptr[owner]
     tra = [f"{mdp.n_states} {mdp.n_choices()} {mdp.n_transitions()}"]
     tra.extend(f"{s} {c} {t} {p!r}" for s, c, t, p in zip(

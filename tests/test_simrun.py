@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     OraclePlan,
+    choice_owner,
     make_mdp,
     mask_of,
     oracle_chunks,
@@ -392,7 +393,7 @@ class TestChunkOracle:
     def test_prefix_frequency_matches_the_chunk_loop(self):
         mdp, policy = toy_chain()
         covered = np.zeros(mdp.n_states, dtype=bool)
-        covered[mdp.choice_state()[policy]] = True
+        covered[choice_owner(mdp)[policy]] = True
         never = np.zeros(mdp.n_states, dtype=bool)
         plan = OraclePlan.of(mdp, (policy,), covered, never, never)
         runs, prefix = BLOCK * CHUNK + 5, [0, 1, 1]

@@ -9,8 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 from conftest import (
+    choice_owner,
     make_mdp,
     mask_of,
     members,
@@ -51,7 +53,8 @@ def model_bytes(mdp):
     """Every array and label mask of ``mdp``, and of its solver view, as (dtype, bytes) pairs."""
     arrays = [mdp.state_ptr, mdp.choice_action, mdp.choice_ptr, mdp.succ, mdp.prob]
     arrays += [mdp.labels[name] for name in sorted(mdp.labels)]
-    arrays += [mdp.matrix.data, mdp.matrix.indices, mdp.matrix.indptr, *mdp.predecessors]
+    arrays += [mdp.matrix.data, mdp.matrix.indices, mdp.matrix.indptr, mdp.owner,
+               *mdp.predecessors]
     return [(str(a.dtype), a.tobytes()) for a in arrays]
 
 
@@ -375,10 +378,15 @@ class TestSolverView:
 
     def test_missions_reuse_the_view(self, corridor_env):
         mdp = build_mdp(corridor_env)
-        matrix, preds = mdp.matrix, mdp.predecessors
+        matrix, owner, preds = mdp.matrix, mdp.owner, mdp.predecessors
         synthesize_mission(mdp, "vi")
         synthesize_mission(mdp, "lp")
-        assert mdp.matrix is matrix and mdp.predecessors is preds
+        assert mdp.matrix is matrix and mdp.owner is owner and mdp.predecessors is preds
+
+    def test_owner_counts_off_the_state_pointer(self, corridor_env):
+        for mdp in (build_mdp(corridor_env), coin(0.5)):
+            assert bits(mdp.owner) == bits(choice_owner(mdp).astype(np.int32))
+            assert bits(mdp.predecessors.src) == bits(mdp.owner[mdp.predecessors.choice])
 
     def test_replaced_probabilities_get_a_fresh_view(self):
         mdp = coin(0.5)
@@ -469,7 +477,7 @@ class TestConcurrentStages:
         submit, built = ThreadPoolExecutor.submit, []
 
         def checked(pool, *args, **kw):
-            built.append({"matrix", "predecessors"} <= vars(mdp).keys())
+            built.append({"matrix", "owner", "predecessors"} <= vars(mdp).keys())
             return submit(pool, *args, **kw)
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", checked)
@@ -604,7 +612,7 @@ class TestStageAssembly:
             models.append((mdp, goal))
         for mdp, goal in models:
             free = np.flatnonzero(~goal & (rng.random(mdp.n_states) < 0.8))
-            choices = rng.permutation(np.flatnonzero(np.isin(mdp.choice_state(), free)))
+            choices = rng.permutation(np.flatnonzero(np.isin(choice_owner(mdp), free)))
             picked = mdp.matrix[choices]
             want = picked[:, free]
             mass = picked[:, np.flatnonzero(goal)] @ np.ones(int(goal.sum()))
@@ -619,3 +627,123 @@ class TestStageAssembly:
                 bits(np.insert(want.data, at, mass[mass > 0.0])),
                 bits(np.insert(want.indices, at, len(free)))]
             assert np.array_equal(np.diff(folded.indptr), np.diff(want.indptr) + (mass > 0.0))
+
+
+def ascending_stage(mdp, target, allowed):
+    """The VI stage with its free states in ascending order, slot-major as before sweep order.
+
+    Row ``j * nf + i`` holds free state ``i``'s ``j``-th choice, folded by
+    ``_free_rows``, or nothing when the state has fewer choices.
+    """
+    positive = qualitative_reach(mdp, target, allowed)
+    free = np.flatnonzero(positive & ~target)
+    if not free.size:
+        return synth._Stage(positive, free, None)
+    counts = np.diff(mdp.state_ptr)[free].tolist()
+    slots = [(j, s) for j in range(max(counts)) for s, n in zip(free.tolist(), counts)]
+    real = np.array([j < n for (j, _), n in zip(slots, counts * max(counts))])
+    choices = np.array([mdp.state_ptr[s] + j for j, s in slots], dtype=np.int64)[real]
+    rows, _ = synth._free_rows(mdp, target, free, choices, fold=True)
+    sizes = np.zeros(len(slots), dtype=np.int64)
+    sizes[real] = np.diff(rows.indptr)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    matrix = scipy.sparse.csr_matrix((rows.data, rows.indices, indptr),
+                                     shape=(len(slots), len(free) + 1))
+    return synth._Stage(positive, free, matrix)
+
+
+def sweep_order(mdp, free):
+    """``free`` sorted by its states' row lengths, slot by slot (0 past the last choice), then by state."""
+    def lengths(s):
+        return tuple(mdp.choice_ptr[c + 1] - mdp.choice_ptr[c]
+                     for c in range(mdp.state_ptr[s], mdp.state_ptr[s + 1]))
+
+    width = max(len(lengths(s)) for s in free)
+    return sorted(free.tolist(), key=lambda s: (lengths(s) + (0,) * (width - len(lengths(s))), s))
+
+
+def order_models(case_envs):
+    """(name, model, target, allowed) for both stages of corridor, caseA and caseB,
+    and for random models, some with zero entries or repeated successors."""
+    for name, env in [("corridor", case_envs["corridor"]), ("A", case_envs["A"]),
+                      ("B", case_envs["B"])]:
+        mdp = build_mdp(env)
+        alive = mdp.label("alive")
+        deliver = alive & mdp.label("dropoff")
+        switch = alive & mdp.label("pickup") & qualitative_reach(mdp, deliver, alive)
+        yield f"{name}-pickup", mdp, switch, alive
+        yield f"{name}-deliver", mdp, deliver, alive
+    rng = np.random.default_rng(20261020)
+    for i in range(48):
+        mdp, goal = random_mdp(rng, max_actions=1 + i % 5)
+        wide = np.flatnonzero(np.diff(mdp.choice_ptr) > 1)
+        if i % 3 == 1 and wide.size:  # a zero-probability entry
+            mdp.prob[mdp.choice_ptr[rng.choice(wide)]] = 0.0
+        if i % 3 == 2 and wide.size:  # a successor listed twice in one row
+            k = mdp.choice_ptr[rng.choice(wide)]
+            mdp.succ[k + 1] = mdp.succ[k]
+        yield f"random-{i}", mdp, goal, everything(mdp)
+
+
+@pytest.fixture(scope="module")
+def order_cases(corridor_env, case_envs):
+    return list(order_models(dict(case_envs, corridor=corridor_env)))
+
+
+class TestSweepOrder:
+    """Value iteration sweeps each stage's free states in row-length order; that
+    renumbering must change no value, sweep count, residual or budget error."""
+
+    def test_values_match_the_ascending_layout_bit_for_bit(self, order_cases):
+        reordered = 0
+        for name, mdp, target, allowed in order_cases:
+            oracle = ascending_stage(mdp, target, allowed)
+            stage = synth._stage(mdp, target, allowed, synth._sweep_matrix)
+            reordered += not np.array_equal(stage.free, oracle.free)
+            got = max_reach_vi(mdp, target, allowed, tol=1e-12)
+            want = max_reach_vi(mdp, target, allowed, tol=1e-12, stage=oracle)
+            assert bits(got.values) == bits(want.values), name
+            assert (got.iterations, got.residual) == (want.iterations, want.residual), name
+            assert np.array_equal(got.positive, want.positive), name
+            for budget in sorted({1, 2, 3, max(got.iterations // 2, 1)}):
+                if not oracle.free.size:
+                    break
+                errors = []
+                for given in (None, oracle):
+                    with pytest.raises(ConvergenceError) as err:
+                        max_reach_vi(mdp, target, allowed, tol=-1.0, max_iter=budget, stage=given)
+                    errors.append(err.value)
+                assert bits(errors[0].values) == bits(errors[1].values), (name, budget)
+                assert errors[0].residual == errors[1].residual, (name, budget)
+        # the order must move rows on most models, or this compares nothing
+        assert reordered >= 20
+
+    def test_rows_are_grouped_by_length_in_every_slot_block(self, order_cases):
+        for name, mdp, target, allowed in order_cases:
+            stage = synth._stage(mdp, target, allowed, synth._sweep_matrix)
+            if not stage.free.size:
+                continue
+            assert stage.free.tolist() == sweep_order(mdp, stage.free), name
+            assert np.array_equal(np.sort(stage.free), ascending_stage(mdp, target, allowed).free)
+            # the LP keeps the ascending state order of its pinned inputs
+            lp = synth._stage(mdp, target, allowed, synth._lp_inputs)
+            assert np.array_equal(lp.free, np.sort(stage.free)), name
+
+    def test_a_solve_alone_sweeps_in_the_mission_order(self, case_envs, monkeypatch):
+        orders = []
+        assemble = synth._sweep_matrix
+
+        def recorded(*args):
+            free, matrix = assemble(*args)
+            orders.append(free)
+            return free, matrix
+
+        monkeypatch.setattr(synth, "_sweep_matrix", recorded)
+        mdp = build_mdp(case_envs["A"])
+        alive = mdp.label("alive")
+        synthesize_mission(mdp)
+        max_reach_vi(mdp, alive & mdp.label("dropoff"), alive)
+        pickup, deliver, alone = orders
+        assert bits(alone) == bits(deliver)
+        assert alone.tolist() == sweep_order(mdp, alone)
+        assert not np.array_equal(alone, np.sort(alone))
