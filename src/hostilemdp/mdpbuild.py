@@ -779,7 +779,8 @@ def _states_from(doc, init: int) -> StateTable | None:
     columns = {}
     for key in keys:
         kind = {"facet_names": "U", "region_names": "U", "alive": "b"}.get(key)
-        columns[key] = _array(doc, key, kind) if kind else _array(doc, key, "iu").astype(np.int64)
+        columns[key] = (_array(doc, key, kind) if kind
+                        else _array(doc, key, "iu").astype(np.int64, copy=False))
     table = StateTable(**columns)
     n, ptr = len(table), table.belief_ptr
     if any(len(getattr(table, key)) != n for key in ("facet", "region", "count", "level")):
@@ -807,8 +808,8 @@ def _groups(doc, what: str, values: str) -> tuple[list[str], np.ndarray, np.ndar
     """The named integer groups ``<what>_names``/``_ptr``/``<values>`` of a dump, checked."""
     names = _array(doc, f"{what}_names", "U")
     # unsigned differences wrap, so cast before the pointer is checked
-    ptr = _array(doc, f"{what}_ptr", "iu").astype(np.int64)
-    members = _array(doc, values, "iu").astype(np.int64)
+    ptr = _array(doc, f"{what}_ptr", "iu").astype(np.int64, copy=False)
+    members = _array(doc, values, "iu").astype(np.int64, copy=False)
     problem = _pointer_problem(ptr, len(names), len(members), what)
     if problem:
         raise MdpFormatError(problem)
@@ -932,9 +933,10 @@ def load_mdp(path: str | Path) -> Mdp:
             shown = tag if tag.isprintable() else repr(tag)
             raise MdpFormatError(f"format tag {shown}, expected {_DUMP_FORMAT}; "
                                  "rebuild with 'build --dump-mdp'")
-        arrays = {key: _array(doc, key, "iu").astype(np.int64)
+        # a dump's own int64 and float64 arrays are used as read, not copied
+        arrays = {key: _array(doc, key, "iu").astype(np.int64, copy=False)
                   for key in ("state_ptr", "choice_action", "choice_ptr", "succ")}
-        arrays["prob"] = _array(doc, "prob", "f").astype(np.float64)
+        arrays["prob"] = _array(doc, "prob", "f").astype(np.float64, copy=False)
         n = len(arrays["state_ptr"]) - 1
         if n < 0:
             raise MdpFormatError("state pointer is empty")

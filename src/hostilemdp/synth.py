@@ -21,8 +21,9 @@ from .mdpbuild import Mdp, Predecessors, ranges
 #: still count as maximal when :func:`extract_policy` picks a progressing one
 TIE_TOL = 1e-9
 
-#: rows :func:`_free_rows` gathers at a time; it bounds the gather's index arrays
-CHUNK = 4096
+#: rows that :func:`_free_rows` selects at a time; a graph pass gathers ``CHUNK * 8``
+#: transitions at a time.  It bounds the index arrays one step holds
+CHUNK = 2048
 
 
 class ConvergenceError(RuntimeError):
@@ -58,15 +59,18 @@ def _backward_levels(preds: Predecessors, keep: np.ndarray, seeds: np.ndarray) -
     n = len(preds.ptr) - 1
     level = np.full(n, -1, dtype=np.int64)
     level[seeds] = 0
-    fresh = np.zeros(n, dtype=bool)
+    found = np.zeros(n, dtype=bool)
     frontier, depth = seeds, 0
     while frontier.size:
         depth += 1
-        into = ranges(preds.ptr[frontier], preds.ptr[frontier + 1])
-        found = preds.src[into[keep[into]]]
-        fresh[found[level[found] < 0]] = True
-        frontier = np.flatnonzero(fresh)
-        fresh[frontier] = False
+        # the transitions into the level, in pieces of about ``CHUNK`` * 8
+        total = np.cumsum(preds.ptr[frontier + 1] - preds.ptr[frontier])
+        cuts = np.searchsorted(total, np.arange(CHUNK * 8, total[-1], CHUNK * 8))
+        for part in np.split(frontier, cuts):
+            into = ranges(preds.ptr[part], preds.ptr[part + 1])
+            found[preds.src[into[keep[into]]]] = True
+        frontier = np.flatnonzero(found & (level < 0))
+        found[:] = False
         level[frontier] = depth
     return level
 
@@ -84,38 +88,62 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
 
 
 def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray,
-               fold: bool = False):
+               fold: bool = False, ends: Optional[tuple] = None):
     """The rows ``choices`` of the model on the columns ``free``, and their target mass.
 
-    ``CHUNK`` rows at a time are taken from the model and cut to their free
-    entries, in order, straight into arrays of the result's size.  A row's
-    mass is its probability of moving into ``target``, summed in row order
-    from +0.0; a non-target entry adds p * 0.0 = +0.0, which changes no sum.
-    With ``fold``, each nonzero mass also ends its row, in one more column.
+    ``CHUNK`` rows at a time are selected from the model and cut to their
+    free entries, in order, straight into arrays of the result's size.  A
+    row's mass is its probability of moving into ``target``, summed in row
+    order from +0.0; a non-target entry adds p * 0.0 = +0.0, which changes no
+    sum.  With ``fold``, each nonzero mass ends its row instead, in one more
+    column, and no mass is returned.  ``ends``, a pair of arrays (columns,
+    values), ends each row ``i`` with one more entry ``values[i]`` in column
+    ``columns[i]``.
     """
     import scipy.sparse
 
     model = mdp.matrix
     column = np.full(mdp.n_states, -1, dtype=model.indices.dtype)
     column[free] = np.arange(len(free))
-    mass = (model @ target.astype(float))[choices]
-    folded = (mass > 0.0) & fold
-    # free entries before each position of the model, so a row's count is a difference
-    seen = np.zeros(len(model.indices) + 1, dtype=model.indptr.dtype)
-    np.cumsum((column >= 0)[model.indices], out=seen[1:])
-    kept = seen[model.indptr[choices + 1]] - seen[model.indptr[choices]]
-    del seen
-    indptr = np.concatenate(([0], np.cumsum(kept + folded)))
+    if fold:
+        mass = (model @ target.astype(float))[choices]
+        ended = mass > 0.0
+        last_column, last_value = np.full(np.count_nonzero(ended), len(free)), mass[ended]
+        del mass  # not held through the chunks
+    else:
+        ended = np.full(len(choices), ends is not None)
+        last_column, last_value = ends or (np.zeros(0), np.zeros(0))
+    # int32 where every entry of the model plus one more per row fits, as scipy chooses
+    small = mdp.n_transitions() + len(choices) <= np.iinfo(np.int32).max
+    index = np.int32 if small else np.int64
+    # free entries per model row; reduceat needs starts inside the entries, and
+    # would give an empty row its start's entry
+    full = mdp.choice_ptr[:-1] < mdp.choice_ptr[1:]
+    kept = np.zeros(mdp.n_choices(), dtype=index)
+    kept[full] = np.add.reduceat((column >= 0)[mdp.succ], mdp.choice_ptr[:-1][full],
+                                 dtype=index)
+    indptr = np.zeros(len(choices) + 1, dtype=index)
+    np.cumsum(kept[choices] + ended, out=indptr[1:])
+    del full, kept
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=column.dtype)
+    done = 0
     for lo in range(0, len(choices), CHUNK):
         hi = min(lo + CHUNK, len(choices))
         picked = model[choices[lo:hi]]
-        slot = column[picked.indices]
-        # a folded mass goes after its row's last free entry
-        at = np.cumsum(kept[lo:hi])[folded[lo:hi]]
+        slot = column.take(picked.indices)
+        keep = slot >= 0
         fill = slice(indptr[lo], indptr[hi])
-        data[fill] = np.insert(picked.data[slot >= 0], at, mass[lo:hi][folded[lo:hi]])
-        indices[fill] = np.insert(slot[slot >= 0], at, len(free))
+        rows = np.flatnonzero(ended[lo:hi])
+        # each extra entry goes after its row's last; the rest keep their order
+        last = indptr[lo + 1:hi + 1][rows] - 1 - indptr[lo]
+        rest = np.ones(fill.stop - fill.start, dtype=bool)
+        rest[last] = False
+        data[fill][rest], indices[fill][rest] = picked.data[keep], slot[keep]
+        data[fill][last] = last_value[done:done + rows.size]
+        indices[fill][last] = last_column[done:done + rows.size]
+        done += rows.size
+        del picked, slot, keep  # before the next chunk's are made
+    mass = None if fold else (model @ target.astype(float))[choices]
     shape = (len(choices), len(free) + fold)
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape), mass
 
@@ -137,32 +165,57 @@ def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
 
     nf = len(free)
     counts = np.diff(mdp.state_ptr)[free]
-    slots = np.arange(int(counts.max()))[:, None]
-    choices, real = mdp.state_ptr[free] + slots, slots < counts
+    # choice numbers in the matrix's index type, which holds every one of them
+    first = mdp.state_ptr[free].astype(mdp.matrix.indptr.dtype)
+    slots = np.arange(int(counts.max()), dtype=first.dtype)[:, None]
+    choices, real = first + slots, slots < counts
     lengths = np.zeros(real.shape, dtype=np.int16)  # a longer row wraps: it only sorts worse
     lengths[real] = np.diff(mdp.choice_ptr)[choices[real]]
     order = np.lexsort(lengths[::-1])
     free, real = free[order], real[:, order].ravel()
     choices = choices[:, order].ravel()[real]
-    del counts, lengths, order
+    del counts, first, lengths, order
     rows, _ = _free_rows(mdp, target, free, choices, fold=True)
-    size = np.zeros(len(real), dtype=rows.indptr.dtype)
-    size[real] = np.diff(rows.indptr)
-    indptr = np.concatenate(([0], np.cumsum(size)))
+    indptr = np.zeros(len(real) + 1, dtype=rows.indptr.dtype)
+    indptr[1:][real] = np.diff(rows.indptr)
+    np.cumsum(indptr, out=indptr)
     return free, scipy.sparse.csr_matrix((rows.data, rows.indices, indptr),
                                          shape=(len(real), nf + 1))
 
 
 def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
-    """``free`` and the LP's ``(A_ub, b_ub)``: rows (Q - E) x <= -c, E picking choice owners."""
+    """``free`` and the LP's ``(A_ub, b_ub)``: rows (Q - E) x <= -c, E picking choice owners.
+
+    ``A_ub`` is the CSC matrix that scipy's ``(Q - E).tocsc()`` gives, built
+    without the subtraction's two extra copies.  Each row ends with its
+    owner's -1, so a column holds each row's entries in row order, and the
+    owner's -1 after them.  Entries of one row and column are summed in that
+    order, and exact zeros are dropped, as the subtraction does.
+    """
     import scipy.sparse
 
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-    matrix, mass = _free_rows(mdp, target, free, ranges(first, stop))
-    picker = scipy.sparse.csr_matrix(
-        (np.ones(len(mass)), (np.arange(len(mass)), np.repeat(np.arange(len(free)), stop - first))),
-        shape=matrix.shape)
-    return free, ((matrix - picker).tocsc(), -mass)
+    owners = np.repeat(np.arange(len(free)), stop - first)
+    rows, mass = _free_rows(mdp, target, free, ranges(first, stop),
+                            ends=(owners, np.full(len(owners), -1.0)))
+    by_column = rows.tocsc()
+    del rows, owners
+    data, row, ptr = by_column.data, by_column.indices, by_column.indptr
+    # an entry with its predecessor's row, inside one column, goes into that predecessor's sum
+    repeat = np.flatnonzero(row[1:] == row[:-1]) + 1
+    repeat = repeat[ptr[np.searchsorted(ptr, repeat, side="right") - 1] != repeat]
+    if repeat.size:
+        head = np.maximum.accumulate(np.where(np.diff(repeat, prepend=-2) == 1, 0, repeat - 1))
+        offset = repeat - head
+        for step in range(1, int(offset.max()) + 1):
+            data[head[offset == step]] += data[repeat[offset == step]]
+    gone = np.union1d(repeat, np.flatnonzero(data == 0.0))
+    if gone.size:
+        keep = np.ones(len(data), dtype=bool)
+        keep[gone] = False
+        by_column = scipy.sparse.csc_matrix(
+            (data[keep], row[keep], ptr - np.searchsorted(gone, ptr)), shape=by_column.shape)
+    return free, (by_column, -mass)
 
 
 class _Stage(NamedTuple):
@@ -276,11 +329,18 @@ def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndar
     if unreached.size:
         raise RuntimeError(f"state {unreached[0]} has positive value but no progressing action; "
                            f"tie tolerance {TIE_TOL} may be too small")
-    dist = np.where(level >= 0, level, np.iinfo(np.int64).max)
-    closer = np.repeat(dist, np.diff(preds.ptr)) < dist[preds.src]
-    progressing = np.zeros(mdp.n_choices(), dtype=bool)
-    progressing[preds.choice[closer]] = True
-    chosen = np.flatnonzero(progressing & candidate)
+    # a choice progresses when one of its positive-probability successors is
+    # closer than its own state; an unreached state is farther than any other
+    far = level.max() + 1
+    dist = level.astype(np.min_scalar_type(far))  # as narrow as the deepest level allows
+    dist[level < 0] = far
+    ahead = dist[mdp.succ]
+    if len(preds.choice) < len(ahead):  # the index leaves out zero-probability entries
+        ahead[~(mdp.prob > 0.0)] = far
+    moving = np.diff(mdp.choice_ptr) > 0
+    nearest = np.full(mdp.n_choices(), far, dtype=dist.dtype)
+    nearest[moving] = np.minimum.reduceat(ahead, mdp.choice_ptr[:-1][moving])
+    chosen = np.flatnonzero(candidate & (nearest < dist[owner]))
     # choices are grouped by state in ascending action order: keep each state's first
     return chosen[np.diff(owner[chosen], prepend=-1) != 0]
 
@@ -310,41 +370,51 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
     The inner constraint (delivery still possible after pickup) is
     qualitative: the switch set comes from the deliver stage's graph fixpoint
     alone, which is also that stage's positive set, so ``qualitative_reach``
-    runs twice.  The calling thread assembles both stages; then the pickup
-    stage solves on a worker thread, which only sweeps or calls ``linprog``,
-    while the deliver stage solves on the calling thread.  A deliver-stage
-    failure wins over a pickup-stage one, the worker is joined before
-    anything is raised, and the policies are extracted after it, first stage first.
-    ``tol`` and ``max_iter`` go to :func:`max_reach_vi` when ``method`` is ``"vi"``.
+    runs twice.  After that first graph pass on the calling thread, each stage
+    runs start to finish on its own thread: its graph pass if it needs one,
+    its assembly, its solve and its policy extraction.  The pickup stage runs
+    on a worker thread and the deliver stage on the calling thread.  The
+    worker is joined before anything is raised, and errors win in the order
+    deliver solve, pickup solve, pickup extraction, deliver extraction, as
+    in the stages solved one after the other.  ``tol`` and ``max_iter`` go to
+    :func:`max_reach_vi` when ``method`` is ``"vi"``.
     """
     if method not in ("vi", "lp"):
         raise ValueError(f"unknown method {method!r}, expected one of ['lp', 'vi']")
     alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
+    assemble = _sweep_matrix if method == "vi" else _lp_inputs
 
-    def solve(target, stage):
+    def solve(target, positive=None):
+        stage = _stage(mdp, target, alive, assemble, positive)
         # the solvers are looked up when called, so a wrapper set on the module is used
         if method == "lp":
             return max_reach_lp(mdp, target, alive, stage=stage)
         return max_reach_vi(mdp, target, alive, tol=tol, max_iter=max_iter, stage=stage)
 
-    assemble = _sweep_matrix if method == "vi" else _lp_inputs
+    def run(target):
+        result = solve(target)
+        return result, extract_policy(mdp, result, target)
+
     deliver = alive & dropoff
-    # this first graph pass builds the model's matrix and predecessor index before any worker
+    # this first graph pass builds the model's matrix, owner and predecessor index before any worker
     deliverable = qualitative_reach(mdp, deliver, alive)
     switch = alive & pickup & deliverable
-    # popped into the solves, so each stage's arrays die with its solve
-    stages = [_stage(mdp, switch, alive, assemble),
-              _stage(mdp, deliver, alive, assemble, deliverable)]
     from concurrent.futures import ThreadPoolExecutor  # scipy.sparse has loaded it already
 
     with ThreadPoolExecutor(1, thread_name_prefix="hostilemdp-pickup-stage") as pool:
-        future = pool.submit(solve, switch, stages.pop(0))
-        second = solve(deliver, stages.pop())
-    first = future.result()
+        future = pool.submit(run, switch)
+        second = solve(deliver, deliverable)
+        try:
+            second_policy, failed = extract_policy(mdp, second, deliver), None
+        except Exception as exc:  # every pickup-stage error is raised before it
+            failed = exc
+    first, first_policy = future.result()
+    if failed is not None:
+        raise failed
 
     return MissionStrategy(
-        value=float(first.values[mdp.init]), first=extract_policy(mdp, first, switch),
-        second=extract_policy(mdp, second, deliver), switch=switch, sat_deliverable=deliverable,
-        values_first=first.values, values_second=second.values, method=method)
+        value=float(first.values[mdp.init]), first=first_policy, second=second_policy,
+        switch=switch, sat_deliverable=deliverable, values_first=first.values,
+        values_second=second.values, method=method)

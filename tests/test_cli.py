@@ -324,17 +324,19 @@ mutations = st.tuples(
 )
 
 
-def one_error_or_none(argv) -> str | None:
+def one_error_or_none(argv, refused: bool = False) -> str | None:
     """Run the CLI in-process and return what is wrong with how it ended, or None.
 
-    It should exit 0, or exit 1 with exactly one ``error:`` line, which ends stderr.
+    It should exit 0, or exit 1 with exactly one ``error:`` line, which ends
+    stderr; with ``refused``, only the latter.
     """
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().splitlines()
     errors = [line for line in lines[1:] if line.startswith("error:")]
-    if not lines[0].startswith("config: ") or (code, len(errors)) not in ((0, 0), (1, 1)) \
+    endings = ((1, 1),) if refused else ((0, 0), (1, 1))
+    if not lines[0].startswith("config: ") or (code, len(errors)) not in endings \
             or (code == 1 and lines[-1] != errors[0]):
         return f"{argv}: exit {code}\n{err.getvalue()}"
     return None
@@ -397,6 +399,73 @@ class TestFuzzedInputs:
                         problems.append(f"{key} {name}: {problem}")
         assert not problems, "\n".join(problems)
 
+
+def _shape(path):
+    return tuple("*" if isinstance(key, int) else key for key in path)
+
+
+CASE_A = bundled_doc("city_caseA")
+_NUMBER, _INTEGER = [None, True, "fast", [], {}], [None, True, "x", [], {}, 0.5]
+_LIST, _OBJECT = [None, "x", 3, {}], [None, "x", 3, []]
+_RATE = [float("nan"), -1.0, -1e-9, float("-inf")]
+#: shape of a position in caseA -> what, put there, makes the document invalid: the
+#: required key dropped, a value of the wrong type, a NaN or negative rate, or a
+#: reference to a region that does not exist
+CITY_BREAKS = {
+    ("regions",): [DROP] + _LIST,
+    ("facets",): [DROP] + _LIST,
+    ("primitives",): [DROP] + _LIST,
+    ("init",): [DROP] + _OBJECT,
+    ("init", "facet"): [DROP],
+    ("init", "region"): [DROP, "no-such-region"],
+    ("regions", "*", "id"): [DROP],
+    ("regions", "*", "adversaries"): [DROP] + _OBJECT,
+    ("regions", "*", "adversaries", "min"): [DROP] + _INTEGER,
+    ("regions", "*", "adversaries", "max"): [DROP] + _INTEGER,
+    ("regions", "*", "adversaries", "p_init"): [DROP] + _OBJECT,
+    ("regions", "*", "obstacles"): [DROP] + _OBJECT,
+    ("regions", "*", "obstacles", "max_level"): [DROP] + _INTEGER,
+    ("regions", "*", "obstacles", "p_obs"): [DROP] + _OBJECT,
+    ("regions", "*", "mu_enter"): [DROP] + _NUMBER + _RATE,
+    ("regions", "*", "mu_leave"): [DROP] + _NUMBER + _RATE,
+    ("facets", "*", "id"): [DROP],
+    ("facets", "*", "regions"): [DROP] + _LIST,
+    ("facets", "*", "regions", "*"): ["no-such-region"],
+    ("primitives", "*", "from"): [DROP],
+    ("primitives", "*", "to"): [DROP],
+    ("primitives", "*", "region"): [DROP, "no-such-region"],
+    ("primitives", "*", "rate"): [DROP] + _NUMBER + _RATE,
+    ("primitives", "*", "lost"): [DROP] + _OBJECT,
+    ("primitives", "*", "lost", "marginal_n"): [DROP],
+    ("primitives", "*", "lost", "marginal_o"): [DROP],
+}
+city_changes = st.sampled_from(
+    [path for path in _positions(CASE_A) if _shape(path) in CITY_BREAKS]
+).flatmap(lambda path: st.tuples(st.just(path), st.sampled_from(CITY_BREAKS[_shape(path)])))
+
+
+class TestFuzzedCityDocuments:
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(city_changes, min_size=1, max_size=2))
+    def test_every_command_refuses_with_one_error_line(self, changes):
+        doc = copy.deepcopy(CASE_A)
+        for path, value in changes:
+            parent = doc
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is DROP:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier change removed this position
+        with tempfile.TemporaryDirectory() as where:
+            env = f"{where}/env.json"
+            with open(env, "w") as handle:
+                json.dump(doc, handle)
+            for command in ("validate-env", "build", "synthesize"):
+                assert one_error_or_none([command, "--env", env], refused=True) is None
 
 class TestInspection:
     def test_validate_env_bundled(self, capsys):

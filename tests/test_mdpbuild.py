@@ -639,6 +639,22 @@ class TestSerialization:
             assert back.label(name).dtype == bool
         assert back.warnings == corridor_mdp.warnings
 
+    def test_loaded_arrays_are_not_second_copies(self, corridor_mdp, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        read, getitem = {}, np.lib.npyio.NpzFile.__getitem__
+
+        def recorded(archive, key):
+            read[key] = getitem(archive, key)
+            return read[key]
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recorded)
+        back = load_mdp(path)
+        for name in ARRAYS:
+            assert getattr(back, name) is read[name], name
+        for name in ("count", "level", "beliefs", "belief_ptr"):
+            assert getattr(back.states, name) is read[name], name
+
     def test_named_states_roundtrip(self, tmp_path):
         """A hand-built model has no state table, before and after a dump."""
         mdp = make_mdp({0: {"go": [(1, 1.0)]}, 1: {"stay": [(1, 1.0)]}}, labels={"goal": {1}})

@@ -26,7 +26,7 @@ from conftest import (
 )
 from hostilemdp import synth
 from hostilemdp.envmodel import scale_rates
-from hostilemdp.mdpbuild import build_mdp, dump_mdp, load_mdp
+from hostilemdp.mdpbuild import build_mdp, dump_mdp, load_mdp, ranges
 from hostilemdp.synth import (
     ConvergenceError,
     extract_policy,
@@ -218,6 +218,21 @@ class TestPolicyExtraction:
             {
                 0: {"loop": [(0, 1.0)], "go": [(1, 1.0)]},
                 1: {"loop": [(1, 1.0)]},
+            },
+            labels={"goal": {1}},
+        )
+        target = mask_of(2, {1})
+        res = max_reach_vi(mdp, target, everything(mdp), tol=1e-12)
+        policy = extract_policy(mdp, res, target)
+        assert mdp.action_names[policy_actions(mdp, policy)[0]] == "go"
+
+    def test_a_zero_probability_entry_is_no_progress(self):
+        # "a" lists the goal with probability 0: it ties "go" and comes first, but never
+        # gets closer
+        mdp = make_mdp(
+            {
+                0: {"a": [(1, 0.0), (0, 1.0)], "go": [(1, 1.0)]},
+                1: {"a": [(1, 1.0)]},
             },
             labels={"goal": {1}},
         )
@@ -534,13 +549,71 @@ class TestConcurrentStages:
         assert str(raised.value) == str(expected.value)
 
 
+def failing_stages(mdp, monkeypatch, fail_solve, slow):
+    """Make every policy extraction of ``mdp`` fail and ``fail_solve``'s solve fail too.
+
+    Each error names its stage and step.  ``slow``'s stage waits 0.2 s before
+    its solve and its extraction, so the other stage fails first.  Returns the
+    list of stages whose extraction runs.
+    """
+    alive = mdp.label("alive")
+    deliver = alive & mdp.label("dropoff")
+    solve, extract, extracted = synth.max_reach_vi, synth.extract_policy, []
+
+    def stage_of(target):
+        return "deliver" if np.array_equal(target, deliver) else "pickup"
+
+    def solving(mdp, target, allowed, **kw):
+        stage = stage_of(target)
+        if stage == slow:
+            time.sleep(0.2)
+        if stage == fail_solve:
+            raise ConvergenceError(f"{stage} solve failed", np.zeros(mdp.n_states), 0, 1.0)
+        return solve(mdp, target, allowed, **kw)
+
+    def extracting(mdp, result, target):
+        stage = stage_of(target)
+        extracted.append(stage)
+        if stage == slow:
+            time.sleep(0.2)
+        try:
+            return extract(mdp, result, target)
+        except RuntimeError as err:
+            raise RuntimeError(f"{stage} extraction failed: {err}") from err
+
+    monkeypatch.setattr(synth, "max_reach_vi", solving)
+    monkeypatch.setattr(synth, "extract_policy", extracting)
+    # no action passes the tie test, so every extraction that runs fails
+    monkeypatch.setattr(synth, "TIE_TOL", -1.0)
+    return extracted
+
+
+class TestErrorOrder:
+    """Each stage fails on its own thread.  After the join the mission raises the
+    first failure in the order deliver solve, pickup solve, pickup extraction,
+    deliver extraction, whichever thread failed first."""
+
+    @pytest.mark.parametrize("fail_solve, slow, raised, extracted", [
+        # a stage whose solve fails never extracts
+        ("deliver", "deliver", "deliver solve", ["pickup"]),
+        ("pickup", "pickup", "pickup solve", ["deliver"]),
+        (None, "pickup", "pickup extraction", ["deliver", "pickup"]),
+    ])
+    def test_the_sequential_order_wins(self, corridor_mdp, monkeypatch, stray_threads,
+                                       fail_solve, slow, raised, extracted):
+        ran = failing_stages(corridor_mdp, monkeypatch, fail_solve, slow)
+        with pytest.raises(RuntimeError, match=f"^{raised} failed"):
+            synthesize_mission(corridor_mdp)
+        assert sorted(ran) == extracted
+
+
 def bits(a):
     return str(a.dtype), a.tobytes()
 
 
 class TestStageAssembly:
-    """The mission assembles both stages on the calling thread from two graph passes;
-    ``_free_rows`` gives the rows and masses of the sparse selection it replaced."""
+    """The mission makes two graph passes and assembles each stage on that stage's own
+    thread; ``_free_rows`` gives the rows and masses of the sparse selection it replaced."""
 
     @pytest.mark.parametrize("method", ["vi", "lp"])
     def test_two_graph_passes_per_mission(self, corridor_mdp, monkeypatch, method):
@@ -556,18 +629,33 @@ class TestStageAssembly:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("method", ["vi", "lp"])
-    def test_both_stages_are_assembled_on_the_calling_thread(self, case_envs, monkeypatch,
-                                                             stray_threads, method):
-        threads = []
-        assemble = synth._free_rows
+    def test_each_stage_runs_on_one_thread_of_two(self, case_envs, monkeypatch, stray_threads,
+                                                  method):
+        mdp = build_mdp(case_envs["A"])
+        alive = mdp.label("alive")
+        deliver = alive & mdp.label("dropoff")
+        steps, solver = {}, f"max_reach_{method}"
 
-        def recorded(*args, **kw):
-            threads.append(threading.current_thread())
-            return assemble(*args, **kw)
+        def recording(name, at):
+            call = getattr(synth, name)
 
-        monkeypatch.setattr(synth, "_free_rows", recorded)
-        synthesize_mission(build_mdp(case_envs["A"]), method)
-        assert threads == [threading.current_thread()] * 2
+            def recorded(*args, **kw):
+                # keyed by the stage's target, the argument at position ``at``
+                steps.setdefault(args[at].tobytes(), []).append((name, threading.current_thread()))
+                return call(*args, **kw)
+            return recorded
+
+        for name, at in (("_free_rows", 1), (solver, 1), ("extract_policy", 2)):
+            monkeypatch.setattr(synth, name, recording(name, at))
+        synthesize_mission(mdp, method)
+        assert len(steps) == 2
+        for seen in steps.values():
+            assert [name for name, _ in seen] == ["_free_rows", solver, "extract_policy"]
+            assert len({thread for _, thread in seen}) == 1
+        threads = {seen[0][1] for seen in steps.values()}
+        assert len(threads) == 2
+        # the deliver stage is the calling thread's
+        assert steps[deliver.tobytes()][0][1] is threading.current_thread()
 
     def test_mission_refuses_an_unknown_method(self, corridor_mdp):
         with pytest.raises(ValueError, match="unknown method 'newton'"):
@@ -628,6 +716,38 @@ class TestStageAssembly:
                 bits(np.insert(want.indices, at, len(free)))]
             assert np.array_equal(np.diff(folded.indptr), np.diff(want.indptr) + (mass > 0.0))
 
+    def test_lp_inputs_match_the_csr_subtraction(self):
+        rng = np.random.default_rng(20261021)
+        merged = 0
+        for i in range(240):
+            mdp, goal = random_mdp(rng, max_actions=3)
+            c = int(rng.integers(mdp.n_choices()))
+            lo, hi, owner = mdp.choice_ptr[c], mdp.choice_ptr[c + 1], choice_owner(mdp)[c]
+            if i % 5 == 1:  # a self-loop, where the row's -1 meets a probability
+                mdp.succ[lo] = owner
+            elif i % 5 == 2:  # every entry one successor, summed before the -1
+                mdp.succ[lo:hi] = mdp.succ[lo]
+            elif i % 5 == 3:  # a whole row of self-loops, which may cancel to zero
+                mdp.succ[lo:hi] = owner
+            elif i % 5 == 4:  # a zero-probability entry, which the subtraction drops
+                mdp.prob[lo] = 0.0
+            free = np.flatnonzero(~goal & (rng.random(mdp.n_states) < 0.8))
+            if not free.size:
+                continue
+            first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
+            rows, mass = synth._free_rows(mdp, goal, free, ranges(first, stop))
+            picker = scipy.sparse.csr_matrix(
+                (np.ones(len(mass)), (np.arange(len(mass)), np.repeat(np.arange(len(free)),
+                                                                      stop - first))),
+                shape=rows.shape)
+            want = (rows - picker).tocsc()
+            got, b_ub = synth._lp_inputs(mdp, goal, free)[1]
+            assert got.shape == want.shape
+            assert [bits(a) for a in (got.data, got.indices, got.indptr, b_ub)] == [
+                bits(a) for a in (want.data, want.indices, want.indptr, -mass)], i
+            merged += want.nnz < rows.nnz + len(mass)
+        # entries must be summed or dropped on many models, or this compares little
+        assert merged >= 60
 
 def ascending_stage(mdp, target, allowed):
     """The VI stage with its free states in ascending order, slot-major as before sweep order.
@@ -730,20 +850,23 @@ class TestSweepOrder:
             assert np.array_equal(lp.free, np.sort(stage.free)), name
 
     def test_a_solve_alone_sweeps_in_the_mission_order(self, case_envs, monkeypatch):
-        orders = []
+        orders = {}
         assemble = synth._sweep_matrix
 
         def recorded(*args):
             free, matrix = assemble(*args)
-            orders.append(free)
+            # the two stages assemble at once, so their orders are kept by target
+            orders.setdefault(args[1].tobytes(), []).append(free)
             return free, matrix
 
         monkeypatch.setattr(synth, "_sweep_matrix", recorded)
         mdp = build_mdp(case_envs["A"])
         alive = mdp.label("alive")
+        deliver = alive & mdp.label("dropoff")
         synthesize_mission(mdp)
-        max_reach_vi(mdp, alive & mdp.label("dropoff"), alive)
-        pickup, deliver, alone = orders
-        assert bits(alone) == bits(deliver)
+        max_reach_vi(mdp, deliver, alive)
+        assert len(orders) == 2
+        mission, alone = orders[deliver.tobytes()]
+        assert bits(alone) == bits(mission)
         assert alone.tolist() == sweep_order(mdp, alone)
         assert not np.array_equal(alone, np.sort(alone))
