@@ -10,7 +10,6 @@ solve fails, 2 for bad usage (argparse's convention).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -36,7 +35,7 @@ from .mdpbuild import (
     load_mdp,
     validate_mdp,
 )
-from .simrun import classify_step, estimate_success
+from .simrun import estimate_success
 from .synth import synthesize_mission
 
 BUNDLED = {"corridor": "corridor.json", "caseA": "city_caseA.json", "caseB": "city_caseB.json"}
@@ -287,32 +286,16 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    trace_file = None
-    trace_hook = None
-    if args.trace_out:
-        trace_file = open(args.trace_out, "w", newline="")
-        writer = csv.writer(trace_file)
-        writer.writerow(["run", "step", "state", "action", "event", "outcome"])
-
-        def trace_hook(run_index, trace):
-            for k, a in enumerate(trace.actions):
-                writer.writerow([
-                    run_index, k, trace.states[k], mdp.action_names[a],
-                    classify_step(mdp, trace.states[k], trace.states[k + 1]),
-                    trace.outcome,
-                ])
-            writer.writerow([run_index, len(trace.actions), trace.states[-1],
-                             "", "", trace.outcome])
-
+    trace = open(args.trace_out, "wb") if args.trace_out else None
     try:
         try:
             est = estimate_success(
                 mdp, strategy, runs=args.runs, master_seed=args.seed,
-                max_steps=args.max_steps, trace_hook=trace_hook,
+                max_steps=args.max_steps, trace=trace,
             )
         finally:
-            if trace_file is not None:
-                trace_file.close()
+            if trace is not None:
+                trace.close()
                 print(f"wrote {args.trace_out}", file=sys.stderr)
     except RuntimeError as exc:
         # a run reached a state the strategy has no action for, as all do at mission value 0

@@ -981,9 +981,15 @@ def _stream(path: Path, header: str, blocks) -> Path:
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
         for lines in blocks:
-            for lo in range(0, len(lines), CHUNK):
-                handle.write(b"".join(lines[lo:lo + CHUNK].ravel().tolist()))
+            _write_lines(handle, lines)
     return path
+
+
+def _write_lines(handle, lines: np.ndarray) -> None:
+    """Write the rows of ``lines``, each its tokens joined, ``CHUNK`` lines per join: ``join``
+    takes an 80-byte buffer view per token, far more than the text it makes."""
+    for lo in range(0, len(lines), CHUNK):
+        handle.write(b"".join(lines[lo:lo + CHUNK].ravel().tolist()))
 
 
 def _tokens(values) -> np.ndarray:

@@ -11,18 +11,21 @@ Every entry point runs ``_lockstep``.  Runs fall into fixed chunks of
 ``default_rng(SeedSequence([seed, c]))`` for its live runs in run order, so
 results depend only on the seed.  A block of :data:`BLOCK` chunks advances
 together, one vectorised step at a time, over compacted arrays of its live
-runs; the traces a hook sees are built one chunk at a time.
+runs.  With a trace file, each block keeps its step history as int32 arrays,
+and the trace's CSV rows are gathered from it, a table of runs at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .envmodel import DROPOFF
-from .mdpbuild import Mdp, ranges
+from .mdpbuild import Mdp, _tokens, _write_lines, ranges
 from .synth import MissionStrategy
 
 SUCCESS = "success"
@@ -36,55 +39,12 @@ OUTCOMES = (SUCCESS, LOST, STEP_LIMIT)
 CHUNK = 4096
 #: chunks per block; a block's runs advance together, so it bounds working memory
 BLOCK = 8
+#: runs per table of trace rows; a table's arrays hold about a fifth of its block's history,
+#: and larger tables make fewer numpy calls but leave more freed memory behind
+_TABLE = 512
 
 # state codes: live, a switch state (scores the mission), a dropoff state (delivers)
 _ALIVE, _SWITCH, _DROPOFF = 1, 2, 4
-
-
-@dataclass
-class Trace:
-    """One simulated run; ``outcome`` is success/lost/step-limit.
-
-    A run counts as ``success`` the moment it enters a switch state
-    (pickup reached with delivery still possible); that is the event the
-    mission value measures.  The run itself keeps going until delivery,
-    death, or the step budget, and ``delivered_step`` records whether the
-    second leg also finished.
-    """
-
-    states: list[int]
-    actions: list[int]
-    outcome: str
-    satisfied_step: Optional[int] = None
-    delivered_step: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
-def classify_step(mdp: Mdp, src: int, dst: int) -> str:
-    """Name the event a single transition realized, for trace output.
-
-    Compares the vehicle columns of the two endpoints: a death is
-    "lost-absorb", a facet or region change is "region-change", a count
-    increase with the vehicle in place is "adversary-entered", a decrease
-    "adversary-left", and an identity transition "stay".  MDPs without a
-    state table (hand-built models) report "step".
-    """
-    t = mdp.states
-    if t is None:
-        return "step"
-    if t.alive[src] and not t.alive[dst]:
-        return "lost-absorb"
-    if src == dst:
-        return "stay"
-    if t.facet[src] != t.facet[dst] or t.region[src] != t.region[dst]:
-        return "region-change"
-    if t.count[dst] > t.count[src]:
-        return "adversary-entered"
-    if t.count[dst] < t.count[src]:
-        return "adversary-left"
-    return "step"
 
 
 @dataclass
@@ -148,28 +108,6 @@ class _Plan:
             np.add(below, 1 << k, out=below, where=self.cum[probe] <= u)
         below += 1
         return self.succ[below]
-
-
-def _traces(start: int, outcome, satisfied, delivered, history, lo: int = 0) -> list[Trace]:
-    """Traces of the block's runs ``lo:lo + len(outcome)``, which ``_lockstep`` ran with ``keep``.
-
-    ``outcome``, ``satisfied`` and ``delivered`` hold those runs only; each
-    step of the block's ``history`` is cut to them by ``searchsorted``, since
-    the runs that moved come in ascending order.
-    """
-    states = [[start] for _ in outcome]
-    actions = [[] for _ in outcome]
-    for moved, reached, played in history:
-        ours = slice(*np.searchsorted(moved, (lo, lo + len(outcome))))
-        for i, t, a in zip((moved[ours] - lo).tolist(), reached[ours].tolist(),
-                           played[ours].tolist()):
-            states[i].append(t)
-            actions[i].append(a)
-    return [
-        Trace(path, acts, OUTCOMES[code], sat if sat >= 0 else None, done if done >= 0 else None)
-        for path, acts, code, sat, done in zip(
-            states, actions, outcome.tolist(), satisfied.tolist(), delivered.tolist())
-    ]
 
 
 def _draws(rngs: Sequence[np.random.Generator], idx: np.ndarray) -> np.ndarray:
@@ -257,15 +195,79 @@ def _mission(mdp: Mdp, strategy: MissionStrategy) -> _Plan:
                     strategy.switch, mdp.label(DROPOFF))
 
 
-def simulate_run(
-    mdp: Mdp,
-    strategy: MissionStrategy,
-    rng: np.random.Generator,
-    max_steps: int = 100_000,
-) -> Trace:
-    """One mission run, drawing one number from ``rng`` per step."""
-    return _traces(mdp.init, *_lockstep(mdp, _mission(mdp, strategy), mdp.init, 1, [rng],
-                                        max_steps, keep=True))[0]
+#: a trace step's event, in order of precedence; "step" is any other move
+_EVENTS = ("lost-absorb", "stay", "region-change", "adversary-entered", "adversary-left", "step")
+
+
+def _events(mdp: Mdp, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each step ``src[i] -> dst[i]``'s event, an index into :data:`_EVENTS`, from the vehicle
+    columns of its endpoints; on a model with no state table every step is a "step"."""
+    t = mdp.states
+    if t is None:
+        return np.full(len(src), _EVENTS.index("step"))
+    return np.select([t.alive[src] & ~t.alive[dst], src == dst,
+                      (t.facet[src] != t.facet[dst]) | (t.region[src] != t.region[dst]),
+                      t.count[dst] > t.count[src], t.count[dst] < t.count[src]],
+                     range(5), _EVENTS.index("step"))
+
+
+def _field(text: str) -> bytes:
+    """``text`` as ``csv.writer`` writes it inside a row, with the comma after it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([text, ""])
+    return out.getvalue().encode()
+
+
+class _TraceWriter:
+    """The trace CSV of mission runs, written to a binary file a block at a time.
+
+    One row per step, ``run,step,state,action,event,outcome``, naming the
+    state a run was at, the action it played and the event the move realized,
+    then one closing row with the run's last state and empty action and event.
+    Rows come in run order, with ``csv.writer``'s quoting and CRLF line ends.
+    Each field is a ``bytes`` token, formatted once and gathered.
+    """
+
+    def __init__(self, mdp: Mdp, out: BinaryIO):
+        self.mdp, self.out = mdp, out
+        self.state = _tokens(b"%d," % s for s in range(mdp.n_states))
+        # each ends with the closing row's empty field, at index -1
+        self.action = _tokens([*map(_field, mdp.action_names), b","])
+        self.event = _tokens([*(e.encode() + b"," for e in _EVENTS), b","])
+        self.outcome = _tokens(o.encode() + b"\r\n" for o in OUTCOMES)
+        out.write(b"run,step,state,action,event,outcome\r\n")
+
+    def block(self, first: int, outcome: np.ndarray, history) -> None:
+        """Write the rows of the runs ``first:first + len(outcome)`` that ``_lockstep`` ran."""
+        for lo in range(0, len(outcome), _TABLE):
+            hi = min(lo + _TABLE, len(outcome))
+            # each step's moves cut to the table, as the runs that moved come in ascending
+            # order; sorted stably by run, each run's moves then come in step order
+            cuts = [slice(*np.searchsorted(moved, (lo, hi))) for moved, _, _ in history]
+            run, reached, played = (
+                np.concatenate([np.zeros(0, np.int32), *(h[k][at] for h, at in zip(history, cuts))])
+                for k in range(3))
+            order = np.argsort(run, kind="stable")
+            run, reached, played = run[order] - lo, reached[order], played[order]
+            size = np.bincount(run, minlength=hi - lo) + 1
+            owner = np.repeat(np.arange(hi - lo), size)
+            # run g's rows start at base[g], and its k-th move reaches row base[g] + k + 1
+            base = np.cumsum(size) - size
+            to = np.arange(len(run)) + run + 1
+            state = np.full(len(owner), self.mdp.init, dtype=np.int64)
+            state[to] = reached
+            action, event = np.full(len(owner), -1), np.full(len(owner), -1)
+            action[to - 1] = played
+            event[to - 1] = _events(self.mdp, state[to - 1], state[to])
+            table = np.empty((len(owner), 6), dtype=object)
+            table[:, 0] = _tokens(b"%d," % i for i in range(first + lo, first + hi))[owner]
+            table[:, 1] = _tokens(b"%d," % k for k in range(int(size.max())))[
+                np.arange(len(owner)) - base[owner]]
+            table[:, 2] = self.state[state]
+            table[:, 3] = self.action[action]
+            table[:, 4] = self.event[event]
+            table[:, 5] = self.outcome[outcome[lo:hi][owner]]
+            _write_lines(self.out, table)
 
 
 @dataclass
@@ -292,27 +294,26 @@ def estimate_success(
     runs: int = 10_000,
     master_seed: int = 0,
     max_steps: int = 100_000,
-    trace_hook: Optional[Callable[[int, Trace], None]] = None,
+    trace: Optional[BinaryIO] = None,
 ) -> Estimate:
     """Estimate the mission success probability from independent runs.
 
-    ``trace_hook(i, trace)`` sees every run in index order and changes no result.
+    ``trace``, a file open for binary writing, gets a header and then, in
+    run order, one CSV row per step of every run and one closing row per run
+    (``run,step,state,action,event,outcome``); writing it changes no result.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     plan = _mission(mdp, strategy)
+    writer = None if trace is None else _TraceWriter(mdp, trace)
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)
     delivered = 0
     for first, size, rngs in _blocks(runs, master_seed):
-        batch = _lockstep(mdp, plan, mdp.init, size, rngs, max_steps, keep=trace_hook is not None)
+        batch = _lockstep(mdp, plan, mdp.init, size, rngs, max_steps, keep=writer is not None)
         counts += np.bincount(batch[0], minlength=len(OUTCOMES))
         delivered += int(np.count_nonzero(batch[2] >= 0))
-        if trace_hook is not None:
-            # one chunk's traces at a time, so a block's runs never all exist as traces
-            for lo in range(0, size, CHUNK):
-                chunk = [column[lo:lo + CHUNK] for column in batch[:3]]
-                for i, trace in enumerate(_traces(mdp.init, *chunk, batch[3], lo), first + lo):
-                    trace_hook(i, trace)
+        if writer is not None:
+            writer.block(first, batch[0], batch[3])
         # free this block's arrays before the next block makes its own
         del batch
 

@@ -88,7 +88,7 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
 
 
 def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray,
-               fold: bool = False, ends: Optional[tuple] = None):
+               fold: bool = False):
     """The rows ``choices`` of the model on the columns ``free``, and their target mass.
 
     ``CHUNK`` rows at a time are selected from the model and cut to their
@@ -96,9 +96,7 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
     row's mass is its probability of moving into ``target``, summed in row
     order from +0.0; a non-target entry adds p * 0.0 = +0.0, which changes no
     sum.  With ``fold``, each nonzero mass ends its row instead, in one more
-    column, and no mass is returned.  ``ends``, a pair of arrays (columns,
-    values), ends each row ``i`` with one more entry ``values[i]`` in column
-    ``columns[i]``.
+    column, and no mass is returned.
     """
     import scipy.sparse
 
@@ -108,11 +106,10 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
     if fold:
         mass = (model @ target.astype(float))[choices]
         ended = mass > 0.0
-        last_column, last_value = np.full(np.count_nonzero(ended), len(free)), mass[ended]
+        last_value = mass[ended]
         del mass  # not held through the chunks
     else:
-        ended = np.full(len(choices), ends is not None)
-        last_column, last_value = ends or (np.zeros(0), np.zeros(0))
+        ended, last_value = np.zeros(len(choices), dtype=bool), np.zeros(0)
     # int32 where every entry of the model plus one more per row fits, as scipy chooses
     small = mdp.n_transitions() + len(choices) <= np.iinfo(np.int32).max
     index = np.int32 if small else np.int64
@@ -140,7 +137,7 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
         rest[last] = False
         data[fill][rest], indices[fill][rest] = picked.data[keep], slot[keep]
         data[fill][last] = last_value[done:done + rows.size]
-        indices[fill][last] = last_column[done:done + rows.size]
+        indices[fill][last] = len(free)
         done += rows.size
         del picked, slot, keep  # before the next chunk's are made
     mass = None if fold else (model @ target.astype(float))[choices]
@@ -184,38 +181,15 @@ def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
 
 
 def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
-    """``free`` and the LP's ``(A_ub, b_ub)``: rows (Q - E) x <= -c, E picking choice owners.
-
-    ``A_ub`` is the CSC matrix that scipy's ``(Q - E).tocsc()`` gives, built
-    without the subtraction's two extra copies.  Each row ends with its
-    owner's -1, so a column holds each row's entries in row order, and the
-    owner's -1 after them.  Entries of one row and column are summed in that
-    order, and exact zeros are dropped, as the subtraction does.
-    """
+    """``free`` and the LP's ``(A_ub, b_ub)``: rows (Q - E) x <= -c, E picking choice owners."""
     import scipy.sparse
 
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-    owners = np.repeat(np.arange(len(free)), stop - first)
-    rows, mass = _free_rows(mdp, target, free, ranges(first, stop),
-                            ends=(owners, np.full(len(owners), -1.0)))
-    by_column = rows.tocsc()
-    del rows, owners
-    data, row, ptr = by_column.data, by_column.indices, by_column.indptr
-    # an entry with its predecessor's row, inside one column, goes into that predecessor's sum
-    repeat = np.flatnonzero(row[1:] == row[:-1]) + 1
-    repeat = repeat[ptr[np.searchsorted(ptr, repeat, side="right") - 1] != repeat]
-    if repeat.size:
-        head = np.maximum.accumulate(np.where(np.diff(repeat, prepend=-2) == 1, 0, repeat - 1))
-        offset = repeat - head
-        for step in range(1, int(offset.max()) + 1):
-            data[head[offset == step]] += data[repeat[offset == step]]
-    gone = np.union1d(repeat, np.flatnonzero(data == 0.0))
-    if gone.size:
-        keep = np.ones(len(data), dtype=bool)
-        keep[gone] = False
-        by_column = scipy.sparse.csc_matrix(
-            (data[keep], row[keep], ptr - np.searchsorted(gone, ptr)), shape=by_column.shape)
-    return free, (by_column, -mass)
+    rows, mass = _free_rows(mdp, target, free, ranges(first, stop))
+    picker = scipy.sparse.csr_matrix(
+        (np.ones(len(mass)), (np.arange(len(mass)), np.repeat(np.arange(len(free)), stop - first))),
+        shape=rows.shape)
+    return free, ((rows - picker).tocsc(), -mass)
 
 
 class _Stage(NamedTuple):

@@ -9,6 +9,8 @@ against itself.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import sys
@@ -422,6 +424,62 @@ def oracle_chunks(runs: int, seed: int, chunk: int):
     for c, first in enumerate(range(0, runs, chunk)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
         yield first, min(chunk, runs - first), rng
+
+
+def classify_step(mdp: Mdp, src: int, dst: int) -> str:
+    """Name the event a single transition realized, for trace output.
+
+    Compares the vehicle columns of the two endpoints: a death is
+    "lost-absorb", a facet or region change is "region-change", a count
+    increase with the vehicle in place is "adversary-entered", a decrease
+    "adversary-left", and an identity transition "stay".  MDPs without a
+    state table (hand-built models) report "step".
+    """
+    t = mdp.states
+    if t is None:
+        return "step"
+    if t.alive[src] and not t.alive[dst]:
+        return "lost-absorb"
+    if src == dst:
+        return "stay"
+    if t.facet[src] != t.facet[dst] or t.region[src] != t.region[dst]:
+        return "region-change"
+    if t.count[dst] > t.count[src]:
+        return "adversary-entered"
+    if t.count[dst] < t.count[src]:
+        return "adversary-left"
+    return "step"
+
+
+def oracle_trace(mdp: Mdp, strategy: MissionStrategy, runs: int, seed: int, max_steps: int,
+                 chunk: int) -> bytes:
+    """The trace CSV of ``runs`` mission runs, written one ``csv.writer`` row at a time.
+
+    Each chunk's runs come from ``oracle_lockstep`` and are turned into
+    per-run lists of states and actions; each step's row names its event by
+    :func:`classify_step`, and each run ends with a row of its last state.
+    """
+    plan = OraclePlan.of(mdp, (strategy.first, strategy.second), mdp.label("alive"),
+                         strategy.switch, mdp.label("dropoff"))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["run", "step", "state", "action", "event", "outcome"])
+    for first, size, rng in oracle_chunks(runs, seed, chunk):
+        outcome, _, _, history = oracle_lockstep(mdp, plan, mdp.init, size, rng, max_steps,
+                                                 keep=True)
+        states = [[mdp.init] for _ in range(size)]
+        actions = [[] for _ in range(size)]
+        for moved, reached, played in history:
+            for i, t, a in zip(moved.tolist(), reached.tolist(), played.tolist()):
+                states[i].append(t)
+                actions[i].append(a)
+        for i, (path, acts) in enumerate(zip(states, actions)):
+            name = ("success", "lost", "step-limit")[outcome[i]]
+            for k, a in enumerate(acts):
+                writer.writerow([first + i, k, path[k], mdp.action_names[a],
+                                 classify_step(mdp, path[k], path[k + 1]), name])
+            writer.writerow([first + i, len(acts), path[-1], "", "", name])
+    return out.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------

@@ -668,6 +668,23 @@ class TestSimulate:
             steps = [int(r[1]) for r in body if r[0] == run]
             assert steps == list(range(len(steps)))
 
+    def test_trace_quotes_action_names(self, tmp_path, capsys):
+        # facet ids with a comma and a quote give action names csv.writer must quote
+        text = json.dumps(bundled_doc("corridor")).replace('"f1"', '"f,1"').replace(
+            '"f2"', '"f\\"2"')
+        (tmp_path / "env.json").write_text(text)
+        path = tmp_path / "trace.csv"
+        assert main(["simulate", "--env", str(tmp_path / "env.json"), "--runs", "50",
+                     "--seed", "2", "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert {'f0>f,1', 'f,1>f"2', 'f"2>f3'} <= {row[3] for row in rows}
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        assert path.read_bytes() == out.getvalue().encode()
+        assert b'"f,1>f""2"' in path.read_bytes()
+
 
 #: commands that write one output file, the file's name and the option naming it
 WRITERS = [

@@ -1,23 +1,30 @@
 """Monte Carlo execution: determinism, scoring semantics, trace consistency."""
 
+import csv
+import io
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pytest
 
 from conftest import (
     OraclePlan,
     choice_owner,
+    classify_step,
     make_mdp,
     mask_of,
     oracle_chunks,
     oracle_lockstep,
+    oracle_trace,
     policy_actions,
     policy_of,
     random_environment,
     state_rows,
     toy_chain,
 )
-from hostilemdp.mdpbuild import VehicleState, build_mdp
+from hostilemdp.mdpbuild import VehicleState, build_mdp, dump_mdp, load_mdp
 from hostilemdp.simrun import (
+    _EVENTS,
     BLOCK,
     CHUNK,
     LOST,
@@ -25,14 +32,12 @@ from hostilemdp.simrun import (
     STEP_LIMIT,
     SUCCESS,
     Estimate,
-    Trace,
     _blocks,
+    _events,
     _lockstep,
     _mission,
-    classify_step,
     estimate_success,
     prefix_frequency,
-    simulate_run,
 )
 from hostilemdp.synth import MissionStrategy, synthesize_mission
 
@@ -63,6 +68,40 @@ def hand_strategy(mdp, first=None, second=None, switch=()):
         values_second=np.zeros(n),
         method="vi",
     )
+
+
+class Run(NamedTuple):
+    """One mission run: its states, the actions between them, and how it ended."""
+
+    states: list
+    actions: list
+    outcome: str
+    satisfied_step: Optional[int]
+    delivered_step: Optional[int]
+
+
+def one_run(mdp, strategy, rng, max_steps=100_000):
+    """One mission run of ``_lockstep``, drawing one number from ``rng`` per step."""
+    (outcome,), (satisfied,), (delivered,), history = _lockstep(
+        mdp, _mission(mdp, strategy), mdp.init, 1, [rng], max_steps, keep=True)
+    return Run([mdp.init, *(int(reached[0]) for _, reached, _ in history)],
+               [int(played[0]) for *_, played in history], OUTCOMES[outcome],
+               None if satisfied < 0 else int(satisfied),
+               None if delivered < 0 else int(delivered))
+
+
+def traced(mdp, strategy, **kw):
+    """``estimate_success`` writing a trace, and the trace's rows after its header."""
+    out = io.BytesIO()
+    est = estimate_success(mdp, strategy, trace=out, **kw)
+    rows = list(csv.reader(io.StringIO(out.getvalue().decode(), newline="")))
+    assert rows[0] == ["run", "step", "state", "action", "event", "outcome"]
+    return est, rows[1:]
+
+
+def event(mdp, src, dst):
+    """The event name the trace writer gives one step."""
+    return _EVENTS[_events(mdp, np.array([src]), np.array([dst]))[0]]
 
 
 def scalar_run(mdp, strategy, rng, max_steps):
@@ -97,7 +136,7 @@ def scalar_run(mdp, strategy, rng, max_steps):
         outcome = LOST
     else:
         outcome = STEP_LIMIT
-    return Trace(states, actions, outcome, satisfied, delivered)
+    return Run(states, actions, outcome, satisfied, delivered)
 
 
 class TestSimulateRun:
@@ -106,7 +145,7 @@ class TestSimulateRun:
         outcomes = set()
         for seed in range(60):
             max_steps = 4 if seed % 3 == 0 else 100_000
-            got = simulate_run(corridor_mdp, strat, np.random.default_rng(seed), max_steps)
+            got = one_run(corridor_mdp, strat, np.random.default_rng(seed), max_steps)
             want = scalar_run(corridor_mdp, strat, np.random.default_rng(seed), max_steps)
             assert got == want
             outcomes.add(got.outcome)
@@ -114,12 +153,8 @@ class TestSimulateRun:
 
     def test_deterministic_chain(self):
         mdp, strat = mission_chain()
-        trace = simulate_run(mdp, strat, np.random.default_rng(0))
-        assert trace.outcome == SUCCESS
-        assert trace.states == [0, 1, 2]
-        assert trace.satisfied_step == 1
-        assert trace.delivered_step == 2
-        assert len(trace) == 2
+        run = one_run(mdp, strat, np.random.default_rng(0))
+        assert run == Run([0, 1, 2], [0, 0], SUCCESS, 1, 2)
 
     def test_success_is_scored_at_switch_entry(self):
         # the second leg dies half the time, but every run reaches the
@@ -144,13 +179,13 @@ class TestSimulateRun:
         mdp, _ = mission_chain()
         empty = hand_strategy(mdp, switch={1})
         with pytest.raises(RuntimeError, match="first-stage strategy undefined at reached state 0"):
-            simulate_run(mdp, empty, np.random.default_rng(0))
+            one_run(mdp, empty, np.random.default_rng(0))
 
     def test_second_stage_hole_is_an_error(self):
         mdp, strat = mission_chain()
         broken = hand_strategy(mdp, first=policy_actions(mdp, strat.first), switch={1})
         with pytest.raises(RuntimeError, match="second-stage strategy undefined at reached state 1"):
-            simulate_run(mdp, broken, np.random.default_rng(0))
+            one_run(mdp, broken, np.random.default_rng(0))
 
     def test_step_limit_outcome(self):
         mdp = make_mdp(
@@ -158,10 +193,10 @@ class TestSimulateRun:
             labels={"alive": {0, 1}, "pickup": {1}, "dropoff": {1}},
         )
         strat = hand_strategy(mdp, first={0: 0}, switch={1})
-        trace = simulate_run(mdp, strat, np.random.default_rng(0), max_steps=50)
-        assert trace.outcome == STEP_LIMIT
-        assert len(trace.actions) == 50
-        assert trace.satisfied_step is None
+        run = one_run(mdp, strat, np.random.default_rng(0), max_steps=50)
+        assert run.outcome == STEP_LIMIT
+        assert len(run.actions) == 50
+        assert run.satisfied_step is None
 
     def test_lost_dropoff_state_delivers_nothing(self):
         # state 2 carries the dropoff label but is a lost state: reaching it
@@ -177,11 +212,11 @@ class TestSimulateRun:
         )
         strat = hand_strategy(mdp, first={0: 0}, second={1: 0}, switch={1})
         rng = np.random.default_rng(0)
-        traces = [simulate_run(mdp, strat, rng) for _ in range(40)]
-        assert {t.outcome for t in traces} == {SUCCESS, LOST}
-        for trace in traces:
-            assert trace.states[-1] == 2
-            assert trace.delivered_step is None
+        runs = [one_run(mdp, strat, rng) for _ in range(40)]
+        assert {run.outcome for run in runs} == {SUCCESS, LOST}
+        for run in runs:
+            assert run.states[-1] == 2
+            assert run.delivered_step is None
         est = estimate_success(mdp, strat, runs=400, master_seed=0)
         assert est.delivered == 0
         assert est.satisfied + est.lost == 400
@@ -213,13 +248,12 @@ class TestEstimate:
     def test_traces_change_no_result_across_chunks(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
         runs = CHUNK + 37
-        seen = []
-        traced = estimate_success(corridor_mdp, strat, runs=runs, master_seed=13,
-                                  trace_hook=lambda i, t: seen.append((i, t.outcome)))
+        est, rows = traced(corridor_mdp, strat, runs=runs, master_seed=13)
         plain = estimate_success(corridor_mdp, strat, runs=runs, master_seed=13)
-        assert traced == plain
-        assert [i for i, _ in seen] == list(range(runs))
-        outcomes = [o for _, o in seen]
+        assert est == plain
+        closing = [row for row in rows if not row[3]]
+        assert [int(row[0]) for row in closing] == list(range(runs))
+        outcomes = [row[5] for row in closing]
         assert [outcomes.count(k) for k in OUTCOMES] == [plain.satisfied, plain.lost,
                                                          plain.step_limit]
 
@@ -240,36 +274,33 @@ class TestEstimate:
 class TestTraces:
     def test_traces_are_consistent_with_the_model(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
-        seen = {}
-        estimate_success(
-            corridor_mdp, strat, runs=200, master_seed=3,
-            trace_hook=lambda i, t: seen.__setitem__(i, t),
-        )
-        assert sorted(seen) == list(range(200))
+        _, rows = traced(corridor_mdp, strat, runs=200, master_seed=3)
+        runs = {}
+        for row in rows:
+            runs.setdefault(int(row[0]), []).append(row)
+        assert sorted(runs) == list(range(200))
         alive = corridor_mdp.label("alive")
-        for trace in seen.values():
-            assert trace.outcome in OUTCOMES
-            assert len(trace.states) == len(trace.actions) + 1
-            for k, a in enumerate(trace.actions):
-                src, dst = trace.states[k], trace.states[k + 1]
-                rows = dict(state_rows(corridor_mdp, src))
-                assert a in rows
-                support = {t for t, p in rows[a] if p > 0}
-                assert dst in support
-            if trace.outcome == SUCCESS:
-                assert trace.satisfied_step is not None
-                assert strat.switch[trace.states[trace.satisfied_step]]
-            else:
-                assert trace.satisfied_step is None
-            if trace.outcome == LOST:
-                assert not alive[trace.states[-1]]
-            if trace.delivered_step is not None:
-                assert trace.satisfied_step <= trace.delivered_step
-                assert corridor_mdp.label("dropoff")[trace.states[trace.delivered_step]]
+        for run in runs.values():
+            assert [int(row[1]) for row in run] == list(range(len(run)))
+            assert len({row[5] for row in run}) == 1 and run[0][5] in OUTCOMES
+            assert run[-1][3:5] == ["", ""]
+            states = [int(row[2]) for row in run]
+            assert states[0] == corridor_mdp.init
+            for row, src, dst in zip(run, states, states[1:]):
+                rows_of = dict(state_rows(corridor_mdp, src))
+                a = corridor_mdp.action_names.index(row[3])
+                assert a in rows_of
+                assert dst in {t for t, p in rows_of[a] if p > 0}
+                assert row[4] == classify_step(corridor_mdp, src, dst)
+            # a run succeeds the moment it enters a switch state
+            assert (run[0][5] == SUCCESS) == bool(strat.switch[states].any())
+            if run[0][5] == LOST:
+                assert not alive[states[-1]]
 
     def test_classify_hand_built_states(self):
         mdp, _ = toy_chain()
-        assert classify_step(mdp, 0, 1) == "step"
+        assert event(mdp, 0, 1) == "step"
+        assert event(mdp, 1, 1) == "step"
 
     def test_classify_vehicle_transitions(self, corridor_mdp):
         states = [corridor_mdp.states[i] for i in range(corridor_mdp.n_states)]
@@ -282,14 +313,14 @@ class TestTraces:
                 continue
             for i in members:
                 a = states[i]
-                assert classify_step(corridor_mdp, i, i) == "stay"
+                assert event(corridor_mdp, i, i) == "stay"
                 for j in members:
                     b = states[j]
                     if b.count == a.count + 1:
-                        assert classify_step(corridor_mdp, i, j) == "adversary-entered"
+                        assert event(corridor_mdp, i, j) == "adversary-entered"
                         checked.add("entered")
                     elif b.count == a.count - 1:
-                        assert classify_step(corridor_mdp, i, j) == "adversary-left"
+                        assert event(corridor_mdp, i, j) == "adversary-left"
                         checked.add("left")
             other = next(
                 (j for j, s in enumerate(states)
@@ -297,12 +328,16 @@ class TestTraces:
                 None,
             )
             if other is not None:
-                assert classify_step(corridor_mdp, members[0], other) == "region-change"
+                assert event(corridor_mdp, members[0], other) == "region-change"
                 checked.add("move")
         lost = next(i for i, s in enumerate(states) if not s.alive)
         live = next(i for i, s in enumerate(states) if s.alive)
-        assert classify_step(corridor_mdp, live, lost) == "lost-absorb"
+        assert event(corridor_mdp, live, lost) == "lost-absorb"
         assert checked == {"entered", "left", "move"}
+        # every pair of states, against the scalar classifier
+        src, dst = np.divmod(np.arange(len(states) ** 2), len(states))
+        assert [_EVENTS[e] for e in _events(corridor_mdp, src, dst)] == [
+            classify_step(corridor_mdp, i, j) for i, j in zip(src.tolist(), dst.tolist())]
 
 
 class TestPrefixFrequency:
@@ -405,6 +440,42 @@ class TestChunkOracle:
                 matched[moved[states == target]] += 1
             hits += int(np.count_nonzero(matched == 2))
         assert prefix_frequency(mdp, policy, prefix, runs=runs, seed=3) == hits / runs
+
+
+class TestTraceOracle:
+    """The trace writer against the per-row ``csv.writer`` loop it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("model", ["corridor", "caseA", "random"])
+    @pytest.mark.parametrize("max_steps", [0, 3, 100_000])
+    @pytest.mark.parametrize("runs", [1, CHUNK - 1, CHUNK + 37, BLOCK * CHUNK + 5])
+    def test_same_bytes_as_the_row_writer(self, oracle_models, model, max_steps, runs):
+        mdp, strategy = oracle_models[model]
+        seed = runs + max_steps
+        out = io.BytesIO()
+        estimate_success(mdp, strategy, runs=runs, master_seed=seed, max_steps=max_steps,
+                         trace=out)
+        assert out.getvalue() == oracle_trace(mdp, strategy, runs, seed, max_steps, CHUNK)
+
+    def test_a_dump_without_a_state_table_reads_step(self, tmp_path):
+        mdp = make_mdp(
+            {
+                0: {"a": [(0, 0.6), (1, 0.35), (3, 0.05)], "b": [(1, 0.8), (3, 0.2)]},
+                1: {"m": [(1, 0.3), (2, 0.6), (3, 0.1)]},
+                2: {"m": [(2, 1.0)]},
+                3: {"m": [(3, 1.0)]},
+            },
+            labels={"alive": {0, 1, 2}, "pickup": {1}, "dropoff": {2}},
+        )
+        dump_mdp(mdp, tmp_path / "m.npz")
+        mdp = load_mdp(tmp_path / "m.npz")
+        assert mdp.states is None
+        strategy = synthesize_mission(mdp, tol=1e-12)
+        est, rows = traced(mdp, strategy, runs=CHUNK + 37, master_seed=5, max_steps=4)
+        assert est.satisfied and est.lost and est.step_limit
+        assert {row[4] for row in rows} == {"step", ""}
+        out = io.BytesIO()
+        estimate_success(mdp, strategy, runs=CHUNK + 37, master_seed=5, max_steps=4, trace=out)
+        assert out.getvalue() == oracle_trace(mdp, strategy, CHUNK + 37, 5, 4, CHUNK)
 
 
 class TestErrorOrder:
