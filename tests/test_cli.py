@@ -324,6 +324,26 @@ mutations = st.tuples(
 )
 
 
+def apply_changes(doc, changes):
+    """Drop or overwrite each (path, value) of ``changes`` in ``doc``, in order.
+
+    Each value is put in as a fresh copy: the pools share their ``{}`` and ``[]``,
+    and a later change under the same position would otherwise write into the
+    pool's object, nesting it in itself or carrying it into later examples.
+    """
+    for path, value in changes:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier change removed this position
+
+
 def one_error_or_none(argv, refused: bool = False) -> str | None:
     """Run the CLI in-process and return what is wrong with how it ended, or None.
 
@@ -360,17 +380,7 @@ class TestFuzzedInputs:
            st.sampled_from(["synthesize", "simulate", "export"]))
     def test_exit_zero_or_one_error_line(self, changes, command):
         doc = copy.deepcopy(CORRIDOR)
-        for path, value in changes:
-            parent = doc
-            try:
-                for key in path[:-1]:
-                    parent = parent[key]
-                if value is DROP:
-                    del parent[path[-1]]
-                else:
-                    parent[path[-1]] = value
-            except (KeyError, IndexError, TypeError):
-                continue  # an earlier change removed this position
+        apply_changes(doc, changes)
         with tempfile.TemporaryDirectory() as where:
             env = f"{where}/env.json"
             with open(env, "w") as handle:
@@ -449,17 +459,7 @@ class TestFuzzedCityDocuments:
     @given(st.lists(city_changes, min_size=1, max_size=2))
     def test_every_command_refuses_with_one_error_line(self, changes):
         doc = copy.deepcopy(CASE_A)
-        for path, value in changes:
-            parent = doc
-            try:
-                for key in path[:-1]:
-                    parent = parent[key]
-                if value is DROP:
-                    del parent[path[-1]]
-                else:
-                    parent[path[-1]] = value
-            except (KeyError, IndexError, TypeError):
-                continue  # an earlier change removed this position
+        apply_changes(doc, changes)
         with tempfile.TemporaryDirectory() as where:
             env = f"{where}/env.json"
             with open(env, "w") as handle:
