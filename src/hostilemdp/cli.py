@@ -411,6 +411,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("synthesize", "simulate") and not args.mdp and args.env is None:
         parser.error(f"{args.command}: one of --env or --mdp is required")
+    if getattr(args, "mdp", None) and args.env is not None:
+        parser.error(f"{args.command}: give one of --env or --mdp, not both; a --mdp dump "
+                     "is used as stored")
     if getattr(args, "mdp", None) and args.scale is not None:
         parser.error(f"{args.command}: --scale applies to --env only; a --mdp dump is used "
                      "as stored")

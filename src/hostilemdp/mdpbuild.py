@@ -272,14 +272,20 @@ class MdpBuilder:
     arrays, built once from the environment and the belief closures.
     Member ``pos`` of region ``r``'s belief closure is belief
     ``first[r] + pos``; ``left``, ``entered`` (positions, -1 where the update
-    is absent), ``expect`` and the ``item_*`` pmf rows are indexed by it.
+    is absent), ``expect`` and ``draw_ptr`` are indexed by it.  The fresh
+    observations drawn from belief ``b`` are ``draw_ptr[b]:draw_ptr[b + 1]``,
+    each count then each obstacle level of ``r``: ``draw_count_p`` and
+    ``draw_level_p`` give their pmf entries and ``draw_landed`` the offset
+    ``count * levels[r] + level``.
     ``lane_region[r, i]`` is the ``i``-th neighbour of ``r`` (-1 past the
     neighbour count).  Facet-region pair ``p`` is ``pairs[p]``; the
     primitives leaving it are ``prim_action[prim_ptr[p]:prim_ptr[p + 1]]``,
     in declaration order.  Primitive ``j`` ends at the exits
     ``exit_ptr[j]:exit_ptr[j + 1]``, in ``exit_facets()`` order, and loses
     the vehicle at (count, level) with probability
-    ``lost[lost_first[j] + count * levels[region] + level]``.
+    ``lost[lost_first[j] + count * levels[region] + level]``.  Exit ``x``
+    loses it into the state of key ``lost_key[x]`` and lands it, with a
+    fresh observation of offset ``d``, in ``landed_key[landed_first[x] + d]``.
     """
 
     def __init__(self, env: Environment):
@@ -313,14 +319,14 @@ class MdpBuilder:
         self.left = _int_array(e.get(LEFT, -1) for bset in bsets for e in bset.edges)
         self.entered = _int_array(e.get(ENTERED, -1) for bset in bsets for e in bset.edges)
         self.expect = _float_array(float(expectation(b)) for b in members)
-        beliefs = [list(b.items()) for b in members]
-        self.item_ptr = _pointer(map(len, beliefs))
-        self.item_count = _int_array(n for items in beliefs for n, _ in items)
-        self.item_prob = _float_array(float(p) for items in beliefs for _, p in items)
-        obstacles = [list(r.obstacle_items()) for r in regions]
-        self.obs_ptr = _pointer(map(len, obstacles))
-        self.obs_level = _int_array(o for items in obstacles for o, _ in items)
-        self.obs_prob = _float_array(float(p) for items in obstacles for _, p in items)
+        # a fresh observation drawn from a belief about region r: each count, then each level
+        draws = [[(float(pn), float(po), n * (region.max_obstacle_level + 1) + o)
+                  for n, pn in b.items() for o, po in region.obstacle_items()]
+                 for region, bset in zip(regions, bsets) for b in bset.members]
+        self.draw_ptr = _pointer(map(len, draws))
+        self.draw_count_p = _float_array(pn for group in draws for pn, _, _ in group)
+        self.draw_level_p = _float_array(po for group in draws for _, po, _ in group)
+        self.draw_landed = _int_array(at for group in draws for _, _, at in group)
 
         self.pairs = [(fid, rid) for fid, facet in env.facets.items() for rid in facet.regions]
         self.pair = np.full((len(facet_ids), len(region_ids)), -1, dtype=np.int64)
@@ -357,12 +363,6 @@ class MdpBuilder:
         self.lost_first = _pointer(map(len, tables))[:-1]
         self.lost = np.concatenate(tables) if tables else np.zeros(0)
 
-        # within one row, exit k's entries rank in [k * block, (k + 1) * block)
-        # and the entering and leaving entries after every exit, lane by lane
-        self.block = 2 + int(np.diff(self.item_ptr).max()) * int(np.diff(self.obs_ptr).max())
-        self.after_exits = int(np.diff(self.exit_ptr).max(initial=0)) * self.block
-        self.ranks = self.after_exits + 2 * self.width
-
         # a state's key packs these fields, mixed radix, into as few int64 words as fit
         radices = [len(self.pairs), int(self.ceil.max()) + 1, int(self.levels.max()), 2]
         radices += [max(map(len, bsets))] * self.width
@@ -375,6 +375,20 @@ class MdpBuilder:
             self.words[-1].append((field_idx, scale, radix))
             scale *= radix
         self.init = (facet_of[env.init_facet], region_of[env.init_region])
+
+        # the keys of the states each exit can lose or land the vehicle in
+        land = self.exit_region
+        n = len(land)
+        self.lost_key = self.key(_Columns(
+            self.exit_facet, land, self.floor[land], np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=bool), np.zeros((n, self.width), dtype=np.int64)))
+        sizes = (self.ceil[land] + 1) * self.levels[land]
+        self.landed_first = np.cumsum(sizes) - sizes
+        x = np.repeat(np.arange(n), sizes)
+        t = ranges(np.zeros_like(sizes), sizes)
+        self.landed_key = self.key(_Columns(
+            self.exit_facet[x], land[x], t // self.levels[land[x]], t % self.levels[land[x]],
+            np.ones(len(x), dtype=bool), np.zeros((len(x), self.width), dtype=np.int64)))
 
     def build(self) -> Mdp:
         """Expand the reachable states breadth first, up to :data:`BATCH` states per round.
@@ -391,6 +405,9 @@ class MdpBuilder:
         A round expands the next unexpanded states in number order with
         whole-array gathers; number order is breadth-first order, so a round
         holds part of one level or the end of one and the start of the next.
+        :meth:`entries` does a round's work that a state's rows share once per
+        state and the rest once per row, and writes each entry straight to
+        its place in put order, with no sort.
         """
         env = self.env
         stay_idx = len(env.primitives)
@@ -421,17 +438,16 @@ class MdpBuilder:
             starts = np.cumsum(widths) - widths
             action = np.full(int(widths.sum()), stay_idx, dtype=np.int64)
             # one choice per (acting state, primitive leaving its facet-region pair)
-            src = np.repeat(np.flatnonzero(acting), n_prims[acting])
             choice = ranges(starts[acting], starts[acting] + n_prims[acting])
             leaving = pair[acting]
             prim = self.prim_action[ranges(self.prim_ptr[leaving], self.prim_ptr[leaving + 1])]
             action[choice] = prim
 
-            owner, rank, p, key = self.rows(frontier.take(src), prim)
+            length, p, key = self.entries(frontier.take(np.flatnonzero(acting)),
+                                          n_prims[acting], prim)
             keep = p > 0.0
-            entry_choice = choice[owner[keep]]
-            order = np.argsort(entry_choice * self.ranks + rank[keep])
-            entry_choice, p, key = entry_choice[order], p[keep][order], key[keep][order]
+            entry_choice = np.repeat(choice, length)[keep]
+            p, key = p[keep], key[keep]
             ids, fresh = numbering(key)
 
             # a lost or dead-end state loops back to itself under stay
@@ -504,12 +520,20 @@ class MdpBuilder:
         return _Columns(self.pair_facet[pair], self.pair_region[pair], fields[1], fields[2],
                         fields[3].astype(bool), beliefs)
 
-    def rows(self, s: _Columns, prim: np.ndarray):
-        """Every entry of the rows of states ``s[k]`` under primitives ``prim[k]``.
+    def entries(self, s: _Columns, n_prims: np.ndarray, prim: np.ndarray):
+        """Every entry of the rows of the acting states ``s``, in the order :meth:`build` puts them.
 
-        Returns each entry's row ``k``, rank, probability and successor key;
-        sorted by (row, rank), the entries are in the order
-        :meth:`build` puts them.
+        Row ``r`` plays primitive ``prim[r]``, and state ``s[k]`` owns the
+        next ``n_prims[k]`` rows.  What a state's rows share is found once per
+        state: its belief updates, the race's leaving and entering rates, and
+        its moved successors (entering adversaries lane by lane, then leaving
+        ones) with their keys and rate numerators.  Per row only the race
+        total, the crossing and loss probabilities and the divisions by the
+        total remain, with the float operations of the one-state oracle in its
+        order.  Lost and landed keys come from the per-exit tables.  Each
+        entry is written straight to its place: the row's start, plus its exit
+        block's offset, plus its place in the block.  Returns each row's
+        length, and each entry's probability and successor key.
         """
         region, count = s.region, s.count
         lanes = self.lane_region[region]
@@ -519,63 +543,78 @@ class MdpBuilder:
         receivers = (entered >= 0).sum(axis=1)
         can_leave = (count > self.floor[region]) & (receivers > 0)
         can_enter = count < self.ceil[region]
-        # the race total adds crossing, leaving, then entering rates (incoming lane by
-        # lane), in this order; a switched-off term adds exactly 0.0
-        total = self.rate[prim] + np.where(can_leave, self.mu_leave[region] * count, 0.0)
-        incoming = np.zeros(len(prim))
+        leaving = np.where(can_leave, self.mu_leave[region] * count, 0.0)
+        incoming = np.zeros(len(count))
         for i in range(self.width):
             incoming = incoming + np.where(left[:, i] >= 0, self.expect[belief[:, i]], 0.0)
-        total = total + np.where(can_enter, self.mu_enter[region] * incoming, 0.0)
-        p_lost = self.lost[self.lost_first[prim] + count * self.levels[region] + s.level]
+        entering = np.where(can_enter, self.mu_enter[region] * incoming, 0.0)
+
+        # moved successors state by state: an adversary enters from a neighbour, which
+        # then holds one fewer, or leaves for one that can take it, split evenly over those
+        st, col = np.nonzero(np.concatenate(
+            ((left >= 0) & can_enter[:, None], (entered >= 0) & can_leave[:, None]), axis=1))
+        out = col >= self.width
+        via = col - self.width * out
+        moved_key = self.key(_moved(s, st, via, np.concatenate((left, entered), axis=1)[st, col],
+                                    np.where(out, -1, 1)))
+        numerator = np.where(out, self.mu_leave[region[st]] * count[st],
+                             self.mu_enter[region[st]] * self.expect[belief[st, via]])
+        # a leaving share divides by total * receivers, an entering one by total * 1, exactly
+        divisor = np.where(out, receivers[st], 1)
+        moved_ptr = np.searchsorted(st, np.arange(len(count) + 1))
+
+        # the race total adds crossing, leaving, then entering rates (incoming lane by
+        # lane), in this order; a switched-off term adds exactly 0.0
+        owner = np.repeat(np.arange(len(count)), n_prims)
+        total = self.rate[prim] + leaving[owner]
+        total = total + entering[owner]
+        p_lost = self.lost[self.lost_first[prim] + (count * self.levels[region] + s.level)[owner]]
         crossing = self.rate[prim] / total
 
         n_exits = self.exit_ptr[prim + 1] - self.exit_ptr[prim]
-        owner = np.repeat(np.arange(len(prim)), n_exits)
+        row = np.repeat(np.arange(len(prim)), n_exits)
         x = ranges(self.exit_ptr[prim], self.exit_ptr[prim + 1])
-        rank = (x - self.exit_ptr[prim][owner]) * self.block
-        share = crossing[owner] * self.exit_q[x]
-        lost = p_lost[owner]
-        facet, land, lane = self.exit_facet[x], self.exit_region[x], self.exit_lane[x]
+        share = crossing[row] * self.exit_q[x]
+        lost = p_lost[row]
+        land, lane = self.exit_region[x], self.exit_lane[x]
         outer = lane < 0
-        n = len(x)
-        families = [(owner, rank + outer, share * lost, _Columns(
-            facet, land, self.floor[land], np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
-            np.zeros((n, self.width), dtype=np.int64)))]
+        inner = np.flatnonzero(~outer)
+        b = self.first[land[inner]] + s.beliefs[owner[row[inner]], lane[inner]]
+        lo, hi = self.draw_ptr[b], self.draw_ptr[b + 1]
 
+        # an exit block holds the lost state and the landed ones (outer boundary: the
+        # moved state, then the lost one); a row is its exit blocks, then its moved states
+        size = np.full(len(x), 2, dtype=np.int64)
+        size[inner] = 1 + hi - lo
+        n_moved = np.diff(moved_ptr)[owner]
+        before = np.cumsum(n_moved) - n_moved
+        ends = np.concatenate(([0], np.cumsum(size)))
+        at = ends[:-1] + before[row]
+        exits = ends[np.concatenate(([0], np.cumsum(n_exits)))]
+        prob = np.empty(int(ends[-1] + n_moved.sum()))
+        key = np.empty(len(prob), dtype=self.lost_key.dtype)
+
+        prob[at + outer] = share * lost
+        key[at + outer] = self.lost_key[x]
         # outer boundary: no region is entered, only the facet changes
         o = np.flatnonzero(outer)
-        families.append((owner[o], rank[o], share[o] * (1.0 - lost[o]),
-                         s.take(owner[o])._replace(facet=facet[o])))
-
+        prob[at[o]] = share[o] * (1.0 - lost[o])
+        key[at[o]] = self.key(s.take(owner[row[o]])._replace(facet=self.exit_facet[x[o]]))
         # crossing into a neighbour: a fresh observation from the tracked belief
-        inner = np.flatnonzero(~outer)
-        b = self.first[land[inner]] + s.beliefs[owner[inner], lane[inner]]
-        n_obs = self.obs_ptr[land[inner] + 1] - self.obs_ptr[land[inner]]
-        reps = (self.item_ptr[b + 1] - self.item_ptr[b]) * n_obs
-        e = np.repeat(inner, reps)
-        t = ranges(np.zeros_like(reps), reps)
-        per = np.repeat(n_obs, reps)
-        item = np.repeat(self.item_ptr[b], reps) + t // per
-        obs = np.repeat(self.obs_ptr[land[inner]], reps) + t % per
-        base = share[e] * self.item_prob[item] * self.obs_prob[obs] * (1.0 - lost[e])
-        families.append((owner[e], rank[e] + 1 + t, base, _Columns(
-            facet[e], land[e], self.item_count[item], self.obs_level[obs],
-            np.ones(len(e), dtype=bool), np.zeros((len(e), self.width), dtype=np.int64))))
+        e = np.repeat(inner, hi - lo)
+        j = ranges(lo, hi)
+        put = j + np.repeat(at[inner] + 1 - lo, hi - lo)
+        prob[put] = share[e] * self.draw_count_p[j] * self.draw_level_p[j] * (1.0 - lost[e])
+        key[put] = self.landed_key[self.landed_first[x[e]] + self.draw_landed[j]]
 
-        # an adversary enters from a neighbour, which then holds one fewer
-        p, i = np.nonzero((left >= 0) & can_enter[:, None])
-        families.append((p, self.after_exits + i,
-                         self.mu_enter[region[p]] * self.expect[belief[p, i]] / total[p],
-                         _moved(s, p, i, left[p, i], +1)))
-        # an adversary leaves for a neighbour, split evenly over those that can take one
-        p, i = np.nonzero((entered >= 0) & can_leave[:, None])
-        families.append((p, self.after_exits + self.width + i,
-                         self.mu_leave[region[p]] * count[p] / (total[p] * receivers[p]),
-                         _moved(s, p, i, entered[p, i], -1)))
-
-        owner, rank, prob, succ = zip(*families)
-        return (np.concatenate(owner), np.concatenate(rank), np.concatenate(prob),
-                np.concatenate([self.key(states) for states in succ]))
+        # row r puts its state's moved entries after its exit blocks, from exits[r + 1] + before[r]
+        r = np.repeat(np.arange(len(prim)), n_moved)
+        k = np.arange(len(r))
+        m = k + (moved_ptr[owner] - before)[r]
+        put = k + exits[1:][r]
+        prob[put] = numerator[m] / (total[r] * divisor[m])
+        key[put] = moved_key[m]
+        return np.diff(exits) + n_moved, prob, key
 
     def table(self, s: _Columns) -> StateTable:
         """The states as a StateTable, names coded in order of first appearance."""
@@ -619,7 +658,8 @@ def _append(buffer: array, values: np.ndarray):
     buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).data.cast("B"))
 
 
-def _moved(s: _Columns, p: np.ndarray, lane: np.ndarray, child: np.ndarray, step: int) -> _Columns:
+def _moved(s: _Columns, p: np.ndarray, lane: np.ndarray, child: np.ndarray,
+           step: np.ndarray) -> _Columns:
     """States ``s[p]`` with ``step`` more adversaries and lane ``lane`` at belief ``child``."""
     moved = s.take(p)
     moved.beliefs[np.arange(len(p)), lane] = child

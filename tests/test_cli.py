@@ -285,6 +285,19 @@ class TestBadInputs:
             assert "--scale" in captured.err and "--mdp" in captured.err
             assert not captured.out
 
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_env_with_a_dump_is_a_usage_error(self, tmp_path, capsys, command):
+        dump = tmp_path / "corridor.mdp.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        capsys.readouterr()
+        for env in ("caseA", "corridor"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--mdp", str(dump), "--env", env])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert "--env" in captured.err and "--mdp" in captured.err
+            assert not captured.out
+
     @pytest.mark.parametrize("command", ["synthesize", "export"])
     def test_overflowing_rates_name_the_field(self, tmp_path, capsys, command):
         def overflow(doc):

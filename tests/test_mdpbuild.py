@@ -496,6 +496,27 @@ class TestBatchedBuild:
                     folded += 1
         assert folded
 
+    def test_an_underflowing_entry_drops_from_its_own_row_only(self):
+        """An adversary entering at mu_enter 1e-300 underflows to 0.0 in a race of
+        total 1e300, but not in one of total 1.0, so one state drops it from one row."""
+        doc = bundled_doc("corridor")
+        next(r for r in doc["regions"] if r["id"] == "rs")["mu_enter"] = 1e-300
+        slow = next(p for p in doc["primitives"] if (p["from"], p["region"]) == ("f0", "rs"))
+        slow["rate"] = 1.0
+        doc["facets"].append({"id": "f4", "regions": ["rs"]})
+        doc["primitives"].append(dict(slow, to="f4", rate=1e300))
+        env = parse_environment(doc, name="corridor-underflow")
+        self.assert_rows_follow_transitions(env)
+        mdp = build_mdp(env)
+        entering = {a: [p for t, p in row if mdp.states[t][1:3] == ("rs", 1)]
+                    for a, row in state_rows(mdp, mdp.init)}
+        assert set(entering) == {env.primitives.index(p) for p in env.primitives
+                                 if p.from_facet == "f0"}
+        fast = len(env.primitives) - 1
+        assert entering.pop(fast) == []
+        [(_, kept)] = entering.items()
+        assert len(kept) == 1 and kept[0] > 0.0
+
     def test_keys_wider_than_one_word(self):
         """Nine wide beliefs per state need more than 62 bits of key; the build still matches."""
         env = wide_keys_env()
