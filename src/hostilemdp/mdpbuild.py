@@ -417,8 +417,6 @@ class MdpBuilder:
         # grown in place, so the build never holds two copies of the model
         state_ptr, choice_action = array("q", [0]), array("q")
         choice_ptr, succ, prob = array("q", [0]), array("q"), array("d")
-        warnings: list[str] = []
-        dead_ends: set[int] = set()
 
         while pending.size:
             frontier = self.decode(pending[:BATCH])
@@ -426,14 +424,6 @@ class MdpBuilder:
             pair = self.pair[frontier.facet, frontier.region]
             n_prims = self.prim_ptr[pair + 1] - self.prim_ptr[pair]
             acting = frontier.alive & (n_prims > 0)
-            stuck = pair[frontier.alive & ~acting]
-            for dead in stuck[np.sort(np.unique(stuck, return_index=True)[1])].tolist():
-                if dead not in dead_ends:
-                    dead_ends.add(dead)
-                    facet, region = self.pairs[dead]
-                    warnings.append(
-                        f"dead end: no primitive leaves facet {facet!r} across region {region!r}")
-
             widths = np.where(acting, n_prims, 1)
             starts = np.cumsum(widths) - widths
             action = np.full(int(widths.sum()), stay_idx, dtype=np.int64)
@@ -468,7 +458,16 @@ class MdpBuilder:
             pending = np.concatenate((pending, parts[-1]))
             first_id += len(widths)
 
-        table = self.table(self.decode(np.concatenate(parts)))
+        states = self.decode(np.concatenate(parts))
+        # a live state at a pair that no primitive leaves is a dead end, warned once per pair
+        pair = self.pair[states.facet, states.region]
+        stuck = pair[states.alive & (self.prim_ptr[pair + 1] == self.prim_ptr[pair])]
+        warnings = []
+        for dead in stuck[np.sort(np.unique(stuck, return_index=True)[1])].tolist():
+            facet, region = self.pairs[dead]
+            warnings.append(
+                f"dead end: no primitive leaves facet {facet!r} across region {region!r}")
+        table = self.table(states)
         # a region label holds on every state in that region
         labels = {"alive": table.alive.copy()}
         for name in (PICKUP, DROPOFF):
@@ -1077,9 +1076,8 @@ def _transition_blocks(mdp: Mdp):
         succ, prob = mdp.succ[lo:hi], mdp.prob[lo:hi]
         order = _successor_order(n, trans, succ, prob)
         # choices are numbered within their state
-        choices = np.arange(c0, c1)
-        owner = np.searchsorted(mdp.state_ptr, choices, side="right") - 1
-        prefix = state_tok[owner] + local_tok[choices - mdp.state_ptr[owner]]
+        owner = mdp.owner[c0:c1]
+        prefix = state_tok[owner] + local_tok[np.arange(c0, c1) - mdp.state_ptr[owner]]
         yield np.column_stack((prefix[trans[order]], state_tok[succ[order]],
                                prob_tok[np.searchsorted(bits, prob[order].view(np.uint64))]))
         c0 = c1

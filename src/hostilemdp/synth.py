@@ -10,7 +10,7 @@ iteration (sparse, monotone from below) or by the standard occupation LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,29 +87,24 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
     return _backward_levels(preds, keep, np.flatnonzero(target)) >= 0
 
 
-def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray,
-               fold: bool = False):
-    """The rows ``choices`` of the model on the columns ``free``, and their target mass.
+def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray):
+    """The rows ``choices`` of the model on the columns ``free``, each ended by its target mass.
 
     ``CHUNK`` rows at a time are selected from the model and cut to their
     free entries, in order, straight into arrays of the result's size.  A
     row's mass is its probability of moving into ``target``, summed in row
     order from +0.0; a non-target entry adds p * 0.0 = +0.0, which changes no
-    sum.  With ``fold``, each nonzero mass ends its row instead, in one more
-    column, and no mass is returned.
+    sum.  Each nonzero mass ends its row, in one more column, ``len(free)``.
     """
     import scipy.sparse
 
     model = mdp.matrix
     column = np.full(mdp.n_states, -1, dtype=model.indices.dtype)
     column[free] = np.arange(len(free))
-    if fold:
-        mass = (model @ target.astype(float))[choices]
-        ended = mass > 0.0
-        last_value = mass[ended]
-        del mass  # not held through the chunks
-    else:
-        ended, last_value = np.zeros(len(choices), dtype=bool), np.zeros(0)
+    mass = (model @ target.astype(float))[choices]
+    ended = mass > 0.0
+    last_value = mass[ended]
+    del mass  # not held through the chunks
     # int32 where every entry of the model plus one more per row fits, as scipy chooses
     small = mdp.n_transitions() + len(choices) <= np.iinfo(np.int32).max
     index = np.int32 if small else np.int64
@@ -140,9 +135,7 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
         indices[fill][last] = len(free)
         done += rows.size
         del picked, slot, keep  # before the next chunk's are made
-    mass = None if fold else (model @ target.astype(float))[choices]
-    shape = (len(choices), len(free) + fold)
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape), mass
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(choices), len(free) + 1))
 
 
 def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
@@ -172,7 +165,7 @@ def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
     free, real = free[order], real[:, order].ravel()
     choices = choices[:, order].ravel()[real]
     del counts, first, lengths, order
-    rows, _ = _free_rows(mdp, target, free, choices, fold=True)
+    rows = _free_rows(mdp, target, free, choices)
     indptr = np.zeros(len(real) + 1, dtype=rows.indptr.dtype)
     indptr[1:][real] = np.diff(rows.indptr)
     np.cumsum(indptr, out=indptr)
@@ -181,34 +174,16 @@ def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
 
 
 def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
-    """``free`` and the LP's ``(A_ub, b_ub)``: rows (Q - E) x <= -c, E picking choice owners."""
+    """The LP's ``(A_ub, b_ub)`` over ``free``: rows (Q - E) x <= -c, E picking choice owners."""
     import scipy.sparse
 
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-    rows, mass = _free_rows(mdp, target, free, ranges(first, stop))
+    choices = ranges(first, stop)
+    rows = _free_rows(mdp, target, free, choices)[:, :len(free)]
+    owners = np.repeat(np.arange(len(free)), stop - first)
     picker = scipy.sparse.csr_matrix(
-        (np.ones(len(mass)), (np.arange(len(mass)), np.repeat(np.arange(len(free)), stop - first))),
-        shape=rows.shape)
-    return free, ((rows - picker).tocsc(), -mass)
-
-
-class _Stage(NamedTuple):
-    """One stage assembled for its solver, on the thread that calls :func:`_stage`."""
-
-    positive: np.ndarray
-    free: np.ndarray  # the positive non-target states: in sweep order for VI, ascending for the LP
-    system: object  # the sweep matrix or the LP's (A_ub, b_ub); None when nothing is free
-
-
-def _stage(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, assemble,
-           positive: Optional[np.ndarray] = None) -> _Stage:
-    """A stage with ``assemble``'s system, from ``positive`` if its graph pass was made already."""
-    if positive is None:
-        positive = qualitative_reach(mdp, target, allowed)
-    free = np.flatnonzero(positive & ~target)
-    if not free.size:
-        return _Stage(positive, free, None)
-    return _Stage(positive, *assemble(mdp, target, free))
+        (np.ones(len(choices)), (np.arange(len(choices)), owners)), shape=rows.shape)
+    return (rows - picker).tocsc(), -(mdp.matrix @ target.astype(float))[choices]
 
 
 def _assemble(mdp, target, free, x):
@@ -219,19 +194,23 @@ def _assemble(mdp, target, free, x):
 
 def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float = 1e-9,
                  max_iter: int = 10**6, *,
-                 stage: Optional[_Stage] = None) -> ValueResult:
+                 positive: Optional[np.ndarray] = None) -> ValueResult:
     """Value iteration for max P[allowed U target], from below.
 
     ``target`` and ``allowed`` are bool masks over the states.  Iterates
     x <- max(x, max_a (c_a + Q_a x)) until the sup-norm step falls
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
-    ``stage`` is one the caller assembled.
+    ``positive`` is the stage's :func:`qualitative_reach` when the caller
+    has made it already.
     """
-    positive, free, matrix = stage or _stage(mdp, target, allowed, _sweep_matrix)
-    nf = len(free)
-    if not nf:
+    if positive is None:
+        positive = qualitative_reach(mdp, target, allowed)
+    free = np.flatnonzero(positive & ~target)
+    if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
+    free, matrix = _sweep_matrix(mdp, target, free)
+    nf = len(free)
     width = matrix.shape[0] // nf
     # two iterates that swap each sweep; entry nf of both stays 1.0 for the const column
     xe, ne = np.zeros(nf + 1), np.zeros(nf + 1)
@@ -253,7 +232,7 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
 
 
 def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, *,
-                 stage: Optional[_Stage] = None) -> ValueResult:
+                 positive: Optional[np.ndarray] = None) -> ValueResult:
     """LP route to the same values: minimize sum(x) over the Bellman cone.
 
     Each enabled action of a free state yields one constraint
@@ -261,14 +240,17 @@ def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, *,
     the value vector.  Solved by HiGHS's interior point method through scipy;
     HiGHS then runs crossover, so the answer is a vertex of the cone.  The
     solution is clipped into the declared bounds [0, 1], which HiGHS may
-    overshoot by a few ulps.  ``stage`` is one the caller assembled.
+    overshoot by a few ulps.  ``positive`` is as for :func:`max_reach_vi`.
     """
     import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
 
-    positive, free, system = stage or _stage(mdp, target, allowed, _lp_inputs)
+    if positive is None:
+        positive = qualitative_reach(mdp, target, allowed)
+    free = np.flatnonzero(positive & ~target)
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
-    res = scipy.optimize.linprog(c=np.ones(len(free)), A_ub=system[0], b_ub=system[1],
+    A_ub, b_ub = _lp_inputs(mdp, target, free)
+    res = scipy.optimize.linprog(c=np.ones(len(free)), A_ub=A_ub, b_ub=b_ub,
                                  bounds=(0.0, 1.0), method="highs-ipm")
     if not res.success:
         raise RuntimeError(f"LP solve failed: {res.message}")
@@ -346,26 +328,24 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
     alone, which is also that stage's positive set, so ``qualitative_reach``
     runs twice.  After that first graph pass on the calling thread, each stage
     runs start to finish on its own thread: its graph pass if it needs one,
-    its assembly, its solve and its policy extraction.  The pickup stage runs
-    on a worker thread and the deliver stage on the calling thread.  The
-    worker is joined before anything is raised, and errors win in the order
-    deliver solve, pickup solve, pickup extraction, deliver extraction, as
-    in the stages solved one after the other.  ``tol`` and ``max_iter`` go to
-    :func:`max_reach_vi` when ``method`` is ``"vi"``.
+    its solve, which assembles the stage, and its policy extraction.  The
+    pickup stage runs on a worker thread and the deliver stage on the calling
+    thread.  The worker is joined before anything is raised, and errors win
+    in the order deliver solve, pickup solve, pickup extraction, deliver
+    extraction, as in the stages solved one after the other.  ``tol`` and
+    ``max_iter`` go to :func:`max_reach_vi` when ``method`` is ``"vi"``.
     """
     if method not in ("vi", "lp"):
         raise ValueError(f"unknown method {method!r}, expected one of ['lp', 'vi']")
     alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
-    assemble = _sweep_matrix if method == "vi" else _lp_inputs
 
     def solve(target, positive=None):
-        stage = _stage(mdp, target, alive, assemble, positive)
         # the solvers are looked up when called, so a wrapper set on the module is used
         if method == "lp":
-            return max_reach_lp(mdp, target, alive, stage=stage)
-        return max_reach_vi(mdp, target, alive, tol=tol, max_iter=max_iter, stage=stage)
+            return max_reach_lp(mdp, target, alive, positive=positive)
+        return max_reach_vi(mdp, target, alive, tol=tol, max_iter=max_iter, positive=positive)
 
     def run(target):
         result = solve(target)

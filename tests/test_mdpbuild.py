@@ -177,6 +177,32 @@ def loop_doc(outcomes=None, marginal_n=None):
     }
 
 
+def two_dead_ends_doc():
+    """g's only crossing leads into h at fm; h's goes on to fc or fb, where nothing leaves.
+
+    Pairs are declared with fb before fc, but fc's states appear first, and
+    each of the two dead-end pairs holds a state for either adversary count of h.
+    """
+    def region(rid, hi, p_init, label):
+        return {"id": rid, "adversaries": {"min": 0, "max": hi, "p_init": p_init},
+                "obstacles": {"max_level": 0, "p_obs": {"0": "1"}},
+                "mu_enter": 0.5, "mu_leave": 0.5, "labels": [label]}
+
+    lost = {"marginal_n": {"0": 0.0, "1": 0.0}, "marginal_o": {"0": 1.0}}
+    return {
+        "regions": [region("g", 0, {"0": "1"}, "pickup"),
+                    region("h", 1, {"0": "1/2", "1": "1/2"}, "dropoff")],
+        "facets": [{"id": "fa", "regions": ["g"]}, {"id": "fm", "regions": ["g", "h"]},
+                   {"id": "fb", "regions": ["h"]}, {"id": "fc", "regions": ["h"]}],
+        "primitives": [
+            {"from": "fa", "to": "fm", "region": "g", "rate": 1.0, "lost": lost},
+            {"from": "fm", "to": "fc", "region": "h", "rate": 1.0, "lost": lost,
+             "outcomes": [{"facet": "fc", "p": "1/2"}, {"facet": "fb", "p": "1/2"}]},
+        ],
+        "init": {"facet": "fa", "region": "g"},
+    }
+
+
 class TestEventRace:
     """Per-state rate and successor distribution of the exponential race."""
 
@@ -334,6 +360,18 @@ class TestCrossings:
         stay = len(env.primitives)
         assert state_rows(mdp, stuck) == [(stay, [(stuck, 1.0)])]
         assert any("dead end" in w and "'fb'" in w for w in mdp.warnings)
+
+    @pytest.mark.parametrize("batch", [1, mdpbuild.BATCH])
+    def test_dead_ends_are_warned_once_per_pair_in_order_of_appearance(self, monkeypatch,
+                                                                         batch):
+        monkeypatch.setattr(mdpbuild, "BATCH", batch)
+        mdp = build_mdp(parse_environment(two_dead_ends_doc(), name="two-dead-ends"))
+        at = [(mdp.states[s].facet, mdp.states[s].count) for s in range(mdp.n_states)]
+        assert at[3:] == [("fc", 0), ("fb", 0), ("fc", 1), ("fb", 1)]
+        assert mdp.warnings == [
+            "dead end: no primitive leaves facet 'fc' across region 'h'",
+            "dead end: no primitive leaves facet 'fb' across region 'h'",
+        ]
 
 
 class TestLostStates:

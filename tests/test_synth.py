@@ -612,8 +612,9 @@ def bits(a):
 
 
 class TestStageAssembly:
-    """The mission makes two graph passes and assembles each stage on that stage's own
-    thread; ``_free_rows`` gives the rows and masses of the sparse selection it replaced."""
+    """The mission makes two graph passes and each solver assembles its stage on that
+    stage's own thread; ``_free_rows`` gives the rows of the sparse selection it replaced,
+    each ended by its target mass."""
 
     @pytest.mark.parametrize("method", ["vi", "lp"])
     def test_two_graph_passes_per_mission(self, corridor_mdp, monkeypatch, method):
@@ -627,6 +628,23 @@ class TestStageAssembly:
         monkeypatch.setattr(synth, "qualitative_reach", counted)
         synthesize_mission(corridor_mdp, method)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("solver", ["max_reach_vi", "max_reach_lp"])
+    def test_a_given_graph_pass_is_not_made_again(self, order_cases, monkeypatch, solver):
+        solve, reach = getattr(synth, solver), synth.qualitative_reach
+        for name, mdp, target, allowed in order_cases:
+            if solver == "max_reach_lp" and name.startswith(("A-", "B-")):
+                continue  # a city LP takes seconds and covers no case the corridor lacks
+            own = solve(mdp, target, allowed)
+            positive = reach(mdp, target, allowed)
+            calls = []
+            with monkeypatch.context() as patched:
+                patched.setattr(synth, "qualitative_reach", lambda *args: calls.append(args))
+                given = solve(mdp, target, allowed, positive=positive)
+            assert calls == [], name
+            assert given.positive is positive, name
+            assert bits(given.values) == bits(own.values), name
+            assert (given.iterations, given.residual) == (own.iterations, own.residual), name
 
     @pytest.mark.parametrize("method", ["vi", "lp"])
     def test_each_stage_runs_on_one_thread_of_two(self, case_envs, monkeypatch, stray_threads,
@@ -650,7 +668,7 @@ class TestStageAssembly:
         synthesize_mission(mdp, method)
         assert len(steps) == 2
         for seen in steps.values():
-            assert [name for name, _ in seen] == ["_free_rows", solver, "extract_policy"]
+            assert [name for name, _ in seen] == [solver, "_free_rows", "extract_policy"]
             assert len({thread for _, thread in seen}) == 1
         threads = {seen[0][1] for seen in steps.values()}
         assert len(threads) == 2
@@ -704,11 +722,8 @@ class TestStageAssembly:
             picked = mdp.matrix[choices]
             want = picked[:, free]
             mass = picked[:, np.flatnonzero(goal)] @ np.ones(int(goal.sum()))
-            rows, got = synth._free_rows(mdp, goal, free, choices)
-            assert [bits(a) for a in (rows.data, rows.indices, rows.indptr, got)] == [
-                bits(a) for a in (want.data, want.indices, want.indptr, mass)]
-            # folded, each nonzero mass ends its row, in one more column
-            folded, _ = synth._free_rows(mdp, goal, free, choices, fold=True)
+            # each nonzero mass ends its row, in one more column
+            folded = synth._free_rows(mdp, goal, free, choices)
             at = want.indptr[1:][mass > 0.0]
             assert folded.shape == (len(choices), len(free) + 1)
             assert [bits(a) for a in (folded.data, folded.indices)] == [
@@ -735,13 +750,15 @@ class TestStageAssembly:
             if not free.size:
                 continue
             first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-            rows, mass = synth._free_rows(mdp, goal, free, ranges(first, stop))
+            picked = mdp.matrix[ranges(first, stop)]
+            rows = picked[:, free]
+            mass = picked[:, np.flatnonzero(goal)] @ np.ones(int(goal.sum()))
             picker = scipy.sparse.csr_matrix(
                 (np.ones(len(mass)), (np.arange(len(mass)), np.repeat(np.arange(len(free)),
                                                                       stop - first))),
                 shape=rows.shape)
             want = (rows - picker).tocsc()
-            got, b_ub = synth._lp_inputs(mdp, goal, free)[1]
+            got, b_ub = synth._lp_inputs(mdp, goal, free)
             assert got.shape == want.shape
             assert [bits(a) for a in (got.data, got.indices, got.indptr, b_ub)] == [
                 bits(a) for a in (want.data, want.indices, want.indptr, -mass)], i
@@ -749,27 +766,22 @@ class TestStageAssembly:
         # entries must be summed or dropped on many models, or this compares little
         assert merged >= 60
 
-def ascending_stage(mdp, target, allowed):
-    """The VI stage with its free states in ascending order, slot-major as before sweep order.
+def ascending_sweep(mdp, target, free):
+    """``_sweep_matrix`` with ``free`` kept in ascending order, slot-major as before sweep order.
 
     Row ``j * nf + i`` holds free state ``i``'s ``j``-th choice, folded by
     ``_free_rows``, or nothing when the state has fewer choices.
     """
-    positive = qualitative_reach(mdp, target, allowed)
-    free = np.flatnonzero(positive & ~target)
-    if not free.size:
-        return synth._Stage(positive, free, None)
     counts = np.diff(mdp.state_ptr)[free].tolist()
     slots = [(j, s) for j in range(max(counts)) for s, n in zip(free.tolist(), counts)]
     real = np.array([j < n for (j, _), n in zip(slots, counts * max(counts))])
     choices = np.array([mdp.state_ptr[s] + j for j, s in slots], dtype=np.int64)[real]
-    rows, _ = synth._free_rows(mdp, target, free, choices, fold=True)
+    rows = synth._free_rows(mdp, target, free, choices)
     sizes = np.zeros(len(slots), dtype=np.int64)
     sizes[real] = np.diff(rows.indptr)
     indptr = np.concatenate(([0], np.cumsum(sizes)))
-    matrix = scipy.sparse.csr_matrix((rows.data, rows.indices, indptr),
-                                     shape=(len(slots), len(free) + 1))
-    return synth._Stage(positive, free, matrix)
+    return free, scipy.sparse.csr_matrix((rows.data, rows.indices, indptr),
+                                         shape=(len(slots), len(free) + 1))
 
 
 def sweep_order(mdp, free):
@@ -814,24 +826,27 @@ class TestSweepOrder:
     """Value iteration sweeps each stage's free states in row-length order; that
     renumbering must change no value, sweep count, residual or budget error."""
 
-    def test_values_match_the_ascending_layout_bit_for_bit(self, order_cases):
+    def test_values_match_the_ascending_layout_bit_for_bit(self, order_cases, monkeypatch):
         reordered = 0
         for name, mdp, target, allowed in order_cases:
-            oracle = ascending_stage(mdp, target, allowed)
-            stage = synth._stage(mdp, target, allowed, synth._sweep_matrix)
-            reordered += not np.array_equal(stage.free, oracle.free)
+            free = np.flatnonzero(qualitative_reach(mdp, target, allowed) & ~target)
+            reordered += bool(free.size) and not np.array_equal(
+                synth._sweep_matrix(mdp, target, free)[0], free)
             got = max_reach_vi(mdp, target, allowed, tol=1e-12)
-            want = max_reach_vi(mdp, target, allowed, tol=1e-12, stage=oracle)
+            with monkeypatch.context() as patched:
+                patched.setattr(synth, "_sweep_matrix", ascending_sweep)
+                want = max_reach_vi(mdp, target, allowed, tol=1e-12)
             assert bits(got.values) == bits(want.values), name
             assert (got.iterations, got.residual) == (want.iterations, want.residual), name
             assert np.array_equal(got.positive, want.positive), name
             for budget in sorted({1, 2, 3, max(got.iterations // 2, 1)}):
-                if not oracle.free.size:
+                if not free.size:
                     break
                 errors = []
-                for given in (None, oracle):
-                    with pytest.raises(ConvergenceError) as err:
-                        max_reach_vi(mdp, target, allowed, tol=-1.0, max_iter=budget, stage=given)
+                for sweep in (synth._sweep_matrix, ascending_sweep):
+                    with monkeypatch.context() as patched, pytest.raises(ConvergenceError) as err:
+                        patched.setattr(synth, "_sweep_matrix", sweep)
+                        max_reach_vi(mdp, target, allowed, tol=-1.0, max_iter=budget)
                     errors.append(err.value)
                 assert bits(errors[0].values) == bits(errors[1].values), (name, budget)
                 assert errors[0].residual == errors[1].residual, (name, budget)
@@ -840,14 +855,12 @@ class TestSweepOrder:
 
     def test_rows_are_grouped_by_length_in_every_slot_block(self, order_cases):
         for name, mdp, target, allowed in order_cases:
-            stage = synth._stage(mdp, target, allowed, synth._sweep_matrix)
-            if not stage.free.size:
+            free = np.flatnonzero(qualitative_reach(mdp, target, allowed) & ~target)
+            if not free.size:
                 continue
-            assert stage.free.tolist() == sweep_order(mdp, stage.free), name
-            assert np.array_equal(np.sort(stage.free), ascending_stage(mdp, target, allowed).free)
-            # the LP keeps the ascending state order of its pinned inputs
-            lp = synth._stage(mdp, target, allowed, synth._lp_inputs)
-            assert np.array_equal(lp.free, np.sort(stage.free)), name
+            order = synth._sweep_matrix(mdp, target, free)[0]
+            assert order.tolist() == sweep_order(mdp, free), name
+            assert np.array_equal(np.sort(order), free), name
 
     def test_a_solve_alone_sweeps_in_the_mission_order(self, case_envs, monkeypatch):
         orders = {}
