@@ -202,7 +202,18 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
     ``positive`` is the stage's :func:`qualitative_reach` when the caller
     has made it already.
+
+    A sweep is one raw ``csr_matvec`` into a zeroed buffer, as ``matrix @ x``
+    makes it, a max over the choice slots and a max with the last iterate;
+    it allocates nothing.  The sup-norm step is computed only when one probe
+    state moves by at most ``tol``, or at ``max_iter``: while the probe moves
+    by more, so does the sup norm.  The probe is the first free state, then
+    the one with the largest step at the last full check.  So the stop
+    sweep, the returned residual and the error's residual are those of a
+    full check after every sweep.
     """
+    from scipy.sparse._sparsetools import csr_matvec  # what ``matrix @ x`` calls
+
     if positive is None:
         positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
@@ -210,19 +221,27 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
     free, matrix = _sweep_matrix(mdp, target, free)
-    nf = len(free)
-    width = matrix.shape[0] // nf
+    nf, rows = len(free), matrix.shape[0]
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     # two iterates that swap each sweep; entry nf of both stays 1.0 for the const column
     xe, ne = np.zeros(nf + 1), np.zeros(nf + 1)
     xe[nf] = ne[nf] = 1.0
+    y, step = np.empty(rows), np.empty(nf)
+    slots = y.reshape(rows // nf, nf)
+    probe = 0
     for sweep in range(1, max_iter + 1):
-        y = matrix @ xe
+        y.fill(0.0)  # csr_matvec adds onto y: each row sums left to right from +0.0
+        csr_matvec(rows, nf + 1, indptr, indices, data, xe, y)
         x, new = xe[:nf], ne[:nf]
-        np.max(y.reshape(width, nf), axis=0, out=new)
+        np.maximum.reduce(slots, axis=0, out=new)
         np.maximum(new, x, out=new)
-        # new >= x, so this is the sup-norm step
-        residual = float(np.max(np.subtract(new, x, out=y[:nf])))
         xe, ne = ne, xe
+        if new[probe] - x[probe] > tol and sweep < max_iter:
+            continue
+        # new >= x, so this is the sup-norm step
+        np.subtract(new, x, out=step)
+        probe = int(step.argmax())
+        residual = float(step[probe])
         if residual <= tol:
             return ValueResult(_assemble(mdp, target, free, new),
                                positive, "vi", iterations=sweep, residual=residual)

@@ -178,12 +178,15 @@ class TestValueIteration:
 
     def test_iteration_budget_raises_with_state(self):
         mdp, _ = toy_chain()
-        with pytest.raises(ConvergenceError) as err:
-            max_reach_vi(mdp, mdp.label("goal"), everything(mdp),
-                         tol=1e-15, max_iter=1)
-        assert err.value.iterations == 1
-        assert err.value.residual > 0.0
-        assert err.value.values.shape == (mdp.n_states,)
+        target = mdp.label("goal")
+        plain = plain_sweeps(mdp, target, everything(mdp), 3)
+        for budget in (1, 2, 3):
+            with pytest.raises(ConvergenceError) as err:
+                max_reach_vi(mdp, target, everything(mdp), tol=1e-15, max_iter=budget)
+            values, step = plain[budget - 1]
+            assert err.value.iterations == budget
+            assert err.value.residual.hex() == step.hex() and step > 0.0
+            assert bits(err.value.values) == bits(values)
 
     def test_all_target_needs_no_sweeps(self):
         mdp, _ = toy_chain()
@@ -883,3 +886,129 @@ class TestSweepOrder:
         assert bits(alone) == bits(mission)
         assert alone.tolist() == sweep_order(mdp, alone)
         assert not np.array_equal(alone, np.sort(alone))
+
+
+def plain_sweeps(mdp, target, allowed, sweeps):
+    """``sweeps`` value-iteration sweeps with ``matrix @ x`` and the full sup-norm step each time.
+
+    Sweeps the stage's own ``_sweep_matrix``; returns one ``(values, step)``
+    pair per sweep, the values over all states as ``max_reach_vi`` gives them.
+    """
+    positive = qualitative_reach(mdp, target, allowed)
+    free, matrix = synth._sweep_matrix(mdp, target, np.flatnonzero(positive & ~target))
+    nf = len(free)
+    x = np.zeros(nf)
+    out = []
+    for _ in range(sweeps):
+        y = matrix @ np.append(x, 1.0)
+        new = np.maximum(y.reshape(-1, nf).max(axis=0), x)
+        values = np.zeros(mdp.n_states)
+        values[target], values[free] = 1.0, new
+        out.append((values, float(np.max(new - x))))
+        x = new
+    return out
+
+
+def assert_runs_as_the_plain_loop(mdp, target, allowed, tol, max_iter, plain, name=""):
+    """``max_reach_vi`` stops, or fails, at the sweep where ``plain`` first steps by at most ``tol``.
+
+    ``plain`` must hold at least ``max_iter`` sweeps or a step of at most ``tol``.
+    """
+    steps = [step for _, step in plain[:max_iter]]
+    stop = next((k for k, step in enumerate(steps, 1) if step <= tol), None)
+    if stop is None:
+        assert len(steps) == max_iter, name
+        with pytest.raises(ConvergenceError) as err:
+            max_reach_vi(mdp, target, allowed, tol=tol, max_iter=max_iter)
+        got, sweeps = err.value, err.value.iterations
+        assert sweeps == max_iter, (name, tol, max_iter)
+    else:
+        got = max_reach_vi(mdp, target, allowed, tol=tol, max_iter=max_iter)
+        sweeps = got.iterations
+        assert sweeps == stop, (name, tol, max_iter)
+    values, step = plain[sweeps - 1]
+    assert got.residual.hex() == step.hex(), (name, tol, max_iter)
+    assert bits(got.values) == bits(values), (name, tol, max_iter)
+
+
+def sweep_cases(order_cases):
+    """The bundled stages of ``order_cases`` and 60 fuzzed models that have a free state."""
+    rng = np.random.default_rng(20261022)
+    models = [case for case in order_cases if not case[0].startswith("random")]
+    for i in range(60):
+        mdp, goal = random_mdp(rng, max_actions=1 + i % 5)
+        models.append((f"random-{i}", mdp, goal, everything(mdp)))
+    for name, mdp, target, allowed in models:
+        if (qualitative_reach(mdp, target, allowed) & ~target).any():
+            yield name, mdp, target, allowed
+
+
+class TestProbedStop:
+    """``max_reach_vi`` looks at one state's step before it computes the sup norm; it
+    must stop at the sweep, with the residual and values, of a full check every sweep."""
+
+    def test_stops_where_a_full_check_every_sweep_stops(self, order_cases):
+        rng = np.random.default_rng(20261023)
+        checked = 0
+        for name, mdp, target, allowed in sweep_cases(order_cases):
+            plain = plain_sweeps(mdp, target, allowed,
+                                 max_reach_vi(mdp, target, allowed, tol=1e-12).iterations)
+            # every step and every tolerance between two sorted consecutive ones
+            steps = np.unique([step for _, step in plain])
+            tols = np.concatenate((steps, (steps[:-1] + steps[1:]) / 2))
+            if len(tols) > 12:  # the bundled stages take tens of ms a solve
+                tols = rng.choice(tols, size=12, replace=False)
+            for tol in tols:
+                assert_runs_as_the_plain_loop(mdp, target, allowed, float(tol), 10**6, plain,
+                                              name)
+            checked += len(tols)
+        assert checked >= 300
+
+    def test_budget_errors_match_a_full_check_every_sweep(self, order_cases):
+        failed = 0
+        for name, mdp, target, allowed in sweep_cases(order_cases):
+            plain = plain_sweeps(mdp, target, allowed, 3)
+            middle = float(np.median([step for _, step in plain]))
+            for tol in (-1.0, 0.0, 1e-15, middle):
+                for budget in (1, 2, 3):
+                    assert_runs_as_the_plain_loop(mdp, target, allowed, tol, budget, plain,
+                                                  name)
+                    failed += all(step > tol for _, step in plain[:budget])
+        assert failed >= 300
+
+    def test_a_settled_probe_does_not_stop_a_moving_state(self):
+        # state 0 takes its value in one sweep; state 1 creeps up by a tenth of what is left
+        mdp = make_mdp({0: {"a": [(2, 0.5), (3, 0.5)]}, 1: {"a": [(2, 0.1), (1, 0.9)]},
+                        2: {"a": [(2, 1.0)]}, 3: {"a": [(3, 1.0)]}}, labels={"goal": {2}})
+        target, allowed = mdp.label("goal"), everything(mdp)
+        order, _ = synth._sweep_matrix(mdp, target, np.array([0, 1]))
+        assert order.tolist() == [0, 1]  # the probe starts on state 0
+        res = max_reach_vi(mdp, target, allowed, tol=1e-6)
+        plain = plain_sweeps(mdp, target, allowed, res.iterations)
+        assert res.iterations > 100
+        assert plain[1][0][0] == plain[0][0][0] == 0.5
+        assert_runs_as_the_plain_loop(mdp, target, allowed, 1e-6, 10**6, plain)
+        for budget in (1, 2, 3, 50):
+            assert_runs_as_the_plain_loop(mdp, target, allowed, 1e-6, budget, plain)
+
+
+class TestRawMatvec:
+    def test_matches_the_sparse_product_bit_for_bit(self, order_cases):
+        # max_reach_vi calls scipy's private csr_matvec into a zeroed buffer itself
+        from scipy.sparse._sparsetools import csr_matvec
+
+        rng = np.random.default_rng(20261024)
+        seen = set()
+        for name, mdp, target, allowed in order_cases:
+            free = np.flatnonzero(qualitative_reach(mdp, target, allowed) & ~target)
+            if not free.size:
+                continue
+            _, matrix = synth._sweep_matrix(mdp, target, free)
+            rows, cols = matrix.shape
+            for _ in range(3):
+                x = np.append(rng.random(cols - 1), 1.0)
+                y = np.zeros(rows)
+                csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, x, y)
+                assert bits(y) == bits(matrix @ x), name
+            seen.add(name.partition("-")[0])
+        assert {"corridor", "A", "B", "random"} <= seen
