@@ -43,22 +43,27 @@ BLOCK = 8
 #: and larger tables make fewer numpy calls but leave more freed memory behind
 _TABLE = 512
 
-# state codes: live, a switch state (scores the mission), a dropoff state (delivers)
-_ALIVE, _SWITCH, _DROPOFF = 1, 2, 4
+# event bits of a plan key: the run scores the mission, is delivered, ends; _END is the highest
+_SWITCH, _DELIVER, _END = 1, 2, 4
 
 
 @dataclass
 class _Plan:
-    """The rows one or two policies play, as flat arrays, and one code per state.
+    """The rows one or two policies play, as flat arrays, and the events at each key.
 
-    ``row[k, s]`` is the row policy ``k`` plays at ``s`` (-1: undefined); rows
-    are the policies' choices, concatenated in the order given.  Row
-    ``r`` plays ``action[r]`` and leads to ``succ[ptr[r]:ptr[r + 1]]`` with
-    running probability sums ``cum``; the last sum is infinite, so a draw
-    above a row total that rounded below 1 takes the last successor.
-    ``depth`` bisection rounds find a draw's successor in the longest row.
-    ``code[s]`` is 0 at a dead state and at a live one :data:`_ALIVE`, plus
-    :data:`_SWITCH` at a switch state and :data:`_DROPOFF` at a dropoff state.
+    A run that plays policy ``k`` at state ``s`` is at key ``k * n + s``, ``n``
+    the number of states.  ``row[k, s]`` is the row policy ``k`` plays at
+    ``s`` (-1: undefined); rows are the policies' choices, concatenated in
+    the order given.  Row ``r`` plays ``action[r]`` and leads to the keys
+    ``succ[ptr[r]:ptr[r + 1]]``, of its own policy, with running
+    probability sums ``cum``; the last sum is infinite, so a draw above a
+    row total that rounded below 1 takes the last successor.  ``depth``
+    bisection rounds find a draw's successor in the longest row.
+    ``event[q]`` holds the bits of what happens to a run at key ``q``:
+    :data:`_END` at a dead state; under the first policy :data:`_SWITCH` at
+    a live switch state, where the run moves on to the second policy; and
+    :data:`_DELIVER` with :data:`_END` at a live dropoff state reached under
+    the second policy, or one that is also a switch state.
     """
 
     row: np.ndarray
@@ -67,7 +72,7 @@ class _Plan:
     succ: np.ndarray
     cum: np.ndarray
     depth: int
-    code: np.ndarray
+    event: np.ndarray
 
     @classmethod
     def of(cls, mdp: Mdp, policies: Sequence[np.ndarray], alive, switch, dropoff):
@@ -86,26 +91,35 @@ class _Plan:
             at = ptr[:-1][length > j] + j
             cum[at] += cum[at - 1]
         cum[ptr[1:] - 1] = np.inf
-        code = (alive * (_ALIVE + _SWITCH * switch + _DROPOFF * dropoff)).astype(np.int8)
-        return cls(row, mdp.choice_action[choice], ptr, mdp.succ[taken], cum,
-                   (widest - 1).bit_length(), code)
+        dead = np.where(alive, 0, _END)
+        deliver = np.where(alive & dropoff, _DELIVER | _END, 0)
+        # under the first policy a run is delivered only where it scores, at a switch state
+        phases = (dead | np.where(alive & switch, _SWITCH | deliver, 0), dead | deliver)
+        event = np.concatenate(phases[:len(policies)]).astype(np.int8)
+        return cls(row, mdp.choice_action[choice], ptr,
+                   mdp.succ[taken] + mdp.n_states * np.repeat(which, length), cum,
+                   (widest - 1).bit_length(), event)
 
     def successors(self, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The successor row ``r[i]`` takes at draw ``u[i]``, for every ``i``.
+        """The successor key row ``r[i]`` takes at draw ``u[i]``, for every ``i``.
 
         That is the first successor whose running sum exceeds the draw.  The
         sums never decrease along a row and the last is infinite, so
         bisection finds the last sum at or below the draw (one before the
         row if none is): halving steps from the row's start, each probe held
-        at the row's end.
+        at the row's end.  A round compares the probed sums with the draws
+        and adds each hit, shifted by the step's bit, to ``below``; the shift
+        is int64, as numpy 1.x would shift a bool into int8 and overflow.
         """
         below, last = self.ptr[r], self.ptr[1:][r]
         below -= 1
         last -= 1
         probe = np.empty_like(below)
+        hit = np.empty(below.shape, dtype=bool)
         for k in reversed(range(self.depth)):
             np.minimum(np.add(below, 1 << k, out=probe), last, out=probe)
-            np.add(below, 1 << k, out=below, where=self.cum[probe] <= u)
+            np.less_equal(self.cum.take(probe), u, out=hit)
+            below += np.left_shift(hit, k, out=probe, dtype=below.dtype)
         below += 1
         return self.succ[below]
 
@@ -124,7 +138,7 @@ def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int,
               rngs: Sequence[np.random.Generator], max_steps: int, keep: bool):
     """Advance a block of ``runs`` runs from ``start`` together, one vectorised step at a time.
 
-    Runs obey the mission rules above, with the plan's codes.  Run ``i``
+    Runs obey the mission rules above, with the plan's events.  Run ``i``
     belongs to chunk ``i // CHUNK``, and each step chunk ``c`` draws one
     number from ``rngs[c]`` per live run of the chunk, in run order.
     Returns each run's outcome (index into :data:`OUTCOMES`), satisfied and
@@ -132,51 +146,52 @@ def _lockstep(mdp: Mdp, plan: _Plan, start: int, runs: int,
     moved, their new states and actions, as int32 arrays.  ``keep`` changes
     no draw.
     """
-    outcome = np.full(runs, OUTCOMES.index(STEP_LIMIT), dtype=np.int64)
     satisfied = np.full(runs, -1, dtype=np.int64)
     delivered = np.full(runs, -1, dtype=np.int64)
-    # the live runs, compacted: run index (ascending), state, satisfied step
+    # the live runs, compacted: run index (ascending) and plan key
     idx = np.arange(runs)
-    s = np.full(runs, start, dtype=np.int64)
-    sat = np.full(runs, -1, dtype=np.int64)
+    q = np.full(runs, start, dtype=np.int64)
     row = plan.row.ravel()
     n = plan.row.shape[1]
     history = []
     for step in range(max_steps + 1):
-        code = plan.code[s]
-        # the runs at a dead, switch or dropoff state; the others only move on
-        odd = np.flatnonzero(code != _ALIVE)
+        event = plan.event[q]
+        # the runs that score, end or both; the others only move on
+        odd = np.flatnonzero(event)
         if odd.size:
-            c, t = code[odd], sat[odd]
-            t[(t < 0) & (c & _SWITCH > 0)] = step
-            sat[odd] = t
-            # dead runs end, and satisfied ones at a dropoff are delivered
-            end = (c == 0) | ((t >= 0) & (c & _DROPOFF > 0))
+            e = event[odd]
+            scored = odd[e & _SWITCH > 0]
+            satisfied[idx[scored]] = step
+            q[scored] += n
+            end = e >= _END
             if end.any():
-                gone = idx[odd[end]]
-                satisfied[gone] = t[end]
-                delivered[gone[c[end] > 0]] = step
-                outcome[gone[c[end] == 0]] = OUTCOMES.index(LOST)
+                ended = odd[end]
+                gone = idx[ended]
+                delivered[gone[e[end] & _DELIVER > 0]] = step
                 kept = np.ones(idx.size, dtype=bool)
-                kept[odd[end]] = False
-                idx = idx[kept]
-                s = s[kept]
-                sat = sat[kept]
+                kept[ended] = False
+                kept = np.flatnonzero(kept)
+                idx = idx.take(kept)
+                q = q.take(kept)
         if step == max_steps or not idx.size:
             break
-        r = row[np.where(sat < 0, s, s + n)]
+        r = row.take(q)
         if r.min() < 0:
             i = int(np.argmax(r < 0))
-            phase = "second" if sat[i] >= 0 else "first"
-            where = "" if mdp.states is None else f" ({mdp.states[s[i]]!r})"
-            raise RuntimeError(f"{phase}-stage strategy undefined at reached state {s[i]}{where}")
+            phase, s = divmod(int(q[i]), n)
+            where = "" if mdp.states is None else f" ({mdp.states[s]!r})"
+            raise RuntimeError(f"{('first', 'second')[phase]}-stage strategy undefined "
+                               f"at reached state {s}{where}")
         # the draws and the bisection's block-sized arrays die with the call, not a step later
-        s = plan.successors(r, _draws(rngs, idx))
+        q = plan.successors(r, _draws(rngs, idx))
         if keep:
             # int32 halves a block's history; run indices, states and actions all fit
-            history.append((idx.astype(np.int32), s.astype(np.int32),
+            history.append((idx.astype(np.int32), (q % n).astype(np.int32),
                             plan.action[r].astype(np.int32)))
-    satisfied[idx] = sat
+    # a run that ended before the step limit died or was delivered, and delivery comes after
+    # the switch, so an unsatisfied one was lost
+    outcome = np.full(runs, OUTCOMES.index(LOST), dtype=np.int64)
+    outcome[idx] = OUTCOMES.index(STEP_LIMIT)
     outcome[satisfied >= 0] = OUTCOMES.index(SUCCESS)
     return outcome, satisfied, delivered, history
 

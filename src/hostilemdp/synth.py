@@ -192,6 +192,11 @@ def _assemble(mdp, target, free, x):
     return values
 
 
+def _check_max_iter(max_iter: int) -> None:
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float = 1e-9,
                  max_iter: int = 10**6, *,
                  positive: Optional[np.ndarray] = None) -> ValueResult:
@@ -199,7 +204,8 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
 
     ``target`` and ``allowed`` are bool masks over the states.  Iterates
     x <- max(x, max_a (c_a + Q_a x)) until the sup-norm step falls
-    under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps.
+    under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps,
+    and :class:`ValueError` if ``max_iter`` is below 1.
     ``positive`` is the stage's :func:`qualitative_reach` when the caller
     has made it already.
 
@@ -214,6 +220,7 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
     """
     from scipy.sparse._sparsetools import csr_matvec  # what ``matrix @ x`` calls
 
+    _check_max_iter(max_iter)
     if positive is None:
         positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
@@ -356,6 +363,7 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
     """
     if method not in ("vi", "lp"):
         raise ValueError(f"unknown method {method!r}, expected one of ['lp', 'vi']")
+    _check_max_iter(max_iter)
     alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")

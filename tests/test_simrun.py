@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ from hostilemdp.simrun import (
     STEP_LIMIT,
     SUCCESS,
     Estimate,
+    _Plan,
     _blocks,
     _events,
     _lockstep,
@@ -363,6 +365,67 @@ class TestPrefixFrequency:
         mdp, policy = toy_chain()
         freq = prefix_frequency(mdp, policy, [0, 1, 1], runs=40_000, seed=3)
         assert freq == pytest.approx(0.1, abs=0.006)
+
+
+#: row lengths for the bisection; 129 needs 8 rounds, the last of them a step of 128
+LENGTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 129)
+
+
+def bisection_rows():
+    """One row of seeded probabilities per length in :data:`LENGTHS`; the 9-row's third is 0."""
+    rows = []
+    for length in LENGTHS:
+        w = np.random.default_rng([26, length, 1]).random(length)
+        if length == 9:
+            w[2] = 0.0
+        rows.append((w / w.sum()).tolist())
+    return rows
+
+
+def walk(row, u):
+    """The first successor whose running sum exceeds ``u``, summing left to right; the last
+    if none does."""
+    acc = 0.0
+    for j, p in enumerate(row):
+        acc += p
+        if u < acc:
+            return j
+    return len(row) - 1
+
+
+class TestBisection:
+    def test_rows_cover_the_edges(self):
+        # sum() adds left to right, as walk does; a draw above a total below 1 takes the last
+        # successor, in the 129-row and in shorter ones
+        totals = [sum(row) for row in bisection_rows()]
+        assert totals[-1] < 1.0 and any(t < 1.0 for t in totals[:-1])
+
+    @pytest.mark.parametrize("widest", LENGTHS)
+    def test_first_running_sum_above_the_draw(self, widest):
+        # the widest first: a round that steps out of its row reads another row's sums
+        rows = [row for row in bisection_rows() if len(row) <= widest][::-1]
+        # state i plays row i, whose j-th successor is state j; the rest pad the model
+        n = max(LENGTHS)
+        mdp = make_mdp({s: {"m": list(enumerate(rows[s])) if s < len(rows) else [(s, 1.0)]}
+                        for s in range(n)})
+        plan = _Plan.of(mdp, (np.arange(len(rows)),), np.ones(n, dtype=bool),
+                        np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+        assert plan.depth == (widest - 1).bit_length()
+        at, draws = [], []
+        for i, row in enumerate(rows):
+            # 0, each running sum and its neighbours; above a total that rounded below 1,
+            # only the infinite last sum exceeds the draw
+            edges = {0.0}
+            for total in itertools.accumulate(row):
+                edges |= {total, np.nextafter(total, 0.0), np.nextafter(total, 2.0)}
+            edges = sorted(u for u in edges if u < 1.0)
+            at += [i] * len(edges)
+            draws += edges
+        # rows of every length side by side, so each round probes short and long rows at once
+        order = np.random.default_rng(widest).permutation(len(at))
+        at, draws = np.array(at)[order], np.array(draws)[order]
+        got = plan.successors(plan.row[0, at], draws)
+        assert got.tolist() == [walk(rows[i], u) for i, u in zip(at.tolist(), draws.tolist())]
 
 
 def joined(parts):

@@ -188,6 +188,16 @@ class TestValueIteration:
             assert err.value.residual.hex() == step.hex() and step > 0.0
             assert bits(err.value.values) == bits(values)
 
+    def test_needs_a_sweep(self):
+        mdp, _ = toy_chain()
+        target = mdp.label("goal")
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match=f"^max_iter must be at least 1, got {budget}$"):
+                max_reach_vi(mdp, target, everything(mdp), max_iter=budget)
+            # refused before the mission's labels are looked at: toy_chain has none
+            with pytest.raises(ValueError, match=f"^max_iter must be at least 1, got {budget}$"):
+                synthesize_mission(mdp, max_iter=budget)
+
     def test_all_target_needs_no_sweeps(self):
         mdp, _ = toy_chain()
         res = max_reach_vi(mdp, everything(mdp), everything(mdp))
