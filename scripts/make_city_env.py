@@ -9,8 +9,9 @@ obstacle densities are shared; only the adversary windows differ.
 
 Obstacle densities and the density-to-loss curve are calibration choices,
 picked so that the two placements give clearly separated mission values
-(case B comfortably above case A).  Run scripts/run_case_study.py after
-touching anything here to confirm the separation still holds.
+(case B comfortably above case A).  After touching anything here, run
+acceptance criterion 7 (``pytest tests/test_acceptance.py -k criterion_7``)
+to confirm the separation still holds.
 """
 
 from __future__ import annotations

@@ -120,11 +120,16 @@ class Environment:
 
     def neighbors(self, region_id: str) -> tuple[str, ...]:
         """Adjacent regions, in declaration order."""
-        adjacent = set()
+        return self.adjacency()[region_id]
+
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Every region's adjacent regions, in declaration order, from one pass over the facets."""
+        adjacent: dict[str, set[str]] = {rid: set() for rid in self.regions}
         for facet in self.facets.values():
-            if region_id in facet.regions:
-                adjacent.update(r for r in facet.regions if r != region_id)
-        return tuple(r for r in self.regions if r in adjacent)
+            for rid in facet.regions:
+                adjacent[rid].update(facet.regions)
+        return {rid: tuple(r for r in self.regions if r in adjacent[rid] and r != rid)
+                for rid in self.regions}
 
     def successor_region(self, facet_id: str, region_id: str) -> str:
         """Region entered when a crossing of ``region_id`` ends at ``facet_id``.
@@ -317,7 +322,13 @@ def _parse_region(obj: dict) -> Region:
     )
 
 
-def _parse_lost(obj, region: Region, where: str) -> dict[tuple[int, int], float]:
+def _parse_lost(obj, region: Region, where: str,
+                tables: dict[tuple, dict[tuple[int, int], float]]) -> dict[tuple[int, int], float]:
+    """The loss table of one primitive.
+
+    A table built from marginals is kept in ``tables`` under the region's
+    window and the parsed marginals, and primitives with the same ones share it.
+    """
     _check_keys(obj, {"marginal_n", "marginal_o", "table"}, set(), where)
     if "table" in obj:
         if "marginal_n" in obj or "marginal_o" in obj:
@@ -327,25 +338,34 @@ def _parse_lost(obj, region: Region, where: str) -> dict[tuple[int, int], float]
             for o_key, value in _object(row, f"{where} table[{n_key}]").items():
                 key = (_int(n_key, f"{where} table key"), _int(o_key, f"{where} table key"))
                 table[key] = _number(value, f"{where} table[{n_key}][{o_key}]")
-    else:
-        if "marginal_n" not in obj or "marginal_o" not in obj:
-            raise EnvironmentFormatError(f"{where}: both marginals are required")
+        return _checked_lost(table, region, where)
+    if "marginal_n" not in obj or "marginal_o" not in obj:
+        raise EnvironmentFormatError(f"{where}: both marginals are required")
 
-        def marginal(spec, label):
-            if spec == "quadratic":
-                return adversary_loss_marginal
-            if isinstance(spec, dict):
-                return {_int(k, f"{where} {label} key"): _number(v, f"{where} {label}[{k}]")
-                        for k, v in spec.items()}
-            raise EnvironmentFormatError(f"{where}: bad {label} spec {spec!r}")
+    def marginal(spec, label):
+        if spec == "quadratic":
+            return spec, adversary_loss_marginal
+        if isinstance(spec, dict):
+            parsed = {_int(k, f"{where} {label} key"): _number(v, f"{where} {label}[{k}]")
+                      for k, v in spec.items()}
+            return tuple(sorted(parsed.items())), parsed
+        raise EnvironmentFormatError(f"{where}: bad {label} spec {spec!r}")
 
+    (n_spec, marginal_n), (o_spec, marginal_o) = (
+        marginal(obj["marginal_n"], "marginal_n"), marginal(obj["marginal_o"], "marginal_o"))
+    spec = (region.min_adversaries, region.max_adversaries, region.max_obstacle_level,
+            n_spec, o_spec)
+    if spec not in tables:
         try:
-            table = build_lost_table(
-                region, marginal(obj["marginal_n"], "marginal_n"),
-                marginal(obj["marginal_o"], "marginal_o"),
-            )
+            table = build_lost_table(region, marginal_n, marginal_o)
         except KeyError as exc:
             raise EnvironmentFormatError(f"{where}: marginal missing value at {exc}") from exc
+        tables[spec] = _checked_lost(table, region, where)
+    return tables[spec]
+
+
+def _checked_lost(table: dict[tuple[int, int], float], region: Region,
+                  where: str) -> dict[tuple[int, int], float]:
     for (n, o), p in table.items():
         if not 0.0 <= p <= 1.0:
             raise EnvironmentFormatError(f"{where}: loss probability {p} at ({n}, {o})")
@@ -410,6 +430,7 @@ def _parse_document(data: dict, name: str) -> Environment:
             )
 
     prims = []
+    tables: dict[tuple, dict[tuple[int, int], float]] = {}
     for obj in _list(data["primitives"], "primitives"):
         _object(obj, "primitive")
         where = f"primitive {obj.get('from', '?')}->{obj.get('to', '?')}"
@@ -433,7 +454,7 @@ def _parse_document(data: dict, name: str) -> Environment:
         rate = _number(obj["rate"], f"{where} rate")
         if rate <= 0:
             raise EnvironmentFormatError(f"{where}: rate must be positive, got {rate}")
-        lost = _parse_lost(obj["lost"], regions[rid], f"{where} lost")
+        lost = _parse_lost(obj["lost"], regions[rid], f"{where} lost", tables)
         outcomes = None
         if "outcomes" in obj:
             pairs = []
@@ -495,10 +516,12 @@ def _check_race_totals(env: Environment):
     The MDP build divides every event rate by the race total: the crossing
     rate plus the leaving rate plus the entering rate of the expected influx.
     """
+    incoming = {rid: sum(env.regions[r].max_adversaries for r in adjacent)
+                for rid, adjacent in env.adjacency().items()}
     for prim in env.primitives:
         region = env.regions[prim.region]
-        incoming = sum(env.regions[r].max_adversaries for r in env.neighbors(prim.region))
-        bound = prim.rate + region.mu_leave * region.max_adversaries + region.mu_enter * incoming
+        bound = (prim.rate + region.mu_leave * region.max_adversaries
+                 + region.mu_enter * incoming[prim.region])
         if not math.isfinite(bound):
             raise EnvironmentFormatError(
                 f"primitive {prim.from_facet}->{prim.to_facet}: rate {prim.rate!r} with region "
@@ -507,12 +530,15 @@ def _check_race_totals(env: Environment):
 
 
 def _facet_reachable_regions(env: Environment) -> set[str]:
+    leaving: dict[tuple[str, str], list[MotionPrimitive]] = {}
+    for prim in env.primitives:
+        leaving.setdefault((prim.from_facet, prim.region), []).append(prim)
     seen_states = {(env.init_facet, env.init_region)}
     seen_regions = {env.init_region}
     stack = [(env.init_facet, env.init_region)]
     while stack:
         facet, region = stack.pop()
-        for prim in env.primitives_from(facet, region):
+        for prim in leaving.get((facet, region), ()):
             for exit_facet, _ in prim.exit_facets():
                 succ = (exit_facet, env.successor_region(exit_facet, region))
                 seen_regions.add(succ[1])
@@ -523,11 +549,13 @@ def _facet_reachable_regions(env: Environment) -> set[str]:
 
 
 def load_environment(path: str | Path) -> Environment:
-    """Load, parse and validate an environment JSON file."""
+    """Load, parse and validate an environment JSON file, read as UTF-8."""
     path = Path(path)
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise EnvironmentFormatError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise EnvironmentFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     return parse_environment(data, name=path.stem)

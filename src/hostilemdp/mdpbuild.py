@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .belief import ENTERED, LEFT, BeliefSet, enumerate_reachable, expectation
+from .belief import ENTERED, LEFT, AdversaryBelief, BeliefSet, enumerate_reachable, expectation
 from .envmodel import DROPOFF, MAX_ADVERSARIES, PICKUP, Environment
 
 STAY = "stay"
@@ -290,16 +290,24 @@ class MdpBuilder:
 
     def __init__(self, env: Environment):
         self.env = env
-        self.belief_sets: dict[str, BeliefSet] = {
-            rid: enumerate_reachable(region.initial_belief)
-            for rid, region in env.regions.items()
-        }
-        self.neighbors = {rid: env.neighbors(rid) for rid in env.regions}
+        regions = list(env.regions.values())
+        # regions that start from one belief share its closure, its updates and its expectations
+        closures: dict[AdversaryBelief, tuple[BeliefSet, np.ndarray, np.ndarray, np.ndarray]] = {}
+        for region in regions:
+            if region.initial_belief not in closures:
+                bset = enumerate_reachable(region.initial_belief)
+                closures[region.initial_belief] = (
+                    bset,
+                    _int_array(e.get(LEFT, -1) for e in bset.edges),
+                    _int_array(e.get(ENTERED, -1) for e in bset.edges),
+                    _float_array(float(expectation(b)) for b in bset.members))
+        bsets, left, entered, expect = zip(*(closures[r.initial_belief] for r in regions))
+        self.belief_sets: dict[str, BeliefSet] = dict(zip(env.regions, bsets))
+        self.neighbors = env.adjacency()
         region_ids, facet_ids = list(env.regions), list(env.facets)
         self.region_ids, self.facet_ids = region_ids, facet_ids
         region_of = {rid: r for r, rid in enumerate(region_ids)}
         facet_of = {fid: f for f, fid in enumerate(facet_ids)}
-        regions = list(env.regions.values())
         self.floor = _int_array(r.min_adversaries for r in regions)
         self.ceil = _int_array(r.max_adversaries for r in regions)
         self.levels = _int_array(r.max_obstacle_level + 1 for r in regions)
@@ -313,16 +321,21 @@ class MdpBuilder:
         for r, row in enumerate(lanes):
             self.lane_region[r, :len(row)] = row
 
-        bsets = list(self.belief_sets.values())
-        members = [b for bset in bsets for b in bset.members]
         self.first = _pointer(map(len, bsets))[:-1]
-        self.left = _int_array(e.get(LEFT, -1) for bset in bsets for e in bset.edges)
-        self.entered = _int_array(e.get(ENTERED, -1) for bset in bsets for e in bset.edges)
-        self.expect = _float_array(float(expectation(b)) for b in members)
-        # a fresh observation drawn from a belief about region r: each count, then each level
-        draws = [[(float(pn), float(po), n * (region.max_obstacle_level + 1) + o)
-                  for n, pn in b.items() for o, po in region.obstacle_items()]
-                 for region, bset in zip(regions, bsets) for b in bset.members]
+        self.left, self.entered, self.expect = map(np.concatenate, (left, entered, expect))
+        # a fresh observation drawn from a belief about region r: each count, then each
+        # level; regions with one closure and one obstacle pmf share the list
+        observed: dict[tuple, list[list[tuple[float, float, int]]]] = {}
+        draws = []
+        for region, bset in zip(regions, bsets):
+            obstacles = tuple(region.obstacle_items())
+            spec = (region.initial_belief, region.max_obstacle_level, obstacles)
+            if spec not in observed:
+                levels = region.max_obstacle_level + 1
+                observed[spec] = [[(float(pn), float(po), n * levels + o)
+                                   for n, pn in b.items() for o, po in obstacles]
+                                  for b in bset.members]
+            draws += observed[spec]
         self.draw_ptr = _pointer(map(len, draws))
         self.draw_count_p = _float_array(pn for group in draws for pn, _, _ in group)
         self.draw_level_p = _float_array(po for group in draws for _, po, _ in group)
@@ -352,27 +365,44 @@ class MdpBuilder:
         self.exit_lane = _int_array(
             -1 if land == rid else self.neighbors[rid].index(land) for _, _, land, rid in flat)
         self.repeated_exits = any(len({e for e, *_ in group}) < len(group) for group in exits)
-        tables = []
+        # an exit on the outer boundary moves its state from the primitive's pair to the exit's
+        self.pair_step = _int_array(
+            self.pair[facet_of[e], region_of[p.region]]
+            - self.pair[facet_of[p.from_facet], region_of[p.region]]
+            for p, group in zip(prims, exits) for e, *_ in group)
+        # primitives that share one loss table over one window share its fill
+        filled: dict[tuple[int, int, int, int], int] = {}
+        tables, lost_first, size = [], [], 0
         for p in prims:
             region = env.regions[p.region]
-            table = np.zeros((region.max_adversaries + 1, region.max_obstacle_level + 1))
-            for n in range(region.min_adversaries, region.max_adversaries + 1):
-                for o in range(region.max_obstacle_level + 1):
-                    table[n, o] = p.lost[(n, o)]
-            tables.append(table.ravel())
-        self.lost_first = _pointer(map(len, tables))[:-1]
+            lo, hi = region.min_adversaries, region.max_adversaries
+            levels = region.max_obstacle_level + 1
+            spec = (id(p.lost), lo, hi, levels)
+            if spec not in filled:
+                table = np.zeros((hi + 1, levels))
+                for n in range(lo, hi + 1):
+                    for o in range(levels):
+                        table[n, o] = p.lost[(n, o)]
+                tables.append(table.ravel())
+                filled[spec], size = size, size + table.size
+            lost_first.append(filled[spec])
+        self.lost_first = _int_array(lost_first)
         self.lost = np.concatenate(tables) if tables else np.zeros(0)
 
         # a state's key packs these fields, mixed radix, into as few int64 words as fit
         radices = [len(self.pairs), int(self.ceil.max()) + 1, int(self.levels.max()), 2]
         radices += [max(map(len, bsets))] * self.width
         self.words: list[list[tuple[int, int, int]]] = [[]]
+        # field f adds its value times scale_of[f] to word word_of[f] of a key
+        self.word_of = np.zeros(len(radices), dtype=np.int64)
+        self.scale_of = np.zeros(len(radices), dtype=np.int64)
         scale = 1
         for field_idx, radix in enumerate(radices):
             if scale * radix > 2**62 and self.words[-1]:
                 self.words.append([])
                 scale = 1
             self.words[-1].append((field_idx, scale, radix))
+            self.word_of[field_idx], self.scale_of[field_idx] = len(self.words) - 1, scale
             scale *= radix
         self.init = (facet_of[env.init_facet], region_of[env.init_region])
 
@@ -419,8 +449,8 @@ class MdpBuilder:
         choice_ptr, succ, prob = array("q", [0]), array("q"), array("d")
 
         while pending.size:
-            frontier = self.decode(pending[:BATCH])
-            pending = pending[BATCH:]
+            keys, pending = pending[:BATCH], pending[BATCH:]
+            frontier = self.decode(keys)
             pair = self.pair[frontier.facet, frontier.region]
             n_prims = self.prim_ptr[pair + 1] - self.prim_ptr[pair]
             acting = frontier.alive & (n_prims > 0)
@@ -433,8 +463,8 @@ class MdpBuilder:
             prim = self.prim_action[ranges(self.prim_ptr[leaving], self.prim_ptr[leaving + 1])]
             action[choice] = prim
 
-            length, p, key = self.entries(frontier.take(np.flatnonzero(acting)),
-                                          n_prims[acting], prim)
+            act = np.flatnonzero(acting)
+            length, p, key = self.entries(keys[act], frontier.take(act), n_prims[acting], prim)
             keep = p > 0.0
             entry_choice = np.repeat(choice, length)[keep]
             p, key = p[keep], key[keep]
@@ -519,20 +549,23 @@ class MdpBuilder:
         return _Columns(self.pair_facet[pair], self.pair_region[pair], fields[1], fields[2],
                         fields[3].astype(bool), beliefs)
 
-    def entries(self, s: _Columns, n_prims: np.ndarray, prim: np.ndarray):
+    def entries(self, keys: np.ndarray, s: _Columns, n_prims: np.ndarray, prim: np.ndarray):
         """Every entry of the rows of the acting states ``s``, in the order :meth:`build` puts them.
 
-        Row ``r`` plays primitive ``prim[r]``, and state ``s[k]`` owns the
-        next ``n_prims[k]`` rows.  What a state's rows share is found once per
-        state: its belief updates, the race's leaving and entering rates, and
-        its moved successors (entering adversaries lane by lane, then leaving
-        ones) with their keys and rate numerators.  Per row only the race
-        total, the crossing and loss probabilities and the divisions by the
-        total remain, with the float operations of the one-state oracle in its
-        order.  Lost and landed keys come from the per-exit tables.  Each
-        entry is written straight to its place: the row's start, plus its exit
-        block's offset, plus its place in the block.  Returns each row's
-        length, and each entry's probability and successor key.
+        ``keys`` are the states' keys.  Row ``r`` plays primitive ``prim[r]``,
+        and state ``s[k]`` owns the next ``n_prims[k]`` rows.  What a state's
+        rows share is found once per state: its belief updates, the race's
+        leaving and entering rates, and its moved successors (entering
+        adversaries lane by lane, then leaving ones) with their keys and rate
+        numerators.  Per row only the race total, the crossing and loss
+        probabilities and the divisions by the total remain, with the float
+        operations of the one-state oracle in its order.  A moved or
+        outer-boundary successor's key is its state's key with field deltas
+        added to its words (the count and one lane, or the pair); lost and
+        landed keys come from the per-exit tables.  Each entry is written
+        straight to its place: the row's start, plus its exit block's offset,
+        plus its place in the block.  Returns each row's length, and each
+        entry's probability and successor key.
         """
         region, count = s.region, s.count
         lanes = self.lane_region[region]
@@ -554,8 +587,15 @@ class MdpBuilder:
             ((left >= 0) & can_enter[:, None], (entered >= 0) & can_leave[:, None]), axis=1))
         out = col >= self.width
         via = col - self.width * out
-        moved_key = self.key(_moved(s, st, via, np.concatenate((left, entered), axis=1)[st, col],
-                                    np.where(out, -1, 1)))
+        child = np.concatenate((left, entered), axis=1)[st, col]
+        # its key: the state's key words, count field one up or down, lane field at the child
+        words = keys.view(np.int64).reshape(len(keys), len(self.words))
+        moved = words[st]
+        moved[:, self.word_of[1]] += np.where(out, -self.scale_of[1], self.scale_of[1])
+        lane = 4 + via
+        moved[np.arange(len(st)), self.word_of[lane]] += (
+            (child - s.beliefs[st, via]) * self.scale_of[lane])
+        moved_key = moved.view(keys.dtype).ravel()
         numerator = np.where(out, self.mu_leave[region[st]] * count[st],
                              self.mu_enter[region[st]] * self.expect[belief[st, via]])
         # a leaving share divides by total * receivers, an entering one by total * 1, exactly
@@ -595,10 +635,12 @@ class MdpBuilder:
 
         prob[at + outer] = share * lost
         key[at + outer] = self.lost_key[x]
-        # outer boundary: no region is entered, only the facet changes
+        # outer boundary: no region is entered, only the facet changes, so only the pair field
         o = np.flatnonzero(outer)
         prob[at[o]] = share[o] * (1.0 - lost[o])
-        key[at[o]] = self.key(s.take(owner[row[o]])._replace(facet=self.exit_facet[x[o]]))
+        stepped = words[owner[row[o]]]
+        stepped[:, self.word_of[0]] += self.pair_step[x[o]] * self.scale_of[0]
+        key[at[o]] = stepped.view(keys.dtype).ravel()
         # crossing into a neighbour: a fresh observation from the tracked belief
         e = np.repeat(inner, hi - lo)
         j = ranges(lo, hi)
@@ -631,16 +673,32 @@ class MdpBuilder:
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(values, return_index=True, return_inverse=True)``, without a stable sort."""
-    perm = np.argsort(values)
-    ordered = values[perm]
-    starts = np.ones(len(values), dtype=bool)
+    """``np.unique(values, return_index=True, return_inverse=True)``, without a stable sort.
+
+    Int64 values in ``[0, 2**(63 - P))``, where P is the bit length of their
+    count, are sorted once with each position packed into their low P bits,
+    so equal values come out in position order.  Other values (multi-word
+    keys, or larger ones) are ordered by an argsort.
+    """
+    n = len(values)
+    shift = n.bit_length()
+    packed = (values.dtype == np.int64 and n > 0 and values.min() >= 0
+              and values.max() < 1 << (63 - shift))
+    if packed:
+        ordered = np.sort(values << shift | np.arange(n))
+        perm = ordered & ((1 << shift) - 1)
+        ordered >>= shift
+    else:
+        perm = np.argsort(values)
+        ordered = values[perm]
+    starts = np.ones(n, dtype=bool)
     starts[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(values), dtype=np.int64)
+    inverse = np.empty(n, dtype=np.int64)
     inverse[perm] = np.cumsum(starts) - 1
     starts = np.flatnonzero(starts)
-    # equal values may come out of the sort in any order, so a run's first position is its least
-    return ordered[starts], np.minimum.reduceat(perm, starts), inverse
+    # an argsort may put equal values in any order, so there a run's first position is its least
+    first = perm[starts] if packed else np.minimum.reduceat(perm, starts)
+    return ordered[starts], first, inverse
 
 
 def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -655,14 +713,6 @@ def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _append(buffer: array, values: np.ndarray):
     """Append ``values`` to an ``array('q')`` or ``array('d')`` buffer."""
     buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).data.cast("B"))
-
-
-def _moved(s: _Columns, p: np.ndarray, lane: np.ndarray, child: np.ndarray,
-           step: np.ndarray) -> _Columns:
-    """States ``s[p]`` with ``step`` more adversaries and lane ``lane`` at belief ``child``."""
-    moved = s.take(p)
-    moved.beliefs[np.arange(len(p)), lane] = child
-    return moved._replace(count=moved.count + step)
 
 
 class _Numbering:

@@ -105,6 +105,15 @@ class TestBadInputs:
         assert main(["build", "--env", corridor_with(tmp_path, change)]) == 1
         assert words in single_error(capsys)
 
+    @pytest.mark.parametrize("command", ["validate-env", "build", "synthesize"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b'{"name": "caf\xe9"}'],
+                             ids=["utf-16 mark", "latin-1"])
+    def test_non_utf8_environment_is_refused(self, tmp_path, capsys, command, content):
+        env = tmp_path / "bad.json"
+        env.write_bytes(content)
+        assert main([command, "--env", str(env)]) == 1
+        assert "not UTF-8 text" in single_error(capsys)
+
     def test_malformed_dump_exits_one(self, tmp_path, capsys):
         dump = tmp_path / "empty.json"
         dump.write_text("{}")

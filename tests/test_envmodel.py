@@ -4,6 +4,7 @@ import copy
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bundled_doc, random_environment
+from hostilemdp import envmodel
 from hostilemdp.envmodel import (
     EnvironmentFormatError,
     adversary_loss_marginal,
@@ -292,3 +294,74 @@ class TestScaleRates:
         assert doubled.facets == env.facets
         assert doubled.init_facet == env.init_facet
         assert {r.id for r in doubled.regions.values()} == {"a", "b"}
+
+
+def marginal_doc(marginal_o) -> dict:
+    """small_doc with a third primitive, back across region b, using ``marginal_o``."""
+    doc = small_doc()
+    doc["primitives"].insert(1, {"from": "f2", "to": "f1", "region": "b", "rate": 0.5,
+                                 "lost": {"marginal_n": "quadratic", "marginal_o": marginal_o}})
+    return doc
+
+
+class TestSharedLossTables:
+    """A loss table built from marginals is shared by the primitives of one parse that
+    have the same region window and parsed marginals, and by no others."""
+
+    def test_one_table_per_window_and_marginals(self):
+        # the same marginal written in another key order parses to the same one
+        env = parse_environment(marginal_doc({"1": 0.4, "0": 0.1}))
+        a, back, b = env.primitives
+        assert back.lost is b.lost
+        assert a.lost is not b.lost
+
+    def test_one_marginal_over_two_windows_gives_two_tables(self):
+        doc = small_doc()
+        for prim in doc["primitives"]:
+            prim["lost"]["marginal_o"] = {"0": 0.5, "1": 0.5}
+        a, b = parse_environment(doc).primitives
+        assert set(a.lost) == {(0, 0), (1, 0)}
+        assert set(b.lost) == {(n, o) for n in range(3) for o in range(2)}
+
+    def test_tables_are_not_shared_between_calls(self):
+        first, second = (parse_environment(small_doc()).primitives[1] for _ in range(2))
+        assert first.lost == second.lost
+        assert first.lost is not second.lost
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: doc["regions"][1]["adversaries"].update(max=3),
+        lambda doc: doc["primitives"][1]["lost"]["marginal_o"].update({"0": 0.2}),
+    ], ids=["window", "marginal"])
+    def test_documents_differing_in_one_spec_get_their_own_tables(self, change):
+        doc = small_doc()
+        change(doc)
+        parse_environment(small_doc())
+        env = parse_environment(doc)
+        region, prim = env.regions["b"], env.primitives[1]
+        marginal_o = {int(k): v for k, v in doc["primitives"][1]["lost"]["marginal_o"].items()}
+        assert prim.lost == build_lost_table(region, adversary_loss_marginal, marginal_o)
+
+    @pytest.mark.parametrize("bad, words", [
+        ({"0": 0.1}, "marginal missing value at 1"),
+        ({"0": 0.1, "1": "x"}, "cannot parse number 'x'"),
+    ])
+    def test_a_bad_shared_marginal_names_its_first_primitive(self, bad, words):
+        doc = marginal_doc(bad)
+        doc["primitives"][2]["lost"]["marginal_o"] = dict(bad)
+        with pytest.raises(EnvironmentFormatError) as err:
+            parse_environment(doc)
+        assert str(err.value).startswith("primitive f2->f1 lost")
+        assert words in str(err.value)
+
+    def test_case_a_builds_one_table_per_distinct_spec(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_lost_table(*args)
+
+        monkeypatch.setattr(envmodel, "build_lost_table", counted)
+        env = load_environment(Path(envmodel.__file__).parent / "data" / "city_caseA.json")
+        assert len(env.primitives) == 60
+        assert len(calls) == 7
+        assert len({id(p.lost) for p in env.primitives}) == 7

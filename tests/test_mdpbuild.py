@@ -27,7 +27,7 @@ from conftest import (
     state_rows,
     transitions,
 )
-from hostilemdp.belief import ENTERED, LEFT
+from hostilemdp.belief import ENTERED, LEFT, enumerate_reachable
 from hostilemdp import mdpbuild
 from hostilemdp.envmodel import DROPOFF, PICKUP, parse_environment
 from hostilemdp.mdpbuild import (
@@ -581,6 +581,83 @@ class TestBatchedBuild:
             for name in COLUMNS:
                 digest.update(getattr(mdp.states, name).tobytes())
         assert digest.hexdigest() == BATCHED_DIGEST
+
+
+def first_appearance(initial, rounds):
+    """Reference numbering: each key's number, and the positions of the keys seen first."""
+    ids = {}
+    for key in initial.tolist():
+        ids.setdefault(key, len(ids))
+    for keys in rounds:
+        numbers, fresh = [], []
+        for pos, key in enumerate(keys.tolist()):
+            if key not in ids:
+                ids[key] = len(ids)
+                fresh.append(pos)
+            numbers.append(ids[key])
+        yield numbers, fresh
+
+
+def drawn_keys(kind, rng, n):
+    """``n`` keys with repeats: small one-word keys, one-word keys around the packing
+    limit of a round of ``n`` (``2**(63 - P)``, P the bit length of ``n``), or two-word keys."""
+    if kind == "packed":
+        return rng.integers(0, 50, n)
+    if kind == "past the limit":
+        return (1 << (63 - max(n, 1).bit_length())) + rng.integers(-3, 3, n)
+    return np.ascontiguousarray(rng.integers(0, 4, (n, 2))).view(np.dtype((np.void, 16))).ravel()
+
+
+KEY_KINDS = ["packed", "past the limit", "void"]
+
+
+class TestNumbering:
+    @pytest.mark.parametrize("kind", KEY_KINDS)
+    def test_numbers_in_order_of_first_appearance(self, kind):
+        rng = np.random.default_rng(5)
+        initial = drawn_keys(kind, rng, 1)
+        rounds = [drawn_keys(kind, rng, n) for n in (1, 5, 40, 0, 300, 77, 1000)]
+        numbering = mdpbuild._Numbering(initial)
+        for keys, (numbers, fresh) in zip(rounds, first_appearance(initial, rounds)):
+            ids, first = numbering(keys)
+            assert ids.tolist() == numbers
+            assert first.tolist() == fresh
+
+    @pytest.mark.parametrize("kind", KEY_KINDS + ["negative"])
+    def test_distinct_is_unique_with_index_and_inverse(self, kind):
+        rng = np.random.default_rng(6)
+        for n in (0, 1, 2, 63, 64, 500):
+            keys = -drawn_keys("packed", rng, n) if kind == "negative" else drawn_keys(kind, rng, n)
+            want = np.unique(keys, return_index=True, return_inverse=True)
+            for got, expected in zip(mdpbuild._distinct(keys), want):
+                assert np.array_equal(got, expected.ravel())
+
+
+class TestSharedTables:
+    def test_case_a_enumerates_one_closure_per_initial_belief(self, monkeypatch, case_envs):
+        beliefs = []
+
+        def counted(belief):
+            beliefs.append(belief)
+            return enumerate_reachable(belief)
+
+        monkeypatch.setattr(mdpbuild, "enumerate_reachable", counted)
+        env = case_envs["A"]
+        builder = MdpBuilder(env)
+        assert len(env.regions) == 13 and len(beliefs) == len(set(beliefs)) == 4
+        closures = {id(bset): bset for bset in builder.belief_sets.values()}
+        assert sorted(map(len, closures.values())) == [1, 3, 6, 6]
+        for rid, region in env.regions.items():
+            assert builder.belief_sets[rid].members[0] == region.initial_belief
+
+    def test_case_a_fills_one_loss_table_per_distinct_spec(self, case_envs):
+        env = case_envs["A"]
+        builder = MdpBuilder(env)
+        assert len(set(builder.lost_first.tolist())) == 7
+        for j, prim in enumerate(env.primitives):
+            levels = env.regions[prim.region].max_obstacle_level + 1
+            for (n, o), p in prim.lost.items():
+                assert builder.lost[builder.lost_first[j] + n * levels + o] == p
 
 
 def with_row(mdp, c, row):
