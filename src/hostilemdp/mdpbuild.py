@@ -198,10 +198,10 @@ class Mdp:
         """
         # converting to CSC groups the transitions by successor in one counting sort
         by_succ = self.matrix.tocsc()
-        ptr, choice = by_succ.indptr.astype(np.int64), by_succ.indices
+        ptr, choice = by_succ.indptr, by_succ.indices
         positive = by_succ.data > 0.0
         if not positive.all():
-            ptr = np.concatenate(([0], np.cumsum(positive)))[ptr]
+            ptr = np.concatenate(([0], np.cumsum(positive)), dtype=ptr.dtype)[ptr]
             choice = choice[positive]
         return Predecessors(ptr, self.owner[choice], choice)
 
@@ -210,7 +210,8 @@ class Predecessors(NamedTuple):
     """The positive-probability transitions of a model, grouped by successor.
 
     The transitions into state ``t`` are ``ptr[t]:ptr[t + 1]``; ``src`` and
-    ``choice`` give the state and the choice each one leaves from.
+    ``choice`` give the state and the choice each one leaves from.  ``ptr``
+    and ``choice`` are in the index type of :attr:`Mdp.matrix`.
     """
 
     ptr: np.ndarray
@@ -790,7 +791,6 @@ def validate_mdp(mdp: Mdp) -> list[Violation]:
 
     owner = mdp.owner
     action = mdp.choice_action
-    trans = mdp.transition_choice()
     width = np.diff(mdp.choice_ptr)
 
     def flag(states, kind, details, actions=None):
@@ -810,9 +810,11 @@ def validate_mdp(mdp: Mdp) -> list[Violation]:
     hollow = np.flatnonzero(width == 0)
     at_choices(hollow, "empty-row", ["no successors"] * len(hollow))
     outside = np.flatnonzero((mdp.succ < 0) | (mdp.succ >= n))
-    at_choices(trans[outside], "succ-range", [f"successor {mdp.succ[k]}" for k in outside])
     off = np.flatnonzero(~((mdp.prob >= 0.0) & (mdp.prob <= 1.0 + ROW_TOL)))
-    at_choices(trans[off], "prob-range", [repr(p) for p in mdp.prob[off].tolist()])
+    if len(outside) or len(off):  # only these messages need each entry's choice
+        trans = mdp.transition_choice()
+        at_choices(trans[outside], "succ-range", [f"successor {mdp.succ[k]}" for k in outside])
+        at_choices(trans[off], "prob-range", [repr(p) for p in mdp.prob[off].tolist()])
     filled = width > 0
     totals = np.zeros(len(width))
     if filled.any():
@@ -857,8 +859,9 @@ _DUMP_FORMAT = "hostile-mdp-csr-3"
 
 def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
     """Variable-length integer groups as (pointer, values)."""
-    ptr = _pointer(map(len, groups))
-    return ptr, np.fromiter((x for g in groups for x in g), dtype=np.int64, count=int(ptr[-1]))
+    # the empty first group keeps the values int64 when there are no groups
+    return _pointer(map(len, groups)), np.concatenate(
+        [np.zeros(0, dtype=np.int64), *(np.asarray(g, dtype=np.int64) for g in groups)])
 
 
 def _states_from(doc, init: int) -> StateTable | None:

@@ -25,7 +25,7 @@ from typing import BinaryIO, Iterator, Optional, Sequence
 import numpy as np
 
 from .envmodel import DROPOFF
-from .mdpbuild import Mdp, _tokens, _write_lines, ranges
+from .mdpbuild import Mdp, _tokens, _write_lines
 from .synth import MissionStrategy
 
 SUCCESS = "success"
@@ -76,16 +76,19 @@ class _Plan:
 
     @classmethod
     def of(cls, mdp: Mdp, policies: Sequence[np.ndarray], alive, switch, dropoff):
+        from scipy.sparse._sparsetools import csr_row_index  # what ``matrix[rows]`` calls
+
         choice = np.concatenate(policies)
         row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
         which = np.repeat(np.arange(len(policies)), [len(policy) for policy in policies])
         row[which, mdp.owner[choice]] = np.arange(len(choice))
-        lo, hi = mdp.choice_ptr[choice], mdp.choice_ptr[choice + 1]
-        length = hi - lo
+        length = mdp.choice_ptr[choice + 1] - mdp.choice_ptr[choice]
         ptr = np.concatenate(([0], np.cumsum(length)))
-        taken = ranges(lo, hi)
+        # the rows' successors and probabilities, gathered in one pass
+        succ = np.empty(ptr[-1], dtype=np.result_type(choice, mdp.choice_ptr, mdp.succ))
+        cum = np.empty(ptr[-1])
+        csr_row_index(len(choice), choice, mdp.choice_ptr, mdp.succ, mdp.prob, succ, cum)
         # running sums row by row, left to right, as a scalar walk adds them
-        cum = mdp.prob[taken]
         widest = int(length.max(initial=1))
         for j in range(1, widest):
             at = ptr[:-1][length > j] + j
@@ -97,7 +100,7 @@ class _Plan:
         phases = (dead | np.where(alive & switch, _SWITCH | deliver, 0), dead | deliver)
         event = np.concatenate(phases[:len(policies)]).astype(np.int8)
         return cls(row, mdp.choice_action[choice], ptr,
-                   mdp.succ[taken] + mdp.n_states * np.repeat(which, length), cum,
+                   succ + mdp.n_states * np.repeat(which, length), cum,
                    (widest - 1).bit_length(), event)
 
     def successors(self, r: np.ndarray, u: np.ndarray) -> np.ndarray:

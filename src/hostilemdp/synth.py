@@ -54,21 +54,30 @@ def _backward_levels(preds: Predecessors, keep: np.ndarray, seeds: np.ndarray) -
     """Breadth-first distance from each state to ``seeds`` along the kept transitions.
 
     ``keep`` masks the transitions of ``preds``.  Seeds sit at level 0;
-    states that cannot reach them get -1.
+    states that cannot reach them get -1.  Each piece of a level's incoming
+    transitions is gathered by scipy's ``csr_row_index``, over ``ptr`` and
+    ``src`` with ``keep`` as the data, in the index type of both so that
+    nothing is cast.
     """
+    from scipy.sparse._sparsetools import csr_row_index  # what ``matrix[rows]`` calls
+
     n = len(preds.ptr) - 1
+    index = np.result_type(preds.ptr, preds.src)
     level = np.full(n, -1, dtype=np.int64)
     level[seeds] = 0
     found = np.zeros(n, dtype=bool)
     frontier, depth = seeds, 0
     while frontier.size:
         depth += 1
+        frontier = frontier.astype(index, copy=False)
         # the transitions into the level, in pieces of about ``CHUNK`` * 8
         total = np.cumsum(preds.ptr[frontier + 1] - preds.ptr[frontier])
         cuts = np.searchsorted(total, np.arange(CHUNK * 8, total[-1], CHUNK * 8))
-        for part in np.split(frontier, cuts):
-            into = ranges(preds.ptr[part], preds.ptr[part + 1])
-            found[preds.src[into[keep[into]]]] = True
+        ends = np.append(0, total)[np.append(cuts, len(frontier))]
+        for part, size in zip(np.split(frontier, cuts), np.diff(ends, prepend=0)):
+            src, kept = np.empty(size, dtype=index), np.empty(size, dtype=bool)
+            csr_row_index(len(part), part, preds.ptr, preds.src, keep, src, kept)
+            found[src[kept]] = True
         frontier = np.flatnonzero(found & (level < 0))
         found[:] = False
         level[frontier] = depth
@@ -90,51 +99,62 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
 def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray):
     """The rows ``choices`` of the model on the columns ``free``, each ended by its target mass.
 
-    ``CHUNK`` rows at a time are selected from the model and cut to their
-    free entries, in order, straight into arrays of the result's size.  A
-    row's mass is its probability of moving into ``target``, summed in row
+    A row's mass is its probability of moving into ``target``, summed in row
     order from +0.0; a non-target entry adds p * 0.0 = +0.0, which changes no
     sum.  Each nonzero mass ends its row, in one more column, ``len(free)``.
+
+    The work is done by the scipy kernels that ``matrix[rows]``,
+    ``matrix[:, cols]`` and CSR ``hstack`` call.  ``csr_column_index1``
+    counts every model row's free entries once.  Then, ``CHUNK`` rows at a
+    time, ``csr_row_index`` gathers the rows, ``csr_column_index2`` keeps
+    and renumbers their free entries in order, and ``csr_hstack`` ends each
+    row with its mass, straight into the result's arrays.
     """
     import scipy.sparse
+    from scipy.sparse._sparsetools import (csr_column_index1, csr_column_index2, csr_hstack,
+                                           csr_row_index)
 
     model = mdp.matrix
-    column = np.full(mdp.n_states, -1, dtype=model.indices.dtype)
-    column[free] = np.arange(len(free))
+    kind = model.indices.dtype  # the kernels' index type; nothing they read is cast
     mass = (model @ target.astype(float))[choices]
     ended = mass > 0.0
     last_value = mass[ended]
     del mass  # not held through the chunks
+    # ``before[c]``: free entries in the model's rows before row ``c``; ``offsets[j]``:
+    # free columns up to column ``j``
+    offsets = np.zeros(mdp.n_states, dtype=kind)
+    before = np.empty(mdp.n_choices() + 1, dtype=kind)
+    csr_column_index1(len(free), free.astype(kind), *model.shape, model.indptr, model.indices,
+                      offsets, before)
+    position = np.argsort(free).astype(kind)  # in ``free``, of the free columns in ascending order
     # int32 where every entry of the model plus one more per row fits, as scipy chooses
     small = mdp.n_transitions() + len(choices) <= np.iinfo(np.int32).max
-    index = np.int32 if small else np.int64
-    # free entries per model row; reduceat needs starts inside the entries, and
-    # would give an empty row its start's entry
-    full = mdp.choice_ptr[:-1] < mdp.choice_ptr[1:]
-    kept = np.zeros(mdp.n_choices(), dtype=index)
-    kept[full] = np.add.reduceat((column >= 0)[mdp.succ], mdp.choice_ptr[:-1][full],
-                                 dtype=index)
-    indptr = np.zeros(len(choices) + 1, dtype=index)
-    np.cumsum(kept[choices] + ended, out=indptr[1:])
-    del full, kept
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=column.dtype)
+    indptr = np.zeros(len(choices) + 1, dtype=np.int32 if small else np.int64)
+    np.cumsum(before[choices + 1] - before[choices] + ended, out=indptr[1:])
+    del before
+    # each chunk's entries in the model
+    sizes = np.add.reduceat(np.diff(model.indptr)[choices], np.arange(0, len(choices), CHUNK))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=kind)
+    widths = np.array([len(free), 1], dtype=kind)
     done = 0
-    for lo in range(0, len(choices), CHUNK):
+    for lo, size in zip(range(0, len(choices), CHUNK), sizes.tolist()):
         hi = min(lo + CHUNK, len(choices))
-        picked = model[choices[lo:hi]]
-        slot = column.take(picked.indices)
-        keep = slot >= 0
+        picked, values = np.empty(size, dtype=kind), np.empty(size)
+        csr_row_index(hi - lo, choices[lo:hi].astype(kind, copy=False), model.indptr,
+                      model.indices, model.data, picked, values)
+        # the free entries, then the end entries, as two blocks for csr_hstack
+        ends = np.concatenate(([0], np.cumsum(ended[lo:hi])), dtype=kind)
+        blocks = np.concatenate((indptr[lo:hi + 1] - indptr[lo] - ends, ends), dtype=kind)
+        split, stop = blocks[hi - lo], indptr[hi] - indptr[lo]
+        slot, value = np.empty(stop, dtype=kind), np.empty(stop)
+        csr_column_index2(position, offsets, size, picked, values, slot[:split], value[:split])
+        slot[split:] = 0
+        value[split:] = last_value[done:done + ends[-1]]
+        done += ends[-1]
         fill = slice(indptr[lo], indptr[hi])
-        rows = np.flatnonzero(ended[lo:hi])
-        # each extra entry goes after its row's last; the rest keep their order
-        last = indptr[lo + 1:hi + 1][rows] - 1 - indptr[lo]
-        rest = np.ones(fill.stop - fill.start, dtype=bool)
-        rest[last] = False
-        data[fill][rest], indices[fill][rest] = picked.data[keep], slot[keep]
-        data[fill][last] = last_value[done:done + rows.size]
-        indices[fill][last] = len(free)
-        done += rows.size
-        del picked, slot, keep  # before the next chunk's are made
+        csr_hstack(2, hi - lo, widths, blocks, slot, value, np.empty(hi - lo + 1, dtype=kind),
+                   indices[fill], data[fill])
+        del picked, values, slot, value  # before the next chunk's are made
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(choices), len(free) + 1))
 
 

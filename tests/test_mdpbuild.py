@@ -756,6 +756,23 @@ class TestValidation:
     def test_clean_model_passes(self, corridor_mdp):
         assert validate_mdp(corridor_mdp) == []
 
+    def test_transition_owners_are_made_only_for_bad_entries(self, corridor_mdp, monkeypatch):
+        calls = []
+        owners = mdpbuild.Mdp.transition_choice
+
+        def counted(mdp):
+            calls.append(mdp)
+            return owners(mdp)
+
+        monkeypatch.setattr(mdpbuild.Mdp, "transition_choice", counted)
+        assert validate_mdp(corridor_mdp) == []
+        assert calls == []
+        mdp = copy.deepcopy(corridor_mdp)
+        mdp.prob[1] = -0.25
+        assert [(v.state, v.kind) for v in validate_mdp(mdp)] == [
+            (int(choice_owner(mdp)[0]), "prob-range"), (int(choice_owner(mdp)[0]), "row-sum")]
+        assert len(calls) == 1
+
 
 class TestSerialization:
     def test_dump_load_roundtrip(self, corridor_mdp, tmp_path):
@@ -805,6 +822,24 @@ class TestSerialization:
         assert state_rows(back, 0) == [(0, [(1, 1.0)])]
         assert back.labels.keys() == {"goal"}
         assert np.array_equal(back.label("goal"), [False, True])
+        assert validate_mdp(back) == []
+
+    @pytest.mark.parametrize("labels", [{"none": set()}, {"goal": {1}, "none": set()}, {}])
+    def test_empty_label_groups_roundtrip(self, tmp_path, labels):
+        """Label members are flattened as int64 even where a group, or every group, is empty."""
+        mdp = make_mdp({0: {"go": [(1, 1.0)]}, 1: {"stay": [(1, 1.0)]}}, labels=labels)
+        assert mdp.closures is None
+        dump_mdp(mdp, tmp_path / "toy.npz")
+        with np.load(tmp_path / "toy.npz") as archive:
+            assert archive["label_states"].dtype == archive["label_ptr"].dtype == np.int64
+            sizes = [len(labels[name]) for name in sorted(labels)]
+            assert archive["label_ptr"].tolist() == np.cumsum([0] + sizes).tolist()
+            assert not any(key.startswith(("closure", "window")) for key in archive.files)
+        back = load_mdp(tmp_path / "toy.npz")
+        assert back.closures is None and back.windows is None
+        assert back.labels.keys() == labels.keys()
+        for name in labels:
+            assert np.array_equal(back.label(name), mdp.label(name)), name
         assert validate_mdp(back) == []
 
     def test_closure_sizes_roundtrip(self, corridor_mdp, tmp_path):

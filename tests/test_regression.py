@@ -18,7 +18,13 @@ from conftest import bundled_doc, policy_actions, random_mdp
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import build_mdp, export_prism
 from hostilemdp.simrun import CHUNK, estimate_success
-from hostilemdp.synth import max_reach_lp, max_reach_vi, synthesize_mission
+from hostilemdp.synth import (
+    _lp_inputs,
+    max_reach_lp,
+    max_reach_vi,
+    qualitative_reach,
+    synthesize_mission,
+)
 
 #: name -> (sha256 of .sta + .tra + .lab, sha256 of the policy JSON, repr of the value)
 PINNED = {
@@ -58,8 +64,22 @@ VALUES = {
 
 #: model -> (sha256 of A_ub, sha256 of b_ub) of each LP it solves (the
 #: mission's second stage first); A_ub as its shape, data bits, and indices and
-#: indptr as int64.  ``random`` is ``random_mdp`` of seed [1717, 3].
+#: indptr as int64.  ``random`` is ``random_mdp`` of seed [1717, 3].  The city
+#: digests are of ``_lp_inputs`` alone, with no LP solved, recorded while
+#: ``_free_rows`` still cut scipy's row selections with ``take``.
 LP_INPUTS = {
+    "city_caseA": (
+        ("a96126be2342eea5899f236a78b0847b24c3aead64637ee77c43eda3f1a77954",
+         "7ca7ca45b7a26eb03c183c6117799621ad65743881ed40fc26c7bc74ee047a7d"),
+        ("d6ac316c1031e6cc6d8f901a1ce65e3070165743ce10cd0f199ca5ec79874521",
+         "6cd4527def0750a025da3231708e7204f1ec10b7c53f021211a8cab913a0de41"),
+    ),
+    "city_caseB": (
+        ("15499be5d59c14b29b45db38c38e1e955bb46fc1d7175c6dd707ec7b297788cc",
+         "36cd36814f5ebe3fea25f2acaac9a9ada67fa88480c3e213253e1b93c2e1bb20"),
+        ("dd449fd185c25d922dd47d1b5c537c79a5cc2ef1fdb473a5437e4159629a4db1",
+         "fddd4d68db19bceb7306617227a2050298cefc382871ee82956f80cd8224b7ea"),
+    ),
     "corridor": (
         ("238c1cfb229f7e20f1094e7c989f1df4807399d64f58f57147cfa48e90611c64",
          "332d3dbe46901cb0b969a2f0d9c0c55be41935d1e61f915347b94bba0c5d5f04"),
@@ -119,17 +139,22 @@ def test_value_vectors_and_sweeps_are_pinned(name):
         assert np.array_equal(again.values, values)
 
 
+def lp_digests(A_ub, b_ub) -> tuple[str, str]:
+    """The ``LP_INPUTS`` pair of one LP."""
+    return (
+        sha256(str(A_ub.shape).encode() + A_ub.data.tobytes()
+               + A_ub.indices.astype(np.int64).tobytes()
+               + A_ub.indptr.astype(np.int64).tobytes()),
+        sha256(np.asarray(b_ub, dtype=np.float64).tobytes()),
+    )
+
+
 def test_lp_inputs_are_pinned(monkeypatch):
     seen = []
     solve = scipy.optimize.linprog
 
     def capture(c, A_ub, b_ub, **kw):
-        seen.append((
-            sha256(str(A_ub.shape).encode() + A_ub.data.tobytes()
-                   + A_ub.indices.astype(np.int64).tobytes()
-                   + A_ub.indptr.astype(np.int64).tobytes()),
-            sha256(np.asarray(b_ub, dtype=np.float64).tobytes()),
-        ))
+        seen.append(lp_digests(A_ub, b_ub))
         return solve(c=c, A_ub=A_ub, b_ub=b_ub, **kw)
 
     monkeypatch.setattr(scipy.optimize, "linprog", capture)
@@ -141,6 +166,20 @@ def test_lp_inputs_are_pinned(monkeypatch):
     assert len(seen) == 3
     assert sorted(seen[:2]) == sorted(LP_INPUTS["corridor"])
     assert tuple(seen[2:]) == LP_INPUTS["random"]
+
+
+@pytest.mark.parametrize("name", ["city_caseA", "city_caseB"])
+def test_city_lp_inputs_are_pinned(name):
+    # both stages' LP rows and bounds, deliver stage first, as the mission makes them
+    mdp = build_mdp(parse_environment(bundled_doc(name)))
+    alive = mdp.label("alive")
+    deliver = alive & mdp.label("dropoff")
+    switch = alive & mdp.label("pickup") & qualitative_reach(mdp, deliver, alive)
+    seen = []
+    for target in (deliver, switch):
+        free = np.flatnonzero(qualitative_reach(mdp, target, alive) & ~target)
+        seen.append(lp_digests(*_lp_inputs(mdp, target, free)))
+    assert tuple(seen) == LP_INPUTS[name]
 
 
 @pytest.fixture(scope="module")

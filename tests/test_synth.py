@@ -1,5 +1,6 @@
 """Reachability solvers cross-checked against a policy-enumeration oracle."""
 
+import collections
 import dataclasses
 import sys
 import threading
@@ -1022,3 +1023,188 @@ class TestRawMatvec:
                 assert bits(y) == bits(matrix @ x), name
             seen.add(name.partition("-")[0])
         assert {"corridor", "A", "B", "random"} <= seen
+
+
+def with_index(matrix, dtype):
+    """A copy of the CSR ``matrix`` whose index arrays have type ``dtype``."""
+    out = matrix.copy()
+    out.indices, out.indptr = matrix.indices.astype(dtype), matrix.indptr.astype(dtype)
+    return out
+
+
+def kernel_cases(order_cases):
+    """(name, matrix, rows, columns) for each stage of ``order_cases``, in int32 and int64.
+
+    ``rows`` repeats some choices and leaves others out; ``columns`` are the
+    stage's free states in a shuffled order, as sweep order shuffles them.
+    """
+    rng = np.random.default_rng(20261025)
+    for name, mdp, target, allowed in order_cases:
+        free = np.flatnonzero(qualitative_reach(mdp, target, allowed) & ~target)
+        if not free.size:
+            continue
+        rows = rng.integers(mdp.n_choices(), size=mdp.n_choices() + 3)
+        columns = rng.permutation(free)
+        for dtype in (np.int32, np.int64):
+            yield (f"{name}-{np.dtype(dtype)}", with_index(mdp.matrix, dtype),
+                   rows.astype(dtype), columns.astype(dtype))
+
+
+def assert_same_csr(indptr, indices, data, want, name):
+    """The arrays match ``want``'s: values for the index arrays, bits for the data.
+
+    scipy may narrow the index type of its result, so only values are compared there.
+    """
+    assert np.array_equal(indptr, want.indptr), name
+    assert np.array_equal(indices, want.indices), name
+    assert bits(data) == bits(want.data), name
+
+
+class TestCompiledKernels:
+    """``_free_rows`` and ``_backward_levels`` call the scipy kernels behind
+    ``matrix[rows]``, ``matrix[:, cols]`` and CSR ``hstack`` directly; each must
+    still give those operations' arrays byte for byte."""
+
+    def test_row_index_matches_the_row_selection(self, order_cases):
+        from scipy.sparse._sparsetools import csr_row_index
+
+        seen = set()
+        for name, matrix, rows, _ in kernel_cases(order_cases):
+            want = matrix[rows]
+            indptr = np.concatenate(([0], np.cumsum(np.diff(matrix.indptr)[rows])))
+            indices, data = np.empty(indptr[-1], dtype=rows.dtype), np.empty(indptr[-1])
+            csr_row_index(len(rows), rows, matrix.indptr, matrix.indices, matrix.data, indices,
+                          data)
+            assert_same_csr(indptr, indices, data, want, name)
+            seen.add(name.partition("-")[0])
+        assert {"corridor", "A", "B", "random"} <= seen
+
+    def test_column_index_matches_the_column_selection(self, order_cases):
+        from scipy.sparse._sparsetools import csr_column_index1, csr_column_index2
+
+        seen = set()
+        for name, matrix, _, columns in kernel_cases(order_cases):
+            want = matrix[:, columns]
+            kind = columns.dtype
+            offsets = np.zeros(matrix.shape[1], dtype=kind)
+            indptr = np.empty(matrix.shape[0] + 1, dtype=kind)
+            csr_column_index1(len(columns), columns, *matrix.shape, matrix.indptr,
+                              matrix.indices, offsets, indptr)
+            indices, data = np.empty(indptr[-1], dtype=kind), np.empty(indptr[-1])
+            csr_column_index2(np.argsort(columns).astype(kind), offsets, matrix.nnz,
+                              matrix.indices, matrix.data, indices, data)
+            assert_same_csr(indptr, indices, data, want, name)
+            seen.add(name.partition("-")[0])
+        assert {"corridor", "A", "B", "random"} <= seen
+
+    def test_hstack_matches_the_sparse_hstack(self, order_cases):
+        from scipy.sparse._sparsetools import csr_hstack
+
+        rng = np.random.default_rng(20261026)
+        seen = set()
+        for name, matrix, rows, columns in kernel_cases(order_cases):
+            left = with_index(matrix[rows][:, columns], rows.dtype)
+            # one more column holding an entry on about half the rows, as a row's target mass
+            ended = rng.random(len(rows)) < 0.5
+            right = with_index(scipy.sparse.csr_matrix(
+                (rng.random(int(ended.sum())), np.zeros(int(ended.sum()), dtype=rows.dtype),
+                 np.concatenate(([0], np.cumsum(ended)))), shape=(len(rows), 1)), rows.dtype)
+            want = scipy.sparse.hstack([left, right], format="csr")
+            kind = left.indices.dtype
+            nnz = left.nnz + right.nnz
+            indptr, indices, data = (np.empty(len(rows) + 1, dtype=kind),
+                                     np.empty(nnz, dtype=kind), np.empty(nnz))
+            csr_hstack(2, len(rows), np.array([len(columns), 1], dtype=kind),
+                       np.concatenate((left.indptr, right.indptr)),
+                       np.concatenate((left.indices, right.indices)),
+                       np.concatenate((left.data, right.data)), indptr, indices, data)
+            assert_same_csr(indptr, indices, data, want, name)
+            seen.add(name.partition("-")[0])
+        assert {"corridor", "A", "B", "random"} <= seen
+
+
+def oracle_levels(mdp, kept, seeds):
+    """BFS distance to ``seeds``, one state at a time, over the model's positive entries
+    ``k`` with ``kept[k]``; -1 where no kept path leads."""
+    owner = choice_owner(mdp)
+    into = [[] for _ in range(mdp.n_states)]
+    for c in range(mdp.n_choices()):
+        for k in range(mdp.choice_ptr[c], mdp.choice_ptr[c + 1]):
+            if mdp.prob[k] > 0.0 and kept[k]:
+                into[mdp.succ[k]].append(int(owner[c]))
+    level = [-1] * mdp.n_states
+    queue = collections.deque(seeds.tolist())
+    for s in queue:
+        level[s] = 0
+    while queue:
+        t = queue.popleft()
+        for s in into[t]:
+            if level[s] < 0:
+                level[s] = level[t] + 1
+                queue.append(s)
+    return level
+
+
+def level_cases(corridor_env, case_envs):
+    """(name, model) for corridor, caseA and 60 fuzzed models with zero-probability
+    entries, self-loops and repeated successors."""
+    yield "corridor", build_mdp(corridor_env)
+    yield "A", build_mdp(case_envs["A"])
+    rng = np.random.default_rng(20261027)
+    for i in range(60):
+        mdp, _ = random_mdp(rng, max_actions=1 + i % 5)
+        owner = choice_owner(mdp)
+        for _ in range(int(rng.integers(0, 4))):
+            k = int(rng.integers(mdp.n_transitions()))
+            change = rng.integers(3)
+            if change == 0:  # a zero-probability entry, which no graph pass follows
+                mdp.prob[k] = 0.0
+            elif change == 1:  # a self-loop
+                mdp.succ[k] = owner[np.searchsorted(mdp.choice_ptr, k, side="right") - 1]
+            else:  # a successor that the row may list twice
+                mdp.succ[k] = mdp.succ[int(rng.integers(mdp.n_transitions()))]
+        yield f"random-{i}", mdp
+
+
+class TestBackwardLevels:
+    """``_backward_levels`` gives every state's BFS level, which ``extract_policy``
+    reads, not only the support that ``qualitative_reach`` keeps."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, synth.CHUNK])
+    def test_levels_match_a_one_state_at_a_time_search(self, corridor_env, case_envs,
+                                                       monkeypatch, chunk):
+        import scipy.sparse._sparsetools as sparsetools
+
+        monkeypatch.setattr(synth, "CHUNK", chunk)
+        gathers = []
+        gather = sparsetools.csr_row_index
+
+        def counted(*args):
+            gathers.append(args[0])
+            return gather(*args)
+
+        monkeypatch.setattr(sparsetools, "csr_row_index", counted)
+        rng = np.random.default_rng([20261028, chunk])
+        split = dropped = 0
+        for name, mdp in level_cases(corridor_env, case_envs):
+            preds = mdp.predecessors
+            # the predecessor index lists the positive entries by successor, each in entry order
+            entries = np.flatnonzero(mdp.prob > 0.0)
+            entries = entries[np.argsort(mdp.succ[entries], kind="stable")]
+            assert np.array_equal(preds.choice,
+                                  np.searchsorted(mdp.choice_ptr, entries, side="right") - 1), name
+            for _ in range(3):
+                kept = rng.random(mdp.n_transitions()) < rng.choice([0.5, 0.9, 1.0])
+                seeds = np.flatnonzero(rng.random(mdp.n_states) < 0.2)
+                if not seeds.size:
+                    seeds = np.array([int(rng.integers(mdp.n_states))])
+                gathers.clear()
+                level = synth._backward_levels(preds, kept[entries], seeds)
+                want = oracle_levels(mdp, kept, seeds)
+                assert level.dtype == np.int64, name
+                assert level.tolist() == want, name
+                split += len(gathers) > max(want) + 1
+                dropped += not kept[entries].all()
+        if chunk in (1, 3):  # a level's transitions must come in pieces, or this checks little
+            assert split >= (40 if chunk == 1 else 6), split
+        assert dropped >= 60
