@@ -73,7 +73,7 @@ def _backward_levels(preds: Predecessors, keep: np.ndarray, seeds: np.ndarray) -
         # the transitions into the level, in pieces of about ``CHUNK`` * 8
         total = np.cumsum(preds.ptr[frontier + 1] - preds.ptr[frontier])
         cuts = np.searchsorted(total, np.arange(CHUNK * 8, total[-1], CHUNK * 8))
-        ends = np.append(0, total)[np.append(cuts, len(frontier))]
+        ends = np.append(0, total)[np.append(cuts, len(frontier))]  # after each piece
         for part, size in zip(np.split(frontier, cuts), np.diff(ends, prepend=0)):
             src, kept = np.empty(size, dtype=index), np.empty(size, dtype=bool)
             csr_row_index(len(part), part, preds.ptr, preds.src, keep, src, kept)
