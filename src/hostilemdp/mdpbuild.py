@@ -203,19 +203,18 @@ class Mdp:
         if not positive.all():
             ptr = np.concatenate(([0], np.cumsum(positive)), dtype=ptr.dtype)[ptr]
             choice = choice[positive]
-        return Predecessors(ptr, self.owner[choice], choice)
+        return Predecessors(ptr, choice)
 
 
 class Predecessors(NamedTuple):
     """The positive-probability transitions of a model, grouped by successor.
 
-    The transitions into state ``t`` are ``ptr[t]:ptr[t + 1]``; ``src`` and
-    ``choice`` give the state and the choice each one leaves from.  ``ptr``
-    and ``choice`` are in the index type of :attr:`Mdp.matrix`.
+    The transitions into state ``t`` are ``ptr[t]:ptr[t + 1]``; ``choice``
+    gives the choice each one leaves from, whose state is :attr:`Mdp.owner`.
+    Both are in the index type of :attr:`Mdp.matrix`.
     """
 
     ptr: np.ndarray
-    src: np.ndarray
     choice: np.ndarray
 
 

@@ -15,14 +15,13 @@ from typing import Optional
 import numpy as np
 
 from .envmodel import DROPOFF, PICKUP
-from .mdpbuild import Mdp, Predecessors, ranges
+from .mdpbuild import Mdp, ranges
 
 #: how far below its state's best backup an action's backup may fall and
 #: still count as maximal when :func:`extract_policy` picks a progressing one
 TIE_TOL = 1e-9
 
-#: rows that :func:`_free_rows` selects at a time; a graph pass gathers ``CHUNK * 8``
-#: transitions at a time.  It bounds the index arrays one step holds
+#: rows that :func:`_free_rows` selects at a time; it bounds the index arrays one step holds
 CHUNK = 2048
 
 
@@ -50,38 +49,41 @@ class ValueResult:
     residual: Optional[float] = None
 
 
-def _backward_levels(preds: Predecessors, keep: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def _backward_levels(mdp: Mdp, keep: np.ndarray,
+                     seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first distance from each state to ``seeds`` along the kept transitions.
 
-    ``keep`` masks the transitions of ``preds``.  Seeds sit at level 0;
-    states that cannot reach them get -1.  Each piece of a level's incoming
-    transitions is gathered by scipy's ``csr_row_index``, over ``ptr`` and
-    ``src`` with ``keep`` as the data, in the index type of both so that
-    nothing is cast.
+    ``keep`` masks the transitions of :attr:`Mdp.predecessors`.  Returns
+    ``(level, via)``: seeds sit at level 0 and states that cannot reach them
+    get -1; ``via[s]`` is the least choice of ``s`` with a kept transition
+    into level ``level[s] - 1``, and -1 for seeds and unreached states.
+    Each level's incoming transitions are gathered by one scipy
+    ``csr_row_index`` over ``ptr`` and ``choice``, with ``keep`` as the data,
+    in the index type of both so that nothing is cast.
     """
     from scipy.sparse._sparsetools import csr_row_index  # what ``matrix[rows]`` calls
 
-    n = len(preds.ptr) - 1
-    index = np.result_type(preds.ptr, preds.src)
-    level = np.full(n, -1, dtype=np.int64)
+    preds, owner = mdp.predecessors, mdp.owner
+    level = np.full(mdp.n_states, -1, dtype=np.int64)
     level[seeds] = 0
-    found = np.zeros(n, dtype=bool)
+    via = np.full(mdp.n_states, -1, dtype=np.int64)
+    unlevelled = np.ones(mdp.n_choices(), dtype=bool)  # the choices of states with no level yet
     frontier, depth = seeds, 0
     while frontier.size:
         depth += 1
-        frontier = frontier.astype(index, copy=False)
-        # the transitions into the level, in pieces of about ``CHUNK`` * 8
-        total = np.cumsum(preds.ptr[frontier + 1] - preds.ptr[frontier])
-        cuts = np.searchsorted(total, np.arange(CHUNK * 8, total[-1], CHUNK * 8))
-        ends = np.append(0, total)[np.append(cuts, len(frontier))]  # after each piece
-        for part, size in zip(np.split(frontier, cuts), np.diff(ends, prepend=0)):
-            src, kept = np.empty(size, dtype=index), np.empty(size, dtype=bool)
-            csr_row_index(len(part), part, preds.ptr, preds.src, keep, src, kept)
-            found[src[kept]] = True
-        frontier = np.flatnonzero(found & (level < 0))
-        found[:] = False
-        level[frontier] = depth
-    return level
+        unlevelled[ranges(mdp.state_ptr[frontier], mdp.state_ptr[frontier + 1])] = False
+        frontier = frontier.astype(preds.ptr.dtype, copy=False)
+        size = int((preds.ptr[frontier + 1] - preds.ptr[frontier]).sum())
+        choice, kept = np.empty(size, dtype=preds.choice.dtype), np.empty(size, dtype=bool)
+        csr_row_index(len(frontier), frontier, preds.ptr, preds.choice, keep, choice, kept)
+        # in ``via``'s type: a cast inside ``np.minimum.at`` is far slower
+        choice = choice[kept & unlevelled[choice]].astype(via.dtype)
+        src = owner[choice]
+        level[src] = depth
+        via[src] = mdp.n_choices()  # above every choice, for the least to replace
+        np.minimum.at(via, src, choice)
+        frontier = np.flatnonzero(level == depth)
+    return level, via
 
 
 def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -91,9 +93,8 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
     ``allowed`` states that have some action with a successor already inside.
     Both arguments are bool masks over the states.
     """
-    preds = mdp.predecessors
-    keep = (allowed & ~target)[preds.src]
-    return _backward_levels(preds, keep, np.flatnonzero(target)) >= 0
+    keep = (allowed & ~target)[mdp.owner][mdp.predecessors.choice]
+    return _backward_levels(mdp, keep, np.flatnonzero(target))[0] >= 0
 
 
 def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray):
@@ -223,20 +224,23 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
     """Value iteration for max P[allowed U target], from below.
 
     ``target`` and ``allowed`` are bool masks over the states.  Iterates
-    x <- max(x, max_a (c_a + Q_a x)) until the sup-norm step falls
+    x <- max_a (c_a + Q_a x) from x = 0 until the sup-norm step falls
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps,
     and :class:`ValueError` if ``max_iter`` is below 1.
     ``positive`` is the stage's :func:`qualitative_reach` when the caller
     has made it already.
 
     A sweep is one raw ``csr_matvec`` into a zeroed buffer, as ``matrix @ x``
-    makes it, a max over the choice slots and a max with the last iterate;
-    it allocates nothing.  The sup-norm step is computed only when one probe
-    state moves by at most ``tol``, or at ``max_iter``: while the probe moves
-    by more, so does the sup norm.  The probe is the first free state, then
-    the one with the largest step at the last full check.  So the stop
-    sweep, the returned residual and the error's residual are those of a
-    full check after every sweep.
+    makes it, and a max over the choice slots; it allocates nothing.  It
+    needs no max with the last iterate: with the non-negative probabilities
+    that :func:`~hostilemdp.mdpbuild.validate_mdp` accepts, every rounded
+    product, sum and max is monotone in ``x``, so from x = 0 each iterate is
+    at least the last, bit for bit.  The sup-norm step is computed only when
+    one probe state moves by at most ``tol``, or at ``max_iter``: while the
+    probe moves by more, so does the sup norm.  The probe is the first free
+    state, then the one with the largest step at the last full check.  So
+    the stop sweep, the returned residual and the error's residual are those
+    of a full check after every sweep.
     """
     from scipy.sparse._sparsetools import csr_matvec  # what ``matrix @ x`` calls
 
@@ -261,7 +265,6 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
         csr_matvec(rows, nf + 1, indptr, indices, data, xe, y)
         x, new = xe[:nf], ne[:nf]
         np.maximum.reduce(slots, axis=0, out=new)
-        np.maximum(new, x, out=new)
         xe, ne = ne, xe
         if new[probe] - x[probe] > tol and sweep < max_iter:
             continue
@@ -311,10 +314,13 @@ def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndar
 
     Plain argmax can stall on a cycle whose value equals the maximum (the
     backup is tight along the loop), so among near-maximal actions we require
-    strict progress: pick the lowest-index action with a successor closer to
-    the target inside the near-maximal edge graph.
+    strict progress: pick the lowest-index action with a positive-probability
+    successor closer to the target inside the near-maximal edge graph.  The
+    backward search over that graph finds it as it goes.  A state at level d
+    has no near-maximal edge into a level below d - 1, or the search would
+    have levelled it earlier, so a successor nearer than the state is one at
+    level d - 1, and the action sought is the least that enters that level.
     """
-    preds = mdp.predecessors
     owner = mdp.owner
     # each backup sums p * value over the row left to right, as a walk would
     backups = mdp.matrix @ result.values
@@ -325,26 +331,12 @@ def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndar
     best[acting] = np.maximum.reduceat(backups, mdp.state_ptr[:-1][acting])
     candidate = solved[owner] & (backups >= best[owner] - TIE_TOL)
 
-    # BFS distances to target through candidate edges only
-    level = _backward_levels(preds, candidate[preds.choice], np.flatnonzero(target))
+    level, via = _backward_levels(mdp, candidate[mdp.predecessors.choice], np.flatnonzero(target))
     unreached = states[level[states] < 0]
     if unreached.size:
         raise RuntimeError(f"state {unreached[0]} has positive value but no progressing action; "
                            f"tie tolerance {TIE_TOL} may be too small")
-    # a choice progresses when one of its positive-probability successors is
-    # closer than its own state; an unreached state is farther than any other
-    far = level.max() + 1
-    dist = level.astype(np.min_scalar_type(far))  # as narrow as the deepest level allows
-    dist[level < 0] = far
-    ahead = dist[mdp.succ]
-    if len(preds.choice) < len(ahead):  # the index leaves out zero-probability entries
-        ahead[~(mdp.prob > 0.0)] = far
-    moving = np.diff(mdp.choice_ptr) > 0
-    nearest = np.full(mdp.n_choices(), far, dtype=dist.dtype)
-    nearest[moving] = np.minimum.reduceat(ahead, mdp.choice_ptr[:-1][moving])
-    chosen = np.flatnonzero(candidate & (nearest < dist[owner]))
-    # choices are grouped by state in ascending action order: keep each state's first
-    return chosen[np.diff(owner[chosen], prepend=-1) != 0]
+    return via[states]
 
 
 @dataclass

@@ -9,22 +9,27 @@ against itself.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hostilemdp import synth
 from hostilemdp.belief import ENTERED, LEFT, expectation
-from hostilemdp.envmodel import Environment, MotionPrimitive, parse_environment
+from hostilemdp.envmodel import DROPOFF, PICKUP, Environment, MotionPrimitive, parse_environment
 from hostilemdp.mdpbuild import Mdp, MdpBuilder, VehicleState, build_mdp, ranges
-from hostilemdp.synth import MissionStrategy, extract_policy, max_reach_lp, max_reach_vi
+from hostilemdp.synth import (MissionStrategy, ValueResult, extract_policy, max_reach_lp,
+                              max_reach_vi)
 
 # ---------------------------------------------------------------------------
 # hand-built MDPs
@@ -229,6 +234,63 @@ def sequential_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
         values_second=second.values,
         method=method,
     )
+
+
+# ---------------------------------------------------------------------------
+# policy extraction reference: a one-state-at-a-time search, then progress
+# tested on the forward side over every transition, as ``extract_policy``
+# did before its backward search picked the choices
+
+
+def oracle_levels(mdp: Mdp, kept: np.ndarray, seeds: np.ndarray) -> list[int]:
+    """BFS distance to ``seeds``, one state at a time, over the model's positive entries
+    ``k`` with ``kept[k]``; -1 where no kept path leads."""
+    owner = choice_owner(mdp)
+    into = [[] for _ in range(mdp.n_states)]
+    for c in range(mdp.n_choices()):
+        for k in range(mdp.choice_ptr[c], mdp.choice_ptr[c + 1]):
+            if mdp.prob[k] > 0.0 and kept[k]:
+                into[mdp.succ[k]].append(int(owner[c]))
+    level = [-1] * mdp.n_states
+    queue = collections.deque(seeds.tolist())
+    for s in queue:
+        level[s] = 0
+    while queue:
+        t = queue.popleft()
+        for s in into[t]:
+            if level[s] < 0:
+                level[s] = level[t] + 1
+                queue.append(s)
+    return level
+
+
+def reference_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndarray:
+    """The policy ``extract_policy`` must return, found the long way round.
+
+    The near-maximal choices are those within ``TIE_TOL`` of their state's
+    best backup.  After a search over their edges, a pass over every
+    transition gives each choice the least level among its positive
+    successors; a choice progresses when that is below its state's level,
+    and each state plays its first progressing choice.  Raises
+    ``RuntimeError`` where a positive state has no progressing choice.
+    """
+    owner = choice_owner(mdp)
+    trans = mdp.transition_choice()
+    backups = mdp.matrix @ result.values
+    solved = result.positive & ~target
+    states = np.flatnonzero(solved)
+    best = np.full(mdp.n_states, -np.inf)
+    np.maximum.at(best, owner, backups)
+    candidate = solved[owner] & (backups >= best[owner] - synth.TIE_TOL)
+    level = np.array(oracle_levels(mdp, candidate[trans], np.flatnonzero(target)), dtype=np.int64)
+    if (level[states] < 0).any():
+        raise RuntimeError("a positive state has no progressing choice")
+    far = int(level.max()) + 1
+    dist = np.where(level < 0, far, level)
+    nearest = np.full(mdp.n_choices(), far)
+    np.minimum.at(nearest, trans, np.where(mdp.prob > 0.0, dist[mdp.succ], far))
+    chosen = np.flatnonzero(candidate & (nearest < dist[owner]))
+    return chosen[np.diff(owner[chosen], prepend=-1) != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +693,56 @@ def random_environment(rng: np.random.Generator, max_regions: int = 5) -> Enviro
         "init": {"facet": "f0", "region": rids[0]},
     }
     return parse_environment(doc)
+
+
+# ---------------------------------------------------------------------------
+# PRISM explicit-state files read back, independently of the export
+
+
+def read_prism(basepath: str | Path) -> tuple[Mdp, np.ndarray]:
+    """The model in ``basepath`` plus ``.sta``, ``.tra`` and ``.lab``, and the ``.sta`` rows.
+
+    Choice ``c`` of state ``s`` in the ``.tra`` becomes the model's choice
+    ``state_ptr[s] + c``, with that ``c`` as its action, and its lines keep
+    their file order.  A probability is read by ``float``, which gives back
+    the bits its ``repr`` was written from.  The ``.lab`` atoms ``alive``,
+    ``rp`` and ``rd`` become the labels ``alive``, ``pickup`` and
+    ``dropoff``, and the one ``init`` state the initial state.  The ``.sta``
+    rows come back as an int array, one row of variable values per state.
+    """
+    base = Path(basepath)
+    sta, tra, lab = (base.with_name(base.name + suffix).read_text().splitlines()
+                     for suffix in (".sta", ".tra", ".lab"))
+    n, n_choices, n_transitions = map(int, tra[0].split())
+    rows = [line.split() for line in tra[1:]]
+    assert len(rows) == n_transitions and all(len(row) == 4 for row in rows)
+    s, c, t = (np.array([int(row[i]) for row in rows], dtype=np.int64) for i in range(3))
+    prob = np.array([float(row[3]) for row in rows])
+    counts = np.zeros(n, dtype=np.int64)
+    np.maximum.at(counts, s, c + 1)
+    state_ptr = np.concatenate(([0], np.cumsum(counts)))
+    assert state_ptr[-1] == n_choices
+    choice = state_ptr[s] + c
+    order = np.argsort(choice, kind="stable")
+    choice_ptr = np.concatenate(([0], np.cumsum(np.bincount(choice, minlength=n_choices))))
+
+    names = dict(re.findall(r'(\d+)="([^"]*)"', lab[0]))
+    atoms = {name: np.zeros(n, dtype=bool) for name in names.values()}
+    for line in lab[1:]:
+        state, _, tags = line.partition(":")
+        for tag in tags.split():
+            atoms[names[tag]][int(state)] = True
+    (init,) = np.flatnonzero(atoms["init"])
+
+    assert [line.partition(":")[0] for line in sta[1:]] == [str(i) for i in range(n)]
+    values = np.array([line.partition(":(")[2].rstrip(")").split(",") for line in sta[1:]],
+                      dtype=np.int64).reshape(n, -1)
+    local = np.arange(n_choices) - np.repeat(state_ptr[:-1], counts)
+    mdp = Mdp(states=None, action_names=[str(i) for i in range(int(counts.max(initial=0)))],
+              state_ptr=state_ptr, choice_action=local, choice_ptr=choice_ptr,
+              succ=t[order], prob=prob[order], init=int(init),
+              labels={"alive": atoms["alive"], PICKUP: atoms["rp"], DROPOFF: atoms["rd"]})
+    return mdp, values
 
 
 # ---------------------------------------------------------------------------

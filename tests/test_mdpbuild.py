@@ -24,6 +24,7 @@ from conftest import (
     make_mdp,
     random_environment,
     random_mdp,
+    read_prism,
     state_rows,
     transitions,
 )
@@ -41,6 +42,7 @@ from hostilemdp.mdpbuild import (
     load_mdp,
     validate_mdp,
 )
+from hostilemdp.synth import synthesize_mission
 
 ARRAYS = ("state_ptr", "choice_action", "choice_ptr", "succ", "prob")
 COLUMNS = [f.name for f in dataclasses.fields(StateTable)]
@@ -1186,6 +1188,104 @@ class TestExport:
         mdp = with_extra_entries(mdp, extras)
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mdpbuild, "CHUNK", chunk):
             assert exported_bytes(mdp, Path(tmp) / "m") == reference_export(mdp)
+
+
+def in_export_order(mdp):
+    """Copy of ``mdp`` with each choice's successors in the order the export writes them."""
+    order = mdpbuild._successor_order(mdp.n_states, mdp.transition_choice(), mdp.succ, mdp.prob)
+    return dataclasses.replace(mdp, succ=mdp.succ[order], prob=mdp.prob[order])
+
+
+def read_back_cases(corridor_env, case_envs):
+    """(name, model): the bundled models, repeated exits, built fuzz environments and
+    random models with zero-probability entries, repeated successors and a dead end."""
+    yield "corridor", build_mdp(corridor_env)
+    yield "A", build_mdp(case_envs["A"])
+    yield "B", build_mdp(case_envs["B"])
+    yield "repeated-exit", build_mdp(repeated_exit_corridor())
+    rng = np.random.default_rng(20261031)
+    for i in range(8):
+        yield f"built-{i}", build_mdp(random_environment(rng))
+    for i in range(24):
+        mdp, _ = random_mdp(rng, max_actions=3)
+        extras = [(int(rng.integers(10**6)), bool(rng.integers(2)), int(rng.integers(6)),
+                   float(rng.choice([0.0, -0.0, 0.25, 0.5]))) for _ in range(i % 4)]
+        mdp = with_extra_entries(mdp, extras)
+        if i % 6 == 5:  # the last state plays nothing
+            cut = mdp.state_ptr[-2]
+            mdp = dataclasses.replace(
+                mdp, state_ptr=np.append(mdp.state_ptr[:-1], cut),
+                choice_action=mdp.choice_action[:cut], choice_ptr=mdp.choice_ptr[:cut + 1],
+                succ=mdp.succ[:mdp.choice_ptr[cut]], prob=mdp.prob[:mdp.choice_ptr[cut]])
+        labels = {name: rng.random(mdp.n_states) < share
+                  for name, share in (("alive", 0.8), (PICKUP, 0.4), (DROPOFF, 0.3))}
+        yield f"random-{i}", dataclasses.replace(mdp, labels=labels,
+                                                 init=int(rng.integers(mdp.n_states)))
+
+
+def assert_reads_back_as(read, sta, mdp, name):
+    """The read model and ``.sta`` rows are ``mdp``'s, successors in export order."""
+    ordered = in_export_order(mdp)
+    for field in ("state_ptr", "choice_ptr", "succ"):
+        assert np.array_equal(getattr(read, field), getattr(ordered, field)), (name, field)
+    assert read.prob.tobytes() == ordered.prob.tobytes(), name
+    assert read.init == mdp.init, name
+    for label in ("alive", PICKUP, DROPOFF):
+        assert np.array_equal(read.label(label), mdp.label(label)), (name, label)
+    table = mdp.states
+    if table is None:
+        assert np.array_equal(sta, np.arange(mdp.n_states)[:, None]), name
+        return
+    assert np.array_equal(sta[:, :5], np.column_stack((table.facet, table.region, table.count,
+                                                        table.level, table.alive))), name
+    # the last variable numbers the belief tuples: one number per distinct tuple
+    ptr = table.belief_ptr.tolist()
+    tuples = [tuple(table.beliefs[lo:hi].tolist()) for lo, hi in zip(ptr, ptr[1:])]
+    pairs = set(zip(tuples, sta[:, 5].tolist()))
+    assert len(pairs) == len(set(tuples)) == len(set(sta[:, 5].tolist())), name
+
+
+def mission_bits(strategy):
+    return [strategy.value] + [(str(a.dtype), a.tobytes()) for a in (
+        strategy.first, strategy.second, strategy.switch, strategy.sat_deliverable,
+        strategy.values_first, strategy.values_second)]
+
+
+class TestPrismReadBack:
+    """The exported files mean the model that was solved: read back by a
+    reader of PRISM's explicit format that shares no code with the export,
+    they give the model's arrays and the same mission bits."""
+
+    def test_exports_read_back_as_the_model(self, corridor_env, case_envs, tmp_path):
+        solved = 0
+        for i, (name, mdp) in enumerate(read_back_cases(corridor_env, case_envs)):
+            export_prism(mdp, tmp_path / f"m{i}")
+            read, sta = read_prism(tmp_path / f"m{i}")
+            assert_reads_back_as(read, sta, mdp, name)
+            alive = mdp.label("alive")
+            if not (alive & mdp.label(PICKUP)).any() or not (alive & mdp.label(DROPOFF)).any():
+                continue
+            # a reordered row may round differently, so the reordered model is the reference
+            want = mission_bits(synthesize_mission(in_export_order(mdp)))
+            assert mission_bits(synthesize_mission(read)) == want, name
+            solved += 1
+        assert solved >= 15
+
+    def test_a_tampered_export_reads_back_as_another_model(self, tmp_path):
+        mdp, base = awkward_numbers_mdp(), tmp_path / "m"
+        _, tra_path, lab_path = export_prism(mdp, base)
+        tra, lab = tra_path.read_text(), lab_path.read_text()
+        assert_reads_back_as(*read_prism(base), mdp, "as written")
+        # state 0's two choices swapped
+        tra_path.write_text(re.sub(r"^0 ([01]) ", lambda m: f"0 {1 - int(m[1])} ", tra,
+                                   flags=re.M))
+        with pytest.raises(AssertionError):
+            assert_reads_back_as(*read_prism(base), mdp, "swapped")
+        tra_path.write_text(tra)
+        # the pickup atom, 3, dropped from every state that carries it
+        lab_path.write_text(re.sub(r" 3(?= |$)", "", lab, flags=re.M))
+        with pytest.raises(AssertionError):
+            assert_reads_back_as(*read_prism(base), mdp, "dropped")
 
 
 def with_extra_entries(mdp, extras):

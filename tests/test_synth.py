@@ -1,6 +1,5 @@
 """Reachability solvers cross-checked against a policy-enumeration oracle."""
 
-import collections
 import dataclasses
 import sys
 import threading
@@ -17,10 +16,12 @@ from conftest import (
     make_mdp,
     mask_of,
     members,
+    oracle_levels,
     oracle_max_reach,
     policy_actions,
     random_environment,
     random_mdp,
+    reference_policy,
     sequential_mission,
     state_rows,
     toy_chain,
@@ -286,6 +287,110 @@ class TestPolicyExtraction:
             assert float(np.max(np.abs(again.values - res.values))) < 1e-9
 
 
+def extracted_as_the_reference(mdp, result, target):
+    """``extract_policy`` gives the reference's policy bit for bit, or both refuse.
+
+    Returns how many states play a progressing choice that is not their
+    first near-maximal one, or -1 where both refuse.
+    """
+    try:
+        want = reference_policy(mdp, result, target)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="no progressing action"):
+            extract_policy(mdp, result, target)
+        return -1
+    got = extract_policy(mdp, result, target)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    backups = mdp.matrix @ result.values
+    owner = choice_owner(mdp)
+    best = np.full(mdp.n_states, -np.inf)
+    np.maximum.at(best, owner, backups)
+    first = np.flatnonzero(backups >= best[owner] - synth.TIE_TOL)
+    first = first[np.diff(owner[first], prepend=-1) != 0]
+    return int(np.count_nonzero(~np.isin(got, first)))
+
+
+def coarse(result, digits):
+    """``result`` with its values rounded, so more choices tie within ``TIE_TOL``."""
+    return dataclasses.replace(result, values=np.round(result.values, digits))
+
+
+class TestProgressInsideTheSearch:
+    """``extract_policy`` picks each state's progressing choice during its
+    backward search; it must pick what a forward progress test over every
+    transition after a one-state-at-a-time search picks."""
+
+    def test_tie_within_the_tolerance_that_progresses(self):
+        # "b" attains the value 1 but only moves to state 1; "c" falls short by
+        # 5e-10 and enters the goal; "d" enters the goal too, but comes later
+        mdp = make_mdp({
+            0: {"a": [(0, 1.0)], "b": [(1, 1.0)], "c": [(3, 1 - 5e-10), (2, 5e-10)],
+                "d": [(3, 1.0)]},
+            1: {"go": [(3, 1.0)]}, 2: {"a": [(2, 1.0)]}, 3: {"a": [(3, 1.0)]},
+        }, labels={"goal": {3}})
+        target = mdp.label("goal")
+        for result in (max_reach_vi(mdp, target, everything(mdp), tol=1e-12),
+                       max_reach_lp(mdp, target, everything(mdp))):
+            assert result.values[0] >= 1.0 - synth.TIE_TOL  # HiGHS stops a little short
+            assert extracted_as_the_reference(mdp, result, target) == 1
+            actions = policy_actions(mdp, extract_policy(mdp, result, target))
+            assert mdp.action_names[actions[0]] == "c"
+
+    @pytest.mark.parametrize("name", ["corridor", "A", "B"])
+    def test_bundled_stages(self, corridor_env, case_envs, name):
+        mdp = build_mdp(corridor_env if name == "corridor" else case_envs[name])
+        strategy = sequential_mission(mdp)
+        alive = mdp.label("alive")
+        stages = [(strategy.values_second, alive & mdp.label("dropoff"), strategy.sat_deliverable),
+                  (strategy.values_first, strategy.switch, None)]
+        if name == "corridor":
+            lp = sequential_mission(mdp, "lp")
+            stages += [(lp.values_second, stages[0][1], lp.sat_deliverable),
+                       (lp.values_first, strategy.switch, None)]
+        moved = 0
+        for values, target, positive in stages:
+            if positive is None:
+                positive = qualitative_reach(mdp, target, alive)
+            result = synth.ValueResult(values, positive, "vi")
+            assert extracted_as_the_reference(mdp, result, target) >= 0
+            for digits in (1, 2, 3):
+                moved += max(0, extracted_as_the_reference(mdp, coarse(result, digits), target))
+        # on the city models, rounded values make the first near-maximal choice stall
+        assert moved > 0 or name == "corridor"
+
+    def test_random_models(self):
+        rng = np.random.default_rng(20261029)
+        compared = refused = moved = 0
+        for i in range(150):
+            mdp, target = random_mdp(rng, max_actions=1 + i % 4)
+            for _ in range(int(rng.integers(0, 3))):  # a zero-probability entry
+                mdp.prob[rng.integers(mdp.n_transitions())] = 0.0
+            # states outside ``allowed`` have value 0 and play nothing
+            allowed = rng.random(mdp.n_states) < (1.0 if i % 3 else 0.7)
+            results = [max_reach_vi(mdp, target, allowed, tol=1e-12)]
+            if i % 2:
+                results.append(max_reach_lp(mdp, target, allowed))
+            for result in results:
+                for found in (result, coarse(result, 1), coarse(result, 3)):
+                    got = extracted_as_the_reference(mdp, found, target)
+                    compared += 1
+                    refused += got < 0
+                    moved += max(0, got)
+        assert compared >= 500 and refused > 0 and moved > 0
+
+    def test_built_missions(self):
+        rng = np.random.default_rng(20261030)
+        moved = 0
+        for _ in range(12):
+            mdp = build_mdp(random_environment(rng))
+            alive = mdp.label("alive")
+            for target in (alive & mdp.label("dropoff"), alive & mdp.label("pickup")):
+                for result in (max_reach_vi(mdp, target, alive), max_reach_lp(mdp, target, alive)):
+                    for found in (result, coarse(result, 2)):
+                        moved += max(0, extracted_as_the_reference(mdp, found, target))
+        assert moved > 0
+
+
 class TestMission:
     def test_corridor_value_regression(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
@@ -415,7 +520,6 @@ class TestSolverView:
     def test_owner_counts_off_the_state_pointer(self, corridor_env):
         for mdp in (build_mdp(corridor_env), coin(0.5)):
             assert bits(mdp.owner) == bits(choice_owner(mdp).astype(np.int32))
-            assert bits(mdp.predecessors.src) == bits(mdp.owner[mdp.predecessors.choice])
 
     def test_replaced_probabilities_get_a_fresh_view(self):
         mdp = coin(0.5)
@@ -1123,28 +1227,6 @@ class TestCompiledKernels:
         assert {"corridor", "A", "B", "random"} <= seen
 
 
-def oracle_levels(mdp, kept, seeds):
-    """BFS distance to ``seeds``, one state at a time, over the model's positive entries
-    ``k`` with ``kept[k]``; -1 where no kept path leads."""
-    owner = choice_owner(mdp)
-    into = [[] for _ in range(mdp.n_states)]
-    for c in range(mdp.n_choices()):
-        for k in range(mdp.choice_ptr[c], mdp.choice_ptr[c + 1]):
-            if mdp.prob[k] > 0.0 and kept[k]:
-                into[mdp.succ[k]].append(int(owner[c]))
-    level = [-1] * mdp.n_states
-    queue = collections.deque(seeds.tolist())
-    for s in queue:
-        level[s] = 0
-    while queue:
-        t = queue.popleft()
-        for s in into[t]:
-            if level[s] < 0:
-                level[s] = level[t] + 1
-                queue.append(s)
-    return level
-
-
 def level_cases(corridor_env, case_envs):
     """(name, model) for corridor, caseA and 60 fuzzed models with zero-probability
     entries, self-loops and repeated successors."""
@@ -1167,15 +1249,14 @@ def level_cases(corridor_env, case_envs):
 
 
 class TestBackwardLevels:
-    """``_backward_levels`` gives every state's BFS level, which ``extract_policy``
-    reads, not only the support that ``qualitative_reach`` keeps."""
+    """``_backward_levels`` gives every state's BFS level and the least choice
+    that enters the level below, which ``extract_policy`` plays, not only the
+    support that ``qualitative_reach`` keeps."""
 
-    @pytest.mark.parametrize("chunk", [1, 3, synth.CHUNK])
     def test_levels_match_a_one_state_at_a_time_search(self, corridor_env, case_envs,
-                                                       monkeypatch, chunk):
+                                                       monkeypatch):
         import scipy.sparse._sparsetools as sparsetools
 
-        monkeypatch.setattr(synth, "CHUNK", chunk)
         gathers = []
         gather = sparsetools.csr_row_index
 
@@ -1184,10 +1265,11 @@ class TestBackwardLevels:
             return gather(*args)
 
         monkeypatch.setattr(sparsetools, "csr_row_index", counted)
-        rng = np.random.default_rng([20261028, chunk])
-        split = dropped = 0
+        rng = np.random.default_rng(20261028)
+        dropped = chosen = 0
         for name, mdp in level_cases(corridor_env, case_envs):
             preds = mdp.predecessors
+            assert preds._fields == ("ptr", "choice"), name
             # the predecessor index lists the positive entries by successor, each in entry order
             entries = np.flatnonzero(mdp.prob > 0.0)
             entries = entries[np.argsort(mdp.succ[entries], kind="stable")]
@@ -1199,12 +1281,28 @@ class TestBackwardLevels:
                 if not seeds.size:
                     seeds = np.array([int(rng.integers(mdp.n_states))])
                 gathers.clear()
-                level = synth._backward_levels(preds, kept[entries], seeds)
+                level, via = synth._backward_levels(mdp, kept[entries], seeds)
                 want = oracle_levels(mdp, kept, seeds)
-                assert level.dtype == np.int64, name
+                assert level.dtype == via.dtype == np.int64, name
                 assert level.tolist() == want, name
-                split += len(gathers) > max(want) + 1
+                assert via.tolist() == oracle_via(mdp, kept, want), name
+                # one gather per level, the last finding no new state
+                assert len(gathers) == max(want) + 1, name
                 dropped += not kept[entries].all()
-        if chunk in (1, 3):  # a level's transitions must come in pieces, or this checks little
-            assert split >= (40 if chunk == 1 else 6), split
+                chosen += int((via > mdp.state_ptr[:-1]).sum())
         assert dropped >= 60
+        assert chosen >= 200  # states whose first choice does not enter the level below
+
+
+def oracle_via(mdp, kept, level):
+    """For each state at a level d >= 1, its least choice with a positive entry ``k``,
+    ``kept[k]``, into level d - 1; -1 for every other state."""
+    via = [-1] * mdp.n_states
+    for s in range(mdp.n_states):
+        for c in range(mdp.state_ptr[s], mdp.state_ptr[s + 1]):
+            entries = range(mdp.choice_ptr[c], mdp.choice_ptr[c + 1])
+            if level[s] > 0 and any(mdp.prob[k] > 0.0 and kept[k]
+                                    and level[mdp.succ[k]] == level[s] - 1 for k in entries):
+                via[s] = c
+                break
+    return via
