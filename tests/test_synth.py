@@ -1253,10 +1253,13 @@ class TestBackwardLevels:
     that enters the level below, which ``extract_policy`` plays, not only the
     support that ``qualitative_reach`` keeps."""
 
+    @pytest.mark.parametrize("chunk", [1, 3, synth.CHUNK])
     def test_levels_match_a_one_state_at_a_time_search(self, corridor_env, case_envs,
-                                                       monkeypatch):
+                                                       monkeypatch, chunk):
         import scipy.sparse._sparsetools as sparsetools
 
+        # ``CHUNK`` bounds only the stage assembly: each level stays one gather at any size
+        monkeypatch.setattr(synth, "CHUNK", chunk)
         gathers = []
         gather = sparsetools.csr_row_index
 
