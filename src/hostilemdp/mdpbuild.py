@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import zipfile
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -65,15 +65,19 @@ class VehicleState(NamedTuple):
 
 @dataclass(eq=False)
 class StateTable:
-    """The vehicle states of a model as columns, one entry per state.
+    """The vehicle states of a model as columns, one row per state.
 
     State ``s`` is at facet ``facet_names[facet[s]]`` crossing region
     ``region_names[region[s]]``, observed ``count[s]`` adversaries and
-    obstacle level ``level[s]``, and is alive when ``alive[s]``.  Its
-    beliefs, one position per neighbour of the region in the neighbour's
-    BeliefSet, are ``beliefs[belief_ptr[s]:belief_ptr[s + 1]]``.  Names are
-    coded in order of first appearance.  The index columns are int64 and
-    ``alive`` is bool.
+    obstacle level ``level[s]``, and is alive when ``alive[s]``.  The names
+    list every facet and region in declaration order.  ``beliefs`` has one
+    column, or lane, per neighbour slot: lane ``i`` of a state in region
+    ``r`` is its position in the BeliefSet of ``r``'s ``i``-th neighbour,
+    below ``closures[r][i]``, and the lanes past ``len(closures[r])`` hold 0.
+    ``windows[r]`` is region ``r``'s obstacle level count and its adversary
+    floor and ceiling: a state in ``r`` has a level below the first and a
+    count between the other two.  The index columns are int64, ``beliefs``
+    is an int64 (states, lanes) matrix and ``alive`` is bool.
     """
 
     facet_names: np.ndarray
@@ -83,8 +87,9 @@ class StateTable:
     count: np.ndarray
     level: np.ndarray
     alive: np.ndarray
-    belief_ptr: np.ndarray
     beliefs: np.ndarray
+    closures: dict[str, tuple[int, ...]]
+    windows: dict[str, tuple[int, int, int]]
 
     # indexing returns one state; the table is not a sequence of them
     __iter__ = None
@@ -93,12 +98,23 @@ class StateTable:
         return len(self.alive)
 
     def __getitem__(self, s: int) -> VehicleState:
-        lo, hi = self.belief_ptr[s], self.belief_ptr[s + 1]
+        region = str(self.region_names[self.region[s]])
         return VehicleState(
-            str(self.facet_names[self.facet[s]]), str(self.region_names[self.region[s]]),
+            str(self.facet_names[self.facet[s]]), region,
             int(self.count[s]), int(self.level[s]), bool(self.alive[s]),
-            tuple(self.beliefs[lo:hi].tolist()),
+            tuple(self.beliefs[s, :len(self.closures[region])].tolist()),
         )
+
+    def take(self, rows) -> StateTable:
+        """The states ``rows``, sharing the names, closures and windows."""
+        return replace(self, facet=self.facet[rows], region=self.region[rows],
+                       count=self.count[rows], level=self.level[rows], alive=self.alive[rows],
+                       beliefs=self.beliefs[rows])
+
+    def lanes(self) -> np.ndarray:
+        """The number of lanes of each region, in ``region_names`` order."""
+        return np.array([len(self.closures[name]) for name in self.region_names.tolist()],
+                        dtype=np.int64)
 
 
 class MdpFormatError(ValueError):
@@ -122,13 +138,6 @@ class Mdp:
     covers.  A model must not change once it has been solved: the solvers
     keep its :attr:`matrix`, :attr:`owner` and :attr:`predecessors` for its
     whole life.
-    ``closures`` gives, by region name, the sizes of the belief closures that a
-    state's belief positions index: a state in region ``r`` holds one position per
-    entry of ``closures[r]`` (none if ``r`` is not a key), each below that entry.
-    ``windows[r]`` is region ``r``'s obstacle level count and its adversary
-    floor and ceiling: a state in ``r`` has a level below the first and a
-    count between the other two.  For every model the package makes, each of
-    the two is ``None`` exactly when ``states`` is.
     """
 
     states: StateTable | None
@@ -141,8 +150,6 @@ class Mdp:
     init: int
     labels: dict[str, np.ndarray]
     warnings: list[str] = field(default_factory=list)
-    closures: dict[str, tuple[int, ...]] | None = None
-    windows: dict[str, tuple[int, int, int]] | None = None
 
     @property
     def n_states(self) -> int:
@@ -234,25 +241,6 @@ class Violation:
     detail: str
 
 
-class _Columns(NamedTuple):
-    """Vehicle states as columns, with regions and facets coded in declaration order.
-
-    ``beliefs[s, i]`` is the position of lane ``i`` (the region's ``i``-th
-    neighbour) in that neighbour's BeliefSet; lanes past the region's
-    neighbour count hold 0.
-    """
-
-    facet: np.ndarray
-    region: np.ndarray
-    count: np.ndarray
-    level: np.ndarray
-    alive: np.ndarray
-    beliefs: np.ndarray
-
-    def take(self, rows) -> _Columns:
-        return _Columns(*(column[rows] for column in self))
-
-
 def _int_array(values) -> np.ndarray:
     return np.array(list(values), dtype=np.int64)
 
@@ -305,18 +293,23 @@ class MdpBuilder:
         self.belief_sets: dict[str, BeliefSet] = dict(zip(env.regions, bsets))
         self.neighbors = env.adjacency()
         region_ids, facet_ids = list(env.regions), list(env.facets)
-        self.region_ids, self.facet_ids = region_ids, facet_ids
         region_of = {rid: r for r, rid in enumerate(region_ids)}
         facet_of = {fid: f for f, fid in enumerate(facet_ids)}
         self.floor = _int_array(r.min_adversaries for r in regions)
         self.ceil = _int_array(r.max_adversaries for r in regions)
         self.levels = _int_array(r.max_obstacle_level + 1 for r in regions)
+        # every table the builder decodes shares these
+        self.facet_names = np.array(facet_ids, dtype=str)
+        self.region_names = np.array(region_ids, dtype=str)
+        self.closures = {rid: tuple(len(self.belief_sets[n]) for n in self.neighbors[rid])
+                         for rid in region_ids}
+        self.windows = {rid: (int(self.levels[r]), int(self.floor[r]), int(self.ceil[r]))
+                        for r, rid in enumerate(region_ids)}
         self.mu_enter = _float_array(r.mu_enter for r in regions)
         self.mu_leave = _float_array(r.mu_leave for r in regions)
 
         lanes = [[region_of[n] for n in self.neighbors[rid]] for rid in region_ids]
-        self.degree = _int_array(map(len, lanes))
-        self.width = int(self.degree.max())
+        self.width = max(map(len, lanes))
         self.lane_region = np.full((len(lanes), self.width), -1, dtype=np.int64)
         for r, row in enumerate(lanes):
             self.lane_region[r, :len(row)] = row
@@ -404,21 +397,22 @@ class MdpBuilder:
             self.words[-1].append((field_idx, scale, radix))
             self.word_of[field_idx], self.scale_of[field_idx] = len(self.words) - 1, scale
             scale *= radix
-        self.init = (facet_of[env.init_facet], region_of[env.init_region])
+        # the vehicle starts with nothing observed and every belief at its initial member
+        self.init_key = self.key(self.pair[[facet_of[env.init_facet]], region_of[env.init_region]],
+                                 0, 0, True, np.zeros((1, self.width), dtype=np.int64))
 
         # the keys of the states each exit can lose or land the vehicle in
         land = self.exit_region
         n = len(land)
-        self.lost_key = self.key(_Columns(
-            self.exit_facet, land, self.floor[land], np.zeros(n, dtype=np.int64),
-            np.zeros(n, dtype=bool), np.zeros((n, self.width), dtype=np.int64)))
+        self.lost_key = self.key(self.pair[self.exit_facet, land], self.floor[land], 0, False,
+                                 np.zeros((n, self.width), dtype=np.int64))
         sizes = (self.ceil[land] + 1) * self.levels[land]
         self.landed_first = np.cumsum(sizes) - sizes
         x = np.repeat(np.arange(n), sizes)
         t = ranges(np.zeros_like(sizes), sizes)
-        self.landed_key = self.key(_Columns(
-            self.exit_facet[x], land[x], t // self.levels[land[x]], t % self.levels[land[x]],
-            np.ones(len(x), dtype=bool), np.zeros((len(x), self.width), dtype=np.int64)))
+        self.landed_key = self.key(self.pair[self.exit_facet[x], land[x]], t // self.levels[land[x]],
+                                   t % self.levels[land[x]], True,
+                                   np.zeros((len(x), self.width), dtype=np.int64))
 
     def build(self) -> Mdp:
         """Expand the reachable states breadth first, up to :data:`BATCH` states per round.
@@ -441,7 +435,7 @@ class MdpBuilder:
         """
         env = self.env
         stay_idx = len(env.primitives)
-        pending = self.key(self.initial())
+        pending = self.init_key
         numbering = _Numbering(pending)
         parts, first_id = [pending], 0
         # grown in place, so the build never holds two copies of the model
@@ -493,19 +487,18 @@ class MdpBuilder:
         pair = self.pair[states.facet, states.region]
         stuck = pair[states.alive & (self.prim_ptr[pair + 1] == self.prim_ptr[pair])]
         warnings = []
-        for dead in stuck[np.sort(np.unique(stuck, return_index=True)[1])].tolist():
+        for dead in _first_seen(stuck)[0].tolist():
             facet, region = self.pairs[dead]
             warnings.append(
                 f"dead end: no primitive leaves facet {facet!r} across region {region!r}")
-        table = self.table(states)
         # a region label holds on every state in that region
-        labels = {"alive": table.alive.copy()}
+        labels = {"alive": states.alive.copy()}
         for name in (PICKUP, DROPOFF):
-            tagged = [name in env.regions[r].labels for r in table.region_names]
-            labels[name] = np.array(tagged, dtype=bool)[table.region]
+            tagged = [name in region.labels for region in env.regions.values()]
+            labels[name] = np.array(tagged, dtype=bool)[states.region]
 
         return Mdp(
-            states=table,
+            states=states,
             action_names=[p.name for p in env.primitives] + [STAY],
             state_ptr=np.frombuffer(state_ptr, dtype=np.int64),
             choice_action=np.frombuffer(choice_action, dtype=np.int64),
@@ -515,29 +508,24 @@ class MdpBuilder:
             init=0,
             labels=labels,
             warnings=warnings,
-            closures={rid: tuple(len(self.belief_sets[n]) for n in self.neighbors[rid])
-                      for rid in env.regions},
-            windows={rid: (int(self.levels[r]), int(self.floor[r]), int(self.ceil[r]))
-                     for r, rid in enumerate(self.region_ids)},
         )
 
-    def initial(self) -> _Columns:
-        facet, region = self.init
-        return _Columns(_int_array([facet]), _int_array([region]), _int_array([0]),
-                        _int_array([0]), np.ones(1, dtype=bool),
-                        np.zeros((1, self.width), dtype=np.int64))
+    def key(self, pair: np.ndarray, count, level, alive, beliefs: np.ndarray) -> np.ndarray:
+        """One sortable key per state, equal exactly when the states are.
 
-    def key(self, s: _Columns) -> np.ndarray:
-        """One sortable key per state, equal exactly when the states are."""
-        fields = [self.pair[s.facet, s.region], s.count, s.level, s.alive.astype(np.int64),
-                  *s.beliefs.T]
+        A state is its facet-region pair code ``pair``, its count, level and
+        alive flag, and its row of the lane matrix ``beliefs``; the scalar
+        fields may be given once for every state.
+        """
+        # the first word holds the pair and the later ones only lanes, so every word is an array
+        fields = [pair, count, level, np.asarray(alive, dtype=np.int64), *beliefs.T]
         words = [sum(fields[f] * scale for f, scale, _ in word) for word in self.words]
         if len(words) == 1:
             return words[0]
         packed = np.ascontiguousarray(np.stack(words, axis=1))
         return packed.view(np.dtype((np.void, 8 * len(words)))).ravel()
 
-    def decode(self, keys: np.ndarray) -> _Columns:
+    def decode(self, keys: np.ndarray) -> StateTable:
         """The states whose keys are ``keys``."""
         words = keys.view(np.int64).reshape(len(keys), len(self.words))
         fields = {f: words[:, w] // scale % radix
@@ -546,10 +534,11 @@ class MdpBuilder:
         for i in range(self.width):
             beliefs[:, i] = fields[4 + i]
         pair = fields[0]
-        return _Columns(self.pair_facet[pair], self.pair_region[pair], fields[1], fields[2],
-                        fields[3].astype(bool), beliefs)
+        return StateTable(self.facet_names, self.pair_facet[pair], self.region_names,
+                          self.pair_region[pair], fields[1], fields[2], fields[3].astype(bool),
+                          beliefs, self.closures, self.windows)
 
-    def entries(self, keys: np.ndarray, s: _Columns, n_prims: np.ndarray, prim: np.ndarray):
+    def entries(self, keys: np.ndarray, s: StateTable, n_prims: np.ndarray, prim: np.ndarray):
         """Every entry of the rows of the acting states ``s``, in the order :meth:`build` puts them.
 
         ``keys`` are the states' keys.  Row ``r`` plays primitive ``prim[r]``,
@@ -657,20 +646,6 @@ class MdpBuilder:
         key[put] = moved_key[m]
         return np.diff(exits) + n_moved, prob, key
 
-    def table(self, s: _Columns) -> StateTable:
-        """The states as a StateTable, names coded in order of first appearance."""
-        facets, facet = _first_seen(s.facet)
-        regions, region = _first_seen(s.region)
-        degree = self.degree[s.region]
-        return StateTable(
-            facet_names=np.array([self.facet_ids[f] for f in facets.tolist()], dtype=str),
-            facet=facet,
-            region_names=np.array([self.region_ids[r] for r in regions.tolist()], dtype=str),
-            region=region, count=s.count, level=s.level, alive=s.alive,
-            belief_ptr=np.concatenate(([0], np.cumsum(degree))),
-            beliefs=s.beliefs[np.arange(self.width) < degree[:, None]],
-        )
-
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(values, return_index=True, return_inverse=True)``, without a stable sort.
@@ -744,7 +719,7 @@ class _Numbering:
 def _merge_repeats(choice: np.ndarray, succ: np.ndarray, prob: np.ndarray):
     """Fold repeated (choice, successor) entries into the first, summed in entry order."""
     entry = choice * (int(succ.max(initial=0)) + 1) + succ
-    _, first, group = np.unique(entry, return_index=True, return_inverse=True)
+    _, first, group = _distinct(entry)
     if len(first) == len(entry):
         return choice, succ, prob
     total = prob[first]
@@ -847,13 +822,12 @@ def validate_mdp(mdp: Mdp) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# A dump is one ``.npz`` archive: the five CSR arrays, the labels, the state
-# table's columns as they are (none for a hand-built model) and the model's
-# belief closure sizes and region windows, so it loads with
-# ``allow_pickle=False``.  A dump with a state table always records both;
-# archives of any other format tag are refused.
+# A dump is one ``.npz`` archive: the five CSR arrays, the labels and the
+# state table's columns as they are, with its belief closure sizes and region
+# windows (none for a hand-built model), so it loads with
+# ``allow_pickle=False``.  Archives of any other format tag are refused.
 
-_DUMP_FORMAT = "hostile-mdp-csr-3"
+_DUMP_FORMAT = "hostile-mdp-csr-4"
 
 
 def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
@@ -864,21 +838,20 @@ def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _states_from(doc, init: int) -> StateTable | None:
-    keys = [f.name for f in fields(StateTable)]
+    keys = [f.name for f in fields(StateTable) if f.name not in ("closures", "windows")]
     if not any(key in doc for key in keys):
         return None
     columns = {}
     for key in keys:
         kind = {"facet_names": "U", "region_names": "U", "alive": "b"}.get(key)
-        columns[key] = (_array(doc, key, kind) if kind
-                        else _array(doc, key, "iu").astype(np.int64, copy=False))
-    table = StateTable(**columns)
-    n, ptr = len(table), table.belief_ptr
-    if any(len(getattr(table, key)) != n for key in ("facet", "region", "count", "level")):
+        columns[key] = (_array(doc, key, kind) if kind else _array(
+            doc, key, "iu", ndim=1 + (key == "beliefs")).astype(np.int64, copy=False))
+    table = StateTable(**columns, closures=_named_groups(doc, "closure", "closure_sizes"),
+                       windows=_named_groups(doc, "window", "window_bounds"))
+    n = len(table)
+    if any(len(getattr(table, key)) != n for key in ("facet", "region", "count", "level",
+                                                      "beliefs")):
         raise MdpFormatError("state columns differ in length")
-    problem = _pointer_problem(ptr, n, len(table.beliefs), "belief")
-    if problem:
-        raise MdpFormatError(problem)
     for key, codes in (("facet_names", table.facet), ("region_names", table.region)):
         if len(codes) and (codes.min() < 0 or codes.max() >= len(getattr(table, key))):
             raise MdpFormatError(f"{key} index out of range")
@@ -888,9 +861,10 @@ def _states_from(doc, init: int) -> StateTable | None:
             raise MdpFormatError(f"negative {key} {column[column < 0][0]}")
     if (table.count > MAX_ADVERSARIES).any():
         raise MdpFormatError(f"count {table.count.max()} above {MAX_ADVERSARIES}")
+    _check_positions(table)
+    _check_windows(table)
     # the vehicle starts with nothing observed and every belief at its initial member
-    if 0 <= init < n and (table.count[init] or table.level[init]
-                          or table.beliefs[ptr[init]:ptr[init + 1]].any()):
+    if 0 <= init < n and (table.count[init] or table.level[init] or table.beliefs[init].any()):
         raise MdpFormatError(f"initial state {table[init]} is not a fresh start")
     return table
 
@@ -917,10 +891,10 @@ def _named_groups(doc, what: str, values: str) -> dict[str, tuple[int, ...]]:
             for name, lo, hi in zip(names, ptr[:-1].tolist(), ptr[1:].tolist())}
 
 
-def _check_windows(table: StateTable, windows: dict[str, tuple[int, ...]]):
+def _check_windows(table: StateTable):
     """MdpFormatError unless each state's obstacle level and adversary count fit its region."""
     names = table.region_names.tolist()
-    bounds = [windows.get(name, ()) for name in names]
+    bounds = [table.windows.get(name, ()) for name in names]
     unbounded = [name for name, window in zip(names, bounds) if len(window) != 3]
     if unbounded:
         raise MdpFormatError(f"region {unbounded[0]!r} has no window of 3 bounds")
@@ -935,23 +909,32 @@ def _check_windows(table: StateTable, windows: dict[str, tuple[int, ...]]):
             f"window [{floor[s]}, {ceil[s]}]")
 
 
-def _check_positions(table: StateTable, closures: dict[str, tuple[int, ...]]):
-    """MdpFormatError unless each state holds one position per lane, each below its closure's size."""
-    first, sizes = _flat([closures.get(name, ()) for name in table.region_names.tolist()])
-    lanes = np.diff(first)[table.region]
-    degree = np.diff(table.belief_ptr)
-    wrong = np.flatnonzero(degree != lanes)
+def _check_positions(table: StateTable):
+    """MdpFormatError unless each lane of a state's region holds a position below its
+    closure's size, and each lane past them holds 0."""
+    names = table.region_names.tolist()
+    width = table.beliefs.shape[1]
+    sizes = np.zeros((len(names), width), dtype=np.int64)
+    for r, name in enumerate(names):
+        if name not in table.closures:
+            raise MdpFormatError(f"region {name!r} has no closure sizes")
+        closure = table.closures[name]
+        if len(closure) > width:
+            raise MdpFormatError(f"region {name!r} has {len(closure)} lanes, more than the "
+                                 f"{width} of the belief matrix")
+        sizes[r, :len(closure)] = closure
+    inside = np.arange(width) < table.lanes()[table.region][:, None]
+    limit = sizes[table.region]
+    wrong = np.flatnonzero(np.where(inside, table.beliefs >= limit, table.beliefs != 0))
     if len(wrong):
-        s = wrong[0]
-        raise MdpFormatError(f"state {s} holds {degree[s]} belief positions for {lanes[s]} lanes")
-    limit = sizes[np.repeat(first[table.region] - table.belief_ptr[:-1], degree)
-                  + np.arange(len(table.beliefs))]
-    past = np.flatnonzero(table.beliefs >= limit)
-    if len(past):
-        k = past[0]
-        s = np.searchsorted(table.belief_ptr, k, side="right") - 1
-        raise MdpFormatError(f"state {s}: belief position {table.beliefs[k]} is not below "
-                             f"its closure size {limit[k]}")
+        s, lane = divmod(int(wrong[0]), width)
+        position = table.beliefs[s, lane]
+        if inside[s, lane]:
+            raise MdpFormatError(f"state {s}: belief position {position} is not below "
+                                 f"its closure size {limit[s, lane]}")
+        region = names[table.region[s]]
+        raise MdpFormatError(f"state {s}: belief position {position} in lane {lane} is past "
+                             f"region {region!r}'s {len(table.closures[region])} lanes")
 
 
 def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
@@ -966,17 +949,17 @@ def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
 
 def dump_mdp(mdp: Mdp, path: str | Path):
     """Write the MDP as one ``.npz`` archive at exactly ``path`` (see :func:`load_mdp`)."""
-    if mdp.states is not None and (mdp.closures is None or mdp.windows is None):
-        raise ValueError("a model with a state table needs its closure sizes and windows "
-                         "to be dumped")
     label_names = sorted(mdp.labels)
     label_ptr, label_states = _flat([np.flatnonzero(mdp.labels[k]) for k in label_names])
-    sized = {}
-    for what, values, groups in (("closure", "closure_sizes", mdp.closures),
-                                 ("window", "window_bounds", mdp.windows)):
-        if groups is not None:
+    table = {}
+    if mdp.states is not None:
+        table = dict(vars(mdp.states))
+        # the columns as they are, the closures and windows as named groups
+        for key, what, values in (("closures", "closure", "closure_sizes"),
+                                  ("windows", "window", "window_bounds")):
+            groups = table.pop(key)
             ptr, members = _flat(list(groups.values()))
-            sized.update({f"{what}_names": np.array(list(groups), dtype=str),
+            table.update({f"{what}_names": np.array(list(groups), dtype=str),
                           f"{what}_ptr": ptr, values: members})
     with open(path, "wb") as handle:
         np.savez(
@@ -989,8 +972,7 @@ def dump_mdp(mdp: Mdp, path: str | Path):
             label_names=np.array(label_names, dtype=str),
             label_ptr=label_ptr, label_states=label_states,
             warnings=np.array(mdp.warnings, dtype=str),
-            **({} if mdp.states is None else vars(mdp.states)),
-            **sized,
+            **table,
         )
 
 
@@ -1007,9 +989,10 @@ def _array(doc, key: str, kind: str, ndim: int = 1) -> np.ndarray:
 def load_mdp(path: str | Path) -> Mdp:
     """Read a dump written by :func:`dump_mdp`; MdpFormatError if it is not one.
 
-    Only what decoding needs is checked here, that each belief position is
-    below its closure's size, and that each state's obstacle level and
-    adversary count lie inside its region's window; run
+    Only what decoding needs is checked here: that each belief position is
+    below its closure's size and each lane past its region's lanes holds 0,
+    and that each state's obstacle level and adversary count lie inside its
+    region's window; run
     :func:`validate_mdp` on the result before using it.
     """
     try:
@@ -1032,17 +1015,8 @@ def load_mdp(path: str | Path) -> Mdp:
         if n < 0:
             raise MdpFormatError("state pointer is empty")
         init = int(_array(doc, "init", "iu", ndim=0))
-        states = _states_from(doc, init)
-        closures = windows = None
-        if states is not None:
-            closures = _named_groups(doc, "closure", "closure_sizes")
-            windows = _named_groups(doc, "window", "window_bounds")
-            _check_positions(states, closures)
-            _check_windows(states, windows)
         return Mdp(
-            states=states,
-            closures=closures,
-            windows=windows,
+            states=_states_from(doc, init),
             action_names=_array(doc, "action_names", "U").tolist(),
             init=init,
             labels=_labels_from(doc, n),
@@ -1156,16 +1130,12 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
     if table is None:
         _stream(sta_path, "(s)", [_tokens(b"%d:(%d)\n" % (i, i) for i in range(n))[:, None]])
     else:
-        # belief tuples are numbered in order of first appearance, each as one
-        # row of its length and its positions padded with -1
-        degree = np.diff(table.belief_ptr)
-        rows = np.full((n, 1 + int(degree.max(initial=0))), -1, dtype=np.int64)
-        rows[:, 0] = degree
-        lane = np.arange(len(table.beliefs)) - np.repeat(table.belief_ptr[:-1], degree)
-        rows[np.repeat(states, degree), 1 + lane] = table.beliefs
+        # facets, regions and belief tuples are numbered in order of first appearance,
+        # a tuple as one row of its lane count and its lanes
+        rows = np.column_stack((table.lanes()[table.region], table.beliefs))
         _, combos = _first_seen(rows.view(np.dtype((np.void, rows.strides[0]))).ravel())
-        columns = np.stack((table.facet, table.region, table.count, table.level,
-                            table.alive.astype(np.int64)))
+        columns = np.stack((_first_seen(table.facet)[1], _first_seen(table.region)[1],
+                            table.count, table.level, table.alive.astype(np.int64)))
         values, codes = np.unique(columns, return_inverse=True)
         lines = np.column_stack((
             _tokens(b"%d:(" % i for i in range(n)),

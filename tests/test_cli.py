@@ -194,7 +194,7 @@ class TestBadInputs:
         capsys.readouterr()
         assert main(["synthesize", "--mdp", str(dump)]) == 1
         line = single_error(capsys)
-        assert "format tag hostile-mdp-csr-2, expected hostile-mdp-csr-3" in line
+        assert "format tag hostile-mdp-csr-2, expected hostile-mdp-csr-4" in line
         assert line.endswith("rebuild with 'build --dump-mdp')")
 
     def test_repeated_label_name_is_refused(self, tmp_path, capsys):

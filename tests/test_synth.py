@@ -566,8 +566,10 @@ class TestConcurrentStages:
     """``synthesize_mission`` solves its two stages at once; what it returns
     and raises must be what the stages solved one after the other give."""
 
-    @pytest.mark.parametrize("method", ["vi", "lp"])
-    @pytest.mark.parametrize("name", ["corridor", "A", "B"])
+    # caseB's LP mission takes about three times caseA's, on the same code path, and
+    # caseA's two LP stages already overlap, so caseB is checked by VI only
+    @pytest.mark.parametrize("name, method", [("corridor", "vi"), ("corridor", "lp"),
+                                              ("A", "vi"), ("A", "lp"), ("B", "vi")])
     def test_bundled_missions_match_the_sequential_order(self, corridor_env, case_envs,
                                                          stray_threads, name, method):
         mdp = build_mdp(corridor_env if name == "corridor" else case_envs[name])
