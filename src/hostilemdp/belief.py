@@ -70,9 +70,6 @@ class AdversaryBelief:
     def is_point_at_ceil(self) -> bool:
         return self.start == self.end == self.ceil
 
-    def key(self) -> tuple:
-        return (self.start, self.end, self.probs)
-
 
 def expectation(belief: AdversaryBelief) -> Fraction:
     """Expected adversary count, exact."""
@@ -143,7 +140,7 @@ def enumerate_reachable(initial: AdversaryBelief) -> BeliefSet:
     bounds) but ``NODE_BUDGET`` guards against construction bugs.
     """
     members = [initial]
-    index = {initial.key(): 0}
+    index = {initial: 0}
     edges: list[dict[str, int]] = [{}]
     max_redist = 0
     queue = deque([0])
@@ -156,15 +153,14 @@ def enumerate_reachable(initial: AdversaryBelief) -> BeliefSet:
                 nxt = op(belief)
             except UpdateNotAllowed:
                 continue
-            key = nxt.key()
-            if key not in index:
+            if nxt not in index:
                 if len(members) >= NODE_BUDGET:
                     raise RuntimeError(f"belief closure exceeded {NODE_BUDGET} nodes")
-                index[key] = len(members)
+                index[nxt] = len(members)
                 members.append(nxt)
                 edges.append({})
-                queue.append(index[key])
-            edges[pos][kind] = index[key]
+                queue.append(index[nxt])
+            edges[pos][kind] = index[nxt]
     return BeliefSet(members, edges, max_redist)
 
 

@@ -73,11 +73,13 @@ class StateTable:
     list every facet and region in declaration order.  ``beliefs`` has one
     column, or lane, per neighbour slot: lane ``i`` of a state in region
     ``r`` is its position in the BeliefSet of ``r``'s ``i``-th neighbour,
-    below ``closures[r][i]``, and the lanes past ``len(closures[r])`` hold 0.
-    ``windows[r]`` is region ``r``'s obstacle level count and its adversary
-    floor and ceiling: a state in ``r`` has a level below the first and a
-    count between the other two.  The index columns are int64, ``beliefs``
-    is an int64 (states, lanes) matrix and ``alive`` is bool.
+    below that closure's size ``closures[r, i]``.  ``closures`` is a
+    (regions, lanes) matrix, 0 past a region's lanes, and a state's lanes
+    there hold 0.  Row ``windows[r]`` is region ``r``'s obstacle level count
+    and its adversary floor and ceiling: a state in ``r`` has a level below
+    the first and a count between the other two.  The index columns are
+    int64, ``beliefs``, ``closures`` and ``windows`` are int64 matrices and
+    ``alive`` is bool.
     """
 
     facet_names: np.ndarray
@@ -88,8 +90,8 @@ class StateTable:
     level: np.ndarray
     alive: np.ndarray
     beliefs: np.ndarray
-    closures: dict[str, tuple[int, ...]]
-    windows: dict[str, tuple[int, int, int]]
+    closures: np.ndarray
+    windows: np.ndarray
 
     # indexing returns one state; the table is not a sequence of them
     __iter__ = None
@@ -98,11 +100,11 @@ class StateTable:
         return len(self.alive)
 
     def __getitem__(self, s: int) -> VehicleState:
-        region = str(self.region_names[self.region[s]])
+        region = self.region[s]
         return VehicleState(
-            str(self.facet_names[self.facet[s]]), region,
+            str(self.facet_names[self.facet[s]]), str(self.region_names[region]),
             int(self.count[s]), int(self.level[s]), bool(self.alive[s]),
-            tuple(self.beliefs[s, :len(self.closures[region])].tolist()),
+            tuple(self.beliefs[s, :np.count_nonzero(self.closures[region])].tolist()),
         )
 
     def take(self, rows) -> StateTable:
@@ -113,8 +115,8 @@ class StateTable:
 
     def lanes(self) -> np.ndarray:
         """The number of lanes of each region, in ``region_names`` order."""
-        return np.array([len(self.closures[name]) for name in self.region_names.tolist()],
-                        dtype=np.int64)
+        # every closure has a member, so a region's lanes are its nonzero sizes
+        return np.count_nonzero(self.closures, axis=1)
 
 
 class MdpFormatError(ValueError):
@@ -301,10 +303,7 @@ class MdpBuilder:
         # every table the builder decodes shares these
         self.facet_names = np.array(facet_ids, dtype=str)
         self.region_names = np.array(region_ids, dtype=str)
-        self.closures = {rid: tuple(len(self.belief_sets[n]) for n in self.neighbors[rid])
-                         for rid in region_ids}
-        self.windows = {rid: (int(self.levels[r]), int(self.floor[r]), int(self.ceil[r]))
-                        for r, rid in enumerate(region_ids)}
+        self.windows = np.column_stack((self.levels, self.floor, self.ceil))
         self.mu_enter = _float_array(r.mu_enter for r in regions)
         self.mu_leave = _float_array(r.mu_leave for r in regions)
 
@@ -313,6 +312,8 @@ class MdpBuilder:
         self.lane_region = np.full((len(lanes), self.width), -1, dtype=np.int64)
         for r, row in enumerate(lanes):
             self.lane_region[r, :len(row)] = row
+        sizes = _int_array(map(len, bsets))
+        self.closures = np.where(self.lane_region >= 0, sizes[self.lane_region], 0)
 
         self.first = _pointer(map(len, bsets))[:-1]
         self.left, self.entered, self.expect = map(np.concatenate, (left, entered, expect))
@@ -822,40 +823,37 @@ def validate_mdp(mdp: Mdp) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# A dump is one ``.npz`` archive: the five CSR arrays, the labels and the
-# state table's columns as they are, with its belief closure sizes and region
-# windows (none for a hand-built model), so it loads with
+# A dump is one ``.npz`` archive of rectangular arrays: the five CSR arrays,
+# the label names with one bool mask row per label, and the state table's
+# arrays as they are (none for a hand-built model), so it loads with
 # ``allow_pickle=False``.  Archives of any other format tag are refused.
 
-_DUMP_FORMAT = "hostile-mdp-csr-4"
-
-
-def _flat(groups) -> tuple[np.ndarray, np.ndarray]:
-    """Variable-length integer groups as (pointer, values)."""
-    # the empty first group keeps the values int64 when there are no groups
-    return _pointer(map(len, groups)), np.concatenate(
-        [np.zeros(0, dtype=np.int64), *(np.asarray(g, dtype=np.int64) for g in groups)])
+_DUMP_FORMAT = "hostile-mdp-csr-5"
 
 
 def _states_from(doc, init: int) -> StateTable | None:
-    keys = [f.name for f in fields(StateTable) if f.name not in ("closures", "windows")]
+    keys = [f.name for f in fields(StateTable)]
     if not any(key in doc for key in keys):
         return None
     columns = {}
     for key in keys:
         kind = {"facet_names": "U", "region_names": "U", "alive": "b"}.get(key)
         columns[key] = (_array(doc, key, kind) if kind else _array(
-            doc, key, "iu", ndim=1 + (key == "beliefs")).astype(np.int64, copy=False))
-    table = StateTable(**columns, closures=_named_groups(doc, "closure", "closure_sizes"),
-                       windows=_named_groups(doc, "window", "window_bounds"))
+            doc, key, "iu", ndim=1 + (key in ("beliefs", "closures", "windows"))
+        ).astype(np.int64, copy=False))
+    table = StateTable(**columns)
     n = len(table)
     if any(len(getattr(table, key)) != n for key in ("facet", "region", "count", "level",
                                                       "beliefs")):
         raise MdpFormatError("state columns differ in length")
+    regions = len(table.region_names)
+    for key, shape in (("closures", (regions, table.beliefs.shape[1])), ("windows", (regions, 3))):
+        if getattr(table, key).shape != shape:
+            raise MdpFormatError(f"{key} has shape {getattr(table, key).shape}, expected {shape}")
     for key, codes in (("facet_names", table.facet), ("region_names", table.region)):
         if len(codes) and (codes.min() < 0 or codes.max() >= len(getattr(table, key))):
             raise MdpFormatError(f"{key} index out of range")
-    for key in ("count", "level", "beliefs"):
+    for key in ("count", "level", "beliefs", "closures"):
         column = getattr(table, key)
         if (column < 0).any():
             raise MdpFormatError(f"negative {key} {column[column < 0][0]}")
@@ -869,98 +867,59 @@ def _states_from(doc, init: int) -> StateTable | None:
     return table
 
 
-def _groups(doc, what: str, values: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The named integer groups ``<what>_names``/``_ptr``/``<values>`` of a dump, checked."""
-    names = _array(doc, f"{what}_names", "U")
-    # unsigned differences wrap, so cast before the pointer is checked
-    ptr = _array(doc, f"{what}_ptr", "iu").astype(np.int64, copy=False)
-    members = _array(doc, values, "iu").astype(np.int64, copy=False)
-    problem = _pointer_problem(ptr, len(names), len(members), what)
-    if problem:
-        raise MdpFormatError(problem)
-    # a later group of the same name would silently replace the earlier one
-    unique, counts = np.unique(names, return_counts=True)
-    if (counts > 1).any():
-        raise MdpFormatError(f"{what} name {str(unique[counts > 1][0])!r} is given more than once")
-    return names.tolist(), ptr, members
-
-
-def _named_groups(doc, what: str, values: str) -> dict[str, tuple[int, ...]]:
-    names, ptr, members = _groups(doc, what, values)
-    return {name: tuple(members[lo:hi].tolist())
-            for name, lo, hi in zip(names, ptr[:-1].tolist(), ptr[1:].tolist())}
-
-
 def _check_windows(table: StateTable):
     """MdpFormatError unless each state's obstacle level and adversary count fit its region."""
-    names = table.region_names.tolist()
-    bounds = [table.windows.get(name, ()) for name in names]
-    unbounded = [name for name, window in zip(names, bounds) if len(window) != 3]
-    if unbounded:
-        raise MdpFormatError(f"region {unbounded[0]!r} has no window of 3 bounds")
-    levels, floor, ceil = np.array(bounds, dtype=np.int64).reshape(-1, 3)[table.region].T
+    levels, floor, ceil = table.windows[table.region].T
     outside = np.flatnonzero((table.level >= levels) | (table.count < floor)
                              | (table.count > ceil))
     if len(outside):
         s = outside[0]
         raise MdpFormatError(
             f"state {s}: obstacle level {table.level[s]} or adversary count {table.count[s]} "
-            f"is outside region {names[table.region[s]]!r}'s {levels[s]} levels or its "
-            f"window [{floor[s]}, {ceil[s]}]")
+            f"is outside region {str(table.region_names[table.region[s]])!r}'s {levels[s]} "
+            f"levels or its window [{floor[s]}, {ceil[s]}]")
 
 
 def _check_positions(table: StateTable):
-    """MdpFormatError unless each lane of a state's region holds a position below its
-    closure's size, and each lane past them holds 0."""
-    names = table.region_names.tolist()
-    width = table.beliefs.shape[1]
-    sizes = np.zeros((len(names), width), dtype=np.int64)
-    for r, name in enumerate(names):
-        if name not in table.closures:
-            raise MdpFormatError(f"region {name!r} has no closure sizes")
-        closure = table.closures[name]
-        if len(closure) > width:
-            raise MdpFormatError(f"region {name!r} has {len(closure)} lanes, more than the "
-                                 f"{width} of the belief matrix")
-        sizes[r, :len(closure)] = closure
-    inside = np.arange(width) < table.lanes()[table.region][:, None]
+    """MdpFormatError unless each region's lanes come first in its row of closure sizes,
+    and each lane of a state's region holds a position below its closure's size and each
+    lane past them holds 0."""
+    sizes = table.closures
+    gaps = np.argwhere((sizes[:, 1:] > 0) & (sizes[:, :-1] == 0))
+    if len(gaps):
+        r, lane = gaps[0]
+        raise MdpFormatError(f"region {str(table.region_names[r])!r} has closure size "
+                             f"{sizes[r, lane + 1]} in lane {lane + 1}, after an empty lane")
     limit = sizes[table.region]
-    wrong = np.flatnonzero(np.where(inside, table.beliefs >= limit, table.beliefs != 0))
+    inside = limit > 0
+    wrong = np.argwhere(np.where(inside, table.beliefs >= limit, table.beliefs != 0))
     if len(wrong):
-        s, lane = divmod(int(wrong[0]), width)
+        s, lane = wrong[0]
         position = table.beliefs[s, lane]
         if inside[s, lane]:
             raise MdpFormatError(f"state {s}: belief position {position} is not below "
                                  f"its closure size {limit[s, lane]}")
-        region = names[table.region[s]]
         raise MdpFormatError(f"state {s}: belief position {position} in lane {lane} is past "
-                             f"region {region!r}'s {len(table.closures[region])} lanes")
+                             f"region {str(table.region_names[table.region[s]])!r}'s "
+                             f"{np.count_nonzero(inside[s])} lanes")
 
 
 def _labels_from(doc, n: int) -> dict[str, np.ndarray]:
-    names, ptr, members = _groups(doc, "label", "label_states")
-    strays = members[(members < 0) | (members >= n)]
-    if len(strays):
-        raise MdpFormatError(f"label member {strays[0]} is not one of the {n} states")
-    masks = np.zeros((len(names), n), dtype=bool)
-    masks[np.repeat(np.arange(len(names)), np.diff(ptr)), members] = True
-    return dict(zip(names, masks))
+    names = _array(doc, "label_names", "U")
+    masks = _array(doc, "label_masks", "b", ndim=2)
+    if masks.shape != (len(names), n):
+        raise MdpFormatError(f"label_masks has shape {masks.shape}, expected {(len(names), n)}")
+    # a later mask of the same name would silently replace the earlier one
+    unique, counts = np.unique(names, return_counts=True)
+    if (counts > 1).any():
+        raise MdpFormatError(f"label name {str(unique[counts > 1][0])!r} is given more than once")
+    return dict(zip(names.tolist(), masks))
 
 
 def dump_mdp(mdp: Mdp, path: str | Path):
     """Write the MDP as one ``.npz`` archive at exactly ``path`` (see :func:`load_mdp`)."""
     label_names = sorted(mdp.labels)
-    label_ptr, label_states = _flat([np.flatnonzero(mdp.labels[k]) for k in label_names])
-    table = {}
-    if mdp.states is not None:
-        table = dict(vars(mdp.states))
-        # the columns as they are, the closures and windows as named groups
-        for key, what, values in (("closures", "closure", "closure_sizes"),
-                                  ("windows", "window", "window_bounds")):
-            groups = table.pop(key)
-            ptr, members = _flat(list(groups.values()))
-            table.update({f"{what}_names": np.array(list(groups), dtype=str),
-                          f"{what}_ptr": ptr, values: members})
+    masks = np.array([mdp.labels[k] for k in label_names], dtype=bool)
     with open(path, "wb") as handle:
         np.savez(
             handle,
@@ -970,9 +929,9 @@ def dump_mdp(mdp: Mdp, path: str | Path):
             choice_ptr=mdp.choice_ptr, succ=mdp.succ, prob=mdp.prob,
             init=np.array(mdp.init, dtype=np.int64),
             label_names=np.array(label_names, dtype=str),
-            label_ptr=label_ptr, label_states=label_states,
+            label_masks=masks.reshape(len(label_names), mdp.n_states),
             warnings=np.array(mdp.warnings, dtype=str),
-            **table,
+            **({} if mdp.states is None else vars(mdp.states)),
         )
 
 
@@ -989,10 +948,10 @@ def _array(doc, key: str, kind: str, ndim: int = 1) -> np.ndarray:
 def load_mdp(path: str | Path) -> Mdp:
     """Read a dump written by :func:`dump_mdp`; MdpFormatError if it is not one.
 
-    Only what decoding needs is checked here: that each belief position is
-    below its closure's size and each lane past its region's lanes holds 0,
-    and that each state's obstacle level and adversary count lie inside its
-    region's window; run
+    Only what decoding needs is checked here: that every array has its
+    shape, that each belief position is below its closure's size and each
+    lane past its region's lanes holds 0, and that each state's obstacle
+    level and adversary count lie inside its region's window; run
     :func:`validate_mdp` on the result before using it.
     """
     try:

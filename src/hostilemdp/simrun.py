@@ -322,6 +322,8 @@ def estimate_success(
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     plan = _mission(mdp, strategy)
     writer = None if trace is None else _TraceWriter(mdp, trace)
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)

@@ -200,11 +200,14 @@ def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
 
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
     choices = ranges(first, stop)
-    rows = _free_rows(mdp, target, free, choices)[:, :len(free)]
+    rows = _free_rows(mdp, target, free, choices)
+    # the end column holds each row's target mass, 0.0 where it has none
+    b_ub = -rows[:, [len(free)]].toarray().ravel()
+    rows = rows[:, :len(free)]
     owners = np.repeat(np.arange(len(free)), stop - first)
     picker = scipy.sparse.csr_matrix(
         (np.ones(len(choices)), (np.arange(len(choices)), owners)), shape=rows.shape)
-    return (rows - picker).tocsc(), -(mdp.matrix @ target.astype(float))[choices]
+    return (rows - picker).tocsc(), b_ub
 
 
 def _assemble(mdp, target, free, x):

@@ -159,7 +159,7 @@ class TestBadInputs:
         assert main(["synthesize", "--mdp", str(dump)]) == 1
         assert "belief position 1000000 is not below" in single_error(capsys)
         # an older dump without closure sizes cannot be checked, so it is refused
-        unsized = {k: v for k, v in doc.items() if not k.startswith("closure_")}
+        unsized = {k: v for k, v in doc.items() if k != "closures"}
         np.savez(dump, **dict(unsized, format=np.array("hostile-mdp-csr-1")))
         assert main(["synthesize", "--mdp", str(dump)]) == 1
         line = single_error(capsys)
@@ -188,27 +188,25 @@ class TestBadInputs:
         dump = tmp_path / "model.npz"
         assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
         with np.load(dump) as archive:
-            doc = {k: v for k, v in archive.items() if not k.startswith("window_")}
+            doc = {k: v for k, v in archive.items() if k != "windows"}
         # the previous format recorded closure sizes but no windows
         np.savez(dump, **dict(doc, format=np.array("hostile-mdp-csr-2")))
         capsys.readouterr()
         assert main(["synthesize", "--mdp", str(dump)]) == 1
         line = single_error(capsys)
-        assert "format tag hostile-mdp-csr-2, expected hostile-mdp-csr-4" in line
+        assert "format tag hostile-mdp-csr-2, expected hostile-mdp-csr-5" in line
         assert line.endswith("rebuild with 'build --dump-mdp')")
 
     def test_repeated_label_name_is_refused(self, tmp_path, capsys):
-        # a second pickup group, holding the dropoff states, would replace the first
+        # a second pickup mask, holding the dropoff states, would replace the first
         dump = tmp_path / "model.npz"
         assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
         with np.load(dump) as archive:
             doc = dict(archive)
-        names, ptr = doc["label_names"].tolist(), doc["label_ptr"]
-        k = names.index(DROPOFF)
-        dropoff = doc["label_states"][ptr[k]:ptr[k + 1]]
+        names, masks = doc["label_names"].tolist(), doc["label_masks"]
+        dropoff = masks[names.index(DROPOFF)]
         doc["label_names"] = np.array(names + [PICKUP])
-        doc["label_ptr"] = np.append(ptr, ptr[-1] + len(dropoff))
-        doc["label_states"] = np.append(doc["label_states"], dropoff)
+        doc["label_masks"] = np.vstack((masks, dropoff))
         np.savez(dump, **doc)
         capsys.readouterr()
         assert main(["synthesize", "--mdp", str(dump)]) == 1

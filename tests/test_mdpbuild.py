@@ -45,16 +45,16 @@ from hostilemdp.mdpbuild import (
 from hostilemdp.synth import synthesize_mission
 
 ARRAYS = ("state_ptr", "choice_action", "choice_ptr", "succ", "prob")
-#: the array columns of a StateTable; its other fields are the closures and windows
-COLUMNS = ["facet_names", "facet", "region_names", "region", "count", "level", "alive", "beliefs"]
+#: the arrays of a StateTable, every one of its fields
+COLUMNS = ["facet_names", "facet", "region_names", "region", "count", "level", "alive", "beliefs",
+           "closures", "windows"]
 
 
 def assert_same_table(a, b):
-    assert [f.name for f in dataclasses.fields(StateTable)] == COLUMNS + ["closures", "windows"]
+    assert [f.name for f in dataclasses.fields(StateTable)] == COLUMNS
     for name in COLUMNS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
-    assert a.closures == b.closures and a.windows == b.windows
 
 
 def assert_same_build(a, b):
@@ -845,14 +845,16 @@ class TestSerialization:
 
     @pytest.mark.parametrize("labels", [{"none": set()}, {"goal": {1}, "none": set()}, {}])
     def test_empty_label_groups_roundtrip(self, tmp_path, labels):
-        """Label members are flattened as int64 even where a group, or every group, is empty."""
+        """Labels are one (labels, states) bool matrix even where a label, or every label, is
+        empty."""
         mdp = make_mdp({0: {"go": [(1, 1.0)]}, 1: {"stay": [(1, 1.0)]}}, labels=labels)
         assert mdp.states is None
         dump_mdp(mdp, tmp_path / "toy.npz")
         with np.load(tmp_path / "toy.npz") as archive:
-            assert archive["label_states"].dtype == archive["label_ptr"].dtype == np.int64
-            sizes = [len(labels[name]) for name in sorted(labels)]
-            assert archive["label_ptr"].tolist() == np.cumsum([0] + sizes).tolist()
+            masks = archive["label_masks"]
+            assert masks.dtype == bool and masks.shape == (len(labels), 2)
+            assert [set(np.flatnonzero(row).tolist()) for row in masks] == [
+                labels[name] for name in sorted(labels)]
             assert not any(key.startswith(("closure", "window")) for key in archive.files)
         back = load_mdp(tmp_path / "toy.npz")
         assert back.states is None
@@ -865,25 +867,29 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
         with np.load(path) as archive:
-            assert archive["format"] == "hostile-mdp-csr-4"
+            assert archive["format"] == "hostile-mdp-csr-5"
+            # no ragged groups: every array but the model's own CSR pointers is rectangular
+            assert [key for key in archive.files if key.endswith("_ptr")] == [
+                "state_ptr", "choice_ptr"]
         back = load_mdp(path)
-        assert back.states.closures == corridor_mdp.states.closures
-        assert back.states.windows == corridor_mdp.states.windows
+        assert np.array_equal(back.states.closures, corridor_mdp.states.closures)
+        assert np.array_equal(back.states.windows, corridor_mdp.states.windows)
         table = corridor_mdp.states
         for s in range(len(table)):
             state = table[s]
-            sizes = table.closures[state.region]
-            assert len(state.beliefs) == len(sizes)
+            sizes = table.closures[table.region[s]]
+            assert len(state.beliefs) == np.count_nonzero(sizes)
+            assert not sizes[len(state.beliefs):].any()
             assert all(0 <= b < size for b, size in zip(state.beliefs, sizes)), state
 
     def test_windows_are_the_regions_bounds(self, corridor_env, corridor_mdp):
-        for rid, region in corridor_env.regions.items():
-            assert corridor_mdp.states.windows[rid] == (region.max_obstacle_level + 1,
-                                                        region.min_adversaries,
-                                                        region.max_adversaries)
         table = corridor_mdp.states
+        assert table.region_names.tolist() == list(corridor_env.regions)
+        for r, region in enumerate(corridor_env.regions.values()):
+            assert table.windows[r].tolist() == [region.max_obstacle_level + 1,
+                                                 region.min_adversaries, region.max_adversaries]
         for s in range(len(table)):
-            levels, floor, ceil = table.windows[table[s].region]
+            levels, floor, ceil = table.windows[table.region[s]]
             assert table[s].level < levels and floor <= table[s].count <= ceil, table[s]
 
     @pytest.mark.parametrize("change, words", [
@@ -892,13 +898,13 @@ class TestSerialization:
          "levels or its window [0, 2]"),
         (lambda doc: doc["level"].__setitem__(5, 3), "state 5: obstacle level 3 "),
         (lambda doc: doc["count"].__setitem__(5, 3), "adversary count 3 is outside"),
-        (lambda doc: doc["window_bounds"].__setitem__(slice(None), 0), "0 levels"),
-        (lambda doc: doc.pop("window_bounds"), "'window_bounds' is missing"),
-        (lambda doc: doc["window_ptr"].__setitem__(1, 2), "no window of 3 bounds"),
-        (lambda doc: doc.update(window_names=doc["window_names"][1:],
-                                window_ptr=doc["window_ptr"][1:] - 3,
-                                window_bounds=doc["window_bounds"][3:]), "no window of 3 bounds"),
-    ], ids=["level", "level past", "count", "bounds", "missing", "pointer", "unnamed"])
+        (lambda doc: doc["windows"].__setitem__(slice(None), 0), "0 levels"),
+        (lambda doc: doc.pop("windows"), "'windows' is missing"),
+        (lambda doc: doc.update(windows=doc["windows"][:, :2]),
+         "windows has shape (4, 2), expected (4, 3)"),
+        (lambda doc: doc.update(windows=doc["windows"][1:]),
+         "windows has shape (3, 3), expected (4, 3)"),
+    ], ids=["level", "level past", "count", "bounds", "missing", "two bounds", "rows"])
     def test_level_or_count_outside_its_window_fails_to_load(self, corridor_mdp, tmp_path,
                                                              change, words):
         path = tmp_path / "model.npz"
@@ -913,18 +919,18 @@ class TestSerialization:
     @pytest.mark.parametrize("change, words", [
         (lambda doc: doc["beliefs"].__setitem__(5, doc["beliefs"][5] + 10**6),
          "belief position 1000000 is not below its closure size"),
-        (lambda doc: doc["closure_sizes"].__setitem__(slice(None), 1), "closure size 1"),
-        (lambda doc: doc["closure_ptr"].__setitem__(1, 3),
-         "region 'rs' has 3 lanes, more than the 2 of the belief matrix"),
+        (lambda doc: doc["closures"].__setitem__(doc["closures"] > 0, 1), "closure size 1"),
+        (lambda doc: doc.update(closures=np.pad(doc["closures"], ((0, 0), (0, 1)))),
+         "closures has shape (4, 3), expected (4, 2)"),
         (lambda doc: doc["beliefs"].__setitem__((7, 1), 1),
          "state 7: belief position 1 in lane 1 is past region 'rs''s 1 lanes"),
-        (lambda doc: doc.pop("closure_sizes"), "'closure_sizes' is missing"),
-        (lambda doc: doc.update(closure_ptr=doc["closure_ptr"][::-1].copy()), "closure pointer"),
-        (lambda doc: doc.update(closure_names=doc["closure_names"][1:],
-                                closure_ptr=doc["closure_ptr"][1:] - 1,
-                                closure_sizes=doc["closure_sizes"][1:]),
-         "region 'rs' has no closure sizes"),
-    ], ids=["position", "sizes", "lanes", "padding", "missing", "pointer", "unnamed"])
+        (lambda doc: doc.pop("closures"), "'closures' is missing"),
+        (lambda doc: doc.update(closures=doc["closures"][1:]),
+         "closures has shape (3, 2), expected (4, 2)"),
+        (lambda doc: doc["closures"].__setitem__((1, 1), -1), "negative closures -1"),
+        (lambda doc: doc["closures"].__setitem__(0, doc["closures"][0, ::-1].copy()),
+         "region 'rs' has closure size 6 in lane 1, after an empty lane"),
+    ], ids=["position", "sizes", "lanes", "padding", "missing", "rows", "negative", "gap"])
     def test_position_past_its_closure_fails_to_load(self, corridor_mdp, tmp_path, change,
                                                      words):
         path = tmp_path / "model.npz"
@@ -937,37 +943,50 @@ class TestSerialization:
             load_mdp(path)
 
     @pytest.mark.parametrize("tag", ["hostile-mdp-csr-1", "hostile-mdp-csr-2", "hostile-mdp-csr-3",
-                                     "two\nlines"])
+                                     "hostile-mdp-csr-4", "two\nlines"])
     def test_other_format_tags_are_refused(self, corridor_mdp, tmp_path, tag):
         """One format is read; an older dump, without sizes or windows or with ragged
-        beliefs, is refused, not loaded unchecked."""
+        beliefs or named groups, is refused, not loaded unchecked."""
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
         with np.load(path) as archive:
-            doc = {k: v for k, v in archive.items() if not k.startswith(("closure_", "window_"))}
+            doc = {k: v for k, v in archive.items() if k not in ("closures", "windows")}
         np.savez(path, **dict(doc, format=np.array(tag)))
         with pytest.raises(MdpFormatError) as err:
             load_mdp(path)
         shown = tag if tag.isprintable() else repr(tag)
         assert str(err.value) == (f"{path}: not a valid MDP dump (format tag {shown}, expected "
-                                  "hostile-mdp-csr-4; rebuild with 'build --dump-mdp')")
+                                  "hostile-mdp-csr-5; rebuild with 'build --dump-mdp')")
 
-    @pytest.mark.parametrize("what, values", [("label", "label_states"),
-                                              ("closure", "closure_sizes"),
-                                              ("window", "window_bounds")])
-    def test_repeated_group_names_fail_to_load(self, corridor_mdp, tmp_path, what, values):
-        # an extra group named like the first; a dict of the groups would keep only the later one
+    def test_repeated_label_names_fail_to_load(self, corridor_mdp, tmp_path):
+        # an extra mask named like the first; a dict of the masks would keep only the later one
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
         with np.load(path) as archive:
             doc = dict(archive)
-        names, ptr, members = doc[f"{what}_names"], doc[f"{what}_ptr"], doc[values]
-        doc[f"{what}_names"] = np.append(names, names[0])
-        doc[f"{what}_ptr"] = np.append(ptr, ptr[-1] + 1)
-        doc[values] = np.append(members, members[-1])
+        names, masks = doc["label_names"], doc["label_masks"]
+        doc["label_names"] = np.append(names, names[0])
+        doc["label_masks"] = np.vstack((masks, ~masks[:1]))
         np.savez(path, **doc)
-        repeated = f"{what} name '{names[0]}' is given more than once"
-        with pytest.raises(MdpFormatError, match=repeated):
+        with pytest.raises(MdpFormatError, match=f"label name '{names[0]}' is given more than once"):
+            load_mdp(path)
+
+    @pytest.mark.parametrize("change, words", [
+        (lambda doc: doc.update(label_masks=doc["label_masks"][:, 1:]), "label_masks has shape"),
+        (lambda doc: doc.update(label_masks=doc["label_masks"][1:]), "label_masks has shape"),
+        (lambda doc: doc.update(label_masks=doc["label_masks"].ravel()),
+         "array 'label_masks' has dtype bool and 1 dimensions"),
+        (lambda doc: doc.update(label_masks=doc["label_masks"].astype(np.int64)),
+         "array 'label_masks' has dtype int64"),
+    ], ids=["states", "labels", "1-D", "int"])
+    def test_misshapen_label_masks_fail_to_load(self, corridor_mdp, tmp_path, change, words):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        change(doc)
+        np.savez(path, **doc)
+        with pytest.raises(MdpFormatError, match=re.escape(words)):
             load_mdp(path)
 
     def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
@@ -983,25 +1002,13 @@ class TestSerialization:
         np.savez(path, **doc)
         assert kinds(load_mdp(path)) >= {"succ-range"}
 
-    @pytest.mark.parametrize("member", [-1, 10**6])
-    def test_out_of_range_label_member_fails_to_load(self, corridor_mdp, tmp_path, member):
-        path = tmp_path / "model.npz"
-        dump_mdp(corridor_mdp, path)
-        with np.load(path) as archive:
-            doc = dict(archive)
-        doc["label_states"] = doc["label_states"].copy()
-        doc["label_states"][0] = member
-        np.savez(path, **doc)
-        with pytest.raises(MdpFormatError, match="label member"):
-            load_mdp(path)
-
     def test_old_json_dump_is_refused(self, tmp_path):
         path = tmp_path / "old.mdp.json"
         path.write_text(json.dumps({"states": [], "actions": [], "enabled": [], "rows": []}))
         with pytest.raises(MdpFormatError, match="JSON dumps"):
             load_mdp(path)
 
-    @pytest.mark.parametrize("drop", ["succ", "facet", "format", "label_ptr"])
+    @pytest.mark.parametrize("drop", ["succ", "facet", "format", "label_masks"])
     def test_missing_array_is_a_format_error(self, corridor_mdp, tmp_path, drop):
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
@@ -1011,15 +1018,15 @@ class TestSerialization:
         with pytest.raises(MdpFormatError):
             load_mdp(path)
 
-    def test_unsigned_label_pointer_is_checked_as_signed(self, corridor_mdp, tmp_path):
+    def test_unsigned_closure_sizes_are_checked_as_signed(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"
         dump_mdp(corridor_mdp, path)
         with np.load(path) as archive:
             doc = dict(archive)
-        ptr = doc["label_ptr"].astype(np.uint64)
-        ptr[[1, 2]] = ptr[[2, 1]]
-        np.savez(path, **dict(doc, label_ptr=ptr))
-        with pytest.raises(MdpFormatError, match="label pointer"):
+        sizes = doc["closures"].astype(np.uint64)
+        sizes[1, 1] = 2**64 - 1
+        np.savez(path, **dict(doc, closures=sizes))
+        with pytest.raises(MdpFormatError, match="negative closures -1"):
             load_mdp(path)
 
     @pytest.mark.parametrize("change, words", [

@@ -241,6 +241,13 @@ class TestEstimate:
             with pytest.raises(ValueError, match="runs must be at least 1"):
                 estimate_success(mdp, strat, runs=runs)
 
+    def test_needs_a_step_limit_of_at_least_zero(self):
+        # -1 would stop every run before its first step, as 0 does, instead of failing
+        mdp, strat = mission_chain()
+        with pytest.raises(ValueError, match="max_steps must be at least 0, got -1"):
+            estimate_success(mdp, strat, runs=4, max_steps=-1)
+        assert estimate_success(mdp, strat, runs=4, max_steps=0).step_limit == 4
+
     def test_same_seed_repeats(self, corridor_mdp):
         strat = synthesize_mission(corridor_mdp, tol=1e-12)
         one = estimate_success(corridor_mdp, strat, runs=400, master_seed=11)
