@@ -88,7 +88,8 @@ class MotionPrimitive:
     ``lost`` maps every (count, obstacle level) the region admits to the
     probability of losing the vehicle when the crossing completes.
     ``outcomes`` is an optional pmf over exit facets for primitives whose
-    endpoint is uncertain; when absent the primitive always reaches ``to``.
+    endpoint is uncertain, naming each exit facet once; when absent the
+    primitive always reaches ``to``.
     """
 
     from_facet: str
@@ -175,15 +176,8 @@ def scale_rates(env: Environment, factor: float) -> Environment:
         for rid, r in env.regions.items()
     }
     prims = tuple(replace(p, rate=p.rate * factor) for p in env.primitives)
-    scaled = Environment(
-        name=env.name,
-        regions=regions,
-        facets=dict(env.facets),
-        primitives=prims,
-        init_facet=env.init_facet,
-        init_region=env.init_region,
-        warnings=list(env.warnings),
-    )
+    scaled = replace(env, regions=regions, primitives=prims, facets=dict(env.facets),
+                     warnings=list(env.warnings))
     _check_race_totals(scaled)
     pairs = [(f"region {rid!r} {name}", getattr(r, name), getattr(regions[rid], name))
              for rid, r in env.regions.items() for name in ("mu_enter", "mu_leave")]
@@ -457,8 +451,8 @@ def _parse_document(data: dict, name: str) -> Environment:
         lost = _parse_lost(obj["lost"], regions[rid], f"{where} lost", tables)
         outcomes = None
         if "outcomes" in obj:
-            pairs = []
-            total = Fraction(0)
+            # a facet named twice gets the exact sum of its shares, in its first place
+            shares: dict[str, Fraction] = {}
             for out in _list(obj["outcomes"], f"{where} outcomes"):
                 _check_keys(out, {"facet", "p"}, {"facet", "p"}, f"{where} outcome")
                 ofid = str(out["facet"])
@@ -469,11 +463,11 @@ def _parse_document(data: dict, name: str) -> Environment:
                         f"{where}: outcome facet {ofid!r} does not bound {rid!r}"
                     )
                 p = _exact(out["p"], f"{where} outcome {ofid!r}")
-                pairs.append((ofid, float(p)))
-                total += p
+                shares[ofid] = shares.get(ofid, Fraction(0)) + p
+            total = sum(shares.values(), Fraction(0))
             if total != 1:
                 raise EnvironmentFormatError(f"{where}: outcome pmf sums to {total}, not 1")
-            outcomes = tuple(pairs)
+            outcomes = tuple((ofid, float(p)) for ofid, p in shares.items())
         prims.append(MotionPrimitive(src, dst, rid, rate, lost, outcomes))
 
     init = data["init"]

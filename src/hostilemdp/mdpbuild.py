@@ -358,7 +358,6 @@ class MdpBuilder:
         # the lane holding the belief about the entered region; -1 on the outer boundary
         self.exit_lane = _int_array(
             -1 if land == rid else self.neighbors[rid].index(land) for _, _, land, rid in flat)
-        self.repeated_exits = any(len({e for e, *_ in group}) < len(group) for group in exits)
         # an exit on the outer boundary moves its state from the primitive's pair to the exit's
         self.pair_step = _int_array(
             self.pair[facet_of[e], region_of[p.region]]
@@ -422,10 +421,10 @@ class MdpBuilder:
         states before them.  A row puts, for each exit in ``exit_facets()``
         order, the lost state and then the landed ones (on the outer
         boundary the moved state, then the lost one), then the entering
-        adversaries lane by lane, then the leaving ones.  Entries of
-        probability zero are dropped, and a successor put twice keeps its
-        first place with its shares summed left to right.  A lost or
-        dead-end state plays ``stay`` alone.  ``tests/conftest.py`` keeps
+        adversaries lane by lane, then the leaving ones.  Each exit facet
+        appears once in ``exit_facets()``, so no row puts a successor twice.
+        Entries of probability zero are dropped.  A lost or dead-end state
+        plays ``stay`` alone.  ``tests/conftest.py`` keeps
         this specification one state at a time, as the build's oracle.
         A round expands the next unexpanded states in number order with
         whole-array gathers; number order is breadth-first order, so a round
@@ -471,8 +470,6 @@ class MdpBuilder:
             entry_choice = np.insert(entry_choice, at, starts[idle])
             ids = np.insert(ids, at, first_id + idle)
             p = np.insert(p, at, 1.0)
-            if self.repeated_exits:
-                entry_choice, ids, p = _merge_repeats(entry_choice, ids, p)
             _append(state_ptr, len(choice_action) + np.cumsum(widths))
             _append(choice_action, action)
             lengths = np.bincount(entry_choice, minlength=len(action))
@@ -715,20 +712,6 @@ class _Numbering:
         self.ids = np.insert(self.ids, at[unseen], number[unseen])
         self.count += len(order)
         return number[inverse], first[order]
-
-
-def _merge_repeats(choice: np.ndarray, succ: np.ndarray, prob: np.ndarray):
-    """Fold repeated (choice, successor) entries into the first, summed in entry order."""
-    entry = choice * (int(succ.max(initial=0)) + 1) + succ
-    _, first, group = _distinct(entry)
-    if len(first) == len(entry):
-        return choice, succ, prob
-    total = prob[first]
-    later = np.setdiff1d(np.arange(len(entry)), first)
-    # ufunc.at adds one index at a time, so repeats sum left to right
-    np.add.at(total, group[later], prob[later])
-    keep = np.sort(first)
-    return choice[keep], succ[keep], total[group[keep]]
 
 
 def build_mdp(env: Environment) -> Mdp:

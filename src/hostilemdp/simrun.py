@@ -363,10 +363,14 @@ def prefix_frequency(
 
     Runs start at ``prefix[0]`` and follow ``policy`` (ascending choice
     indices) for ``len(prefix) - 1`` steps; a run that reaches a state where
-    the policy is undefined stops there, so it can no longer match.
+    the policy is undefined stops there, so it can no longer match.  A prefix
+    state outside ``[0, n_states)`` raises :class:`ValueError`.
     """
     if len(prefix) < 1:
         raise ValueError("prefix needs at least one state")
+    outside = [s for s in prefix if not 0 <= s < mdp.n_states]
+    if outside:
+        raise ValueError(f"prefix state {outside[0]} outside [0, {mdp.n_states})")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     covered = np.zeros(mdp.n_states, dtype=bool)

@@ -166,6 +166,19 @@ class TestParsing:
         p.write_text(json.dumps(nameless))
         assert load_environment(p).name == "c"
 
+    def test_a_repeated_outcome_facet_gets_the_exact_sum_of_its_shares(self):
+        doc = bundled_doc("corridor")
+        prim = next(p for p in doc["primitives"] if p["region"] == "rp" and p["from"] == "f2")
+        prim["outcomes"] = [{"facet": "f3", "p": "1/10"}, {"facet": "f2", "p": "7/10"},
+                            {"facet": "f3", "p": "2/10"}]
+        env = parse_environment(doc)
+        [parsed] = [p for p in env.primitives if (p.from_facet, p.region) == ("f2", "rp")]
+        # 3/10 once, not 1/10 + 2/10 = 0.30000000000000004 in floats
+        assert parsed.outcomes == (("f3", 0.3), ("f2", 0.7))
+        prim["outcomes"] = [{"facet": "f3", "p": "1/2"}, {"facet": "f3", "p": "1/4"}]
+        with pytest.raises(EnvironmentFormatError, match="outcome pmf sums to 3/4, not 1"):
+            parse_environment(doc)
+
     def test_fuzzed_documents_parse(self):
         for i in range(25):
             env = random_environment(np.random.default_rng([3, i]))

@@ -434,13 +434,17 @@ def batched_envs():
     return [random_environment(rng) for _ in range(20)]
 
 
-def repeated_exit_corridor():
-    """Corridor whose f2 -> f3 crossing of rp names exit f3 twice, so rows repeat successors."""
+def rp_crossing_corridor(outcomes):
+    """Corridor whose f2 -> f3 crossing of rp ends at ``outcomes``, (facet, p) pairs."""
     doc = bundled_doc("corridor")
     prim = next(p for p in doc["primitives"] if p["region"] == "rp" and p["from"] == "f2")
-    prim["outcomes"] = [{"facet": "f3", "p": "1/2"}, {"facet": "f2", "p": "1/4"},
-                        {"facet": "f3", "p": "1/4"}]
+    prim["outcomes"] = [{"facet": facet, "p": p} for facet, p in outcomes]
     return parse_environment(doc, name="corridor-repeated-exit")
+
+
+def repeated_exit_corridor():
+    """Corridor whose f2 -> f3 crossing of rp names exit f3 twice; the parser sums its shares."""
+    return rp_crossing_corridor([("f3", "1/2"), ("f2", "1/4"), ("f3", "1/4")])
 
 
 def wide_keys_env():
@@ -529,7 +533,8 @@ class TestBatchedBuild:
             row = {mdp.states[t]: p for a, r in state_rows(mdp, s) if a == action for t, p in r}
             crossing = prim.rate / estimated_rate(builder, state, prim)
             keep = 1.0 - prim.lost[(state.count, state.level)]
-            # both f3 exits land on the same states; the second share adds to the first
+            # the parser sums both f3 shares into 3/4; in powers of two the landed entries
+            # are those of the two shares, summed
             for n2, pn in builder.belief_sets["rd"].members[state.beliefs[lane]].items():
                 for o2, po in env.regions["rd"].obstacle_items():
                     pn, po = float(pn), float(po)  # the build's pmf tables hold floats
@@ -538,6 +543,16 @@ class TestBatchedBuild:
                                            + crossing * 0.25 * pn * po * keep)
                     folded += 1
         assert folded
+
+    def test_a_repeated_exit_builds_the_model_of_its_summed_share(self):
+        """1/10 + 2/10 is 0.30000000000000004 in floats; the exact sum is the 3/10 of a
+        doc that names f3 once, so both docs build the same arrays, bit for bit."""
+        named_twice = build_mdp(rp_crossing_corridor(
+            [("f3", "1/10"), ("f2", "7/10"), ("f3", "2/10")]))
+        named_once = build_mdp(rp_crossing_corridor([("f3", "3/10"), ("f2", "7/10")]))
+        assert_same_build(named_twice, named_once)
+        for name in ARRAYS:
+            assert getattr(named_twice, name).tobytes() == getattr(named_once, name).tobytes()
 
     def test_an_underflowing_entry_drops_from_its_own_row_only(self):
         """An adversary entering at mu_enter 1e-300 underflows to 0.0 in a race of

@@ -235,6 +235,13 @@ class TestEstimate:
         assert est.satisfied == est.delivered == 64
         assert est.lost == est.step_limit == 0
 
+    def test_refuses_a_state_outside_the_model(self):
+        # numpy would wrap -4 round to state 0 and find no row for state 7
+        mdp, policy = toy_chain()
+        for prefix in ([-4, 1, 1], [0, 1, 7], [4]):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                prefix_frequency(mdp, policy, prefix, runs=10, seed=0)
+
     def test_needs_a_run(self):
         mdp, strat = mission_chain()
         for runs in (0, -1):
@@ -361,6 +368,13 @@ class TestPrefixFrequency:
         mdp, _ = mission_chain()
         with pytest.raises(ValueError):
             prefix_frequency(mdp, policy_of(mdp, {}), [], runs=10, seed=0)
+
+    def test_refuses_a_state_outside_the_model(self):
+        # numpy would wrap -4 round to state 0 and find no row for state 7
+        mdp, policy = toy_chain()
+        for prefix in ([-4, 1, 1], [0, 1, 7], [4]):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                prefix_frequency(mdp, policy, prefix, runs=10, seed=0)
 
     def test_needs_a_run(self):
         mdp, policy = toy_chain()
