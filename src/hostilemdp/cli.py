@@ -3,8 +3,13 @@
 Every subcommand takes ``--env`` with either a path to an environment JSON
 file or the name of a bundled one (``corridor``, ``caseA``, ``caseB``).
 Results go to stdout; the resolved configuration and any warnings go to
-stderr.  Exit status: 0 on success, 1 when the input fails validation or a
-solve fails, 2 for bad usage (argparse's convention).
+stderr.  Every command that needs an MDP, ``build`` included, gets it
+through :func:`_obtain_mdp`, which lists up to 20 violations of an invalid
+one on stderr and refuses it.
+Exit status: 0 on success, 2 for bad usage (argparse's convention), and 1
+when an input is malformed or invalid, a file cannot be read or written, or
+a solve fails; :func:`main` turns each of these failures into one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,13 +25,7 @@ import numpy as np
 
 from . import __version__
 from .belief import enumerate_reachable, render_dot
-from .envmodel import (
-    DROPOFF,
-    PICKUP,
-    EnvironmentFormatError,
-    load_environment,
-    scale_rates,
-)
+from .envmodel import DROPOFF, PICKUP, load_environment, scale_rates
 from .mdpbuild import (
     MdpFormatError,
     build_mdp,
@@ -66,22 +65,26 @@ def _load(args) -> "Environment":
     return env
 
 
-def _built_mdp(args):
-    mdp = build_mdp(_load(args))
-    for w in mdp.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return mdp
-
-
 def _obtain_mdp(args):
-    """MDP from --mdp dump when given, otherwise built from --env; refused unless valid."""
-    mdp = load_mdp(args.mdp) if getattr(args, "mdp", None) else _built_mdp(args)
+    """MDP from --mdp dump when given, otherwise built from --env; refused unless valid.
+
+    The first 20 violations of an invalid model go to stderr before it is refused.
+    """
+    if getattr(args, "mdp", None):
+        mdp = load_mdp(args.mdp)
+    else:
+        mdp = build_mdp(_load(args))
+        for w in mdp.warnings:
+            print(f"warning: {w}", file=sys.stderr)
     bad = validate_mdp(mdp)
+    for v in bad[:20]:
+        print(f"violation: state {v.state} action {v.action}: {v.kind} ({v.detail})",
+              file=sys.stderr)
     if bad:
         v = bad[0]
         raise MdpFormatError(
             f"the MDP fails validation with {len(bad)} violations (first: state {v.state} "
-            f"action {v.action}: {v.kind} ({v.detail})); 'build' lists them"
+            f"action {v.action}: {v.kind} ({v.detail}))"
         )
     return mdp
 
@@ -108,8 +111,7 @@ def cmd_validate_env(args) -> int:
 def cmd_beliefs(args) -> int:
     env = _load(args)
     if args.region not in env.regions:
-        print(f"error: unknown region {args.region!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown region {args.region!r}")
     region = env.regions[args.region]
     _make_parent(args.dot)
     bset = enumerate_reachable(region.initial_belief)
@@ -128,19 +130,12 @@ def cmd_beliefs(args) -> int:
 
 
 def cmd_build(args) -> int:
-    mdp = _built_mdp(args)
-    bad = validate_mdp(mdp)
+    mdp = _obtain_mdp(args)
     print(f"states: {mdp.n_states}")
     print(f"choices: {mdp.n_choices()}")
     print(f"transitions: {mdp.n_transitions()}")
     for name in sorted(mdp.labels):
         print(f"label {name}: {np.count_nonzero(mdp.labels[name])} states")
-    if bad:
-        for v in bad[:20]:
-            print(f"violation: state {v.state} action {v.action}: {v.kind} ({v.detail})",
-                  file=sys.stderr)
-        print(f"invalid: {len(bad)} violations", file=sys.stderr)
-        return 1
     print("row sums and absorption checks: ok")
     if args.dump_mdp:
         _make_parent(args.dump_mdp)
@@ -153,8 +148,6 @@ def _fmt_state(mdp, s: int) -> str:
     if mdp.states is None:
         return ""
     v = mdp.states[s]
-    if not v.alive:
-        return f"lost@{v.facet}|{v.region}"
     return f"{v.facet}|{v.region} n={v.count} o={v.level}"
 
 
@@ -240,14 +233,7 @@ def cmd_synthesize(args) -> int:
     mdp = _obtain_mdp(args)
     _make_parent(args.out)
     methods = ("vi", "lp") if args.method == "both" else (args.method,)
-    results = []
-    for m in methods:
-        # a failed solve (VI budget, LP status, no progressing action) is a RuntimeError
-        try:
-            results.append(synthesize_mission(mdp, method=m, tol=args.tol))
-        except (RuntimeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    results = [synthesize_mission(mdp, method=m, tol=args.tol) for m in methods]
     strategy = results[0]
     init = mdp.init
     print(f"states: {mdp.n_states}")
@@ -280,27 +266,20 @@ def cmd_synthesize(args) -> int:
 def cmd_simulate(args) -> int:
     mdp = _obtain_mdp(args)
     _make_parent(args.trace_out)
-    try:
-        strategy = synthesize_mission(mdp, method=args.method)
-    except (RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    strategy = synthesize_mission(mdp, method=args.method)
     trace = open(args.trace_out, "wb") if args.trace_out else None
     try:
-        try:
-            est = estimate_success(
-                mdp, strategy, runs=args.runs, master_seed=args.seed,
-                max_steps=args.max_steps, trace=trace,
-            )
-        finally:
-            if trace is not None:
-                trace.close()
-                print(f"wrote {args.trace_out}", file=sys.stderr)
+        est = estimate_success(
+            mdp, strategy, runs=args.runs, master_seed=args.seed,
+            max_steps=args.max_steps, trace=trace,
+        )
     except RuntimeError as exc:
         # a run reached a state the strategy has no action for, as all do at mission value 0
-        print(f"error: {exc}; the mission value at init is {strategy.value:g}", file=sys.stderr)
-        return 1
+        raise RuntimeError(f"{exc}; the mission value at init is {strategy.value:g}") from exc
+    finally:
+        if trace is not None:
+            trace.close()
+            print(f"wrote {args.trace_out}", file=sys.stderr)
 
     lo, hi = est.interval()
     if args.json:
@@ -422,7 +401,9 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (EnvironmentFormatError, MdpFormatError, OSError) as exc:
+    # a malformed or invalid input is a ValueError (EnvironmentFormatError, MdpFormatError);
+    # a failed solve (VI budget, LP status, no progressing action) is a RuntimeError
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -81,6 +82,17 @@ def single_error(capsys) -> str:
     assert len(errors) == 1, err
     assert "Traceback" not in err
     return errors[0]
+
+
+def assert_violations_then_one_error(err: str) -> None:
+    """``err`` lists the first 20 violations of a halved corridor model, then refuses it."""
+    *violations, last = err.splitlines()[1:]
+    count = int(re.search(r"fails validation with (\d+) violations", last).group(1))
+    assert len(violations) == min(count, 20) > 0, err
+    assert all(line.startswith("violation: state ") for line in violations)
+    assert violations[0] == "violation: state 0 action 0: row-sum (0.5000000000000001)"
+    assert last.startswith("error: the MDP fails validation with"), err
+    assert "'build'" not in last
 
 
 class TestBadInputs:
@@ -226,6 +238,45 @@ class TestBadInputs:
         assert main(["export", "--env", "corridor", "--out", str(base)]) == 1
         assert "fails validation with" in single_error(capsys)
         assert not base.parent.exists()
+
+    @pytest.mark.parametrize("command", ["build", "synthesize", "simulate", "export"])
+    def test_an_invalid_build_lists_its_violations(self, tmp_path, capsys, monkeypatch, command):
+        """Every command, build included, lists up to 20 violations of the model it built and
+        ends with one error line; build prints none of its counts."""
+        build = cli.build_mdp
+
+        def halved(env):
+            mdp = build(env)
+            return dataclasses.replace(mdp, prob=mdp.prob * 0.5)
+
+        monkeypatch.setattr(cli, "build_mdp", halved)
+        argv = [command, "--env", "corridor"]
+        argv += ["--out", str(tmp_path / "m")] if command == "export" else []
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert_violations_then_one_error(err)
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_an_invalid_dump_lists_its_violations(self, tmp_path, capsys, command):
+        dump = tmp_path / "model.npz"
+        assert main(["build", "--env", "corridor", "--dump-mdp", str(dump)]) == 0
+        with np.load(dump) as archive:
+            doc = dict(archive)
+        np.savez(dump, **dict(doc, prob=doc["prob"] * 0.5))
+        capsys.readouterr()
+        assert main([command, "--mdp", str(dump)]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert_violations_then_one_error(err)
+
+    @pytest.mark.parametrize("out", [".", "", "/"])
+    def test_export_refuses_a_base_path_without_a_file_name(self, tmp_path, capsys,
+                                                            monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["export", "--env", "corridor", "--out", out]) == 1
+        assert single_error(capsys) == f"error: export base path {out!r} names no file"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     def test_unreachable_pickup_is_one_error_line(self, tmp_path, capsys, command):

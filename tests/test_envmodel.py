@@ -57,8 +57,9 @@ def small_doc() -> dict:
     }
 
 
-def mutate(path, value):
-    doc = small_doc()
+def mutate(path, value, doc=None):
+    """``doc``, a fresh :func:`small_doc` by default, with the node at ``path`` set to ``value``."""
+    doc = small_doc() if doc is None else doc
     node = doc
     for step in path[:-1]:
         node = node[step]
@@ -178,6 +179,39 @@ class TestParsing:
         prim["outcomes"] = [{"facet": "f3", "p": "1/2"}, {"facet": "f3", "p": "1/4"}]
         with pytest.raises(EnvironmentFormatError, match="outcome pmf sums to 3/4, not 1"):
             parse_environment(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        (mutate(("regions", 0, "colour"), "red"), "region 'a': unknown keys ['colour']"),
+        (mutate(("regions", 0, "obstacles", "max_level"), -1),
+         "region 'a': negative obstacle max_level"),
+        (mutate(("regions", 1, "obstacles", "p_obs"), {"0": "3/4", "2": "1/4"}),
+         "region 'b': p_obs support escapes [0, 1]"),
+        (mutate(("regions", 1, "labels"), ["pickup", "dropoff", "fuel"]),
+         "region 'b': unknown labels ['fuel']"),
+        (mutate(("primitives", 0, "lost", "table"), {"0": {"0": 0.0}}),
+         "primitive f0->f1 lost: give either a table or marginals, not both"),
+        (mutate(("primitives", 0, "lost"), {"table": {"0": {"0": 1.5}, "1": {"0": 0.0}}}),
+         "primitive f0->f1 lost: loss probability 1.5 at (0, 0)"),
+        (mutate(("regions", 0, "id"), "b"), "duplicate region id 'b'"),
+        (mutate(("facets", 0, "id"), "f1"), "duplicate facet id 'f1'"),
+        (mutate(("primitives", 0, "outcomes"), [{"facet": "f9", "p": "1"}]),
+         "primitive f0->f1: unknown outcome facet 'f9'"),
+        (mutate(("primitives", 0, "outcomes"), [{"facet": "f2", "p": "1"}]),
+         "primitive f0->f1: outcome facet 'f2' does not bound 'a'"),
+        (mutate(("init", "facet"), "f2"), "init: facet 'f2' does not bound region 'a'"),
+        # an obstacle level in the start region, with a loss entry for it
+        (mutate(("primitives", 0, "lost", "marginal_o"), {"0": 0.0, "1": 0.0},
+                mutate(("regions", 0, "obstacles"),
+                       {"max_level": 1, "p_obs": {"0": "1/2", "1": "1/2"}})),
+         "init: initial region must have no obstacles (p_obs(0) = 1)"),
+    ], ids=["unknown key", "negative max_level", "p_obs support", "unknown label",
+            "table and marginals", "loss above 1", "region id twice", "facet id twice",
+            "unknown outcome facet", "outcome facet elsewhere", "init facet elsewhere",
+            "init obstacles"])
+    def test_each_refusal_names_its_fault(self, doc, message):
+        with pytest.raises(EnvironmentFormatError) as err:
+            parse_environment(doc)
+        assert str(err.value) == message
 
     def test_fuzzed_documents_parse(self):
         for i in range(25):

@@ -708,6 +708,13 @@ def without_choices(mdp, s):
     )
 
 
+def save_one_array(path, array):
+    """Write ``array`` as a bare ``.npy`` file under exactly ``path``, which ``np.save`` would
+    give a ``.npy`` suffix."""
+    with open(path, "wb") as handle:
+        np.save(handle, array)
+
+
 def kinds(mdp):
     return {v.kind for v in validate_mdp(mdp)}
 
@@ -1003,6 +1010,23 @@ class TestSerialization:
         np.savez(path, **doc)
         with pytest.raises(MdpFormatError, match=re.escape(words)):
             load_mdp(path)
+
+    @pytest.mark.parametrize("write, words", [
+        # state 3 is the first with an adversary counted
+        (lambda path, doc: np.savez(path, **dict(doc, init=np.array(3))),
+         "(initial state VehicleState(facet='f1', region='rm', count=1, level=0, alive=True, "
+         "beliefs=(0, 0)) is not a fresh start)"),
+        (lambda path, doc: save_one_array(path, doc["succ"]), "(a single array, not an .npz archive)"),
+    ], ids=["init", "one array"])
+    def test_an_edited_corridor_dump_fails_to_load(self, corridor_mdp, tmp_path, write, words):
+        path = tmp_path / "model.npz"
+        dump_mdp(corridor_mdp, path)
+        with np.load(path) as archive:
+            doc = dict(archive)
+        write(path, doc)
+        with pytest.raises(MdpFormatError) as err:
+            load_mdp(path)
+        assert str(err.value) == f"{path}: not a valid MDP dump {words}"
 
     def test_tampered_dump_is_reported_not_raised(self, corridor_mdp, tmp_path):
         path = tmp_path / "model.npz"

@@ -726,6 +726,26 @@ class TestErrorOrder:
             synthesize_mission(corridor_mdp)
         assert sorted(ran) == extracted
 
+    def test_a_failed_deliver_extraction_is_raised_after_the_join(self, corridor_mdp, monkeypatch,
+                                                                   stray_threads):
+        """Only the deliver extraction fails, before the slower pickup stage has extracted;
+        the mission waits for that extraction and then raises the deliver error."""
+        deliver = corridor_mdp.label("alive") & corridor_mdp.label("dropoff")
+        extract, extracted = synth.extract_policy, []
+
+        def extracting(mdp, result, target):
+            if np.array_equal(target, deliver):
+                raise RuntimeError("deliver extraction failed")
+            time.sleep(0.2)
+            policy = extract(mdp, result, target)
+            extracted.append("pickup")
+            return policy
+
+        monkeypatch.setattr(synth, "extract_policy", extracting)
+        with pytest.raises(RuntimeError, match="^deliver extraction failed$"):
+            synthesize_mission(corridor_mdp)
+        assert extracted == ["pickup"]
+
 
 def bits(a):
     return str(a.dtype), a.tobytes()
