@@ -1057,14 +1057,14 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
     ``mdp`` must pass :func:`validate_mdp`.  Each choice's successors are
     written in ascending order, by probability where one repeats.  Output
     bytes are a pure function of the MDP, so re-exporting the same model is
-    byte-identical.  A ``basepath`` with no file name (``.``, ``/``, ``""``) is refused
-    before anything is written.
+    byte-identical.  A ``basepath`` with no file name (``.``, ``/``, ``""``) or whose last
+    part is ``..`` is refused before anything is written.
     """
     n, table = mdp.n_states, mdp.states
     # an out-of-range successor would name some other token
     if len(mdp.succ) and not 0 <= mdp.succ.min() <= mdp.succ.max() < n:
         raise ValueError(f"a successor is not one of the {n} states; see validate_mdp")
-    if not Path(basepath).name:
+    if Path(basepath).name in ("", ".."):
         raise ValueError(f"export base path {str(basepath)!r} names no file")
     basepath = Path(basepath)
     basepath.parent.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,11 @@ iteration (sparse, monotone from below) or by the standard occupation LP.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import dataclass
+from importlib import machinery, util
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -23,6 +27,10 @@ TIE_TOL = 1e-9
 
 #: rows that :func:`_free_rows` selects at a time; it bounds the index arrays one step holds
 CHUNK = 2048
+
+#: scipy's compiled HiGHS bindings, the module that ``scipy.optimize.linprog`` calls
+HIGHS = "scipy.optimize._highspy._core"
+_HIGHS_LOAD = threading.Lock()
 
 
 class ConvergenceError(RuntimeError):
@@ -38,8 +46,8 @@ class ValueResult:
     """Per-state reachability values plus solver bookkeeping.
 
     ``positive`` is the bool mask of the states with a positive value.
-    ``iterations`` counts value-iteration sweeps for ``"vi"``, and HiGHS's
-    interior-point iterations, without crossover, for ``"lp"``.
+    ``iterations`` counts value-iteration sweeps for ``"vi"``, and for ``"lp"``
+    HiGHS's interior-point iterations without crossover, ``linprog``'s ``nit``.
     """
 
     values: np.ndarray
@@ -283,31 +291,65 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
         _assemble(mdp, target, free, xe[:nf]), max_iter, residual)
 
 
+def _highs_ipm(A_ub, b_ub) -> tuple[np.ndarray, int]:
+    """min sum(x) subject to A_ub x <= b_ub and 0 <= x <= 1, by HiGHS's interior point.
+
+    HiGHS gets the arrays, bounds and options that ``linprog(method="highs-ipm")``
+    passes it, so ``x`` and the iteration count are ``linprog``'s, bit for bit.  The
+    bindings are loaded by file path, as importing ``scipy.optimize`` costs 0.23 s and
+    27 MiB: once, under the lock that lets both stage threads make the first solve, and
+    under their own name in ``sys.modules``, where a later ``import`` finds them.
+    """
+    with _HIGHS_LOAD:
+        h = sys.modules.get(HIGHS)
+        if h is None:
+            folder = Path(util.find_spec("scipy").origin).parent / "optimize" / "_highspy"
+            kind = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+            spec = machinery.FileFinder(str(folder), kind).find_spec(HIGHS)
+            if spec is None:
+                from importlib.metadata import version
+                raise RuntimeError(f"scipy {version('scipy')} lacks {HIGHS} (scipy>=1.15 has it)")
+            h = sys.modules[HIGHS] = util.module_from_spec(spec)
+            spec.loader.exec_module(h)
+    (rows, cols), lp = A_ub.shape, h.HighsLp()
+    a = lp.a_matrix_
+    lp.num_col_, lp.num_row_, a.num_col_, a.num_row_ = cols, rows, cols, rows
+    a.format_ = h.MatrixFormat.kColwise
+    a.start_, a.index_, a.value_ = A_ub.indptr, A_ub.indices, A_ub.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(cols), np.zeros(cols), np.ones(cols)
+    lp.row_lower_, lp.row_upper_ = np.full(rows, -h.kHighsInf), b_ub
+    options, highs = h.HighsOptions(), h._Highs()
+    options.presolve, options.solver = "on", "ipm"
+    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    if (status := highs.getModelStatus()) != h.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solve failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value), highs.getInfo().ipm_iteration_count
+
+
 def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, *,
                  positive: Optional[np.ndarray] = None) -> ValueResult:
     """LP route to the same values: minimize sum(x) over the Bellman cone.
 
     Each enabled action of a free state yields one constraint
     x_s >= c_a + sum_succ P(s,a,succ) x_succ; the minimal feasible point is
-    the value vector.  Solved by HiGHS's interior point method through scipy;
-    HiGHS then runs crossover, so the answer is a vertex of the cone.  The
-    solution is clipped into the declared bounds [0, 1], which HiGHS may
-    overshoot by a few ulps.  ``positive`` is as for :func:`max_reach_vi`.
+    the value vector, which :func:`_highs_ipm` finds or raises.  HiGHS runs
+    crossover, so the answer is a vertex of the cone, clipped into the bounds
+    [0, 1], which HiGHS may overshoot by a few ulps.  ``positive`` is as for
+    :func:`max_reach_vi`.
     """
-    import scipy.optimize  # about 0.3 s to import, so only LP solves pay it
-
     if positive is None:
         positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
-    A_ub, b_ub = _lp_inputs(mdp, target, free)
-    res = scipy.optimize.linprog(c=np.ones(len(free)), A_ub=A_ub, b_ub=b_ub,
-                                 bounds=(0.0, 1.0), method="highs-ipm")
-    if not res.success:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    return ValueResult(_assemble(mdp, target, free, np.clip(res.x, 0.0, 1.0)),
-                       positive, "lp", iterations=int(res.nit))
+    x, iterations = _highs_ipm(*_lp_inputs(mdp, target, free))
+    return ValueResult(_assemble(mdp, target, free, np.clip(x, 0.0, 1.0)),
+                       positive, "lp", iterations=iterations)
 
 
 def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndarray:

@@ -16,10 +16,12 @@ import itertools
 import json
 import re
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from hostilemdp.belief import ENTERED, LEFT, expectation
 from hostilemdp.envmodel import DROPOFF, PICKUP, Environment, MotionPrimitive, parse_environment
 from hostilemdp.mdpbuild import Mdp, MdpBuilder, VehicleState, build_mdp, ranges
 from hostilemdp.synth import (MissionStrategy, ValueResult, extract_policy, max_reach_lp,
-                              max_reach_vi)
+                              max_reach_vi, synthesize_mission)
 
 # ---------------------------------------------------------------------------
 # hand-built MDPs
@@ -234,6 +236,30 @@ def sequential_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
         values_second=second.values,
         method=method,
     )
+
+
+def recorded_mission(mdp: Mdp, method: str) -> tuple[MissionStrategy, dict]:
+    """``synthesize_mission(mdp, method)`` with the steps of each stage recorded.
+
+    Returns ``(strategy, steps)``.  ``steps`` maps each stage's target, as
+    bytes, to the ``(step, thread)`` pairs of its solver, ``_free_rows`` and
+    ``extract_policy`` calls, in call order.
+    """
+    steps = {}
+
+    def recording(name, at):
+        call = getattr(synth, name)
+
+        def recorded(*args, **kw):
+            # keyed by the stage's target, the argument at position ``at``
+            steps.setdefault(args[at].tobytes(), []).append((name, threading.current_thread()))
+            return call(*args, **kw)
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, at in (("_free_rows", 1), (f"max_reach_{method}", 1), ("extract_policy", 2)):
+            patch.setattr(synth, name, recording(name, at))
+        return synthesize_mission(mdp, method), steps
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +796,23 @@ def case_envs() -> dict[str, Environment]:
         "A": parse_environment(bundled_doc("city_caseA")),
         "B": parse_environment(bundled_doc("city_caseB")),
     }
+
+
+@pytest.fixture(scope="session")
+def case_a_lp(case_envs) -> SimpleNamespace:
+    """caseA's LP mission, which takes seconds, solved once for the session.
+
+    ``mdp``, ``strategy`` and ``steps`` are as :func:`recorded_mission` gives
+    them; ``leaked`` counts the threads the mission left running and
+    ``escaped`` holds the exceptions that reached ``threading.excepthook``.
+    """
+    mdp = build_mdp(case_envs["A"])
+    escaped, before = [], threading.active_count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threading, "excepthook", escaped.append)
+        strategy, steps = recorded_mission(mdp, "lp")
+    return SimpleNamespace(mdp=mdp, strategy=strategy, steps=steps,
+                           leaked=threading.active_count() - before, escaped=escaped)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,6 +4,8 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import importlib.metadata
+import importlib.util
 import io
 import json
 import os
@@ -270,7 +272,7 @@ class TestBadInputs:
         assert not out
         assert_violations_then_one_error(err)
 
-    @pytest.mark.parametrize("out", [".", "", "/"])
+    @pytest.mark.parametrize("out", [".", "", "/", "..", "x/.."])
     def test_export_refuses_a_base_path_without_a_file_name(self, tmp_path, capsys,
                                                             monkeypatch, out):
         monkeypatch.chdir(tmp_path)
@@ -305,15 +307,28 @@ class TestBadInputs:
         ["simulate", "--method", "lp", "--runs", "10"],
     ])
     def test_failed_lp_solve_is_one_error_line(self, capsys, monkeypatch, argv):
-        import scipy.optimize
+        def stalled(A_ub, b_ub):
+            raise RuntimeError("LP solve failed: Iteration limit reached.")
 
-        def stalled(**kw):
-            return scipy.optimize.OptimizeResult(
-                success=False, status=1, message="Iteration limit reached.")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", stalled)
+        monkeypatch.setattr(synth, "_highs_ipm", stalled)
         assert main(argv + ["--env", "corridor"]) == 1
         assert "LP solve failed: Iteration limit reached." in single_error(capsys)
+
+    def test_scipy_without_the_highs_extension_is_one_error_line(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the lookup finds a scipy package whose _highspy directory holds no compiled bindings
+        (tmp_path / "scipy" / "optimize" / "_highspy").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").touch()
+        (tmp_path / "scipy" / "optimize" / "_highspy" / "__init__.py").touch()
+        fake = importlib.util.spec_from_file_location("scipy", tmp_path / "scipy" / "__init__.py")
+        find = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *args: fake if name == "scipy" else find(name, *args))
+        monkeypatch.delitem(sys.modules, synth.HIGHS, raising=False)
+        assert main(["synthesize", "--env", "corridor", "--method", "lp"]) == 1
+        error = single_error(capsys)
+        assert f"error: scipy {importlib.metadata.version('scipy')} lacks {synth.HIGHS}" in error
+        assert synth.HIGHS not in sys.modules
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     def test_no_progressing_action_is_one_error_line(self, capsys, monkeypatch, command):
@@ -869,6 +884,11 @@ class TestStartup:
         assert loaded == []
 
     def test_both_methods_load_scipy_when_they_solve(self, tmp_path):
+        # the LP loads scipy's HiGHS bindings, with their pybind submodules, and no other
+        # module of scipy.optimize
         out, loaded = fresh_run(tmp_path, ["synthesize", "--env", "corridor", "--method", "both"])
         assert "method agreement (vi vs lp)" in out
-        assert {"scipy.sparse", "scipy.optimize"} <= set(loaded)
+        assert {"scipy.sparse", synth.HIGHS} <= set(loaded)
+        others = [m for m in loaded if (m + ".").startswith("scipy.optimize.")
+                  and not (m + ".").startswith(synth.HIGHS + ".")]
+        assert others == []

@@ -8,8 +8,10 @@ they write, or the counts they print, with the ones the step pins.
 import collections
 import hashlib
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hostilemdp import cli
@@ -197,3 +199,21 @@ def test_both_stages_of_each_method_are_traced(monkeypatch):
     want = {"synth.max_reach_vi": 2, "synth.max_reach_lp": 2,
             "synth.qualitative_reach": 4, "synth.extract_policy": 4}
     assert {name: counts[name] for name in want} == want
+
+
+def test_case_a_method_agreement(case_a_lp, capsys, monkeypatch):
+    """The CLI smoke test's caseA ``--method both`` check: the printed VI/LP gap is at most
+    1e-6.  The LP mission is the session's, which takes seconds; value iteration runs here."""
+    solve = cli.synthesize_mission
+
+    def shared_lp(mdp, method, tol):
+        if method != "lp":
+            return solve(mdp, method=method, tol=tol)
+        assert all(np.array_equal(getattr(mdp, k), getattr(case_a_lp.mdp, k))
+                   for k in ("state_ptr", "choice_ptr", "succ", "prob"))
+        return case_a_lp.strategy
+
+    monkeypatch.setattr(cli, "synthesize_mission", shared_lp)
+    assert main(["synthesize", "--env", "caseA", "--method", "both"]) == 0
+    gap = float(re.search(r"max \|diff\| (\S+)", capsys.readouterr().out).group(1))
+    assert gap <= 1e-6

@@ -12,9 +12,9 @@ import json
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from conftest import bundled_doc, policy_actions, random_mdp
+from hostilemdp import synth
 from hostilemdp.envmodel import parse_environment
 from hostilemdp.mdpbuild import build_mdp, export_prism
 from hostilemdp.simrun import CHUNK, estimate_success
@@ -151,13 +151,13 @@ def lp_digests(A_ub, b_ub) -> tuple[str, str]:
 
 def test_lp_inputs_are_pinned(monkeypatch):
     seen = []
-    solve = scipy.optimize.linprog
+    solve = synth._highs_ipm
 
-    def capture(c, A_ub, b_ub, **kw):
+    def capture(A_ub, b_ub):
         seen.append(lp_digests(A_ub, b_ub))
-        return solve(c=c, A_ub=A_ub, b_ub=b_ub, **kw)
+        return solve(A_ub, b_ub)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", capture)
+    monkeypatch.setattr(synth, "_highs_ipm", capture)
     synthesize_mission(build_mdp(parse_environment(bundled_doc("corridor"))), method="lp")
     mdp, goal = random_mdp(np.random.default_rng([1717, 3]), max_actions=3)
     max_reach_lp(mdp, goal, np.ones(mdp.n_states, dtype=bool))

@@ -1,10 +1,14 @@
 """Reachability solvers cross-checked against a policy-enumeration oracle."""
 
 import dataclasses
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +25,14 @@ from conftest import (
     policy_actions,
     random_environment,
     random_mdp,
+    recorded_mission,
     reference_policy,
     sequential_mission,
     state_rows,
     toy_chain,
 )
 from hostilemdp import synth
-from hostilemdp.envmodel import scale_rates
+from hostilemdp.envmodel import load_environment, scale_rates
 from hostilemdp.mdpbuild import build_mdp, dump_mdp, load_mdp, ranges
 from hostilemdp.synth import (
     ConvergenceError,
@@ -570,11 +575,16 @@ class TestConcurrentStages:
     # caseA's two LP stages already overlap, so caseB is checked by VI only
     @pytest.mark.parametrize("name, method", [("corridor", "vi"), ("corridor", "lp"),
                                               ("A", "vi"), ("A", "lp"), ("B", "vi")])
-    def test_bundled_missions_match_the_sequential_order(self, corridor_env, case_envs,
+    def test_bundled_missions_match_the_sequential_order(self, corridor_env, case_envs, request,
                                                          stray_threads, name, method):
-        mdp = build_mdp(corridor_env if name == "corridor" else case_envs[name])
-        expected = mission_fields(sequential_mission(mdp, method))
-        assert mission_fields(synthesize_mission(mdp, method)) == expected
+        if (name, method) == ("A", "lp"):
+            shared = request.getfixturevalue("case_a_lp")
+            assert shared.leaked == 0 and not shared.escaped
+            mdp, got = shared.mdp, shared.strategy
+        else:
+            mdp = build_mdp(corridor_env if name == "corridor" else case_envs[name])
+            got = synthesize_mission(mdp, method)
+        assert mission_fields(got) == mission_fields(sequential_mission(mdp, method))
 
     @pytest.mark.parametrize("method", ["vi", "lp"])
     def test_corridor_is_the_same_on_every_repeat(self, corridor_mdp, stray_threads, method):
@@ -641,20 +651,19 @@ class TestConcurrentStages:
         deliver = alive & corridor_mdp.label("dropoff")
         # the two corridor stages have different numbers of free states
         n_deliver = int(np.count_nonzero(qualitative_reach(corridor_mdp, deliver, alive) & ~deliver))
-        solve, finished = scipy.optimize.linprog, []
+        solve, finished = synth._highs_ipm, []
 
-        def stub(c, **kw):
-            stage = "deliver" if len(c) == n_deliver else "pickup"
+        def stub(A_ub, b_ub):
+            stage = "deliver" if A_ub.shape[1] == n_deliver else "pickup"
             if stage in failing:
-                return scipy.optimize.OptimizeResult(success=False, status=1,
-                                                     message=f"{stage} stalled")
+                raise RuntimeError(f"LP solve failed: {stage} stalled")
             # a stage that succeeds is slow, so a failure elsewhere raises first
             time.sleep(0.2)
-            res = solve(c=c, **kw)
+            res = solve(A_ub, b_ub)
             finished.append(stage)
             return res
 
-        monkeypatch.setattr(scipy.optimize, "linprog", stub)
+        monkeypatch.setattr(synth, "_highs_ipm", stub)
         with pytest.raises(RuntimeError, match=f"^LP solve failed: {reported} stalled$"):
             synthesize_mission(corridor_mdp, "lp")
         assert sorted(finished) == sorted({"deliver", "pickup"} - failing)
@@ -787,25 +796,16 @@ class TestStageAssembly:
             assert (given.iterations, given.residual) == (own.iterations, own.residual), name
 
     @pytest.mark.parametrize("method", ["vi", "lp"])
-    def test_each_stage_runs_on_one_thread_of_two(self, case_envs, monkeypatch, stray_threads,
+    def test_each_stage_runs_on_one_thread_of_two(self, case_envs, request, stray_threads,
                                                   method):
-        mdp = build_mdp(case_envs["A"])
-        alive = mdp.label("alive")
-        deliver = alive & mdp.label("dropoff")
-        steps, solver = {}, f"max_reach_{method}"
-
-        def recording(name, at):
-            call = getattr(synth, name)
-
-            def recorded(*args, **kw):
-                # keyed by the stage's target, the argument at position ``at``
-                steps.setdefault(args[at].tobytes(), []).append((name, threading.current_thread()))
-                return call(*args, **kw)
-            return recorded
-
-        for name, at in (("_free_rows", 1), (solver, 1), ("extract_policy", 2)):
-            monkeypatch.setattr(synth, name, recording(name, at))
-        synthesize_mission(mdp, method)
+        if method == "lp":
+            shared = request.getfixturevalue("case_a_lp")
+            mdp, steps = shared.mdp, shared.steps
+        else:
+            mdp = build_mdp(case_envs["A"])
+            steps = recorded_mission(mdp, method)[1]
+        deliver = mdp.label("alive") & mdp.label("dropoff")
+        solver = f"max_reach_{method}"
         assert len(steps) == 2
         for seen in steps.values():
             assert [name for name, _ in seen] == [solver, "_free_rows", "extract_policy"]
@@ -1331,3 +1331,92 @@ def oracle_via(mdp, kept, level):
                 via[s] = c
                 break
     return via
+
+
+def lp_stages(mdp):
+    """``(A_ub, b_ub)`` of the mission's deliver and pickup stage LPs that have free states."""
+    alive = mdp.label("alive")
+    deliver = alive & mdp.label("dropoff")
+    switch = alive & mdp.label("pickup") & qualitative_reach(mdp, deliver, alive)
+    for target in (deliver, switch):
+        free = np.flatnonzero(qualitative_reach(mdp, target, alive) & ~target)
+        if free.size:
+            yield synth._lp_inputs(mdp, target, free)
+
+
+#: run in a fresh interpreter: the corridor LP mission, whose two stage threads make the
+#: first solve at once while every load of the HiGHS bindings, by any importer, takes
+#: 0.2 s more; then ``import scipy.optimize``.  Prints the number of loads, whether both
+#: stages entered the solve before the first load ended, whether the import gave the
+#: loaded module, and the mission value
+_TWO_FIRST_SOLVES = """
+import importlib.machinery, json, sys, time
+from hostilemdp import synth
+from hostilemdp.cli import _resolve_env_path
+from hostilemdp.envmodel import load_environment
+from hostilemdp.mdpbuild import build_mdp
+
+mdp = build_mdp(load_environment(_resolve_env_path("corridor")))
+loaded, entered = [], []
+create, solve = importlib.machinery.ExtensionFileLoader.create_module, synth._highs_ipm
+
+def slow(loader, spec):
+    if spec.name == synth.HIGHS:
+        time.sleep(0.2)
+        loaded.append(time.perf_counter())
+    return create(loader, spec)
+
+def entering(A_ub, b_ub):
+    entered.append(time.perf_counter())
+    return solve(A_ub, b_ub)
+
+importlib.machinery.ExtensionFileLoader.create_module, synth._highs_ipm = slow, entering
+strategy = synth.synthesize_mission(mdp, "lp")
+import scipy.optimize, scipy.optimize._highspy._core as core
+print(json.dumps([len(loaded), len(entered) == 2 and max(entered) < loaded[0],
+                  core is sys.modules[synth.HIGHS], strategy.value]))
+"""
+
+
+class TestHighsIpm:
+    """``_highs_ipm`` calls HiGHS as ``linprog(method="highs-ipm")`` does, without importing
+    ``scipy.optimize``, and loads the bindings once."""
+
+    def test_matches_linprog_bit_for_bit(self, corridor_mdp, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import gridenv
+
+        # the test_pins 1100-state grid
+        grid = build_mdp(load_environment(gridenv.write_grid(tmp_path / "g.json", 3, 3, 1, 9001)))
+        cases = [(f"corridor-{i}", lp) for i, lp in enumerate(lp_stages(corridor_mdp))]
+        cases += [(f"grid-{i}", lp) for i, lp in enumerate(lp_stages(grid))]
+        for i in range(40):
+            mdp, goal = random_mdp(np.random.default_rng([3535, i]), max_actions=3)
+            free = np.flatnonzero(qualitative_reach(mdp, goal, np.ones(mdp.n_states, bool)) & ~goal)
+            if free.size:
+                cases.append((f"random-{i}", synth._lp_inputs(mdp, goal, free)))
+        assert len(cases) >= 30
+        for name, (A_ub, b_ub) in cases:
+            want = scipy.optimize.linprog(c=np.ones(A_ub.shape[1]), A_ub=A_ub, b_ub=b_ub,
+                                          bounds=(0.0, 1.0), method="highs-ipm")
+            x, iterations = synth._highs_ipm(A_ub, b_ub)
+            assert bits(x) == bits(want.x), name
+            assert iterations == want.nit, name
+
+    def test_a_solve_that_is_not_optimal_raises(self):
+        # x >= 2 cannot hold inside the bounds [0, 1]
+        A_ub = scipy.sparse.csc_matrix(np.array([[-1.0]]))
+        with pytest.raises(RuntimeError, match="^LP solve failed: Infeasible$"):
+            synth._highs_ipm(A_ub, np.array([-2.0]))
+
+    def test_two_first_solves_at_once_load_the_bindings_once(self):
+        src = str(Path(synth.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", _TWO_FIRST_SOLVES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        loads, raced, same, value = json.loads(done.stdout.splitlines()[-1])
+        assert loads == 1
+        assert raced and same
+        assert value == pytest.approx(0.9728657289, abs=1e-7)
