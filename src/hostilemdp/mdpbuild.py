@@ -123,6 +123,11 @@ class MdpFormatError(ValueError):
     """Raised when a file is not a readable MDP dump."""
 
 
+#: the documented dtype of each of the model's flat arrays
+_DTYPES = {"state_ptr": "int64", "choice_action": "int64", "choice_ptr": "int64", "succ": "int64",
+           "prob": "float64"}
+
+
 @dataclass
 class Mdp:
     """Explicit sparse MDP in flat (CSR) arrays.
@@ -137,9 +142,10 @@ class Mdp:
     ``labels`` is a bool mask over the states.
     A set of states is such a mask everywhere in the package, and a policy
     is the ascending int64 array of the choices it plays, one per state it
-    covers.  A model must not change once it has been solved: the solvers
-    keep its :attr:`matrix`, :attr:`owner` and :attr:`predecessors` for its
-    whole life.
+    covers.  The solvers and the simulator hand these arrays, as stored, to
+    scipy's CSR kernels, one row per choice.  A model must not change once it
+    has been solved: the outcome of :meth:`check_arrays`, :attr:`owner` and
+    :attr:`predecessors` are kept for its whole life.
     """
 
     states: StateTable | None
@@ -172,45 +178,52 @@ class Mdp:
         """The choice that owns each transition."""
         return np.repeat(np.arange(self.n_choices()), np.diff(self.choice_ptr))
 
-    @cached_property
-    def matrix(self):
-        """The model as a scipy CSR matrix, one row per choice, sharing ``prob``.
+    def check_arrays(self) -> None:
+        """Raise ValueError unless scipy's kernels, which check no bound, may read the arrays.
 
-        Its index arrays are int32 where they fit.  Selecting its rows or
-        columns copies each row's entries in their order, and ``csr_matvec``
-        sums each row left to right from +0.0, as a walk over the row would.
-        Nothing may change it in place: that would change the model, and
-        every later solve of it.
+        Checks the dtypes, both pointers and the successor range, once per
+        model, before its first kernel call; :func:`validate_mdp` reports the
+        same problems instead.
         """
-        import scipy.sparse  # about 0.2 s to import, so only commands that solve pay it
+        if self._array_problem is not None:
+            raise ValueError(f"{self._array_problem}; see validate_mdp")
 
-        return scipy.sparse.csr_matrix((self.prob, self.succ, self.choice_ptr),
-                                       shape=(self.n_choices(), self.n_states))
+    @cached_property
+    def _array_problem(self) -> str | None:
+        n, succ = self.n_states, self.succ
+        outside = len(succ) and not 0 <= succ.min() <= succ.max() < n
+        problems = [*_layout_problems(self),
+                    f"a successor is not one of the {n} states" if outside else None]
+        return next(filter(None, problems), None)
 
     @cached_property
     def owner(self) -> np.ndarray:
-        """The state that owns each choice, int32 where it fits.
+        """The state that owns each choice.
 
-        Built on first use and kept, like :attr:`matrix`; nothing may change it.
+        Built on first use and kept, like :attr:`predecessors`; nothing may change it.
         """
-        dtype = np.int32 if self.n_states <= np.iinfo(np.int32).max else np.int64
-        return np.repeat(np.arange(self.n_states, dtype=dtype), np.diff(self.state_ptr))
+        return np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
 
     @cached_property
     def predecessors(self) -> Predecessors:
         """The positive-probability transitions of the model, grouped by successor.
 
-        Built on first use from :attr:`matrix` and kept: every graph pass of
-        every solve reads the same index and never writes it.  Two threads
-        may read it at once, but only one may build it, since
-        ``cached_property`` takes no lock.
+        Built on first use by ``csr_tocsc``, the kernel of ``tocsc()``, and
+        kept: every graph pass of every solve reads the same index and never
+        writes it.  Two threads may read it at once, but only one may build
+        it, since ``cached_property`` takes no lock.
         """
-        # converting to CSC groups the transitions by successor in one counting sort
-        by_succ = self.matrix.tocsc()
-        ptr, choice = by_succ.indptr, by_succ.indices
-        positive = by_succ.data > 0.0
+        from scipy.sparse._sparsetools import csr_tocsc
+
+        self.check_arrays()
+        # one counting sort by successor; each successor's transitions stay in entry order
+        ptr, choice, prob = (np.empty(self.n_states + 1, dtype=np.int64),
+                             np.empty_like(self.succ), np.empty_like(self.prob))
+        csr_tocsc(self.n_choices(), self.n_states, self.choice_ptr, self.succ, self.prob,
+                  ptr, choice, prob)
+        positive = prob > 0.0
         if not positive.all():
-            ptr = np.concatenate(([0], np.cumsum(positive)), dtype=ptr.dtype)[ptr]
+            ptr = np.concatenate(([0], np.cumsum(positive)))[ptr]
             choice = choice[positive]
         return Predecessors(ptr, choice)
 
@@ -220,7 +233,7 @@ class Predecessors(NamedTuple):
 
     The transitions into state ``t`` are ``ptr[t]:ptr[t + 1]``; ``choice``
     gives the choice each one leaves from, whose state is :attr:`Mdp.owner`.
-    Both are in the index type of :attr:`Mdp.matrix`.
+    Both are int64, as the model's own index arrays are.
     """
 
     ptr: np.ndarray
@@ -728,6 +741,21 @@ def _pointer_problem(ptr: np.ndarray, length: int, items: int, what: str) -> str
     return None
 
 
+def _layout_problems(mdp: Mdp) -> list[str | None]:
+    """What keeps the arrays from being read as documented: a dtype, either pointer, or a
+    probability count."""
+    n = mdp.n_states
+    return [
+        *(f"{name} is {getattr(mdp, name).dtype}, not {want}"
+          for name, want in _DTYPES.items() if getattr(mdp, name).dtype != want),
+        "state pointer is empty" if n < 0
+        else _pointer_problem(mdp.state_ptr, n, len(mdp.choice_action), "state"),
+        _pointer_problem(mdp.choice_ptr, len(mdp.choice_action), len(mdp.succ), "choice"),
+        None if len(mdp.prob) == len(mdp.succ)
+        else f"{len(mdp.prob)} probabilities for {len(mdp.succ)} successors",
+    ]
+
+
 def validate_mdp(mdp: Mdp) -> list[Violation]:
     """Structural checks; returns violations, ordered by state, instead of raising."""
     bad: list[Violation] = []
@@ -735,11 +763,7 @@ def validate_mdp(mdp: Mdp) -> list[Violation]:
     if not 0 <= mdp.init < n:
         bad.append(Violation(mdp.init, None, "init", "initial state out of range"))
     shape = [
-        "state pointer is empty" if n < 0
-        else _pointer_problem(mdp.state_ptr, n, len(mdp.choice_action), "state"),
-        _pointer_problem(mdp.choice_ptr, len(mdp.choice_action), len(mdp.succ), "choice"),
-        None if len(mdp.prob) == len(mdp.succ)
-        else f"{len(mdp.prob)} probabilities for {len(mdp.succ)} successors",
+        *_layout_problems(mdp),
         None if mdp.states is None or len(mdp.states) == n
         else f"state table has {len(mdp.states)} states for {n} rows",
     ]
@@ -1060,10 +1084,9 @@ def export_prism(mdp: Mdp, basepath: str | Path) -> list[Path]:
     byte-identical.  A ``basepath`` with no file name (``.``, ``/``, ``""``) or whose last
     part is ``..`` is refused before anything is written.
     """
+    # an index out of range would name some other token
+    mdp.check_arrays()
     n, table = mdp.n_states, mdp.states
-    # an out-of-range successor would name some other token
-    if len(mdp.succ) and not 0 <= mdp.succ.min() <= mdp.succ.max() < n:
-        raise ValueError(f"a successor is not one of the {n} states; see validate_mdp")
     if Path(basepath).name in ("", ".."):
         raise ValueError(f"export base path {str(basepath)!r} names no file")
     basepath = Path(basepath)

@@ -78,15 +78,15 @@ class _Plan:
     def of(cls, mdp: Mdp, policies: Sequence[np.ndarray], alive, switch, dropoff):
         from scipy.sparse._sparsetools import csr_row_index  # what ``matrix[rows]`` calls
 
-        choice = np.concatenate(policies)
+        mdp.check_arrays()
+        choice = _choices(mdp, policies)
         row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
         which = np.repeat(np.arange(len(policies)), [len(policy) for policy in policies])
         row[which, mdp.owner[choice]] = np.arange(len(choice))
         length = mdp.choice_ptr[choice + 1] - mdp.choice_ptr[choice]
         ptr = np.concatenate(([0], np.cumsum(length)))
         # the rows' successors and probabilities, gathered in one pass
-        succ = np.empty(ptr[-1], dtype=np.result_type(choice, mdp.choice_ptr, mdp.succ))
-        cum = np.empty(ptr[-1])
+        succ, cum = np.empty(ptr[-1], dtype=np.int64), np.empty(ptr[-1])
         csr_row_index(len(choice), choice, mdp.choice_ptr, mdp.succ, mdp.prob, succ, cum)
         # running sums row by row, left to right, as a scalar walk adds them
         widest = int(length.max(initial=1))
@@ -125,6 +125,15 @@ class _Plan:
             below += np.left_shift(hit, k, out=probe, dtype=below.dtype)
         below += 1
         return self.succ[below]
+
+
+def _choices(mdp: Mdp, policies: Sequence[np.ndarray]) -> np.ndarray:
+    """The policies' choices, concatenated; ValueError if one is outside ``[0, n_choices)``."""
+    choice = np.concatenate(policies)
+    outside = choice[(choice < 0) | (choice >= mdp.n_choices())]
+    if outside.size:
+        raise ValueError(f"policy choice {outside[0]} outside [0, {mdp.n_choices()})")
+    return choice
 
 
 def _draws(rngs: Sequence[np.random.Generator], idx: np.ndarray) -> np.ndarray:
@@ -364,7 +373,8 @@ def prefix_frequency(
     Runs start at ``prefix[0]`` and follow ``policy`` (ascending choice
     indices) for ``len(prefix) - 1`` steps; a run that reaches a state where
     the policy is undefined stops there, so it can no longer match.  A prefix
-    state outside ``[0, n_states)`` raises :class:`ValueError`.
+    state outside ``[0, n_states)`` or a policy choice outside
+    ``[0, n_choices)`` raises :class:`ValueError`.
     """
     if len(prefix) < 1:
         raise ValueError("prefix needs at least one state")
@@ -374,7 +384,7 @@ def prefix_frequency(
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     covered = np.zeros(mdp.n_states, dtype=bool)
-    covered[mdp.owner[policy]] = True
+    covered[mdp.owner[_choices(mdp, [policy])]] = True
     never = np.zeros(mdp.n_states, dtype=bool)
     plan = _Plan.of(mdp, (policy,), covered, never, never)
     steps = len(prefix) - 1

@@ -66,8 +66,8 @@ def _backward_levels(mdp: Mdp, keep: np.ndarray,
     get -1; ``via[s]`` is the least choice of ``s`` with a kept transition
     into level ``level[s] - 1``, and -1 for seeds and unreached states.
     Each level's incoming transitions are gathered by one scipy
-    ``csr_row_index`` over ``ptr`` and ``choice``, with ``keep`` as the data,
-    in the index type of both so that nothing is cast.
+    ``csr_row_index`` over ``ptr`` and ``choice``, with ``keep`` as the data;
+    every index array is int64, so nothing is cast.
     """
     from scipy.sparse._sparsetools import csr_row_index  # what ``matrix[rows]`` calls
 
@@ -80,12 +80,10 @@ def _backward_levels(mdp: Mdp, keep: np.ndarray,
     while frontier.size:
         depth += 1
         unlevelled[ranges(mdp.state_ptr[frontier], mdp.state_ptr[frontier + 1])] = False
-        frontier = frontier.astype(preds.ptr.dtype, copy=False)
         size = int((preds.ptr[frontier + 1] - preds.ptr[frontier]).sum())
-        choice, kept = np.empty(size, dtype=preds.choice.dtype), np.empty(size, dtype=bool)
+        choice, kept = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
         csr_row_index(len(frontier), frontier, preds.ptr, preds.choice, keep, choice, kept)
-        # in ``via``'s type: a cast inside ``np.minimum.at`` is far slower
-        choice = choice[kept & unlevelled[choice]].astype(via.dtype)
+        choice = choice[kept & unlevelled[choice]]
         src = owner[choice]
         level[src] = depth
         via[src] = mdp.n_choices()  # above every choice, for the least to replace
@@ -105,70 +103,80 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
     return _backward_levels(mdp, keep, np.flatnonzero(target))[0] >= 0
 
 
+def _matvec(mdp: Mdp, x: np.ndarray) -> np.ndarray:
+    """Each choice's sum of p * ``x[succ]``, left to right from +0.0, as a walk over a row adds."""
+    from scipy.sparse._sparsetools import csr_matvec  # what ``matrix @ x`` calls
+
+    mdp.check_arrays()
+    if x.shape != (mdp.n_states,):
+        raise ValueError(f"{x.shape} values for {mdp.n_states} states")
+    y = np.zeros(mdp.n_choices())
+    csr_matvec(mdp.n_choices(), mdp.n_states, mdp.choice_ptr, mdp.succ, mdp.prob, x, y)
+    return y
+
+
 def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarray):
     """The rows ``choices`` of the model on the columns ``free``, each ended by its target mass.
 
-    A row's mass is its probability of moving into ``target``, summed in row
-    order from +0.0; a non-target entry adds p * 0.0 = +0.0, which changes no
-    sum.  Each nonzero mass ends its row, in one more column, ``len(free)``.
+    Returns CSR ``(indptr, indices, data)``.  A row's mass is its probability
+    of moving into ``target``, summed in row order from +0.0; a non-target
+    entry adds p * 0.0 = +0.0, which changes no sum.  Each nonzero mass ends
+    its row, in one more column, ``len(free)``.
 
-    The work is done by the scipy kernels that ``matrix[rows]``,
-    ``matrix[:, cols]`` and CSR ``hstack`` call.  ``csr_column_index1``
+    The scipy kernels of ``matrix[rows]``, ``matrix[:, cols]`` and CSR
+    ``hstack`` do the work on the model's own arrays.  ``csr_column_index1``
     counts every model row's free entries once.  Then, ``CHUNK`` rows at a
     time, ``csr_row_index`` gathers the rows, ``csr_column_index2`` keeps
     and renumbers their free entries in order, and ``csr_hstack`` ends each
-    row with its mass, straight into the result's arrays.
+    row with its mass.  Value iteration reads the result every sweep, so its
+    index arrays are int32 where every model entry plus one per row fits.
     """
-    import scipy.sparse
     from scipy.sparse._sparsetools import (csr_column_index1, csr_column_index2, csr_hstack,
                                            csr_row_index)
 
-    model = mdp.matrix
-    kind = model.indices.dtype  # the kernels' index type; nothing they read is cast
-    mass = (model @ target.astype(float))[choices]
+    mass = _matvec(mdp, target.astype(float))[choices]
     ended = mass > 0.0
     last_value = mass[ended]
     del mass  # not held through the chunks
     # ``before[c]``: free entries in the model's rows before row ``c``; ``offsets[j]``:
     # free columns up to column ``j``
-    offsets = np.zeros(mdp.n_states, dtype=kind)
-    before = np.empty(mdp.n_choices() + 1, dtype=kind)
-    csr_column_index1(len(free), free.astype(kind), *model.shape, model.indptr, model.indices,
+    offsets = np.zeros(mdp.n_states, dtype=np.int64)
+    before = np.empty(mdp.n_choices() + 1, dtype=np.int64)
+    csr_column_index1(len(free), free, mdp.n_choices(), mdp.n_states, mdp.choice_ptr, mdp.succ,
                       offsets, before)
-    position = np.argsort(free).astype(kind)  # in ``free``, of the free columns in ascending order
-    # int32 where every entry of the model plus one more per row fits, as scipy chooses
+    position = np.argsort(free)  # in ``free``, of the free columns in ascending order
     small = mdp.n_transitions() + len(choices) <= np.iinfo(np.int32).max
     indptr = np.zeros(len(choices) + 1, dtype=np.int32 if small else np.int64)
     np.cumsum(before[choices + 1] - before[choices] + ended, out=indptr[1:])
     del before
     # each chunk's entries in the model
-    sizes = np.add.reduceat(np.diff(model.indptr)[choices], np.arange(0, len(choices), CHUNK))
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=kind)
-    widths = np.array([len(free), 1], dtype=kind)
+    sizes = np.add.reduceat(np.diff(mdp.choice_ptr)[choices], np.arange(0, len(choices), CHUNK))
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=indptr.dtype)
+    widths = np.array([len(free), 1])
     done = 0
     for lo, size in zip(range(0, len(choices), CHUNK), sizes.tolist()):
         hi = min(lo + CHUNK, len(choices))
-        picked, values = np.empty(size, dtype=kind), np.empty(size)
-        csr_row_index(hi - lo, choices[lo:hi].astype(kind, copy=False), model.indptr,
-                      model.indices, model.data, picked, values)
+        picked, values = np.empty(size, dtype=np.int64), np.empty(size)
+        csr_row_index(hi - lo, choices[lo:hi], mdp.choice_ptr, mdp.succ, mdp.prob, picked, values)
         # the free entries, then the end entries, as two blocks for csr_hstack
-        ends = np.concatenate(([0], np.cumsum(ended[lo:hi])), dtype=kind)
-        blocks = np.concatenate((indptr[lo:hi + 1] - indptr[lo] - ends, ends), dtype=kind)
+        ends = np.concatenate(([0], np.cumsum(ended[lo:hi])))
+        blocks = np.concatenate((indptr[lo:hi + 1] - indptr[lo] - ends, ends))
         split, stop = blocks[hi - lo], indptr[hi] - indptr[lo]
-        slot, value = np.empty(stop, dtype=kind), np.empty(stop)
+        slot, value = np.empty(stop, dtype=np.int64), np.empty(stop)
         csr_column_index2(position, offsets, size, picked, values, slot[:split], value[:split])
         slot[split:] = 0
         value[split:] = last_value[done:done + ends[-1]]
         done += ends[-1]
-        fill = slice(indptr[lo], indptr[hi])
-        csr_hstack(2, hi - lo, widths, blocks, slot, value, np.empty(hi - lo + 1, dtype=kind),
-                   indices[fill], data[fill])
-        del picked, values, slot, value  # before the next chunk's are made
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(choices), len(free) + 1))
+        fill, joined = slice(indptr[lo], indptr[hi]), np.empty(stop, dtype=np.int64)
+        csr_hstack(2, hi - lo, widths, blocks, slot, value, np.empty(hi - lo + 1, dtype=np.int64),
+                   joined, data[fill])
+        indices[fill] = joined
+        del picked, values, slot, value, joined  # before the next chunk's are made
+    return indptr, indices, data
 
 
 def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
-    """The free states in sweep order, and value iteration's matrix over them.
+    """The free states in sweep order, and VI's matrix over them as CSR ``(indptr, indices, data)``.
 
     The matrix has one row per choice slot: row ``j * nf + i`` is free state
     ``i``'s ``j``-th choice, or empty (+0.0, below any real backup) when the
@@ -180,26 +188,20 @@ def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
     row loop runs faster.  Every row keeps its entries in their order and a
     max is exact, so no value changes by a bit.
     """
-    import scipy.sparse
-
-    nf = len(free)
     counts = np.diff(mdp.state_ptr)[free]
-    # choice numbers in the matrix's index type, which holds every one of them
-    first = mdp.state_ptr[free].astype(mdp.matrix.indptr.dtype)
-    slots = np.arange(int(counts.max()), dtype=first.dtype)[:, None]
-    choices, real = first + slots, slots < counts
+    slots = np.arange(int(counts.max()))[:, None]
+    choices, real = mdp.state_ptr[free] + slots, slots < counts
     lengths = np.zeros(real.shape, dtype=np.int16)  # a longer row wraps: it only sorts worse
     lengths[real] = np.diff(mdp.choice_ptr)[choices[real]]
     order = np.lexsort(lengths[::-1])
     free, real = free[order], real[:, order].ravel()
     choices = choices[:, order].ravel()[real]
-    del counts, first, lengths, order
-    rows = _free_rows(mdp, target, free, choices)
-    indptr = np.zeros(len(real) + 1, dtype=rows.indptr.dtype)
-    indptr[1:][real] = np.diff(rows.indptr)
+    del counts, lengths, order
+    ptr, indices, data = _free_rows(mdp, target, free, choices)
+    indptr = np.zeros(len(real) + 1, dtype=ptr.dtype)
+    indptr[1:][real] = np.diff(ptr)
     np.cumsum(indptr, out=indptr)
-    return free, scipy.sparse.csr_matrix((rows.data, rows.indices, indptr),
-                                         shape=(len(real), nf + 1))
+    return free, (indptr, indices, data)
 
 
 def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
@@ -208,7 +210,8 @@ def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
 
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
     choices = ranges(first, stop)
-    rows = _free_rows(mdp, target, free, choices)
+    indptr, indices, data = _free_rows(mdp, target, free, choices)
+    rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(choices), len(free) + 1))
     # the end column holds each row's target mass, 0.0 where it has none
     b_ub = -rows[:, [len(free)]].toarray().ravel()
     rows = rows[:, :len(free)]
@@ -262,9 +265,8 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)),
                            positive, "vi", iterations=0, residual=0.0)
-    free, matrix = _sweep_matrix(mdp, target, free)
-    nf, rows = len(free), matrix.shape[0]
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    free, (indptr, indices, data) = _sweep_matrix(mdp, target, free)
+    nf, rows = len(free), len(indptr) - 1
     # two iterates that swap each sweep; entry nf of both stays 1.0 for the const column
     xe, ne = np.zeros(nf + 1), np.zeros(nf + 1)
     xe[nf] = ne[nf] = 1.0
@@ -368,7 +370,7 @@ def extract_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.ndar
     """
     owner = mdp.owner
     # each backup sums p * value over the row left to right, as a walk would
-    backups = mdp.matrix @ result.values
+    backups = _matvec(mdp, result.values)
     solved = result.positive & ~target
     states = np.flatnonzero(solved)
     acting = np.diff(mdp.state_ptr) > 0
@@ -436,7 +438,7 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
         return result, extract_policy(mdp, result, target)
 
     deliver = alive & dropoff
-    # this first graph pass builds the model's matrix, owner and predecessor index before any worker
+    # this first graph pass checks the model and builds owner and predecessors before any worker
     deliverable = qualitative_reach(mdp, deliver, alive)
     switch = alive & pickup & deliverable
     from concurrent.futures import ThreadPoolExecutor  # scipy.sparse has loaded it already

@@ -86,6 +86,23 @@ def policy_of(mdp: Mdp, actions: dict[int, int]) -> np.ndarray:
     return np.array(chosen, dtype=np.int64)
 
 
+def as_csr(arrays, columns: int):
+    """A public scipy CSR matrix of ``columns`` columns over the CSR ``(indptr, indices, data)``.
+
+    The package hands such arrays to scipy's private kernels; the oracles
+    multiply and select with the public operations those kernels implement.
+    """
+    import scipy.sparse
+
+    indptr, indices, data = arrays
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, columns))
+
+
+def model_matrix(mdp: Mdp):
+    """The model as a public scipy CSR matrix, one row per choice, built from its own arrays."""
+    return as_csr((mdp.choice_ptr, mdp.succ, mdp.prob), mdp.n_states)
+
+
 def choice_owner(mdp: Mdp) -> np.ndarray:
     """The state that owns each choice, counted off ``state_ptr`` as ``Mdp.owner`` must give it."""
     return np.repeat(np.arange(mdp.n_states), np.diff(mdp.state_ptr))
@@ -302,7 +319,7 @@ def reference_policy(mdp: Mdp, result: ValueResult, target: np.ndarray) -> np.nd
     """
     owner = choice_owner(mdp)
     trans = mdp.transition_choice()
-    backups = mdp.matrix @ result.values
+    backups = model_matrix(mdp) @ result.values
     solved = result.positive & ~target
     states = np.flatnonzero(solved)
     best = np.full(mdp.n_states, -np.inf)

@@ -719,6 +719,18 @@ def kinds(mdp):
     return {v.kind for v in validate_mdp(mdp)}
 
 
+#: (array, tamper) pairs that leave the arrays in a shape no walk may follow
+BROKEN_SHAPES = [
+    ("state_ptr", lambda a: a[::-1].copy()),
+    ("choice_ptr", lambda a: np.concatenate((a[:5], a[6:7], a[5:6], a[7:]))),
+    ("state_ptr", lambda a: a[:-1]),
+    ("choice_ptr", lambda a: a + 1),
+    ("prob", lambda a: a[:-1]),
+    ("state_ptr", lambda a: a[:0]),
+    ("states", lambda t: dataclasses.replace(t, alive=t.alive[:-1])),
+]
+
+
 class TestValidation:
     def test_detects_broken_row_sum(self, corridor_mdp):
         mdp = copy.deepcopy(corridor_mdp)
@@ -767,15 +779,7 @@ class TestValidation:
             labels = dict(corridor_mdp.labels, pickup=wrong)
             assert kinds(dataclasses.replace(corridor_mdp, labels=labels)) == {"label"}
 
-    @pytest.mark.parametrize("name, tamper", [
-        ("state_ptr", lambda a: a[::-1].copy()),
-        ("choice_ptr", lambda a: np.concatenate((a[:5], a[6:7], a[5:6], a[7:]))),
-        ("state_ptr", lambda a: a[:-1]),
-        ("choice_ptr", lambda a: a + 1),
-        ("prob", lambda a: a[:-1]),
-        ("state_ptr", lambda a: a[:0]),
-        ("states", lambda t: dataclasses.replace(t, alive=t.alive[:-1])),
-    ])
+    @pytest.mark.parametrize("name, tamper", BROKEN_SHAPES)
     def test_broken_pointers_are_reported_not_raised(self, corridor_mdp, name, tamper):
         mdp = dataclasses.replace(corridor_mdp, **{name: tamper(getattr(corridor_mdp, name))})
         assert "row-shape" in kinds(mdp)
@@ -799,6 +803,57 @@ class TestValidation:
         assert [(v.state, v.kind) for v in validate_mdp(mdp)] == [
             (int(choice_owner(mdp)[0]), "prob-range"), (int(choice_owner(mdp)[0]), "row-sum")]
         assert len(calls) == 1
+
+
+class TestKernelCheck:
+    """``Mdp.check_arrays`` refuses, once per model and before scipy's kernels read
+    the arrays, what would make them read or write outside an array."""
+
+    @pytest.mark.parametrize("name, tamper", BROKEN_SHAPES)
+    def test_a_broken_shape_is_raised_as_validate_mdp_reports_it(self, corridor_mdp, name,
+                                                                  tamper):
+        mdp = dataclasses.replace(corridor_mdp, **{name: tamper(getattr(corridor_mdp, name))})
+        reported = [v.detail for v in validate_mdp(mdp) if v.kind == "row-shape"]
+        if name == "states":  # the kernels never read the state table
+            mdp.check_arrays()
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(reported[0])}; see validate_mdp$"):
+            mdp.check_arrays()
+
+    @pytest.mark.parametrize("successor", [-1, "n", 5_000_000])
+    def test_a_successor_out_of_range_is_raised_and_still_reported(self, corridor_mdp,
+                                                                   successor):
+        n = corridor_mdp.n_states
+        mdp = with_row(corridor_mdp, 0, [(n if successor == "n" else successor, 1.0)])
+        with pytest.raises(ValueError, match=f"^a successor is not one of the {n} states; "
+                                             "see validate_mdp$"):
+            mdp.check_arrays()
+        assert "succ-range" in kinds(mdp)
+
+    @pytest.mark.parametrize("name, dtype", [("state_ptr", np.int32), ("choice_action", np.int32),
+                                             ("choice_ptr", np.uint64), ("succ", np.int32),
+                                             ("prob", np.float32)])
+    def test_each_array_must_have_its_documented_dtype(self, corridor_mdp, name, dtype):
+        mdp = dataclasses.replace(corridor_mdp,
+                                  **{name: getattr(corridor_mdp, name).astype(dtype)})
+        want = f"{name} is {np.dtype(dtype)}, not {'float64' if name == 'prob' else 'int64'}"
+        with pytest.raises(ValueError, match=f"^{want}; see validate_mdp$"):
+            mdp.check_arrays()
+        assert [v.detail for v in validate_mdp(mdp) if v.kind == "row-shape"] == [want]
+
+    def test_a_sound_model_is_checked_once(self, corridor_env, monkeypatch):
+        calls = []
+        walk = mdpbuild._layout_problems
+
+        def counted(mdp):
+            calls.append(mdp)
+            return walk(mdp)
+
+        monkeypatch.setattr(mdpbuild, "_layout_problems", counted)
+        mdp = build_mdp(corridor_env)
+        synthesize_mission(mdp)
+        mdp.check_arrays()
+        assert calls == [mdp]
 
 
 class TestSerialization:

@@ -217,3 +217,17 @@ def test_case_a_method_agreement(case_a_lp, capsys, monkeypatch):
     assert main(["synthesize", "--env", "caseA", "--method", "both"]) == 0
     gap = float(re.search(r"max \|diff\| (\S+)", capsys.readouterr().out).group(1))
     assert gap <= 1e-6
+
+
+def test_vi_commands_build_no_sparse_matrix(monkeypatch, capsys):
+    """Step "VI commands build no scipy.sparse matrix": value iteration, policy extraction
+    and the simulator call scipy's compiled kernels on the model's own arrays."""
+    import scipy.sparse._compressed as compressed
+
+    def refuse(self, *args, **kw):
+        raise RuntimeError("a scipy.sparse matrix was built")
+
+    monkeypatch.setattr(compressed._cs_matrix, "__init__", refuse)
+    assert main(["synthesize", "--env", "corridor"]) == 0
+    assert main(["simulate", "--env", "corridor", "--runs", "100"]) == 0
+    assert "error:" not in capsys.readouterr().err

@@ -16,10 +16,12 @@ import scipy.optimize
 import scipy.sparse
 
 from conftest import (
+    as_csr,
     choice_owner,
     make_mdp,
     mask_of,
     members,
+    model_matrix,
     oracle_levels,
     oracle_max_reach,
     policy_actions,
@@ -60,8 +62,7 @@ def model_bytes(mdp):
     """Every array and label mask of ``mdp``, and of its solver view, as (dtype, bytes) pairs."""
     arrays = [mdp.state_ptr, mdp.choice_action, mdp.choice_ptr, mdp.succ, mdp.prob]
     arrays += [mdp.labels[name] for name in sorted(mdp.labels)]
-    arrays += [mdp.matrix.data, mdp.matrix.indices, mdp.matrix.indptr, mdp.owner,
-               *mdp.predecessors]
+    arrays += [mdp.owner, *mdp.predecessors]
     return [(str(a.dtype), a.tobytes()) for a in arrays]
 
 
@@ -306,7 +307,7 @@ def extracted_as_the_reference(mdp, result, target):
         return -1
     got = extract_policy(mdp, result, target)
     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
-    backups = mdp.matrix @ result.values
+    backups = model_matrix(mdp) @ result.values
     owner = choice_owner(mdp)
     best = np.full(mdp.n_states, -np.inf)
     np.maximum.at(best, owner, backups)
@@ -473,11 +474,11 @@ class TestMission:
 
 
 class TestModelUntouched:
-    """The solvers' sparse matrix shares the model's arrays and is kept for
-    the model's life, so an in-place ``sort_indices``, ``sum_duplicates`` or
-    ``eliminate_zeros`` on it would rewrite the model and every later solve
-    of it.  Corridor's rows list their successors out of order, and the
-    random model gets a zero-probability entry."""
+    """The solvers hand the model's own arrays to scipy's kernels and keep its
+    owner and predecessor index for the model's life, so a kernel that sorted,
+    summed or dropped entries in place would rewrite the model and every
+    later solve of it.  Corridor's rows list their successors out of order,
+    and the random model gets a zero-probability entry."""
 
     def test_mission_solves_leave_corridor_untouched(self, corridor_env):
         mdp = build_mdp(corridor_env)
@@ -506,25 +507,26 @@ def coin(p):
 
 
 class TestSolverView:
-    """``Mdp.matrix`` and ``Mdp.predecessors`` are built once per model and
-    kept; a changed model is a new ``Mdp`` with views of its own."""
+    """``Mdp.owner`` and ``Mdp.predecessors`` are int64, as the model's own
+    arrays are, built once per model and kept; a changed model is a new
+    ``Mdp`` with views of its own."""
 
-    def test_matrix_shares_the_probabilities(self, corridor_env):
+    def test_the_view_is_int64(self, corridor_env):
         mdp = build_mdp(corridor_env)
-        assert np.shares_memory(mdp.matrix.data, mdp.prob)
-        assert mdp.matrix.indices.dtype == mdp.matrix.indptr.dtype == np.int32
-        assert mdp.matrix.shape == (mdp.n_choices(), mdp.n_states)
+        preds = mdp.predecessors
+        assert mdp.owner.dtype == preds.ptr.dtype == preds.choice.dtype == np.int64
+        assert len(mdp.owner) == mdp.n_choices() and len(preds.ptr) == mdp.n_states + 1
 
     def test_missions_reuse_the_view(self, corridor_env):
         mdp = build_mdp(corridor_env)
-        matrix, owner, preds = mdp.matrix, mdp.owner, mdp.predecessors
+        owner, preds = mdp.owner, mdp.predecessors
         synthesize_mission(mdp, "vi")
         synthesize_mission(mdp, "lp")
-        assert mdp.matrix is matrix and mdp.owner is owner and mdp.predecessors is preds
+        assert mdp.owner is owner and mdp.predecessors is preds
 
     def test_owner_counts_off_the_state_pointer(self, corridor_env):
         for mdp in (build_mdp(corridor_env), coin(0.5)):
-            assert bits(mdp.owner) == bits(choice_owner(mdp).astype(np.int32))
+            assert bits(mdp.owner) == bits(choice_owner(mdp).astype(np.int64))
 
     def test_replaced_probabilities_get_a_fresh_view(self):
         mdp = coin(0.5)
@@ -532,7 +534,7 @@ class TestSolverView:
         assert max_reach_vi(mdp, goal, everything(mdp)).values[0] == 0.5
         likely = dataclasses.replace(mdp, prob=coin(0.9).prob)
         assert max_reach_vi(likely, goal, everything(likely)).values[0] == 0.9
-        assert np.shares_memory(likely.matrix.data, likely.prob)
+        assert likely.predecessors is not mdp.predecessors
         never = dataclasses.replace(mdp, prob=coin(0.0).prob)
         assert not qualitative_reach(never, goal, everything(never))[0]
         assert qualitative_reach(mdp, goal, everything(mdp))[0]
@@ -542,10 +544,10 @@ class TestSolverView:
         expected = mission_fields(synthesize_mission(mdp))
         dump_mdp(mdp, tmp_path / "corridor.mdp.npz")
         loaded = load_mdp(tmp_path / "corridor.mdp.npz")
-        assert "matrix" not in vars(loaded) and "predecessors" not in vars(loaded)
+        assert "owner" not in vars(loaded) and "predecessors" not in vars(loaded)
         assert mission_fields(synthesize_mission(loaded)) == expected
-        assert np.shares_memory(loaded.matrix.data, loaded.prob)
-        assert not np.shares_memory(loaded.matrix.data, mdp.prob)
+        assert loaded.owner.dtype == loaded.predecessors.choice.dtype == np.int64
+        assert not np.shares_memory(loaded.predecessors.choice, mdp.predecessors.choice)
         assert loaded.predecessors is not mdp.predecessors
 
 
@@ -622,7 +624,7 @@ class TestConcurrentStages:
         submit, built = ThreadPoolExecutor.submit, []
 
         def checked(pool, *args, **kw):
-            built.append({"matrix", "owner", "predecessors"} <= vars(mdp).keys())
+            built.append({"_array_problem", "owner", "predecessors"} <= vars(mdp).keys())
             return submit(pool, *args, **kw)
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", checked)
@@ -859,11 +861,11 @@ class TestStageAssembly:
         for mdp, goal in models:
             free = np.flatnonzero(~goal & (rng.random(mdp.n_states) < 0.8))
             choices = rng.permutation(np.flatnonzero(np.isin(choice_owner(mdp), free)))
-            picked = mdp.matrix[choices]
+            picked = model_matrix(mdp)[choices]
             want = picked[:, free]
             mass = picked[:, np.flatnonzero(goal)] @ np.ones(int(goal.sum()))
             # each nonzero mass ends its row, in one more column
-            folded = synth._free_rows(mdp, goal, free, choices)
+            folded = as_csr(synth._free_rows(mdp, goal, free, choices), len(free) + 1)
             at = want.indptr[1:][mass > 0.0]
             assert folded.shape == (len(choices), len(free) + 1)
             assert [bits(a) for a in (folded.data, folded.indices)] == [
@@ -890,7 +892,7 @@ class TestStageAssembly:
             if not free.size:
                 continue
             first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
-            picked = mdp.matrix[ranges(first, stop)]
+            picked = model_matrix(mdp)[ranges(first, stop)]
             rows = picked[:, free]
             mass = picked[:, np.flatnonzero(goal)] @ np.ones(int(goal.sum()))
             picker = scipy.sparse.csr_matrix(
@@ -916,12 +918,10 @@ def ascending_sweep(mdp, target, free):
     slots = [(j, s) for j in range(max(counts)) for s, n in zip(free.tolist(), counts)]
     real = np.array([j < n for (j, _), n in zip(slots, counts * max(counts))])
     choices = np.array([mdp.state_ptr[s] + j for j, s in slots], dtype=np.int64)[real]
-    rows = synth._free_rows(mdp, target, free, choices)
+    ptr, indices, data = synth._free_rows(mdp, target, free, choices)
     sizes = np.zeros(len(slots), dtype=np.int64)
-    sizes[real] = np.diff(rows.indptr)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    return free, scipy.sparse.csr_matrix((rows.data, rows.indices, indptr),
-                                         shape=(len(slots), len(free) + 1))
+    sizes[real] = np.diff(ptr)
+    return free, (np.concatenate(([0], np.cumsum(sizes)), dtype=ptr.dtype), indices, data)
 
 
 def sweep_order(mdp, free):
@@ -1032,8 +1032,9 @@ def plain_sweeps(mdp, target, allowed, sweeps):
     pair per sweep, the values over all states as ``max_reach_vi`` gives them.
     """
     positive = qualitative_reach(mdp, target, allowed)
-    free, matrix = synth._sweep_matrix(mdp, target, np.flatnonzero(positive & ~target))
+    free, arrays = synth._sweep_matrix(mdp, target, np.flatnonzero(positive & ~target))
     nf = len(free)
+    matrix = as_csr(arrays, nf + 1)
     x = np.zeros(nf)
     out = []
     for _ in range(sweeps):
@@ -1140,15 +1141,27 @@ class TestRawMatvec:
             free = np.flatnonzero(qualitative_reach(mdp, target, allowed) & ~target)
             if not free.size:
                 continue
-            _, matrix = synth._sweep_matrix(mdp, target, free)
+            _, (indptr, indices, data) = synth._sweep_matrix(mdp, target, free)
+            # the one narrowing on the solve path: value iteration reads these every sweep
+            assert indptr.dtype == indices.dtype == np.int32, name
+            matrix = as_csr((indptr, indices, data), len(free) + 1)
             rows, cols = matrix.shape
             for _ in range(3):
                 x = np.append(rng.random(cols - 1), 1.0)
                 y = np.zeros(rows)
-                csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, x, y)
+                csr_matvec(rows, cols, indptr, indices, data, x, y)
                 assert bits(y) == bits(matrix @ x), name
             seen.add(name.partition("-")[0])
         assert {"corridor", "A", "B", "random"} <= seen
+
+    def test_model_backups_match_the_sparse_product_bit_for_bit(self, order_cases):
+        # extract_policy's backups and _free_rows' target masses call csr_matvec on the model
+        rng = np.random.default_rng(20261031)
+        for name, mdp, target, _ in order_cases:
+            for x in (rng.random(mdp.n_states), target.astype(float)):
+                assert bits(synth._matvec(mdp, x)) == bits(model_matrix(mdp) @ x), name
+        with pytest.raises(ValueError, match=r"^\(2,\) values for 3 states$"):
+            synth._matvec(coin(0.5), np.zeros(2))
 
 
 def with_index(matrix, dtype):
@@ -1172,7 +1185,7 @@ def kernel_cases(order_cases):
         rows = rng.integers(mdp.n_choices(), size=mdp.n_choices() + 3)
         columns = rng.permutation(free)
         for dtype in (np.int32, np.int64):
-            yield (f"{name}-{np.dtype(dtype)}", with_index(mdp.matrix, dtype),
+            yield (f"{name}-{np.dtype(dtype)}", with_index(model_matrix(mdp), dtype),
                    rows.astype(dtype), columns.astype(dtype))
 
 
@@ -1378,6 +1391,63 @@ print(json.dumps([len(loaded), len(entered) == 2 and max(entered) < loaded[0],
 """
 
 
+def run_fresh(script, *args):
+    """``script`` run with ``args`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+#: run in a fresh interpreter, so that a crash fails one case and not the session: the
+#: entry point named by ``sys.argv[1]`` on a two-state model whose first successor is
+#: 5000000, or for ``prefix_frequency`` on the sound model with a policy that plays
+#: choice -2; prints the ValueError it raises
+_OUT_OF_RANGE = """
+import sys
+import numpy as np
+from hostilemdp import simrun, synth
+from hostilemdp.mdpbuild import Mdp
+
+goal, both = np.array([False, True]), np.array([True, True])
+mdp = Mdp(states=None, action_names=["a"], state_ptr=np.array([0, 1, 2]),
+          choice_action=np.array([0, 0]), choice_ptr=np.array([0, 2, 3]),
+          succ=np.array([1, 0, 1]), prob=np.array([0.5, 0.5, 1.0]), init=0,
+          labels={"alive": both, "dropoff": goal})
+strategy = synth.MissionStrategy(0.5, np.array([0]), np.array([0]), goal, goal, 1.0 * goal,
+                                 1.0 * goal, "vi")
+calls = {
+    "qualitative_reach": lambda: synth.qualitative_reach(mdp, goal, both),
+    "max_reach_vi": lambda: synth.max_reach_vi(mdp, goal, both, positive=both),
+    "max_reach_lp": lambda: synth.max_reach_lp(mdp, goal, both, positive=both),
+    "extract_policy": lambda: synth.extract_policy(
+        mdp, synth.ValueResult(1.0 * goal, both, "vi"), goal),
+    "estimate_success": lambda: simrun.estimate_success(mdp, strategy, runs=100),
+    "prefix_frequency": lambda: simrun.prefix_frequency(mdp, np.array([-2]), [0, 1], runs=1000),
+}
+if sys.argv[1] != "prefix_frequency":
+    mdp.succ[0] = 5_000_000
+try:
+    calls[sys.argv[1]]()
+except ValueError as exc:
+    print(exc)
+"""
+
+
+class TestIndicesOutOfRange:
+    """scipy's compiled kernels check no bound, so an index out of range in the model or
+    in a policy would read or write outside an array; each entry point refuses it first."""
+
+    @pytest.mark.parametrize("call", ["qualitative_reach", "max_reach_vi", "max_reach_lp",
+                                      "extract_policy", "estimate_success", "prefix_frequency"])
+    def test_is_a_value_error_not_a_crash(self, call):
+        done = run_fresh(_OUT_OF_RANGE, call)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert done.stdout == ("policy choice -2 outside [0, 2)\n" if call == "prefix_frequency"
+                               else "a successor is not one of the 2 states; see validate_mdp\n")
+
+
 class TestHighsIpm:
     """``_highs_ipm`` calls HiGHS as ``linprog(method="highs-ipm")`` does, without importing
     ``scipy.optimize``, and loads the bindings once."""
@@ -1410,11 +1480,7 @@ class TestHighsIpm:
             synth._highs_ipm(A_ub, np.array([-2.0]))
 
     def test_two_first_solves_at_once_load_the_bindings_once(self):
-        src = str(Path(synth.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", _TWO_FIRST_SOLVES], env=env,
-                              capture_output=True, text=True, timeout=300)
+        done = run_fresh(_TWO_FIRST_SOLVES)
         assert done.returncode == 0, done.stderr
         loads, raced, same, value = json.loads(done.stdout.splitlines()[-1])
         assert loads == 1
