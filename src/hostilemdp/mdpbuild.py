@@ -27,10 +27,13 @@ components of a lost successor are unobservable; all lost mass for a landing
 
 from __future__ import annotations
 
+import sys
+import threading
 import zipfile
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from importlib import machinery, util
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,6 +53,29 @@ BATCH = 2048
 #: lines the PRISM export joins and writes at a time, and about the lines of
 #: one ``.tra`` block; it bounds the text and the arrays held
 CHUNK = 4096
+
+#: the compiled scipy modules that the CSR kernels of scipy.sparse and linprog's HiGHS live in
+SPARSETOOLS, HIGHS = "scipy.sparse._sparsetools", "scipy.optimize._highspy._core"
+_LOADS = {SPARSETOOLS: threading.Lock(), HIGHS: threading.Lock()}
+
+
+def compiled(name: str):
+    """scipy's compiled module ``name``, loaded by file path, so that no scipy ``__init__`` runs.
+
+    It is loaded once, under a lock of its own, into ``sys.modules``, where ``import`` finds it.
+    """
+    with _LOADS[name]:
+        if name not in sys.modules:
+            folder = Path(util.find_spec("scipy").origin).parent.joinpath(*name.split(".")[1:-1])
+            kind = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+            spec = machinery.FileFinder(str(folder), kind).find_spec(name)
+            if spec is None:
+                from importlib.metadata import version
+                raise RuntimeError(f"scipy {version('scipy')} lacks {name} (scipy>=1.15 has it)")
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        return sys.modules[name]
 
 
 class VehicleState(NamedTuple):
@@ -143,8 +169,9 @@ class Mdp:
     A set of states is such a mask everywhere in the package, and a policy
     is the ascending int64 array of the choices it plays, one per state it
     covers.  The solvers and the simulator hand these arrays, as stored, to
-    scipy's CSR kernels, one row per choice.  A model must not change once it
-    has been solved: the outcome of :meth:`check_arrays`, :attr:`owner` and
+    scipy's CSR kernels (:func:`compiled`), one row per choice; the package
+    builds no ``scipy.sparse`` matrix.  A model must not change once it has
+    been solved: the outcome of :meth:`check_arrays`, :attr:`owner` and
     :attr:`predecessors` are kept for its whole life.
     """
 
@@ -181,9 +208,9 @@ class Mdp:
     def check_arrays(self) -> None:
         """Raise ValueError unless scipy's kernels, which check no bound, may read the arrays.
 
-        Checks the dtypes, both pointers and the successor range, once per
-        model, before its first kernel call; :func:`validate_mdp` reports the
-        same problems instead.
+        Checks the dtypes, both pointers, the successor range and ``init``,
+        which indexes every solver's values, once per model, before its first
+        kernel call; :func:`validate_mdp` reports the same problems instead.
         """
         if self._array_problem is not None:
             raise ValueError(f"{self._array_problem}; see validate_mdp")
@@ -193,7 +220,8 @@ class Mdp:
         n, succ = self.n_states, self.succ
         outside = len(succ) and not 0 <= succ.min() <= succ.max() < n
         problems = [*_layout_problems(self),
-                    f"a successor is not one of the {n} states" if outside else None]
+                    f"a successor is not one of the {n} states" if outside else None,
+                    None if 0 <= self.init < n else f"initial state {self.init} out of range"]
         return next(filter(None, problems), None)
 
     @cached_property
@@ -213,14 +241,12 @@ class Mdp:
         writes it.  Two threads may read it at once, but only one may build
         it, since ``cached_property`` takes no lock.
         """
-        from scipy.sparse._sparsetools import csr_tocsc
-
         self.check_arrays()
         # one counting sort by successor; each successor's transitions stay in entry order
         ptr, choice, prob = (np.empty(self.n_states + 1, dtype=np.int64),
                              np.empty_like(self.succ), np.empty_like(self.prob))
-        csr_tocsc(self.n_choices(), self.n_states, self.choice_ptr, self.succ, self.prob,
-                  ptr, choice, prob)
+        compiled(SPARSETOOLS).csr_tocsc(self.n_choices(), self.n_states, self.choice_ptr,
+                                        self.succ, self.prob, ptr, choice, prob)
         positive = prob > 0.0
         if not positive.all():
             ptr = np.concatenate(([0], np.cumsum(positive)))[ptr]

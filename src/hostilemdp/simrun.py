@@ -25,7 +25,7 @@ from typing import BinaryIO, Iterator, Optional, Sequence
 import numpy as np
 
 from .envmodel import DROPOFF
-from .mdpbuild import Mdp, _tokens, _write_lines
+from .mdpbuild import SPARSETOOLS, Mdp, _tokens, _write_lines, compiled
 from .synth import MissionStrategy
 
 SUCCESS = "success"
@@ -76,8 +76,6 @@ class _Plan:
 
     @classmethod
     def of(cls, mdp: Mdp, policies: Sequence[np.ndarray], alive, switch, dropoff):
-        from scipy.sparse._sparsetools import csr_row_index  # what ``matrix[rows]`` calls
-
         mdp.check_arrays()
         choice = _choices(mdp, policies)
         row = np.full((len(policies), mdp.n_states), -1, dtype=np.int64)
@@ -87,7 +85,8 @@ class _Plan:
         ptr = np.concatenate(([0], np.cumsum(length)))
         # the rows' successors and probabilities, gathered in one pass
         succ, cum = np.empty(ptr[-1], dtype=np.int64), np.empty(ptr[-1])
-        csr_row_index(len(choice), choice, mdp.choice_ptr, mdp.succ, mdp.prob, succ, cum)
+        compiled(SPARSETOOLS).csr_row_index(len(choice), choice, mdp.choice_ptr, mdp.succ,
+                                            mdp.prob, succ, cum)  # what ``matrix[rows]`` calls
         # running sums row by row, left to right, as a scalar walk adds them
         widest = int(length.max(initial=1))
         for j in range(1, widest):

@@ -9,17 +9,13 @@ iteration (sparse, monotone from below) or by the standard occupation LP.
 
 from __future__ import annotations
 
-import sys
-import threading
 from dataclasses import dataclass
-from importlib import machinery, util
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .envmodel import DROPOFF, PICKUP
-from .mdpbuild import Mdp, ranges
+from .mdpbuild import HIGHS, SPARSETOOLS, Mdp, compiled, ranges
 
 #: how far below its state's best backup an action's backup may fall and
 #: still count as maximal when :func:`extract_policy` picks a progressing one
@@ -27,10 +23,6 @@ TIE_TOL = 1e-9
 
 #: rows that :func:`_free_rows` selects at a time; it bounds the index arrays one step holds
 CHUNK = 2048
-
-#: scipy's compiled HiGHS bindings, the module that ``scipy.optimize.linprog`` calls
-HIGHS = "scipy.optimize._highspy._core"
-_HIGHS_LOAD = threading.Lock()
 
 
 class ConvergenceError(RuntimeError):
@@ -69,8 +61,7 @@ def _backward_levels(mdp: Mdp, keep: np.ndarray,
     ``csr_row_index`` over ``ptr`` and ``choice``, with ``keep`` as the data;
     every index array is int64, so nothing is cast.
     """
-    from scipy.sparse._sparsetools import csr_row_index  # what ``matrix[rows]`` calls
-
+    csr_row_index = compiled(SPARSETOOLS).csr_row_index  # what ``matrix[rows]`` calls
     preds, owner = mdp.predecessors, mdp.owner
     level = np.full(mdp.n_states, -1, dtype=np.int64)
     level[seeds] = 0
@@ -105,13 +96,12 @@ def qualitative_reach(mdp: Mdp, target: np.ndarray, allowed: np.ndarray) -> np.n
 
 def _matvec(mdp: Mdp, x: np.ndarray) -> np.ndarray:
     """Each choice's sum of p * ``x[succ]``, left to right from +0.0, as a walk over a row adds."""
-    from scipy.sparse._sparsetools import csr_matvec  # what ``matrix @ x`` calls
-
     mdp.check_arrays()
     if x.shape != (mdp.n_states,):
         raise ValueError(f"{x.shape} values for {mdp.n_states} states")
     y = np.zeros(mdp.n_choices())
-    csr_matvec(mdp.n_choices(), mdp.n_states, mdp.choice_ptr, mdp.succ, mdp.prob, x, y)
+    compiled(SPARSETOOLS).csr_matvec(mdp.n_choices(), mdp.n_states, mdp.choice_ptr, mdp.succ,
+                                     mdp.prob, x, y)
     return y
 
 
@@ -131,9 +121,7 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
     row with its mass.  Value iteration reads the result every sweep, so its
     index arrays are int32 where every model entry plus one per row fits.
     """
-    from scipy.sparse._sparsetools import (csr_column_index1, csr_column_index2, csr_hstack,
-                                           csr_row_index)
-
+    kernels = compiled(SPARSETOOLS)
     mass = _matvec(mdp, target.astype(float))[choices]
     ended = mass > 0.0
     last_value = mass[ended]
@@ -142,8 +130,8 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
     # free columns up to column ``j``
     offsets = np.zeros(mdp.n_states, dtype=np.int64)
     before = np.empty(mdp.n_choices() + 1, dtype=np.int64)
-    csr_column_index1(len(free), free, mdp.n_choices(), mdp.n_states, mdp.choice_ptr, mdp.succ,
-                      offsets, before)
+    kernels.csr_column_index1(len(free), free, mdp.n_choices(), mdp.n_states, mdp.choice_ptr,
+                              mdp.succ, offsets, before)
     position = np.argsort(free)  # in ``free``, of the free columns in ascending order
     small = mdp.n_transitions() + len(choices) <= np.iinfo(np.int32).max
     indptr = np.zeros(len(choices) + 1, dtype=np.int32 if small else np.int64)
@@ -157,19 +145,21 @@ def _free_rows(mdp: Mdp, target: np.ndarray, free: np.ndarray, choices: np.ndarr
     for lo, size in zip(range(0, len(choices), CHUNK), sizes.tolist()):
         hi = min(lo + CHUNK, len(choices))
         picked, values = np.empty(size, dtype=np.int64), np.empty(size)
-        csr_row_index(hi - lo, choices[lo:hi], mdp.choice_ptr, mdp.succ, mdp.prob, picked, values)
+        kernels.csr_row_index(hi - lo, choices[lo:hi], mdp.choice_ptr, mdp.succ, mdp.prob,
+                              picked, values)
         # the free entries, then the end entries, as two blocks for csr_hstack
         ends = np.concatenate(([0], np.cumsum(ended[lo:hi])))
         blocks = np.concatenate((indptr[lo:hi + 1] - indptr[lo] - ends, ends))
         split, stop = blocks[hi - lo], indptr[hi] - indptr[lo]
         slot, value = np.empty(stop, dtype=np.int64), np.empty(stop)
-        csr_column_index2(position, offsets, size, picked, values, slot[:split], value[:split])
+        kernels.csr_column_index2(position, offsets, size, picked, values,
+                                  slot[:split], value[:split])
         slot[split:] = 0
         value[split:] = last_value[done:done + ends[-1]]
         done += ends[-1]
         fill, joined = slice(indptr[lo], indptr[hi]), np.empty(stop, dtype=np.int64)
-        csr_hstack(2, hi - lo, widths, blocks, slot, value, np.empty(hi - lo + 1, dtype=np.int64),
-                   joined, data[fill])
+        kernels.csr_hstack(2, hi - lo, widths, blocks, slot, value,
+                           np.empty(hi - lo + 1, dtype=np.int64), joined, data[fill])
         indices[fill] = joined
         del picked, values, slot, value, joined  # before the next chunk's are made
     return indptr, indices, data
@@ -205,20 +195,27 @@ def _sweep_matrix(mdp: Mdp, target: np.ndarray, free: np.ndarray):
 
 
 def _lp_inputs(mdp: Mdp, target: np.ndarray, free: np.ndarray):
-    """The LP's ``(A_ub, b_ub)`` over ``free``: rows (Q - E) x <= -c, E picking choice owners."""
-    import scipy.sparse
+    """The LP's ``(A_ub, b_ub)`` over ``free``: rows (Q - E) x <= -c, E picking choice owners.
 
+    ``A_ub`` is CSC ``(indptr, indices, data)``, made by the kernels of ``(rows - E).tocsc()``
+    on :func:`_free_rows`' arrays.  E misses their end column, which ends the result with each
+    row's target mass at most once; ``b_ub`` is -0.0 where a row has none.
+    """
     first, stop = mdp.state_ptr[free], mdp.state_ptr[free + 1]
     choices = ranges(first, stop)
+    rows, cols, kernels = len(choices), len(free) + 1, compiled(SPARSETOOLS)
     indptr, indices, data = _free_rows(mdp, target, free, choices)
-    rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(choices), len(free) + 1))
-    # the end column holds each row's target mass, 0.0 where it has none
-    b_ub = -rows[:, [len(free)]].toarray().ravel()
-    rows = rows[:, :len(free)]
-    owners = np.repeat(np.arange(len(free)), stop - first)
-    picker = scipy.sparse.csr_matrix(
-        (np.ones(len(choices)), (np.arange(len(choices)), owners)), shape=rows.shape)
-    return (rows - picker).tocsc(), b_ub
+    most = int(indptr[-1]) + rows  # the entries of both operands, which set scipy's index dtype
+    kind = np.int32 if most <= np.iinfo(np.int32).max else np.int64
+    csr, csc = ((np.empty(n + 1, kind), np.empty(most, kind), np.empty(most)) for n in (rows, cols))
+    owners = np.repeat(np.arange(cols - 1, dtype=kind), stop - first)
+    kernels.csr_minus_csr(rows, cols, indptr.astype(kind), indices.astype(kind), data,
+                          np.arange(rows + 1, dtype=kind), owners, np.ones(rows), *csr)
+    kernels.csr_tocsc(rows, cols, *csr, *csc)
+    ptr, row, entry = csc
+    end, nnz = ptr[-2], ptr[-1]  # the end column's entries, the target masses, close the arrays
+    b_ub = -np.bincount(row[end:nnz], entry[end:nnz], rows).astype(float)  # ints if none
+    return (ptr[:-1], row[:end], entry[:end]), b_ub
 
 
 def _assemble(mdp, target, free, x):
@@ -227,7 +224,9 @@ def _assemble(mdp, target, free, x):
     return values
 
 
-def _check_max_iter(max_iter: int) -> None:
+def _check_budget(tol: float, max_iter: int) -> None:
+    if not tol >= 0.0:  # no sweep could meet a NaN or negative tolerance
+        raise ValueError(f"tol must be at least 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
@@ -240,7 +239,7 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
     ``target`` and ``allowed`` are bool masks over the states.  Iterates
     x <- max_a (c_a + Q_a x) from x = 0 until the sup-norm step falls
     under ``tol``; raises :class:`ConvergenceError` past ``max_iter`` sweeps,
-    and :class:`ValueError` if ``max_iter`` is below 1.
+    and :class:`ValueError` if ``tol`` is NaN or negative or ``max_iter`` is below 1.
     ``positive`` is the stage's :func:`qualitative_reach` when the caller
     has made it already.
 
@@ -256,9 +255,8 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
     the stop sweep, the returned residual and the error's residual are those
     of a full check after every sweep.
     """
-    from scipy.sparse._sparsetools import csr_matvec  # what ``matrix @ x`` calls
-
-    _check_max_iter(max_iter)
+    _check_budget(tol, max_iter)
+    csr_matvec = compiled(SPARSETOOLS).csr_matvec  # what ``matrix @ x`` calls
     if positive is None:
         positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
@@ -296,28 +294,16 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
 def _highs_ipm(A_ub, b_ub) -> tuple[np.ndarray, int]:
     """min sum(x) subject to A_ub x <= b_ub and 0 <= x <= 1, by HiGHS's interior point.
 
-    HiGHS gets the arrays, bounds and options that ``linprog(method="highs-ipm")``
-    passes it, so ``x`` and the iteration count are ``linprog``'s, bit for bit.  The
-    bindings are loaded by file path, as importing ``scipy.optimize`` costs 0.23 s and
-    27 MiB: once, under the lock that lets both stage threads make the first solve, and
-    under their own name in ``sys.modules``, where a later ``import`` finds them.
+    ``A_ub`` is CSC ``(indptr, indices, data)`` of ``len(b_ub)`` rows.  HiGHS gets
+    the arrays, bounds and options that ``linprog(method="highs-ipm")`` passes it,
+    so ``x`` and the iteration count are ``linprog``'s, bit for bit.
     """
-    with _HIGHS_LOAD:
-        h = sys.modules.get(HIGHS)
-        if h is None:
-            folder = Path(util.find_spec("scipy").origin).parent / "optimize" / "_highspy"
-            kind = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
-            spec = machinery.FileFinder(str(folder), kind).find_spec(HIGHS)
-            if spec is None:
-                from importlib.metadata import version
-                raise RuntimeError(f"scipy {version('scipy')} lacks {HIGHS} (scipy>=1.15 has it)")
-            h = sys.modules[HIGHS] = util.module_from_spec(spec)
-            spec.loader.exec_module(h)
-    (rows, cols), lp = A_ub.shape, h.HighsLp()
+    h = compiled(HIGHS)
+    rows, cols, lp = len(b_ub), len(A_ub[0]) - 1, h.HighsLp()
     a = lp.a_matrix_
     lp.num_col_, lp.num_row_, a.num_col_, a.num_row_ = cols, rows, cols, rows
     a.format_ = h.MatrixFormat.kColwise
-    a.start_, a.index_, a.value_ = A_ub.indptr, A_ub.indices, A_ub.data
+    a.start_, a.index_, a.value_ = A_ub
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(cols), np.zeros(cols), np.ones(cols)
     lp.row_lower_, lp.row_upper_ = np.full(rows, -h.kHighsInf), b_ub
     options, highs = h.HighsOptions(), h._Highs()
@@ -422,7 +408,7 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
     """
     if method not in ("vi", "lp"):
         raise ValueError(f"unknown method {method!r}, expected one of ['lp', 'vi']")
-    _check_max_iter(max_iter)
+    _check_budget(tol, max_iter)
     alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
@@ -441,7 +427,7 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
     # this first graph pass checks the model and builds owner and predecessors before any worker
     deliverable = qualitative_reach(mdp, deliver, alive)
     switch = alive & pickup & deliverable
-    from concurrent.futures import ThreadPoolExecutor  # scipy.sparse has loaded it already
+    from concurrent.futures import ThreadPoolExecutor  # 4-6 ms that only a mission pays
 
     with ThreadPoolExecutor(1, thread_name_prefix="hostilemdp-pickup-stage") as pool:
         future = pool.submit(run, switch)

@@ -98,6 +98,15 @@ def as_csr(arrays, columns: int):
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, columns))
 
 
+def as_csc(arrays, rows: int):
+    """A public scipy CSC matrix of ``rows`` rows over the CSC ``(indptr, indices, data)``,
+    the twin of :func:`as_csr`."""
+    import scipy.sparse
+
+    indptr, indices, data = arrays
+    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(rows, len(indptr) - 1))
+
+
 def model_matrix(mdp: Mdp):
     """The model as a public scipy CSR matrix, one row per choice, built from its own arrays."""
     return as_csr((mdp.choice_ptr, mdp.succ, mdp.prob), mdp.n_states)

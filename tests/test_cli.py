@@ -24,6 +24,7 @@ from conftest import bundled_doc, choice_owner
 from hostilemdp import __version__, cli, synth
 from hostilemdp.cli import main
 from hostilemdp.envmodel import DROPOFF, PICKUP
+from hostilemdp.mdpbuild import HIGHS, SPARSETOOLS
 from hostilemdp.simrun import OUTCOMES
 
 EVENTS = {"region-change", "adversary-entered", "adversary-left",
@@ -329,6 +330,23 @@ class TestBadInputs:
         error = single_error(capsys)
         assert f"error: scipy {importlib.metadata.version('scipy')} lacks {synth.HIGHS}" in error
         assert synth.HIGHS not in sys.modules
+
+    def test_scipy_without_the_sparse_kernels_is_one_error_line(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the lookup finds a scipy package whose sparse directory holds no compiled kernels
+        (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").touch()
+        (tmp_path / "scipy" / "sparse" / "__init__.py").touch()
+        fake = importlib.util.spec_from_file_location("scipy", tmp_path / "scipy" / "__init__.py")
+        find = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *args: fake if name == "scipy" else find(name, *args))
+        monkeypatch.delitem(sys.modules, SPARSETOOLS, raising=False)
+        assert main(["synthesize", "--env", "corridor"]) == 1
+        error = single_error(capsys)
+        assert error.startswith(f"error: scipy {importlib.metadata.version('scipy')} lacks "
+                                f"{SPARSETOOLS}")
+        assert SPARSETOOLS not in sys.modules
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     def test_no_progressing_action_is_one_error_line(self, capsys, monkeypatch, command):
@@ -883,12 +901,18 @@ class TestStartup:
         assert "wrote corridor.tra" in out
         assert loaded == []
 
+    def test_value_iteration_loads_only_the_sparse_kernels(self, tmp_path):
+        out, loaded = fresh_run(tmp_path, ["synthesize", "--env", "corridor"],
+                                ["simulate", "--env", "corridor", "--runs", "100"])
+        assert "mission value at init" in out
+        assert [m for m in loaded if m.startswith("scipy")] == [SPARSETOOLS]
+
     def test_both_methods_load_scipy_when_they_solve(self, tmp_path):
-        # the LP loads scipy's HiGHS bindings, with their pybind submodules, and no other
-        # module of scipy.optimize
+        # the sparse kernels and the HiGHS bindings, with their pybind submodules; no
+        # scipy package is imported
         out, loaded = fresh_run(tmp_path, ["synthesize", "--env", "corridor", "--method", "both"])
         assert "method agreement (vi vs lp)" in out
-        assert {"scipy.sparse", synth.HIGHS} <= set(loaded)
-        others = [m for m in loaded if (m + ".").startswith("scipy.optimize.")
-                  and not (m + ".").startswith(synth.HIGHS + ".")]
-        assert others == []
+        scipy = [m for m in loaded if m.startswith("scipy")]
+        submodules = [m for m in scipy if m.startswith(HIGHS + ".")]
+        assert submodules
+        assert scipy == sorted([SPARSETOOLS, HIGHS, *submodules])

@@ -42,6 +42,7 @@ from hostilemdp.mdpbuild import (
     load_mdp,
     validate_mdp,
 )
+from hostilemdp.simrun import estimate_success
 from hostilemdp.synth import synthesize_mission
 
 ARRAYS = ("state_ptr", "choice_action", "choice_ptr", "succ", "prob")
@@ -840,6 +841,21 @@ class TestKernelCheck:
         with pytest.raises(ValueError, match=f"^{want}; see validate_mdp$"):
             mdp.check_arrays()
         assert [v.detail for v in validate_mdp(mdp) if v.kind == "row-shape"] == [want]
+
+    @pytest.mark.parametrize("init", [-1, 4])
+    def test_an_initial_state_out_of_range_is_refused(self, init):
+        # init -1 once gave state 3's value 1.0 and an estimate of 0.0; init 4 an IndexError
+        table = {0: {"a": [(1, .5), (2, .5)]}, 1: {"a": [(1, 1.)]}, 2: {"a": [(2, 1.)]},
+                 3: {"a": [(1, 1.)]}}
+        labels = {"alive": {0, 1, 3}, "pickup": {1}, "dropoff": {1}}
+        strategy = synthesize_mission(make_mdp(table, labels=labels))
+        assert strategy.value == 0.5
+        for call in (synthesize_mission, lambda mdp: estimate_success(mdp, strategy, runs=100)):
+            mdp = make_mdp(table, init=init, labels=labels)
+            with pytest.raises(ValueError,
+                               match=f"^initial state {init} out of range; see validate_mdp$"):
+                call(mdp)
+            assert [v.kind for v in validate_mdp(mdp)] == ["init"]
 
     def test_a_sound_model_is_checked_once(self, corridor_env, monkeypatch):
         calls = []

@@ -8,7 +8,10 @@ they write, or the counts they print, with the ones the step pins.
 import collections
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -231,3 +234,38 @@ def test_vi_commands_build_no_sparse_matrix(monkeypatch, capsys):
     assert main(["synthesize", "--env", "corridor"]) == 0
     assert main(["simulate", "--env", "corridor", "--runs", "100"]) == 0
     assert "error:" not in capsys.readouterr().err
+
+
+#: the script of the step "Solving commands load only scipy's compiled modules"
+_COMPILED_ONLY = """
+import sys
+from hostilemdp import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+kernels, highs = "scipy.sparse._sparsetools", "scipy.optimize._highspy._core"
+status = cli.main(["simulate", "--env", "corridor", "--runs", "100"])
+after_vi = loaded()
+status = status or cli.main(["synthesize", "--env", "corridor", "--method", "both"])
+after_lp = loaded()
+want = sorted([kernels, highs, *(m for m in after_lp if m.startswith(highs + "."))])
+sys.exit(status or (f"simulate loaded {after_vi}" if after_vi != [kernels] else None)
+         or (f"--method both loaded {after_lp}" if after_lp != want else None))
+"""
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """``script`` run in a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_solving_commands_load_only_scipys_compiled_modules():
+    """Step "Solving commands load only scipy's compiled modules": value iteration loads
+    scipy's CSR kernels alone, and the LP adds the HiGHS bindings with their submodules."""
+    done = run_fresh(_COMPILED_ONLY)
+    assert done.returncode == 0, done.stderr

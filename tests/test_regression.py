@@ -140,11 +140,13 @@ def test_value_vectors_and_sweeps_are_pinned(name):
 
 
 def lp_digests(A_ub, b_ub) -> tuple[str, str]:
-    """The ``LP_INPUTS`` pair of one LP."""
+    """The ``LP_INPUTS`` pair of one LP, ``A_ub`` a CSC ``(indptr, indices, data)``."""
+    indptr, indices, data = A_ub
+    shape = (len(b_ub), len(indptr) - 1)
     return (
-        sha256(str(A_ub.shape).encode() + A_ub.data.tobytes()
-               + A_ub.indices.astype(np.int64).tobytes()
-               + A_ub.indptr.astype(np.int64).tobytes()),
+        sha256(str(shape).encode() + data.tobytes()
+               + indices.astype(np.int64).tobytes()
+               + indptr.astype(np.int64).tobytes()),
         sha256(np.asarray(b_ub, dtype=np.float64).tobytes()),
     )
 

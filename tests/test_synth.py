@@ -16,6 +16,7 @@ import scipy.optimize
 import scipy.sparse
 
 from conftest import (
+    as_csc,
     as_csr,
     choice_owner,
     make_mdp,
@@ -50,12 +51,24 @@ def everything(mdp):
     return np.ones(mdp.n_states, dtype=bool)
 
 
+def held(mdp, target, allowed, k):
+    """``(values, iterations, residual)`` of value iteration held to ``k`` sweeps by tol 0.
+
+    They are read from the budget error, or from the result when an exact fixpoint
+    stopped the run sooner; no later sweep would move those values by a bit.
+    """
+    try:
+        res = max_reach_vi(mdp, target, allowed, tol=0.0, max_iter=k)
+    except ConvergenceError as err:
+        assert err.iterations == k
+        return err.values, err.iterations, err.residual
+    assert res.iterations <= k and res.residual == 0.0
+    return res.values, res.iterations, res.residual
+
+
 def after_sweeps(mdp, target, k):
-    """The values after exactly ``k`` sweeps, read from the error of a run held to ``k``."""
-    with pytest.raises(ConvergenceError) as err:
-        max_reach_vi(mdp, target, everything(mdp), tol=-1.0, max_iter=k)
-    assert err.value.iterations == k
-    return err.value.values
+    """The values after exactly ``k`` sweeps."""
+    return held(mdp, target, everything(mdp), k)[0]
 
 
 def model_bytes(mdp):
@@ -157,7 +170,7 @@ class TestValueIteration:
             for budget in (1, 2, 3):
                 if not free.any():
                     # nothing to iterate: every positive state is a target
-                    assert max_reach_vi(mdp, target, everything(mdp), tol=-1.0,
+                    assert max_reach_vi(mdp, target, everything(mdp), tol=0.0,
                                         max_iter=budget).iterations == 0
                     continue
                 values = after_sweeps(mdp, target, budget)
@@ -205,6 +218,21 @@ class TestValueIteration:
             # refused before the mission's labels are looked at: toy_chain has none
             with pytest.raises(ValueError, match=f"^max_iter must be at least 1, got {budget}$"):
                 synthesize_mission(mdp, max_iter=budget)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("-inf")])
+    def test_a_tolerance_no_sweep_can_meet_is_refused(self, tol):
+        # such a tolerance once ran max_iter sweeps and then reported a residual of 0
+        mdp, _ = toy_chain()
+        target = mdp.label("goal")
+        with pytest.raises(ValueError, match=f"^tol must be at least 0, got {tol}$"):
+            max_reach_vi(mdp, target, everything(mdp), tol=tol)
+        with pytest.raises(ValueError, match=f"^tol must be at least 0, got {tol}$"):
+            synthesize_mission(mdp, tol=tol)
+
+    def test_a_zero_tolerance_stops_at_the_fixpoint(self):
+        mdp, _ = toy_chain()
+        res = max_reach_vi(mdp, mdp.label("goal"), everything(mdp), tol=0.0)
+        assert res.residual == 0.0 and res.iterations >= 1
 
     def test_all_target_needs_no_sweeps(self):
         mdp, _ = toy_chain()
@@ -656,7 +684,7 @@ class TestConcurrentStages:
         solve, finished = synth._highs_ipm, []
 
         def stub(A_ub, b_ub):
-            stage = "deliver" if A_ub.shape[1] == n_deliver else "pickup"
+            stage = "deliver" if len(A_ub[0]) - 1 == n_deliver else "pickup"
             if stage in failing:
                 raise RuntimeError(f"LP solve failed: {stage} stalled")
             # a stage that succeeds is slow, so a failure elsewhere raises first
@@ -901,8 +929,10 @@ class TestStageAssembly:
                 shape=rows.shape)
             want = (rows - picker).tocsc()
             got, b_ub = synth._lp_inputs(mdp, goal, free)
-            assert got.shape == want.shape
-            assert [bits(a) for a in (got.data, got.indices, got.indptr, b_ub)] == [
+            assert as_csc(got, len(b_ub)).shape == want.shape
+            # the triple itself, as the solver gets it, before a matrix may cast its indices
+            indptr, indices, data = got
+            assert [bits(a) for a in (data, indices, indptr, b_ub)] == [
                 bits(a) for a in (want.data, want.indices, want.indptr, -mass)], i
             merged += want.nnz < rows.nnz + len(mass)
         # entries must be summed or dropped on many models, or this compares little
@@ -982,14 +1012,13 @@ class TestSweepOrder:
             for budget in sorted({1, 2, 3, max(got.iterations // 2, 1)}):
                 if not free.size:
                     break
-                errors = []
+                runs = []
                 for sweep in (synth._sweep_matrix, ascending_sweep):
-                    with monkeypatch.context() as patched, pytest.raises(ConvergenceError) as err:
+                    with monkeypatch.context() as patched:
                         patched.setattr(synth, "_sweep_matrix", sweep)
-                        max_reach_vi(mdp, target, allowed, tol=-1.0, max_iter=budget)
-                    errors.append(err.value)
-                assert bits(errors[0].values) == bits(errors[1].values), (name, budget)
-                assert errors[0].residual == errors[1].residual, (name, budget)
+                        runs.append(held(mdp, target, allowed, budget))
+                assert bits(runs[0][0]) == bits(runs[1][0]), (name, budget)
+                assert runs[0][1:] == runs[1][1:], (name, budget)
         # the order must move rows on most models, or this compares nothing
         assert reordered >= 20
 
@@ -1107,7 +1136,7 @@ class TestProbedStop:
         for name, mdp, target, allowed in sweep_cases(order_cases):
             plain = plain_sweeps(mdp, target, allowed, 3)
             middle = float(np.median([step for _, step in plain]))
-            for tol in (-1.0, 0.0, 1e-15, middle):
+            for tol in (0.0, 1e-15, middle):  # a negative tol is refused
                 for budget in (1, 2, 3):
                     assert_runs_as_the_plain_loop(mdp, target, allowed, tol, budget, plain,
                                                   name)
@@ -1391,6 +1420,70 @@ print(json.dumps([len(loaded), len(entered) == 2 and max(entered) < loaded[0],
 """
 
 
+#: run in a fresh interpreter: eight threads that ask first for the sparse kernels, with a
+#: short switch interval, while every load of them takes 1 s more, and one more that asks
+#: for the HiGHS bindings while that load runs.  Prints the number of kernel loads, whether
+#: every thread finished and got the module that ``import`` gives, and whether the bindings
+#: came before the kernels' load ended
+_FIRST_KERNEL_LOADS_AT_ONCE = """
+import importlib.machinery, json, sys, threading, time
+from hostilemdp.mdpbuild import HIGHS, SPARSETOOLS, compiled
+
+create, loads, started = importlib.machinery.ExtensionFileLoader.create_module, [], threading.Event()
+
+def slow(loader, spec):
+    if spec.name == SPARSETOOLS:
+        started.set()
+        time.sleep(1.0)
+        loads.append(time.perf_counter())
+    return create(loader, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = slow
+sys.setswitchinterval(1e-6)
+got, highs = [], []
+threads = [threading.Thread(target=lambda: got.append(compiled(SPARSETOOLS)), daemon=True)
+           for _ in range(8)]
+threads.append(threading.Thread(daemon=True, target=lambda: started.wait(60) and (
+    compiled(HIGHS), highs.append(time.perf_counter()))))
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+import scipy.sparse._sparsetools as kernels
+print(json.dumps([len(loads), not any(t.is_alive() for t in threads) and len(got) == 8
+                  and all(m is kernels for m in got), bool(highs) and highs[0] < loads[0]]))
+"""
+
+
+#: run in a fresh interpreter: a solve by both methods, then ``import scipy.sparse`` and
+#: ``scipy.optimize``.  Prints whether the imports gave the modules the solve loaded, and
+#: whether the public ``@``, ``-``, ``tocsc()``, ``hstack`` and ``linprog`` match their
+#: dense results; every entry is a small integer, so each is exact
+_IMPORTS_AFTER_A_SOLVE = """
+import json, sys
+import numpy as np
+from hostilemdp.cli import main
+from hostilemdp.mdpbuild import HIGHS, SPARSETOOLS
+
+assert main(["synthesize", "--env", "corridor", "--method", "both"]) == 0
+loaded = [sys.modules[name] for name in (SPARSETOOLS, HIGHS)]
+import scipy.optimize, scipy.sparse
+import scipy.sparse._sparsetools as kernels, scipy.optimize._highspy._core as highs
+
+rng = np.random.default_rng(37)
+a, b = (rng.integers(-3, 4, (6, 5)) * (rng.random((6, 5)) < 0.5) * 1.0 for _ in range(2))
+x = rng.integers(-3, 4, 5) * 1.0
+sa, sb = scipy.sparse.csr_matrix(a), scipy.sparse.csr_matrix(b)
+lp = scipy.optimize.linprog(np.ones(2), A_ub=scipy.sparse.csc_matrix(-np.eye(2)),
+                            b_ub=[-0.5, -0.25], bounds=(0.0, 1.0), method="highs-ipm")
+print(json.dumps([loaded == [kernels, highs], [
+    np.array_equal(sa @ x, a @ x), np.array_equal((sa - sb).toarray(), a - b),
+    np.array_equal(sa.tocsc().toarray(), a),
+    np.array_equal(scipy.sparse.hstack([sa, sb]).toarray(), np.hstack([a, b])),
+    lp.status == 0 and np.allclose(lp.x, [0.5, 0.25])]]))
+"""
+
+
 def run_fresh(script, *args):
     """``script`` run with ``args`` in a new interpreter that imports this checkout's package."""
     src = str(Path(synth.__file__).resolve().parents[1])
@@ -1467,7 +1560,8 @@ class TestHighsIpm:
                 cases.append((f"random-{i}", synth._lp_inputs(mdp, goal, free)))
         assert len(cases) >= 30
         for name, (A_ub, b_ub) in cases:
-            want = scipy.optimize.linprog(c=np.ones(A_ub.shape[1]), A_ub=A_ub, b_ub=b_ub,
+            matrix = as_csc(A_ub, len(b_ub))
+            want = scipy.optimize.linprog(c=np.ones(matrix.shape[1]), A_ub=matrix, b_ub=b_ub,
                                           bounds=(0.0, 1.0), method="highs-ipm")
             x, iterations = synth._highs_ipm(A_ub, b_ub)
             assert bits(x) == bits(want.x), name
@@ -1475,9 +1569,24 @@ class TestHighsIpm:
 
     def test_a_solve_that_is_not_optimal_raises(self):
         # x >= 2 cannot hold inside the bounds [0, 1]
-        A_ub = scipy.sparse.csc_matrix(np.array([[-1.0]]))
+        A_ub = (np.array([0, 1], dtype=np.int32), np.array([0], dtype=np.int32), np.array([-1.0]))
         with pytest.raises(RuntimeError, match="^LP solve failed: Infeasible$"):
             synth._highs_ipm(A_ub, np.array([-2.0]))
+
+    def test_first_kernel_calls_at_once_load_the_kernels_once(self):
+        done = run_fresh(_FIRST_KERNEL_LOADS_AT_ONCE)
+        assert done.returncode == 0, done.stderr
+        loads, same, unblocked = json.loads(done.stdout.splitlines()[-1])
+        assert loads == 1 and same
+        # each module has a lock of its own
+        assert unblocked
+
+    def test_scipy_imported_after_a_solve_shares_the_loaded_modules(self):
+        done = run_fresh(_IMPORTS_AFTER_A_SOLVE)
+        assert done.returncode == 0, done.stderr
+        shared, matches = json.loads(done.stdout.splitlines()[-1])
+        assert shared
+        assert matches == [True] * 5
 
     def test_two_first_solves_at_once_load_the_bindings_once(self):
         done = run_fresh(_TWO_FIRST_SOLVES)
