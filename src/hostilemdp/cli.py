@@ -68,14 +68,15 @@ def _load(args) -> "Environment":
 def _obtain_mdp(args):
     """MDP from --mdp dump when given, otherwise built from --env; refused unless valid.
 
-    The first 20 violations of an invalid model go to stderr before it is refused.
+    The model's warnings, built or stored in the dump, go to stderr, and so do
+    the first 20 violations of an invalid model before it is refused.
     """
     if getattr(args, "mdp", None):
         mdp = load_mdp(args.mdp)
     else:
         mdp = build_mdp(_load(args))
-        for w in mdp.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+    for w in mdp.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     bad = validate_mdp(mdp)
     for v in bad[:20]:
         print(f"violation: state {v.state} action {v.action}: {v.kind} ({v.detail})",
@@ -268,6 +269,7 @@ def cmd_simulate(args) -> int:
     _make_parent(args.trace_out)
     strategy = synthesize_mission(mdp, method=args.method)
     trace = open(args.trace_out, "wb") if args.trace_out else None
+    est = None
     try:
         est = estimate_success(
             mdp, strategy, runs=args.runs, master_seed=args.seed,
@@ -279,7 +281,11 @@ def cmd_simulate(args) -> int:
     finally:
         if trace is not None:
             trace.close()
-            print(f"wrote {args.trace_out}", file=sys.stderr)
+            # a failed simulation leaves no partial trace behind
+            if est is None:
+                Path(args.trace_out).unlink()
+    if trace is not None:
+        print(f"wrote {args.trace_out}", file=sys.stderr)
 
     lo, hi = est.interval()
     if args.json:

@@ -168,7 +168,8 @@ class Mdp:
     ``labels`` is a bool mask over the states.
     A set of states is such a mask everywhere in the package, and a policy
     is the ascending int64 array of the choices it plays, one per state it
-    covers.  The solvers and the simulator hand these arrays, as stored, to
+    covers; the simulator refuses any other with a ValueError that names the
+    state.  The solvers and the simulator hand these arrays, as stored, to
     scipy's CSR kernels (:func:`compiled`), one row per choice; the package
     builds no ``scipy.sparse`` matrix.  A model must not change once it has
     been solved: the outcome of :meth:`check_arrays`, :attr:`owner` and

@@ -127,11 +127,24 @@ class _Plan:
 
 
 def _choices(mdp: Mdp, policies: Sequence[np.ndarray]) -> np.ndarray:
-    """The policies' choices, concatenated; ValueError if one is outside ``[0, n_choices)``."""
+    """The policies' choices, concatenated.
+
+    ValueError if one is outside ``[0, n_choices)``, or if a policy is not
+    ascending with one choice per state it covers: a later choice at the
+    same state would replace the earlier one in the plan.
+    """
     choice = np.concatenate(policies)
     outside = choice[(choice < 0) | (choice >= mdp.n_choices())]
     if outside.size:
         raise ValueError(f"policy choice {outside[0]} outside [0, {mdp.n_choices()})")
+    for policy in policies:
+        owner = mdp.owner[policy]
+        back = np.flatnonzero(np.diff(owner) <= 0)
+        if back.size:
+            k = int(back[0]) + 1
+            raise ValueError(f"policy plays choice {policy[k]} at state {owner[k]} after a "
+                             f"choice at state {owner[k - 1]}; a policy holds one choice per "
+                             "state, in ascending state order")
     return choice
 
 
@@ -372,8 +385,9 @@ def prefix_frequency(
     Runs start at ``prefix[0]`` and follow ``policy`` (ascending choice
     indices) for ``len(prefix) - 1`` steps; a run that reaches a state where
     the policy is undefined stops there, so it can no longer match.  A prefix
-    state outside ``[0, n_states)`` or a policy choice outside
-    ``[0, n_choices)`` raises :class:`ValueError`.
+    state outside ``[0, n_states)``, a policy choice outside
+    ``[0, n_choices)`` or a policy whose states do not ascend, one choice
+    each, raises :class:`ValueError`.
     """
     if len(prefix) < 1:
         raise ValueError("prefix needs at least one state")

@@ -14,7 +14,9 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 from dataclasses import dataclass
@@ -795,6 +797,20 @@ def read_prism(basepath: str | Path) -> tuple[Mdp, np.ndarray]:
               succ=t[order], prob=prob[order], init=int(init),
               labels={"alive": atoms["alive"], PICKUP: atoms["rp"], DROPOFF: atoms["rd"]})
     return mdp, values
+
+
+# ---------------------------------------------------------------------------
+# a fresh interpreter, for what one process can load or crash only once
+
+
+def run_fresh(script: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``script`` run with ``args`` in a new interpreter that imports this checkout's package,
+    in ``cwd``; its stdout and stderr are captured as text."""
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 # ---------------------------------------------------------------------------

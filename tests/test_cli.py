@@ -8,24 +8,22 @@ import importlib.metadata
 import importlib.util
 import io
 import json
-import os
 import re
-import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled_doc, choice_owner
+from conftest import bundled_doc, choice_owner, make_mdp, run_fresh
 from hostilemdp import __version__, cli, synth
 from hostilemdp.cli import main
 from hostilemdp.envmodel import DROPOFF, PICKUP
-from hostilemdp.mdpbuild import HIGHS, SPARSETOOLS
+from hostilemdp.mdpbuild import HIGHS, SPARSETOOLS, dump_mdp
 from hostilemdp.simrun import OUTCOMES
+from test_mdpbuild import two_dead_ends_doc
 
 EVENTS = {"region-change", "adversary-entered", "adversary-left",
           "lost-absorb", "stay", "step"}
@@ -686,6 +684,23 @@ class TestSynthesize:
         assert a["switch"]
         assert all(ac.count(">") == 1 or ac == "stay" for ac in a["first"].values())
 
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_a_dump_warns_as_its_build_did(self, tmp_path, capsys, command):
+        env, dump = tmp_path / "env.json", tmp_path / "m.npz"
+        env.write_text(json.dumps(two_dead_ends_doc()))
+        assert main(["build", "--env", str(env), "--dump-mdp", str(dump)]) == 0
+        capsys.readouterr()
+        runs = ["--runs", "10"] if command == "simulate" else []
+        warned = []
+        for source in (["--env", str(env)], ["--mdp", str(dump)]):
+            assert main([command, *source, *runs]) == 0
+            err = capsys.readouterr().err.splitlines()
+            warned.append([line for line in err if line.startswith("warning:")])
+        assert warned[0] == warned[1] == [
+            "warning: dead end: no primitive leaves facet 'fc' across region 'h'",
+            "warning: dead end: no primitive leaves facet 'fb' across region 'h'",
+        ]
+
     def test_scaling_rates_leaves_value_alone(self, tmp_path, capsys):
         plain = tmp_path / "plain.json"
         scaled = tmp_path / "scaled.json"
@@ -771,6 +786,19 @@ class TestSimulate:
         for run in "01234":
             steps = [int(r[1]) for r in body if r[0] == run]
             assert steps == list(range(len(steps)))
+
+    def test_a_failed_run_leaves_no_trace(self, tmp_path, capsys):
+        # the run stays at state 0, where the strategy of mission value 0 plays nothing
+        mdp = make_mdp({0: {"a": [(0, 1.0)]}, 1: {"a": [(2, 1.0)]}, 2: {"a": [(2, 1.0)]}},
+                       labels={"alive": {0, 1, 2}, "pickup": {1}, "dropoff": {2}})
+        dump_mdp(mdp, tmp_path / "m.npz")
+        path = tmp_path / "t.csv"
+        assert main(["simulate", "--mdp", str(tmp_path / "m.npz"), "--runs", "10",
+                     "--trace-out", str(path)]) == 1
+        config, *rest = capsys.readouterr().err.splitlines()
+        assert config.startswith("config:")
+        assert len(rest) == 1 and rest[0].startswith("error: first-stage strategy undefined")
+        assert not path.exists()
 
     def test_trace_quotes_action_names(self, tmp_path, capsys):
         # facet ids with a comma and a quote give action names csv.writer must quote
@@ -876,11 +904,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy
 def fresh_run(tmp_path, *argvs):
     """Stdout of the commands run in a new interpreter, and the scipy and
     concurrent.futures modules it loaded."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    done = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
+    done = run_fresh(_FRESH_RUN, json.dumps(argvs), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     out, _, last = done.stdout.rstrip("\n").rpartition("\n")
     return out, json.loads(last)

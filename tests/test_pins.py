@@ -1,17 +1,17 @@
-"""The digests that the CI workflow pins, checked in-process through ``cli.main``.
+"""The pinned outputs of the command line, checked in-process through ``cli.main``.
 
-Each case runs the commands of one workflow step, or of the part of a step
-that one check covers, and compares the sha256 of the files and the stdout
-they write, or the counts they print, with the ones the step pins.
+Each case runs the commands that make one output: a strategy file and its
+stdout, a PRISM export, a simulation trace or seeded Monte Carlo counts.
+It compares the sha256 of the files and stdout they write, or the counts
+they print, with the recorded ones.  ``test_regression`` pins the library's
+side: each bundled model's export, policy and values, the LP's inputs and
+seeded estimates.
 """
 
 import collections
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,9 @@ def sha256(data: bytes) -> str:
 
 @pytest.fixture
 def grid_json(tmp_path, monkeypatch):
-    """The benchmark's width-2 grid, written as the workflow writes it, to ``grid.json`` in
-    a temporary working directory; stdout names output files, so the steps' relative
-    paths are kept."""
+    """The benchmark's width-2 grid (``gridenv.write_grid(3, 3, 2, 7)``), written to
+    ``grid.json`` in a temporary working directory; stdout names output files, so the
+    pinned stdout holds these relative paths."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gridenv
 
@@ -41,8 +41,9 @@ def grid_json(tmp_path, monkeypatch):
 
 @pytest.fixture
 def grid1_json(tmp_path, monkeypatch):
-    """The 1100-state grid of the benchmark's grid-crosscheck size, written as the workflow
-    writes it, to ``grid1.json`` in a temporary working directory with ``smoke/`` made."""
+    """The 1100-state grid of the benchmark's grid-crosscheck size
+    (``gridenv.write_grid(3, 3, 1, 9001)``), written to ``grid1.json`` in a temporary
+    working directory with ``smoke/`` made."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gridenv
 
@@ -52,7 +53,9 @@ def grid1_json(tmp_path, monkeypatch):
 
 
 def test_width_2_grid_strategy(grid_json, capsys):
-    """Step "Width-2 grid strategy is pinned": the benchmark's grid solved from ``--env``."""
+    """The benchmark's width-2 grid solved from ``--env``: value iteration sweeps most of its
+    rows in another order than state order, and the strategy file and stdout keep the
+    digests recorded before that order."""
     Path("smoke").mkdir()
     assert main(["synthesize", "--env", "grid.json", "--out", "smoke/grid-strategy.json"]) == 0
     stdout = capsys.readouterr().out.encode()
@@ -62,8 +65,8 @@ def test_width_2_grid_strategy(grid_json, capsys):
 
 
 def test_1100_state_grid_strategy(grid1_json, capsys):
-    """Step "1100-state grid strategy is pinned": the grid where the two stage threads
-    interleave the most keeps its strategy file and stdout."""
+    """The grid where the two stage threads interleave the most keeps its strategy file and
+    stdout, the digests of a full residual check every sweep."""
     assert main(["synthesize", "--env", "grid1.json", "--out", "smoke/grid1-strategy.json"]) == 0
     stdout = capsys.readouterr().out.encode()
     assert sha256(Path("smoke/grid1-strategy.json").read_bytes()) == (
@@ -72,9 +75,9 @@ def test_1100_state_grid_strategy(grid1_json, capsys):
 
 
 def test_1100_state_grid_lp_policies(grid1_json):
-    """Step "1100-state grid LP policies are pinned": only the LP strategy is pinned, as the
-    sha256 of the ``json.dumps`` of its ``first``, ``second`` and ``switch`` members, since
-    its value may move in the last bits between HiGHS releases."""
+    """The 1100-state grid's LP strategy, as the sha256 of the ``json.dumps`` of its
+    ``first``, ``second`` and ``switch`` members; its value is not pinned, since it may
+    move in the last bits between HiGHS releases."""
     assert main(["synthesize", "--env", "grid1.json", "--method", "lp",
                  "--out", "smoke/grid1-lp.json"]) == 0
     got = json.loads(Path("smoke/grid1-lp.json").read_text())
@@ -87,8 +90,8 @@ def test_1100_state_grid_lp_policies(grid1_json):
 
 
 def test_width_2_grid_strategy_from_its_dump(grid_json, capsys):
-    """Step "Width-2 grid strategy from its dump is pinned": the benchmark's grid, built,
-    dumped and solved from the dump, gives the strategy file and stdout of ``--env``."""
+    """The benchmark's grid, built, dumped and solved from the dump, gives the strategy
+    file and stdout of ``--env`` byte for byte."""
     assert main(["build", "--env", "grid.json", "--dump-mdp", "grid.npz"]) == 0
     capsys.readouterr()
     strategy = Path("smoke/grid-strategy.json")
@@ -101,7 +104,7 @@ def test_width_2_grid_strategy_from_its_dump(grid_json, capsys):
 
 
 def test_width_2_grid_export(grid_json):
-    """Step "Width-2 grid export is pinned": the benchmark's grid exported for PRISM."""
+    """The benchmark's grid exported for PRISM: 18070 states, 341298 transitions."""
     assert main(["export", "--env", "grid.json", "--out", "smoke/grid"]) == 0
     seen = {suffix: sha256(Path(f"smoke/grid{suffix}").read_bytes())
             for suffix in (".sta", ".tra", ".lab")}
@@ -113,7 +116,8 @@ def test_width_2_grid_export(grid_json):
 
 
 def test_case_a_export(tmp_path):
-    """The CLI smoke test's caseA export digests, which joined give test_regression's."""
+    """The caseA export, file by file; joined, the three files give test_regression's
+    digest."""
     base = tmp_path / "smoke" / "caseA.v1"
     assert main(["export", "--env", "caseA", "--out", str(base)]) == 0
     seen = {suffix: sha256(Path(f"{base}{suffix}").read_bytes())
@@ -126,9 +130,9 @@ def test_case_a_export(tmp_path):
 
 
 def test_city_strategies(tmp_path, capsys, monkeypatch):
-    """Step "City strategies are pinned": caseA and caseB, each stage on its own thread,
-    give the strategy files and stdout recorded when the stages ran one after the other."""
-    # stdout names the strategy file, so the step's relative paths are kept
+    """caseA and caseB, each stage on its own thread, give the strategy files and stdout
+    recorded when the stages ran one after the other."""
+    # stdout names the strategy file, so the pinned stdout holds these relative paths
     monkeypatch.chdir(tmp_path)
     Path("smoke").mkdir()
     seen = {}
@@ -146,7 +150,7 @@ def test_city_strategies(tmp_path, capsys, monkeypatch):
 
 
 def test_seeded_monte_carlo_counts(capsys):
-    """Step "Seeded Monte Carlo counts": 100000 runs of caseA and of caseB, seed 7."""
+    """The outcome counts of 100000 runs of caseA and of caseB, seed 7."""
     want = {
         "caseA": {"satisfied": 20504, "lost": 79496, "step_limit": 0, "delivered": 6552},
         "caseB": {"satisfied": 59987, "lost": 40013, "step_limit": 0, "delivered": 28307},
@@ -160,9 +164,9 @@ def test_seeded_monte_carlo_counts(capsys):
 
 
 def test_corridor_dump_steps(tmp_path, capsys, monkeypatch):
-    """The corridor dump that the CLI smoke test writes, as the later steps use it: step
-    "Block-crossing trace is pinned" (33000 runs span two blocks and nine chunks, from the
-    dump and from caseA's ``--env``) and step "A dump refuses --scale" (exit status 2)."""
+    """The traces of 33000 runs, which span two blocks and nine chunks, from the corridor
+    dump and from caseA's ``--env`` (642431 lines, with lost-absorb, region and adversary
+    events); and a dump refuses ``--scale`` with exit status 2."""
     monkeypatch.chdir(tmp_path)
     assert main(["build", "--env", "corridor", "--dump-mdp", "corridor.mdp.npz"]) == 0
     for source, trace in ((["--mdp", "corridor.mdp.npz"], "t33.csv"),
@@ -182,7 +186,7 @@ def test_corridor_dump_steps(tmp_path, capsys, monkeypatch):
 
 
 def test_strategy_file_is_indented_json(tmp_path):
-    """The CLI smoke test's check that a strategy file is in ``json.dumps`` indented layout."""
+    """A strategy file is in ``json.dumps`` indented layout, with a newline after it."""
     strategy = tmp_path / "smoke" / "s.json"
     assert main(["synthesize", "--env", "corridor", "--out", str(strategy)]) == 0
     text = strategy.read_text()
@@ -190,8 +194,8 @@ def test_strategy_file_is_indented_json(tmp_path):
 
 
 def test_both_stages_of_each_method_are_traced(monkeypatch):
-    """Step "Both stages of each method are traced": the bench tracer wraps the solvers on
-    the synth module, and each mission of ``--method both`` calls them there."""
+    """The bench tracer wraps the solvers on the synth module, and each mission of
+    ``--method both`` calls them there: both stages of each method are traced."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import Tracer
 
@@ -205,8 +209,8 @@ def test_both_stages_of_each_method_are_traced(monkeypatch):
 
 
 def test_case_a_method_agreement(case_a_lp, capsys, monkeypatch):
-    """The CLI smoke test's caseA ``--method both`` check: the printed VI/LP gap is at most
-    1e-6.  The LP mission is the session's, which takes seconds; value iteration runs here."""
+    """caseA's ``--method both`` agrees: the printed VI/LP gap is at most 1e-6.  The LP
+    mission is the session's, which takes seconds; value iteration runs here."""
     solve = cli.synthesize_mission
 
     def shared_lp(mdp, method, tol):
@@ -220,52 +224,3 @@ def test_case_a_method_agreement(case_a_lp, capsys, monkeypatch):
     assert main(["synthesize", "--env", "caseA", "--method", "both"]) == 0
     gap = float(re.search(r"max \|diff\| (\S+)", capsys.readouterr().out).group(1))
     assert gap <= 1e-6
-
-
-def test_vi_commands_build_no_sparse_matrix(monkeypatch, capsys):
-    """Step "VI commands build no scipy.sparse matrix": value iteration, policy extraction
-    and the simulator call scipy's compiled kernels on the model's own arrays."""
-    import scipy.sparse._compressed as compressed
-
-    def refuse(self, *args, **kw):
-        raise RuntimeError("a scipy.sparse matrix was built")
-
-    monkeypatch.setattr(compressed._cs_matrix, "__init__", refuse)
-    assert main(["synthesize", "--env", "corridor"]) == 0
-    assert main(["simulate", "--env", "corridor", "--runs", "100"]) == 0
-    assert "error:" not in capsys.readouterr().err
-
-
-#: the script of the step "Solving commands load only scipy's compiled modules"
-_COMPILED_ONLY = """
-import sys
-from hostilemdp import cli
-
-def loaded():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-
-kernels, highs = "scipy.sparse._sparsetools", "scipy.optimize._highspy._core"
-status = cli.main(["simulate", "--env", "corridor", "--runs", "100"])
-after_vi = loaded()
-status = status or cli.main(["synthesize", "--env", "corridor", "--method", "both"])
-after_lp = loaded()
-want = sorted([kernels, highs, *(m for m in after_lp if m.startswith(highs + "."))])
-sys.exit(status or (f"simulate loaded {after_vi}" if after_vi != [kernels] else None)
-         or (f"--method both loaded {after_lp}" if after_lp != want else None))
-"""
-
-
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """``script`` run in a new interpreter that imports this checkout's package."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
-
-
-def test_solving_commands_load_only_scipys_compiled_modules():
-    """Step "Solving commands load only scipy's compiled modules": value iteration loads
-    scipy's CSR kernels alone, and the LP adds the HiGHS bindings with their submodules."""
-    done = run_fresh(_COMPILED_ONLY)
-    assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Monte Carlo execution: determinism, scoring semantics, trace consistency."""
 
 import csv
+import dataclasses
 import io
 import itertools
 from typing import NamedTuple, Optional
@@ -70,6 +71,13 @@ def hand_strategy(mdp, first=None, second=None, switch=()):
         values_second=np.zeros(n),
         method="vi",
     )
+
+
+def fork():
+    """State 0 plays "a" to the pickup, state 1, or "b" to the dropoff, state 2; both absorb."""
+    return make_mdp({0: {"a": [(1, 1.0)], "b": [(2, 1.0)]}, 1: {"a": [(1, 1.0)]},
+                     2: {"a": [(2, 1.0)]}},
+                    labels={"alive": {0, 1, 2}, "pickup": {1}, "dropoff": {2}})
 
 
 class Run(NamedTuple):
@@ -242,6 +250,16 @@ class TestEstimate:
             with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
                 prefix_frequency(mdp, policy, prefix, runs=10, seed=0)
 
+    @pytest.mark.parametrize("stage", ["first", "second"])
+    def test_refuses_a_policy_that_is_not_one_ascending_choice_per_state(self, stage):
+        # the plan would keep the later of two choices at state 0 and play it
+        mdp = fork()
+        strategy = hand_strategy(mdp, first={0: 0, 1: 0, 2: 0}, second={0: 0, 1: 0, 2: 0})
+        for policy, before in (([0, 1, 2, 3], 0), ([1, 0, 2, 3], 0), ([0, 2, 0, 3], 1)):
+            bad = dataclasses.replace(strategy, **{stage: np.array(policy)})
+            with pytest.raises(ValueError, match=f"at state 0 after a choice at state {before};"):
+                estimate_success(mdp, bad, runs=10)
+
     def test_needs_a_run(self):
         mdp, strat = mission_chain()
         for runs in (0, -1):
@@ -375,6 +393,14 @@ class TestPrefixFrequency:
         for prefix in ([-4, 1, 1], [0, 1, 7], [4]):
             with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
                 prefix_frequency(mdp, policy, prefix, runs=10, seed=0)
+
+    def test_refuses_a_policy_with_two_choices_at_one_state(self):
+        # the plan kept the later choice: 1.0 with "b" last, 0.0 with "a" last
+        mdp = fork()
+        for policy in ([0, 1, 2, 3], [1, 0, 2, 3]):
+            with pytest.raises(ValueError, match="at state 0 after a choice at state 0;"):
+                prefix_frequency(mdp, np.array(policy), [0, 2], runs=1000)
+        assert prefix_frequency(mdp, np.array([1, 2, 3]), [0, 2], runs=1000) == 1.0
 
     def test_needs_a_run(self):
         mdp, policy = toy_chain()

@@ -2,8 +2,6 @@
 
 import dataclasses
 import json
-import os
-import subprocess
 import sys
 import threading
 import time
@@ -30,6 +28,7 @@ from conftest import (
     random_mdp,
     recorded_mission,
     reference_policy,
+    run_fresh,
     sequential_mission,
     state_rows,
     toy_chain,
@@ -1482,15 +1481,6 @@ print(json.dumps([loaded == [kernels, highs], [
     np.array_equal(scipy.sparse.hstack([sa, sb]).toarray(), np.hstack([a, b])),
     lp.status == 0 and np.allclose(lp.x, [0.5, 0.25])]]))
 """
-
-
-def run_fresh(script, *args):
-    """``script`` run with ``args`` in a new interpreter that imports this checkout's package."""
-    src = str(Path(synth.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
 
 
 #: run in a fresh interpreter, so that a crash fails one case and not the session: the
