@@ -15,6 +15,7 @@ a solve fails; :func:`main` turns each of these failures into one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -90,10 +91,20 @@ def _obtain_mdp(args):
     return mdp
 
 
-def _make_parent(path) -> None:
-    """Create the directory an output file goes into, as ``export`` does for its files."""
+def _make_parent(path) -> list[Path]:
+    """Create the directory an output file goes into, as ``export`` does for its files.
+
+    Returns the directories this call created, deepest first.
+    """
+    made = []
     if path:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        parent = Path(path).parent
+        for directory in (parent, *parent.parents):
+            if directory.exists():
+                break
+            made.append(directory)
+        parent.mkdir(parents=True, exist_ok=True)
+    return made
 
 
 def cmd_validate_env(args) -> int:
@@ -233,9 +244,10 @@ def _strategy_json(mdp, strategy) -> str:
 def cmd_synthesize(args) -> int:
     mdp = _obtain_mdp(args)
     _make_parent(args.out)
-    methods = ("vi", "lp") if args.method == "both" else (args.method,)
-    results = [synthesize_mission(mdp, method=m, tol=args.tol) for m in methods]
-    strategy = results[0]
+    both = args.method == "both"
+    strategy = synthesize_mission(mdp, method="vi" if both else args.method, tol=args.tol)
+    # the LP starts from value iteration's policies; HiGHS still checks the optimum itself
+    lp = synthesize_mission(mdp, method="lp", tol=args.tol, start=strategy) if both else None
     init = mdp.init
     print(f"states: {mdp.n_states}")
     print(f"mission value at init: {strategy.value:.10f}")
@@ -246,12 +258,12 @@ def cmd_synthesize(args) -> int:
           f"{np.count_nonzero(strategy.switch)}")
     print(f"first-stage policy: {len(strategy.first)} states")
     print(f"second-stage policy: {len(strategy.second)} states")
-    if len(results) == 2:
+    if lp is not None:
         gap = max(
-            float(np.max(np.abs(results[0].values_first - results[1].values_first))),
-            float(np.max(np.abs(results[0].values_second - results[1].values_second))),
+            float(np.max(np.abs(strategy.values_first - lp.values_first))),
+            float(np.max(np.abs(strategy.values_second - lp.values_second))),
         )
-        print(f"method agreement (vi vs lp): value {results[1].value:.10f}, "
+        print(f"method agreement (vi vs lp): value {lp.value:.10f}, "
               f"max |diff| {gap:.3e}")
     walk = _policy_walk(mdp, strategy)
     if walk:
@@ -266,7 +278,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     mdp = _obtain_mdp(args)
-    _make_parent(args.trace_out)
+    made = _make_parent(args.trace_out)
     strategy = synthesize_mission(mdp, method=args.method)
     trace = open(args.trace_out, "wb") if args.trace_out else None
     est = None
@@ -281,9 +293,12 @@ def cmd_simulate(args) -> int:
     finally:
         if trace is not None:
             trace.close()
-            # a failed simulation leaves no partial trace behind
+            # a failed simulation leaves no partial trace behind, nor the directories made for it
             if est is None:
                 Path(args.trace_out).unlink()
+                with contextlib.suppress(OSError):  # a directory something else wrote into stays
+                    for directory in made:
+                        directory.rmdir()
     if trace is not None:
         print(f"wrote {args.trace_out}", file=sys.stderr)
 

@@ -396,10 +396,10 @@ def prefix_frequency(
         raise ValueError(f"prefix state {outside[0]} outside [0, {mdp.n_states})")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    covered = np.zeros(mdp.n_states, dtype=bool)
-    covered[mdp.owner[_choices(mdp, [policy])]] = True
     never = np.zeros(mdp.n_states, dtype=bool)
-    plan = _Plan.of(mdp, (policy,), covered, never, never)
+    plan = _Plan.of(mdp, (policy,), ~never, never, never)
+    # a run ends where the policy, checked by the plan, plays nothing
+    plan.event[plan.row[0] < 0] = _END
     steps = len(prefix) - 1
     hits = 0
     for _, size, rngs in _blocks(runs, seed):

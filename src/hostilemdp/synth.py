@@ -38,8 +38,10 @@ class ValueResult:
     """Per-state reachability values plus solver bookkeeping.
 
     ``positive`` is the bool mask of the states with a positive value.
-    ``iterations`` counts value-iteration sweeps for ``"vi"``, and for ``"lp"``
-    HiGHS's interior-point iterations without crossover, ``linprog``'s ``nit``.
+    ``iterations`` counts value-iteration sweeps for ``"vi"``.  For ``"lp"`` it
+    counts HiGHS's interior-point iterations without crossover, ``linprog``'s
+    ``nit``, or, when the LP starts from a policy, its simplex iterations: 0 when
+    that policy's basis is already optimal.
     """
 
     values: np.ndarray
@@ -291,12 +293,15 @@ def max_reach_vi(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, tol: float =
         _assemble(mdp, target, free, xe[:nf]), max_iter, residual)
 
 
-def _highs_ipm(A_ub, b_ub) -> tuple[np.ndarray, int]:
-    """min sum(x) subject to A_ub x <= b_ub and 0 <= x <= 1, by HiGHS's interior point.
+def _highs(A_ub, b_ub, solver: str, tight: Optional[np.ndarray] = None):
+    """min sum(x) subject to A_ub x <= b_ub and 0 <= x <= 1, by HiGHS's ``solver``.
 
-    ``A_ub`` is CSC ``(indptr, indices, data)`` of ``len(b_ub)`` rows.  HiGHS gets
-    the arrays, bounds and options that ``linprog(method="highs-ipm")`` passes it,
-    so ``x`` and the iteration count are ``linprog``'s, bit for bit.
+    ``A_ub`` is CSC ``(indptr, indices, data)`` of ``len(b_ub)`` rows.  This is the
+    one place that fills HiGHS's model: it gets the arrays, bounds and options that
+    ``linprog(method="highs-ipm")`` passes it, with ``solver`` in place of ``"ipm"``.
+    With ``tight``, the run starts from the basis of every column and of every row
+    but the rows ``tight``, which sit at their upper bounds.  Returns ``x`` and
+    HiGHS's info, or raises :class:`RuntimeError` unless the model is optimal.
     """
     h = compiled(HIGHS)
     rows, cols, lp = len(b_ub), len(A_ub[0]) - 1, h.HighsLp()
@@ -307,35 +312,79 @@ def _highs_ipm(A_ub, b_ub) -> tuple[np.ndarray, int]:
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(cols), np.zeros(cols), np.ones(cols)
     lp.row_lower_, lp.row_upper_ = np.full(rows, -h.kHighsInf), b_ub
     options, highs = h.HighsOptions(), h._Highs()
-    options.presolve, options.solver = "on", "ipm"
+    options.presolve, options.solver = "on", solver
     options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = options.log_to_console = False
     options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
     highs.passOptions(options)
     highs.passModel(lp)
+    if tight is not None:
+        kind, basis = h.HighsBasisStatus, h.HighsBasis()
+        basis.col_status = [kind.kBasic] * cols
+        row_status = np.full(rows, kind.kBasic, dtype=object)
+        row_status[tight] = kind.kUpper
+        basis.row_status = row_status.tolist()
+        basis.valid = True
+        if highs.setBasis(basis) != h.HighsStatus.kOk:
+            raise RuntimeError("LP solve failed: HiGHS refused the starting basis")
     highs.run()
     if (status := highs.getModelStatus()) != h.HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP solve failed: {highs.modelStatusToString(status)}")
-    return np.array(highs.getSolution().col_value), highs.getInfo().ipm_iteration_count
+    return np.array(highs.getSolution().col_value), highs.getInfo()
+
+
+def _highs_ipm(A_ub, b_ub) -> tuple[np.ndarray, int]:
+    """The LP of :func:`_highs` by interior point: ``x`` and the iteration count are
+    ``linprog(method="highs-ipm")``'s, bit for bit."""
+    x, info = _highs(A_ub, b_ub, "ipm")
+    return x, info.ipm_iteration_count
+
+
+def _highs_simplex(A_ub, b_ub, tight: np.ndarray) -> tuple[np.ndarray, int]:
+    """The LP of :func:`_highs` by simplex from the basis where the rows ``tight`` hold
+    with equality: ``x`` and the simplex iteration count."""
+    x, info = _highs(A_ub, b_ub, "simplex", tight)
+    return x, info.simplex_iteration_count
 
 
 def max_reach_lp(mdp: Mdp, target: np.ndarray, allowed: np.ndarray, *,
-                 positive: Optional[np.ndarray] = None) -> ValueResult:
+                 positive: Optional[np.ndarray] = None,
+                 start: Optional[np.ndarray] = None) -> ValueResult:
     """LP route to the same values: minimize sum(x) over the Bellman cone.
 
     Each enabled action of a free state yields one constraint
     x_s >= c_a + sum_succ P(s,a,succ) x_succ; the minimal feasible point is
-    the value vector, which :func:`_highs_ipm` finds or raises.  HiGHS runs
-    crossover, so the answer is a vertex of the cone, clipped into the bounds
-    [0, 1], which HiGHS may overshoot by a few ulps.  ``positive`` is as for
-    :func:`max_reach_vi`.
+    the value vector.  Without ``start``, :func:`_highs_ipm` finds it or
+    raises; HiGHS runs crossover, so the answer is a vertex of the cone.
+    ``start`` is a policy in the form :func:`extract_policy` returns, one
+    choice per free state in ascending order, or :class:`ValueError` is
+    raised.  Its rows are made tight, which is the optimal basis when the
+    policy is optimal, and :func:`_highs_simplex` starts from there.  Simplex
+    stops only at a basis that is primal and dual feasible within HiGHS's
+    tolerances, so a start that is not optimal is pivoted away: it changes
+    the path to the optimum, not the check of it.  Either way the answer is
+    clipped into the bounds [0, 1], which HiGHS may overshoot by a few ulps.
+    ``positive`` is as for :func:`max_reach_vi`.
     """
     if positive is None:
         positive = qualitative_reach(mdp, target, allowed)
     free = np.flatnonzero(positive & ~target)
+    if start is not None:
+        start = np.asarray(start)
+        if (start.shape != free.shape or start.dtype.kind not in "iu"
+                or not ((start >= 0) & (start < mdp.n_choices())).all()
+                or not np.array_equal(mdp.owner[start], free)):
+            raise ValueError(f"start must hold one choice of each of the {len(free)} free "
+                             "states, in ascending state order")
     if not free.size:
         return ValueResult(_assemble(mdp, target, free, np.zeros(0)), positive, "lp")
-    x, iterations = _highs_ipm(*_lp_inputs(mdp, target, free))
+    A_ub, b_ub = _lp_inputs(mdp, target, free)
+    if start is None:
+        x, iterations = _highs_ipm(A_ub, b_ub)
+    else:
+        # the rows are the free states' choices in state order, so ascending
+        tight = np.searchsorted(ranges(mdp.state_ptr[free], mdp.state_ptr[free + 1]), start)
+        x, iterations = _highs_simplex(A_ub, b_ub, tight)
     return ValueResult(_assemble(mdp, target, free, np.clip(x, 0.0, 1.0)),
                        positive, "lp", iterations=iterations)
 
@@ -391,7 +440,8 @@ class MissionStrategy:
 
 
 def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
-                       max_iter: int = 10**6) -> MissionStrategy:
+                       max_iter: int = 10**6, *,
+                       start: Optional[MissionStrategy] = None) -> MissionStrategy:
     """Solve the nested mission property and extract the switching strategy.
 
     The inner constraint (delivery still possible after pickup) is
@@ -405,22 +455,27 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
     in the order deliver solve, pickup solve, pickup extraction, deliver
     extraction, as in the stages solved one after the other.  ``tol`` and
     ``max_iter`` go to :func:`max_reach_vi` when ``method`` is ``"vi"``.
+    ``start``, a strategy of the same model such as value iteration's, is
+    for ``"lp"`` only: its ``first`` policy starts the pickup stage's LP and
+    its ``second`` the deliver stage's, as :func:`max_reach_lp` describes.
     """
     if method not in ("vi", "lp"):
         raise ValueError(f"unknown method {method!r}, expected one of ['lp', 'vi']")
+    if start is not None and method != "lp":
+        raise ValueError(f"a start applies to method 'lp' only, not {method!r}")
     _check_budget(tol, max_iter)
     alive, pickup, dropoff = mdp.label("alive"), mdp.label(PICKUP), mdp.label(DROPOFF)
     if not pickup.any() or not dropoff.any():
         raise ValueError("mission needs both pickup and dropoff labels on reachable states")
 
-    def solve(target, positive=None):
+    def solve(target, policy, positive=None):
         # the solvers are looked up when called, so a wrapper set on the module is used
         if method == "lp":
-            return max_reach_lp(mdp, target, alive, positive=positive)
+            return max_reach_lp(mdp, target, alive, positive=positive, start=policy)
         return max_reach_vi(mdp, target, alive, tol=tol, max_iter=max_iter, positive=positive)
 
-    def run(target):
-        result = solve(target)
+    def run(target, policy):
+        result = solve(target, policy)
         return result, extract_policy(mdp, result, target)
 
     deliver = alive & dropoff
@@ -430,8 +485,8 @@ def synthesize_mission(mdp: Mdp, method: str = "vi", tol: float = 1e-9,
     from concurrent.futures import ThreadPoolExecutor  # 4-6 ms that only a mission pays
 
     with ThreadPoolExecutor(1, thread_name_prefix="hostilemdp-pickup-stage") as pool:
-        future = pool.submit(run, switch)
-        second = solve(deliver, deliverable)
+        future = pool.submit(run, switch, None if start is None else start.first)
+        second = solve(deliver, None if start is None else start.second, deliverable)
         try:
             second_policy, failed = extract_policy(mdp, second, deliver), None
         except Exception as exc:  # every pickup-stage error is raised before it

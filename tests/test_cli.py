@@ -306,10 +306,13 @@ class TestBadInputs:
         ["simulate", "--method", "lp", "--runs", "10"],
     ])
     def test_failed_lp_solve_is_one_error_line(self, capsys, monkeypatch, argv):
-        def stalled(A_ub, b_ub):
+        def stalled(A_ub, b_ub, *tight):
             raise RuntimeError("LP solve failed: Iteration limit reached.")
 
-        monkeypatch.setattr(synth, "_highs_ipm", stalled)
+        # ``both`` starts the LP from value iteration's policies, so only ``_highs_simplex``
+        # solves it; the helper left as it is would succeed
+        helper = "_highs_simplex" if "both" in argv else "_highs_ipm"
+        monkeypatch.setattr(synth, helper, stalled)
         assert main(argv + ["--env", "corridor"]) == 1
         assert "LP solve failed: Iteration limit reached." in single_error(capsys)
 
@@ -792,13 +795,18 @@ class TestSimulate:
         mdp = make_mdp({0: {"a": [(0, 1.0)]}, 1: {"a": [(2, 1.0)]}, 2: {"a": [(2, 1.0)]}},
                        labels={"alive": {0, 1, 2}, "pickup": {1}, "dropoff": {2}})
         dump_mdp(mdp, tmp_path / "m.npz")
-        path = tmp_path / "t.csv"
-        assert main(["simulate", "--mdp", str(tmp_path / "m.npz"), "--runs", "10",
-                     "--trace-out", str(path)]) == 1
-        config, *rest = capsys.readouterr().err.splitlines()
-        assert config.startswith("config:")
-        assert len(rest) == 1 and rest[0].startswith("error: first-stage strategy undefined")
-        assert not path.exists()
+        # the run made the directories nd/sub for its trace, and takes away only those
+        (tmp_path / "kept").mkdir()
+        for path in (tmp_path / "t.csv", tmp_path / "nd" / "sub" / "t.csv",
+                     tmp_path / "kept" / "nd" / "t.csv"):
+            assert main(["simulate", "--mdp", str(tmp_path / "m.npz"), "--runs", "10",
+                         "--trace-out", str(path)]) == 1
+            config, *rest = capsys.readouterr().err.splitlines()
+            assert config.startswith("config:")
+            assert len(rest) == 1 and rest[0].startswith("error: first-stage strategy undefined")
+            assert not path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "m.npz"]
+        assert not any((tmp_path / "kept").iterdir())
 
     def test_trace_quotes_action_names(self, tmp_path, capsys):
         # facet ids with a comma and a quote give action names csv.writer must quote

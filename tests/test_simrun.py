@@ -244,11 +244,14 @@ class TestEstimate:
         assert est.lost == est.step_limit == 0
 
     def test_refuses_a_state_outside_the_model(self):
-        # numpy would wrap -4 round to state 0 and find no row for state 7
-        mdp, policy = toy_chain()
-        for prefix in ([-4, 1, 1], [0, 1, 7], [4]):
-            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
-                prefix_frequency(mdp, policy, prefix, runs=10, seed=0)
+        # a policy choice with no row in the model: numpy would wrap -1 round to the last
+        # choice and find no row for choice 3 or 7
+        mdp, strat = mission_chain()
+        for stage in ("first", "second"):
+            for choice in (-1, 3, 7):
+                bad = dataclasses.replace(strat, **{stage: np.array([choice])})
+                with pytest.raises(ValueError, match=rf"^policy choice {choice} outside \[0, 3\)$"):
+                    estimate_success(mdp, bad, runs=10)
 
     @pytest.mark.parametrize("stage", ["first", "second"])
     def test_refuses_a_policy_that_is_not_one_ascending_choice_per_state(self, stage):

@@ -1585,3 +1585,105 @@ class TestHighsIpm:
         assert loads == 1
         assert raced and same
         assert value == pytest.approx(0.9728657289, abs=1e-7)
+
+
+@pytest.fixture(scope="module")
+def warm_models(corridor_mdp, case_envs, tmp_path_factory):
+    """name -> (mdp, value iteration's mission) for the bundled models and the test_pins
+    1100-state grid."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import gridenv
+
+        grid = gridenv.write_grid(tmp_path_factory.mktemp("grid") / "g.json", 3, 3, 1, 9001)
+    models = {"corridor": corridor_mdp, "caseA": build_mdp(case_envs["A"]),
+              "caseB": build_mdp(case_envs["B"]), "grid": build_mdp(load_environment(grid))}
+    return {name: (mdp, synthesize_mission(mdp)) for name, mdp in models.items()}
+
+
+def stage_targets(mdp):
+    """The deliver and the pickup stage's targets, as the mission makes them."""
+    alive = mdp.label("alive")
+    deliver = alive & mdp.label("dropoff")
+    return deliver, alive & mdp.label("pickup") & qualitative_reach(mdp, deliver, alive)
+
+
+class TestWarmStart:
+    """``max_reach_lp`` from a starting policy runs HiGHS's simplex from that policy's
+    basis; the mission passes each stage its own policy."""
+
+    @pytest.mark.parametrize("name", ["corridor", "caseA", "caseB", "grid"])
+    def test_value_iteration_policies_take_no_pivots(self, warm_models, monkeypatch, name):
+        mdp, vi = warm_models[name]
+        solve, calls = synth.max_reach_lp, []
+
+        def recorded(mdp, target, allowed, **kw):
+            calls.append((target, kw["start"], solve(mdp, target, allowed, **kw)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(synth, "max_reach_lp", recorded)
+        synthesize_mission(mdp, "lp", start=vi)
+        deliver, switch = stage_targets(mdp)
+        policies = {deliver.tobytes(): vi.second, switch.tobytes(): vi.first}
+        assert len(calls) == 2 and len({target.tobytes() for target, _, _ in calls}) == 2
+        for target, start, result in calls:
+            assert start is policies[target.tobytes()]
+            assert result.iterations == 0
+
+    @pytest.mark.parametrize("name", ["corridor", "caseA", "grid"])
+    def test_matches_the_cold_lp(self, warm_models, request, name):
+        # caseB's cold LP mission takes 15 s, so it is left out
+        mdp, vi = warm_models[name]
+        cold = (request.getfixturevalue("case_a_lp").strategy if name == "caseA"
+                else synthesize_mission(mdp, "lp"))
+        warm = synthesize_mission(mdp, "lp", start=vi)
+        for values in ("values_first", "values_second"):
+            assert np.max(np.abs(getattr(warm, values) - getattr(cold, values))) <= 1e-12
+        for policy in ("first", "second"):
+            assert np.array_equal(getattr(warm, policy), getattr(cold, policy))
+
+    def test_another_progressing_start_is_pivoted_to_the_optimum(self, warm_models):
+        # each free state's least choice into the next BFS level: progressing, and on the
+        # grid, unlike the corridor, not value iteration's policy in either stage
+        mdp, vi = warm_models["grid"]
+        alive = mdp.label("alive")
+        for target, optimal in zip(stage_targets(mdp), (vi.second, vi.first)):
+            free = np.flatnonzero(qualitative_reach(mdp, target, alive) & ~target)
+            keep = (alive & ~target)[mdp.owner][mdp.predecessors.choice]
+            via = synth._backward_levels(mdp, keep, np.flatnonzero(target))[1][free]
+            assert not np.array_equal(via, optimal)
+            warm = max_reach_lp(mdp, target, alive, start=via)
+            assert warm.iterations > 0
+            cold = max_reach_lp(mdp, target, alive)
+            assert np.max(np.abs(warm.values - cold.values)) <= 1e-12
+
+    def test_random_models_reach_the_oracle(self):
+        solved = 0
+        for i in range(40):
+            mdp, goal = random_mdp(np.random.default_rng([4141, i]), max_actions=3)
+            vi = max_reach_vi(mdp, goal, everything(mdp))
+            start = extract_policy(mdp, vi, goal)
+            lp = max_reach_lp(mdp, goal, everything(mdp), start=start)
+            want, _ = oracle_max_reach(mdp, goal)
+            assert np.max(np.abs(lp.values - want)) <= 1e-9, i
+            solved += len(start) > 0
+        assert solved >= 30
+
+    def test_refuses_a_start_that_is_not_one_choice_per_free_state(self, corridor_mdp):
+        mdp = corridor_mdp
+        alive = mdp.label("alive")
+        target = stage_targets(mdp)[0]
+        policy = extract_policy(mdp, max_reach_vi(mdp, target, alive), target)
+        # a choice of a target state, which has no row in the LP
+        foreign = np.concatenate(([mdp.state_ptr[np.flatnonzero(target)[0]]], policy[1:]))
+        for start in (policy[1:], foreign, policy[::-1], np.append(policy, policy[-1]),
+                      np.where(policy == policy[0], -1, policy),
+                      np.where(policy == policy[0], mdp.n_choices(), policy),
+                      policy.astype(float)):
+            with pytest.raises(ValueError, match="^start must hold one choice of each of the "):
+                max_reach_lp(mdp, target, alive, start=start)
+
+    def test_a_start_is_for_the_lp_only(self, warm_models):
+        mdp, vi = warm_models["corridor"]
+        with pytest.raises(ValueError, match="^a start applies to method 'lp' only, not 'vi'$"):
+            synthesize_mission(mdp, "vi", start=vi)
